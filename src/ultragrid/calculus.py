@@ -20,13 +20,14 @@ Consequences used throughout the package:
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
 import scipy.sparse as sp
 
+from .elements import apply_axis
 from .grid import GridLevel, NodeSet
 
 __all__ = [
@@ -173,29 +174,28 @@ def _d1_matrix(m: int, h: float) -> sp.csr_matrix:
 
 @dataclass(frozen=True, eq=False)
 class DiffOp:
-    """Per-axis sparse SBP derivative matrices for one level."""
+    """Per-axis sparse SBP derivative matrices for one level.
+
+    ``transposes`` holds each matrix's transpose as CSR, built once.
+    """
 
     level: GridLevel
     matrices: tuple[sp.csr_matrix, ...]
+    transposes: tuple[sp.csr_matrix, ...] = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(
+            self, "transposes", tuple(m.T.tocsr() for m in self.matrices)
+        )
 
     def apply(self, values: np.ndarray, axis: int) -> np.ndarray:
         """Apply the axis derivative to a flat or lattice-shaped value array."""
-        grid = values.reshape(self.level.shape)
-        moved = np.moveaxis(grid, axis, 0)
-        lead = moved.shape[0]
-        flat = moved.reshape(lead, -1)
-        out = self.matrices[axis] @ flat
-        out = np.moveaxis(out.reshape(moved.shape), 0, axis)
+        out = apply_axis(self.matrices[axis], values.reshape(self.level.shape), axis)
         return np.ascontiguousarray(out).ravel()
 
     def apply_transpose(self, values: np.ndarray, axis: int) -> np.ndarray:
         """Apply the transposed axis derivative (used for adjoint assembly)."""
-        grid = values.reshape(self.level.shape)
-        moved = np.moveaxis(grid, axis, 0)
-        lead = moved.shape[0]
-        flat = moved.reshape(lead, -1)
-        out = self.matrices[axis].T @ flat
-        out = np.moveaxis(out.reshape(moved.shape), 0, axis)
+        out = apply_axis(self.transposes[axis], values.reshape(self.level.shape), axis)
         return np.ascontiguousarray(out).ravel()
 
 

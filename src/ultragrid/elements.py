@@ -2,10 +2,11 @@
 
 Used by the critical-exponent quotient: the quotient is evaluated as the
 *exact* energy of the multilinear nodal interpolant, so the numerator uses
-the 1D linear-element stiffness/mass matrices (kron-sum structure) and the
-denominator uses 4-point Gauss quadrature per cell per axis, which integrates
-the degree-6 interpolant power exactly.  All operators act along one axis of
-a lattice-shaped array at a time.
+the 1D linear-element stiffness/mass matrices (kron-sum structure) applied
+with :func:`apply_axis`, and the denominator uses 4-point Gauss quadrature per
+cell per axis, which integrates the degree-6 interpolant power exactly.
+The Gauss matrices of :func:`gauss_interp` are used as dense 1D factors by
+the quotient's streamed Gauss-point pass (``problems._QuotientObjective``).
 """
 
 from __future__ import annotations
@@ -32,12 +33,12 @@ def p1_matrices(m: int, h: float) -> tuple[sp.csr_matrix, sp.csr_matrix]:
 
 def gauss_interp(
     m: int, h: float, lo: float
-) -> tuple[sp.csr_matrix, sp.csr_matrix, np.ndarray, np.ndarray]:
+) -> tuple[sp.csr_matrix, np.ndarray, np.ndarray]:
     """Per-axis 4-point Gauss evaluation of the linear interpolant.
 
-    Returns ``(G, GTW, points, weights)`` where ``G`` maps nodal values to
-    values at the ``4 * (m - 1)`` Gauss points, ``GTW = G.T @ diag(weights)``
-    (the weighted transpose used in gradients), ``points`` are the Gauss
+    Returns ``(G, points, weights)`` where ``G`` maps nodal values to values
+    at the ``4 * (m - 1)`` Gauss points (rows ``4c .. 4c + 3`` belong to cell
+    ``c`` and read nodes ``c`` and ``c + 1`` only), ``points`` are the Gauss
     coordinates and ``weights`` the quadrature weights.
     """
     t, wt = np.polynomial.legendre.leggauss(4)
@@ -54,8 +55,7 @@ def gauss_interp(
 
     points = lo + (cell_idx + s_rep) * h
     weights = np.tile(wt, cells) * (h / 2.0)
-    GTW = sp.csr_matrix(G.T @ sp.diags(weights))
-    return G, GTW, points, weights
+    return G, points, weights
 
 
 def apply_axis(mat: sp.spmatrix, arr: np.ndarray, axis: int) -> np.ndarray:

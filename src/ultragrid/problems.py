@@ -88,10 +88,15 @@ class _SawtoothObjective(LevelObjective):
         du = self._op.apply(u, 0)
         return float((u * u) @ self._d + ((du * du - 1.0) ** 2) @ self._d)
 
-    def gradient(self, u: np.ndarray) -> np.ndarray:
+    def value_and_grad(self, u: np.ndarray) -> tuple[float, np.ndarray]:
         du = self._op.apply(u, 0)
-        inner_term = 4.0 * du * (du * du - 1.0) * self._d
-        return 2.0 * u * self._d + self._op.apply_transpose(inner_term, 0)
+        slack = du * du - 1.0
+        value = float((u * u) @ self._d + (slack**2) @ self._d)
+        inner_term = 4.0 * du * slack * self._d
+        return value, 2.0 * u * self._d + self._op.apply_transpose(inner_term, 0)
+
+    def gradient(self, u: np.ndarray) -> np.ndarray:
+        return self.value_and_grad(u)[1]
 
 
 def sawtooth_pattern(level: GridLevel) -> np.ndarray:
@@ -182,27 +187,62 @@ def quadratic_well(center: Sequence[float], strength: float = 50.0) -> Callable:
     return a
 
 
+#: Axis-0 cells per slab of the streamed quotient pass.
+_SLAB_CELLS = 1
+
+
+def _apply_trailing(mats: Sequence[np.ndarray], t: np.ndarray) -> np.ndarray:
+    """Apply the dense ``mats[k]`` along axis ``k`` of ``t``, every axis but 0.
+
+    Each step is one (batched) GEMM on a C-contiguous operand: no axis is
+    moved and no operand is copied.
+    """
+    for axis in range(t.ndim - 1, 0, -1):
+        mat = mats[axis]
+        head = t.shape[:axis]
+        if axis == t.ndim - 1:
+            t = (t.reshape(-1, t.shape[axis]) @ mat.T).reshape(head + (mat.shape[0],))
+        else:
+            tail = t.shape[axis + 1:]
+            batched = t.reshape(int(np.prod(head)), t.shape[axis], -1)
+            t = (mat @ batched).reshape(head + (mat.shape[0],) + tail)
+    return t
+
+
 class _QuotientObjective(LevelObjective):
-    """Exact multilinear-interpolant Sobolev quotient on one level."""
+    """Exact multilinear-interpolant Sobolev quotient on one level.
+
+    The numerator's Dirichlet part is the stiffness kron-sum on the node
+    grid.  The Gauss-point terms (the denominator ``int |u|^p`` and the
+    potential ``int a u^2``) and their adjoints come from one streamed pass
+    (:meth:`_gauss_pass`): the node grid is contracted with the dense 1D
+    Gauss matrices along axes ``1 .. N-1``, then axis 0 is swept in slabs of
+    ``_SLAB_CELLS`` cells, each of which reads only the nodes of its own
+    cells, so the full Gauss-point grid is never stored.  ``|u|^p`` is formed
+    as ``u * u (u^2)^((p-2)/2)``; for ``p = 6`` numpy's power loop takes the
+    exponent 2 without a general float ``pow``.
+    """
 
     def __init__(self, level: GridLevel, potential: Optional[Callable]) -> None:
         super().__init__(level)
         dim = level.dimension
         self.p = 2.0 * dim / (dim - 2)  # critical exponent
         self.q = (dim - 2) / dim  # denominator power 2 / 2*
+        self._half_exp = (self.p - 2.0) / 2.0  # |u|^(p-2) = (u^2)^half_exp
         self.fixed_mask = level.boundary_mask.copy()
         self.fixed_values = np.zeros(level.node_count)
 
         self._K1, self._M1 = [], []
-        self._G, self._GTW, self._gw = [], [], []
+        self._G, self._GWT, self._gw = [], [], []
         gauss_points = []
         for axis, m in enumerate(level.shape):
             K, M = p1_matrices(m, level.h)
             self._K1.append(K)
             self._M1.append(M)
-            G, GTW, pts, w = gauss_interp(m, level.h, level.domain.bounds[axis][0])
+            G, pts, w = gauss_interp(m, level.h, level.domain.bounds[axis][0])
+            G = G.toarray()
             self._G.append(G)
-            self._GTW.append(GTW)
+            self._GWT.append((G * w[:, None]).T)  # G^T diag(w)
             self._gw.append(w)
             gauss_points.append(pts)
 
@@ -225,55 +265,94 @@ class _QuotientObjective(LevelObjective):
             out += tmp
         return out
 
-    def _gauss_values(self, grid: np.ndarray) -> np.ndarray:
-        tmp = grid
-        for axis in range(grid.ndim):
-            tmp = apply_axis(self._G[axis], tmp, axis)
-        return tmp
+    def _weighted_sum(self, x: np.ndarray, w0: np.ndarray) -> float:
+        """Gauss-weighted sum of a slab ``x`` whose axis-0 weights are ``w0``."""
+        for w in reversed(self._gw[1:]):
+            x = x.reshape(-1, w.size) @ w
+        return float(w0 @ x)
 
-    def _gauss_adjoint(self, gauss_grid: np.ndarray) -> np.ndarray:
-        tmp = gauss_grid
-        for axis in range(gauss_grid.ndim):
-            tmp = apply_axis(self._GTW[axis], tmp, axis)
-        return tmp
+    def _gauss_pass(self, grid: np.ndarray, adjoint: bool):
+        """``(den, pot, acc, acc_a)`` of one streamed Gauss-point pass.
 
-    def _gauss_sum(self, gauss_grid: np.ndarray) -> float:
-        tmp = gauss_grid
-        for w in self._gw:
-            tmp = np.tensordot(w, tmp, axes=(0, 0))
-        return float(tmp)
+        ``den = int |u|^p`` and ``pot = int a u^2`` (0 without a potential).
+        With ``adjoint``, ``acc`` and ``acc_a`` hold the axis-0 adjoints
+        ``(diag(w_0) G_0)^T (u |u|^(p-2))`` and ``(diag(w_0) G_0)^T (a u)``
+        over the Gauss grid of axes ``1 .. N-1``; :meth:`value_and_grad`
+        finishes them with the weighted Gauss matrices of those axes.
+        ``acc`` is ``None`` without ``adjoint``; ``acc_a`` is ``None``
+        without ``adjoint`` or without a potential.
+        """
+        t = _apply_trailing(self._G, grid)
+        t = t.reshape(t.shape[0], -1)
+        G0, GWT0, w0 = self._G[0], self._GWT[0], self._gw[0]
+        a_gauss = self._a_gauss
+        acc = np.zeros_like(t) if adjoint else None
+        acc_a = np.zeros_like(t) if adjoint and a_gauss is not None else None
+        den = pot = 0.0
+        cells = G0.shape[1] - 1
+        rule = G0.shape[0] // cells  # Gauss rows per cell
+        per_slab = min(cells, _SLAB_CELLS)
+        # slab buffers, reused: fresh temporaries this size would cost page faults
+        ug_buf, y_buf, z_buf = np.empty((3, rule * per_slab, t.shape[1]))
+        back_buf = np.empty((per_slab + 1, t.shape[1]))
 
-    # -- energy pieces ------------------------------------------------------
-    def _pieces(self, u: np.ndarray):
+        def accumulate(into, rows, nodes, vals):
+            back = back_buf[: nodes.stop - nodes.start]
+            np.matmul(GWT0[nodes, rows], vals, out=back)
+            into[nodes] += back
+
+        for c0 in range(0, cells, per_slab):
+            c1 = min(c0 + per_slab, cells)
+            rows = slice(rule * c0, rule * c1)
+            nodes = slice(c0, c1 + 1)  # the only nodes these Gauss rows read
+            n = rows.stop - rows.start
+            ug, y, z = ug_buf[:n], y_buf[:n], z_buf[:n]
+            np.matmul(G0[rows, nodes], t[nodes], out=ug)
+            np.multiply(ug, ug, out=y)
+            np.power(y, self._half_exp, out=y)
+            np.multiply(y, ug, out=y)  # u |u|^(p-2)
+            den += self._weighted_sum(np.multiply(ug, y, out=z), w0[rows])
+            if adjoint:
+                accumulate(acc, rows, nodes, y)
+            if a_gauss is not None:
+                np.multiply(a_gauss[rows].reshape(ug.shape), ug, out=y)  # a u
+                pot += self._weighted_sum(np.multiply(ug, y, out=z), w0[rows])
+                if adjoint:
+                    accumulate(acc_a, rows, nodes, y)
+        return den, pot, acc, acc_a
+
+    # -- energy -------------------------------------------------------------
+    def _pieces(self, u: np.ndarray, adjoint: bool):
         grid = u.reshape(self.level.shape)
         ku = self._stiffness_apply(grid)
         num = float(np.vdot(grid, ku))
-        ug = self._gauss_values(grid)
-        if self._a_gauss is not None:
-            num += self._gauss_sum(self._a_gauss * ug * ug)
-        den = self._gauss_sum(np.abs(ug) ** self.p)
-        return grid, ku, ug, num, den
+        den, pot, acc, acc_a = self._gauss_pass(grid, adjoint)
+        num += pot
+        value = num / den**self.q if den > 0.0 else float("inf")
+        return value, ku, num, den, acc, acc_a
 
     def value(self, u: np.ndarray) -> float:
-        _grid, _ku, _ug, num, den = self._pieces(u)
+        return self._pieces(u, adjoint=False)[0]
+
+    def value_and_grad(self, u: np.ndarray) -> tuple[float, np.ndarray]:
+        value, ku, num, den, acc, acc_a = self._pieces(u, adjoint=True)
         if den <= 0.0:
-            return float("inf")
-        return num / den**self.q
+            return value, np.zeros(u.size)
+        scale = den**-self.q
+        # d(num / den^q) = d_num / den^q - q num / den^(q+1) d_den, with
+        # d_num = 2 K u + 2 G^T W (a u) and d_den = p G^T W (u |u|^(p-2))
+        acc *= -self.p * self.q * num * scale / den
+        if acc_a is not None:
+            acc += (2.0 * scale) * acc_a
+        shape = (acc.shape[0],) + tuple(w.size for w in self._gw[1:])
+        adj = _apply_trailing(self._GWT, acc.reshape(shape))
+        return value, (2.0 * scale * ku + adj).ravel()
 
     def gradient(self, u: np.ndarray) -> np.ndarray:
-        grid, ku, ug, num, den = self._pieces(u)
-        if den <= 0.0:
-            return np.zeros(u.size)
-        d_num = 2.0 * ku
-        if self._a_gauss is not None:
-            d_num = d_num + 2.0 * self._gauss_adjoint(self._a_gauss * ug)
-        d_den = self.p * self._gauss_adjoint(np.sign(ug) * np.abs(ug) ** (self.p - 1.0))
-        grad = d_num / den**self.q - (self.q * num / den ** (self.q + 1.0)) * d_den
-        return grad.ravel()
+        return self.value_and_grad(u)[1]
 
     def normalize(self, u: np.ndarray) -> np.ndarray:
-        grid = u.reshape(self.level.shape)
-        den = self._gauss_sum(np.abs(self._gauss_values(grid)) ** self.p)
+        den = self._gauss_pass(u.reshape(self.level.shape), adjoint=False)[0]
         if den <= 0.0:
             return u
         return u * den ** (-1.0 / self.p)
@@ -459,12 +538,18 @@ class _SingularObjective(LevelObjective):
         total += float(self._W(u) @ self._d)
         return total
 
-    def gradient(self, u: np.ndarray) -> np.ndarray:
+    def value_and_grad(self, u: np.ndarray) -> tuple[float, np.ndarray]:
+        total = 0.0
         grad = self._d * self._Wp(u)
         for axis, mask in enumerate(self._row_masks):
             du = self._op.apply(u, axis)
+            total += 0.5 * float((du * du * mask) @ self._d)
             grad = grad + self._op.apply_transpose(du * mask * self._d, axis)
-        return grad
+        total += float(self._W(u) @ self._d)
+        return total, grad
+
+    def gradient(self, u: np.ndarray) -> np.ndarray:
+        return self.value_and_grad(u)[1]
 
     def hessian(self, u: np.ndarray) -> sp.spmatrix:
         return self._K + sp.diags(self._d * self._Wpp(u))

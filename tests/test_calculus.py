@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ultragrid import (
     Domain,
@@ -173,3 +175,30 @@ def test_binary_round_trip(tmp_path):
     grid_function_to_binary(u, path)
     v = grid_function_from_binary(level, path)
     assert np.array_equal(u.values, v.values)
+
+
+def _moveaxis_apply(mat, values, shape, axis):
+    """The former per-call formula of ``DiffOp.apply`` (kept as the oracle)."""
+    moved = np.moveaxis(values.reshape(shape), axis, 0)
+    flat = moved.reshape(moved.shape[0], -1)
+    out = np.moveaxis((mat @ flat).reshape(moved.shape), 0, axis)
+    return np.ascontiguousarray(out).ravel()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    extents=st.lists(st.integers(1, 2), min_size=1, max_size=3),
+    n=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_diffop_bit_identical_to_moveaxis_formula(extents, n, seed):
+    level = build_level(Domain(tuple((0.0, float(e)) for e in extents)), n)
+    op = diff_op(level)
+    u = np.random.default_rng(seed).standard_normal(level.node_count)
+    for axis, mat in enumerate(op.matrices):
+        np.testing.assert_array_equal(
+            op.apply(u, axis), _moveaxis_apply(mat, u, level.shape, axis)
+        )
+        np.testing.assert_array_equal(
+            op.apply_transpose(u, axis), _moveaxis_apply(mat.T, u, level.shape, axis)
+        )

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import ultragrid.problems as problems
 from ultragrid import (
     BubbleInitializer,
     Domain,
@@ -22,6 +23,7 @@ from ultragrid import (
     singular_spec,
     sobolev_constant,
 )
+from ultragrid.elements import apply_axis, gauss_interp, p1_matrices
 
 DOM3 = Domain(((0.0, 1.0), (0.0, 1.0), (0.0, 1.0)))
 
@@ -50,6 +52,23 @@ def test_sawtooth_pattern_has_unit_operator_slope():
     du = derivative(u).values
     interior = ~level.boundary_mask
     assert np.allclose(np.abs(du[interior]), 1.0, atol=1e-12)
+
+
+def test_sawtooth_fused_value_and_grad_is_bit_identical():
+    spec = sawtooth_spec()
+    level = build_level(spec.domain, 5)
+    obj = spec.build(level)
+    rng = np.random.default_rng(5)
+    for u in (rng.standard_normal(level.node_count), sawtooth_pattern(level),
+              obj.pin(rng.standard_normal(level.node_count))):
+        value, grad = obj.value_and_grad(u)
+        assert value == obj.value(u)
+        # the former separate gradient
+        du = obj._op.apply(u, 0)
+        inner_term = 4.0 * du * (du * du - 1.0) * obj._d
+        np.testing.assert_array_equal(
+            grad, 2.0 * u * obj._d + obj._op.apply_transpose(inner_term, 0)
+        )
 
 
 def test_sawtooth_gradient_consistency():
@@ -100,6 +119,96 @@ def test_quotient_gradient_consistency():
     spec = sign_perturbed_spec()
     level = build_level(spec.domain, 3)
     assert check_gradient(spec, level) < 1e-5
+
+
+def _old_quotient(obj, u):
+    """The former quotient evaluation, kept as the oracle of the streamed pass.
+
+    Sparse per-axis Gauss matrices applied with ``apply_axis`` over the full
+    Gauss-point grid, ``|u|^p`` by float power, and the weighted transposes
+    ``G^T diag(w)`` for the adjoint.
+    """
+    level = obj.level
+    grid = u.reshape(level.shape)
+    G, GTW, weights = [], [], []
+    for axis, m in enumerate(level.shape):
+        g, _points, w = gauss_interp(m, level.h, level.domain.bounds[axis][0])
+        G.append(g)
+        GTW.append(g.T @ np.diag(w))
+        weights.append(w)
+
+    def chain(mats, arr):
+        for axis, mat in enumerate(mats):
+            arr = apply_axis(mat, arr, axis)
+        return arr
+
+    def gauss_sum(arr):
+        for w in weights:
+            arr = np.tensordot(w, arr, axes=(0, 0))
+        return float(arr)
+
+    ku = np.zeros_like(grid)
+    for i in range(grid.ndim):
+        mats = [p1_matrices(m, level.h)[0 if a == i else 1] for a, m in enumerate(level.shape)]
+        ku += chain(mats, grid)
+    num = float(np.vdot(grid, ku))
+    ug = chain(G, grid)
+    a = obj._a_gauss
+    if a is not None:
+        num += gauss_sum(a * ug * ug)
+    den = gauss_sum(np.abs(ug) ** obj.p)
+    d_num = 2.0 * ku
+    if a is not None:
+        d_num = d_num + 2.0 * chain(GTW, a * ug)
+    d_den = obj.p * chain(GTW, np.sign(ug) * np.abs(ug) ** (obj.p - 1.0))
+    grad = d_num / den**obj.q - (obj.q * num / den ** (obj.q + 1.0)) * d_den
+    return num / den**obj.q, grad.ravel()
+
+
+@pytest.mark.parametrize(
+    "dimension, n, well",
+    [(3, 3, False), (3, 4, False), (3, 3, True), (3, 4, True),
+     (4, 2, False), (4, 2, True), (5, 2, False)],
+)
+def test_quotient_kernel_matches_former_formula(dimension, n, well):
+    # p = 6, 4 and 10/3: the last needs a non-integer power
+    a = quadratic_well((0.4,) * dimension) if well else None
+    spec = sign_perturbed_spec(a=a, dimension=dimension)
+    level = build_level(spec.domain, n)
+    obj = spec.build(level)
+    u = obj.pin(np.random.default_rng(n + dimension).standard_normal(level.node_count))
+    value, grad = obj.value_and_grad(u)
+    ref_value, ref_grad = _old_quotient(obj, u)
+    assert value == pytest.approx(ref_value, rel=1e-12)
+    np.testing.assert_allclose(grad, ref_grad, rtol=1e-12, atol=1e-12 * np.abs(ref_grad).max())
+    assert obj.value(u) == value
+    np.testing.assert_array_equal(obj.gradient(u), grad)
+
+
+def test_quotient_well_gradient_consistency():
+    spec = sign_perturbed_spec(a=quadratic_well((0.5, 0.5, 0.5)))
+    level = build_level(spec.domain, 3)
+    assert check_gradient(spec, level) < 1e-5
+
+
+@pytest.mark.parametrize("well", [False, True])
+def test_quotient_slab_size_does_not_change_result(monkeypatch, well):
+    a = quadratic_well((0.5, 0.5, 0.5)) if well else None
+    spec = sign_perturbed_spec(a=a)
+    level = build_level(spec.domain, 4)
+    u = np.random.default_rng(8).standard_normal(level.node_count)
+    results = []
+    # one axis-0 cell per slab, then the whole axis in one slab
+    for cells in (1, level.shape[0] - 1):
+        monkeypatch.setattr(problems, "_SLAB_CELLS", cells)
+        obj = problems._QuotientObjective(level, a)
+        u = obj.pin(u)
+        results.append((obj.value_and_grad(u), obj.normalize(u)))
+    (v1, g1), n1 = results[0]
+    (v2, g2), n2 = results[1]
+    assert v1 == pytest.approx(v2, rel=1e-13)
+    np.testing.assert_allclose(g1, g2, rtol=1e-13, atol=1e-13 * np.abs(g2).max())
+    np.testing.assert_allclose(n1, n2, rtol=1e-13)
 
 
 def test_quotient_above_sobolev_constant():
@@ -184,6 +293,24 @@ def test_singular_gradient_and_hessian():
     hv = H @ v
     free = obj.free_mask
     assert np.max(np.abs(fd[free] - hv[free])) < 1e-4 * max(np.max(np.abs(hv)), 1.0)
+
+
+def test_singular_fused_value_and_grad_is_bit_identical():
+    spec = singular_spec()
+    level = build_level(spec.domain, 4)
+    obj = spec.build(level)
+    rng = np.random.default_rng(6)
+    for _ in range(3):
+        # boundary-pinned points, away from the singularity at zero
+        u = obj.pin(np.sign(rng.standard_normal(level.node_count)) + 0.5 * rng.random(level.node_count))
+        value, grad = obj.value_and_grad(u)
+        assert value == obj.value(u)
+        # the former separate gradient
+        ref = obj._d * obj._Wp(u)
+        for axis, mask in enumerate(obj._row_masks):
+            du = obj._op.apply(u, axis)
+            ref = ref + obj._op.apply_transpose(du * mask * obj._d, axis)
+        np.testing.assert_array_equal(grad, ref)
 
 
 def test_singular_minimizer_and_interface():
