@@ -14,6 +14,14 @@ beyond the domain box belong to the cell of the closest boundary node.  A
 full-domain mask therefore has density one everywhere and zero perimeter,
 which lets interface lengths be read directly from mask perimeters.
 
+For a node mask every sample lands on a node at a fixed index shift from
+the node it is taken at, so the rule is evaluated as one correlation of the
+mask with the integer count of samples per shift: exact, with no size cap
+and no cache.  A sample ``t`` of the unit ball is shifted by
+``rint(t * eta_factor)`` per axis, rounded once for all nodes, so a
+half-integer ``t * eta_factor`` (``eta_factor = 2`` has some) rounds half
+to even.
+
 Because the derivative operator is summation-by-parts with a fully
 antisymmetric weighted matrix, the divergence-theorem identity returned by
 :func:`gauss_check` holds to rounding for arbitrary masks and fields.
@@ -21,10 +29,13 @@ antisymmetric weighted matrix, the divergence-theorem identity returned by
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence, Union
 
 import numpy as np
+from scipy import ndimage
 
 from .calculus import GridFunction, diff_op, divergence
 from .grid import GridLevel, NodeSet
@@ -278,47 +289,25 @@ def _box_fraction(level: GridLevel, box: Box, eta: float) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# sampled fractions for explicit masks (and 3D boxes)
+# sampled fractions for 3D boxes and explicit masks
 # ---------------------------------------------------------------------------
 
-_OFFSET_CACHE: dict[tuple[int, float], np.ndarray] = {}
-_MASK_INDEX_CACHE: dict[tuple[int, float], np.ndarray] = {}
-
-
-def _ball_offsets(dim: int, eta: float) -> np.ndarray:
-    """Midpoint sample offsets covering ``B_eta(0)``, fixed count per axis."""
-    key = (dim, eta)
-    cached = _OFFSET_CACHE.get(key)
-    if cached is not None:
-        return cached
+@lru_cache(maxsize=None)
+def _unit_ball_samples(dim: int) -> np.ndarray:
+    """Midpoint samples of the unit ball, fixed count per axis (read-only)."""
     m = SAMPLES_PER_AXIS
     ticks = (np.arange(m) + 0.5) / m * 2.0 - 1.0  # midpoints of [-1, 1]
     mesh = np.meshgrid(*([ticks] * dim), indexing="ij")
     pts = np.stack([g.ravel() for g in mesh], axis=-1)
     pts = pts[np.sum(pts**2, axis=-1) <= 1.0]
-    offsets = pts * eta
-    _OFFSET_CACHE[key] = offsets
-    return offsets
+    pts.flags.writeable = False
+    return pts
 
 
 def _sampled_fraction(level: GridLevel, region, eta: float) -> np.ndarray:
-    offsets = _ball_offsets(level.dimension, eta)
+    offsets = _unit_ball_samples(level.dimension) * eta
     nodes = level.coordinates
     n_nodes, n_samples = nodes.shape[0], offsets.shape[0]
-
-    if isinstance(region, NodeMask):
-        if region.level is not level:
-            raise ValueError("node mask must live on the evaluation level")
-        key = (id(level), eta)
-        idx = _MASK_INDEX_CACHE.get(key)
-        if idx is None:
-            if n_nodes * n_samples <= 50_000_000:
-                pts = nodes[:, None, :] + offsets[None, :, :]
-                idx = _nearest_node(level, pts)
-                _MASK_INDEX_CACHE[key] = idx
-        if idx is not None:
-            return region.mask[idx].mean(axis=1)
-
     out = np.empty(n_nodes)
     chunk = max(1, 4_000_000 // max(n_samples, 1))
     for start in range(0, n_nodes, chunk):
@@ -328,15 +317,45 @@ def _sampled_fraction(level: GridLevel, region, eta: float) -> np.ndarray:
     return out
 
 
+def _mask_fraction(region: NodeMask, eta_factor: float) -> np.ndarray:
+    """The sampling rule of :func:`_sampled_fraction` for a node mask.
+
+    From node ``i``, unit-ball sample ``t`` lands on node
+    ``clip(i + rint(t * eta_factor), 0, m - 1)`` along each axis.  The shift
+    does not depend on ``i``, so the sample mean is the mask correlated with
+    the count of samples per shift, ``mode="nearest"`` being the clip.
+    Shifts beyond ``m - 1`` clip to the same node and are cut there, which
+    bounds the stencil.  The counts and their sums are small integers, so the
+    result is exact.
+    """
+    level = region.level
+    reach = np.array(level.shape) - 1
+    shifts = np.rint(_unit_ball_samples(level.dimension) * eta_factor)
+    shifts = np.clip(shifts, -reach, reach).astype(np.int64)
+    radius = np.abs(shifts).max(axis=0)
+    counts = np.zeros(tuple(2 * radius + 1))
+    np.add.at(counts, tuple((shifts + radius).T), 1.0)
+    mask = region.mask.reshape(level.shape).astype(float)
+    hits = ndimage.correlate(mask, counts, mode="nearest")
+    return hits.ravel() / len(shifts)
+
+
 # ---------------------------------------------------------------------------
 # public operations
 # ---------------------------------------------------------------------------
 
 
 def density(region: Region, level: GridLevel, eta_factor: float = 1.0) -> GridFunction:
-    """Ball-averaged indicator of ``region`` at every node (values in [0, 1])."""
-    if eta_factor < 1.0:
-        raise ValueError("eta_factor must be >= 1")
+    """Ball-averaged indicator of ``region`` at every node (values in [0, 1]).
+
+    ``eta_factor`` (finite, at least 1) scales the ball radius
+    ``eta = eta_factor * h``.  A node mask must live on ``level``; its
+    samples shift by ``rint(t * eta_factor)`` nodes, and a tie (a
+    half-integer ``t * eta_factor``) rounds half to even, the same way at
+    every node.
+    """
+    if not math.isfinite(eta_factor) or eta_factor < 1.0:
+        raise ValueError("eta_factor must be finite and >= 1")
     eta = eta_factor * level.h
     dim = level.dimension
 
@@ -350,7 +369,9 @@ def density(region: Region, level: GridLevel, eta_factor: float = 1.0) -> GridFu
     elif isinstance(region, Box):
         values = _box_fraction(level, region, eta)
     elif isinstance(region, NodeMask):
-        values = _sampled_fraction(level, region, eta)
+        if region.level is not level:
+            raise ValueError("node mask must live on the evaluation level")
+        values = _mask_fraction(region, eta_factor)
     else:
         raise TypeError(f"unsupported region type {type(region).__name__}")
 

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ultragrid import (
     Ball,
@@ -17,7 +19,7 @@ from ultragrid import (
     perimeter,
     surface_integral,
 )
-from ultragrid.measure import _box_fraction, _sampled_fraction
+from ultragrid.measure import _box_fraction, _sampled_fraction, _unit_ball_samples
 
 DOM1 = Domain(((0.0, 1.0),))
 DOM2 = Domain(((0.0, 1.0), (0.0, 1.0)))
@@ -147,3 +149,137 @@ def test_region_validation():
     level = build_level(DOM1, 3)
     with pytest.raises(ValueError):
         NodeMask(level, np.ones(3, bool))
+
+
+# ---------------------------------------------------------------------------
+# node-mask density: the count-stencil correlation against the indicator
+# oracle (``_sampled_fraction`` evaluates ``NodeMask.indicator`` at every
+# sample point)
+# ---------------------------------------------------------------------------
+
+MASK_DOMAINS = {
+    1: (DOM1, Domain(((0.3, 3.3),))),
+    2: (DOM2, Domain(((0.3, 1.3), (-2.0, 0.0)))),
+    3: (DOM3, Domain(((0.1, 0.6), (-1.0, 0.0), (2.0, 2.5)))),
+}
+MASK_MAX_LEVEL = {1: 8, 2: 5, 3: 3}
+# no sample t of the unit ball makes t * eta_factor a half-integer
+TIE_FREE_FACTORS = (1.0, 1.25, 1.5, 3.0, 1e6)
+
+
+def _assert_matches_oracle(region, eta_factor):
+    level = region.level
+    expected = _sampled_fraction(level, region, eta_factor * level.h)
+    np.testing.assert_array_equal(density(region, level, eta_factor).values, expected)
+
+
+def _indicator_mean(region, nodes):
+    """The sampling rule at ``eta_factor = 1``, evaluated at ``nodes`` only."""
+    level = region.level
+    offsets = _unit_ball_samples(level.dimension) * level.h
+    pts = level.coordinates[nodes, None, :] + offsets[None, :, :]
+    return region.indicator(pts).mean(axis=1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(dim=st.sampled_from((1, 2, 3)), data=st.data())
+def test_mask_density_matches_indicator_sampling(dim, data):
+    domain = data.draw(st.sampled_from(MASK_DOMAINS[dim]))
+    level = build_level(domain, data.draw(st.integers(0, MASK_MAX_LEVEL[dim])))
+    eta_factor = data.draw(st.sampled_from(TIE_FREE_FACTORS))
+    fill = data.draw(st.floats(0.0, 1.0))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    mask = rng.random(level.node_count) < fill
+    _assert_matches_oracle(NodeMask(level, mask), eta_factor)
+
+
+@pytest.mark.parametrize("dom, n", [(DOM1, 5), (DOM2, 4), (DOM3, 2)])
+@pytest.mark.parametrize("eta_factor", TIE_FREE_FACTORS)
+def test_mask_density_explicit_masks(dom, n, eta_factor):
+    level = build_level(dom, n)
+    corner = np.zeros(level.node_count, bool)
+    corner[0] = True
+    face = level.coordinates[:, 0] == 0.0
+    full = np.ones(level.node_count, bool)
+    for mask in (corner, face, full, ~full):
+        _assert_matches_oracle(NodeMask(level, mask), eta_factor)
+
+
+def test_mask_density_past_former_gather_cap():
+    # 263169 nodes x 316 samples: 83M sample points, far past the size of a
+    # full nearest-node gather; the oracle runs on a subset of the nodes
+    level = build_level(DOM2, 9)
+    rng = np.random.default_rng(29)
+    region = NodeMask(level, rng.random(level.node_count) < 0.5)
+    theta = density(region, level).values
+    m0, m1 = level.shape
+    corners = level.flat_index(([0, 0, m0 - 1, m0 - 1], [0, m1 - 1, 0, m1 - 1]))
+    picks = np.concatenate([rng.choice(level.node_count, 1000, replace=False), corners])
+    np.testing.assert_array_equal(theta[picks], _indicator_mean(region, picks))
+
+
+def test_mask_density_on_levels_rebuilt_in_turn():
+    # same spacing, other node counts; each level is freed before the next is
+    # built, so a new level may reuse the memory (and the id()) of an old one:
+    # nothing may carry over
+    rng = np.random.default_rng(31)
+    for dom in (DOM1, DOM2, DOM3, DOM2, DOM1, DOM2):
+        level = build_level(dom, 3)
+        region = NodeMask(level, rng.random(level.node_count) < 0.5)
+        theta = density(region, level).values
+        np.testing.assert_array_equal(theta, _indicator_mean(region, slice(None)))
+        del level, region
+
+
+@pytest.mark.parametrize("dom, n", [(DOM1, 5), (DOM2, 4)])
+def test_mask_density_ties_round_alike_at_every_node(dom, n):
+    # at eta_factor = 2 the samples t = +-0.25, +-0.75 give half-integer
+    # shifts; each is rounded once, so a one-node mask at any interior node
+    # must produce the same stencil around it
+    level = build_level(dom, n)
+    reach = 2
+    center = level.flat_index(tuple(m // 2 for m in level.shape))
+    windows = {}
+    for node in np.flatnonzero(~level.boundary_mask):
+        mask = np.zeros(level.node_count, bool)
+        mask[node] = True
+        theta = density(NodeMask(level, mask), level, 2.0).grid_values
+        padded = np.pad(theta, reach, constant_values=np.nan)
+        at = level.multi_index(node)
+        window = padded[tuple(slice(i, i + 2 * reach + 1) for i in at)]
+        inside = ~np.isnan(window)
+        assert np.count_nonzero(window[inside]) == np.count_nonzero(theta)
+        windows[node] = window
+    ref = windows[center]
+    assert not np.isnan(ref).any()
+    for window in windows.values():
+        inside = ~np.isnan(window)
+        np.testing.assert_array_equal(window[inside], ref[inside])
+
+
+@pytest.mark.parametrize("eta_factor", [np.nan, np.inf, -np.inf, 0.5])
+def test_density_rejects_bad_eta_factor(eta_factor):
+    level = build_level(DOM1, 3)
+    for region in (HalfSpace(0, 0.5), NodeMask(level, level.coordinates[:, 0] < 0.5)):
+        with pytest.raises(ValueError):
+            density(region, level, eta_factor)
+
+
+def test_mask_density_stencil_is_bounded_for_huge_eta_factor():
+    # shifts past the last node are cut to it; uncut, eta_factor = 1e6 would
+    # ask for a count stencil of (2e6 + 1)**3 entries
+    level = build_level(DOM3, 2)
+    rng = np.random.default_rng(37)
+    region = NodeMask(level, rng.random(level.node_count) < 0.5)
+    theta = density(region, level, 1e6).values
+    np.testing.assert_array_equal(
+        theta, _sampled_fraction(level, region, 1e6 * level.h)
+    )
+    np.testing.assert_array_equal(density(region, level, 1e300).values, theta)
+
+
+def test_mask_density_rejects_mask_of_another_level():
+    level = build_level(DOM1, 3)
+    other = build_level(DOM1, 3)
+    with pytest.raises(ValueError):
+        density(NodeMask(other, np.ones(other.node_count, bool)), level)
