@@ -20,7 +20,7 @@ Consequences used throughout the package:
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Sequence
 
@@ -125,7 +125,7 @@ def integral(u: GridFunction, over: NodeSet | None = None) -> float:
     """Weighted nodal sum ``sum_a u(a) d(a)``, optionally over a node subset."""
     if over is None:
         return float(u.values @ u.level.weights)
-    if over.level is not u.level:
+    if over.level != u.level:
         raise ValueError("node set belongs to a different level")
     idx = over.indices
     return float(u.values[idx] @ u.level.weights[idx])
@@ -142,7 +142,7 @@ def sigma(level: GridLevel, a: int) -> GridFunction:
 
 def inner(u: GridFunction, v: GridFunction) -> float:
     """Weighted inner product ``sum_a u(a) v(a) d(a)``."""
-    if u.level is not v.level:
+    if u.level != v.level:
         raise ValueError("grid functions live on different levels")
     return float((u.values * v.values) @ u.level.weights)
 
@@ -158,8 +158,9 @@ def norm(u: GridFunction) -> float:
 
 
 @lru_cache(maxsize=64)
-def _d1_matrix(m: int, h: float) -> sp.csr_matrix:
-    """1D SBP derivative on ``m`` nodes with spacing ``h`` (see module docs)."""
+def _d1_matrices(m: int, h: float) -> tuple[sp.csr_matrix, sp.csr_matrix]:
+    """1D SBP derivative on ``m`` nodes with spacing ``h`` (see module docs)
+    and its transpose, both CSR."""
     rows, cols, data = [], [], []
     inv2h = 0.5 / h
     for i in range(1, m - 1):
@@ -169,24 +170,18 @@ def _d1_matrix(m: int, h: float) -> sp.csr_matrix:
     rows += [0, m - 1]
     cols += [1, m - 2]
     data += [1.0 / h, -1.0 / h]
-    return sp.csr_matrix((data, (rows, cols)), shape=(m, m))
+    mat = sp.csr_matrix((data, (rows, cols)), shape=(m, m))
+    return mat, mat.T.tocsr()
 
 
 @dataclass(frozen=True, eq=False)
 class DiffOp:
-    """Per-axis sparse SBP derivative matrices for one level.
-
-    ``transposes`` holds each matrix's transpose as CSR, built once.
-    """
+    """Per-axis sparse SBP derivative matrices of one level and their CSR
+    transposes."""
 
     level: GridLevel
     matrices: tuple[sp.csr_matrix, ...]
-    transposes: tuple[sp.csr_matrix, ...] = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "transposes", tuple(m.T.tocsr() for m in self.matrices)
-        )
+    transposes: tuple[sp.csr_matrix, ...]
 
     def apply(self, values: np.ndarray, axis: int) -> np.ndarray:
         """Apply the axis derivative to a flat or lattice-shaped value array."""
@@ -199,18 +194,15 @@ class DiffOp:
         return np.ascontiguousarray(out).ravel()
 
 
-_DIFFOP_CACHE: dict[int, DiffOp] = {}
-
-
 def diff_op(level: GridLevel) -> DiffOp:
-    """The (cached) derivative operator of a level."""
-    key = id(level)
-    op = _DIFFOP_CACHE.get(key)
-    if op is None or op.level is not level:
-        mats = tuple(_d1_matrix(m, level.h) for m in level.shape)
-        op = DiffOp(level=level, matrices=mats)
-        _DIFFOP_CACHE[key] = op
-    return op
+    """The derivative operator of a level.
+
+    Built per call and cheap: each axis' 1D matrix and its transpose come
+    from a cache keyed by the axis' ``(node count, spacing)``, so no cache
+    holds on to a level.
+    """
+    mats, transposes = zip(*(_d1_matrices(m, level.h) for m in level.shape))
+    return DiffOp(level=level, matrices=mats, transposes=transposes)
 
 
 def derivative(u: GridFunction, axis: int = 0) -> GridFunction:
@@ -230,7 +222,7 @@ def divergence(phi: Sequence[GridFunction]) -> GridFunction:
         raise ValueError("component count must equal the dimension")
     level = phi[0].level
     for comp in phi:
-        if comp.level is not level:
+        if comp.level != level:
             raise ValueError("components live on different levels")
     op = diff_op(level)
     total = np.zeros(level.node_count)
@@ -262,7 +254,7 @@ def derivative_kernel_dimension(level: GridLevel, axis: int = 0, tol: float = 1e
     m = level.shape[axis]
     if m > 4097:
         raise ValueError("kernel dimension report limited to <= 4097 nodes per axis")
-    dense = _d1_matrix(m, level.h).toarray()
+    dense = _d1_matrices(m, level.h)[0].toarray()
     svals = np.linalg.svd(dense, compute_uv=False)
     return int(np.sum(svals <= tol * svals.max()))
 

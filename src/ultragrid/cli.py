@@ -54,7 +54,7 @@ from .calculus import (
     integral,
     restrict,
 )
-from .grid import Domain, build_level
+from .grid import Domain, ResourceLimitError, build_level
 from .measure import Ball, Box, HalfSpace, NodeMask, density, gauss_check, perimeter
 from .nets import classify
 from .problems import (
@@ -254,6 +254,9 @@ def cmd_solve(config: dict, out: pathlib.Path) -> int:
             seed=seed,
             multistart=int(config["multistart"]),
         )
+    except ResourceLimitError as exc:
+        # a level over the node cap is a bad level range
+        raise ConfigError(str(exc)) from exc
     except RuntimeError as exc:
         # certified-lower-bound violation: an invariant failure, not a crash
         print(f"invariant failure: {exc}", file=sys.stderr)

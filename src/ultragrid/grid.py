@@ -96,12 +96,15 @@ class Domain:
         return inside
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class GridLevel:
     """The uniform lattice over ``domain`` at refinement level ``n``.
 
     Nodes form the tensor product of per-axis coordinates including both box
     faces.  Flat node indices are C-ordered (last axis fastest).
+
+    A level is a value: levels built from the same ``(domain, n)`` are equal
+    and hash alike, so they can be mixed freely and used as cache keys.
     """
 
     domain: Domain

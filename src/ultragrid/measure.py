@@ -140,8 +140,9 @@ def _nearest_node(level: GridLevel, points: np.ndarray) -> np.ndarray:
     """Flat index of the nearest node, clipping outside-the-box points."""
     multi = []
     for axis, (lo, _hi) in enumerate(level.domain.bounds):
-        i = np.rint((points[..., axis] - lo) / level.h).astype(np.int64)
-        multi.append(np.clip(i, 0, level.shape[axis] - 1))
+        i = np.rint((points[..., axis] - lo) / level.h)
+        # clip in float before the cast, so a far point cannot wrap in int64
+        multi.append(np.clip(i, 0, level.shape[axis] - 1).astype(np.int64))
     return np.ravel_multi_index(tuple(multi), level.shape)
 
 
@@ -369,7 +370,7 @@ def density(region: Region, level: GridLevel, eta_factor: float = 1.0) -> GridFu
     elif isinstance(region, Box):
         values = _box_fraction(level, region, eta)
     elif isinstance(region, NodeMask):
-        if region.level is not level:
+        if region.level != level:
             raise ValueError("node mask must live on the evaluation level")
         values = _mask_fraction(region, eta_factor)
     else:

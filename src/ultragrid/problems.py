@@ -408,15 +408,9 @@ def sign_perturbed_spec(
             if np.all(sampled >= 0.0):
                 lower = sobolev_constant(3)
 
-    cache: dict[int, _QuotientObjective] = {}
-
+    @lru_cache(maxsize=1)
     def build(level: GridLevel) -> LevelObjective:
-        obj = cache.get(id(level))
-        if obj is None or obj.level is not level:
-            obj = _QuotientObjective(level, a)
-            cache.clear()
-            cache[id(level)] = obj
-        return obj
+        return _QuotientObjective(level, a)
 
     def initial_guesses(level, rng, warm):
         scales = [bubble_scales[1]] if warm is not None else list(bubble_scales)
@@ -483,15 +477,14 @@ def _interior_row_mask(level: GridLevel, axis: int) -> np.ndarray:
 
 def _masked_stiffness(level: GridLevel) -> sp.csr_matrix:
     """Assemble ``sum_i D_i^T diag(d * mask_i) D_i`` as a sparse matrix."""
-    from .calculus import _d1_matrix
-
+    mats = diff_op(level).matrices
     terms = []
     for i in range(level.dimension):
         pieces = []
         for axis, m in enumerate(level.shape):
             w = sp.diags(level.axis_weights[axis])
             if axis == i:
-                D = _d1_matrix(m, level.h)
+                D = mats[axis]
                 mask = np.ones(m)
                 mask[0] = mask[-1] = 0.0
                 pieces.append(sp.csr_matrix(D.T @ sp.diags(level.axis_weights[axis] * mask) @ D))
@@ -609,15 +602,9 @@ def singular_spec(
             raise ValueError(f"boundary data vanishes at node {node}")
         return np.where(on_boundary, vals, 0.0)
 
-    cache: dict[int, _SingularObjective] = {}
-
+    @lru_cache(maxsize=1)
     def build(level: GridLevel) -> LevelObjective:
-        obj = cache.get(id(level))
-        if obj is None or obj.level is not level:
-            obj = _SingularObjective(level, W, Wp, Wpp, _boundary_values(level))
-            cache.clear()
-            cache[id(level)] = obj
-        return obj
+        return _SingularObjective(level, W, Wp, Wpp, _boundary_values(level))
 
     def initial_guesses(level, rng, warm):
         obj = build(level)

@@ -290,12 +290,13 @@ def solve_net(
     level_list = sorted(int(n) for n in levels)
     if len(level_list) < 3:
         raise ValueError("solve_net needs at least three levels")
+    # every level up front: one over the node cap fails before any work
+    chain = [build_level(problem.domain, n) for n in level_list]
 
     results: list[MinResult] = []
     violations: list[int] = []
     init: GridFunction | None = None
-    for n in level_list:
-        level = build_level(problem.domain, n)
+    for i, level in enumerate(chain):
         if init is not None:
             # a warm start that lost feasibility in prolongation is dropped,
             # not an error (explicit user inits still are)
@@ -311,19 +312,16 @@ def solve_net(
             and warm_start
             and res.value > results[-1].value + 1e-10
         ):
-            violations.append(n)
+            violations.append(level.n)
             res.converged = False
         if problem.lower_bound is not None and res.value < problem.lower_bound - 1e-10:
             raise RuntimeError(
-                f"level {n} value {res.value} violates the certified lower bound "
+                f"level {level.n} value {res.value} violates the certified lower bound "
                 f"{problem.lower_bound}"
             )
         results.append(res)
-        if warm_start and len(results) < len(level_list):
-            next_level = build_level(problem.domain, level_list[len(results)])
-            init = prolong(res.u, next_level)
-        else:
-            init = None
+        warm = warm_start and i + 1 < len(chain)
+        init = prolong(res.u, chain[i + 1]) if warm else None
     partial = any(not r.converged for r in results)
     return SolutionNet(
         problem=problem,
@@ -446,16 +444,16 @@ def verify_euler_lagrange(problem: ProblemSpec, result: MinResult) -> ELReport:
     u = result.u.values
     free = obj.free_mask
     d = result.level.weights
+    g = obj.gradient(u)
 
     strong = obj.strong_residual(u)
     if strong is None:
-        strong = obj.gradient(u) / d
+        strong = g / d
     r = strong[free]
     max_res = float(np.max(np.abs(r))) if r.size else 0.0
     l2_res = float(np.sqrt(np.sum(r**2 * d[free])))
 
-    g = obj.gradient(u).copy()
-    g[~free] = 0.0
+    g = np.where(free, g, 0.0)
     weak = []
     for phi in problem.battery:
         phi_grid = restrict(phi.fn, result.level)

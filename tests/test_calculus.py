@@ -1,5 +1,8 @@
 """Grid functions, the summation-by-parts derivative, and quadrature."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +11,7 @@ from hypothesis import strategies as st
 from ultragrid import (
     Domain,
     GridFunction,
+    NodeSet,
     bump,
     build_level,
     derivative,
@@ -66,6 +70,42 @@ def test_sigma_and_inner():
     u = restrict(lambda x: x, level)
     # pairing with a nodal indicator extracts value times weight
     assert np.isclose(inner(u, s), u.values[4] * level.weights[4])
+
+
+def test_equal_levels_mix():
+    # two levels built separately from the same (domain, n) are one level
+    a, b = build_level(DOM2, 3), build_level(DOM2, 3)
+    u = restrict(lambda x, y: x + y, a)
+    v = restrict(lambda x, y: x * y, b)
+    assert inner(u, v) == inner(u, restrict(lambda x, y: x * y, a))
+    over = NodeSet(b, np.arange(0, b.node_count, 2))
+    assert integral(u, over) == integral(u, NodeSet(a, over.indices))
+    np.testing.assert_array_equal(
+        divergence((u, v)).values, derivative(u, 0).values + derivative(v, 1).values
+    )
+
+
+def test_mixing_different_levels_still_raises():
+    u = restrict(lambda x: x, build_level(DOM1, 3))
+    v = restrict(lambda x: x, build_level(DOM1, 4))
+    w = restrict(lambda x, y: x, build_level(DOM2, 3))
+    with pytest.raises(ValueError, match="different levels"):
+        inner(u, v)
+    with pytest.raises(ValueError, match="different level"):
+        integral(u, NodeSet(v.level, [0]))
+    with pytest.raises(ValueError, match="different levels"):
+        divergence((w, restrict(lambda x, y: y, build_level(DOM2, 4))))
+
+
+def test_diff_op_keeps_no_level_alive():
+    refs = []
+    for _ in range(35):
+        level = build_level(DOM2, 6)
+        diff_op(level)
+        refs.append(weakref.ref(level))
+        del level
+    gc.collect()
+    assert sum(ref() is not None for ref in refs) == 0
 
 
 def test_sbp_antisymmetry_random(subtests=None):

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from ultragrid import solver
 from ultragrid.cli import main
 
 SAW = {"problem": "sawtooth", "levels": "3..5", "seed": 0}
@@ -145,3 +146,18 @@ def test_bad_json_exits_2(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json", encoding="utf-8")
     assert main(["solve", "--config", str(path), "--out", str(out)]) == 2
+
+
+def test_solve_level_over_node_cap_exits_2_before_solving(tmp_path, capsys, monkeypatch):
+    # level 24 of the unit interval has 2**24 + 1 nodes, one over the cap;
+    # every level is built before the first solve, so nothing may run
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a level was solved before the cap was checked")
+
+    monkeypatch.setattr(solver, "minimize_level", no_solve)
+    out = tmp_path / "out"
+    out.mkdir()
+    cfg = write_config(tmp_path, {"problem": "sawtooth", "levels": "22..24"})
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 2
+    assert "config error: level 24 requires" in capsys.readouterr().err
+    assert not (out / "report.json").exists()

@@ -102,3 +102,14 @@ def test_flat_multi_index_round_trip():
     level = build_level(Domain(((0.0, 1.0), (0.0, 1.0))), 3)
     flat = np.arange(level.node_count)
     assert np.array_equal(level.flat_index(level.multi_index(flat)), flat)
+
+
+def test_levels_are_values():
+    # built separately, from equal but distinct domain objects
+    a = build_level(Domain(((0.0, 1.0), (0.0, 2.0))), 4)
+    b = build_level(Domain(((0.0, 1.0), (0.0, 2.0))), 4)
+    assert a is not b
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b}) == 1
+    assert a != build_level(a.domain, 5)
+    assert a != build_level(Domain(((0.0, 1.0), (0.0, 1.0))), 4)

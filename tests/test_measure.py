@@ -280,6 +280,28 @@ def test_mask_density_stencil_is_bounded_for_huge_eta_factor():
 
 def test_mask_density_rejects_mask_of_another_level():
     level = build_level(DOM1, 3)
-    other = build_level(DOM1, 3)
-    with pytest.raises(ValueError):
-        density(NodeMask(other, np.ones(other.node_count, bool)), level)
+    for other in (build_level(DOM1, 4), build_level(DOM2, 3)):
+        with pytest.raises(ValueError):
+            density(NodeMask(other, np.ones(other.node_count, bool)), level)
+
+
+def test_mask_density_accepts_mask_of_an_equal_level():
+    level, equal = build_level(DOM2, 4), build_level(DOM2, 4)
+    mask = np.random.default_rng(41).random(level.node_count) < 0.5
+    np.testing.assert_array_equal(
+        density(NodeMask(equal, mask), level).values,
+        density(NodeMask(level, mask), level).values,
+    )
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("x, node", [(1e300, -1), (-1e300, 0)])
+def test_node_mask_indicator_far_outside_the_box(x, node):
+    # a far point belongs to the cell of the nearest (clipped) node; the
+    # float-to-int cast must not wrap before the clip
+    level = build_level(DOM1, 3)
+    for mask_node in (node, 4):
+        mask = np.zeros(level.node_count, bool)
+        mask[mask_node] = True
+        hit = NodeMask(level, mask).indicator(np.array([[x]]))
+        assert hit.tolist() == [mask_node == node]

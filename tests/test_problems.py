@@ -234,6 +234,19 @@ def test_quadratic_well_and_concentration_metric():
         concentration_metric(peak, (0.5, 0.5, 0.5), -1.0)
 
 
+# --- objective caching ------------------------------------------------------
+
+
+@pytest.mark.parametrize("factory, n", [(sign_perturbed_spec, 2), (singular_spec, 3)])
+def test_spec_build_is_keyed_by_level_value(factory, n):
+    spec = factory()
+    obj = spec.build(build_level(spec.domain, n))
+    # an equal level, built separately, gets the same objective
+    assert spec.build(build_level(spec.domain, n)) is obj
+    other = spec.build(build_level(spec.domain, n + 1))
+    assert other is not obj and other.level.n == n + 1
+
+
 # --- singular problem --------------------------------------------------------
 
 

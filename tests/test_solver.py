@@ -1,8 +1,13 @@
 """Level-net minimization, splitting, and residual verification."""
 
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import ultragrid.solver as solver
 from ultragrid import (
     Domain,
     GridFunction,
@@ -60,6 +65,37 @@ def test_prolong_linear_exact():
     assert np.allclose(v.values, 2.0 * fine.coordinates[:, 0] + 1.0, atol=1e-14)
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    extents=st.lists(st.integers(1, 2), min_size=1, max_size=3),
+    lo=st.floats(-2.0, 2.0),
+    coarse_n=st.integers(0, 2),
+    steps=st.integers(0, 2),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_prolong_exact_on_multilinear_data(extents, lo, coarse_n, steps, seed):
+    # f = sum over axis subsets S of c_S * prod_{i in S} x_i is affine in each
+    # axis, so axis-by-axis linear interpolation reproduces it
+    dim = len(extents)
+    coeffs = np.random.default_rng(seed).uniform(-1.0, 1.0, 2**dim)
+    subsets = list(itertools.product((0, 1), repeat=dim))
+
+    def f(*x):
+        return sum(c * np.prod([xi for xi, on in zip(x, s) if on], axis=0)
+                   for c, s in zip(coeffs, subsets))
+
+    def box():
+        return Domain(tuple((lo, lo + float(e)) for e in extents))
+
+    coarse = build_level(box(), coarse_n)
+    fine = build_level(box(), coarse_n + steps)  # separately built, equal domain
+    v = prolong(restrict(f, coarse), fine)
+    assert v.level is fine
+    exact = restrict(f, fine).values
+    scale = max(1.0, float(np.abs(exact).max()))
+    np.testing.assert_allclose(v.values, exact, rtol=0.0, atol=1e-13 * scale)
+
+
 def test_prolong_rejects_non_refinement():
     fine = build_level(DOM1, 5)
     u = restrict(lambda x: x, fine)
@@ -101,6 +137,27 @@ def test_solve_net_quadratic_standard_limit():
     coarse_nodes = sp.psi.entries[-1][1].values[:: 2 ** (len(sp.psi.entries) - 1)]
     assert np.max(np.abs(sp.psi.entries[0][1].values)) < 5e-3
     assert np.max(np.abs(coarse_nodes)) < 1e-8
+
+
+def test_solve_net_builds_each_level_once(monkeypatch):
+    built, solved = [], []
+
+    def counting_build_level(domain, n, *args, **kwargs):
+        built.append(n)
+        return build_level(domain, n, *args, **kwargs)
+
+    def recording_minimize_level(problem, level, init=None, **kwargs):
+        solved.append((level, init))
+        return minimize_level(problem, level, init=init, **kwargs)
+
+    monkeypatch.setattr(solver, "build_level", counting_build_level)
+    monkeypatch.setattr(solver, "minimize_level", recording_minimize_level)
+    solve_net(quadratic_problem(), levels=[5, 3, 4])
+    assert built == [3, 4, 5]
+    assert [level.n for level, _ in solved] == [3, 4, 5]
+    # each warm start was prolonged onto the level object that is solved next
+    assert solved[0][1] is None
+    assert all(init.level is level for level, init in solved[1:])
 
 
 def test_solve_net_requires_three_levels():
