@@ -54,7 +54,7 @@ from .calculus import (
     integral,
     restrict,
 )
-from .grid import Domain, ResourceLimitError, build_level
+from .grid import Domain, GridLevel, ResourceLimitError, build_level
 from .measure import Ball, Box, HalfSpace, NodeMask, density, gauss_check, perimeter
 from .nets import classify
 from .problems import (
@@ -500,15 +500,14 @@ def _fit_order(hs: Sequence[float], errs: Sequence[float]) -> float:
     return float(slope)
 
 
-def _check_sbp_gauss(levels: Sequence[int], instances: int, seed: int):
+def _check_sbp_gauss(chains: Sequence[Sequence[GridLevel]], instances: int, seed: int):
     """Worst relative antisymmetry / Gauss gaps over random instances."""
     worst_sbp = 0.0
     worst_gauss = 0.0
     rng = np.random.default_rng(seed)
-    for dim in (1, 2):
-        domain = Domain(tuple((0.0, 1.0) for _ in range(dim)))
-        for n in levels:
-            level = build_level(domain, n)
+    for chain in chains:
+        for level in chain:
+            dim = level.dimension
             op = diff_op(level)
             d = level.weights
             for _ in range(instances):
@@ -530,12 +529,10 @@ def _check_sbp_gauss(levels: Sequence[int], instances: int, seed: int):
     return worst_sbp, worst_gauss
 
 
-def _check_orders(levels: Sequence[int]):
+def _check_orders(chain: Sequence[GridLevel]):
     """Fitted derivative / quadrature / Heaviside-pairing orders in 1D."""
-    domain = Domain(((0.0, 1.0),))
     hs, derr, qerr, herr = [], [], [], []
-    for n in levels:
-        level = build_level(domain, n)
+    for level in chain:
         x = level.coordinates[:, 0]
         u = GridFunction(level, np.sin(2.0 * np.pi * x))
         du = derivative(u, 0)
@@ -560,21 +557,30 @@ def cmd_calculus_check(config: dict, out: Optional[pathlib.Path]) -> int:
     seed = int(config["seed"])
     chash = config_hash(config)
 
+    domain1 = Domain(((0.0, 1.0),))
+    domain2 = Domain(((0.0, 1.0), (0.0, 1.0)))
+    try:
+        # every level is built before the first check, so a level over the
+        # node cap is a bad level range and nothing is checked
+        lines = [build_level(domain1, n) for n in levels]
+        squares = [build_level(domain2, n) for n in levels]
+        lvl = build_level(domain2, 7)
+    except ResourceLimitError as exc:
+        raise ConfigError(str(exc)) from exc
+
     checks: list[tuple[str, float, float, bool]] = []
 
-    worst_sbp, worst_gauss = _check_sbp_gauss(levels, instances, seed)
+    worst_sbp, worst_gauss = _check_sbp_gauss((lines, squares), instances, seed)
     checks.append(("sbp_antisymmetry", worst_sbp, 1e-12, worst_sbp <= 1e-12))
     checks.append(("gauss_identity", worst_gauss, 1e-12, worst_gauss <= 1e-12))
 
-    d_order, q_order, hs, herr = _check_orders(levels)
+    d_order, q_order, hs, herr = _check_orders(lines)
     checks.append(("derivative_order", d_order, 0.2, abs(d_order - 2.0) <= 0.2))
     checks.append(("quadrature_order", q_order, 2.0, q_order >= 2.0 - 0.2))
     h_order = _fit_order(hs, herr)
     checks.append(("heaviside_pairing_order", h_order, 0.8, h_order >= 0.8))
 
     # density probes and perimeter oracles at h = 1/128 in 2D
-    domain2 = Domain(((0.0, 1.0), (0.0, 1.0)))
-    lvl = build_level(domain2, 7)
     ball = Ball((0.5, 0.5), 0.25)
     theta = density(ball, lvl)
     grid = theta.grid_values
@@ -590,7 +596,7 @@ def cmd_calculus_check(config: dict, out: Optional[pathlib.Path]) -> int:
     dk = perimeter(ball, lvl) / (2.0 * np.pi * 0.25)
     checks.append(("disk_perimeter", abs(dk - 1.0), 0.05, abs(dk - 1.0) <= 0.05))
 
-    kdim = derivative_kernel_dimension(build_level(Domain(((0.0, 1.0),)), levels[0]))
+    kdim = derivative_kernel_dimension(lines[0])
     checks.append(("derivative_kernel_dimension", float(kdim), 1.0, kdim == 1))
 
     width = max(len(name) for name, *_ in checks)

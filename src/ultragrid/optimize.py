@@ -6,6 +6,12 @@ entries are pinned), measure convergence in the quadrature-weighted dual norm
 ``g / d``), and support a step-acceptance predicate so that feasibility
 constraints (for instance a frozen sign pattern) can reject trial points
 during the line search.
+
+Newton solves its steps by in-place banded Cholesky on a reverse
+Cuthill-McKee ordering of the free dofs (George & Liu, *Computer Solution of
+Large Sparse Positive Definite Systems*, 1981).  The only sparse LU left is
+:func:`minimize_quadratic`, for semidefinite quadratic minimizations such as
+a harmonic extension.
 """
 
 from __future__ import annotations
@@ -16,8 +22,9 @@ from typing import Callable, Optional
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import LinAlgError, solveh_banded
 
-__all__ = ["OptimizeResult", "lbfgs", "newton"]
+__all__ = ["OptimizeResult", "lbfgs", "newton", "minimize_quadratic"]
 
 
 @dataclass
@@ -144,11 +151,23 @@ def newton(
     max_iter: int = 200,
     accept: Optional[Callable[[np.ndarray, np.ndarray], bool]] = None,
 ) -> OptimizeResult:
-    """Damped Newton on the free dofs with a sparse Hessian.
+    """Damped Newton on the free dofs with a sparse SPD Hessian.
 
-    Falls back to a preconditioned gradient step whenever the Newton system
-    fails to produce a descent direction.  Line search halves the step until
-    the value decreases and the acceptance predicate (if any) passes.
+    The free block of the Hessian is renumbered once per call by reverse
+    Cuthill-McKee on its pattern at ``x0``; each step scatters the upper band
+    of the renumbered block into one Fortran-ordered buffer, allocated once
+    (and regrown only if a later pattern is wider), and factors and solves it
+    in place with banded Cholesky (LAPACK ``pbsv``, or ``ptsv`` when the band
+    is tridiagonal).  The masked central-difference stiffness of the singular
+    study couples only nodes two apart, so its free block splits into
+    ``2**dim`` parity blocks that the ordering separates: at level 7 in 2D
+    the bandwidth is 64 instead of 254.
+
+    A step falls back to the preconditioned gradient step ``-g / d``
+    whenever the Hessian is not positive definite (Cholesky fails; in the
+    packaged studies only a custom singular potential with ``W'' < 0`` can
+    cause this) or the solve does not produce a finite descent direction.  Line search halves the step
+    until the value decreases and the acceptance predicate (if any) passes.
     """
     x = x0.copy()
     d = weights[free]
@@ -156,17 +175,45 @@ def newton(
     g = g_full[free]
     gnorm = _dual_norm(g, d)
     free_idx = np.flatnonzero(free)
+    nf = free_idx.size
+    # pos[k]: place of dof k in the ordering of the free block, -1 if fixed
+    pos = np.full(x.size, -1, dtype=np.intp)
+    band = None
 
     for it in range(max_iter):
         if gnorm <= gtol:
             return OptimizeResult(x, f, gnorm, it, True)
 
-        H = hessian(x).tocsr()[free_idx][:, free_idx].tocsc()
+        H = sp.csr_matrix(hessian(x))
+        H.sum_duplicates()
+        if band is None:
+            # imported on first use, so that commands without a Newton solve
+            # do not pay for loading scipy.sparse.csgraph at start-up
+            from scipy.sparse.csgraph import reverse_cuthill_mckee
+
+            block = H[free_idx][:, free_idx]
+            pos[free_idx[reverse_cuthill_mckee(block, symmetric_mode=True)]] = np.arange(nf)
+            order = pos[free_idx]
+        H = H.tocoo()
+        i, j = pos[H.row], pos[H.col]
+        upper = (i >= 0) & (j >= i)
+        i, j = i[upper], j[upper]
+        rows = int((j - i).max(initial=0)) + 1
+        if band is None or band.shape[0] < rows:
+            band = np.zeros((rows, nf), order="F")
+        else:
+            band.fill(0.0)
+        # upper band storage: A[i, j] goes to band[-1 - (j - i), j]
+        band[band.shape[0] - 1 - (j - i), j] = H.data[upper]
+        rhs = np.empty(nf)
+        rhs[order] = -g
         try:
-            p = spla.spsolve(H, -g)
+            p = solveh_banded(
+                band, rhs, overwrite_ab=True, overwrite_b=True, check_finite=False
+            )[order]
             if not np.all(np.isfinite(p)) or p @ g >= 0.0:
                 p = -g / d
-        except RuntimeError:
+        except LinAlgError:
             p = -g / d
 
         step = 1.0
@@ -189,3 +236,22 @@ def newton(
         gnorm = _dual_norm(g, d)
 
     return OptimizeResult(x, f, gnorm, max_iter, gnorm <= gtol)
+
+
+def minimize_quadratic(K: sp.spmatrix, x: np.ndarray, free: np.ndarray) -> np.ndarray:
+    """Minimize ``1/2 y^T K y`` over the free entries, the rest pinned to ``x``.
+
+    Solves ``K_ff y_f = -K_fc x_c`` by sparse LU (SuperLU).  Unlike the
+    Newton Hessians, ``K_ff`` may be only semidefinite, for instance the
+    masked stiffness of the singular study, whose odd-odd parity block never
+    touches the boundary: LU returns 0 on that block for its zero right-hand
+    side, where Cholesky would meet a pivot that is zero up to round-off.
+    """
+    K = sp.csr_matrix(K)
+    free_idx = np.flatnonzero(free)
+    fixed_idx = np.flatnonzero(~free)
+    y = np.zeros(x.size)
+    y[fixed_idx] = x[fixed_idx]
+    rhs = -K[free_idx][:, fixed_idx] @ y[fixed_idx]
+    y[free_idx] = spla.spsolve(K[free_idx][:, free_idx].tocsc(), rhs)
+    return y

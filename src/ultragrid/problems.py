@@ -33,12 +33,12 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 import scipy.ndimage as ndi
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .calculus import GridFunction, diff_op, standard_battery
 from .elements import apply_axis, gauss_interp, p1_matrices
 from .grid import Domain, GridLevel, NodeSet
 from .measure import NodeMask, perimeter
+from .optimize import minimize_quadratic
 from .solver import LevelObjective, ProblemSpec
 
 __all__ = [
@@ -607,15 +607,16 @@ def singular_spec(
         return _SingularObjective(level, W, Wp, Wpp, _boundary_values(level))
 
     def initial_guesses(level, rng, warm):
+        """The harmonic extension of ``g``, clipped away from zero.
+
+        The masked stiffness is only semidefinite on the free nodes: the
+        central differences couple nodes two apart, and the block of nodes
+        with every index odd never touches the boundary, so the extension
+        (a sparse LU solve) is exactly 0 there and the start is
+        ``+init_floor`` left of the midline and ``-init_floor`` right of it.
+        """
         obj = build(level)
-        fixed = obj.fixed_mask
-        K = obj._K.tocsr()
-        free_idx = np.flatnonzero(~fixed)
-        fixed_idx = np.flatnonzero(fixed)
-        u = np.zeros(level.node_count)
-        u[fixed_idx] = obj.fixed_values[fixed_idx]
-        rhs = -K[free_idx][:, fixed_idx] @ u[fixed_idx]
-        u[free_idx] = spla.spsolve(K[free_idx][:, free_idx].tocsc(), rhs)
+        u = minimize_quadratic(obj._K, obj.fixed_values, obj.free_mask)
         x0 = level.coordinates[:, 0]
         sign = np.where(u > 0, 1.0, np.where(u < 0, -1.0, np.where(x0 <= mid, 1.0, -1.0)))
         clipped = sign * np.maximum(np.abs(u), init_floor)

@@ -39,3 +39,10 @@ def test_spec_factories_resolve(tracing):
     cli = importlib.import_module("ultragrid.cli")
     for factory in tracing.SPEC_FACTORIES:
         assert callable(getattr(cli, factory, None)), f"ultragrid.cli.{factory}"
+
+
+def test_spsolve_target_resolves():
+    # the tracer swaps ``ultragrid.optimize.spla`` for a copy whose
+    # ``spsolve`` is wrapped; the harmonic start must go through it
+    optimize = importlib.import_module("ultragrid.optimize")
+    assert callable(getattr(optimize.spla, "spsolve", None))

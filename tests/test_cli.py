@@ -1,10 +1,11 @@
 """The batch front end: exits, outputs, and byte-level determinism."""
 
+import functools
 import json
 
 import pytest
 
-from ultragrid import solver
+from ultragrid import cli, grid, solver
 from ultragrid.cli import main
 
 SAW = {"problem": "sawtooth", "levels": "3..5", "seed": 0}
@@ -161,3 +162,19 @@ def test_solve_level_over_node_cap_exits_2_before_solving(tmp_path, capsys, monk
     assert main(["solve", "--config", cfg, "--out", str(out)]) == 2
     assert "config error: level 24 requires" in capsys.readouterr().err
     assert not (out / "report.json").exists()
+
+
+def test_calculus_check_level_over_node_cap_exits_2_before_checking(tmp_path, capsys, monkeypatch):
+    # with a cap of 100 nodes the 2D level 4 (289 nodes) is over it; every
+    # level is built before the first check, so no level may be checked
+    def no_check(*args, **kwargs):
+        raise AssertionError("a level was checked before the cap was checked")
+
+    monkeypatch.setattr(cli, "build_level", functools.partial(grid.build_level, node_cap=100))
+    monkeypatch.setattr(cli, "diff_op", no_check)
+    monkeypatch.setattr(cli, "derivative", no_check)
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main(["calculus-check", "--levels", "3..5", "--out", str(out)]) == 2
+    assert "config error: level 4 requires 289 nodes" in capsys.readouterr().err
+    assert not (out / "checks.csv").exists()

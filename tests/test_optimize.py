@@ -1,0 +1,167 @@
+"""Damped Newton: banded Cholesky steps, the indefinite fallback, SuperLU parity."""
+
+import numpy as np
+import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
+
+import ultragrid.optimize as optimize
+from ultragrid import build_level
+from ultragrid.optimize import OptimizeResult, newton
+from ultragrid.problems import _masked_stiffness, singular_spec
+from ultragrid.solver import GTOL_FACTOR
+
+
+@pytest.fixture
+def rng():
+    return np.random.default_rng(20)
+
+
+def _random_spd_on(pattern: sp.spmatrix, rng) -> sp.csr_matrix:
+    """Random symmetric, strictly diagonally dominant matrix on ``pattern``."""
+    P = sp.triu(sp.csr_matrix(pattern), k=1).tocoo()
+    off = sp.coo_matrix((rng.uniform(-1.0, 1.0, P.nnz), (P.row, P.col)), shape=P.shape)
+    off = (off + off.T).tocsr()
+    dominance = np.asarray(abs(off).sum(axis=1)).ravel()
+    diag = dominance + rng.uniform(0.5, 2.0, P.shape[0])
+    return (off + sp.diags(diag)).tocsr()
+
+
+def _one_newton_step(A, free, rng, monkeypatch):
+    """One Newton step on 1/2 x^T A x - b^T x; returns it, its oracle and band rows."""
+    n = A.shape[0]
+    b = rng.standard_normal(n)
+    x0 = rng.standard_normal(n)
+    d = rng.uniform(0.5, 2.0, n)
+
+    def vag(x):
+        Ax = A @ x
+        return 0.5 * float(x @ Ax) - float(b @ x), Ax - b
+
+    rows = []
+    real = optimize.solveh_banded
+
+    def spy(ab, rhs, **kwargs):
+        rows.append(ab.shape[0])
+        return real(ab, rhs, **kwargs)
+
+    monkeypatch.setattr(optimize, "solveh_banded", spy)
+    result = newton(vag, lambda x: A, x0, d, free, gtol=0.0, max_iter=1)
+    fi = np.flatnonzero(free)
+    g = vag(x0)[1][fi]
+    expected = x0.copy()
+    expected[fi] += np.linalg.solve(A[fi][:, fi].toarray(), -g)
+    return result, expected, rows
+
+
+def test_banded_step_parity_split_tridiagonal(rng, monkeypatch):
+    # 1D: nodes couple only to i +- 2, so the ordering splits the odd and even
+    # nodes into two paths and the band has 2 rows (the ptsv branch)
+    n = 41
+    pattern = sp.diags([1.0, 1.0, 1.0], [-2, 0, 2], shape=(n, n))
+    A = _random_spd_on(pattern, rng)
+    free = np.ones(n, dtype=bool)
+    free[[0, -1]] = False
+    result, expected, rows = _one_newton_step(A, free, rng, monkeypatch)
+    assert rows == [2]
+    np.testing.assert_allclose(result.x, expected, rtol=1e-10, atol=1e-12)
+
+
+def test_banded_step_singular_pattern(rng, monkeypatch):
+    level = build_level(singular_spec().domain, 4)
+    A = _random_spd_on(_masked_stiffness(level), rng)
+    free = ~level.boundary_mask
+    result, expected, rows = _one_newton_step(A, free, rng, monkeypatch)
+    # 4 parity blocks of a 15 x 15 free grid: the widest is 8 x 8, bandwidth 8
+    # under reverse Cuthill-McKee, where the natural order has 30
+    assert rows == [9]
+    np.testing.assert_allclose(result.x, expected, rtol=1e-10, atol=1e-12)
+
+
+def test_banded_step_single_free_dof(rng, monkeypatch):
+    A = _random_spd_on(np.ones((5, 5)), rng)
+    free = np.zeros(5, dtype=bool)
+    free[2] = True
+    result, expected, rows = _one_newton_step(A, free, rng, monkeypatch)
+    assert rows == [1]
+    np.testing.assert_allclose(result.x, expected, rtol=1e-10, atol=1e-12)
+
+
+def test_indefinite_hessian_takes_gradient_step():
+    # f = sum (x^2 - 1)^2 has f'' = 12 x^2 - 4 < 0 near 0: Cholesky fails.
+    # At this x0 the exact Newton direction is still a descent direction
+    # (it heads for the maximum at 0 along the second free entry), so only
+    # the failed factorization can select -g/d
+    def vag(x):
+        return float(np.sum((x * x - 1.0) ** 2)), 4.0 * x * (x * x - 1.0)
+
+    def hess(x):
+        return sp.diags(12.0 * x * x - 4.0)
+
+    x0 = np.array([0.0, 0.9, 0.1, 1.2, 0.0])
+    free = np.array([False, True, True, True, False])
+    d = np.array([1.0, 0.5, 1.0, 2.0, 1.0])
+    result = newton(vag, hess, x0, d, free, gtol=0.0, max_iter=1)
+    f0, g0 = vag(x0)
+    newton_dir = -g0[free] / (12.0 * x0[free] ** 2 - 4.0)
+    assert newton_dir @ g0[free] < 0.0
+    assert result.value < f0
+    step = (result.x - x0)[free] / (-g0[free] / d[free])
+    assert np.all(step > 0.0)
+    np.testing.assert_allclose(step, step[0], rtol=1e-12)
+    assert np.array_equal(result.x[~free], x0[~free])
+
+
+def _superlu_newton(value_and_grad, hessian, x0, weights, free, gtol, max_iter=200, accept=None):
+    """The former Newton, one SuperLU factorization of the free block per step."""
+    x = x0.copy()
+    d = weights[free]
+    f, g_full = value_and_grad(x)
+    g = g_full[free]
+    gnorm = float(np.sqrt(np.sum(g * g / d)))
+    free_idx = np.flatnonzero(free)
+    for it in range(max_iter):
+        if gnorm <= gtol:
+            return OptimizeResult(x, f, gnorm, it, True)
+        H = hessian(x).tocsr()[free_idx][:, free_idx].tocsc()
+        try:
+            p = spla.spsolve(H, -g)
+            if not np.all(np.isfinite(p)) or p @ g >= 0.0:
+                p = -g / d
+        except RuntimeError:
+            p = -g / d
+        step = 1.0
+        accepted = False
+        for _bt in range(60):
+            x_new = x.copy()
+            x_new[free] = x[free] + step * p
+            if accept is not None and not accept(x, x_new):
+                step *= 0.5
+                continue
+            f_new, g_new_full = value_and_grad(x_new)
+            if np.isfinite(f_new) and f_new <= f + 1e-4 * step * (p @ g):
+                accepted = True
+                break
+            step *= 0.5
+        if not accepted:
+            return OptimizeResult(x, f, gnorm, it, gnorm <= gtol)
+        x, f, g = x_new, f_new, g_new_full[free]
+        gnorm = float(np.sqrt(np.sum(g * g / d)))
+    return OptimizeResult(x, f, gnorm, max_iter, gnorm <= gtol)
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_newton_matches_superlu_reference_on_singular(n):
+    spec = singular_spec()
+    level = build_level(spec.domain, n)
+    obj = spec.build(level)
+    x0 = spec.initial_guesses(level, None, None)[0]
+    gtol = GTOL_FACTOR * (1.0 + abs(obj.value(x0)))
+    args = (obj.value_and_grad, obj.hessian, x0, level.weights, obj.free_mask)
+    kwargs = dict(gtol=gtol, accept=obj.accept_step)
+    banded = newton(*args, **kwargs)
+    reference = _superlu_newton(*args, **kwargs)
+    assert banded.converged and reference.converged
+    assert banded.iterations == reference.iterations > 0
+    np.testing.assert_allclose(banded.x, reference.x, rtol=1e-10)
+    assert banded.value == pytest.approx(reference.value, rel=1e-10)

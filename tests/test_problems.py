@@ -24,6 +24,7 @@ from ultragrid import (
     sobolev_constant,
 )
 from ultragrid.elements import apply_axis, gauss_interp, p1_matrices
+from ultragrid.optimize import minimize_quadratic
 
 DOM3 = Domain(((0.0, 1.0), (0.0, 1.0), (0.0, 1.0)))
 
@@ -324,6 +325,29 @@ def test_singular_fused_value_and_grad_is_bit_identical():
             du = obj._op.apply(u, axis)
             ref = ref + obj._op.apply_transpose(du * mask * obj._d, axis)
         np.testing.assert_array_equal(grad, ref)
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_singular_harmonic_start_is_zero_on_the_odd_odd_block(n):
+    # the masked stiffness couples nodes two apart, so the nodes with both
+    # indices odd form a block that never touches the boundary: K_ff is only
+    # semidefinite there and the harmonic extension must be exactly 0
+    spec = singular_spec()
+    level = build_level(spec.domain, n)
+    obj = spec.build(level)
+    u = minimize_quadratic(obj._K, obj.fixed_values, obj.free_mask)
+    assert np.all(np.isfinite(u))
+    np.testing.assert_array_equal(u[obj.fixed_mask], obj.fixed_values[obj.fixed_mask])
+    i, j = np.unravel_index(np.arange(level.node_count), level.shape)
+    odd = (i % 2 == 1) & (j % 2 == 1)
+    assert np.all(u[odd] == 0.0)
+    free = obj.free_mask
+    # harmonic: the free rows of K u vanish (the entries of K are at most 1)
+    assert np.max(np.abs((obj._K @ u)[free])) < 1e-12
+    start = spec.initial_guesses(level, None, None)[0]
+    left = level.coordinates[:, 0] <= 0.5
+    np.testing.assert_array_equal(start[odd], np.where(left[odd], 0.1, -0.1))
+    assert np.all(np.abs(start[free]) >= 0.1)
 
 
 def test_singular_minimizer_and_interface():
