@@ -1,4 +1,4 @@
-"""Internal optimizers: weighted-metric L-BFGS and damped Newton.
+"""Internal optimizers: variable-metric L-BFGS and damped Newton.
 
 Both optimizers work on the free degrees of freedom of a nodal vector (fixed
 entries are pinned), measure convergence in the quadrature-weighted dual norm
@@ -6,6 +6,14 @@ entries are pinned), measure convergence in the quadrature-weighted dual norm
 ``g / d``), and support a step-acceptance predicate so that feasibility
 constraints (for instance a frozen sign pattern) can reject trial points
 during the line search.
+
+L-BFGS starts each two-loop recursion from ``H0 = gamma * P^-1``, where
+``P`` is an SPD metric on the free dofs given as the solve ``g -> P^-1 g``.
+The default ``P = diag(d)`` is the mesh-dependent L2 metric; an objective
+may supply a Sobolev metric instead (Neuberger, *Sobolev Gradients and
+Differential Equations*, 1997), under which the iteration count need not
+grow with the level.  The stopping test stays in the ``diag(d)`` dual norm
+whatever the metric.
 
 Newton solves its steps by in-place banded Cholesky on a reverse
 Cuthill-McKee ordering of the free dofs (George & Liu, *Computer Solution of
@@ -51,13 +59,18 @@ def lbfgs(
     accept: Optional[Callable[[np.ndarray, np.ndarray], bool]] = None,
     ftol: float = 1e-12,
     patience: int = 10,
+    precondition: Optional[Callable[[np.ndarray], np.ndarray]] = None,
 ) -> OptimizeResult:
     """Two-loop-recursion L-BFGS over the free dofs of ``x0``.
 
-    The initial inverse-Hessian guess is ``gamma * diag(1/d)`` over the free
-    weights ``d``, which preconditions the mesh-dependent scaling of nodal
-    gradients.  ``accept(x_old, x_new)`` may veto a trial point; vetoed steps
-    shrink the line-search parameter like an Armijo failure.
+    The initial inverse-Hessian guess is ``H0 = gamma * P^-1``, where
+    ``precondition(v)`` returns ``P^-1 v`` for a free-dof vector ``v``; the
+    default ``P = diag(d)`` over the free weights ``d`` preconditions the
+    mesh-dependent scaling of nodal gradients.  The same solve gives the
+    steepest-descent reset ``-P^-1 g`` and the scaling
+    ``gamma = s.y / (y . P^-1 y)``.  ``accept(x_old, x_new)`` may veto a
+    trial point; vetoed steps shrink the line-search parameter like an
+    Armijo failure.
 
     Terminates early after ``patience`` consecutive iterations whose relative
     decrease falls below ``ftol`` (functionals with a flat direction, such as
@@ -66,6 +79,9 @@ def lbfgs(
     """
     x = x0.copy()
     d = weights[free]
+    if precondition is None:
+        def precondition(v: np.ndarray) -> np.ndarray:
+            return v / d
     f, g_full = value_and_grad(x)
     g = g_full[free]
     s_list: list[np.ndarray] = []
@@ -82,7 +98,7 @@ def lbfgs(
             # machine-precision stagnation counts as convergence
             return OptimizeResult(x, f, gnorm, it, True)
 
-        # two-loop recursion with H0 = gamma * diag(1/d)
+        # two-loop recursion with H0 = gamma * P^-1
         q = g.copy()
         alphas = []
         for s, y in zip(reversed(s_list), reversed(y_list)):
@@ -90,7 +106,7 @@ def lbfgs(
             a = rho * (s @ q)
             q -= a * y
             alphas.append((a, rho))
-        r = gamma * (q / d)
+        r = gamma * precondition(q)
         for (a, rho), (s, y) in zip(reversed(alphas), zip(s_list, y_list)):
             b = rho * (y @ r)
             r += (a - b) * s
@@ -98,7 +114,7 @@ def lbfgs(
         if p @ g >= 0.0:  # not a descent direction: reset memory
             s_list.clear()
             y_list.clear()
-            p = -g / d
+            p = -precondition(g)
 
         # Armijo backtracking with feasibility veto
         slope = p @ g
@@ -128,7 +144,7 @@ def lbfgs(
             if len(s_list) > memory:
                 s_list.pop(0)
                 y_list.pop(0)
-            gamma = sy / (y @ (y / d))
+            gamma = sy / (y @ precondition(y))
 
         if f - f_new <= ftol * max(abs(f), abs(f_new), 1.0):
             stalled += 1

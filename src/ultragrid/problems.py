@@ -3,6 +3,8 @@
 * :func:`sawtooth_spec` — the 1D oscillation functional
   ``J(u) = int u^2 + int ((u')^2 - 1)^2`` whose infimum over each level is
   positive but vanishes along the level net (minimizers are fine sawteeth).
+  Its objective gives L-BFGS the discrete H1 metric ``W + D^T W D``, under
+  which the iteration count does not grow with the level.
 * :func:`sign_perturbed_spec` — the critical Sobolev quotient
   ``(int |grad u|^2 + int a u^2) / (int |u|^{2*})^{2/2*}`` with homogeneous
   Dirichlet data.  The quotient is evaluated as the exact energy of the
@@ -33,6 +35,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 import scipy.ndimage as ndi
 import scipy.sparse as sp
+from scipy.linalg import cho_solve_banded, cholesky_banded
 
 from .calculus import GridFunction, diff_op, standard_battery
 from .elements import apply_axis, gauss_interp, p1_matrices
@@ -78,11 +81,49 @@ def sobolev_constant(dimension: int = 3) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _h1_band(D: sp.csr_matrix, d: np.ndarray) -> np.ndarray:
+    """Upper band storage of the 1D metric ``P = W + D^T W D``, ``W = diag(d)``.
+
+    ``D`` is the SBP derivative, whose diagonal is zero, so ``D^T W D``
+    couples node ``j`` only with ``j +- 2``: the band has three rows
+    (offsets 2, 1, 0) and the offset-1 row stays zero.  It is filled from the
+    two off-diagonals of ``D`` by slices, without a sparse product.
+    """
+    lo, up = D.diagonal(-1), D.diagonal(1)  # D[j + 1, j] and D[j, j + 1]
+    band = np.zeros((3, d.size))
+    band[2] = d
+    band[2, :-1] += d[1:] * lo * lo  # row j + 1 of D reads node j
+    band[2, 1:] += d[:-1] * up * up  # row j - 1 of D reads node j
+    band[0, 2:] = d[1:-1] * lo[:-1] * up[1:]  # P[j, j + 2], via row j + 1
+    return band
+
+
 class _SawtoothObjective(LevelObjective):
+    """The oscillation functional, with the discrete H1 metric for L-BFGS.
+
+    :meth:`precondition` solves with ``P = W + D^T W D`` (``W = diag(d)``,
+    ``D`` the same SBP derivative as the functional), factored once per
+    objective by banded Cholesky.  With it every start of levels 3..12 ends
+    by the gradient test within ~50 iterations; with the L2 metric ``W`` the
+    prolonged warm start grows from 47 to 3,695 iterations over levels 4..12
+    and stalls at up to 1.5e5 times the tolerance.
+
+    The metric is not the P1 ``K1 + M1``.  The central difference decouples
+    the even and odd nodes, so the Hessian
+    ``2 W + D^T W diag(4 (3 (Du)^2 - 1)) D`` matches ``D^T W D``, while
+    ``K1`` puts its largest eigenvalue on the checkerboard mode, which the
+    functional barely sees.  Under ``K1 + M1`` one start at each of levels
+    10..12 hits the 10,000-iteration cap, and level 10 ends at 1.42e-6
+    instead of its minimum 9.54e-7.
+    """
+
     def __init__(self, level: GridLevel) -> None:
         super().__init__(level)
         self._op = diff_op(level)
         self._d = level.weights
+        self._chol = cholesky_banded(
+            _h1_band(self._op.matrices[0], self._d), check_finite=False
+        )
 
     def value(self, u: np.ndarray) -> float:
         du = self._op.apply(u, 0)
@@ -97,6 +138,9 @@ class _SawtoothObjective(LevelObjective):
 
     def gradient(self, u: np.ndarray) -> np.ndarray:
         return self.value_and_grad(u)[1]
+
+    def precondition(self, g: np.ndarray) -> np.ndarray:
+        return cho_solve_banded((self._chol, False), g, check_finite=False)
 
 
 def sawtooth_pattern(level: GridLevel) -> np.ndarray:

@@ -54,8 +54,11 @@ class LevelObjective:
 
     Subclasses must set ``level``, implement :meth:`value` and
     :meth:`gradient`, and may override the Hessian, feasibility, step
-    acceptance, normalization, and strong-form residual hooks.  Gradients are
-    full-length nodal arrays; entries at pinned dofs are ignored.
+    acceptance, normalization, strong-form residual and metric hooks.
+    Gradients are full-length nodal arrays; entries at pinned dofs are
+    ignored.  :meth:`precondition` works on free-dof vectors instead: it is
+    the solve ``g -> P^-1 g`` of the SPD metric ``P`` that L-BFGS starts
+    from, by default the L2 metric ``diag(d)`` of the free weights.
     """
 
     level: GridLevel
@@ -88,6 +91,9 @@ class LevelObjective:
 
     def strong_residual(self, u: np.ndarray) -> Optional[np.ndarray]:
         return None
+
+    def precondition(self, g: np.ndarray) -> np.ndarray:
+        return g / self.level.weights[self.free_mask]
 
     # --- helpers --------------------------------------------------------
     def pin(self, u: np.ndarray) -> np.ndarray:
@@ -186,6 +192,7 @@ def _run_optimizer(
             result = lbfgs(
                 obj.value_and_grad, x, weights, free,
                 gtol=gtol, max_iter=budget, accept=accept,
+                precondition=obj.precondition,
             )
         total_iters += result.iterations
         x, f = result.x, result.value

@@ -1,4 +1,5 @@
-"""Damped Newton: banded Cholesky steps, the indefinite fallback, SuperLU parity."""
+"""L-BFGS default-metric parity; damped Newton: banded Cholesky steps, the
+indefinite fallback, SuperLU parity."""
 
 import numpy as np
 import pytest
@@ -7,14 +8,130 @@ import scipy.sparse.linalg as spla
 
 import ultragrid.optimize as optimize
 from ultragrid import build_level
-from ultragrid.optimize import OptimizeResult, newton
-from ultragrid.problems import _masked_stiffness, singular_spec
+from ultragrid.optimize import OptimizeResult, lbfgs, newton
+from ultragrid.problems import (
+    _masked_stiffness,
+    sawtooth_spec,
+    sign_perturbed_spec,
+    singular_spec,
+)
 from ultragrid.solver import GTOL_FACTOR
 
 
 @pytest.fixture
 def rng():
     return np.random.default_rng(20)
+
+
+def _diag_metric_lbfgs(
+    value_and_grad, x0, weights, free, gtol, max_iter=10_000, memory=10,
+    accept=None, ftol=1e-12, patience=10,
+):
+    """The former L-BFGS, with ``H0 = gamma * diag(1/d)`` written out."""
+    x = x0.copy()
+    d = weights[free]
+    f, g_full = value_and_grad(x)
+    g = g_full[free]
+    s_list, y_list = [], []
+    gamma = 1.0
+    gnorm = float(np.sqrt(np.sum(g * g / d)))
+    it = 0
+    stalled = 0
+    while it < max_iter:
+        if gnorm <= gtol:
+            return OptimizeResult(x, f, gnorm, it, True)
+        if stalled >= patience:
+            return OptimizeResult(x, f, gnorm, it, True)
+        q = g.copy()
+        alphas = []
+        for s, y in zip(reversed(s_list), reversed(y_list)):
+            rho = 1.0 / (y @ s)
+            a = rho * (s @ q)
+            q -= a * y
+            alphas.append((a, rho))
+        r = gamma * (q / d)
+        for (a, rho), (s, y) in zip(reversed(alphas), zip(s_list, y_list)):
+            b = rho * (y @ r)
+            r += (a - b) * s
+        p = -r
+        if p @ g >= 0.0:
+            s_list.clear()
+            y_list.clear()
+            p = -g / d
+        slope = p @ g
+        step = 1.0
+        accepted = False
+        for _bt in range(60):
+            x_new = x.copy()
+            x_new[free] = x[free] + step * p
+            if accept is not None and not accept(x, x_new):
+                step *= 0.5
+                continue
+            f_new, g_new_full = value_and_grad(x_new)
+            if np.isfinite(f_new) and f_new <= f + 1e-4 * step * slope:
+                accepted = True
+                break
+            step *= 0.5
+        if not accepted:
+            return OptimizeResult(x, f, gnorm, it, gnorm <= gtol)
+        g_new = g_new_full[free]
+        s = step * p
+        y = g_new - g
+        sy = s @ y
+        if sy > 1e-14 * float(np.linalg.norm(s) * np.linalg.norm(y) + 1e-300):
+            s_list.append(s)
+            y_list.append(y)
+            if len(s_list) > memory:
+                s_list.pop(0)
+                y_list.pop(0)
+            gamma = sy / (y @ (y / d))
+        if f - f_new <= ftol * max(abs(f), abs(f_new), 1.0):
+            stalled += 1
+        else:
+            stalled = 0
+        x, f, g = x_new, f_new, g_new
+        gnorm = float(np.sqrt(np.sum(g * g / d)))
+        it += 1
+    return OptimizeResult(x, f, gnorm, it, gnorm <= gtol)
+
+
+def _assert_same_run(got, expected):
+    assert expected.iterations > 0
+    np.testing.assert_array_equal(got.x, expected.x)
+    assert got.value == expected.value
+    assert got.grad_norm == expected.grad_norm
+    assert got.iterations == expected.iterations
+    assert got.converged == expected.converged
+
+
+def test_lbfgs_default_metric_bit_identical_on_quotient():
+    # 3D level 3 from the middle bubble start, boundary pinned: the default
+    # hook of the objective and the optimizer's own default both reproduce
+    # the diag(1/d) L-BFGS bit for bit
+    spec = sign_perturbed_spec()
+    level = build_level(spec.domain, 3)
+    obj = spec.build(level)
+    x0 = obj.pin(spec.initial_guesses(level, None, None)[1])
+    gtol = GTOL_FACTOR * (1.0 + abs(obj.value(x0)))
+    args = (obj.value_and_grad, x0, level.weights, obj.free_mask)
+    expected = _diag_metric_lbfgs(*args, gtol=gtol)
+    _assert_same_run(lbfgs(*args, gtol=gtol), expected)
+    _assert_same_run(lbfgs(*args, gtol=gtol, precondition=obj.precondition), expected)
+
+
+def test_lbfgs_default_metric_bit_identical_on_sawtooth_chain():
+    # one parity chain of the sawtooth brute force: the odd nodes pinned at
+    # 0, the even ones started on a unit-slope polyline
+    spec = sawtooth_spec()
+    level = build_level(spec.domain, 4)
+    obj = spec.build(level)
+    free = np.arange(level.node_count) % 2 == 0
+    signs = np.array([2.0, 2.0, -2.0, 2.0, -2.0, -2.0, 2.0, -2.0])
+    x0 = np.zeros(level.node_count)
+    x0[free] = level.h * np.concatenate(([0.0], np.cumsum(signs)))
+    args = (obj.value_and_grad, x0, level.weights, free)
+    expected = _diag_metric_lbfgs(*args, gtol=1e-12, max_iter=500)
+    _assert_same_run(lbfgs(*args, gtol=1e-12, max_iter=500), expected)
 
 
 def _random_spd_on(pattern: sp.spmatrix, rng) -> sp.csr_matrix:

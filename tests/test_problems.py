@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ultragrid.problems as problems
 from ultragrid import (
@@ -23,6 +25,7 @@ from ultragrid import (
     singular_spec,
     sobolev_constant,
 )
+from ultragrid.calculus import diff_op
 from ultragrid.elements import apply_axis, gauss_interp, p1_matrices
 from ultragrid.optimize import minimize_quadratic
 
@@ -75,6 +78,27 @@ def test_sawtooth_fused_value_and_grad_is_bit_identical():
 def test_sawtooth_gradient_consistency():
     level = build_level(sawtooth_spec().domain, 4)
     assert check_gradient(sawtooth_spec(), level) < 1e-5
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(0, 9),
+    box=st.sampled_from([(0.0, 1.0), (-0.75, 2.25)]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_sawtooth_metric_solves_dense_h1(n, box, seed):
+    # P = W + D^T W D assembled densely from the functional's own derivative.
+    # Compared relative to the solution's norm: P's condition number grows
+    # like h^-2, so its small entries carry the round-off of both solves
+    level = build_level(Domain((box,)), n)
+    obj = problems._SawtoothObjective(level)
+    D = diff_op(level).matrices[0].toarray()
+    W = np.diag(level.weights)
+    g = np.random.default_rng(seed).standard_normal(level.node_count)
+    got = obj.precondition(g)
+    expected = np.linalg.solve(W + D.T @ W @ D, g)
+    assert np.linalg.norm(got - expected) <= 1e-10 * np.linalg.norm(expected)
+    assert g @ got > 0.0
 
 
 # --- critical Sobolev quotient ----------------------------------------------

@@ -21,6 +21,7 @@ from ultragrid import (
     minimize_level,
     prolong,
     restrict,
+    sawtooth_spec,
     solve_net,
     split,
     standard_battery,
@@ -158,6 +159,27 @@ def test_solve_net_builds_each_level_once(monkeypatch):
     # each warm start was prolonged onto the level object that is solved next
     assert solved[0][1] is None
     assert all(init.level is level for level, init in solved[1:])
+
+
+def test_sawtooth_starts_converge_in_level_independent_iterations(monkeypatch):
+    # under the H1 metric every start, the prolonged warm starts included,
+    # meets its tolerance by the gradient test in a bounded number of
+    # iterations; under diag(d) every warm start from level 4 on stalls, the
+    # level-10 one after 1,129 iterations at 3e4 times its tolerance
+    runs = []
+    real_lbfgs = solver.lbfgs
+
+    def recording_lbfgs(*args, gtol, **kwargs):
+        result = real_lbfgs(*args, gtol=gtol, **kwargs)
+        runs.append((gtol, result))
+        return result
+
+    monkeypatch.setattr(solver, "lbfgs", recording_lbfgs)
+    solve_net(sawtooth_spec(), range(3, 11), seed=0)
+    assert len(runs) >= 3 * 8
+    for gtol, result in runs:
+        assert result.grad_norm <= gtol
+        assert result.iterations <= 100
 
 
 def test_solve_net_requires_three_levels():
