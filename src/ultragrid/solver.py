@@ -43,7 +43,8 @@ __all__ = [
     "check_gradient",
 ]
 
-#: Relative optimizer tolerance: converged when ||g||_* <= GTOL_FACTOR * (1 + |m|).
+#: Relative optimizer tolerance: converged when ||g||_* <= GTOL_FACTOR * (1 + |f|)
+#: at the value ``f`` the optimizer returns.
 GTOL_FACTOR = 1e-8
 #: Iteration cap per level.
 MAX_ITERATIONS = 10_000
@@ -169,40 +170,24 @@ def _run_optimizer(
 ) -> OptimizeResult:
     """Run the appropriate optimizer with the self-scaling tolerance.
 
-    The tolerance target ``GTOL_FACTOR * (1 + |m|)`` depends on the unknown
-    minimum, so the optimizer is re-entered with a tightened tolerance until
-    the achieved gradient norm satisfies the bound at the achieved value.
+    The optimizer tests ``||g||_* <= GTOL_FACTOR * (1 + |f|)`` at its current
+    value ``f``, so one call decides convergence at the value it returns.
     """
+    def gtol(f: float) -> float:
+        return GTOL_FACTOR * (1.0 + abs(f))
+
+    x = obj.pin(start)
     weights = obj.level.weights
     free = obj.free_mask
-    accept = obj.accept_step
-    x = obj.pin(start)
-    f = obj.value(x)
-    total_iters = 0
-    result = None
-    for _round in range(4):
-        gtol = GTOL_FACTOR * (1.0 + abs(f))
-        budget = max(iter_budget - total_iters, 1)
-        if obj.has_hessian:
-            result = newton(
-                obj.value_and_grad, obj.hessian, x, weights, free,
-                gtol=gtol, max_iter=min(budget, 200), accept=accept,
-            )
-        else:
-            result = lbfgs(
-                obj.value_and_grad, x, weights, free,
-                gtol=gtol, max_iter=budget, accept=accept,
-                precondition=obj.precondition,
-            )
-        total_iters += result.iterations
-        x, f = result.x, result.value
-        if result.grad_norm <= GTOL_FACTOR * (1.0 + abs(f)) or result.converged:
-            return OptimizeResult(x, f, result.grad_norm, total_iters, True)
-        if total_iters >= iter_budget or result.iterations == 0:
-            break
-    return OptimizeResult(
-        x, f, result.grad_norm, total_iters,
-        result.grad_norm <= GTOL_FACTOR * (1.0 + abs(f)),
+    if obj.has_hessian:
+        return newton(
+            obj.value_and_grad, obj.hessian, x, weights, free,
+            gtol=gtol, max_iter=min(iter_budget, 200), accept=obj.accept_step,
+        )
+    return lbfgs(
+        obj.value_and_grad, x, weights, free,
+        gtol=gtol, max_iter=iter_budget, accept=obj.accept_step,
+        precondition=obj.precondition,
     )
 
 

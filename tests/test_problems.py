@@ -1,7 +1,10 @@
 """The three packaged studies: objectives, initializers, diagnostics."""
 
+import functools
+
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -127,6 +130,50 @@ def test_bubble_support_must_fit_domain():
     init = BubbleInitializer(epsilon=0.1, delta=0.5, theta=2.0, center=(0.5,) * 3)
     with pytest.raises(ValueError):
         bubble(init, level)
+
+
+@pytest.mark.parametrize("m", [3, 4, 9, 17])
+def test_dirichlet_eigenpairs_match_eigh(m):
+    # the closed-form sine eigenpairs against the generalized eigensolver
+    h = 1.0 / (m - 1)
+    K, M = (A.toarray()[1:-1, 1:-1] for A in p1_matrices(m, h))
+    V, lam = problems._dirichlet_eigenpairs(m, h)
+    ref_lam, ref_V = scipy.linalg.eigh(K, M)
+    np.testing.assert_allclose(lam, ref_lam, rtol=1e-12)
+    # eigenvectors agree up to sign (the eigenvalues are simple)
+    signs = np.sign(np.sum(V * ref_V, axis=0))
+    np.testing.assert_allclose(V, ref_V * signs, atol=1e-10 * np.abs(V).max())
+    np.testing.assert_allclose(V.T @ M @ V, np.eye(m - 2), atol=1e-12)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    dim_n=st.sampled_from([(3, 1), (3, 2), (3, 3), (4, 1), (4, 2), (5, 2)]),
+    lo=st.sampled_from([0.0, -0.75]),
+    stretched=st.integers(-1, 4),
+    well=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_quotient_metric_solves_dense_stiffness(dim_n, lo, stretched, well, seed):
+    # P = sum_i M1 (x) .. K1 (at axis i) .. (x) M1, the interior Dirichlet
+    # stiffness, assembled densely in 3D, 4D and 5D on a cube or on a box
+    # twice as long along one axis; the potential does not enter the metric
+    dim, n = dim_n
+    bounds = tuple((lo, lo + (2.0 if axis == stretched else 1.0)) for axis in range(dim))
+    level = build_level(Domain(bounds), n)
+    a = quadratic_well((0.5,) * dim) if well else None
+    obj = problems._QuotientObjective(level, a)
+    K, M = zip(*((A.toarray()[1:-1, 1:-1] for A in p1_matrices(m, level.h))
+                 for m in level.shape))
+    P = sum(
+        functools.reduce(np.kron, [K[axis] if axis == i else M[axis] for axis in range(dim)])
+        for i in range(dim)
+    )
+    g = np.random.default_rng(seed).standard_normal(int(obj.free_mask.sum()))
+    got = obj.precondition(g)
+    expected = np.linalg.solve(P, g)
+    assert np.linalg.norm(got - expected) <= 1e-10 * np.linalg.norm(expected)
+    assert g @ got > 0.0
 
 
 def test_quotient_scale_invariance():

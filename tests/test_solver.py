@@ -20,8 +20,10 @@ from ultragrid import (
     classify,
     minimize_level,
     prolong,
+    quadratic_well,
     restrict,
     sawtooth_spec,
+    sign_perturbed_spec,
     solve_net,
     split,
     standard_battery,
@@ -178,8 +180,33 @@ def test_sawtooth_starts_converge_in_level_independent_iterations(monkeypatch):
     solve_net(sawtooth_spec(), range(3, 11), seed=0)
     assert len(runs) >= 3 * 8
     for gtol, result in runs:
-        assert result.grad_norm <= gtol
+        assert result.grad_norm <= gtol(result.value)
         assert result.iterations <= 100
+
+
+@pytest.mark.parametrize("well", [False, True])
+def test_quotient_starts_converge_in_level_independent_iterations(monkeypatch, well):
+    # under the exact H1 metric with the approximate Wolfe line search every
+    # start meets its tolerance by the gradient test; under diag(d) with
+    # Armijo alone the level-5 starts stopped after up to 102 iterations at
+    # up to 179 times their tolerance
+    runs = []
+    real_lbfgs = solver.lbfgs
+
+    def recording_lbfgs(*args, gtol, **kwargs):
+        result = real_lbfgs(*args, gtol=gtol, **kwargs)
+        runs.append((gtol, result))
+        return result
+
+    monkeypatch.setattr(solver, "lbfgs", recording_lbfgs)
+    a = quadratic_well((0.5, 0.5, 0.5)) if well else None
+    net = solve_net(sign_perturbed_spec(a=a), range(3, 6), seed=1)
+    assert len(runs) == 3 + 2 + 2  # three bubbles, then warm start + one bubble
+    for gtol, result in runs:
+        assert result.converged
+        assert result.grad_norm <= gtol(result.value)
+        assert result.iterations <= 40
+    assert all(r.converged for r in net.results)
 
 
 def test_solve_net_requires_three_levels():
