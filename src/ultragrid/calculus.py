@@ -25,9 +25,8 @@ from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
-from .elements import apply_axis
+from .elements import Banded, apply_axis
 from .grid import GridLevel, NodeSet
 
 __all__ = [
@@ -158,40 +157,39 @@ def norm(u: GridFunction) -> float:
 
 
 @lru_cache(maxsize=64)
-def _d1_matrices(m: int, h: float) -> tuple[sp.csr_matrix, sp.csr_matrix]:
+def _d1_matrices(m: int, h: float) -> tuple[Banded, Banded]:
     """1D SBP derivative on ``m`` nodes with spacing ``h`` (see module docs)
-    and its transpose, both CSR."""
-    rows, cols, data = [], [], []
+    and its transpose, both banded with offsets ``-1`` and ``+1`` (read-only:
+    the cache shares them)."""
     inv2h = 0.5 / h
-    for i in range(1, m - 1):
-        rows += [i, i]
-        cols += [i - 1, i + 1]
-        data += [-inv2h, inv2h]
-    rows += [0, m - 1]
-    cols += [1, m - 2]
-    data += [1.0 / h, -1.0 / h]
-    mat = sp.csr_matrix((data, (rows, cols)), shape=(m, m))
-    return mat, mat.T.tocsr()
+    lo = np.full(m, -inv2h)  # D[i, i - 1]
+    up = np.full(m, inv2h)  # D[i, i + 1]
+    up[0] = 1.0 / h
+    lo[-1] = -1.0 / h
+    # D^T[i, i - 1] = D[i - 1, i] and D^T[i, i + 1] = D[i + 1, i]
+    pair = (Banded((-1, 1), (lo, up)), Banded((-1, 1), (np.roll(up, 1), np.roll(lo, -1))))
+    for op in pair:
+        for diag in op.diagonals:
+            diag.flags.writeable = False
+    return pair
 
 
 @dataclass(frozen=True, eq=False)
 class DiffOp:
-    """Per-axis sparse SBP derivative matrices of one level and their CSR
+    """Per-axis banded SBP derivative matrices of one level and their
     transposes."""
 
     level: GridLevel
-    matrices: tuple[sp.csr_matrix, ...]
-    transposes: tuple[sp.csr_matrix, ...]
+    matrices: tuple[Banded, ...]
+    transposes: tuple[Banded, ...]
 
     def apply(self, values: np.ndarray, axis: int) -> np.ndarray:
         """Apply the axis derivative to a flat or lattice-shaped value array."""
-        out = apply_axis(self.matrices[axis], values.reshape(self.level.shape), axis)
-        return np.ascontiguousarray(out).ravel()
+        return apply_axis(self.matrices[axis], values.reshape(self.level.shape), axis).ravel()
 
     def apply_transpose(self, values: np.ndarray, axis: int) -> np.ndarray:
         """Apply the transposed axis derivative (used for adjoint assembly)."""
-        out = apply_axis(self.transposes[axis], values.reshape(self.level.shape), axis)
-        return np.ascontiguousarray(out).ravel()
+        return apply_axis(self.transposes[axis], values.reshape(self.level.shape), axis).ravel()
 
 
 def diff_op(level: GridLevel) -> DiffOp:
@@ -254,7 +252,7 @@ def derivative_kernel_dimension(level: GridLevel, axis: int = 0, tol: float = 1e
     m = level.shape[axis]
     if m > 4097:
         raise ValueError("kernel dimension report limited to <= 4097 nodes per axis")
-    dense = _d1_matrices(m, level.h)[0].toarray()
+    dense = apply_axis(_d1_matrices(m, level.h)[0], np.eye(m), 0)
     svals = np.linalg.svd(dense, compute_uv=False)
     return int(np.sum(svals <= tol * svals.max()))
 

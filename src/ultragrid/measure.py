@@ -15,12 +15,12 @@ full-domain mask therefore has density one everywhere and zero perimeter,
 which lets interface lengths be read directly from mask perimeters.
 
 For a node mask every sample lands on a node at a fixed index shift from
-the node it is taken at, so the rule is evaluated as one correlation of the
-mask with the integer count of samples per shift: exact, with no size cap
-and no cache.  A sample ``t`` of the unit ball is shifted by
-``rint(t * eta_factor)`` per axis, rounded once for all nodes, so a
-half-integer ``t * eta_factor`` (``eta_factor = 2`` has some) rounds half
-to even.
+the node it is taken at, so the rule is evaluated as an integer sum of the
+edge-padded mask shifted by each distinct shift, times the number of
+samples with that shift: exact, with no size cap.  A sample ``t`` of the
+unit ball is shifted by ``rint(t * eta_factor)`` per axis, rounded once for
+all nodes, so a half-integer ``t * eta_factor`` (``eta_factor = 2`` has
+some) rounds half to even.
 
 Because the derivative operator is summation-by-parts with a fully
 antisymmetric weighted matrix, the divergence-theorem identity returned by
@@ -35,7 +35,6 @@ from functools import lru_cache
 from typing import Sequence, Union
 
 import numpy as np
-from scipy import ndimage
 
 from .calculus import GridFunction, diff_op, divergence
 from .grid import GridLevel, NodeSet
@@ -318,27 +317,43 @@ def _sampled_fraction(level: GridLevel, region, eta: float) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=64)
+def _mask_stencil(dim: int, eta_factor: float, shape: tuple[int, ...]) -> tuple:
+    """``(radius, terms, samples)`` of the node-mask sampling rule on a grid
+    of ``shape``: ``terms`` lists ``(start, count)`` for each distinct
+    shift, ``count`` of the ``samples`` unit-ball samples shifting by
+    ``start - radius`` nodes (shifts clipped to the grid's reach).
+    """
+    reach = np.array(shape) - 1
+    shifts = np.rint(_unit_ball_samples(dim) * eta_factor)
+    shifts = np.clip(shifts, -reach, reach).astype(np.int64)
+    radius = np.abs(shifts).max(axis=0)
+    starts, counts = np.unique(shifts + radius, axis=0, return_counts=True)
+    terms = tuple((tuple(a.tolist()), int(c)) for a, c in zip(starts, counts))
+    return tuple(radius.tolist()), terms, len(shifts)
+
+
 def _mask_fraction(region: NodeMask, eta_factor: float) -> np.ndarray:
     """The sampling rule of :func:`_sampled_fraction` for a node mask.
 
     From node ``i``, unit-ball sample ``t`` lands on node
     ``clip(i + rint(t * eta_factor), 0, m - 1)`` along each axis.  The shift
-    does not depend on ``i``, so the sample mean is the mask correlated with
-    the count of samples per shift, ``mode="nearest"`` being the clip.
-    Shifts beyond ``m - 1`` clip to the same node and are cut there, which
-    bounds the stencil.  The counts and their sums are small integers, so the
-    result is exact.
+    does not depend on ``i``, so the number of samples that hit the mask is
+    a sum over the distinct shifts of (samples with that shift) times the
+    mask shifted by it, read from the mask padded by repeating its edge
+    nodes, which is the clip.  Shifts beyond ``m - 1`` clip to the same node
+    and are cut there, which bounds the padding.  The sum is an integer
+    count, divided by the sample count once, so the result is exact.
     """
     level = region.level
-    reach = np.array(level.shape) - 1
-    shifts = np.rint(_unit_ball_samples(level.dimension) * eta_factor)
-    shifts = np.clip(shifts, -reach, reach).astype(np.int64)
-    radius = np.abs(shifts).max(axis=0)
-    counts = np.zeros(tuple(2 * radius + 1))
-    np.add.at(counts, tuple((shifts + radius).T), 1.0)
-    mask = region.mask.reshape(level.shape).astype(float)
-    hits = ndimage.correlate(mask, counts, mode="nearest")
-    return hits.ravel() / len(shifts)
+    radius, terms, samples = _mask_stencil(level.dimension, eta_factor, level.shape)
+    padded = np.pad(region.mask.reshape(level.shape), [(r, r) for r in radius], mode="edge")
+    hits = np.zeros(level.shape, dtype=np.int32)
+    term = np.empty_like(hits)
+    for start, count in terms:
+        window = padded[tuple(slice(a, a + m) for a, m in zip(start, level.shape))]
+        hits += np.multiply(window, count, out=term, dtype=np.int32)
+    return hits.ravel() / samples
 
 
 # ---------------------------------------------------------------------------

@@ -37,19 +37,34 @@ Cuthill-McKee ordering of the free dofs (George & Liu, *Computer Solution of
 Large Sparse Positive Definite Systems*, 1981).  The only sparse LU left is
 :func:`minimize_quadratic`, for semidefinite quadratic minimizations such as
 a harmonic extension.
+
+L-BFGS is numpy only.  :func:`newton` and :func:`minimize_quadratic` import
+scipy (LAPACK, the sparse ordering, SuperLU) when first called, so a process
+that never runs them never loads scipy.  ``spla`` (``scipy.sparse.linalg``)
+is a module attribute resolved on first access.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
-from scipy.linalg import LinAlgError, solveh_banded
+from numpy.linalg import LinAlgError
 
 __all__ = ["OptimizeResult", "lbfgs", "newton", "minimize_quadratic"]
+
+
+def __getattr__(name: str):
+    # PEP 562: ``spla`` loads scipy.sparse.linalg on first access and is then
+    # an ordinary module global (which a caller may replace)
+    if name == "spla":
+        import scipy.sparse.linalg
+
+        globals()["spla"] = scipy.sparse.linalg
+        return scipy.sparse.linalg
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 Tolerance = float | Callable[[float], float]
@@ -100,10 +115,14 @@ def lbfgs(
     value slack is ``ftol max(|f|, 1)``.
 
     Stops when ``||g||_* <= gtol(f)`` at the current ``f``, and early after
-    ``patience`` consecutive iterations whose relative decrease falls below
-    ``ftol`` (functionals with a flat direction, such as scale-invariant
-    quotients, can otherwise grind at machine precision without the gradient
-    norm ever reaching the tolerance); such a stall is not convergence.
+    ``patience`` consecutive stalled iterations (functionals with a flat
+    direction, such as scale-invariant quotients, can otherwise grind at
+    machine precision without the gradient norm ever reaching the
+    tolerance); such a stall is not convergence.  An iteration is stalled
+    when its decrease of ``f`` falls below ``ftol max(|f|, |f_new|, 1)`` and
+    ``||g||_*`` does not fall below its lowest value so far: at a large
+    ``|f|`` the decrease alone says nothing, since a run that still
+    converges decreases ``f`` by less than its rounding.
     """
     tol = _tolerance(gtol)
     x = x0.copy()
@@ -117,7 +136,7 @@ def lbfgs(
     y_list: list[np.ndarray] = []
     gamma = 1.0
 
-    gnorm = _dual_norm(g, d)
+    gnorm = best_gnorm = _dual_norm(g, d)
     it = 0
     stalled = 0
     while it < max_iter:
@@ -178,12 +197,11 @@ def lbfgs(
                 y_list.pop(0)
             gamma = sy / (y @ precondition(y))
 
-        if f - f_new <= ftol * max(abs(f), abs(f_new), 1.0):
-            stalled += 1
-        else:
-            stalled = 0
+        flat = f - f_new <= ftol * max(abs(f), abs(f_new), 1.0)
         x, f, g = x_new, f_new, g_new
         gnorm = _dual_norm(g, d)
+        stalled = stalled + 1 if flat and gnorm >= best_gnorm else 0
+        best_gnorm = min(best_gnorm, gnorm)
         it += 1
 
     return OptimizeResult(x, f, gnorm, it, gnorm <= tol(f))
@@ -191,7 +209,7 @@ def lbfgs(
 
 def newton(
     value_and_grad: Callable[[np.ndarray], tuple[float, np.ndarray]],
-    hessian: Callable[[np.ndarray], sp.spmatrix],
+    hessian: Callable[[np.ndarray], tuple[object, np.ndarray]],
     x0: np.ndarray,
     weights: np.ndarray,
     free: np.ndarray,
@@ -199,17 +217,20 @@ def newton(
     max_iter: int = 200,
     accept: Optional[Callable[[np.ndarray, np.ndarray], bool]] = None,
 ) -> OptimizeResult:
-    """Damped Newton on the free dofs with a sparse SPD Hessian.
+    """Damped Newton on the free dofs with an SPD Hessian ``K + diag(c(x))``.
 
-    The free block of the Hessian is renumbered once per call by reverse
-    Cuthill-McKee on its pattern at ``x0``; each step scatters the upper band
-    of the renumbered block into one Fortran-ordered buffer, allocated once
-    (and regrown only if a later pattern is wider), and factors and solves it
-    in place with banded Cholesky (LAPACK ``pbsv``, or ``ptsv`` when the band
-    is tridiagonal).  The masked central-difference stiffness of the singular
-    study couples only nodes two apart, so its free block splits into
-    ``2**dim`` parity blocks that the ordering separates: at level 7 in 2D
-    the bandwidth is 64 instead of 254.
+    ``hessian(x)`` returns the pair ``(K, c)``: a scipy sparse matrix ``K``
+    that is the same at every ``x`` of the run, and the array ``c`` of the
+    ``x``-dependent diagonal.  The free block of the Hessian is renumbered
+    once per call by reverse Cuthill-McKee on its pattern at ``x0``, and the
+    upper-band entries of ``K``'s free block are scattered once into lists
+    of their band positions.  Each step refills one Fortran-ordered band
+    buffer from those lists, adds ``c`` to its diagonal row, and factors and
+    solves it in place with banded Cholesky (LAPACK ``pbsv``, or ``ptsv``
+    when the band is tridiagonal).  The masked central-difference stiffness
+    of the singular study couples only nodes two apart, so its free block
+    splits into ``2**dim`` parity blocks that the ordering separates: at
+    level 7 in 2D the bandwidth is 64 instead of 254.
 
     A step falls back to the preconditioned gradient step ``-g / d``
     whenever the Hessian is not positive definite (Cholesky fails; in the
@@ -218,6 +239,10 @@ def newton(
     until the value decreases and the acceptance predicate (if any) passes.
     Stops when ``||g||_* <= gtol(f)`` at the current ``f``.
     """
+    import scipy.sparse as sp
+    from scipy.linalg import solveh_banded
+    from scipy.sparse.csgraph import reverse_cuthill_mckee
+
     tol = _tolerance(gtol)
     x = x0.copy()
     d = weights[free]
@@ -226,35 +251,36 @@ def newton(
     gnorm = _dual_norm(g, d)
     free_idx = np.flatnonzero(free)
     nf = free_idx.size
-    # pos[k]: place of dof k in the ordering of the free block, -1 if fixed
-    pos = np.full(x.size, -1, dtype=np.intp)
     band = None
 
     for it in range(max_iter):
         if gnorm <= tol(f):
             return OptimizeResult(x, f, gnorm, it, True)
 
-        H = sp.csr_matrix(hessian(x))
-        H.sum_duplicates()
+        K, diag = hessian(x)
         if band is None:
-            # imported on first use, so that commands without a Newton solve
-            # do not pay for loading scipy.sparse.csgraph at start-up
-            from scipy.sparse.csgraph import reverse_cuthill_mckee
-
-            block = H[free_idx][:, free_idx]
-            pos[free_idx[reverse_cuthill_mckee(block, symmetric_mode=True)]] = np.arange(nf)
+            H = sp.csr_matrix(K + sp.diags(diag))
+            H.sum_duplicates()
+            # pos[k]: place of dof k in the ordering of the free block, -1 if fixed
+            pos = np.full(x.size, -1, dtype=np.intp)
+            rcm = reverse_cuthill_mckee(H[free_idx][:, free_idx], symmetric_mode=True)
+            pos[free_idx[rcm]] = np.arange(nf)
             order = pos[free_idx]
-        H = H.tocoo()
-        i, j = pos[H.row], pos[H.col]
-        upper = (i >= 0) & (j >= i)
-        i, j = i[upper], j[upper]
-        rows = int((j - i).max(initial=0)) + 1
-        if band is None or band.shape[0] < rows:
+            by_place = free_idx[rcm]  # the dof at each place
+            K = sp.coo_matrix(K)
+            K.sum_duplicates()
+            i, j = pos[K.row], pos[K.col]
+            upper = (i >= 0) & (j >= i)
+            i, j = i[upper], j[upper]
+            rows = int((j - i).max(initial=0)) + 1
             band = np.zeros((rows, nf), order="F")
+            # upper band storage: A[i, j] goes to band[-1 - (j - i), j]
+            at = (rows - 1 - (j - i), j)
+            entries = K.data[upper]
         else:
             band.fill(0.0)
-        # upper band storage: A[i, j] goes to band[-1 - (j - i), j]
-        band[band.shape[0] - 1 - (j - i), j] = H.data[upper]
+        band[at] = entries
+        band[-1] += diag[by_place]
         rhs = np.empty(nf)
         rhs[order] = -g
         try:
@@ -288,20 +314,25 @@ def newton(
     return OptimizeResult(x, f, gnorm, max_iter, gnorm <= tol(f))
 
 
-def minimize_quadratic(K: sp.spmatrix, x: np.ndarray, free: np.ndarray) -> np.ndarray:
+def minimize_quadratic(K, x: np.ndarray, free: np.ndarray) -> np.ndarray:
     """Minimize ``1/2 y^T K y`` over the free entries, the rest pinned to ``x``.
 
-    Solves ``K_ff y_f = -K_fc x_c`` by sparse LU (SuperLU).  Unlike the
-    Newton Hessians, ``K_ff`` may be only semidefinite, for instance the
-    masked stiffness of the singular study, whose odd-odd parity block never
-    touches the boundary: LU returns 0 on that block for its zero right-hand
-    side, where Cholesky would meet a pivot that is zero up to round-off.
+    Solves ``K_ff y_f = -K_fc x_c`` by sparse LU (SuperLU, through the
+    module's ``spla``).  Unlike the Newton Hessians, ``K_ff`` may be only
+    semidefinite, for instance the masked stiffness of the singular study,
+    whose odd-odd parity block never touches the boundary: LU returns 0 on
+    that block for its zero right-hand side, where Cholesky would meet a
+    pivot that is zero up to round-off.
     """
+    import scipy.sparse as sp
+
     K = sp.csr_matrix(K)
     free_idx = np.flatnonzero(free)
     fixed_idx = np.flatnonzero(~free)
     y = np.zeros(x.size)
     y[fixed_idx] = x[fixed_idx]
     rhs = -K[free_idx][:, fixed_idx] @ y[fixed_idx]
+    # looked up on the module, so that the first access loads it
+    spla = sys.modules[__name__].spla
     y[free_idx] = spla.spsolve(K[free_idx][:, free_idx].tocsc(), rhs)
     return y

@@ -33,12 +33,9 @@ from importlib import resources
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-import scipy.ndimage as ndi
-import scipy.sparse as sp
-from scipy.linalg import cho_solve_banded, cholesky_banded
 
 from .calculus import GridFunction, diff_op, standard_battery
-from .elements import apply_axis, gauss_interp, p1_matrices
+from .elements import Banded, apply_axis, gauss_interp, p1_matrices
 from .grid import Domain, GridLevel, NodeSet
 from .measure import NodeMask, perimeter
 from .optimize import minimize_quadratic
@@ -81,21 +78,42 @@ def sobolev_constant(dimension: int = 3) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _h1_band(D: sp.csr_matrix, d: np.ndarray) -> np.ndarray:
-    """Upper band storage of the 1D metric ``P = W + D^T W D``, ``W = diag(d)``.
+def _h1_chains(D: Banded, d: np.ndarray) -> list:
+    """The 1D metric ``P = W + D^T W D`` (``W = diag(d)``) factored by parity chain.
 
     ``D`` is the SBP derivative, whose diagonal is zero, so ``D^T W D``
-    couples node ``j`` only with ``j +- 2``: the band has three rows
-    (offsets 2, 1, 0) and the offset-1 row stays zero.  It is filled from the
-    two off-diagonals of ``D`` by slices, without a sparse product.
+    couples node ``j`` only with ``j +- 2``: ``P[j, j + 1] = 0``, and ``P``
+    splits into the chain of even nodes and the chain of odd nodes, each
+    symmetric positive definite tridiagonal.  Each chain ``T = L diag(delta)
+    L^T`` (``L`` unit lower bidiagonal with subdiagonal ``l``) is factored
+    here, and both triangular solves are the linear recurrence
+    ``y_k = c_k + r_k y_(k-1)``, whose solution is
+    ``y_k = R_k sum_(i <= k) c_i / R_i`` with ``R = cumprod(r)``.  Returns
+    ``(parity, R_forward, delta, R_backward)`` per chain.
+
+    Every ``-l_k`` lies in ``(0, 1)``, so ``R`` falls from 1 without
+    overflow: on ``[0, 1]`` the even chain's levels off near 0.65, and the
+    odd chain's, whose first node carries a closure row, falls like
+    ``1 / (2k + 1)`` (5e-5 at level 14), far from underflow at any level
+    under the node cap.
     """
-    lo, up = D.diagonal(-1), D.diagonal(1)  # D[j + 1, j] and D[j, j + 1]
-    band = np.zeros((3, d.size))
-    band[2] = d
-    band[2, :-1] += d[1:] * lo * lo  # row j + 1 of D reads node j
-    band[2, 1:] += d[:-1] * up * up  # row j - 1 of D reads node j
-    band[0, 2:] = d[1:-1] * lo[:-1] * up[1:]  # P[j, j + 2], via row j + 1
-    return band
+    lo, up = D.diagonals  # D[i, i - 1] and D[i, i + 1]
+    diag = d.copy()
+    diag[:-1] += d[1:] * lo[1:] * lo[1:]  # row j + 1 of D reads node j
+    diag[1:] += d[:-1] * up[:-1] * up[:-1]  # row j - 1 of D reads node j
+    off2 = d[1:-1] * lo[1:-1] * up[1:-1]  # P[j, j + 2], via row j + 1
+    chains = []
+    for parity in (0, 1):
+        a, b = diag[parity::2].tolist(), off2[parity::2].tolist()
+        delta, neg_l = [a[0]], []
+        for k in range(1, len(a)):
+            lk = b[k - 1] / delta[-1]
+            neg_l.append(-lk)
+            delta.append(a[k] - lk * b[k - 1])
+        forward = np.cumprod([1.0] + neg_l)
+        backward = np.cumprod([1.0] + neg_l[::-1])
+        chains.append((parity, forward, np.array(delta), backward))
+    return chains
 
 
 class _SawtoothObjective(LevelObjective):
@@ -103,7 +121,7 @@ class _SawtoothObjective(LevelObjective):
 
     :meth:`precondition` solves with ``P = W + D^T W D`` (``W = diag(d)``,
     ``D`` the same SBP derivative as the functional), factored once per
-    objective by banded Cholesky.  With it every start of levels 3..12 ends
+    objective into its two tridiagonal parity chains (:func:`_h1_chains`).  With it every start of levels 3..12 ends
     by the gradient test within ~50 iterations; with the L2 metric ``W`` the
     prolonged warm start grows from 47 to 3,695 iterations over levels 4..12
     and stalls at up to 1.5e5 times the tolerance.
@@ -121,9 +139,7 @@ class _SawtoothObjective(LevelObjective):
         super().__init__(level)
         self._op = diff_op(level)
         self._d = level.weights
-        self._chol = cholesky_banded(
-            _h1_band(self._op.matrices[0], self._d), check_finite=False
-        )
+        self._chains = _h1_chains(self._op.matrices[0], self._d)
 
     def value(self, u: np.ndarray) -> float:
         du = self._op.apply(u, 0)
@@ -140,7 +156,12 @@ class _SawtoothObjective(LevelObjective):
         return self.value_and_grad(u)[1]
 
     def precondition(self, g: np.ndarray) -> np.ndarray:
-        return cho_solve_banded((self._chol, False), g, check_finite=False)
+        y = np.empty_like(g)
+        for parity, forward, delta, backward in self._chains:
+            z = forward * np.cumsum(g[parity::2] / forward)  # L z = g
+            w = (z / delta)[::-1]
+            y[parity::2] = (backward * np.cumsum(w / backward))[::-1]  # L^T y = z / delta
+        return y
 
 
 def sawtooth_pattern(level: GridLevel) -> np.ndarray:
@@ -317,7 +338,6 @@ class _QuotientObjective(LevelObjective):
             self._K1.append(K)
             self._M1.append(M)
             G, pts, w = gauss_interp(m, level.h, level.domain.bounds[axis][0])
-            G = G.toarray()
             self._G.append(G)
             self._GWT.append((G * w[:, None]).T)  # G^T diag(w)
             self._gw.append(w)
@@ -329,6 +349,7 @@ class _QuotientObjective(LevelObjective):
         self._inv_lam = 1.0 / sum(np.ix_(*[lam for _, lam in eig]))
 
         self._a_gauss = None
+        self._acc = None  # see _accumulators
         if potential is not None:
             mesh = np.meshgrid(*gauss_points, indexing="ij", sparse=True)
             a_vals = np.asarray(potential(*mesh), dtype=float)
@@ -337,15 +358,34 @@ class _QuotientObjective(LevelObjective):
 
     # -- tensor helpers ---------------------------------------------------
     def _stiffness_apply(self, grid: np.ndarray) -> np.ndarray:
+        """``sum_i (M1 (x) .. K1 (axis i) .. (x) M1) grid``, each term applied
+        axis by axis from axis 0; the terms share the ``M1`` prefix."""
         dim = grid.ndim
         out = np.zeros_like(grid)
+        prefix = grid  # M1 applied along axes 0 .. i - 1
         for i in range(dim):
-            tmp = grid
-            for axis in range(dim):
-                mat = self._K1[axis] if axis == i else self._M1[axis]
-                tmp = apply_axis(mat, tmp, axis)
+            tmp = apply_axis(self._K1[i], prefix, i)
+            for axis in range(i + 1, dim):
+                tmp = apply_axis(self._M1[axis], tmp, axis)
             out += tmp
+            if i + 1 < dim:
+                prefix = apply_axis(self._M1[i], prefix, i)
         return out
+
+    def _accumulators(self, shape: tuple) -> list:
+        """The zeroed adjoint accumulators ``[acc, acc_a]`` of :meth:`_gauss_pass`.
+
+        ``acc_a`` is ``None`` without a potential.  They are kept between
+        calls and zeroed in place: fresh arrays this size (4 MiB at level 5
+        in 3D, 32 MiB at level 6) would cost their page faults again on every
+        evaluation.
+        """
+        if self._acc is None:
+            self._acc = [np.empty(shape), None if self._a_gauss is None else np.empty(shape)]
+        for buf in self._acc:
+            if buf is not None:
+                buf.fill(0.0)
+        return self._acc
 
     def _weighted_sum(self, x: np.ndarray, w0: np.ndarray) -> float:
         """Gauss-weighted sum of a slab ``x`` whose axis-0 weights are ``w0``."""
@@ -368,8 +408,7 @@ class _QuotientObjective(LevelObjective):
         t = t.reshape(t.shape[0], -1)
         G0, GWT0, w0 = self._G[0], self._GWT[0], self._gw[0]
         a_gauss = self._a_gauss
-        acc = np.zeros_like(t) if adjoint else None
-        acc_a = np.zeros_like(t) if adjoint and a_gauss is not None else None
+        acc, acc_a = self._accumulators(t.shape) if adjoint else (None, None)
         den = pot = 0.0
         cells = G0.shape[1] - 1
         rule = G0.shape[0] // cells  # Gauss rows per cell
@@ -563,8 +602,14 @@ def _interior_row_mask(level: GridLevel, axis: int) -> np.ndarray:
     return (idx > 0) & (idx < level.shape[axis] - 1)
 
 
-def _masked_stiffness(level: GridLevel) -> sp.csr_matrix:
-    """Assemble ``sum_i D_i^T diag(d * mask_i) D_i`` as a sparse matrix."""
+def _masked_stiffness(level: GridLevel):
+    """Assemble ``sum_i D_i^T diag(d * mask_i) D_i`` as a scipy CSR matrix.
+
+    scipy is imported here, on first use: only the singular study, whose
+    Newton solve and harmonic start need sparse matrices, loads it.
+    """
+    import scipy.sparse as sp
+
     mats = diff_op(level).matrices
     terms = []
     for i in range(level.dimension):
@@ -572,7 +617,8 @@ def _masked_stiffness(level: GridLevel) -> sp.csr_matrix:
         for axis, m in enumerate(level.shape):
             w = sp.diags(level.axis_weights[axis])
             if axis == i:
-                D = mats[axis]
+                lo, up = mats[axis].diagonals  # D[i, i - 1] and D[i, i + 1]
+                D = sp.diags([lo[1:], up[:-1]], [-1, 1], format="csr")
                 mask = np.ones(m)
                 mask[0] = mask[-1] = 0.0
                 pieces.append(sp.csr_matrix(D.T @ sp.diags(level.axis_weights[axis] * mask) @ D))
@@ -632,8 +678,8 @@ class _SingularObjective(LevelObjective):
     def gradient(self, u: np.ndarray) -> np.ndarray:
         return self.value_and_grad(u)[1]
 
-    def hessian(self, u: np.ndarray) -> sp.spmatrix:
-        return self._K + sp.diags(self._d * self._Wpp(u))
+    def hessian(self, u: np.ndarray):
+        return self._K, self._d * self._Wpp(u)
 
     def strong_residual(self, u: np.ndarray) -> np.ndarray:
         lap = np.zeros_like(u)
@@ -753,6 +799,23 @@ class InterfaceDecomposition:
     xi_max_distance: Optional[float] = None
 
 
+def _filter3(grid: np.ndarray, reduce: Callable) -> np.ndarray:
+    """``reduce`` (``np.minimum`` or ``np.maximum``) over the ``3^N`` block
+    around every node, nodes past the box edge replaced by the edge node.
+
+    One axis at a time, each node's left, centre and right neighbours in
+    that order, as ``scipy.ndimage.minimum_filter(grid, 3, mode="nearest")``
+    does, so the result matches it bit for bit, signed zeros included.
+    """
+    for axis, m in enumerate(grid.shape):
+        pad = [(1, 1) if a == axis else (0, 0) for a in range(grid.ndim)]
+        padded = np.pad(grid, pad, mode="edge")
+        lead = (slice(None),) * axis
+        left, centre, right = (padded[lead + (slice(k, k + m),)] for k in range(3))
+        grid = reduce(reduce(left, centre), right)
+    return grid
+
+
 def extract_interface(
     u: GridFunction, reference_distance: Optional[Callable] = None
 ) -> InterfaceDecomposition:
@@ -764,8 +827,8 @@ def extract_interface(
     """
     level = u.level
     grid = u.grid_values
-    nmin = ndi.minimum_filter(grid, size=3, mode="nearest").ravel()
-    nmax = ndi.maximum_filter(grid, size=3, mode="nearest").ravel()
+    nmin = _filter3(grid, np.minimum).ravel()
+    nmax = _filter3(grid, np.maximum).ravel()
     omega1 = nmin > 0.0
     omega2 = nmax < 0.0
     xi = ~(omega1 | omega2)

@@ -1,7 +1,7 @@
 """Level-net variational minimization, splitting, and residual verification.
 
 A :class:`ProblemSpec` knows how to build a per-level objective (value,
-gradient, optional sparse Hessian, boundary pinning, feasibility) and how to
+gradient, optional Hessian, boundary pinning, feasibility) and how to
 produce initial guesses.  :func:`solve_net` minimizes level by level with
 dyadic warm-start prolongation, :func:`split` decomposes the minimizer net
 into a coarse standard part ``w`` plus per-level remainders ``psi``, and
@@ -14,7 +14,10 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-import scipy.sparse as sp
+
+# numpy loads numpy.random on first access; every solve and every check draws
+# from it, so it is loaded with the package rather than inside a request
+import numpy.random  # noqa: F401
 
 from .calculus import GridFunction, TestFunction, inner, norm, restrict
 from .grid import Domain, GridLevel, NodeSet, build_level
@@ -78,7 +81,10 @@ class LevelObjective:
         raise NotImplementedError
 
     # --- optional hooks -------------------------------------------------
-    def hessian(self, u: np.ndarray) -> sp.spmatrix:
+    def hessian(self, u: np.ndarray) -> tuple[object, np.ndarray]:
+        """``(K, c)``: the Hessian is ``K + diag(c)``, with ``K`` a scipy
+        sparse matrix that does not depend on ``u`` (see
+        :func:`~ultragrid.optimize.newton`)."""
         raise NotImplementedError
 
     def feasible(self, u: np.ndarray) -> bool:

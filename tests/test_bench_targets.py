@@ -7,7 +7,10 @@ The tracing module is only loaded here, never installed.
 
 import importlib
 import importlib.util
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -46,3 +49,42 @@ def test_spsolve_target_resolves():
     # ``spsolve`` is wrapped; the harmonic start must go through it
     optimize = importlib.import_module("ultragrid.optimize")
     assert callable(getattr(optimize.spla, "spsolve", None))
+
+
+_LAZY_SPLA = """
+import sys
+import ultragrid.optimize as optimize
+print("scipy" in sys.modules)
+import scipy.sparse.linalg
+print(optimize.spla.spsolve is scipy.sparse.linalg.spsolve)
+"""
+
+
+def test_spsolve_target_loads_scipy_on_first_access():
+    # ``spla`` is resolved lazily: importing the module loads no scipy, and
+    # the first access gives scipy's own spsolve for the tracer to wrap
+    src = str(pathlib.Path(importlib.import_module("ultragrid").__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", _LAZY_SPLA],
+                          capture_output=True, text=True, check=True, env=env)
+    assert proc.stdout.split() == ["False", "True"]
+
+
+def test_minimize_quadratic_calls_the_module_spla(monkeypatch):
+    # the tracer replaces the module global ``spla``; the harmonic start of
+    # the singular study must look it up there at call time
+    optimize = importlib.import_module("ultragrid.optimize")
+    problems = importlib.import_module("ultragrid.problems")
+    grid = importlib.import_module("ultragrid.grid")
+    calls = []
+    real = optimize.spla
+
+    class Spy:
+        def spsolve(self, *args):
+            calls.append(args)
+            return real.spsolve(*args)
+
+    monkeypatch.setattr(optimize, "spla", Spy())
+    spec = problems.singular_spec()
+    spec.initial_guesses(grid.build_level(spec.domain, 3), None, None)
+    assert len(calls) == 1

@@ -3,9 +3,10 @@
 import gc
 import weakref
 
+import csr_oracles as oracles
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ultragrid import (
@@ -217,28 +218,57 @@ def test_binary_round_trip(tmp_path):
     assert np.array_equal(u.values, v.values)
 
 
-def _moveaxis_apply(mat, values, shape, axis):
-    """The former per-call formula of ``DiffOp.apply`` (kept as the oracle)."""
-    moved = np.moveaxis(values.reshape(shape), axis, 0)
-    flat = moved.reshape(moved.shape[0], -1)
-    out = np.moveaxis((mat @ flat).reshape(moved.shape), 0, axis)
-    return np.ascontiguousarray(out).ravel()
+def _signed_random(rng, size):
+    """Normal samples with a fifth of them +0.0 and a fifth -0.0."""
+    u = rng.standard_normal(size)
+    pick = rng.random(size)
+    u[pick < 0.2] = 0.0
+    u[pick > 0.8] = -0.0
+    return u
 
 
 @settings(max_examples=40, deadline=None)
 @given(
     extents=st.lists(st.integers(1, 2), min_size=1, max_size=3),
-    n=st.integers(1, 3),
+    n=st.integers(0, 3),
     seed=st.integers(0, 2**32 - 1),
 )
 def test_diffop_bit_identical_to_moveaxis_formula(extents, n, seed):
+    # the banded D and D^T against the former CSR matrices applied by moving
+    # the axis to the front, signed zeros included
     level = build_level(Domain(tuple((0.0, float(e)) for e in extents)), n)
     op = diff_op(level)
-    u = np.random.default_rng(seed).standard_normal(level.node_count)
-    for axis, mat in enumerate(op.matrices):
-        np.testing.assert_array_equal(
-            op.apply(u, axis), _moveaxis_apply(mat, u, level.shape, axis)
-        )
-        np.testing.assert_array_equal(
-            op.apply_transpose(u, axis), _moveaxis_apply(mat.T, u, level.shape, axis)
-        )
+    u = _signed_random(np.random.default_rng(seed), level.node_count)
+    grid = u.reshape(level.shape)
+    for axis, m in enumerate(level.shape):
+        D = oracles.d1_matrix(m, level.h)
+        for got, mat in ((op.apply(u, axis), D), (op.apply_transpose(u, axis), D.T.tocsr())):
+            expected = oracles.apply_axis(mat, grid, axis).ravel()
+            np.testing.assert_array_equal(got, expected)
+            np.testing.assert_array_equal(np.signbit(got), np.signbit(expected))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    corner=st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=3),
+    unit=st.floats(0.25, 3.0),
+    data=st.data(),
+    n=st.integers(0, 3),
+)
+def test_sbp_antisymmetry_on_random_levels(corner, unit, data, n):
+    # W D + (W D)^T is exactly zero on the rows and columns of nodes that are
+    # interior along the derivative's axis, and zero to rounding elsewhere
+    extents = data.draw(st.lists(st.integers(1, 2), min_size=len(corner), max_size=len(corner)))
+    bounds = tuple((lo, lo + k * unit) for lo, k in zip(corner, extents))
+    level = build_level(Domain(bounds), n)
+    assume(level.node_count <= 300)
+    op = diff_op(level)
+    eye = np.eye(level.node_count)
+    for axis, m in enumerate(level.shape):
+        WD = level.weights[:, None] * np.stack([op.apply(e, axis) for e in eye], axis=1)
+        S = WD + WD.T
+        idx = level.multi_index(np.arange(level.node_count))[axis]
+        inner = (idx > 0) & (idx < m - 1)
+        assert np.all(S[np.ix_(inner, inner)] == 0.0)
+        assert np.abs(S).max() <= 4 * np.finfo(float).eps * np.abs(WD).max()
+

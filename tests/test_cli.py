@@ -2,6 +2,10 @@
 
 import functools
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -178,3 +182,46 @@ def test_calculus_check_level_over_node_cap_exits_2_before_checking(tmp_path, ca
     assert main(["calculus-check", "--levels", "3..5", "--out", str(out)]) == 2
     assert "config error: level 4 requires 289 nodes" in capsys.readouterr().err
     assert not (out / "checks.csv").exists()
+
+
+_STARTUP_GUARD = """
+import json, pathlib, sys
+from ultragrid import cli
+
+root = pathlib.Path(sys.argv[1])
+runs = [
+    ("calculus-check", ["calculus-check", "--levels", "3..6"]),
+    ("sawtooth", ["solve", "--levels", "3..5"], {"problem": "sawtooth"}),
+    ("sign_perturbed", ["solve", "--levels", "3..5"], {"problem": "sign_perturbed"}),
+    ("singular", ["solve", "--levels", "3..5"], {"problem": "singular"}),
+]
+for name, argv, *config in runs:
+    out = root / name
+    out.mkdir()
+    if config:
+        cfg = root / (name + ".json")
+        cfg.write_text(json.dumps(config[0]))
+        argv = argv + ["--config", str(cfg)]
+    code = cli.main(argv + ["--out", str(out)])
+    print(name, code, "scipy" in sys.modules)
+"""
+
+
+def test_only_the_singular_solve_loads_scipy(tmp_path):
+    # a fresh interpreter: importing the CLI, a calculus check and the
+    # sawtooth and quotient solves leave scipy unloaded; the singular solve,
+    # whose Newton steps and harmonic start need it, loads it and still runs
+    # (three levels each: both commands reject shorter ranges)
+    src = str(pathlib.Path(cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-c", _STARTUP_GUARD, str(tmp_path)],
+        capture_output=True, text=True, check=True, env=env,
+    )
+    lines = [line.split() for line in proc.stdout.splitlines()[-4:]]
+    assert lines == [
+        ["calculus-check", "0", "False"],
+        ["sawtooth", "0", "False"],
+        ["sign_perturbed", "0", "False"],
+        ["singular", "0", "True"],
+    ], proc.stdout

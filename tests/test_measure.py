@@ -1,5 +1,6 @@
 """Density functions, perimeter, surface sums, and the Gauss identity."""
 
+import csr_oracles as oracles
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,7 +20,12 @@ from ultragrid import (
     perimeter,
     surface_integral,
 )
-from ultragrid.measure import _box_fraction, _sampled_fraction, _unit_ball_samples
+from ultragrid.measure import (
+    _box_fraction,
+    _mask_fraction,
+    _sampled_fraction,
+    _unit_ball_samples,
+)
 
 DOM1 = Domain(((0.0, 1.0),))
 DOM2 = Domain(((0.0, 1.0), (0.0, 1.0)))
@@ -191,6 +197,22 @@ def test_mask_density_matches_indicator_sampling(dim, data):
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     mask = rng.random(level.node_count) < fill
     _assert_matches_oracle(NodeMask(level, mask), eta_factor)
+
+
+@settings(max_examples=60, deadline=None)
+@given(dim=st.sampled_from((1, 2, 3)), data=st.data())
+def test_mask_density_bit_identical_to_ndimage_correlation(dim, data):
+    # the integer sum of shifted slices against the former float correlation
+    domain = data.draw(st.sampled_from(MASK_DOMAINS[dim]))
+    level = build_level(domain, data.draw(st.integers(0, MASK_MAX_LEVEL[dim])))
+    eta_factor = data.draw(st.sampled_from((1.0, 1.5, 3.0, 1e6)))
+    fill = data.draw(st.floats(0.0, 1.0))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    region = NodeMask(level, rng.random(level.node_count) < fill)
+    got = _mask_fraction(region, eta_factor)
+    expected = oracles.mask_fraction(region, eta_factor)
+    np.testing.assert_array_equal(got, expected)
+    np.testing.assert_array_equal(np.signbit(got), np.signbit(expected))
 
 
 @pytest.mark.parametrize("dom, n", [(DOM1, 5), (DOM2, 4), (DOM3, 2)])

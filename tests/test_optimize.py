@@ -4,8 +4,10 @@ parity."""
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 import ultragrid.optimize as optimize
 from ultragrid import build_level
@@ -31,7 +33,8 @@ def _diag_metric_lbfgs(
     """The former L-BFGS, with ``H0 = gamma * diag(1/d)`` written out.
 
     Armijo-only line search and a fixed ``gtol``; a stall reports
-    ``converged`` only if the gradient test passes, as ``lbfgs`` does.
+    ``converged`` only if the gradient test passes, and an iteration counts
+    as stalled only if ``||g||_*`` also made no new low, as in ``lbfgs``.
     """
     x = x0.copy()
     d = weights[free]
@@ -39,7 +42,7 @@ def _diag_metric_lbfgs(
     g = g_full[free]
     s_list, y_list = [], []
     gamma = 1.0
-    gnorm = float(np.sqrt(np.sum(g * g / d)))
+    gnorm = best = float(np.sqrt(np.sum(g * g / d)))
     it = 0
     stalled = 0
     while it < max_iter:
@@ -90,12 +93,11 @@ def _diag_metric_lbfgs(
                 s_list.pop(0)
                 y_list.pop(0)
             gamma = sy / (y @ (y / d))
-        if f - f_new <= ftol * max(abs(f), abs(f_new), 1.0):
-            stalled += 1
-        else:
-            stalled = 0
+        flat = f - f_new <= ftol * max(abs(f), abs(f_new), 1.0)
         x, f, g = x_new, f_new, g_new
         gnorm = float(np.sqrt(np.sum(g * g / d)))
+        stalled = stalled + 1 if flat and gnorm >= best else 0
+        best = min(best, gnorm)
         it += 1
     return OptimizeResult(x, f, gnorm, it, gnorm <= gtol)
 
@@ -140,11 +142,17 @@ def test_lbfgs_default_metric_bit_identical_on_sawtooth_chain():
     x0 = np.zeros(level.node_count)
     x0[free] = level.h * np.concatenate(([0.0], np.cumsum(signs)))
     args = (obj.value_and_grad, x0, level.weights, free)
-    expected = _diag_metric_lbfgs(*args, gtol=1e-12, max_iter=500)
-    got = lbfgs(*args, gtol=1e-12, max_iter=500)
+    # the first 36 iterations all take Armijo steps, so the approximate Wolfe
+    # test of lbfgs does not enter; the run is not yet at its tolerance
+    expected = _diag_metric_lbfgs(*args, gtol=1e-12, max_iter=36)
+    got = lbfgs(*args, gtol=1e-12, max_iter=36)
     _assert_same_run(got, expected)
-    # the run stalls at ||g||_* ~ 7e-8: a stall is not convergence
     assert got.grad_norm > 1e-12 and not got.converged
+    # from iteration ~20 on f decreases by less than ftol while ||g||_* still
+    # falls from 6e-6 to 1e-10: the run converges, where a stall guard on
+    # the decrease of f alone stopped it after 30 iterations at 7e-8
+    full = lbfgs(*args, gtol=1e-12, max_iter=500)
+    assert full.converged and full.iterations <= 60
 
 
 def test_lbfgs_reaches_gtol_below_the_rounding_of_a_large_constant(rng):
@@ -179,6 +187,31 @@ def test_lbfgs_reaches_gtol_below_the_rounding_of_a_large_constant(rng):
     rel = lbfgs(vag, x0, d, free, gtol=lambda f: 1e-16 * (1.0 + abs(f)),
                 max_iter=200, patience=200)
     assert rel.converged and rel.grad_norm <= 1e-16 * (1.0 + abs(rel.value))
+    # the stall guard at its default patience: near the minimum every
+    # decrease falls below ftol max(|f|, 1), but ||g||_* keeps falling, so
+    # the run is not stalled (a guard on the decrease of f alone stopped it
+    # after 30 iterations at ||g||_* = 2.6e-6)
+    default = lbfgs(vag, x0, d, free, gtol=1e-8, max_iter=200)
+    assert default.converged and default.grad_norm <= 1e-8
+    assert default.iterations <= 60
+
+
+@pytest.mark.parametrize("metric", ["h1", "diag"])
+def test_lbfgs_stall_guard_stops_a_flat_direction_quotient(metric):
+    # the scale-invariant quotient with an unreachable tolerance: ||g||_*
+    # reaches its rounding floor and the run stops as stalled, unconverged,
+    # long before the iteration cap
+    spec = sign_perturbed_spec()
+    level = build_level(spec.domain, 3)
+    obj = spec.build(level)
+    x0 = obj.pin(spec.initial_guesses(level, None, None)[1])
+    result = lbfgs(
+        obj.value_and_grad, x0, level.weights, obj.free_mask, gtol=0.0,
+        precondition=obj.precondition if metric == "h1" else None,
+    )
+    assert not result.converged
+    assert result.iterations <= 100
+    assert result.grad_norm <= 1e-12
 
 
 def _random_spd_on(pattern: sp.spmatrix, rng) -> sp.csr_matrix:
@@ -203,14 +236,15 @@ def _one_newton_step(A, free, rng, monkeypatch):
         return 0.5 * float(x @ Ax) - float(b @ x), Ax - b
 
     rows = []
-    real = optimize.solveh_banded
+    real = scipy.linalg.solveh_banded
 
     def spy(ab, rhs, **kwargs):
         rows.append(ab.shape[0])
         return real(ab, rhs, **kwargs)
 
-    monkeypatch.setattr(optimize, "solveh_banded", spy)
-    result = newton(vag, lambda x: A, x0, d, free, gtol=0.0, max_iter=1)
+    # newton imports it from scipy.linalg when called
+    monkeypatch.setattr(scipy.linalg, "solveh_banded", spy)
+    result = newton(vag, lambda x: (A, np.zeros(n)), x0, d, free, gtol=0.0, max_iter=1)
     fi = np.flatnonzero(free)
     g = vag(x0)[1][fi]
     expected = x0.copy()
@@ -260,7 +294,7 @@ def test_indefinite_hessian_takes_gradient_step():
         return float(np.sum((x * x - 1.0) ** 2)), 4.0 * x * (x * x - 1.0)
 
     def hess(x):
-        return sp.diags(12.0 * x * x - 4.0)
+        return sp.csr_matrix((x.size, x.size)), 12.0 * x * x - 4.0
 
     x0 = np.array([0.0, 0.9, 0.1, 1.2, 0.0])
     free = np.array([False, True, True, True, False])
@@ -276,6 +310,57 @@ def test_indefinite_hessian_takes_gradient_step():
     assert np.array_equal(result.x[~free], x0[~free])
 
 
+def _former_band(K, c, free_idx, pos):
+    """The former per-step band: ``H = K + diag(c)`` summed as sparse
+    matrices, its free upper band scattered in the ordering ``pos``."""
+    H = sp.csr_matrix(K + sp.diags(c))
+    H.sum_duplicates()
+    H = H.tocoo()
+    i, j = pos[H.row], pos[H.col]
+    upper = (i >= 0) & (j >= i)
+    i, j = i[upper], j[upper]
+    rows = int((j - i).max(initial=0)) + 1
+    band = np.zeros((rows, free_idx.size), order="F")
+    band[rows - 1 - (j - i), j] = H.data[upper]
+    return band
+
+
+@pytest.mark.parametrize("n", [4, 6])
+def test_newton_band_equals_former_sparse_assembly(n, monkeypatch):
+    # the band refilled from K's entries plus the diagonal, on every step of
+    # a singular solve, against the former sparse sum scattered per step
+    spec = singular_spec()
+    level = build_level(spec.domain, n)
+    obj = spec.build(level)
+    points, bands = [], []
+
+    def hessian(x):
+        points.append(x.copy())
+        return obj.hessian(x)
+
+    real = scipy.linalg.solveh_banded
+
+    def spy(ab, rhs, **kwargs):
+        bands.append(ab.copy())
+        return real(ab, rhs, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "solveh_banded", spy)
+    x0 = spec.initial_guesses(level, None, None)[0]
+    gtol = GTOL_FACTOR * (1.0 + abs(obj.value(x0)))
+    newton(obj.value_and_grad, hessian, x0, level.weights, obj.free_mask,
+           gtol=gtol, accept=obj.accept_step)
+    free_idx = np.flatnonzero(obj.free_mask)
+    K, c = obj.hessian(points[0])
+    H0 = sp.csr_matrix(K + sp.diags(c))[free_idx][:, free_idx]
+    pos = np.full(level.node_count, -1, dtype=np.intp)
+    pos[free_idx[reverse_cuthill_mckee(H0, symmetric_mode=True)]] = np.arange(free_idx.size)
+    assert len(bands) == len(points) > 1
+    for x, band in zip(points, bands):
+        expected = _former_band(*obj.hessian(x), free_idx, pos)
+        np.testing.assert_array_equal(band, expected)
+        np.testing.assert_array_equal(np.signbit(band), np.signbit(expected))
+
+
 def _superlu_newton(value_and_grad, hessian, x0, weights, free, gtol, max_iter=200, accept=None):
     """The former Newton, one SuperLU factorization of the free block per step."""
     x = x0.copy()
@@ -287,7 +372,8 @@ def _superlu_newton(value_and_grad, hessian, x0, weights, free, gtol, max_iter=2
     for it in range(max_iter):
         if gnorm <= gtol:
             return OptimizeResult(x, f, gnorm, it, True)
-        H = hessian(x).tocsr()[free_idx][:, free_idx].tocsc()
+        K, c = hessian(x)
+        H = (K + sp.diags(c)).tocsr()[free_idx][:, free_idx].tocsc()
         try:
             p = spla.spsolve(H, -g)
             if not np.all(np.isfinite(p)) or p @ g >= 0.0:

@@ -2,9 +2,11 @@
 
 import functools
 
+import csr_oracles as oracles
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -20,6 +22,7 @@ from ultragrid import (
     extract_interface,
     minimize_level,
     monad_neighbors,
+    solve_net,
     quadratic_well,
     restrict,
     sawtooth_pattern,
@@ -28,8 +31,7 @@ from ultragrid import (
     singular_spec,
     sobolev_constant,
 )
-from ultragrid.calculus import diff_op
-from ultragrid.elements import apply_axis, gauss_interp, p1_matrices
+from ultragrid.elements import gauss_interp
 from ultragrid.optimize import minimize_quadratic
 
 DOM3 = Domain(((0.0, 1.0), (0.0, 1.0), (0.0, 1.0)))
@@ -95,13 +97,64 @@ def test_sawtooth_metric_solves_dense_h1(n, box, seed):
     # like h^-2, so its small entries carry the round-off of both solves
     level = build_level(Domain((box,)), n)
     obj = problems._SawtoothObjective(level)
-    D = diff_op(level).matrices[0].toarray()
+    D = oracles.d1_matrix(level.node_count, level.h).toarray()
     W = np.diag(level.weights)
     g = np.random.default_rng(seed).standard_normal(level.node_count)
     got = obj.precondition(g)
     expected = np.linalg.solve(W + D.T @ W @ D, g)
     assert np.linalg.norm(got - expected) <= 1e-10 * np.linalg.norm(expected)
     assert g @ got > 0.0
+
+
+def _h1_apply(level, y):
+    """``P y`` for ``P = W + D^T W D``, and ``||P||_inf``, without a dense ``P``."""
+    D = oracles.d1_matrix(level.node_count, level.h)
+    d = level.weights
+    P = sp.diags(d) + D.T @ sp.diags(d) @ D
+    return P @ y, float(abs(P).sum(axis=1).max())
+
+
+@pytest.mark.parametrize("n", range(3, 15))
+def test_sawtooth_metric_backward_error(n):
+    # normwise backward error ||g - P y|| / (||P|| ||y|| + ||g||) of the
+    # parity-chain recurrences, against the assembled P (LAPACK's banded
+    # Cholesky reached 1.5e-16 on these levels)
+    level = build_level(sawtooth_spec().domain, n)
+    obj = problems._SawtoothObjective(level)
+    rng = np.random.default_rng(n)
+    for g in (rng.standard_normal(level.node_count), np.ones(level.node_count),
+              obj.gradient(rng.standard_normal(level.node_count) * level.h)):
+        y = obj.precondition(g)
+        Py, norm_P = _h1_apply(level, y)
+        inf = np.inf
+        eta = np.linalg.norm(g - Py, inf) / (
+            norm_P * np.linalg.norm(y, inf) + np.linalg.norm(g, inf))
+        assert eta <= 1e-15
+
+
+#: ``(iterations, value)`` per level of ``solve_net(sawtooth, 3..12)`` as the
+#: metric's former banded Cholesky (LAPACK ``pbtrf``/``pbtrs``) produced them
+_SAWTOOTH_CHOLESKY_RUNS = {
+    1: (23, 32, 31, 32, 33, 38, 41, 45, 47, 51),
+    7919: (32, 32, 31, 32, 33, 38, 41, 45, 47, 51),
+}
+_SAWTOOTH_CHOLESKY_VALUES = (
+    0.015563964843750007, 0.0039024353027343746, 0.0009763240814208984,
+    0.00024412572383880615, 6.1034224927425385e-05, 1.5258730854839087e-05,
+    3.814693627646193e-06, 9.536740890325746e-07, 2.3841856489070778e-07,
+    5.960464388721445e-08,
+)
+
+
+@pytest.mark.parametrize("seed", sorted(_SAWTOOTH_CHOLESKY_RUNS))
+def test_sawtooth_metric_runs_as_under_banded_cholesky(seed):
+    # the recurrence solve rounds differently from LAPACK, but every level
+    # takes the same iterations, converges alike and ends within 1e-12
+    net = solve_net(sawtooth_spec(), range(3, 13), seed=seed)
+    assert tuple(r.iterations for r in net.results) == _SAWTOOTH_CHOLESKY_RUNS[seed]
+    assert all(r.converged for r in net.results)
+    np.testing.assert_allclose([r.value for r in net.results], _SAWTOOTH_CHOLESKY_VALUES,
+                               rtol=1e-12, atol=0.0)
 
 
 # --- critical Sobolev quotient ----------------------------------------------
@@ -136,7 +189,7 @@ def test_bubble_support_must_fit_domain():
 def test_dirichlet_eigenpairs_match_eigh(m):
     # the closed-form sine eigenpairs against the generalized eigensolver
     h = 1.0 / (m - 1)
-    K, M = (A.toarray()[1:-1, 1:-1] for A in p1_matrices(m, h))
+    K, M = (A.toarray()[1:-1, 1:-1] for A in oracles.p1_matrices(m, h))
     V, lam = problems._dirichlet_eigenpairs(m, h)
     ref_lam, ref_V = scipy.linalg.eigh(K, M)
     np.testing.assert_allclose(lam, ref_lam, rtol=1e-12)
@@ -163,7 +216,7 @@ def test_quotient_metric_solves_dense_stiffness(dim_n, lo, stretched, well, seed
     level = build_level(Domain(bounds), n)
     a = quadratic_well((0.5,) * dim) if well else None
     obj = problems._QuotientObjective(level, a)
-    K, M = zip(*((A.toarray()[1:-1, 1:-1] for A in p1_matrices(m, level.h))
+    K, M = zip(*((A.toarray()[1:-1, 1:-1] for A in oracles.p1_matrices(m, level.h))
                  for m in level.shape))
     P = sum(
         functools.reduce(np.kron, [K[axis] if axis == i else M[axis] for axis in range(dim)])
@@ -196,7 +249,7 @@ def test_quotient_gradient_consistency():
 def _old_quotient(obj, u):
     """The former quotient evaluation, kept as the oracle of the streamed pass.
 
-    Sparse per-axis Gauss matrices applied with ``apply_axis`` over the full
+    Sparse per-axis Gauss matrices applied along each axis over the full
     Gauss-point grid, ``|u|^p`` by float power, and the weighted transposes
     ``G^T diag(w)`` for the adjoint.
     """
@@ -204,14 +257,15 @@ def _old_quotient(obj, u):
     grid = u.reshape(level.shape)
     G, GTW, weights = [], [], []
     for axis, m in enumerate(level.shape):
-        g, _points, w = gauss_interp(m, level.h, level.domain.bounds[axis][0])
+        _dense, _points, w = gauss_interp(m, level.h, level.domain.bounds[axis][0])
+        g = oracles.gauss_interp(m, level.h)
         G.append(g)
         GTW.append(g.T @ np.diag(w))
         weights.append(w)
 
     def chain(mats, arr):
         for axis, mat in enumerate(mats):
-            arr = apply_axis(mat, arr, axis)
+            arr = oracles.apply_axis(mat, arr, axis)
         return arr
 
     def gauss_sum(arr):
@@ -221,7 +275,8 @@ def _old_quotient(obj, u):
 
     ku = np.zeros_like(grid)
     for i in range(grid.ndim):
-        mats = [p1_matrices(m, level.h)[0 if a == i else 1] for a, m in enumerate(level.shape)]
+        mats = [oracles.p1_matrices(m, level.h)[0 if a == i else 1]
+                for a, m in enumerate(level.shape)]
         ku += chain(mats, grid)
     num = float(np.vdot(grid, ku))
     ug = chain(G, grid)
@@ -369,13 +424,13 @@ def test_singular_gradient_and_hessian():
     obj = spec.build(level)
     rng = np.random.default_rng(4)
     u = obj.pin(np.where(level.coordinates[:, 0] <= 0.5, 1.0, -1.0) + 0.0)
-    H = obj.hessian(u)
+    K, c = obj.hessian(u)
     # Hessian-vector product matches finite differences of the gradient
     v = rng.standard_normal(level.node_count)
     v[obj.fixed_mask] = 0.0
     eps = 1e-6
     fd = (obj.gradient(u + eps * v) - obj.gradient(u - eps * v)) / (2 * eps)
-    hv = H @ v
+    hv = K @ v + c * v
     free = obj.free_mask
     assert np.max(np.abs(fd[free] - hv[free])) < 1e-4 * max(np.max(np.abs(hv)), 1.0)
 
@@ -453,3 +508,20 @@ def test_singular_potential_validation():
             Wp=lambda t: t * 0.0,
             Wpp=lambda t: t * 0.0,
         )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    shape=st.lists(st.integers(1, 7), min_size=1, max_size=3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_interface_filters_bit_identical_to_ndimage(shape, seed):
+    # the 3x3 min/max filters of extract_interface against scipy.ndimage,
+    # on values with many ties, signed zeros among them
+    rng = np.random.default_rng(seed)
+    grid = rng.choice([-1.0, -0.5, -0.0, 0.0, 0.5, 1.0], size=shape)
+    grid[rng.random(shape) < 0.3] = rng.standard_normal()
+    for reduce, oracle in ((np.minimum, oracles.min_filter3), (np.maximum, oracles.max_filter3)):
+        got, expected = problems._filter3(grid, reduce), oracle(grid)
+        np.testing.assert_array_equal(got, expected)
+        np.testing.assert_array_equal(np.signbit(got), np.signbit(expected))
