@@ -317,22 +317,6 @@ def _sampled_fraction(level: GridLevel, region, eta: float) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=64)
-def _mask_stencil(dim: int, eta_factor: float, shape: tuple[int, ...]) -> tuple:
-    """``(radius, terms, samples)`` of the node-mask sampling rule on a grid
-    of ``shape``: ``terms`` lists ``(start, count)`` for each distinct
-    shift, ``count`` of the ``samples`` unit-ball samples shifting by
-    ``start - radius`` nodes (shifts clipped to the grid's reach).
-    """
-    reach = np.array(shape) - 1
-    shifts = np.rint(_unit_ball_samples(dim) * eta_factor)
-    shifts = np.clip(shifts, -reach, reach).astype(np.int64)
-    radius = np.abs(shifts).max(axis=0)
-    starts, counts = np.unique(shifts + radius, axis=0, return_counts=True)
-    terms = tuple((tuple(a.tolist()), int(c)) for a, c in zip(starts, counts))
-    return tuple(radius.tolist()), terms, len(shifts)
-
-
 def _mask_fraction(region: NodeMask, eta_factor: float) -> np.ndarray:
     """The sampling rule of :func:`_sampled_fraction` for a node mask.
 
@@ -346,14 +330,21 @@ def _mask_fraction(region: NodeMask, eta_factor: float) -> np.ndarray:
     count, divided by the sample count once, so the result is exact.
     """
     level = region.level
-    radius, terms, samples = _mask_stencil(level.dimension, eta_factor, level.shape)
+    reach = np.array(level.shape) - 1
+    shifts = np.rint(_unit_ball_samples(level.dimension) * eta_factor)
+    shifts = np.clip(shifts, -reach, reach).astype(np.int64)
+    radius = np.abs(shifts).max(axis=0)
+    size = tuple(2 * radius + 1)
+    counts = np.bincount(np.ravel_multi_index((shifts + radius).T, size))
+    distinct = np.flatnonzero(counts)
+    starts = np.transpose(np.unravel_index(distinct, size))
     padded = np.pad(region.mask.reshape(level.shape), [(r, r) for r in radius], mode="edge")
     hits = np.zeros(level.shape, dtype=np.int32)
     term = np.empty_like(hits)
-    for start, count in terms:
+    for start, count in zip(starts.tolist(), counts[distinct].tolist()):
         window = padded[tuple(slice(a, a + m) for a, m in zip(start, level.shape))]
         hits += np.multiply(window, count, out=term, dtype=np.int32)
-    return hits.ravel() / samples
+    return hits.ravel() / len(shifts)
 
 
 # ---------------------------------------------------------------------------

@@ -190,12 +190,17 @@ def lbfgs(
         y = g_new - g
         sy = s @ y
         if sy > 1e-14 * float(np.linalg.norm(s) * np.linalg.norm(y) + 1e-300):
-            s_list.append(s)
-            y_list.append(y)
-            if len(s_list) > memory:
-                s_list.pop(0)
-                y_list.pop(0)
-            gamma = sy / (y @ precondition(y))
+            # near the underflow range (a gradient that keeps falling towards
+            # 1e-160) 1 / (y.s) or the scaling overflow; such a pair is skipped
+            with np.errstate(over="ignore", divide="ignore"):
+                rho, scaling = 1.0 / sy, sy / (y @ precondition(y))
+            if np.isfinite(rho) and np.isfinite(scaling):
+                s_list.append(s)
+                y_list.append(y)
+                if len(s_list) > memory:
+                    s_list.pop(0)
+                    y_list.pop(0)
+                gamma = scaling
 
         flat = f - f_new <= ftol * max(abs(f), abs(f_new), 1.0)
         x, f, g = x_new, f_new, g_new

@@ -104,15 +104,23 @@ def _h1_chains(D: Banded, d: np.ndarray) -> list:
     off2 = d[1:-1] * lo[1:-1] * up[1:-1]  # P[j, j + 2], via row j + 1
     chains = []
     for parity in (0, 1):
-        a, b = diag[parity::2].tolist(), off2[parity::2].tolist()
-        delta, neg_l = [a[0]], []
-        for k in range(1, len(a)):
-            lk = b[k - 1] / delta[-1]
-            neg_l.append(-lk)
-            delta.append(a[k] - lk * b[k - 1])
-        forward = np.cumprod([1.0] + neg_l)
-        backward = np.cumprod([1.0] + neg_l[::-1])
-        chains.append((parity, forward, np.array(delta), backward))
+        a, b = diag[parity::2], off2[parity::2]
+        delta, neg_l = np.empty(a.size), np.empty(a.size - 1)
+        delta[0] = pivot = float(a[0])
+        # the pivot recurrence is scalar: run it on Python floats, a chunk at
+        # a time, so that no whole chain is held as a list
+        for k0 in range(0, a.size - 1, 4096):
+            ls, ds = [], []
+            for ak, bk in zip(a[k0 + 1 : k0 + 4097].tolist(), b[k0 : k0 + 4096].tolist()):
+                lk = bk / pivot
+                pivot = ak - lk * bk
+                ls.append(-lk)
+                ds.append(pivot)
+            neg_l[k0 : k0 + len(ls)] = ls
+            delta[k0 + 1 : k0 + 1 + len(ds)] = ds
+        forward = np.cumprod(np.concatenate(([1.0], neg_l)))
+        backward = np.cumprod(np.concatenate(([1.0], neg_l[::-1])))
+        chains.append((parity, forward, delta, backward))
     return chains
 
 

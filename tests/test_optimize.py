@@ -214,6 +214,28 @@ def test_lbfgs_stall_guard_stops_a_flat_direction_quotient(metric):
     assert result.grad_norm <= 1e-12
 
 
+@pytest.mark.filterwarnings("error")
+def test_lbfgs_skips_curvature_pairs_near_underflow():
+    # the Rayleigh quotient of diag(1..30) with an unreachable tolerance:
+    # the components off the lowest eigenvector fall geometrically, so
+    # ||g||_* keeps making new lows (the run is not stalled) down to ~1e-160,
+    # where y.s is subnormal and 1 / (y.s) would overflow; such pairs are
+    # skipped, and the run ends at the eigenvector without a float warning
+    a = np.arange(1.0, 31.0)
+
+    def vag(x):
+        xx = x @ x
+        f = float((x * a) @ x / xx)
+        return f, 2.0 * (a * x - f * x) / xx
+
+    n = a.size
+    result = lbfgs(vag, np.ones(n), np.ones(n), np.ones(n, dtype=bool), gtol=0.0)
+    assert result.iterations < 10_000
+    assert np.all(np.isfinite(result.x))
+    assert result.value == pytest.approx(1.0, abs=1e-15)
+    assert result.grad_norm <= 1e-150
+
+
 def _random_spd_on(pattern: sp.spmatrix, rng) -> sp.csr_matrix:
     """Random symmetric, strictly diagonally dominant matrix on ``pattern``."""
     P = sp.triu(sp.csr_matrix(pattern), k=1).tocoo()
