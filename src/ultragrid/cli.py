@@ -18,17 +18,19 @@ Three subcommands:
     and measure layers, print a pass/fail table, and write ``checks.csv``.
 
 Every CSV starts with a header row and carries a ``config_hash`` column (the
-first 12 hex digits of the SHA-256 of the canonical JSON config).  Floats are
-written with ``%.17g`` and no timestamps appear in any CSV, so re-running
-with the same config and seed reproduces every CSV byte for byte.  Wall-clock
-timings live only in ``report.json``.
+first 12 hex digits of the SHA-256 of the canonical JSON config without
+``threads``).  Floats are written with ``%.17g`` and no timestamps appear in
+any CSV, so re-running with the same config and seed reproduces every CSV
+byte for byte.  Wall-clock timings live only in ``report.json``.
 
 Exit codes: 0 success, 1 invariant failure, 2 configuration error,
 3 partial result (report still written).
 
-``--threads`` is accepted and echoed into the report for provenance, but
-execution is single-threaded: warm-started levels are sequential by the
-solver contract, and single-threaded runs are the reproducibility baseline.
+``--threads N`` caps the threads of a ``solve``: the Gauss-point sweep of
+the quotient study is split into at most ``N`` ranges (default: one per CPU
+of the process's affinity mask).  Every output but ``report.json``, which
+records the count used, is the same for any ``N``, so ``threads`` is not part
+of the hashed config and is not written to ``config.json``.
 """
 
 from __future__ import annotations
@@ -62,6 +64,7 @@ from .problems import (
     sawtooth_spec,
     sign_perturbed_spec,
     singular_spec,
+    sweep_threads,
 )
 from .solver import prolong, solve_net, split, verify_euler_lagrange
 
@@ -87,8 +90,22 @@ def _canonical(config: dict) -> str:
 
 
 def config_hash(config: dict) -> str:
-    """First 12 hex digits of the SHA-256 of the canonical JSON config."""
-    return hashlib.sha256(_canonical(config).encode("utf-8")).hexdigest()[:12]
+    """First 12 hex digits of the SHA-256 of the canonical JSON config.
+
+    ``threads`` is left out: no output but ``report.json`` depends on it.
+    """
+    hashed = {k: v for k, v in config.items() if k != "threads"}
+    return hashlib.sha256(_canonical(hashed).encode("utf-8")).hexdigest()[:12]
+
+
+def _threads(config: dict) -> Optional[int]:
+    """The config's thread cap, ``None`` when it sets none."""
+    threads = config.get("threads")
+    if threads is not None and (
+        isinstance(threads, bool) or not isinstance(threads, int) or threads < 1
+    ):
+        raise ConfigError(f"threads must be an integer >= 1, got {threads!r}")
+    return threads
 
 
 def _parse_levels(text) -> list[int]:
@@ -133,10 +150,10 @@ def _load_config(args) -> dict:
         config["threads"] = args.threads
     config.setdefault("seed", 0)
     config.setdefault("format", "csv")
-    config.setdefault("threads", 1)
     config.setdefault("multistart", 3)
     if config["format"] not in ("csv", "json"):
         raise ConfigError(f"format must be 'csv' or 'json', got {config['format']!r}")
+    _threads(config)
     return config
 
 
@@ -235,6 +252,8 @@ def _json_safe(value):
 
 
 def cmd_solve(config: dict, out: pathlib.Path) -> int:
+    threads = _threads(config)
+    config = {k: v for k, v in config.items() if k != "threads"}
     problem = _build_problem(config)
     levels = _parse_levels(config.get("levels", "3..5"))
     seed = int(config["seed"])
@@ -246,28 +265,29 @@ def cmd_solve(config: dict, out: pathlib.Path) -> int:
     }
 
     timings: dict[str, float] = {}
-    t0 = time.perf_counter()
-    try:
-        net = solve_net(
-            problem,
-            levels,
-            seed=seed,
-            multistart=int(config["multistart"]),
-        )
-    except ResourceLimitError as exc:
-        # a level over the node cap is a bad level range
-        raise ConfigError(str(exc)) from exc
-    except RuntimeError as exc:
-        # certified-lower-bound violation: an invariant failure, not a crash
-        print(f"invariant failure: {exc}", file=sys.stderr)
-        return EXIT_INVARIANT
-    timings["solve_s"] = time.perf_counter() - t0
+    with sweep_threads(threads) as threads:
+        t0 = time.perf_counter()
+        try:
+            net = solve_net(
+                problem,
+                levels,
+                seed=seed,
+                multistart=int(config["multistart"]),
+            )
+        except ResourceLimitError as exc:
+            # a level over the node cap is a bad level range
+            raise ConfigError(str(exc)) from exc
+        except RuntimeError as exc:
+            # certified-lower-bound violation: an invariant failure, not a crash
+            print(f"invariant failure: {exc}", file=sys.stderr)
+            return EXIT_INVARIANT
+        timings["solve_s"] = time.perf_counter() - t0
 
-    t0 = time.perf_counter()
-    splitting = split(net, **classify_kwargs)
-    value_class = classify(net.value_net(), **classify_kwargs)
-    el = verify_euler_lagrange(problem, net.results[-1])
-    timings["analysis_s"] = time.perf_counter() - t0
+        t0 = time.perf_counter()
+        splitting = split(net, **classify_kwargs)
+        value_class = classify(net.value_net(), **classify_kwargs)
+        el = verify_euler_lagrange(problem, net.results[-1])
+        timings["analysis_s"] = time.perf_counter() - t0
 
     diag_keys = sorted(
         {k for r in net.results for k in r.diagnostics},
@@ -415,7 +435,7 @@ def cmd_solve(config: dict, out: pathlib.Path) -> int:
         "invariants": _json_safe(verdicts),
         "partial": net.partial,
         "timings": timings,
-        "threads": int(config["threads"]),
+        "threads": threads,
     }
     (out / "report.json").write_text(
         json.dumps(report, sort_keys=True, indent=2) + "\n", encoding="utf-8"
@@ -654,7 +674,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, help="base RNG seed")
         p.add_argument(
             "--threads", type=int,
-            help="recorded in the report; execution is single-threaded",
+            help="at most N threads for a solve (default: the CPUs this "
+            "process may run on); outputs do not depend on it",
         )
         p.add_argument("--format", choices=("csv", "json"), help="table format")
     return parser

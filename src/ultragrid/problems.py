@@ -27,6 +27,8 @@ resulting masked stiffness.
 from __future__ import annotations
 
 import json
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
@@ -49,6 +51,7 @@ __all__ = [
     "bubble",
     "quadratic_well",
     "sign_perturbed_spec",
+    "sweep_threads",
     "concentration_metric",
     "singular_spec",
     "InterfaceDecomposition",
@@ -263,6 +266,62 @@ def quadratic_well(center: Sequence[float], strength: float = 50.0) -> Callable:
 #: Axis-0 cells per slab of the streamed quotient pass.
 _SLAB_CELLS = 1
 
+#: Gauss points of one quotient pass from which its sweep is split into
+#: ranges.  On 2 cores, one BLAS thread, a 3D level-4 pass (262,144 points)
+#: took 1.6 ms split against 1.0-1.2 ms whole, a level-5 pass (2.1M points)
+#: 4.7-5.3 against 5.6-6.6 ms and a level-6 pass 65-78 against 99-106 ms.
+_SPLIT_MIN_POINTS = 1 << 20
+
+_sweep_ranges: Optional[int] = None  # the cap of sweep_threads; None: _usable_cpus()
+_pool = None  # the helper threads of split sweeps, made on the first split
+_pool_workers = 0
+
+
+def _usable_cpus() -> int:
+    """The number of CPUs in this process's affinity mask."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # a platform without affinity masks
+        return os.cpu_count() or 1
+
+
+@contextmanager
+def sweep_threads(threads: Optional[int] = None):
+    """Split each quotient Gauss-point sweep into at most ``threads`` ranges.
+
+    Holds inside the ``with`` block and yields the cap; ``None`` means one
+    range per CPU in the process's affinity mask.  Results do not depend on
+    it: a split sweep is bit-identical to a whole one (see
+    :class:`_QuotientObjective`).
+    """
+    global _sweep_ranges
+    if threads is None:
+        threads = _usable_cpus()
+    if threads < 1:
+        raise ValueError(f"threads must be at least 1, got {threads}")
+    prior, _sweep_ranges = _sweep_ranges, threads
+    try:
+        yield threads
+    finally:
+        _sweep_ranges = prior
+
+
+def _helper_pool(workers: int):
+    """An executor of at least ``workers`` helper threads, kept for the process.
+
+    Made on the first split, so importing the package loads no
+    ``concurrent.futures`` and starts no thread.
+    """
+    global _pool, _pool_workers
+    if _pool_workers < workers:
+        from concurrent.futures import ThreadPoolExecutor
+
+        if _pool is not None:
+            _pool.shutdown()
+        _pool = ThreadPoolExecutor(workers, thread_name_prefix="ultragrid-sweep")
+        _pool_workers = workers
+    return _pool
+
 
 def _apply_trailing(
     mats: Sequence[np.ndarray], t: np.ndarray, first: int = 1
@@ -312,8 +371,24 @@ class _QuotientObjective(LevelObjective):
     Gauss matrices along axes ``1 .. N-1``, then axis 0 is swept in slabs of
     ``_SLAB_CELLS`` cells, each of which reads only the nodes of its own
     cells, so the full Gauss-point grid is never stored.  ``|u|^p`` is formed
-    as ``u * u (u^2)^((p-2)/2)``; for ``p = 6`` numpy's power loop takes the
-    exponent 2 without a general float ``pow``.
+    as ``u * u (u^2)^((p-2)/2)``; for ``p = 6`` the power is a square, taken
+    by ``np.multiply``, which rounds as ``np.power(y, 2.0)`` does.
+
+    From ``_SPLIT_MIN_POINTS`` Gauss points on (3D level 5 and finer) the
+    sweep runs on several threads: the axis-0 cells are cut into contiguous
+    ranges on slab boundaries, at most one per CPU (:func:`sweep_threads`),
+    and a helper thread sweeps each range but the first, which the main
+    thread sweeps.  The ranges share no buffer and call only numpy.  The
+    result is bit-identical to the one-range sweep for any number of
+    ranges: each slab's ``den``/``pot`` part is kept and the parts are
+    summed from 0.0 in slab order after the join, as one sweep adds them;
+    two neighbouring ranges share one node row of the adjoint accumulators,
+    and the later range keeps its first contribution to that row in a
+    private row that is added after the join, which is again the one-sweep
+    order.  The dense trailing contractions (:func:`_apply_trailing`) and
+    the stiffness stay whole: a GEMM split by rows does not round as the
+    whole one under OpenBLAS at levels 4..5, and running the stiffness
+    beside the sweep gained no time.
 
     L-BFGS runs in the H1 metric of the numerator: :meth:`precondition` is
     the exact inverse of the interior Dirichlet stiffness
@@ -411,44 +486,107 @@ class _QuotientObjective(LevelObjective):
         finishes them with the weighted Gauss matrices of those axes.
         ``acc`` is ``None`` without ``adjoint``; ``acc_a`` is ``None``
         without ``adjoint`` or without a potential.
+
+        From ``_SPLIT_MIN_POINTS`` Gauss points on, the axis-0 cells are
+        split into contiguous ranges on slab boundaries, one per thread (see
+        :func:`sweep_threads`); the main thread sweeps the first range and
+        always joins the helpers before it returns or raises.
         """
         t = _apply_trailing(self._G, grid)
         t = t.reshape(t.shape[0], -1)
+        acc, acc_a = self._accumulators(t.shape) if adjoint else (None, None)
+        G0 = self._G[0]
+        cells = G0.shape[1] - 1
+        per_slab = min(cells, _SLAB_CELLS)
+        slabs = -(-cells // per_slab)
+        ranges = 1
+        if G0.shape[0] * t.shape[1] >= _SPLIT_MIN_POINTS:
+            ranges = min(_sweep_ranges or _usable_cpus(), slabs)
+        starts = [per_slab * (slabs * i // ranges) for i in range(ranges)] + [cells]
+        if ranges == 1:
+            partials = self._sweep(t, 0, cells, per_slab, acc, acc_a, None)
+        else:
+            from concurrent.futures import wait
+
+            live = [a for a in (acc, acc_a) if a is not None]
+            seams = np.empty((ranges - 1, len(live), t.shape[1]))
+            pool = _helper_pool(ranges - 1)
+            jobs = [
+                pool.submit(self._sweep, t, starts[i], starts[i + 1], per_slab,
+                            acc, acc_a, seams[i - 1])
+                for i in range(1, ranges)
+            ]
+            try:
+                partials = self._sweep(t, 0, starts[1], per_slab, acc, acc_a, None)
+            finally:
+                wait(jobs)
+            for job in jobs:
+                partials += job.result()  # re-raises a helper's exception
+            # a seam row after the whole range before it, as one sweep adds it
+            for c0, seam in zip(starts[1:], seams):
+                for into, row in zip(live, seam):
+                    into[c0] += row
+        den = pot = 0.0
+        for den_part, pot_part in partials:  # in slab order, as one sweep adds them
+            den += den_part
+            pot += pot_part
+        return den, pot, acc, acc_a
+
+    def _sweep(self, t, c0, c1, per_slab, acc, acc_a, seam) -> list:
+        """Sweep the axis-0 cells ``c0 .. c1 - 1``: each slab's ``(den, pot)`` part.
+
+        The adjoint rows go into ``acc`` and ``acc_a`` (when not ``None``).
+        With a ``seam``, the first slab's contributions to node row ``c0``,
+        which the range before writes too, go into the rows of ``seam``
+        instead, one per accumulator that is not ``None``, ``acc``'s first.
+        Only numpy is called, so a helper thread can sweep a range.
+        """
         G0, GWT0, w0 = self._G[0], self._GWT[0], self._gw[0]
         a_gauss = self._a_gauss
-        acc, acc_a = self._accumulators(t.shape) if adjoint else (None, None)
-        den = pot = 0.0
-        cells = G0.shape[1] - 1
-        rule = G0.shape[0] // cells  # Gauss rows per cell
-        per_slab = min(cells, _SLAB_CELLS)
-        # slab buffers, reused: fresh temporaries this size would cost page faults
-        ug_buf, y_buf, z_buf = np.empty((3, rule * per_slab, t.shape[1]))
-        back_buf = np.empty((per_slab + 1, t.shape[1]))
+        rule = G0.shape[0] // (G0.shape[1] - 1)  # Gauss rows per cell
+        width = t.shape[1]
+        # two slab buffers, reused: fresh temporaries this size would cost page
+        # faults.  ug is last read by ug * u |u|^(p-2), which goes into ug, so
+        # ug then holds acc's back-projection; acc_a's, made while ug is
+        # still needed, has a buffer of its own
+        ug_buf, y_buf = np.empty((2, rule * per_slab, width))
+        back_a = None if acc_a is None else np.empty((per_slab + 1, width))
 
-        def accumulate(into, rows, nodes, vals):
+        def accumulate(into, seam_row, rows, nodes, vals, back_buf):
             back = back_buf[: nodes.stop - nodes.start]
             np.matmul(GWT0[nodes, rows], vals, out=back)
-            into[nodes] += back
+            if seam_row is None:
+                into[nodes] += back
+            else:
+                seam_row[...] = back[0]
+                into[nodes.start + 1 : nodes.stop] += back[1:]
 
-        for c0 in range(0, cells, per_slab):
-            c1 = min(c0 + per_slab, cells)
-            rows = slice(rule * c0, rule * c1)
-            nodes = slice(c0, c1 + 1)  # the only nodes these Gauss rows read
+        partials = []
+        for s0 in range(c0, c1, per_slab):
+            s1 = min(s0 + per_slab, c1)
+            rows = slice(rule * s0, rule * s1)
+            nodes = slice(s0, s1 + 1)  # the only nodes these Gauss rows read
             n = rows.stop - rows.start
-            ug, y, z = ug_buf[:n], y_buf[:n], z_buf[:n]
+            ug, y = ug_buf[:n], y_buf[:n]
+            edge = seam if seam is not None and s0 == c0 else (None, None)
             np.matmul(G0[rows, nodes], t[nodes], out=ug)
-            np.multiply(ug, ug, out=y)
-            np.power(y, self._half_exp, out=y)
-            np.multiply(y, ug, out=y)  # u |u|^(p-2)
-            den += self._weighted_sum(np.multiply(ug, y, out=z), w0[rows])
-            if adjoint:
-                accumulate(acc, rows, nodes, y)
+            pot = 0.0
             if a_gauss is not None:
                 np.multiply(a_gauss[rows].reshape(ug.shape), ug, out=y)  # a u
-                pot += self._weighted_sum(np.multiply(ug, y, out=z), w0[rows])
-                if adjoint:
-                    accumulate(acc_a, rows, nodes, y)
-        return den, pot, acc, acc_a
+                if acc_a is not None:
+                    accumulate(acc_a, edge[1], rows, nodes, y, back_a)
+                pot = self._weighted_sum(np.multiply(ug, y, out=y), w0[rows])
+            np.multiply(ug, ug, out=y)
+            if self._half_exp == 2.0:
+                np.multiply(y, y, out=y)  # p = 6: numpy's power squares for 2.0 too
+            else:
+                np.power(y, self._half_exp, out=y)
+            np.multiply(y, ug, out=y)  # u |u|^(p-2)
+            den = self._weighted_sum(np.multiply(ug, y, out=ug), w0[rows])
+            if acc is not None:
+                accumulate(acc, edge[0], rows, nodes, y, ug_buf)
+            partials.append((den, pot))
+        return partials
 
     # -- energy -------------------------------------------------------------
     def _pieces(self, u: np.ndarray, adjoint: bool):

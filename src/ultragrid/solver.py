@@ -384,8 +384,8 @@ def split(
         & (mags[2] >= singular_scale * hs[-1] ** -singular_exponent)
     )
     if blowup.any():
-        idx = np.union1d(singular.indices, np.flatnonzero(blowup))
-        singular = NodeSet(coarse, idx)
+        # NodeSet sorts and drops duplicates: the union, without np.union1d
+        singular = NodeSet(coarse, np.concatenate((singular.indices, np.flatnonzero(blowup))))
         w_vals = w.values.copy()
         w_vals[singular.indices] = 0.0
         w = GridFunction(coarse, w_vals)

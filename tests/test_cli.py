@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from ultragrid import cli, grid, solver
+from ultragrid import cli, grid, problems, solver
 from ultragrid.cli import main
 
 SAW = {"problem": "sawtooth", "levels": "3..5", "seed": 0}
@@ -188,6 +188,7 @@ _STARTUP_GUARD = """
 import json, pathlib, sys
 from ultragrid import cli
 
+print("import", "concurrent.futures" in sys.modules, "numpy.ma" in sys.modules)
 root = pathlib.Path(sys.argv[1])
 runs = [
     ("calculus-check", ["calculus-check", "--levels", "3..6"]),
@@ -203,7 +204,7 @@ for name, argv, *config in runs:
         cfg.write_text(json.dumps(config[0]))
         argv = argv + ["--config", str(cfg)]
     code = cli.main(argv + ["--out", str(out)])
-    print(name, code, "scipy" in sys.modules)
+    print(name, code, "scipy" in sys.modules, "numpy.ma" in sys.modules)
 """
 
 
@@ -211,17 +212,57 @@ def test_only_the_singular_solve_loads_scipy(tmp_path):
     # a fresh interpreter: importing the CLI, a calculus check and the
     # sawtooth and quotient solves leave scipy unloaded; the singular solve,
     # whose Newton steps and harmonic start need it, loads it and still runs
-    # (three levels each: both commands reject shorter ranges)
+    # (three levels each: both commands reject shorter ranges).  The import
+    # starts no thread pool, and nothing before the singular solve loads
+    # numpy.ma (np.unique would, ~13 ms)
     src = str(pathlib.Path(cli.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     proc = subprocess.run(
         [sys.executable, "-c", _STARTUP_GUARD, str(tmp_path)],
         capture_output=True, text=True, check=True, env=env,
     )
-    lines = [line.split() for line in proc.stdout.splitlines()[-4:]]
-    assert lines == [
-        ["calculus-check", "0", "False"],
-        ["sawtooth", "0", "False"],
-        ["sign_perturbed", "0", "False"],
-        ["singular", "0", "True"],
+    out = proc.stdout.splitlines()
+    lines = [out[0].split()] + [line.split() for line in out[-4:]]
+    assert lines[:4] == [
+        ["import", "False", "False"],
+        ["calculus-check", "0", "False", "False"],
+        ["sawtooth", "0", "False", "False"],
+        ["sign_perturbed", "0", "False", "False"],
     ], proc.stdout
+    assert lines[4][:3] == ["singular", "0", "True"], proc.stdout
+
+
+def test_threads_change_no_output_and_no_hash(tmp_path, monkeypatch):
+    # --threads 2 splits the level-5 quotient sweep in two, --threads 1 not at
+    # all; every output but report.json, which records the count, is the same
+    pools = []
+    helper_pool = problems._helper_pool
+    monkeypatch.setattr(problems, "_helper_pool", lambda n: pools.append(n) or helper_pool(n))
+    payload = {"problem": "sign_perturbed", "levels": "3..5", "seed": 1}
+    cfg = write_config(tmp_path, payload)
+    outputs = []
+    for threads in (1, 2):
+        out = tmp_path / f"out{threads}"
+        out.mkdir()
+        argv = ["solve", "--config", cfg, "--out", str(out), "--threads", str(threads)]
+        assert main(argv) == 0
+        # helper threads asked for: none with one thread, one with two
+        assert set(pools) == ({1} if threads == 2 else set())
+        report = json.loads((out / "report.json").read_text())
+        assert report["threads"] == threads
+        outputs.append({p.name: p.read_bytes() for p in out.iterdir() if p.name != "report.json"})
+    assert outputs[0] == outputs[1]
+    written = json.loads(outputs[0]["config.json"])
+    assert "threads" not in written["config"]
+    assert written["config_hash"] == cli.config_hash({**written["config"], "threads": 7})
+
+
+@pytest.mark.parametrize("threads", [0, -1, 1.5, "2", True])
+def test_threads_below_one_or_not_an_integer_exits_2(tmp_path, capsys, threads):
+    cfg = write_config(tmp_path, {**SAW, "threads": threads})
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 2
+    assert "threads must be an integer >= 1" in capsys.readouterr().err
+    assert not any(out.iterdir())
+    assert main(["calculus-check", "--levels", "3..5", "--threads", "0"]) == 2

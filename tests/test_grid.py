@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ultragrid import (
     Domain,
@@ -113,3 +115,28 @@ def test_levels_are_values():
     assert len({a, b}) == 1
     assert a != build_level(a.domain, 5)
     assert a != build_level(Domain(((0.0, 1.0), (0.0, 1.0))), 4)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    indices=st.lists(st.integers(-3, 30), max_size=40),
+    as_array=st.booleans(),
+)
+@example(indices=[], as_array=True)
+@example(indices=[], as_array=False)
+@example(indices=[5, 2, 5, 5], as_array=False)
+@example(indices=[16, 17], as_array=True)
+@example(indices=[-1, 3], as_array=False)
+def test_node_set_indices_match_np_unique(indices, as_array):
+    # a 1D level-4 line has 17 nodes: the draws hit duplicates, the empty
+    # list, and indices below 0 and above the last node
+    level = build_level(Domain(((0.0, 1.0),)), 4)
+    given_indices = np.array(indices, dtype=np.int64) if as_array else indices
+    expected = np.unique(np.asarray(indices, dtype=np.int64))
+    if expected.size and (expected[0] < 0 or expected[-1] >= level.node_count):
+        with pytest.raises(ValueError, match="out of range"):
+            NodeSet(level, given_indices)
+        return
+    got = NodeSet(level, given_indices).indices
+    assert got.dtype == expected.dtype == np.int64
+    np.testing.assert_array_equal(got, expected)

@@ -1,6 +1,8 @@
 """The three packaged studies: objectives, initializers, diagnostics."""
 
 import functools
+import sys
+import threading
 
 import csr_oracles as oracles
 import numpy as np
@@ -336,6 +338,107 @@ def test_quotient_slab_size_does_not_change_result(monkeypatch, well):
     assert v1 == pytest.approx(v2, rel=1e-13)
     np.testing.assert_allclose(g1, g2, rtol=1e-13, atol=1e-13 * np.abs(g2).max())
     np.testing.assert_allclose(n1, n2, rtol=1e-13)
+
+
+def _assert_bit_identical(expected, got):
+    for x, y in zip(expected, got, strict=True):
+        np.testing.assert_array_equal(y, x)
+        np.testing.assert_array_equal(np.signbit(y), np.signbit(x))
+
+
+@pytest.mark.parametrize(
+    "dimension, n, well",
+    [(3, n, well) for n in (1, 3, 4, 5, 6) for well in (False, True)]
+    + [(4, 2, False), (4, 3, True), (5, 2, False), (5, 2, True)],
+)
+def test_quotient_split_sweep_is_bit_identical(monkeypatch, dimension, n, well):
+    # every level is split (no threshold) into 1, 2 and 3 ranges; 3D level 1
+    # has 2 cells for 3 ranges; 4D and 5D (p = 4 and 10/3) take np.power
+    monkeypatch.setattr(problems, "_SPLIT_MIN_POINTS", 0)
+    starts = []
+    sweep = problems._QuotientObjective._sweep
+
+    def recording(self, t, c0, *args):
+        starts.append(c0)
+        return sweep(self, t, c0, *args)
+
+    monkeypatch.setattr(problems._QuotientObjective, "_sweep", recording)
+    a = quadratic_well((0.4,) * dimension) if well else None
+    level = build_level(Domain(((0.0, 1.0),) * dimension), n)
+    obj = problems._QuotientObjective(level, a)
+    u = obj.pin(np.random.default_rng(10 * dimension + n).standard_normal(level.node_count))
+    results = []
+    for ranges in (1, 2, 3):
+        with problems.sweep_threads(ranges):
+            del starts[:]
+            value = obj.value(u)
+            assert len(starts) == min(ranges, level.shape[0] - 1)
+            results.append((value, *obj.value_and_grad(u), obj.normalize(u)))
+    for got in results[1:]:
+        _assert_bit_identical(results[0], got)
+
+
+def test_split_sweep_stress_more_ranges_than_cores(monkeypatch):
+    # more ranges than cores, threads switched every microsecond: a lost or
+    # reordered update of the shared accumulators breaks the bit identity
+    monkeypatch.setattr(problems, "_SPLIT_MIN_POINTS", 0)
+    level = build_level(DOM3, 4)
+    obj = problems._QuotientObjective(level, quadratic_well((0.4, 0.5, 0.6)))
+    u = obj.pin(np.random.default_rng(44).standard_normal(level.node_count))
+    with problems.sweep_threads(1):
+        expected = obj.value_and_grad(u)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with problems.sweep_threads(2 * problems._usable_cpus() + 3):
+            for _ in range(20):
+                _assert_bit_identical(expected, obj.value_and_grad(u))
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_quotient_square_rounds_as_numpy_power():
+    # p = 6 squares u^2 with np.multiply where the sweep used np.power(y, 2.0)
+    rng = np.random.default_rng(6)
+    y = rng.standard_normal(200_000) * 10.0 ** rng.integers(-170, 170, 200_000)
+    y = np.concatenate((y, [0.0, -0.0, 5e-324, 1e154, 1e155, np.inf, -np.inf, np.nan]))
+    with np.errstate(over="ignore", under="ignore"):
+        _assert_bit_identical([np.power(y, 2.0)], [np.multiply(y, y)])
+
+
+def test_split_sweep_calls_traced_functions_on_the_main_thread(monkeypatch):
+    # a span tracer keeps one stack per process, so during a split level-5
+    # solve apply_axis and value_and_grad must run on the main thread only,
+    # while a helper thread sweeps the second range
+    calls = {"apply_axis": set(), "value_and_grad": set(), "_sweep": set()}
+
+    def recording(name, fn):
+        @functools.wraps(fn)
+        def wrapper(*args, **kwargs):
+            calls[name].add(threading.get_ident())
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(problems, "apply_axis", recording("apply_axis", problems.apply_axis))
+    for name in ("value_and_grad", "_sweep"):
+        method = getattr(problems._QuotientObjective, name)
+        monkeypatch.setattr(problems._QuotientObjective, name, recording(name, method))
+    with problems.sweep_threads(2):
+        net = solve_net(sign_perturbed_spec(), [3, 4, 5], seed=1)
+    assert net.results[-1].level.n == 5
+    main = threading.get_ident()
+    assert calls["apply_axis"] == {main}
+    assert calls["value_and_grad"] == {main}
+    assert main in calls["_sweep"] and calls["_sweep"] - {main}  # a helper swept too
+
+
+def test_sweep_threads_rejects_fewer_than_one():
+    with pytest.raises(ValueError, match="at least 1"):
+        with problems.sweep_threads(0):
+            pass
+    with problems.sweep_threads() as threads:
+        assert threads == problems._usable_cpus() >= 1
 
 
 def test_quotient_above_sobolev_constant():
