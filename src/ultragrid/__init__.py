@@ -72,6 +72,7 @@ from .solver import (
     ProblemSpec,
     SolutionNet,
     Splitting,
+    StartRecord,
     check_gradient,
     minimize_level,
     prolong,
@@ -80,6 +81,7 @@ from .solver import (
     verify_euler_lagrange,
 )
 from .problems import (
+    BoundaryDataError,
     BubbleInitializer,
     InterfaceDecomposition,
     bubble,

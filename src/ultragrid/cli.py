@@ -23,8 +23,10 @@ first 12 hex digits of the SHA-256 of the canonical JSON config without
 any CSV, so re-running with the same config and seed reproduces every CSV
 byte for byte.  Wall-clock timings live only in ``report.json``.
 
-Exit codes: 0 success, 1 invariant failure, 2 configuration error,
-3 partial result (report still written).
+Exit codes: 0 success, 1 invariant failure or internal error,
+2 configuration error, 3 partial result (report still written).  The config
+is checked before any work, so only a :class:`ConfigError` exits 2; any other
+``ValueError`` is a fault of the program and exits 1 as an internal error.
 
 ``--threads N`` caps the threads of a ``solve``: the Gauss-point sweep of
 the quotient study is split into at most ``N`` ranges (default: one per CPU
@@ -39,6 +41,7 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import pathlib
 import sys
 import time
@@ -60,6 +63,7 @@ from .grid import Domain, GridLevel, ResourceLimitError, build_level
 from .measure import Ball, Box, HalfSpace, NodeMask, density, gauss_check, perimeter
 from .nets import classify
 from .problems import (
+    BoundaryDataError,
     quadratic_well,
     sawtooth_spec,
     sign_perturbed_spec,
@@ -98,20 +102,59 @@ def config_hash(config: dict) -> str:
     return hashlib.sha256(_canonical(hashed).encode("utf-8")).hexdigest()[:12]
 
 
+def _integer(config: dict, key: str, minimum: int) -> int:
+    """``config[key]``, which must be an integer of at least ``minimum``."""
+    value = config[key]
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        raise ConfigError(f"{key} must be an integer >= {minimum}, got {value!r}")
+    return value
+
+
 def _threads(config: dict) -> Optional[int]:
     """The config's thread cap, ``None`` when it sets none."""
-    threads = config.get("threads")
-    if threads is not None and (
-        isinstance(threads, bool) or not isinstance(threads, int) or threads < 1
-    ):
-        raise ConfigError(f"threads must be an integer >= 1, got {threads!r}")
-    return threads
+    return None if config.get("threads") is None else _integer(config, "threads", 1)
+
+
+def _tolerances(config: dict) -> dict[str, float]:
+    """The classification tolerances the config sets, as keyword arguments."""
+    tol = config.get("tolerances", {})
+    if not isinstance(tol, dict):
+        raise ConfigError(f"tolerances must be an object, got {tol!r}")
+    out = {}
+    for key, value in tol.items():
+        if key not in ("rtol", "atol", "kappa"):
+            raise ConfigError(f"unknown tolerance {key!r} (expected rtol, atol or kappa)")
+        if (
+            isinstance(value, bool)
+            or not isinstance(value, (int, float))
+            or not math.isfinite(value)
+            or value < 0
+            or (value == 0 and key != "kappa")
+        ):
+            bound = ">= 0" if key == "kappa" else "> 0"
+            raise ConfigError(f"tolerance {key} must be a finite number {bound}, got {value!r}")
+        out[key] = float(value)
+    return out
+
+
+def _validate(config: dict) -> None:
+    """Raise :class:`ConfigError` for a bad value of a key the commands read."""
+    if config["format"] not in ("csv", "json"):
+        raise ConfigError(f"format must be 'csv' or 'json', got {config['format']!r}")
+    _integer(config, "seed", 0)
+    _integer(config, "multistart", 1)
+    if "instances" in config:
+        _integer(config, "instances", 1)
+    _tolerances(config)
+    _threads(config)
 
 
 def _parse_levels(text) -> list[int]:
     """Accept ``"A..B"`` (inclusive) or a JSON list of level indices."""
     if isinstance(text, (list, tuple)):
-        levels = [int(n) for n in text]
+        if not all(isinstance(n, int) and not isinstance(n, bool) for n in text):
+            raise ConfigError(f"a level list must hold integers, got {text!r}")
+        levels = list(text)
     else:
         parts = str(text).split("..")
         if len(parts) != 2:
@@ -121,6 +164,8 @@ def _parse_levels(text) -> list[int]:
         except ValueError as exc:
             raise ConfigError(f"bad level range {text!r}") from exc
         levels = list(range(lo, hi + 1))
+    if len(set(levels)) != len(levels):
+        raise ConfigError(f"levels must be distinct, got {text!r}")
     if len(levels) < 3:
         raise ConfigError("the level range must contain at least three levels")
     if any(n < 0 for n in levels):
@@ -151,9 +196,7 @@ def _load_config(args) -> dict:
     config.setdefault("seed", 0)
     config.setdefault("format", "csv")
     config.setdefault("multistart", 3)
-    if config["format"] not in ("csv", "json"):
-        raise ConfigError(f"format must be 'csv' or 'json', got {config['format']!r}")
-    _threads(config)
+    _validate(config)
     return config
 
 
@@ -170,8 +213,8 @@ def _out_dir(args) -> pathlib.Path:
 
 def _build_problem(config: dict):
     kind = config.get("problem")
-    params = dict(config.get("params", {}))
     try:
+        params = dict(config.get("params", {}))
         if kind == "sawtooth":
             return sawtooth_spec()
         if kind == "sign_perturbed":
@@ -256,13 +299,10 @@ def cmd_solve(config: dict, out: pathlib.Path) -> int:
     config = {k: v for k, v in config.items() if k != "threads"}
     problem = _build_problem(config)
     levels = _parse_levels(config.get("levels", "3..5"))
-    seed = int(config["seed"])
+    seed = config["seed"]
     fmt = config["format"]
     chash = config_hash(config)
-    tol = dict(config.get("tolerances", {}))
-    classify_kwargs = {
-        k: float(tol[k]) for k in ("rtol", "atol", "kappa") if k in tol
-    }
+    classify_kwargs = _tolerances(config)
 
     timings: dict[str, float] = {}
     with sweep_threads(threads) as threads:
@@ -272,10 +312,11 @@ def cmd_solve(config: dict, out: pathlib.Path) -> int:
                 problem,
                 levels,
                 seed=seed,
-                multistart=int(config["multistart"]),
+                multistart=config["multistart"],
             )
-        except ResourceLimitError as exc:
-            # a level over the node cap is a bad level range
+        except (ResourceLimitError, BoundaryDataError) as exc:
+            # a level over the node cap is a bad level range, and boundary
+            # data that vanishes at some level's node is bad data
             raise ConfigError(str(exc)) from exc
         except RuntimeError as exc:
             # certified-lower-bound violation: an invariant failure, not a crash
@@ -409,6 +450,15 @@ def cmd_solve(config: dict, out: pathlib.Path) -> int:
                 "iterations": r.iterations,
                 "converged": r.converged,
                 "diagnostics": _json_safe(r.diagnostics),
+                "starts": [
+                    {
+                        "kind": s.kind,
+                        "iterations": s.iterations,
+                        "value": s.value,
+                        "converged": s.converged,
+                    }
+                    for s in r.starts
+                ],
             }
             for r in net.results
         ],
@@ -484,6 +534,7 @@ def cmd_sweep(config: dict, out: pathlib.Path) -> int:
         run_dir = out / f"run_{i:03d}"
         run_dir.mkdir(exist_ok=True)
         try:
+            _validate(run_config)
             status = cmd_solve(run_config, run_dir)
         except ConfigError as exc:
             print(f"run {i}: config error: {exc}", file=sys.stderr)
@@ -573,8 +624,8 @@ def _check_orders(chain: Sequence[GridLevel]):
 
 def cmd_calculus_check(config: dict, out: Optional[pathlib.Path]) -> int:
     levels = _parse_levels(config.get("levels", "3..7"))
-    instances = int(config.get("instances", 20))
-    seed = int(config["seed"])
+    instances = config.get("instances", 20)
+    seed = config["seed"]
     chash = config_hash(config)
 
     domain1 = Domain(((0.0, 1.0),))
@@ -587,6 +638,10 @@ def cmd_calculus_check(config: dict, out: Optional[pathlib.Path]) -> int:
         lvl = build_level(domain2, 7)
     except ResourceLimitError as exc:
         raise ConfigError(str(exc)) from exc
+    if len(levels) < 4:
+        # three coarse levels fit the Heaviside pairing order at ~0.74
+        # against its bound of 0.8 on correct code (3..5)
+        raise ConfigError("calculus-check needs at least four levels for its order fits")
 
     checks: list[tuple[str, float, float, bool]] = []
 
@@ -695,8 +750,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except ValueError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        # the config was checked up front: this is a fault of the program
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INVARIANT
 
 
 if __name__ == "__main__":

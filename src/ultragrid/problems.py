@@ -54,6 +54,7 @@ __all__ = [
     "sweep_threads",
     "concentration_metric",
     "singular_spec",
+    "BoundaryDataError",
     "InterfaceDecomposition",
     "extract_interface",
 ]
@@ -231,16 +232,23 @@ class BubbleInitializer:
             raise ValueError("epsilon, delta must be positive and theta > 1")
 
 
-def bubble(init: BubbleInitializer, level: GridLevel) -> GridFunction:
-    """Sample the cutoff profile at the nodes of ``level``."""
-    dim = level.dimension
-    if dim < 3:
+def _check_bubble(init: BubbleInitializer, domain: Domain) -> None:
+    """Raise ``ValueError`` unless the profile's support fits in ``domain``."""
+    if domain.dimension < 3:
         raise ValueError("the bubble profile needs dimension >= 3")
+    if len(init.center) != domain.dimension:
+        raise ValueError("the bubble center needs one coordinate per axis")
     support = init.delta * init.theta
-    for c, (lo, hi) in zip(init.center, level.domain.bounds):
+    for c, (lo, hi) in zip(init.center, domain.bounds):
         if c - support < lo - 1e-12 or c + support > hi + 1e-12:
             raise ValueError("bubble support exceeds the domain box")
 
+
+def bubble(init: BubbleInitializer, level: GridLevel) -> GridFunction:
+    """Sample the cutoff profile at the nodes of ``level``."""
+    _check_bubble(init, level.domain)
+    dim = level.dimension
+    support = init.delta * init.theta
     r = np.linalg.norm(level.coordinates - np.asarray(init.center), axis=1)
     power = (dim - 2) / 2.0
     u_eps = init.epsilon**-power * (1.0 + (r / init.epsilon) ** 2) ** -power
@@ -669,6 +677,12 @@ def sign_perturbed_spec(
         raise ValueError("the critical-exponent study needs dimension >= 3")
     domain = Domain(bounds=tuple(((0.0, 1.0),) * dimension))
     x_m = tuple(center) if center is not None else (0.5,) * dimension
+    # every start's profile at unit scale (its support does not depend on
+    # the level), so bad parameters fail before any level is built
+    for s in bubble_scales:
+        _check_bubble(BubbleInitializer(x_m, s, delta, theta), domain)
+    if concentration_radius <= 0:
+        raise ValueError("radius must be positive")
 
     lower = None
     if dimension == 3:
@@ -842,6 +856,15 @@ class _SingularObjective(LevelObjective):
         return bool(np.all(u_new[free] * u_old[free] > 0.0))
 
 
+class BoundaryDataError(ValueError):
+    """Dirichlet data of the singular study that vanishes at a boundary node."""
+
+
+def _floor_magnitude(u: np.ndarray, sign: np.ndarray, floor: float) -> np.ndarray:
+    """``sign * max(|u|, floor)``: ``u`` with magnitude at least ``floor``."""
+    return sign * np.maximum(np.abs(u), floor)
+
+
 def singular_spec(
     W: Optional[Callable] = None,
     Wp: Optional[Callable] = None,
@@ -856,11 +879,25 @@ def singular_spec(
     (default: +1 where the first coordinate is <= the axis midpoint, else -1;
     midline nodes get +1 by convention).  The initializer is the harmonic
     extension of ``g`` clipped away from zero (``|u| >= init_floor``).
+
+    The prolonged warm start goes through the same floor,
+    ``sign(u) * max(|u|, init_floor)``.  Linear prolongation across the sign
+    interface leaves free nodes at ``|u| ~ 1e-4``, where the Newton step of
+    ``t**-2`` is ``t / 3``: ``|u|`` grows by 4/3 per step and the warm start
+    spends ~30 steps leaving the barrier.  The floor keeps every sign.  For
+    the default potential the energy is strictly convex on each sign orthant
+    (a convex quadratic plus ``W``, strictly convex on each half line), so it
+    has at most one minimizer there, and ``accept_step`` keeps Newton in the
+    orthant of its start.  The floored and the raw warm start therefore end
+    at the same minimizer; only the number of steps changes (levels 5..7 of
+    the default study: 7, 9 and 13 Newton steps instead of 29, 28 and 32).
     """
     if W is None:
         W, Wp, Wpp = _default_W, _default_Wp, _default_Wpp
     elif Wp is None:
         raise ValueError("a custom potential needs its derivative")
+    if not init_floor > 0:
+        raise ValueError(f"init_floor must be positive, got {init_floor!r}")
     _check_potential(W)
     if domain is None:
         domain = Domain(bounds=((0.0, 1.0), (0.0, 1.0)))
@@ -879,7 +916,7 @@ def singular_spec(
         zero = on_boundary & (vals == 0.0)
         if zero.any():
             node = int(np.flatnonzero(zero)[0])
-            raise ValueError(f"boundary data vanishes at node {node}")
+            raise BoundaryDataError(f"boundary data vanishes at node {node}")
         return np.where(on_boundary, vals, 0.0)
 
     @lru_cache(maxsize=1)
@@ -899,8 +936,11 @@ def singular_spec(
         u = minimize_quadratic(obj._K, obj.fixed_values, obj.free_mask)
         x0 = level.coordinates[:, 0]
         sign = np.where(u > 0, 1.0, np.where(u < 0, -1.0, np.where(x0 <= mid, 1.0, -1.0)))
-        clipped = sign * np.maximum(np.abs(u), init_floor)
-        return [clipped]
+        return [_floor_magnitude(u, sign, init_floor)]
+
+    def condition_warm(level: GridLevel, u: np.ndarray) -> np.ndarray:
+        # a warm start is feasible: no node is zero, so np.sign is +-1
+        return _floor_magnitude(u, np.sign(u), init_floor)
 
     def diagnostics(obj: LevelObjective, u: np.ndarray) -> dict:
         gf = GridFunction(obj.level, u)
@@ -919,6 +959,7 @@ def singular_spec(
         battery=standard_battery(domain, 3),
         diagnostics=diagnostics,
         monotone_values=False,
+        condition_warm=condition_warm,
     )
 
 

@@ -33,6 +33,7 @@ from .optimize import OptimizeResult, lbfgs, newton
 __all__ = [
     "LevelObjective",
     "ProblemSpec",
+    "StartRecord",
     "MinResult",
     "SolutionNet",
     "Splitting",
@@ -116,6 +117,10 @@ class LevelObjective:
         return self.value(u), self.gradient(u)
 
 
+def _unchanged(level: GridLevel, u: np.ndarray) -> np.ndarray:
+    return u
+
+
 @dataclass(frozen=True)
 class ProblemSpec:
     """A variational problem: objective factory plus initialization policy."""
@@ -133,6 +138,20 @@ class ProblemSpec:
     #: quadrature changes meaning across levels (e.g. a singular potential
     #: term) opt out; their value net is classified instead of asserted.
     monotone_values: bool = True
+    #: The start the optimizer runs from, given a pinned and feasible warm
+    #: start on ``level`` (the optimizer pins it again).  The default keeps
+    #: the warm start as it is.
+    condition_warm: Callable[[GridLevel, np.ndarray], np.ndarray] = _unchanged
+
+
+@dataclass(frozen=True)
+class StartRecord:
+    """One start of a per-level minimization and where it ended."""
+
+    kind: str  # "warm", "initializer" or "random"
+    iterations: int
+    value: float
+    converged: bool
 
 
 @dataclass
@@ -146,6 +165,8 @@ class MinResult:
     iterations: int
     converged: bool
     diagnostics: dict = field(default_factory=dict)
+    #: Every start in the order it ran; their iterations sum to ``iterations``.
+    starts: tuple[StartRecord, ...] = ()
 
 
 def _refine_axis(arr: np.ndarray, axis: int) -> np.ndarray:
@@ -208,37 +229,38 @@ def minimize_level(
 
     ``init`` (a warm start) must satisfy the boundary condition and the
     feasibility predicate; an infeasible explicit ``init`` is a usage error.
+    The optimizer runs from the problem's ``condition_warm`` of it.
     Additional starts come from the problem's initializers and, if provided,
     its random-start generator (seeded, so results are deterministic).
     """
     obj = problem.build(level)
     rng = np.random.default_rng([seed, level.n])
 
-    starts: list[np.ndarray] = []
+    starts: list[tuple[str, np.ndarray]] = []
     warm = None
     if init is not None:
         warm = init.values if isinstance(init, GridFunction) else np.asarray(init, float)
         warm = obj.pin(warm)
         if not obj.feasible(warm):
             raise ValueError("initial guess violates the feasibility predicate")
-        starts.append(warm)
+        starts.append(("warm", problem.condition_warm(level, warm)))
     for guess in problem.initial_guesses(level, rng, warm):
         arr = obj.pin(np.asarray(guess, dtype=float))
         if obj.feasible(arr):
-            starts.append(arr)
+            starts.append(("initializer", arr))
     if problem.random_start is not None:
         while len(starts) < multistart:
             arr = obj.pin(problem.random_start(level, rng))
             if obj.feasible(arr):
-                starts.append(arr)
+                starts.append(("random", arr))
     if not starts:
         raise ValueError(f"problem {problem.name!r} produced no feasible start")
 
     best: OptimizeResult | None = None
-    total_iters = 0
-    for start in starts:
+    records = []
+    for kind, start in starts:
         res = _run_optimizer(obj, start, MAX_ITERATIONS)
-        total_iters += res.iterations
+        records.append(StartRecord(kind, res.iterations, res.value, res.converged))
         if best is None or res.value < best.value:
             best = res
 
@@ -249,9 +271,10 @@ def minimize_level(
         u=GridFunction(level, x),
         value=best.value,
         grad_norm=best.grad_norm,
-        iterations=total_iters,
+        iterations=sum(r.iterations for r in records),
         converged=best.converged,
         diagnostics=diagnostics,
+        starts=tuple(records),
     )
 
 
@@ -280,6 +303,9 @@ def solve_net(
 ) -> SolutionNet:
     """Minimize over a chain of at least three levels with warm starting.
 
+    Each level after the first also starts from the prolongation of the
+    previous level's minimizer, unless it is infeasible there; a problem may
+    condition that warm start (``ProblemSpec.condition_warm``) before it runs.
     Nested-space monotonicity (``m_{n+1} <= m_n + 1e-10`` with warm start) is
     asserted; a violating level is recorded in ``monotone_violations`` and
     flagged as non-converged rather than silently accepted.  If the problem

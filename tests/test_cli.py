@@ -1,5 +1,6 @@
 """The batch front end: exits, outputs, and byte-level determinism."""
 
+import csv
 import functools
 import json
 import os
@@ -266,3 +267,105 @@ def test_threads_below_one_or_not_an_integer_exits_2(tmp_path, capsys, threads):
     assert "threads must be an integer >= 1" in capsys.readouterr().err
     assert not any(out.iterdir())
     assert main(["calculus-check", "--levels", "3..5", "--threads", "0"]) == 2
+
+
+def test_report_traces_every_start(tmp_path):
+    # report.json lists each start of a level in the order it ran; their
+    # iterations sum to the level's, the only figure levels.csv keeps of them
+    for payload, kinds in (
+        ({"problem": "singular", "levels": "4..6", "seed": 1},
+         [["initializer"], ["warm", "initializer"], ["warm", "initializer"]]),
+        (SAW, [["initializer", "initializer", "random"]]
+         + [["warm", "initializer", "initializer"]] * 2),
+    ):
+        cfg = write_config(tmp_path, payload)
+        out = tmp_path / payload["problem"]
+        out.mkdir()
+        assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        with open(out / "levels.csv", encoding="utf-8") as fh:
+            rows = list(csv.DictReader(fh))
+        assert "starts" not in rows[0]
+        assert [[s["kind"] for s in lv["starts"]] for lv in report["levels"]] == kinds
+        for lv, row in zip(report["levels"], rows):
+            assert sum(s["iterations"] for s in lv["starts"]) == lv["iterations"]
+            assert lv["iterations"] == int(row["iterations"])
+            assert all(s["converged"] for s in lv["starts"])
+            assert lv["value"] == min(s["value"] for s in lv["starts"])
+
+
+def test_calculus_check_three_levels_exits_2(tmp_path, capsys):
+    # three coarse levels fit the Heaviside pairing order below its bound on
+    # correct code, so a range too short for the fits is a config error
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main(["calculus-check", "--levels", "3..5", "--out", str(out)]) == 2
+    assert "at least four levels" in capsys.readouterr().err
+    assert not any(out.iterdir())
+    cfg = write_config(tmp_path, {"levels": [3, 4, 5]})
+    assert main(["calculus-check", "--config", cfg]) == 2
+
+
+@pytest.mark.parametrize("payload, message", [
+    ({"seed": -1}, "seed must be an integer >= 0"),
+    ({"seed": "3"}, "seed must be an integer >= 0"),
+    ({"multistart": 0}, "multistart must be an integer >= 1"),
+    ({"multistart": 2.5}, "multistart must be an integer >= 1"),
+    ({"tolerances": [1e-4]}, "tolerances must be an object"),
+    ({"tolerances": {"rtol": "tight"}}, "tolerance rtol must be a finite number > 0"),
+    ({"tolerances": {"atol": 0.0}}, "tolerance atol must be a finite number > 0"),
+    ({"tolerances": {"kappa": -1.0}}, "tolerance kappa must be a finite number >= 0"),
+    ({"tolerances": {"gtol": 1e-8}}, "unknown tolerance 'gtol'"),
+    ({"levels": [3, "4", 5]}, "a level list must hold integers"),
+    ({"levels": [3, 4, 4, 5]}, "levels must be distinct"),
+    ({"problem": "singular", "params": {"init_floor": 0.0}}, "init_floor must be positive"),
+    ({"params": "none"}, "bad parameters"),
+    ({"problem": "sign_perturbed", "params": {"center": [0.1, 0.5, 0.5]}},
+     "bubble support exceeds the domain box"),
+    ({"problem": "sign_perturbed", "params": {"concentration_radius": 0.0}},
+     "radius must be positive"),
+])
+def test_bad_config_values_exit_2_before_solving(tmp_path, capsys, monkeypatch, payload, message):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a level was solved before the config was checked")
+
+    monkeypatch.setattr(solver, "minimize_level", no_solve)
+    cfg = write_config(tmp_path, {**SAW, **payload})
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not any(out.iterdir())
+
+
+@pytest.mark.parametrize("instances", [0, "20", None])
+def test_calculus_check_bad_instances_exits_2(tmp_path, capsys, instances):
+    cfg = write_config(tmp_path, {"levels": "3..6", "instances": instances})
+    assert main(["calculus-check", "--config", cfg]) == 2
+    assert "instances must be an integer >= 1" in capsys.readouterr().err
+
+
+def test_sweep_run_with_a_bad_value_rolls_up_to_exit_3(tmp_path, capsys):
+    cfg = write_config(tmp_path, dict(SAW, sweep=[{"seed": 0}, {"seed": -2}]))
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == 3
+    assert "run 1: config error: seed must be an integer >= 0" in capsys.readouterr().err
+    with open(out / "summary.csv", encoding="utf-8") as fh:
+        assert [r["status"] for r in csv.DictReader(fh)] == ["0", "2"]
+
+
+def test_solver_value_error_is_an_internal_error(tmp_path, capsys, monkeypatch):
+    # only a ConfigError exits 2: a ValueError raised inside the solver is a
+    # fault of the program, exit 1
+    def broken(*args, **kwargs):
+        raise ValueError("injected solver fault")
+
+    monkeypatch.setattr(solver, "minimize_level", broken)
+    cfg = write_config(tmp_path, SAW)
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "internal error: injected solver fault" in err
+    assert "config error" not in err
