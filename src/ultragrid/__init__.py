@@ -38,7 +38,6 @@ from .calculus import (
     integral,
     laplacian,
     norm,
-    pair_distribution,
     restrict,
     sigma,
     standard_battery,

@@ -43,7 +43,6 @@ __all__ = [
     "gradient",
     "divergence",
     "laplacian",
-    "pair_distribution",
     "derivative_kernel_dimension",
     "bump",
     "standard_battery",
@@ -284,7 +283,7 @@ def bump(center: Sequence[float], radius: float) -> TestFunction:
     if r <= 0:
         raise ValueError("bump radius must be positive")
 
-    def value(*coords: np.ndarray) -> np.ndarray:
+    def fn(*coords: np.ndarray) -> np.ndarray:
         s2 = sum((np.asarray(x, dtype=float) - ci) ** 2 for x, ci in zip(coords, c))
         s2 = s2 / r**2
         inside = s2 < 1.0
@@ -305,7 +304,7 @@ def bump(center: Sequence[float], radius: float) -> TestFunction:
             comps.append(g)
         return tuple(comps)
 
-    return TestFunction(fn=value, grad=grad, center=c, radius=r)
+    return TestFunction(fn=fn, grad=grad, center=c, radius=r)
 
 
 def standard_battery(domain, count: int = 3) -> tuple[TestFunction, ...]:
@@ -320,22 +319,6 @@ def standard_battery(domain, count: int = 3) -> tuple[TestFunction, ...]:
         radius = float(0.25 * span.min() * (1.0 - 0.15 * k))
         out.append(bump(center, radius))
     return tuple(out)
-
-
-def pair_distribution(u_net, phi: TestFunction, rtol: float = 1e-6, atol: float = 1e-9):
-    """Classify the level net of pairings ``sum_a u_n(a) phi(a) d(a)``.
-
-    ``u_net`` is a :class:`~ultragrid.nets.Net` of grid functions; the result
-    is the :class:`~ultragrid.nets.Classification` of the number net, i.e. the
-    standard part of the distributional pairing when it exists.
-    """
-    from .nets import Net, classify
-
-    values = []
-    for level_index, u in u_net.entries:
-        phi_grid = restrict(phi.fn, u.level)
-        values.append((level_index, inner(u, phi_grid)))
-    return classify(Net(tuple(values)), rtol=rtol, atol=atol)
 
 
 # ---------------------------------------------------------------------------

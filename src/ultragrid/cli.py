@@ -221,6 +221,12 @@ def _build_problem(config: dict):
             a = None
             well = params.pop("well", None)
             if well is not None:
+                dimension = params.get("dimension", 3)
+                if len(well["center"]) != dimension:
+                    raise ConfigError(
+                        f"the well center needs {dimension} coordinates, "
+                        f"got {well['center']!r}"
+                    )
                 a = quadratic_well(
                     well["center"], strength=float(well.get("strength", 50.0))
                 )

@@ -133,18 +133,18 @@ class _SawtoothObjective(LevelObjective):
 
     :meth:`precondition` solves with ``P = W + D^T W D`` (``W = diag(d)``,
     ``D`` the same SBP derivative as the functional), factored once per
-    objective into its two tridiagonal parity chains (:func:`_h1_chains`).  With it every start of levels 3..12 ends
-    by the gradient test within ~50 iterations; with the L2 metric ``W`` the
-    prolonged warm start grows from 47 to 3,695 iterations over levels 4..12
-    and stalls at up to 1.5e5 times the tolerance.
+    objective into its two tridiagonal parity chains (:func:`_h1_chains`).
+    With it every start ends by the gradient test in a number of iterations
+    that barely grows with the level; with the L2 metric ``W`` the prolonged
+    warm start's iterations grow with the level and it stalls far above the
+    tolerance.
 
     The metric is not the P1 ``K1 + M1``.  The central difference decouples
     the even and odd nodes, so the Hessian
     ``2 W + D^T W diag(4 (3 (Du)^2 - 1)) D`` matches ``D^T W D``, while
     ``K1`` puts its largest eigenvalue on the checkerboard mode, which the
-    functional barely sees.  Under ``K1 + M1`` one start at each of levels
-    10..12 hits the 10,000-iteration cap, and level 10 ends at 1.42e-6
-    instead of its minimum 9.54e-7.
+    functional barely sees.  Under ``K1 + M1`` starts on the finest levels
+    hit the iteration cap and end above the level's minimum.
     """
 
     def __init__(self, level: GridLevel) -> None:
@@ -153,19 +153,12 @@ class _SawtoothObjective(LevelObjective):
         self._d = level.weights
         self._chains = _h1_chains(self._op.matrices[0], self._d)
 
-    def value(self, u: np.ndarray) -> float:
-        du = self._op.apply(u, 0)
-        return float((u * u) @ self._d + ((du * du - 1.0) ** 2) @ self._d)
-
     def value_and_grad(self, u: np.ndarray) -> tuple[float, np.ndarray]:
         du = self._op.apply(u, 0)
         slack = du * du - 1.0
         value = float((u * u) @ self._d + (slack**2) @ self._d)
         inner_term = 4.0 * du * slack * self._d
         return value, 2.0 * u * self._d + self._op.apply_transpose(inner_term, 0)
-
-    def gradient(self, u: np.ndarray) -> np.ndarray:
-        return self.value_and_grad(u)[1]
 
     def precondition(self, g: np.ndarray) -> np.ndarray:
         y = np.empty_like(g)
@@ -262,22 +255,24 @@ def bubble(init: BubbleInitializer, level: GridLevel) -> GridFunction:
 
 
 def quadratic_well(center: Sequence[float], strength: float = 50.0) -> Callable:
-    """Potential ``a(x) = strength * |x - center|^2`` (isolated minimum)."""
+    """Potential ``a(x) = strength * |x - center|^2`` (isolated minimum).
+
+    ``a`` takes one coordinate array per axis and raises ``ValueError``
+    unless there are as many as ``center`` has coordinates.
+    """
     c = tuple(float(x) for x in center)
 
     def a(*coords):
-        return strength * sum((np.asarray(x) - ci) ** 2 for x, ci in zip(coords, c))
+        return strength * sum(
+            (np.asarray(x) - ci) ** 2 for x, ci in zip(coords, c, strict=True)
+        )
 
     return a
 
 
-#: Axis-0 cells per slab of the streamed quotient pass.
-_SLAB_CELLS = 1
-
 #: Gauss points of one quotient pass from which its sweep is split into
-#: ranges.  On 2 cores, one BLAS thread, a 3D level-4 pass (262,144 points)
-#: took 1.6 ms split against 1.0-1.2 ms whole, a level-5 pass (2.1M points)
-#: 4.7-5.3 against 5.6-6.6 ms and a level-6 pass 65-78 against 99-106 ms.
+#: ranges.  A smaller pass (3D level 4 and coarser) runs slower split than
+#: whole: the helper threads cost more than they save.
 _SPLIT_MIN_POINTS = 1 << 20
 
 _sweep_ranges: Optional[int] = None  # the cap of sweep_threads; None: _usable_cpus()
@@ -376,20 +371,20 @@ class _QuotientObjective(LevelObjective):
     grid.  The Gauss-point terms (the denominator ``int |u|^p`` and the
     potential ``int a u^2``) and their adjoints come from one streamed pass
     (:meth:`_gauss_pass`): the node grid is contracted with the dense 1D
-    Gauss matrices along axes ``1 .. N-1``, then axis 0 is swept in slabs of
-    ``_SLAB_CELLS`` cells, each of which reads only the nodes of its own
-    cells, so the full Gauss-point grid is never stored.  ``|u|^p`` is formed
+    Gauss matrices along axes ``1 .. N-1``, then axis 0 is swept one cell at
+    a time, each cell reading only its own two node rows, so the full
+    Gauss-point grid is never stored.  ``|u|^p`` is formed
     as ``u * u (u^2)^((p-2)/2)``; for ``p = 6`` the power is a square, taken
     by ``np.multiply``, which rounds as ``np.power(y, 2.0)`` does.
 
     From ``_SPLIT_MIN_POINTS`` Gauss points on (3D level 5 and finer) the
     sweep runs on several threads: the axis-0 cells are cut into contiguous
-    ranges on slab boundaries, at most one per CPU (:func:`sweep_threads`),
+    ranges, at most one per CPU (:func:`sweep_threads`),
     and a helper thread sweeps each range but the first, which the main
     thread sweeps.  The ranges share no buffer and call only numpy.  The
     result is bit-identical to the one-range sweep for any number of
-    ranges: each slab's ``den``/``pot`` part is kept and the parts are
-    summed from 0.0 in slab order after the join, as one sweep adds them;
+    ranges: each cell's ``den``/``pot`` part is kept and the parts are
+    summed from 0.0 in cell order after the join, as one sweep adds them;
     two neighbouring ranges share one node row of the adjoint accumulators,
     and the later range keeps its first contribution to that row in a
     private row that is added after the join, which is again the one-sweep
@@ -405,11 +400,11 @@ class _QuotientObjective(LevelObjective):
     per-axis generalized eigenpairs ``K1 V = M1 V diag(lam)``,
     ``V^T M1 V = I``, ``A^-1 = (V (x) ... (x) V) diag(1 / (lam_i + lam_j + ...))
     (V (x) ... (x) V)^T``: one dense contraction per axis each way and a
-    scaling.  Under the L2 metric ``diag(d)`` the level-5 starts stalled at
-    31 and 179 times the tolerance.  Under ``A``, with the approximate Wolfe
-    line search of :func:`~ultragrid.optimize.lbfgs` (without it, Armijo
-    backtracks on rounding noise near the minimum), every start of levels
-    3..6, with or without a well, meets it within about 25 iterations.
+    scaling.  Under the L2 metric ``diag(d)`` the finer starts stall above
+    the tolerance.  Under ``A``, with the approximate Wolfe line search of
+    :func:`~ultragrid.optimize.lbfgs` (without it, Armijo backtracks on
+    rounding noise near the minimum), every start, with or without a well,
+    meets it in a few dozen iterations at most.
     """
 
     def __init__(self, level: GridLevel, potential: Optional[Callable]) -> None:
@@ -467,9 +462,8 @@ class _QuotientObjective(LevelObjective):
         """The zeroed adjoint accumulators ``[acc, acc_a]`` of :meth:`_gauss_pass`.
 
         ``acc_a`` is ``None`` without a potential.  They are kept between
-        calls and zeroed in place: fresh arrays this size (4 MiB at level 5
-        in 3D, 32 MiB at level 6) would cost their page faults again on every
-        evaluation.
+        calls and zeroed in place: fresh arrays of this size would cost their
+        page faults again on every evaluation.
         """
         if self._acc is None:
             self._acc = [np.empty(shape), None if self._a_gauss is None else np.empty(shape)]
@@ -479,7 +473,7 @@ class _QuotientObjective(LevelObjective):
         return self._acc
 
     def _weighted_sum(self, x: np.ndarray, w0: np.ndarray) -> float:
-        """Gauss-weighted sum of a slab ``x`` whose axis-0 weights are ``w0``."""
+        """Gauss-weighted sum of one cell's rows ``x``, axis-0 weights ``w0``."""
         for w in reversed(self._gw[1:]):
             x = x.reshape(-1, w.size) @ w
         return float(w0 @ x)
@@ -496,7 +490,7 @@ class _QuotientObjective(LevelObjective):
         without ``adjoint`` or without a potential.
 
         From ``_SPLIT_MIN_POINTS`` Gauss points on, the axis-0 cells are
-        split into contiguous ranges on slab boundaries, one per thread (see
+        split into contiguous ranges, one per thread (see
         :func:`sweep_threads`); the main thread sweeps the first range and
         always joins the helpers before it returns or raises.
         """
@@ -505,14 +499,12 @@ class _QuotientObjective(LevelObjective):
         acc, acc_a = self._accumulators(t.shape) if adjoint else (None, None)
         G0 = self._G[0]
         cells = G0.shape[1] - 1
-        per_slab = min(cells, _SLAB_CELLS)
-        slabs = -(-cells // per_slab)
         ranges = 1
         if G0.shape[0] * t.shape[1] >= _SPLIT_MIN_POINTS:
-            ranges = min(_sweep_ranges or _usable_cpus(), slabs)
-        starts = [per_slab * (slabs * i // ranges) for i in range(ranges)] + [cells]
+            ranges = min(_sweep_ranges or _usable_cpus(), cells)
+        starts = [cells * i // ranges for i in range(ranges)] + [cells]
         if ranges == 1:
-            partials = self._sweep(t, 0, cells, per_slab, acc, acc_a, None)
+            partials = self._sweep(t, 0, cells, acc, acc_a, None)
         else:
             from concurrent.futures import wait
 
@@ -520,12 +512,12 @@ class _QuotientObjective(LevelObjective):
             seams = np.empty((ranges - 1, len(live), t.shape[1]))
             pool = _helper_pool(ranges - 1)
             jobs = [
-                pool.submit(self._sweep, t, starts[i], starts[i + 1], per_slab,
-                            acc, acc_a, seams[i - 1])
+                pool.submit(self._sweep, t, starts[i], starts[i + 1], acc, acc_a,
+                            seams[i - 1])
                 for i in range(1, ranges)
             ]
             try:
-                partials = self._sweep(t, 0, starts[1], per_slab, acc, acc_a, None)
+                partials = self._sweep(t, 0, starts[1], acc, acc_a, None)
             finally:
                 wait(jobs)
             for job in jobs:
@@ -535,16 +527,16 @@ class _QuotientObjective(LevelObjective):
                 for into, row in zip(live, seam):
                     into[c0] += row
         den = pot = 0.0
-        for den_part, pot_part in partials:  # in slab order, as one sweep adds them
+        for den_part, pot_part in partials:  # in cell order, as one sweep adds them
             den += den_part
             pot += pot_part
         return den, pot, acc, acc_a
 
-    def _sweep(self, t, c0, c1, per_slab, acc, acc_a, seam) -> list:
-        """Sweep the axis-0 cells ``c0 .. c1 - 1``: each slab's ``(den, pot)`` part.
+    def _sweep(self, t, c0, c1, acc, acc_a, seam) -> list:
+        """Sweep the axis-0 cells ``c0 .. c1 - 1``: each cell's ``(den, pot)`` part.
 
         The adjoint rows go into ``acc`` and ``acc_a`` (when not ``None``).
-        With a ``seam``, the first slab's contributions to node row ``c0``,
+        With a ``seam``, the first cell's contributions to node row ``c0``,
         which the range before writes too, go into the rows of ``seam``
         instead, one per accumulator that is not ``None``, ``acc``'s first.
         Only numpy is called, so a helper thread can sweep a range.
@@ -553,15 +545,15 @@ class _QuotientObjective(LevelObjective):
         a_gauss = self._a_gauss
         rule = G0.shape[0] // (G0.shape[1] - 1)  # Gauss rows per cell
         width = t.shape[1]
-        # two slab buffers, reused: fresh temporaries this size would cost page
+        # two cell buffers, reused: fresh temporaries this size would cost page
         # faults.  ug is last read by ug * u |u|^(p-2), which goes into ug, so
         # ug then holds acc's back-projection; acc_a's, made while ug is
         # still needed, has a buffer of its own
-        ug_buf, y_buf = np.empty((2, rule * per_slab, width))
-        back_a = None if acc_a is None else np.empty((per_slab + 1, width))
+        ug, y = np.empty((2, rule, width))
+        back_a = None if acc_a is None else np.empty((2, width))
 
         def accumulate(into, seam_row, rows, nodes, vals, back_buf):
-            back = back_buf[: nodes.stop - nodes.start]
+            back = back_buf[:2]
             np.matmul(GWT0[nodes, rows], vals, out=back)
             if seam_row is None:
                 into[nodes] += back
@@ -570,13 +562,10 @@ class _QuotientObjective(LevelObjective):
                 into[nodes.start + 1 : nodes.stop] += back[1:]
 
         partials = []
-        for s0 in range(c0, c1, per_slab):
-            s1 = min(s0 + per_slab, c1)
-            rows = slice(rule * s0, rule * s1)
-            nodes = slice(s0, s1 + 1)  # the only nodes these Gauss rows read
-            n = rows.stop - rows.start
-            ug, y = ug_buf[:n], y_buf[:n]
-            edge = seam if seam is not None and s0 == c0 else (None, None)
+        for c in range(c0, c1):
+            rows = slice(rule * c, rule * (c + 1))
+            nodes = slice(c, c + 2)  # the only nodes these Gauss rows read
+            edge = seam if seam is not None and c == c0 else (None, None)
             np.matmul(G0[rows, nodes], t[nodes], out=ug)
             pot = 0.0
             if a_gauss is not None:
@@ -592,27 +581,20 @@ class _QuotientObjective(LevelObjective):
             np.multiply(y, ug, out=y)  # u |u|^(p-2)
             den = self._weighted_sum(np.multiply(ug, y, out=ug), w0[rows])
             if acc is not None:
-                accumulate(acc, edge[0], rows, nodes, y, ug_buf)
+                accumulate(acc, edge[0], rows, nodes, y, ug)
             partials.append((den, pot))
         return partials
 
     # -- energy -------------------------------------------------------------
-    def _pieces(self, u: np.ndarray, adjoint: bool):
+    def value_and_grad(self, u: np.ndarray) -> tuple[float, np.ndarray]:
         grid = u.reshape(self.level.shape)
         ku = self._stiffness_apply(grid)
         num = float(np.vdot(grid, ku))
-        den, pot, acc, acc_a = self._gauss_pass(grid, adjoint)
+        den, pot, acc, acc_a = self._gauss_pass(grid, adjoint=True)
         num += pot
-        value = num / den**self.q if den > 0.0 else float("inf")
-        return value, ku, num, den, acc, acc_a
-
-    def value(self, u: np.ndarray) -> float:
-        return self._pieces(u, adjoint=False)[0]
-
-    def value_and_grad(self, u: np.ndarray) -> tuple[float, np.ndarray]:
-        value, ku, num, den, acc, acc_a = self._pieces(u, adjoint=True)
         if den <= 0.0:
-            return value, np.zeros(u.size)
+            return float("inf"), np.zeros(u.size)
+        value = num / den**self.q
         scale = den**-self.q
         # d(num / den^q) = d_num / den^q - q num / den^(q+1) d_den, with
         # d_num = 2 K u + 2 G^T W (a u) and d_den = p G^T W (u |u|^(p-2))
@@ -622,9 +604,6 @@ class _QuotientObjective(LevelObjective):
         shape = (acc.shape[0],) + tuple(w.size for w in self._gw[1:])
         adj = _apply_trailing(self._GWT, acc.reshape(shape))
         return value, (2.0 * scale * ku + adj).ravel()
-
-    def gradient(self, u: np.ndarray) -> np.ndarray:
-        return self.value_and_grad(u)[1]
 
     def precondition(self, g: np.ndarray) -> np.ndarray:
         interior = g.reshape(self._inv_lam.shape)  # free dofs in C order
@@ -795,8 +774,6 @@ def _masked_stiffness(level: GridLevel):
 
 
 class _SingularObjective(LevelObjective):
-    has_hessian = True
-
     def __init__(
         self,
         level: GridLevel,
@@ -817,14 +794,6 @@ class _SingularObjective(LevelObjective):
         ]
         self._K = _masked_stiffness(level)
 
-    def value(self, u: np.ndarray) -> float:
-        total = 0.0
-        for axis, mask in enumerate(self._row_masks):
-            du = self._op.apply(u, axis)
-            total += 0.5 * float((du * du * mask) @ self._d)
-        total += float(self._W(u) @ self._d)
-        return total
-
     def value_and_grad(self, u: np.ndarray) -> tuple[float, np.ndarray]:
         total = 0.0
         grad = self._d * self._Wp(u)
@@ -835,18 +804,8 @@ class _SingularObjective(LevelObjective):
         total += float(self._W(u) @ self._d)
         return total, grad
 
-    def gradient(self, u: np.ndarray) -> np.ndarray:
-        return self.value_and_grad(u)[1]
-
     def hessian(self, u: np.ndarray):
         return self._K, self._d * self._Wpp(u)
-
-    def strong_residual(self, u: np.ndarray) -> np.ndarray:
-        lap = np.zeros_like(u)
-        for axis, mask in enumerate(self._row_masks):
-            du = self._op.apply(u, axis)
-            lap -= self._op.apply_transpose(du * mask * self._d, axis) / self._d
-        return -lap + self._Wp(u)
 
     def feasible(self, u: np.ndarray) -> bool:
         return bool(np.all(u != 0.0))
@@ -882,15 +841,15 @@ def singular_spec(
 
     The prolonged warm start goes through the same floor,
     ``sign(u) * max(|u|, init_floor)``.  Linear prolongation across the sign
-    interface leaves free nodes at ``|u| ~ 1e-4``, where the Newton step of
+    interface leaves free nodes close to zero, where the Newton step of
     ``t**-2`` is ``t / 3``: ``|u|`` grows by 4/3 per step and the warm start
-    spends ~30 steps leaving the barrier.  The floor keeps every sign.  For
+    spends many steps leaving the barrier.  The floor keeps every sign.  For
     the default potential the energy is strictly convex on each sign orthant
     (a convex quadratic plus ``W``, strictly convex on each half line), so it
     has at most one minimizer there, and ``accept_step`` keeps Newton in the
     orthant of its start.  The floored and the raw warm start therefore end
-    at the same minimizer; only the number of steps changes (levels 5..7 of
-    the default study: 7, 9 and 13 Newton steps instead of 29, 28 and 32).
+    at the same minimizer; only the number of Newton steps changes, and it
+    falls.
     """
     if W is None:
         W, Wp, Wpp = _default_W, _default_Wp, _default_Wpp

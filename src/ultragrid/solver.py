@@ -1,6 +1,6 @@
 """Level-net variational minimization, splitting, and residual verification.
 
-A :class:`ProblemSpec` knows how to build a per-level objective (value,
+A :class:`ProblemSpec` knows how to build a per-level objective (value and
 gradient, optional Hessian, boundary pinning, feasibility) and how to
 produce initial guesses.  :func:`solve_net` minimizes level by level with
 dyadic warm-start prolongation, :func:`split` decomposes the minimizer net
@@ -57,13 +57,13 @@ MAX_ITERATIONS = 10_000
 class LevelObjective:
     """Base class for per-level objectives.
 
-    Subclasses must set ``level``, implement :meth:`value` and
-    :meth:`gradient`, and may override the Hessian, feasibility, step
-    acceptance, normalization, strong-form residual and metric hooks.
-    Gradients are full-length nodal arrays; entries at pinned dofs are
-    ignored.  :meth:`precondition` works on free-dof vectors instead: it is
-    the solve ``g -> P^-1 g`` of the SPD metric ``P`` that L-BFGS starts
-    from, by default the L2 metric ``diag(d)`` of the free weights.
+    Subclasses must set ``level`` and implement :meth:`value_and_grad`, and
+    may override the Hessian, feasibility, step acceptance, normalization
+    and metric hooks.  Gradients are full-length nodal arrays; entries at
+    pinned dofs are ignored.  :meth:`precondition` works on free-dof vectors
+    instead: it is the solve ``g -> P^-1 g`` of the SPD metric ``P`` that
+    L-BFGS starts from, by default the L2 metric ``diag(d)`` of the free
+    weights.
     """
 
     level: GridLevel
@@ -75,10 +75,8 @@ class LevelObjective:
         self.fixed_values = np.zeros(level.node_count)
 
     # --- required -----------------------------------------------------
-    def value(self, u: np.ndarray) -> float:
-        raise NotImplementedError
-
-    def gradient(self, u: np.ndarray) -> np.ndarray:
+    def value_and_grad(self, u: np.ndarray) -> tuple[float, np.ndarray]:
+        """``(J(u), grad J(u))``: the value and the full nodal gradient."""
         raise NotImplementedError
 
     # --- optional hooks -------------------------------------------------
@@ -97,9 +95,6 @@ class LevelObjective:
     def normalize(self, u: np.ndarray) -> np.ndarray:
         return u
 
-    def strong_residual(self, u: np.ndarray) -> Optional[np.ndarray]:
-        return None
-
     def precondition(self, g: np.ndarray) -> np.ndarray:
         return g / self.level.weights[self.free_mask]
 
@@ -112,9 +107,6 @@ class LevelObjective:
     @property
     def free_mask(self) -> np.ndarray:
         return ~self.fixed_mask
-
-    def value_and_grad(self, u: np.ndarray) -> tuple[float, np.ndarray]:
-        return self.value(u), self.gradient(u)
 
 
 def _unchanged(level: GridLevel, u: np.ndarray) -> np.ndarray:
@@ -460,20 +452,15 @@ class ELReport:
 def verify_euler_lagrange(problem: ProblemSpec, result: MinResult) -> ELReport:
     """Residual report at a per-level result.
 
-    The strong-form residual is the problem's own (e.g. ``-lap u + W'(u)``)
-    when available, else the Riesz residual ``grad / d``; both are evaluated
-    at free nodes only.  Weak residuals pair the gradient with the battery.
+    The strong-form residual is the Riesz residual ``grad / d`` (for the
+    singular study, ``-lap u + W'(u)``), evaluated at free nodes only.  Weak
+    residuals pair the gradient with the battery.
     """
     obj = problem.build(result.level)
-    u = result.u.values
     free = obj.free_mask
     d = result.level.weights
-    g = obj.gradient(u)
-
-    strong = obj.strong_residual(u)
-    if strong is None:
-        strong = g / d
-    r = strong[free]
+    g = obj.value_and_grad(result.u.values)[1]
+    r = (g / d)[free]
     max_res = float(np.max(np.abs(r))) if r.size else 0.0
     l2_res = float(np.sqrt(np.sum(r**2 * d[free])))
 
@@ -510,7 +497,7 @@ def check_gradient(
         u = bumped
 
     worst = 0.0
-    g = obj.gradient(u)
+    g = obj.value_and_grad(u)[1]
     for _ in range(directions):
         v = rng.standard_normal(u.size)
         v[obj.fixed_mask] = 0.0
@@ -520,7 +507,7 @@ def check_gradient(
         dn = u - step * v
         if not (obj.feasible(up) and obj.feasible(dn)):
             continue
-        fd = (obj.value(up) - obj.value(dn)) / (2.0 * step)
+        fd = (obj.value_and_grad(up)[0] - obj.value_and_grad(dn)[0]) / (2.0 * step)
         an = float(g @ v)
         denom = max(abs(fd), abs(an), 1e-10)
         worst = max(worst, abs(fd - an) / denom)

@@ -324,6 +324,10 @@ def test_calculus_check_three_levels_exits_2(tmp_path, capsys):
      "bubble support exceeds the domain box"),
     ({"problem": "sign_perturbed", "params": {"concentration_radius": 0.0}},
      "radius must be positive"),
+    ({"problem": "sign_perturbed", "params": {"well": {"center": [0.5, 0.5]}}},
+     "the well center needs 3 coordinates"),
+    ({"problem": "sign_perturbed", "params": {"well": {"center": [0.5, 0.5, 0.5, 0.9]}}},
+     "the well center needs 3 coordinates"),
 ])
 def test_bad_config_values_exit_2_before_solving(tmp_path, capsys, monkeypatch, payload, message):
     def no_solve(*args, **kwargs):

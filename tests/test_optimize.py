@@ -120,7 +120,7 @@ def test_lbfgs_default_metric_bit_identical_on_quotient():
     level = build_level(spec.domain, 3)
     obj = spec.build(level)
     x0 = obj.pin(spec.initial_guesses(level, None, None)[1])
-    gtol = GTOL_FACTOR * (1.0 + abs(obj.value(x0)))
+    gtol = GTOL_FACTOR * (1.0 + abs(obj.value_and_grad(x0)[0]))
     args = (obj.value_and_grad, x0, level.weights, obj.free_mask)
     expected = _diag_metric_lbfgs(*args, gtol=gtol)
     _assert_same_run(lbfgs(*args, gtol=gtol), expected)
@@ -368,7 +368,7 @@ def test_newton_band_equals_former_sparse_assembly(n, monkeypatch):
 
     monkeypatch.setattr(scipy.linalg, "solveh_banded", spy)
     x0 = spec.initial_guesses(level, None, None)[0]
-    gtol = GTOL_FACTOR * (1.0 + abs(obj.value(x0)))
+    gtol = GTOL_FACTOR * (1.0 + abs(obj.value_and_grad(x0)[0]))
     newton(obj.value_and_grad, hessian, x0, level.weights, obj.free_mask,
            gtol=gtol, accept=obj.accept_step)
     free_idx = np.flatnonzero(obj.free_mask)
@@ -428,7 +428,7 @@ def test_newton_matches_superlu_reference_on_singular(n):
     level = build_level(spec.domain, n)
     obj = spec.build(level)
     x0 = spec.initial_guesses(level, None, None)[0]
-    gtol = GTOL_FACTOR * (1.0 + abs(obj.value(x0)))
+    gtol = GTOL_FACTOR * (1.0 + abs(obj.value_and_grad(x0)[0]))
     args = (obj.value_and_grad, obj.hessian, x0, level.weights, obj.free_mask)
     kwargs = dict(gtol=gtol, accept=obj.accept_step)
     banded = newton(*args, **kwargs)

@@ -36,7 +36,7 @@ from ultragrid import (
 )
 from ultragrid.elements import gauss_interp
 from ultragrid.optimize import minimize_quadratic, newton
-from ultragrid.solver import GTOL_FACTOR
+from ultragrid.solver import GTOL_FACTOR, MinResult, verify_euler_lagrange
 
 DOM3 = Domain(((0.0, 1.0), (0.0, 1.0), (0.0, 1.0)))
 
@@ -49,9 +49,9 @@ def test_sawtooth_objective_values():
     level = build_level(spec.domain, 4)
     obj = spec.build(level)
     # J(0) = volume (the (0 - 1)^2 term), J(pattern) small
-    assert obj.value(np.zeros(level.node_count)) == pytest.approx(1.0)
+    assert obj.value_and_grad(np.zeros(level.node_count))[0] == pytest.approx(1.0)
     pattern = sawtooth_pattern(level)
-    assert obj.value(pattern) < 0.05
+    assert obj.value_and_grad(pattern)[0] < 0.05
 
 
 def test_sawtooth_pattern_has_unit_operator_slope():
@@ -75,9 +75,9 @@ def test_sawtooth_fused_value_and_grad_is_bit_identical():
     for u in (rng.standard_normal(level.node_count), sawtooth_pattern(level),
               obj.pin(rng.standard_normal(level.node_count))):
         value, grad = obj.value_and_grad(u)
-        assert value == obj.value(u)
-        # the former separate gradient
+        # the former separate value and gradient
         du = obj._op.apply(u, 0)
+        assert value == float((u * u) @ obj._d + ((du * du - 1.0) ** 2) @ obj._d)
         inner_term = 4.0 * du * (du * du - 1.0) * obj._d
         np.testing.assert_array_equal(
             grad, 2.0 * u * obj._d + obj._op.apply_transpose(inner_term, 0)
@@ -127,7 +127,7 @@ def test_sawtooth_metric_backward_error(n):
     obj = problems._SawtoothObjective(level)
     rng = np.random.default_rng(n)
     for g in (rng.standard_normal(level.node_count), np.ones(level.node_count),
-              obj.gradient(rng.standard_normal(level.node_count) * level.h)):
+              obj.value_and_grad(rng.standard_normal(level.node_count) * level.h)[1]):
         y = obj.precondition(g)
         Py, norm_P = _h1_apply(level, y)
         inf = np.inf
@@ -239,15 +239,26 @@ def test_quotient_scale_invariance():
     obj = spec.build(level)
     rng = np.random.default_rng(2)
     u = obj.pin(rng.standard_normal(level.node_count))
-    q = obj.value(u)
+    q = obj.value_and_grad(u)[0]
     for alpha in (0.5, -3.0, 17.0):
-        assert abs(obj.value(alpha * u) - q) <= 1e-12 * abs(q)
+        assert abs(obj.value_and_grad(alpha * u)[0] - q) <= 1e-12 * abs(q)
 
 
 def test_quotient_gradient_consistency():
     spec = sign_perturbed_spec()
     level = build_level(spec.domain, 3)
     assert check_gradient(spec, level) < 1e-5
+
+
+def _former_quotient_value(obj, u):
+    """The former value-only evaluation: the Gauss pass without its adjoint."""
+    grid = u.reshape(obj.level.shape)
+    ku = obj._stiffness_apply(grid)
+    num = float(np.vdot(grid, ku))
+    den, pot, acc, acc_a = obj._gauss_pass(grid, adjoint=False)
+    assert acc is None and acc_a is None
+    num += pot
+    return num / den**obj.q if den > 0.0 else float("inf")
 
 
 def _old_quotient(obj, u):
@@ -312,34 +323,13 @@ def test_quotient_kernel_matches_former_formula(dimension, n, well):
     ref_value, ref_grad = _old_quotient(obj, u)
     assert value == pytest.approx(ref_value, rel=1e-12)
     np.testing.assert_allclose(grad, ref_grad, rtol=1e-12, atol=1e-12 * np.abs(ref_grad).max())
-    assert obj.value(u) == value
-    np.testing.assert_array_equal(obj.gradient(u), grad)
+    assert _former_quotient_value(obj, u) == value
 
 
 def test_quotient_well_gradient_consistency():
     spec = sign_perturbed_spec(a=quadratic_well((0.5, 0.5, 0.5)))
     level = build_level(spec.domain, 3)
     assert check_gradient(spec, level) < 1e-5
-
-
-@pytest.mark.parametrize("well", [False, True])
-def test_quotient_slab_size_does_not_change_result(monkeypatch, well):
-    a = quadratic_well((0.5, 0.5, 0.5)) if well else None
-    spec = sign_perturbed_spec(a=a)
-    level = build_level(spec.domain, 4)
-    u = np.random.default_rng(8).standard_normal(level.node_count)
-    results = []
-    # one axis-0 cell per slab, then the whole axis in one slab
-    for cells in (1, level.shape[0] - 1):
-        monkeypatch.setattr(problems, "_SLAB_CELLS", cells)
-        obj = problems._QuotientObjective(level, a)
-        u = obj.pin(u)
-        results.append((obj.value_and_grad(u), obj.normalize(u)))
-    (v1, g1), n1 = results[0]
-    (v2, g2), n2 = results[1]
-    assert v1 == pytest.approx(v2, rel=1e-13)
-    np.testing.assert_allclose(g1, g2, rtol=1e-13, atol=1e-13 * np.abs(g2).max())
-    np.testing.assert_allclose(n1, n2, rtol=1e-13)
 
 
 def _assert_bit_identical(expected, got):
@@ -373,7 +363,7 @@ def test_quotient_split_sweep_is_bit_identical(monkeypatch, dimension, n, well):
     for ranges in (1, 2, 3):
         with problems.sweep_threads(ranges):
             del starts[:]
-            value = obj.value(u)
+            value = _former_quotient_value(obj, u)
             assert len(starts) == min(ranges, level.shape[0] - 1)
             results.append((value, *obj.value_and_grad(u), obj.normalize(u)))
     for got in results[1:]:
@@ -455,6 +445,10 @@ def test_quadratic_well_and_concentration_metric():
     a = quadratic_well((0.5, 0.5, 0.5), strength=10.0)
     assert a(0.5, 0.5, 0.5) == 0.0
     assert a(1.0, 0.5, 0.5) == pytest.approx(2.5)
+    # one coordinate per axis of the center, no more and no fewer
+    for coords in ((0.5, 0.5), (0.5, 0.5, 0.5, 0.9)):
+        with pytest.raises(ValueError):
+            a(*coords)
 
     level = build_level(DOM3, 3)
     peak = restrict(
@@ -519,7 +513,7 @@ def test_singular_energy_of_harmonic_constant():
     obj = spec.build(level)
     u = obj.pin(np.ones(level.node_count))
     # E(1) = int W(1) = 1 for W(t) = t^-2
-    assert obj.value(u) == pytest.approx(1.0, abs=1e-12)
+    assert obj.value_and_grad(u)[0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_singular_gradient_and_hessian():
@@ -534,7 +528,7 @@ def test_singular_gradient_and_hessian():
     v = rng.standard_normal(level.node_count)
     v[obj.fixed_mask] = 0.0
     eps = 1e-6
-    fd = (obj.gradient(u + eps * v) - obj.gradient(u - eps * v)) / (2 * eps)
+    fd = (obj.value_and_grad(u + eps * v)[1] - obj.value_and_grad(u - eps * v)[1]) / (2 * eps)
     hv = K @ v + c * v
     free = obj.free_mask
     assert np.max(np.abs(fd[free] - hv[free])) < 1e-4 * max(np.max(np.abs(hv)), 1.0)
@@ -549,13 +543,39 @@ def test_singular_fused_value_and_grad_is_bit_identical():
         # boundary-pinned points, away from the singularity at zero
         u = obj.pin(np.sign(rng.standard_normal(level.node_count)) + 0.5 * rng.random(level.node_count))
         value, grad = obj.value_and_grad(u)
-        assert value == obj.value(u)
-        # the former separate gradient
+        # the former separate value and gradient
+        ref_value = 0.0
+        for axis, mask in enumerate(obj._row_masks):
+            du = obj._op.apply(u, axis)
+            ref_value += 0.5 * float((du * du * mask) @ obj._d)
+        assert value == ref_value + float(obj._W(u) @ obj._d)
         ref = obj._d * obj._Wp(u)
         for axis, mask in enumerate(obj._row_masks):
             du = obj._op.apply(u, axis)
             ref = ref + obj._op.apply_transpose(du * mask * obj._d, axis)
         np.testing.assert_array_equal(grad, ref)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_singular_riesz_residual_is_the_former_strong_residual(n):
+    # verify_euler_lagrange's Riesz residual grad / d against the former
+    # strong form -lap u + W'(u) of the masked Dirichlet term, at the
+    # harmonic start, on the free nodes
+    spec = singular_spec()
+    level = build_level(spec.domain, n)
+    obj = spec.build(level)
+    u = spec.initial_guesses(level, None, None)[0]
+    lap = np.zeros_like(u)
+    for axis, mask in enumerate(obj._row_masks):
+        du = obj._op.apply(u, axis)
+        lap -= obj._op.apply_transpose(du * mask * obj._d, axis) / obj._d
+    former = (-lap + obj._Wp(u))[obj.free_mask]
+    value, grad = obj.value_and_grad(u)
+    riesz = (grad / level.weights)[obj.free_mask]
+    scale = np.max(np.abs(former))
+    assert np.max(np.abs(riesz - former)) <= 1e-13 * scale
+    result = MinResult(level, GridFunction(level, u), value, 0.0, 0, False)
+    assert verify_euler_lagrange(spec, result).max_residual == np.max(np.abs(riesz))
 
 
 @pytest.mark.parametrize("n", [4, 5])

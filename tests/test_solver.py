@@ -42,11 +42,9 @@ class _Quadratic(LevelObjective):
         self.target = x * (1.0 - x)
         self.d = level.weights
 
-    def value(self, u):
-        return float(((u - self.target) ** 2) @ self.d)
-
-    def gradient(self, u):
-        return 2.0 * (u - self.target) * self.d
+    def value_and_grad(self, u):
+        r = u - self.target
+        return float((r**2) @ self.d), 2.0 * r * self.d
 
 
 def quadratic_problem():
