@@ -185,14 +185,9 @@ def _load_config(args) -> dict:
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
         if not isinstance(config, dict):
             raise ConfigError("the top-level config must be a JSON object")
-    if getattr(args, "levels", None) is not None:
-        config["levels"] = args.levels
-    if getattr(args, "seed", None) is not None:
-        config["seed"] = args.seed
-    if getattr(args, "format", None) is not None:
-        config["format"] = args.format
-    if getattr(args, "threads", None) is not None:
-        config["threads"] = args.threads
+    for key in ("levels", "seed", "format", "threads"):
+        if getattr(args, key) is not None:
+            config[key] = getattr(args, key)
     config.setdefault("seed", 0)
     config.setdefault("format", "csv")
     config.setdefault("multistart", 3)
@@ -204,10 +199,12 @@ def _out_dir(args) -> pathlib.Path:
     if args.out is None:
         raise ConfigError("an output directory is required (--out DIR)")
     out = pathlib.Path(args.out)
-    parent = out if out.is_dir() else out.parent
-    if not parent.is_dir():
-        raise ConfigError(f"output location does not exist: {parent}")
-    out.mkdir(exist_ok=True)
+    if not out.is_dir():
+        if out.exists():
+            raise ConfigError(f"output location is not a directory: {out}")
+        if not out.parent.is_dir():
+            raise ConfigError(f"output location does not exist: {out.parent}")
+        out.mkdir()
     return out
 
 
@@ -263,16 +260,20 @@ def _fmt(value):
     return str(value)
 
 
+def _write_json(path: pathlib.Path, obj) -> None:
+    """Write ``obj`` as indented JSON with sorted keys.
+
+    ``np.float64`` is a ``float`` and prints as one; any other numpy scalar
+    is written as the Python value its ``.item()`` gives.
+    """
+    text = json.dumps(obj, sort_keys=True, indent=2, default=lambda v: v.item())
+    path.write_text(text + "\n", encoding="utf-8")
+
+
 def _write_table(path: pathlib.Path, header: Sequence[str], rows, fmt: str) -> None:
     """Write rows either as CSV (default) or as a canonical JSON array."""
     if fmt == "json":
-        records = [
-            {k: (v if isinstance(v, str) else _json_safe(v)) for k, v in zip(header, row)}
-            for row in rows
-        ]
-        path.with_suffix(".json").write_text(
-            json.dumps(records, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-        )
+        _write_json(path.with_suffix(".json"), [dict(zip(header, row)) for row in rows])
         return
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -281,18 +282,13 @@ def _write_table(path: pathlib.Path, header: Sequence[str], rows, fmt: str) -> N
             writer.writerow([_fmt(v) for v in row])
 
 
-def _json_safe(value):
-    if isinstance(value, (np.bool_, bool)):
-        return bool(value)
-    if isinstance(value, (np.integer, int)):
-        return int(value)
-    if isinstance(value, (np.floating, float)):
-        return float(value)
-    if isinstance(value, (tuple, list)):
-        return [_json_safe(v) for v in value]
-    if isinstance(value, dict):
-        return {str(k): _json_safe(v) for k, v in value.items()}
-    return value
+def _verdict(measured, threshold, passed=None) -> dict:
+    """One check's verdict; by default it passes when ``measured <= threshold``."""
+    return {
+        "measured": measured,
+        "threshold": threshold,
+        "passed": measured <= threshold if passed is None else passed,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +301,6 @@ def cmd_solve(config: dict, out: pathlib.Path) -> int:
     config = {k: v for k, v in config.items() if k != "threads"}
     problem = _build_problem(config)
     levels = _parse_levels(config.get("levels", "3..5"))
-    seed = config["seed"]
     fmt = config["format"]
     chash = config_hash(config)
     classify_kwargs = _tolerances(config)
@@ -314,12 +309,7 @@ def cmd_solve(config: dict, out: pathlib.Path) -> int:
     with sweep_threads(threads) as threads:
         t0 = time.perf_counter()
         try:
-            net = solve_net(
-                problem,
-                levels,
-                seed=seed,
-                multistart=config["multistart"],
-            )
+            net = solve_net(problem, levels, seed=config["seed"], multistart=config["multistart"])
         except (ResourceLimitError, BoundaryDataError) as exc:
             # a level over the node cap is a bad level range, and boundary
             # data that vanishes at some level's node is bad data
@@ -336,63 +326,39 @@ def cmd_solve(config: dict, out: pathlib.Path) -> int:
         el = verify_euler_lagrange(problem, net.results[-1])
         timings["analysis_s"] = time.perf_counter() - t0
 
-    diag_keys = sorted(
-        {k for r in net.results for k in r.diagnostics},
-    )
-
-    # levels.csv
-    rows = [
-        [chash, r.level.n, r.level.h, r.level.dimension, r.value, r.grad_norm,
-         r.iterations, r.converged]
-        + [r.diagnostics.get(k, float("nan")) for k in diag_keys]
-        for r in net.results
+    diag_keys = sorted({k for r in net.results for k in r.diagnostics})
+    # one row per level: levels.csv, plot_convergence.csv and report.json
+    # each take their columns from it
+    per_level = [
+        {"config_hash": chash, "level": r.level.n, "h": r.level.h,
+         "dim": r.level.dimension, "value": r.value, "grad_norm": r.grad_norm,
+         "iterations": r.iterations, "converged": r.converged, "psi_l2": psi_l2,
+         **{k: r.diagnostics.get(k, math.nan) for k in diag_keys}}
+        for r, (_n, psi_l2) in zip(net.results, splitting.psi_norms)
     ]
-    _write_table(
-        out / "levels.csv",
-        ["config_hash", "level", "h", "dim", "value", "grad_norm", "iterations",
-         "converged"] + diag_keys,
-        rows,
-        fmt,
-    )
+    for name, header in (
+        ("levels.csv", ["config_hash", "level", "h", "dim", "value", "grad_norm",
+                        "iterations", "converged"]),
+        ("plot_convergence.csv", ["config_hash", "level", "h", "value", "psi_l2"]),
+    ):
+        header += diag_keys
+        _write_table(out / name, header, [[row[k] for k in header] for row in per_level], fmt)
 
     # splitting.csv (coarsest-level nodes)
-    singular_mask = splitting.singular.mask()
     _write_table(
         out / "splitting.csv",
         ["config_hash", "node", "w", "singular"],
-        [
-            [chash, i, splitting.w.values[i], bool(singular_mask[i])]
-            for i in range(splitting.w.level.node_count)
-        ],
+        [[chash, i, w, bool(s)]
+         for i, (w, s) in enumerate(zip(splitting.w.values, splitting.singular.mask()))],
         fmt,
     )
 
-    # psi.csv
-    pairing_max = {
-        n: max(
-            (abs(rep.values[i]) for rep in splitting.pairings),
-            default=0.0,
-        )
-        for i, (n, _norm) in enumerate(splitting.psi_norms)
-    }
+    # psi.csv: the remainder norms and the worst test-function pairing
     _write_table(
         out / "psi.csv",
         ["config_hash", "level", "psi_l2", "pairing_max"],
-        [[chash, n, norm, pairing_max[n]] for n, norm in splitting.psi_norms],
-        fmt,
-    )
-
-    # plot_convergence.csv: x = level/h, y = value, psi norm, diagnostics
-    psi_by_level = dict(splitting.psi_norms)
-    _write_table(
-        out / "plot_convergence.csv",
-        ["config_hash", "level", "h", "value", "psi_l2"] + diag_keys,
-        [
-            [chash, r.level.n, r.level.h, r.value,
-             psi_by_level.get(r.level.n, float("nan"))]
-            + [r.diagnostics.get(k, float("nan")) for k in diag_keys]
-            for r in net.results
-        ],
+        [[chash, n, norm, max((abs(rep.values[i]) for rep in splitting.pairings), default=0.0)]
+         for i, (n, norm) in enumerate(splitting.psi_norms)],
         fmt,
     )
 
@@ -400,85 +366,49 @@ def cmd_solve(config: dict, out: pathlib.Path) -> int:
     for r in net.results:
         grid_function_to_binary(r.u, out / f"solution_level{r.level.n:02d}.ugf")
 
-    # invariant verdicts
-    recon_gap = 0.0
-    coarse = net.results[0].level
-    for (n, _), entry in zip(splitting.psi_norms, splitting.psi.entries):
-        psi_n = entry[1]
-        u_n = next(r.u for r in net.results if r.level.n == n)
-        w_fine = prolong(splitting.w, u_n.level)
-        gap = np.max(np.abs(u_n.values - w_fine.values - psi_n.values))
-        recon_gap = max(recon_gap, float(gap))
+    # invariant verdicts; u_n = w + psi_n level by level
+    recon_gap = max(
+        float(np.max(np.abs(r.u.values - prolong(splitting.w, r.level).values - psi.values)))
+        for r, (_n, psi) in zip(net.results, splitting.psi.entries)
+    )
     scale = max(1.0, max(abs(r.value) for r in net.results))
     verdicts = {
-        "reconstruction_exact": {
-            "measured": recon_gap,
-            "threshold": 1e-14 * scale,
-            "passed": recon_gap <= 1e-14 * scale,
-        },
-        "all_levels_converged": {
-            "measured": sum(1 for r in net.results if not r.converged),
-            "threshold": 0,
-            "passed": all(r.converged for r in net.results),
-        },
+        "reconstruction_exact": _verdict(recon_gap, 1e-14 * scale),
+        "all_levels_converged": _verdict(sum(not r.converged for r in net.results), 0),
     }
     if problem.monotone_values:
-        verdicts["nested_monotonicity"] = {
-            "measured": list(net.monotone_violations),
-            "threshold": "m_{n+1} <= m_n + 1e-10",
-            "passed": not net.monotone_violations,
-        }
+        verdicts["nested_monotonicity"] = _verdict(
+            list(net.monotone_violations), "m_{n+1} <= m_n + 1e-10",
+            passed=not net.monotone_violations,
+        )
     if problem.lower_bound is not None:
         worst = min(r.value - problem.lower_bound for r in net.results)
-        verdicts["certified_lower_bound"] = {
-            "measured": worst,
-            "threshold": 0.0,
-            "passed": worst >= 0.0,
-        }
-    el_scale = max(1.0, abs(net.results[-1].value))
-    verdicts["weak_euler_lagrange"] = {
-        "measured": max((abs(v) for v in el.weak_residuals), default=0.0),
-        "threshold": 1e-6 * el_scale,
-        "passed": max((abs(v) for v in el.weak_residuals), default=0.0)
-        <= 1e-6 * el_scale,
-    }
+        verdicts["certified_lower_bound"] = _verdict(worst, 0.0, passed=worst >= 0.0)
+    el_worst = max((abs(v) for v in el.weak_residuals), default=0.0)
+    verdicts["weak_euler_lagrange"] = _verdict(
+        el_worst, 1e-6 * max(1.0, abs(net.results[-1].value))
+    )
 
+    singular = splitting.singular.indices
     report = {
         "config": config,
         "config_hash": chash,
         "problem": problem.name,
         "levels": [
-            {
-                "level": r.level.n,
-                "h": r.level.h,
-                "value": r.value,
-                "grad_norm": r.grad_norm,
-                "iterations": r.iterations,
-                "converged": r.converged,
-                "diagnostics": _json_safe(r.diagnostics),
-                "starts": [
-                    {
-                        "kind": s.kind,
-                        "iterations": s.iterations,
-                        "value": s.value,
-                        "converged": s.converged,
-                    }
-                    for s in r.starts
-                ],
-            }
-            for r in net.results
+            {**{k: row[k] for k in ("level", "h", "value", "grad_norm", "iterations",
+                                    "converged")},
+             "diagnostics": r.diagnostics, "starts": [vars(s) for s in r.starts]}
+            for r, row in zip(net.results, per_level)
         ],
         "classification": {
-            "value_net": _json_safe(value_class.as_dict()),
-            "singular_nodes": _json_safe(splitting.singular.indices.tolist()),
-            "singular_coordinates": _json_safe(
-                coarse.coordinates[splitting.singular.indices].tolist()
-            ),
+            "value_net": value_class.as_dict(),
+            "singular_nodes": singular.tolist(),
+            "singular_coordinates": splitting.w.level.coordinates[singular].tolist(),
             "pairings": [
                 {
                     "test_index": rep.test_index,
-                    "values": _json_safe(list(rep.values)),
-                    "classification": _json_safe(rep.classification.as_dict()),
+                    "values": rep.values,
+                    "classification": rep.classification.as_dict(),
                 }
                 for rep in splitting.pairings
             ],
@@ -486,25 +416,19 @@ def cmd_solve(config: dict, out: pathlib.Path) -> int:
         "euler_lagrange": {
             "max_residual": el.max_residual,
             "l2_residual": el.l2_residual,
-            "weak_residuals": _json_safe(list(el.weak_residuals)),
+            "weak_residuals": el.weak_residuals,
         },
-        "invariants": _json_safe(verdicts),
+        "invariants": verdicts,
         "partial": net.partial,
         "timings": timings,
         "threads": threads,
     }
-    (out / "report.json").write_text(
-        json.dumps(report, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
-    (out / "config.json").write_text(
-        json.dumps({"config": config, "config_hash": chash}, sort_keys=True, indent=2)
-        + "\n",
-        encoding="utf-8",
-    )
+    _write_json(out / "report.json", report)
+    _write_json(out / "config.json", {"config": config, "config_hash": chash})
 
     if not all(v["passed"] for v in verdicts.values()):
         return EXIT_INVARIANT
-    if net.partial or not all(r.converged for r in net.results):
+    if net.partial:
         return EXIT_PARTIAL
     return EXIT_OK
 
@@ -649,67 +573,51 @@ def cmd_calculus_check(config: dict, out: Optional[pathlib.Path]) -> int:
         # against its bound of 0.8 on correct code (3..5)
         raise ConfigError("calculus-check needs at least four levels for its order fits")
 
-    checks: list[tuple[str, float, float, bool]] = []
-
     worst_sbp, worst_gauss = _check_sbp_gauss((lines, squares), instances, seed)
-    checks.append(("sbp_antisymmetry", worst_sbp, 1e-12, worst_sbp <= 1e-12))
-    checks.append(("gauss_identity", worst_gauss, 1e-12, worst_gauss <= 1e-12))
-
     d_order, q_order, hs, herr = _check_orders(lines)
-    checks.append(("derivative_order", d_order, 0.2, abs(d_order - 2.0) <= 0.2))
-    checks.append(("quadrature_order", q_order, 2.0, q_order >= 2.0 - 0.2))
     h_order = _fit_order(hs, herr)
-    checks.append(("heaviside_pairing_order", h_order, 0.8, h_order >= 0.8))
-
     # density probes and perimeter oracles at h = 1/128 in 2D
     ball = Ball((0.5, 0.5), 0.25)
-    theta = density(ball, lvl)
-    grid = theta.grid_values
-    probes = (
+    grid = density(ball, lvl).grid_values
+    worst_theta = max(
         abs(grid[64, 64] - 1.0),
         abs(density(HalfSpace(0, 0.5), lvl).grid_values[64, 64] - 0.5),
         abs(grid[0, 0]),
     )
-    worst_theta = max(probes)
-    checks.append(("theta_probes", worst_theta, 0.0, worst_theta == 0.0))
     sq = perimeter(Box(((0.25, 0.75), (0.25, 0.75))), lvl) / 2.0
-    checks.append(("square_perimeter", abs(sq - 1.0), 0.05, abs(sq - 1.0) <= 0.05))
     dk = perimeter(ball, lvl) / (2.0 * np.pi * 0.25)
-    checks.append(("disk_perimeter", abs(dk - 1.0), 0.05, abs(dk - 1.0) <= 0.05))
-
     kdim = derivative_kernel_dimension(lines[0])
-    checks.append(("derivative_kernel_dimension", float(kdim), 1.0, kdim == 1))
+    checks = {
+        "sbp_antisymmetry": _verdict(worst_sbp, 1e-12),
+        "gauss_identity": _verdict(worst_gauss, 1e-12),
+        "derivative_order": _verdict(d_order, 0.2, passed=abs(d_order - 2.0) <= 0.2),
+        "quadrature_order": _verdict(q_order, 2.0, passed=q_order >= 2.0 - 0.2),
+        "heaviside_pairing_order": _verdict(h_order, 0.8, passed=h_order >= 0.8),
+        "theta_probes": _verdict(worst_theta, 0.0),
+        "square_perimeter": _verdict(abs(sq - 1.0), 0.05),
+        "disk_perimeter": _verdict(abs(dk - 1.0), 0.05),
+        "derivative_kernel_dimension": _verdict(float(kdim), 1.0, passed=kdim == 1),
+    }
 
-    width = max(len(name) for name, *_ in checks)
-    for name, measured, threshold, passed in checks:
-        verdict = "PASS" if passed else "FAIL"
-        print(f"{name:<{width}}  measured={measured:.6g}  bound={threshold:.6g}  {verdict}")
+    width = max(map(len, checks))
+    for name, v in checks.items():
+        verdict = "PASS" if v["passed"] else "FAIL"
+        print(f"{name:<{width}}  measured={v['measured']:.6g}  "
+              f"bound={v['threshold']:.6g}  {verdict}")
 
     if out is not None:
-        _write_table(
-            out / "checks.csv",
-            ["config_hash", "check", "measured", "threshold", "passed"],
-            [[chash, name, m, t, p] for name, m, t, p in checks],
-            config["format"],
-        )
-        report = {
+        rows = [[chash, name, v["measured"], v["threshold"], v["passed"]]
+                for name, v in checks.items()]
+        _write_table(out / "checks.csv",
+                     ["config_hash", "check", "measured", "threshold", "passed"],
+                     rows, config["format"])
+        _write_json(out / "report.json", {
             "config": config,
             "config_hash": chash,
-            "checks": [
-                {
-                    "name": name,
-                    "measured": _json_safe(m),
-                    "threshold": _json_safe(t),
-                    "passed": bool(p),
-                }
-                for name, m, t, p in checks
-            ],
-        }
-        (out / "report.json").write_text(
-            json.dumps(report, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-        )
+            "checks": [{"name": name, **v} for name, v in checks.items()],
+        })
 
-    return EXIT_OK if all(p for *_x, p in checks) else EXIT_INVARIANT
+    return EXIT_OK if all(v["passed"] for v in checks.values()) else EXIT_INVARIANT
 
 
 # ---------------------------------------------------------------------------

@@ -22,8 +22,8 @@ The decision rules, in order:
    ``kappa * h`` floor); an unstable fit (``p`` outside the band) reports the
    raw last entry with a low-confidence flag;
 4. *divergence*: ``|x_n|`` strictly increasing over the tail and either above
-   the cutoff (default 1e6) or growing with fitted positive exponent in
-   ``1/h``;
+   ``DIVERGENCE_CUTOFF`` (1e6) or growing in ``1/h`` with a fitted exponent
+   above ``GROWTH_MIN`` (0.3);
 5. otherwise ``Unclassified`` with a monotone-growth diagnostic.
 
 For number nets with no grid attached, ``h_n = 2**-n`` by convention.
@@ -50,6 +50,11 @@ __all__ = [
     "coarse_values",
     "pointwise_standard_part",
 ]
+
+#: A growing tail whose last entry exceeds this in magnitude diverges.
+DIVERGENCE_CUTOFF = 1e6
+#: A growing tail diverges when its growth exponent in ``1/h`` exceeds this.
+GROWTH_MIN = 0.3
 
 
 class Kind(enum.Enum):
@@ -135,13 +140,7 @@ class Net:
 
 
 def _classify_values(
-    xs: np.ndarray,
-    hs: np.ndarray,
-    rtol: float,
-    atol: float,
-    kappa: float,
-    cutoff: float,
-    growth_min: float,
+    xs: np.ndarray, hs: np.ndarray, rtol: float, atol: float, kappa: float
 ) -> Classification:
     x1, x2, x3 = xs[-3], xs[-2], xs[-1]
     h1, h2, h3 = hs[-3], hs[-2], hs[-1]
@@ -203,7 +202,7 @@ def _classify_values(
     if growing:
         # growth exponent fitted against 1/h over the last two entries
         g = math.log(mags[2] / mags[1]) / math.log(h2 / h3) if mags[1] > 0 else math.inf
-        if abs(x3) > cutoff or g > growth_min:
+        if abs(x3) > DIVERGENCE_CUTOFF or g > GROWTH_MIN:
             kind = Kind.INFINITE_PLUS if x3 > 0 else Kind.INFINITE_MINUS
             return Classification(
                 kind, increments=(d1, d2), exponent=g, monotone_growth=True
@@ -222,8 +221,6 @@ def classify(
     rtol: float = 1e-6,
     atol: float = 1e-9,
     kappa: float = 10.0,
-    cutoff: float = 1e6,
-    growth_min: float = 0.3,
 ) -> Classification:
     """Classify a number net (see the module docstring for the rule order)."""
     if net.is_grid_net:
@@ -232,7 +229,7 @@ def classify(
         raise ValueError("tolerances must be positive")
     xs = np.array([float(p) for p in net.payloads])
     hs = np.array(net.spacings())
-    return _classify_values(xs, hs, rtol, atol, kappa, cutoff, growth_min)
+    return _classify_values(xs, hs, rtol, atol, kappa)
 
 
 def is_infinitesimal(net: Net, **kwargs) -> bool:
@@ -270,8 +267,6 @@ def pointwise_standard_part(
     rtol: float = 1e-6,
     atol: float = 1e-9,
     kappa: float = 10.0,
-    cutoff: float = 1e6,
-    growth_min: float = 0.3,
 ) -> tuple[GridFunction, NodeSet]:
     """Per-node standard part of a grid-function net over the coarsest level.
 
@@ -290,7 +285,7 @@ def pointwise_standard_part(
     w = np.zeros(coarse.node_count)
     singular = []
     for j in range(coarse.node_count):
-        c = _classify_values(values[:, j], hs, rtol, atol, kappa, cutoff, growth_min)
+        c = _classify_values(values[:, j], hs, rtol, atol, kappa)
         if c.kind in (Kind.INFINITE_PLUS, Kind.INFINITE_MINUS) or (
             c.kind is Kind.UNCLASSIFIED and c.monotone_growth
         ):

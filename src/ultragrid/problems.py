@@ -819,11 +819,6 @@ class BoundaryDataError(ValueError):
     """Dirichlet data of the singular study that vanishes at a boundary node."""
 
 
-def _floor_magnitude(u: np.ndarray, sign: np.ndarray, floor: float) -> np.ndarray:
-    """``sign * max(|u|, floor)``: ``u`` with magnitude at least ``floor``."""
-    return sign * np.maximum(np.abs(u), floor)
-
-
 def singular_spec(
     W: Optional[Callable] = None,
     Wp: Optional[Callable] = None,
@@ -838,18 +833,9 @@ def singular_spec(
     (default: +1 where the first coordinate is <= the axis midpoint, else -1;
     midline nodes get +1 by convention).  The initializer is the harmonic
     extension of ``g`` clipped away from zero (``|u| >= init_floor``).
-
-    The prolonged warm start goes through the same floor,
-    ``sign(u) * max(|u|, init_floor)``.  Linear prolongation across the sign
-    interface leaves free nodes close to zero, where the Newton step of
-    ``t**-2`` is ``t / 3``: ``|u|`` grows by 4/3 per step and the warm start
-    spends many steps leaving the barrier.  The floor keeps every sign.  For
-    the default potential the energy is strictly convex on each sign orthant
-    (a convex quadratic plus ``W``, strictly convex on each half line), so it
-    has at most one minimizer there, and ``accept_step`` keeps Newton in the
-    orthant of its start.  The floored and the raw warm start therefore end
-    at the same minimizer; only the number of Newton steps changes, and it
-    falls.
+    The values of the study do not minimize one nested family of energies
+    (``monotone_values`` is false), so no level starts from the prolonged
+    coarser minimizer.
     """
     if W is None:
         W, Wp, Wpp = _default_W, _default_Wp, _default_Wpp
@@ -895,11 +881,7 @@ def singular_spec(
         u = minimize_quadratic(obj._K, obj.fixed_values, obj.free_mask)
         x0 = level.coordinates[:, 0]
         sign = np.where(u > 0, 1.0, np.where(u < 0, -1.0, np.where(x0 <= mid, 1.0, -1.0)))
-        return [_floor_magnitude(u, sign, init_floor)]
-
-    def condition_warm(level: GridLevel, u: np.ndarray) -> np.ndarray:
-        # a warm start is feasible: no node is zero, so np.sign is +-1
-        return _floor_magnitude(u, np.sign(u), init_floor)
+        return [sign * np.maximum(np.abs(u), init_floor)]
 
     def diagnostics(obj: LevelObjective, u: np.ndarray) -> dict:
         gf = GridFunction(obj.level, u)
@@ -918,7 +900,6 @@ def singular_spec(
         battery=standard_battery(domain, 3),
         diagnostics=diagnostics,
         monotone_values=False,
-        condition_warm=condition_warm,
     )
 
 

@@ -52,6 +52,11 @@ __all__ = [
 GTOL_FACTOR = 1e-8
 #: Iteration cap per level.
 MAX_ITERATIONS = 10_000
+#: A coarse node whose values grow strictly in magnitude over the last three
+#: levels is singular once it reaches ``SINGULAR_SCALE * h**-SINGULAR_EXPONENT``
+#: at the finest one (the finite-level blow-up criterion of :func:`split`).
+SINGULAR_SCALE = 1.0
+SINGULAR_EXPONENT = 0.5
 
 
 class LevelObjective:
@@ -109,10 +114,6 @@ class LevelObjective:
         return ~self.fixed_mask
 
 
-def _unchanged(level: GridLevel, u: np.ndarray) -> np.ndarray:
-    return u
-
-
 @dataclass(frozen=True)
 class ProblemSpec:
     """A variational problem: objective factory plus initialization policy."""
@@ -128,12 +129,9 @@ class ProblemSpec:
     #: Whether per-level values minimize one nested family of energies, so
     #: that warm-started values must be non-increasing.  Problems whose
     #: quadrature changes meaning across levels (e.g. a singular potential
-    #: term) opt out; their value net is classified instead of asserted.
+    #: term) opt out: their value net is classified instead of asserted, and
+    #: no level starts from the prolonged coarser minimizer.
     monotone_values: bool = True
-    #: The start the optimizer runs from, given a pinned and feasible warm
-    #: start on ``level`` (the optimizer pins it again).  The default keeps
-    #: the warm start as it is.
-    condition_warm: Callable[[GridLevel, np.ndarray], np.ndarray] = _unchanged
 
 
 @dataclass(frozen=True)
@@ -221,7 +219,6 @@ def minimize_level(
 
     ``init`` (a warm start) must satisfy the boundary condition and the
     feasibility predicate; an infeasible explicit ``init`` is a usage error.
-    The optimizer runs from the problem's ``condition_warm`` of it.
     Additional starts come from the problem's initializers and, if provided,
     its random-start generator (seeded, so results are deterministic).
     """
@@ -235,7 +232,7 @@ def minimize_level(
         warm = obj.pin(warm)
         if not obj.feasible(warm):
             raise ValueError("initial guess violates the feasibility predicate")
-        starts.append(("warm", problem.condition_warm(level, warm)))
+        starts.append(("warm", warm))
     for guess in problem.initial_guesses(level, rng, warm):
         arr = obj.pin(np.asarray(guess, dtype=float))
         if obj.feasible(arr):
@@ -289,19 +286,19 @@ class SolutionNet:
 def solve_net(
     problem: ProblemSpec,
     levels: Sequence[int],
-    warm_start: bool = True,
     seed: int = 0,
     multistart: int = 3,
 ) -> SolutionNet:
     """Minimize over a chain of at least three levels with warm starting.
 
-    Each level after the first also starts from the prolongation of the
-    previous level's minimizer, unless it is infeasible there; a problem may
-    condition that warm start (``ProblemSpec.condition_warm``) before it runs.
-    Nested-space monotonicity (``m_{n+1} <= m_n + 1e-10`` with warm start) is
-    asserted; a violating level is recorded in ``monotone_violations`` and
-    flagged as non-converged rather than silently accepted.  If the problem
-    declares a certified lower bound, every level value is checked against it.
+    For a nested family of energies (``ProblemSpec.monotone_values``), each
+    level after the first also starts from the prolongation of the previous
+    level's minimizer, unless it is infeasible there: that start bounds the
+    level's value by the previous one.  Nested-space monotonicity
+    (``m_{n+1} <= m_n + 1e-10``) is asserted for such a family; a violating
+    level is recorded in ``monotone_violations`` and flagged as non-converged
+    rather than silently accepted.  If the problem declares a certified lower
+    bound, every level value is checked against it.
     """
     level_list = sorted(int(n) for n in levels)
     if len(level_list) < 3:
@@ -322,12 +319,7 @@ def solve_net(
         res = minimize_level(
             problem, level, init=init, seed=seed, multistart=multistart
         )
-        if (
-            problem.monotone_values
-            and results
-            and warm_start
-            and res.value > results[-1].value + 1e-10
-        ):
+        if problem.monotone_values and results and res.value > results[-1].value + 1e-10:
             violations.append(level.n)
             res.converged = False
         if problem.lower_bound is not None and res.value < problem.lower_bound - 1e-10:
@@ -336,7 +328,7 @@ def solve_net(
                 f"{problem.lower_bound}"
             )
         results.append(res)
-        warm = warm_start and i + 1 < len(chain)
+        warm = problem.monotone_values and i + 1 < len(chain)
         init = prolong(res.u, chain[i + 1]) if warm else None
     partial = any(not r.converged for r in results)
     return SolutionNet(
@@ -370,15 +362,13 @@ class Splitting:
 def split(
     solutions: SolutionNet | Net,
     battery: tuple[TestFunction, ...] | None = None,
-    singular_scale: float = 1.0,
-    singular_exponent: float = 0.5,
     **classify_kwargs,
 ) -> Splitting:
     """Split a minimizer net into its standard part and remainders.
 
     ``w`` and the singular set come from the pointwise standard part; a node
     is additionally marked singular when its values grow strictly in
-    magnitude beyond ``singular_scale * h**-singular_exponent`` (the
+    magnitude beyond ``SINGULAR_SCALE * h**-SINGULAR_EXPONENT`` (the
     finite-level blow-up criterion).  ``psi_n = u_n - interp(w)`` with dyadic
     linear interpolation, so the reconstruction is exact at coarse nodes.
     """
@@ -399,7 +389,7 @@ def split(
     blowup = (
         (mags[0] < mags[1])
         & (mags[1] < mags[2])
-        & (mags[2] >= singular_scale * hs[-1] ** -singular_exponent)
+        & (mags[2] >= SINGULAR_SCALE * hs[-1] ** -SINGULAR_EXPONENT)
     )
     if blowup.any():
         # NodeSet sorts and drops duplicates: the union, without np.union1d

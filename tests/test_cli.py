@@ -8,6 +8,7 @@ import pathlib
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from ultragrid import cli, grid, problems, solver
@@ -273,8 +274,8 @@ def test_report_traces_every_start(tmp_path):
     # report.json lists each start of a level in the order it ran; their
     # iterations sum to the level's, the only figure levels.csv keeps of them
     for payload, kinds in (
-        ({"problem": "singular", "levels": "4..6", "seed": 1},
-         [["initializer"], ["warm", "initializer"], ["warm", "initializer"]]),
+        # the singular study's values are not monotone: no level starts warm
+        ({"problem": "singular", "levels": "4..6", "seed": 1}, [["initializer"]] * 3),
         (SAW, [["initializer", "initializer", "random"]]
          + [["warm", "initializer", "initializer"]] * 2),
     ):
@@ -373,3 +374,29 @@ def test_solver_value_error_is_an_internal_error(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert "internal error: injected solver fault" in err
     assert "config error" not in err
+
+
+@pytest.mark.parametrize("command", ["solve", "calculus-check"])
+def test_out_naming_a_file_exits_2(tmp_path, capsys, command):
+    cfg = write_config(tmp_path, dict(SAW, levels="3..6"))
+    target = tmp_path / "taken"
+    target.write_text("not a directory\n", encoding="utf-8")
+    assert main([command, "--config", cfg, "--out", str(target)]) == 2
+    assert f"output location is not a directory: {target}" in capsys.readouterr().err
+    assert target.read_text(encoding="utf-8") == "not a directory\n"
+
+
+def test_write_json_numpy_scalars_as_python_values(tmp_path):
+    # numpy scalars, bare or nested in lists, tuples and dicts, are written
+    # as the equal Python values are
+    def payload(f, i, b):
+        return {"f": f, "i": i, "b": b, "seq": [f, (i, b), {"x": [f, i]}],
+                "pair": (b, f), "nan": f * float("nan"), "neg0": -0.0 * f}
+
+    numpy_path, python_path = tmp_path / "numpy.json", tmp_path / "python.json"
+    for f in (0.1, 1.0 / 3.0, 2.5e-300, -1e17):
+        cli._write_json(numpy_path, payload(np.float64(f), np.int64(-7), np.bool_(True)))
+        cli._write_json(python_path, payload(f, -7, True))
+        assert numpy_path.read_bytes() == python_path.read_bytes()
+    cli._write_json(numpy_path, [np.float32(0.5), np.int32(3), np.bool_(False)])
+    assert numpy_path.read_text(encoding="utf-8") == "[\n  0.5,\n  3,\n  false\n]\n"

@@ -199,6 +199,28 @@ def test_mask_density_matches_indicator_sampling(dim, data):
     _assert_matches_oracle(NodeMask(level, mask), eta_factor)
 
 
+#: calculus-check covers the Gauss identity in 1D and 2D only
+GAUSS_MAX_LEVEL = {1: 8, 2: 5, 3: 4}
+
+
+@settings(max_examples=60, deadline=None)
+@given(dim=st.sampled_from((1, 2, 3)), data=st.data())
+def test_gauss_identity_on_random_masks_and_fields(dim, data):
+    # the identity is algebraic (the weighted derivative is antisymmetric),
+    # so it holds to rounding for any mask, field and sampling radius
+    domain = data.draw(st.sampled_from(MASK_DOMAINS[dim]))
+    level = build_level(domain, data.draw(st.integers(0, GAUSS_MAX_LEVEL[dim])))
+    eta_factor = data.draw(st.sampled_from(TIE_FREE_FACTORS))
+    fill = data.draw(st.floats(0.0, 1.0))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    mask = rng.random(level.node_count) < fill
+    phi = tuple(
+        GridFunction(level, rng.standard_normal(level.node_count)) for _ in range(dim)
+    )
+    res = gauss_check(phi, NodeMask(level, mask), eta_factor)
+    assert res.gap <= 1e-12 * max(abs(res.lhs), abs(res.rhs), 1.0)
+
+
 @settings(max_examples=60, deadline=None)
 @given(dim=st.sampled_from((1, 2, 3)), data=st.data())
 def test_mask_density_bit_identical_to_ndimage_correlation(dim, data):

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ultragrid import (
     Classification,
@@ -85,6 +87,20 @@ def test_classify_rejects_grid_net_and_bad_tols():
     net = number_net([(3, 1.0), (4, 1.0), (5, 1.0)])
     with pytest.raises(ValueError):
         classify(net, rtol=0.0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    head=st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=4),
+    tail=st.lists(st.floats(-1e6, 1e6), min_size=3, max_size=3),
+    first=st.integers(-2, 12),
+    kappa=st.sampled_from((0.0, 10.0, 1e4)),
+)
+def test_classify_reads_only_the_last_three_entries(head, tail, first, kappa):
+    # prepending coarser levels leaves the classification unchanged
+    levels = list(range(first, first + len(head) + 3))
+    short = classify(number_net(zip(levels[-3:], tail)), kappa=kappa)
+    assert classify(number_net(zip(levels, head + tail)), kappa=kappa) == short
 
 
 def test_classification_requires_finite_standard_value():

@@ -24,7 +24,6 @@ from ultragrid import (
     extract_interface,
     minimize_level,
     monad_neighbors,
-    prolong,
     solve_net,
     quadratic_well,
     restrict,
@@ -35,8 +34,8 @@ from ultragrid import (
     sobolev_constant,
 )
 from ultragrid.elements import gauss_interp
-from ultragrid.optimize import minimize_quadratic, newton
-from ultragrid.solver import GTOL_FACTOR, MinResult, verify_euler_lagrange
+from ultragrid.optimize import minimize_quadratic
+from ultragrid.solver import MinResult, verify_euler_lagrange
 
 DOM3 = Domain(((0.0, 1.0), (0.0, 1.0), (0.0, 1.0)))
 
@@ -615,41 +614,6 @@ def test_singular_harmonic_start_is_the_former_clip(n, g):
     sign = np.where(u > 0, 1.0, np.where(u < 0, -1.0, np.where(x0 <= 0.5, 1.0, -1.0)))
     former = sign * np.maximum(np.abs(u), 0.1)
     np.testing.assert_array_equal(spec.initial_guesses(level, None, None)[0], former)
-
-
-def test_singular_floored_warm_start_reaches_the_raw_minimizer_in_fewer_steps():
-    # prolongation across the sign interface leaves free nodes at |u| ~ 1e-4,
-    # where a Newton step of t**-2 grows |u| by only 4/3; floored to
-    # init_floor with the same signs, the warm start ends at the same
-    # minimizer of its sign orthant in a fraction of the steps
-    spec = singular_spec()
-    coarse = minimize_level(spec, build_level(spec.domain, 4))
-    for n in (5, 6):
-        level = build_level(spec.domain, n)
-        obj = spec.build(level)
-        free = obj.free_mask
-        raw = obj.pin(prolong(coarse.u, level).values)
-        assert obj.feasible(raw) and np.min(np.abs(raw[free])) < 1e-3
-        floored = obj.pin(spec.condition_warm(level, raw))
-        np.testing.assert_array_equal(np.sign(floored), np.sign(raw))
-        kept = np.abs(raw) >= 0.1
-        np.testing.assert_array_equal(floored[kept], raw[kept])
-        assert np.all(np.abs(floored[free]) >= 0.1)
-
-        raw_run, floored_run = (
-            newton(
-                obj.value_and_grad, obj.hessian, x0, level.weights, free,
-                gtol=lambda f: GTOL_FACTOR * (1.0 + abs(f)), accept=obj.accept_step,
-            )
-            for x0 in (raw, floored)
-        )
-        assert raw_run.converged and floored_run.converged
-        assert floored_run.value == pytest.approx(raw_run.value, rel=1e-12, abs=0.0)
-        np.testing.assert_array_equal(np.sign(floored_run.x), np.sign(raw_run.x))
-        np.testing.assert_array_equal(np.sign(floored_run.x), np.sign(raw))
-        assert floored_run.iterations <= 15 < raw_run.iterations
-        # the next level starts from this level's minimizer, as in solve_net
-        coarse = minimize_level(spec, level, init=prolong(coarse.u, level))
 
 
 def test_singular_minimizer_and_interface():
