@@ -454,14 +454,17 @@ def cmd_sweep(config: dict, out: pathlib.Path) -> int:
         raise ConfigError("a sweep config needs a non-empty 'sweep' list")
     base = {k: v for k, v in config.items() if k != "sweep"}
     chash = config_hash(config)
+    run_dirs = [out / f"run_{i:03d}" for i in range(len(overrides))]
+    for run_dir in run_dirs:
+        if run_dir.exists() and not run_dir.is_dir():
+            raise ConfigError(f"output location is not a directory: {run_dir}")
 
     rows = []
     worst = EXIT_OK
-    for i, override in enumerate(overrides):
+    for i, (override, run_dir) in enumerate(zip(overrides, run_dirs)):
         if not isinstance(override, dict):
             raise ConfigError(f"sweep entry {i} is not an object")
         run_config = _merge(base, override)
-        run_dir = out / f"run_{i:03d}"
         run_dir.mkdir(exist_ok=True)
         try:
             _validate(run_config)
@@ -471,7 +474,7 @@ def cmd_sweep(config: dict, out: pathlib.Path) -> int:
             status = EXIT_CONFIG
         value = float("nan")
         report_path = run_dir / "report.json"
-        if report_path.is_file():
+        if status != EXIT_CONFIG and report_path.is_file():  # not an earlier run's
             report = json.loads(report_path.read_text(encoding="utf-8"))
             value = report["levels"][-1]["value"]
         rows.append(

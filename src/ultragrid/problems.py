@@ -27,6 +27,7 @@ resulting masked stiffness.
 from __future__ import annotations
 
 import json
+import math
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -341,7 +342,7 @@ def _apply_trailing(
             t = (t.reshape(-1, t.shape[axis]) @ mat.T).reshape(head + (mat.shape[0],))
         else:
             tail = t.shape[axis + 1:]
-            batched = t.reshape(int(np.prod(head)), t.shape[axis], -1)
+            batched = t.reshape(math.prod(head), t.shape[axis], -1)
             t = (mat @ batched).reshape(head + (mat.shape[0],) + tail)
     return t
 
@@ -370,10 +371,14 @@ class _QuotientObjective(LevelObjective):
     The numerator's Dirichlet part is the stiffness kron-sum on the node
     grid.  The Gauss-point terms (the denominator ``int |u|^p`` and the
     potential ``int a u^2``) and their adjoints come from one streamed pass
-    (:meth:`_gauss_pass`): the node grid is contracted with the dense 1D
-    Gauss matrices along axes ``1 .. N-1``, then axis 0 is swept one cell at
-    a time, each cell reading only its own two node rows, so the full
-    Gauss-point grid is never stored.  ``|u|^p`` is formed
+    (:meth:`_gauss_pass`), sum-factorization style (Orszag, J. Comput. Phys.
+    37, 1980): axis 0 is swept one cell at a time, each cell reading only
+    its own two node rows, each row contracted with the dense 1D Gauss
+    matrices of axes ``1 .. N-1`` when the sweep reaches it.  A node row's
+    adjoint is back-projected through the weighted Gauss matrices of those
+    axes as soon as both of its cells are swept.  So nothing the size of
+    the Gauss grid, whole or contracted along axes ``1 .. N-1``, is stored:
+    a sweep holds a few Gauss rows at a time.  ``|u|^p`` is formed
     as ``u * u (u^2)^((p-2)/2)``; for ``p = 6`` the power is a square, taken
     by ``np.multiply``, which rounds as ``np.power(y, 2.0)`` does.
 
@@ -381,17 +386,16 @@ class _QuotientObjective(LevelObjective):
     sweep runs on several threads: the axis-0 cells are cut into contiguous
     ranges, at most one per CPU (:func:`sweep_threads`),
     and a helper thread sweeps each range but the first, which the main
-    thread sweeps.  The ranges share no buffer and call only numpy.  The
-    result is bit-identical to the one-range sweep for any number of
-    ranges: each cell's ``den``/``pot`` part is kept and the parts are
-    summed from 0.0 in cell order after the join, as one sweep adds them;
-    two neighbouring ranges share one node row of the adjoint accumulators,
-    and the later range keeps its first contribution to that row in a
-    private row that is added after the join, which is again the one-sweep
-    order.  The dense trailing contractions (:func:`_apply_trailing`) and
-    the stiffness stay whole: a GEMM split by rows does not round as the
-    whole one under OpenBLAS at levels 4..5, and running the stiffness
-    beside the sweep gained no time.
+    thread sweeps.  The ranges share no buffer and call only numpy; each
+    writes the adjoint node rows that only its own cells touch.  The result
+    is bit-identical to the one-range sweep for any number of ranges: a
+    row's contraction and back-projection are the same GEMMs whichever
+    range makes them; each cell's ``den``/``pot`` part is kept and the
+    parts are summed from 0.0 in cell order after the join, as one sweep
+    adds them; and the node row where two ranges meet is finished after
+    the join, the earlier range's partial row plus the later range's first
+    contribution, which is again the one-sweep order.  The stiffness stays
+    on the main thread: running it beside the sweep gained no time.
 
     L-BFGS runs in the H1 metric of the numerator: :meth:`precondition` is
     the exact inverse of the interior Dirichlet stiffness
@@ -428,6 +432,7 @@ class _QuotientObjective(LevelObjective):
             self._GWT.append((G * w[:, None]).T)  # G^T diag(w)
             self._gw.append(w)
             gauss_points.append(pts)
+        self._row_shape = tuple(w.size for w in self._gw[1:])  # one node row on the Gauss points
 
         eig = [_dirichlet_eigenpairs(m, level.h) for m in level.shape]
         self._V = [V for V, _ in eig]
@@ -435,7 +440,6 @@ class _QuotientObjective(LevelObjective):
         self._inv_lam = 1.0 / sum(np.ix_(*[lam for _, lam in eig]))
 
         self._a_gauss = None
-        self._acc = None  # see _accumulators
         if potential is not None:
             mesh = np.meshgrid(*gauss_points, indexing="ij", sparse=True)
             a_vals = np.asarray(potential(*mesh), dtype=float)
@@ -458,120 +462,123 @@ class _QuotientObjective(LevelObjective):
                 prefix = apply_axis(self._M1[i], prefix, i)
         return out
 
-    def _accumulators(self, shape: tuple) -> list:
-        """The zeroed adjoint accumulators ``[acc, acc_a]`` of :meth:`_gauss_pass`.
-
-        ``acc_a`` is ``None`` without a potential.  They are kept between
-        calls and zeroed in place: fresh arrays of this size would cost their
-        page faults again on every evaluation.
-        """
-        if self._acc is None:
-            self._acc = [np.empty(shape), None if self._a_gauss is None else np.empty(shape)]
-        for buf in self._acc:
-            if buf is not None:
-                buf.fill(0.0)
-        return self._acc
-
     def _weighted_sum(self, x: np.ndarray, w0: np.ndarray) -> float:
         """Gauss-weighted sum of one cell's rows ``x``, axis-0 weights ``w0``."""
         for w in reversed(self._gw[1:]):
             x = x.reshape(-1, w.size) @ w
         return float(w0 @ x)
 
+    def _project(self, row: np.ndarray) -> np.ndarray:
+        """Back-project one Gauss row of axes ``1 .. N-1`` onto its node row."""
+        return _apply_trailing(self._GWT[1:], row.reshape(self._row_shape), first=0)
+
     def _gauss_pass(self, grid: np.ndarray, adjoint: bool):
-        """``(den, pot, acc, acc_a)`` of one streamed Gauss-point pass.
+        """``(den, pot, adj, adj_a)`` of one streamed Gauss-point pass.
 
         ``den = int |u|^p`` and ``pot = int a u^2`` (0 without a potential).
-        With ``adjoint``, ``acc`` and ``acc_a`` hold the axis-0 adjoints
-        ``(diag(w_0) G_0)^T (u |u|^(p-2))`` and ``(diag(w_0) G_0)^T (a u)``
-        over the Gauss grid of axes ``1 .. N-1``; :meth:`value_and_grad`
-        finishes them with the weighted Gauss matrices of those axes.
-        ``acc`` is ``None`` without ``adjoint``; ``acc_a`` is ``None``
-        without ``adjoint`` or without a potential.
+        With ``adjoint``, the node grids ``adj`` and ``adj_a`` hold the
+        adjoints ``G^T W (u |u|^(p-2))`` and ``G^T W (a u)``, ``G`` the
+        Gauss interpolation and ``W`` the Gauss weights;
+        :meth:`value_and_grad` scales and combines them.  ``adj`` is
+        ``None`` without ``adjoint``; ``adj_a`` is ``None`` without
+        ``adjoint`` or without a potential.
 
         From ``_SPLIT_MIN_POINTS`` Gauss points on, the axis-0 cells are
         split into contiguous ranges, one per thread (see
         :func:`sweep_threads`); the main thread sweeps the first range and
         always joins the helpers before it returns or raises.
         """
-        t = _apply_trailing(self._G, grid)
-        t = t.reshape(t.shape[0], -1)
-        acc, acc_a = self._accumulators(t.shape) if adjoint else (None, None)
-        G0 = self._G[0]
-        cells = G0.shape[1] - 1
+        cells = grid.shape[0] - 1
         ranges = 1
-        if G0.shape[0] * t.shape[1] >= _SPLIT_MIN_POINTS:
+        if self._G[0].shape[0] * math.prod(self._row_shape) >= _SPLIT_MIN_POINTS:
             ranges = min(_sweep_ranges or _usable_cpus(), cells)
         starts = [cells * i // ranges for i in range(ranges)] + [cells]
+        adjs = [None, None]
+        if adjoint:
+            adjs = [np.empty(grid.shape), None if self._a_gauss is None else np.empty(grid.shape)]
         if ranges == 1:
-            partials = self._sweep(t, 0, cells, acc, acc_a, None)
+            sweeps = [self._sweep(grid, 0, cells, adjs)]
         else:
             from concurrent.futures import wait
 
-            live = [a for a in (acc, acc_a) if a is not None]
-            seams = np.empty((ranges - 1, len(live), t.shape[1]))
             pool = _helper_pool(ranges - 1)
             jobs = [
-                pool.submit(self._sweep, t, starts[i], starts[i + 1], acc, acc_a,
-                            seams[i - 1])
+                pool.submit(self._sweep, grid, starts[i], starts[i + 1], adjs)
                 for i in range(1, ranges)
             ]
             try:
-                partials = self._sweep(t, 0, starts[1], acc, acc_a, None)
+                sweeps = [self._sweep(grid, 0, starts[1], adjs)]
             finally:
                 wait(jobs)
-            for job in jobs:
-                partials += job.result()  # re-raises a helper's exception
-            # a seam row after the whole range before it, as one sweep adds it
-            for c0, seam in zip(starts[1:], seams):
-                for into, row in zip(live, seam):
-                    into[c0] += row
+            sweeps += [job.result() for job in jobs]  # re-raises a helper's exception
+        # the node rows that no range finishes: the first, the last, and each
+        # row where two ranges meet, the earlier range's part first, as one
+        # sweep adds them
+        for k, adj in enumerate(adjs):
+            if adj is not None:
+                adj[0] = self._project(sweeps[0][1][k])
+                for c0, before, after in zip(starts[1:], sweeps, sweeps[1:]):
+                    adj[c0] = self._project(before[2][k] + after[1][k])
+                adj[cells] = self._project(sweeps[-1][2][k])
         den = pot = 0.0
-        for den_part, pot_part in partials:  # in cell order, as one sweep adds them
-            den += den_part
-            pot += pot_part
-        return den, pot, acc, acc_a
+        for partials, _, _ in sweeps:
+            for den_part, pot_part in partials:  # in cell order, as one sweep adds them
+                den += den_part
+                pot += pot_part
+        return den, pot, adjs[0], adjs[1]
 
-    def _sweep(self, t, c0, c1, acc, acc_a, seam) -> list:
-        """Sweep the axis-0 cells ``c0 .. c1 - 1``: each cell's ``(den, pot)`` part.
+    def _sweep(self, grid, c0, c1, adjs) -> tuple:
+        """Sweep the axis-0 cells ``c0 .. c1 - 1``: ``(partials, heads, tails)``.
 
-        The adjoint rows go into ``acc`` and ``acc_a`` (when not ``None``).
-        With a ``seam``, the first cell's contributions to node row ``c0``,
-        which the range before writes too, go into the rows of ``seam``
-        instead, one per accumulator that is not ``None``, ``acc``'s first.
-        Only numpy is called, so a helper thread can sweep a range.
+        ``partials`` holds each cell's ``(den, pot)`` part.  Row ``k`` of
+        ``heads`` and ``tails`` holds the first cell's contribution to node
+        row ``c0`` and the last cell's to node row ``c1`` of ``adjs[k]``
+        (``[adj, adj_a]``, ``None`` entries skipped); the node rows between
+        them are finished here and written into ``adjs[k]``.  Only numpy is
+        called, so a helper thread can sweep a range.
         """
         G0, GWT0, w0 = self._G[0], self._GWT[0], self._gw[0]
+        G_rows = self._G[1:]
         a_gauss = self._a_gauss
         rule = G0.shape[0] // (G0.shape[1] - 1)  # Gauss rows per cell
-        width = t.shape[1]
-        # two cell buffers, reused: fresh temporaries this size would cost page
-        # faults.  ug is last read by ug * u |u|^(p-2), which goes into ug, so
-        # ug then holds acc's back-projection; acc_a's, made while ug is
-        # still needed, has a buffer of its own
-        ug, y = np.empty((2, rule, width))
-        back_a = None if acc_a is None else np.empty((2, width))
+        width = math.prod(self._row_shape)
 
-        def accumulate(into, seam_row, rows, nodes, vals, back_buf):
-            back = back_buf[:2]
-            np.matmul(GWT0[nodes, rows], vals, out=back)
-            if seam_row is None:
-                into[nodes] += back
+        def contract(r):  # node row r on the Gauss rows of axes 1 .. N-1
+            return _apply_trailing(G_rows, grid[r], first=0).ravel()
+
+        # the node rows c and c + 1 contracted: the only rows cell c reads
+        pair = np.empty((2, width))
+        pair[1] = contract(c0)
+        # two cell buffers, reused: fresh temporaries would cost page faults.
+        # ug is last read by ug * u |u|^(p-2), which goes into ug, so ug then
+        # holds adj's cell adjoint; adj_a's, made while ug is still needed,
+        # has a buffer of its own
+        ug, y = np.empty((2, rule, width))
+        backs = [ug[:2], None if adjs[1] is None else np.empty((2, width))]
+        # tails[k]: the last swept cell's part of the next node row
+        heads, tails = np.empty((2, 2, width))
+
+        def accumulate(k, c, vals):
+            back = backs[k]
+            np.matmul(GWT0[c : c + 2, rule * c : rule * (c + 1)], vals, out=back)
+            if c == c0:
+                heads[k] = back[0]
             else:
-                seam_row[...] = back[0]
-                into[nodes.start + 1 : nodes.stop] += back[1:]
+                back[0] += tails[k]
+                adjs[k][c] = self._project(back[0])
+            tails[k] = back[1]
 
         partials = []
         for c in range(c0, c1):
             rows = slice(rule * c, rule * (c + 1))
-            nodes = slice(c, c + 2)  # the only nodes these Gauss rows read
-            edge = seam if seam is not None and c == c0 else (None, None)
-            np.matmul(G0[rows, nodes], t[nodes], out=ug)
+            pair[0] = pair[1]
+            pair[1] = contract(c + 1)
+            np.matmul(G0[rows, c : c + 2], pair, out=ug)
             pot = 0.0
             if a_gauss is not None:
                 np.multiply(a_gauss[rows].reshape(ug.shape), ug, out=y)  # a u
-                if acc_a is not None:
-                    accumulate(acc_a, edge[1], rows, nodes, y, back_a)
+                if adjs[1] is not None:
+                    accumulate(1, c, y)
                 pot = self._weighted_sum(np.multiply(ug, y, out=y), w0[rows])
             np.multiply(ug, ug, out=y)
             if self._half_exp == 2.0:
@@ -580,17 +587,17 @@ class _QuotientObjective(LevelObjective):
                 np.power(y, self._half_exp, out=y)
             np.multiply(y, ug, out=y)  # u |u|^(p-2)
             den = self._weighted_sum(np.multiply(ug, y, out=ug), w0[rows])
-            if acc is not None:
-                accumulate(acc, edge[0], rows, nodes, y, ug)
+            if adjs[0] is not None:
+                accumulate(0, c, y)
             partials.append((den, pot))
-        return partials
+        return partials, heads, tails
 
     # -- energy -------------------------------------------------------------
     def value_and_grad(self, u: np.ndarray) -> tuple[float, np.ndarray]:
         grid = u.reshape(self.level.shape)
         ku = self._stiffness_apply(grid)
         num = float(np.vdot(grid, ku))
-        den, pot, acc, acc_a = self._gauss_pass(grid, adjoint=True)
+        den, pot, adj, adj_a = self._gauss_pass(grid, adjoint=True)
         num += pot
         if den <= 0.0:
             return float("inf"), np.zeros(u.size)
@@ -598,11 +605,9 @@ class _QuotientObjective(LevelObjective):
         scale = den**-self.q
         # d(num / den^q) = d_num / den^q - q num / den^(q+1) d_den, with
         # d_num = 2 K u + 2 G^T W (a u) and d_den = p G^T W (u |u|^(p-2))
-        acc *= -self.p * self.q * num * scale / den
-        if acc_a is not None:
-            acc += (2.0 * scale) * acc_a
-        shape = (acc.shape[0],) + tuple(w.size for w in self._gw[1:])
-        adj = _apply_trailing(self._GWT, acc.reshape(shape))
+        adj *= -self.p * self.q * num * scale / den
+        if adj_a is not None:
+            adj += (2.0 * scale) * adj_a
         return value, (2.0 * scale * ku + adj).ravel()
 
     def precondition(self, g: np.ndarray) -> np.ndarray:

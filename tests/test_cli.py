@@ -126,6 +126,34 @@ def test_sweep_empty_exits_2(tmp_path):
     assert main(["sweep", "--config", cfg, "--out", str(out)]) == 2
 
 
+def test_sweep_run_failing_its_config_check_reports_no_stale_value(tmp_path):
+    # run_001 of a reused output directory holds an earlier run's report
+    out = tmp_path / "out"
+    out.mkdir()
+    cfg = write_config(tmp_path, dict(SAW, sweep=[{"seed": 0}, {"seed": 1}]))
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
+    assert (out / "run_001" / "report.json").is_file()
+    cfg = write_config(tmp_path, dict(SAW, sweep=[{"seed": 1}, {"problem": "nope"}]))
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == 3
+    with open(out / "summary.csv", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [r["status"] for r in rows] == ["0", "2"]
+    assert np.isfinite(float(rows[0]["final_value"]))
+    assert np.isnan(float(rows[1]["final_value"]))
+
+
+def test_sweep_run_dir_naming_a_file_exits_2_before_any_run(tmp_path, capsys):
+    out = tmp_path / "out"
+    out.mkdir()
+    taken = out / "run_001"
+    taken.write_text("not a directory\n", encoding="utf-8")
+    cfg = write_config(tmp_path, dict(SAW, sweep=[{"seed": 0}, {"seed": 1}]))
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == 2
+    assert f"output location is not a directory: {taken}" in capsys.readouterr().err
+    assert sorted(p.name for p in out.iterdir()) == ["run_001"]
+    assert taken.read_text(encoding="utf-8") == "not a directory\n"
+
+
 def test_calculus_check_passes(tmp_path, capsys):
     out = tmp_path / "out"
     out.mkdir()

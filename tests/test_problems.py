@@ -3,6 +3,7 @@
 import functools
 import sys
 import threading
+import tracemalloc
 
 import csr_oracles as oracles
 import numpy as np
@@ -254,8 +255,8 @@ def _former_quotient_value(obj, u):
     grid = u.reshape(obj.level.shape)
     ku = obj._stiffness_apply(grid)
     num = float(np.vdot(grid, ku))
-    den, pot, acc, acc_a = obj._gauss_pass(grid, adjoint=False)
-    assert acc is None and acc_a is None
+    den, pot, adj, adj_a = obj._gauss_pass(grid, adjoint=False)
+    assert adj is None and adj_a is None
     num += pot
     return num / den**obj.q if den > 0.0 else float("inf")
 
@@ -325,6 +326,87 @@ def test_quotient_kernel_matches_former_formula(dimension, n, well):
     assert _former_quotient_value(obj, u) == value
 
 
+def _whole_array_value_and_grad(obj, u):
+    """The former whole-array evaluation, kept as the oracle of the streamed pass.
+
+    The node grid is contracted along axes 1 .. N-1 in whole (batched)
+    GEMMs, axis 0 is swept cell by cell into adjoint accumulators the size
+    of that contraction, and the scaled accumulators are back-projected at
+    the end: the one-range Gauss pass as it was before it was streamed.
+    """
+
+    def apply_trailing(mats, t):
+        for axis in range(t.ndim - 1, 0, -1):
+            mat, head = mats[axis], t.shape[:axis]
+            if axis == t.ndim - 1:
+                t = (t.reshape(-1, t.shape[axis]) @ mat.T).reshape(head + (mat.shape[0],))
+            else:
+                batched = t.reshape(int(np.prod(head)), t.shape[axis], -1)
+                t = (mat @ batched).reshape(head + (mat.shape[0],) + t.shape[axis + 1:])
+        return t
+
+    grid = u.reshape(obj.level.shape)
+    t = apply_trailing(obj._G, grid)
+    t = t.reshape(t.shape[0], -1)
+    a_gauss = obj._a_gauss
+    acc = np.zeros(t.shape)
+    acc_a = None if a_gauss is None else np.zeros(t.shape)
+    G0, GWT0, w0 = obj._G[0], obj._GWT[0], obj._gw[0]
+    rule = G0.shape[0] // (G0.shape[1] - 1)
+    den = pot = 0.0
+    for c in range(G0.shape[1] - 1):
+        rows, nodes = slice(rule * c, rule * (c + 1)), slice(c, c + 2)
+        ug = G0[rows, nodes] @ t[nodes]
+        if a_gauss is not None:
+            y = a_gauss[rows].reshape(ug.shape) * ug
+            acc_a[nodes] += GWT0[nodes, rows] @ y
+            pot += obj._weighted_sum(ug * y, w0[rows])
+        y = np.power(ug * ug, obj._half_exp) * ug
+        den += obj._weighted_sum(ug * y, w0[rows])
+        acc[nodes] += GWT0[nodes, rows] @ y
+    ku = obj._stiffness_apply(grid)
+    num = float(np.vdot(grid, ku)) + pot
+    scale = den**-obj.q
+    acc *= -obj.p * obj.q * num * scale / den
+    if acc_a is not None:
+        acc += (2.0 * scale) * acc_a
+    adj = apply_trailing(obj._GWT, acc.reshape([acc.shape[0]] + [w.size for w in obj._gw[1:]]))
+    return num / den**obj.q, (2.0 * scale * ku + adj).ravel()
+
+
+@pytest.mark.parametrize(
+    "n, well", [(n, well) for n in (3, 4, 5) for well in (False, True)] + [(6, False)]
+)
+def test_streamed_pass_matches_whole_array_oracle(n, well):
+    # the value bit for bit; the gradient, now scaled after the
+    # back-projection instead of before it, to rounding
+    level = build_level(DOM3, n)
+    obj = problems._QuotientObjective(level, quadratic_well((0.4, 0.5, 0.6)) if well else None)
+    u = obj.pin(np.random.default_rng(30 + n).standard_normal(level.node_count))
+    with problems.sweep_threads(1):
+        value, grad = obj.value_and_grad(u)
+    ref_value, ref_grad = _whole_array_value_and_grad(obj, u)
+    assert value == ref_value
+    assert np.max(np.abs(grad - ref_grad)) <= 1e-14 * np.max(np.abs(ref_grad))
+
+
+def test_quotient_evaluation_stores_no_gauss_grid():
+    # a 3D level-5 Gauss pass contracted along axes 1..2 is 33 x 128 x 128
+    # doubles (4.3 MB); the streamed pass holds a few Gauss rows (128 KB each)
+    # and node-sized arrays (287 KB each)
+    level = build_level(DOM3, 5)
+    obj = problems._QuotientObjective(level, None)
+    u = obj.pin(np.random.default_rng(5).standard_normal(level.node_count))
+    tracemalloc.start()
+    try:
+        with problems.sweep_threads(1):
+            obj.value_and_grad(u)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4_000_000
+
+
 def test_quotient_well_gradient_consistency():
     spec = sign_perturbed_spec(a=quadratic_well((0.5, 0.5, 0.5)))
     level = build_level(spec.domain, 3)
@@ -349,9 +431,9 @@ def test_quotient_split_sweep_is_bit_identical(monkeypatch, dimension, n, well):
     starts = []
     sweep = problems._QuotientObjective._sweep
 
-    def recording(self, t, c0, *args):
+    def recording(self, grid, c0, *args):
         starts.append(c0)
-        return sweep(self, t, c0, *args)
+        return sweep(self, grid, c0, *args)
 
     monkeypatch.setattr(problems._QuotientObjective, "_sweep", recording)
     a = quadratic_well((0.4,) * dimension) if well else None
