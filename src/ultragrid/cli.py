@@ -231,13 +231,21 @@ def _build_problem(config: dict):
         if kind == "singular":
             g_coeffs = params.pop("g_affine", None)
             if g_coeffs is not None:
-                coeffs = [float(c) for c in g_coeffs]
+                coeffs = tuple(float(c) for c in g_coeffs)
 
-                def g(*coords, _c=tuple(coeffs)):
-                    return sum(ci * np.asarray(x) for ci, x in zip(_c, coords)) + _c[-1]
+                def g(*coords):
+                    slopes = zip(coeffs[:-1], coords, strict=True)
+                    return sum(ci * np.asarray(x) for ci, x in slopes) + coeffs[-1]
 
                 params["g"] = g
-            return singular_spec(**params)
+            spec = singular_spec(**params)
+            dimension = spec.domain.dimension
+            if g_coeffs is not None and len(coeffs) != dimension + 1:
+                raise ConfigError(
+                    f"g_affine needs {dimension + 1} coefficients (one per axis "
+                    f"and a constant), got {g_coeffs!r}"
+                )
+            return spec
     except (TypeError, KeyError, ValueError) as exc:
         raise ConfigError(f"bad parameters for problem {kind!r}: {exc}") from exc
     raise ConfigError(

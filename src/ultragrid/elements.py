@@ -1,15 +1,20 @@
 """Tensor-product 1D operators and the one axis-application primitive.
 
-Every 1D operator of the package is small and structured.  The P1
-stiffness/mass pair of :func:`p1_matrices` and the SBP derivative of
-:mod:`ultragrid.calculus` are :class:`Banded`, applied along one axis of
-an nd array by :func:`apply_axis`; the per-axis Gauss interpolation of
-:func:`gauss_interp` is a dense ``4 (m - 1) x m`` array.
+Every 1D operator of the package is small.  The SBP derivative of
+:mod:`ultragrid.calculus` is :class:`Banded`; the P1 stiffness/mass pair of
+:func:`p1_matrices` and the per-axis Gauss interpolation of
+:func:`gauss_interp` are dense arrays.  :func:`apply_axis` applies either
+kind along one axis of an nd array, and :func:`apply_axes` applies one dense
+matrix along every axis.
 
 A banded product sums each output row in increasing column order, as if
 from ``+0.0``.  That is the order in which a CSR matrix-vector product sums
 a row, so a :class:`Banded` and a CSR matrix with the same entries give
-bit-identical results, signed zeros included.
+bit-identical results, signed zeros included.  A dense matrix is applied as
+one GEMM, batched over the leading axes of a C-contiguous operand, so no
+axis is moved and no operand is copied (sum factorization: Orszag, J.
+Comput. Phys. 37, 1980; Kronbichler & Kormann, Computers & Fluids 63,
+2012).  Its rounding is the BLAS kernel's.
 
 Used by the critical-exponent quotient: the quotient is evaluated as the
 *exact* energy of the multilinear nodal interpolant, so the numerator uses
@@ -17,16 +22,19 @@ the 1D linear-element stiffness/mass matrices (kron-sum structure) applied
 with :func:`apply_axis`, and the denominator uses 4-point Gauss quadrature per
 cell per axis, which integrates the degree-6 interpolant power exactly.
 The Gauss matrices are the dense 1D factors of the quotient's streamed
-Gauss-point pass (``problems._QuotientObjective``).
+Gauss-point pass (``problems._QuotientObjective``), applied with
+:func:`apply_axes`.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
-__all__ = ["Banded", "p1_matrices", "gauss_interp", "apply_axis"]
+__all__ = ["Banded", "p1_matrices", "gauss_interp", "apply_axis", "apply_axes"]
 
 
 @dataclass(frozen=True, eq=False)
@@ -42,17 +50,18 @@ class Banded:
     diagonals: tuple[np.ndarray, ...]
 
 
-def p1_matrices(m: int, h: float) -> tuple[Banded, Banded]:
-    """1D linear-element stiffness ``K`` and consistent mass ``M`` on ``m`` nodes."""
-    main_k = np.full(m, 2.0 / h)
-    main_k[0] = main_k[-1] = 1.0 / h
-    off_k = np.full(m, -1.0 / h)
-    K = Banded((-1, 0, 1), (off_k, main_k, off_k))
+def p1_matrices(m: int, h: float) -> tuple[np.ndarray, np.ndarray]:
+    """1D linear-element stiffness ``K`` and consistent mass ``M`` on ``m``
+    nodes, as dense ``m x m`` arrays."""
 
-    main_m = np.full(m, 4.0 * h / 6.0)
-    main_m[0] = main_m[-1] = 2.0 * h / 6.0
-    off_m = np.full(m, h / 6.0)
-    M = Banded((-1, 0, 1), (off_m, main_m, off_m))
+    def tridiagonal(main, end, off):
+        A = np.diag(np.full(m, main))
+        A[0, 0] = A[-1, -1] = end
+        A[range(m - 1), range(1, m)] = A[range(1, m), range(m - 1)] = off
+        return A
+
+    K = tridiagonal(2.0 / h, 1.0 / h, -1.0 / h)
+    M = tridiagonal(4.0 * h / 6.0, 2.0 * h / 6.0, h / 6.0)
     return K, M
 
 
@@ -81,14 +90,18 @@ def gauss_interp(m: int, h: float, lo: float) -> tuple[np.ndarray, np.ndarray, n
     return G, points, weights
 
 
-def apply_axis(op: Banded, arr: np.ndarray, axis: int) -> np.ndarray:
-    """Apply a banded matrix along one axis of an nd array.
+def apply_axis(op: Union[Banded, np.ndarray], arr: np.ndarray, axis: int) -> np.ndarray:
+    """Apply a banded or a dense ``(k, m)`` matrix along one axis of an nd array.
 
-    Each output row sums its diagonals' products in offset order.  The first
-    diagonal's products are written in place instead of added to ``+0.0``;
-    that differs from a sum started at ``+0.0`` only where every product of
-    a row is ``-0.0``, which the closing ``+= 0.0`` turns into ``+0.0``.
+    A dense ``op`` is one GEMM, batched over the leading axes, that copies
+    nothing of a C-contiguous ``arr``.  A :class:`Banded` ``op`` sums each
+    output row's diagonal products in offset order.  The first diagonal's
+    products are written in place instead of added to ``+0.0``; that
+    differs from a sum started at ``+0.0`` only where every product of a
+    row is ``-0.0``, which the closing ``+= 0.0`` turns into ``+0.0``.
     """
+    if not isinstance(op, Banded):
+        return _gemm(op, arr, axis)
     m = arr.shape[axis]
     out = np.zeros(arr.shape)
     lead = (slice(None),) * axis
@@ -105,3 +118,34 @@ def apply_axis(op: Banded, arr: np.ndarray, axis: int) -> np.ndarray:
                 rows += coef * src
     out += 0.0
     return out
+
+
+def apply_axes(
+    mats: Sequence[np.ndarray], arr: np.ndarray, out: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """Apply the dense ``mats[k]`` along axis ``k`` of ``arr``, every axis
+    from the last to the first; ``out``, if given, receives the result."""
+    for axis in range(arr.ndim - 1, 0, -1):
+        arr = _gemm(mats[axis], arr, axis)
+    return _gemm(mats[0], arr, 0, out)
+
+
+def _gemm(op: np.ndarray, arr: np.ndarray, axis: int, out: Optional[np.ndarray] = None):
+    """The dense ``(k, m)`` ``op`` along ``axis`` of ``arr``, as one GEMM.
+
+    ``arr`` is viewed as ``(rows before, m, rows after)`` and ``op`` applied
+    batched over the first index; along the last axis it is one plain GEMM
+    with ``op`` transposed.  On a C-contiguous ``arr`` nothing is copied.
+    ``out`` must be C-contiguous: it is written through a reshaped view.
+    """
+    m = arr.shape[axis]
+    head, tail = arr.shape[:axis], arr.shape[axis + 1:]
+    shape = head + (op.shape[0],) + tail
+    if out is None:
+        out = np.empty(shape)
+    if tail:
+        batched = arr.reshape(math.prod(head), m, -1)
+        np.matmul(op, batched, out=out.reshape(batched.shape[0], op.shape[0], -1))
+    else:
+        np.matmul(arr.reshape(-1, m), op.T, out=out.reshape(-1, op.shape[0]))
+    return out.reshape(shape)

@@ -14,6 +14,7 @@ do.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -118,7 +119,7 @@ class GridLevel:
 
     @property
     def node_count(self) -> int:
-        return int(np.prod(self.shape))
+        return math.prod(self.shape)
 
     @cached_property
     def axes(self) -> tuple[np.ndarray, ...]:

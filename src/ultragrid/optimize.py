@@ -327,12 +327,14 @@ def minimize_quadratic(K, x: np.ndarray, free: np.ndarray) -> np.ndarray:
     semidefinite, for instance the masked stiffness of the singular study,
     whose odd-odd parity block never touches the boundary: LU returns 0 on
     that block for its zero right-hand side, where Cholesky would meet a
-    pivot that is zero up to round-off.
+    pivot that is zero up to round-off.  A free entry whose row of ``K`` is
+    zero (the one free node of that block at level 1) leaves the quadratic
+    unchanged and gets the minimum-norm value 0 without entering the solve.
     """
     import scipy.sparse as sp
 
     K = sp.csr_matrix(K)
-    free_idx = np.flatnonzero(free)
+    free_idx = np.flatnonzero(free & (abs(K).sum(axis=1).A1 > 0.0))
     fixed_idx = np.flatnonzero(~free)
     y = np.zeros(x.size)
     y[fixed_idx] = x[fixed_idx]

@@ -38,7 +38,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .calculus import GridFunction, diff_op, standard_battery
-from .elements import Banded, apply_axis, gauss_interp, p1_matrices
+from .elements import Banded, apply_axes, apply_axis, gauss_interp, p1_matrices
 from .grid import Domain, GridLevel, NodeSet
 from .measure import NodeMask, perimeter
 from .optimize import minimize_quadratic
@@ -181,6 +181,7 @@ def sawtooth_spec() -> ProblemSpec:
     """The 1D oscillation study on [0, 1] (free boundary, lower bound 0)."""
     domain = Domain(bounds=((0.0, 1.0),))
 
+    @lru_cache(maxsize=1)
     def build(level: GridLevel) -> LevelObjective:
         return _SawtoothObjective(level)
 
@@ -327,26 +328,6 @@ def _helper_pool(workers: int):
     return _pool
 
 
-def _apply_trailing(
-    mats: Sequence[np.ndarray], t: np.ndarray, first: int = 1
-) -> np.ndarray:
-    """Apply the dense ``mats[k]`` along axis ``k`` of ``t``, every axis from ``first``.
-
-    Each step is one (batched) GEMM on a C-contiguous operand: no axis is
-    moved and no operand is copied.
-    """
-    for axis in range(t.ndim - 1, first - 1, -1):
-        mat = mats[axis]
-        head = t.shape[:axis]
-        if axis == t.ndim - 1:
-            t = (t.reshape(-1, t.shape[axis]) @ mat.T).reshape(head + (mat.shape[0],))
-        else:
-            tail = t.shape[axis + 1:]
-            batched = t.reshape(math.prod(head), t.shape[axis], -1)
-            t = (mat @ batched).reshape(head + (mat.shape[0],) + tail)
-    return t
-
-
 def _dirichlet_eigenpairs(m: int, h: float) -> tuple[np.ndarray, np.ndarray]:
     """``(V, lam)`` with ``K1 V = M1 V diag(lam)`` and ``V^T M1 V = I``.
 
@@ -369,18 +350,24 @@ class _QuotientObjective(LevelObjective):
     """Exact multilinear-interpolant Sobolev quotient on one level.
 
     The numerator's Dirichlet part is the stiffness kron-sum on the node
-    grid.  The Gauss-point terms (the denominator ``int |u|^p`` and the
-    potential ``int a u^2``) and their adjoints come from one streamed pass
+    grid, each 1D factor (the dense P1 ``K1``/``M1``) applied as one batched
+    GEMM (:func:`~ultragrid.elements.apply_axis`).  The Gauss-point terms
+    (the denominator ``int |u|^p`` and the potential ``int a u^2``) come from
+    their adjoints ``adj = G^T W (u |u|^(p-2))`` and ``adj_a = G^T W (a u)``
+    (``G`` the Gauss interpolation, ``W`` the Gauss weights): ``<u, adj>``
+    and ``<u, adj_a>`` are the same exact Gauss sums, taken as two dot
+    products of node grids.  The adjoints come from one streamed pass
     (:meth:`_gauss_pass`), sum-factorization style (Orszag, J. Comput. Phys.
     37, 1980): axis 0 is swept one cell at a time, each cell reading only
     its own two node rows, each row contracted with the dense 1D Gauss
-    matrices of axes ``1 .. N-1`` when the sweep reaches it.  A node row's
-    adjoint is back-projected through the weighted Gauss matrices of those
-    axes as soon as both of its cells are swept.  So nothing the size of
-    the Gauss grid, whole or contracted along axes ``1 .. N-1``, is stored:
-    a sweep holds a few Gauss rows at a time.  ``|u|^p`` is formed
-    as ``u * u (u^2)^((p-2)/2)``; for ``p = 6`` the power is a square, taken
-    by ``np.multiply``, which rounds as ``np.power(y, 2.0)`` does.
+    matrices of axes ``1 .. N-1`` when the sweep reaches it, into a ring of
+    two rows.  A node row's adjoint is back-projected through the weighted
+    Gauss matrices of those axes as soon as both of its cells are swept.
+    So nothing the size of the Gauss grid, whole or contracted along axes
+    ``1 .. N-1``, is stored: a sweep holds a few Gauss rows at a time.
+    ``|u|^p`` is formed as ``u * u (u^2)^((p-2)/2)``; for ``p = 6`` the
+    power is a square, taken by ``np.multiply``, which rounds as
+    ``np.power(y, 2.0)`` does.
 
     From ``_SPLIT_MIN_POINTS`` Gauss points on (3D level 5 and finer) the
     sweep runs on several threads: the axis-0 cells are cut into contiguous
@@ -390,12 +377,11 @@ class _QuotientObjective(LevelObjective):
     writes the adjoint node rows that only its own cells touch.  The result
     is bit-identical to the one-range sweep for any number of ranges: a
     row's contraction and back-projection are the same GEMMs whichever
-    range makes them; each cell's ``den``/``pot`` part is kept and the
-    parts are summed from 0.0 in cell order after the join, as one sweep
-    adds them; and the node row where two ranges meet is finished after
+    range makes them; the node row where two ranges meet is finished after
     the join, the earlier range's partial row plus the later range's first
-    contribution, which is again the one-sweep order.  The stiffness stays
-    on the main thread: running it beside the sweep gained no time.
+    contribution, which is again the one-sweep order; and ``den`` and
+    ``pot`` are read off the finished adjoints.  The stiffness stays on the
+    main thread: running it beside the sweep gained no time.
 
     L-BFGS runs in the H1 metric of the numerator: :meth:`precondition` is
     the exact inverse of the interior Dirichlet stiffness
@@ -433,6 +419,14 @@ class _QuotientObjective(LevelObjective):
             self._gw.append(w)
             gauss_points.append(pts)
         self._row_shape = tuple(w.size for w in self._gw[1:])  # one node row on the Gauss points
+        # cell c's axis-0 Gauss rows on its two node rows, ordered by ring
+        # slot: slot r % 2 holds node row r
+        cells = level.shape[0] - 1
+        c = np.arange(cells)
+        slots = np.stack([c + c % 2, c + 1 - c % 2], axis=1)
+        self._G0_ring = np.take_along_axis(
+            self._G[0].reshape(cells, -1, cells + 1), slots[:, None, :], axis=2
+        )
 
         eig = [_dirichlet_eigenpairs(m, level.h) for m in level.shape]
         self._V = [V for V, _ in eig]
@@ -462,26 +456,19 @@ class _QuotientObjective(LevelObjective):
                 prefix = apply_axis(self._M1[i], prefix, i)
         return out
 
-    def _weighted_sum(self, x: np.ndarray, w0: np.ndarray) -> float:
-        """Gauss-weighted sum of one cell's rows ``x``, axis-0 weights ``w0``."""
-        for w in reversed(self._gw[1:]):
-            x = x.reshape(-1, w.size) @ w
-        return float(w0 @ x)
+    def _project(self, row: np.ndarray, out: np.ndarray) -> None:
+        """Back-project one Gauss row of axes ``1 .. N-1`` into the node row ``out``."""
+        apply_axes(self._GWT[1:], row.reshape(self._row_shape), out)
 
-    def _project(self, row: np.ndarray) -> np.ndarray:
-        """Back-project one Gauss row of axes ``1 .. N-1`` onto its node row."""
-        return _apply_trailing(self._GWT[1:], row.reshape(self._row_shape), first=0)
-
-    def _gauss_pass(self, grid: np.ndarray, adjoint: bool):
+    def _gauss_pass(self, grid: np.ndarray):
         """``(den, pot, adj, adj_a)`` of one streamed Gauss-point pass.
 
-        ``den = int |u|^p`` and ``pot = int a u^2`` (0 without a potential).
-        With ``adjoint``, the node grids ``adj`` and ``adj_a`` hold the
-        adjoints ``G^T W (u |u|^(p-2))`` and ``G^T W (a u)``, ``G`` the
-        Gauss interpolation and ``W`` the Gauss weights;
-        :meth:`value_and_grad` scales and combines them.  ``adj`` is
-        ``None`` without ``adjoint``; ``adj_a`` is ``None`` without
-        ``adjoint`` or without a potential.
+        The node grids ``adj`` and ``adj_a`` hold the adjoints
+        ``G^T W (u |u|^(p-2))`` and ``G^T W (a u)``, ``G`` the Gauss
+        interpolation and ``W`` the Gauss weights; :meth:`value_and_grad`
+        scales and combines them.  ``den = <u, adj> = int |u|^p`` and
+        ``pot = <u, adj_a> = int a u^2``; without a potential ``adj_a`` is
+        ``None`` and ``pot`` is 0.
 
         From ``_SPLIT_MIN_POINTS`` Gauss points on, the axis-0 cells are
         split into contiguous ranges, one per thread (see
@@ -493,9 +480,7 @@ class _QuotientObjective(LevelObjective):
         if self._G[0].shape[0] * math.prod(self._row_shape) >= _SPLIT_MIN_POINTS:
             ranges = min(_sweep_ranges or _usable_cpus(), cells)
         starts = [cells * i // ranges for i in range(ranges)] + [cells]
-        adjs = [None, None]
-        if adjoint:
-            adjs = [np.empty(grid.shape), None if self._a_gauss is None else np.empty(grid.shape)]
+        adjs = [np.empty(grid.shape) for _ in range(1 if self._a_gauss is None else 2)]
         if ranges == 1:
             sweeps = [self._sweep(grid, 0, cells, adjs)]
         else:
@@ -515,48 +500,36 @@ class _QuotientObjective(LevelObjective):
         # row where two ranges meet, the earlier range's part first, as one
         # sweep adds them
         for k, adj in enumerate(adjs):
-            if adj is not None:
-                adj[0] = self._project(sweeps[0][1][k])
-                for c0, before, after in zip(starts[1:], sweeps, sweeps[1:]):
-                    adj[c0] = self._project(before[2][k] + after[1][k])
-                adj[cells] = self._project(sweeps[-1][2][k])
-        den = pot = 0.0
-        for partials, _, _ in sweeps:
-            for den_part, pot_part in partials:  # in cell order, as one sweep adds them
-                den += den_part
-                pot += pot_part
-        return den, pot, adjs[0], adjs[1]
+            self._project(sweeps[0][0][k], adj[0])
+            for c0, before, after in zip(starts[1:], sweeps, sweeps[1:]):
+                self._project(before[1][k] + after[0][k], adj[c0])
+            self._project(sweeps[-1][1][k], adj[cells])
+        adj_a = adjs[1] if len(adjs) == 2 else None
+        pot = 0.0 if adj_a is None else float(np.vdot(grid, adj_a))
+        return float(np.vdot(grid, adjs[0])), pot, adjs[0], adj_a
 
     def _sweep(self, grid, c0, c1, adjs) -> tuple:
-        """Sweep the axis-0 cells ``c0 .. c1 - 1``: ``(partials, heads, tails)``.
+        """Sweep the axis-0 cells ``c0 .. c1 - 1``: ``(heads, tails)``.
 
-        ``partials`` holds each cell's ``(den, pot)`` part.  Row ``k`` of
-        ``heads`` and ``tails`` holds the first cell's contribution to node
-        row ``c0`` and the last cell's to node row ``c1`` of ``adjs[k]``
-        (``[adj, adj_a]``, ``None`` entries skipped); the node rows between
-        them are finished here and written into ``adjs[k]``.  Only numpy is
-        called, so a helper thread can sweep a range.
+        Row ``k`` of ``heads`` and ``tails`` holds the first cell's
+        contribution to node row ``c0`` and the last cell's to node row
+        ``c1`` of ``adjs[k]`` (``[adj]`` or ``[adj, adj_a]``); the node rows
+        between them are finished here and written into ``adjs[k]``.  Only
+        numpy is called, so a helper thread can sweep a range.
         """
-        G0, GWT0, w0 = self._G[0], self._GWT[0], self._gw[0]
-        G_rows = self._G[1:]
+        GWT0, G0_ring, G_rows = self._GWT[0], self._G0_ring, self._G[1:]
         a_gauss = self._a_gauss
-        rule = G0.shape[0] // (G0.shape[1] - 1)  # Gauss rows per cell
+        rule = G0_ring.shape[1]  # Gauss rows per cell
         width = math.prod(self._row_shape)
-
-        def contract(r):  # node row r on the Gauss rows of axes 1 .. N-1
-            return _apply_trailing(G_rows, grid[r], first=0).ravel()
-
-        # the node rows c and c + 1 contracted: the only rows cell c reads
-        pair = np.empty((2, width))
-        pair[1] = contract(c0)
-        # two cell buffers, reused: fresh temporaries would cost page faults.
-        # ug is last read by ug * u |u|^(p-2), which goes into ug, so ug then
-        # holds adj's cell adjoint; adj_a's, made while ug is still needed,
-        # has a buffer of its own
+        # node rows contracted on the Gauss rows of axes 1 .. N-1, row r in
+        # slot r % 2: cell c reads the two slots
+        ring = np.empty((2, width))
+        # cell buffers, reused: fresh temporaries would cost page faults
         ug, y = np.empty((2, rule, width))
-        backs = [ug[:2], None if adjs[1] is None else np.empty((2, width))]
-        # tails[k]: the last swept cell's part of the next node row
-        heads, tails = np.empty((2, 2, width))
+        # ug is dead once u |u|^(p-2) is formed, so its rows hold adj's cell
+        # parts; adj_a's, made while ug is still needed, have a buffer of their own
+        backs = [ug[:2]] + [np.empty((2, width)) for _ in adjs[1:]]
+        heads, tails = np.empty((2, len(adjs), width))
 
         def accumulate(k, c, vals):
             back = backs[k]
@@ -565,39 +538,32 @@ class _QuotientObjective(LevelObjective):
                 heads[k] = back[0]
             else:
                 back[0] += tails[k]
-                adjs[k][c] = self._project(back[0])
+                self._project(back[0], adjs[k][c])
             tails[k] = back[1]
 
-        partials = []
+        apply_axes(G_rows, grid[c0], ring[c0 % 2])
         for c in range(c0, c1):
-            rows = slice(rule * c, rule * (c + 1))
-            pair[0] = pair[1]
-            pair[1] = contract(c + 1)
-            np.matmul(G0[rows, c : c + 2], pair, out=ug)
-            pot = 0.0
+            apply_axes(G_rows, grid[c + 1], ring[(c + 1) % 2])
+            np.matmul(G0_ring[c], ring, out=ug)
             if a_gauss is not None:
-                np.multiply(a_gauss[rows].reshape(ug.shape), ug, out=y)  # a u
-                if adjs[1] is not None:
-                    accumulate(1, c, y)
-                pot = self._weighted_sum(np.multiply(ug, y, out=y), w0[rows])
+                a_rows = a_gauss[rule * c : rule * (c + 1)]
+                np.multiply(a_rows.reshape(ug.shape), ug, out=y)  # a u
+                accumulate(1, c, y)
             np.multiply(ug, ug, out=y)
             if self._half_exp == 2.0:
                 np.multiply(y, y, out=y)  # p = 6: numpy's power squares for 2.0 too
             else:
                 np.power(y, self._half_exp, out=y)
             np.multiply(y, ug, out=y)  # u |u|^(p-2)
-            den = self._weighted_sum(np.multiply(ug, y, out=ug), w0[rows])
-            if adjs[0] is not None:
-                accumulate(0, c, y)
-            partials.append((den, pot))
-        return partials, heads, tails
+            accumulate(0, c, y)
+        return heads, tails
 
     # -- energy -------------------------------------------------------------
     def value_and_grad(self, u: np.ndarray) -> tuple[float, np.ndarray]:
         grid = u.reshape(self.level.shape)
         ku = self._stiffness_apply(grid)
         num = float(np.vdot(grid, ku))
-        den, pot, adj, adj_a = self._gauss_pass(grid, adjoint=True)
+        den, pot, adj, adj_a = self._gauss_pass(grid)
         num += pot
         if den <= 0.0:
             return float("inf"), np.zeros(u.size)
@@ -612,12 +578,12 @@ class _QuotientObjective(LevelObjective):
 
     def precondition(self, g: np.ndarray) -> np.ndarray:
         interior = g.reshape(self._inv_lam.shape)  # free dofs in C order
-        t = _apply_trailing([V.T for V in self._V], interior, first=0)
+        t = apply_axes([V.T for V in self._V], interior)
         t *= self._inv_lam
-        return _apply_trailing(self._V, t, first=0).ravel()
+        return apply_axes(self._V, t).ravel()
 
     def normalize(self, u: np.ndarray) -> np.ndarray:
-        den = self._gauss_pass(u.reshape(self.level.shape), adjoint=False)[0]
+        den = self._gauss_pass(u.reshape(self.level.shape))[0]
         if den <= 0.0:
             return u
         return u * den ** (-1.0 / self.p)
@@ -656,9 +622,14 @@ def sign_perturbed_spec(
     ``a`` is an optional potential (``a >= 0`` keeps the sharp constant a
     certified lower bound); initial guesses are cutoff instanton bubbles at
     grid-proportional scales, centered at ``center`` (default: box center).
+    A warm-started level adds one bubble, at the second scale (the first if
+    there is only one).
     """
     if dimension < 3:
         raise ValueError("the critical-exponent study needs dimension >= 3")
+    bubble_scales = tuple(bubble_scales)
+    if not bubble_scales:
+        raise ValueError("bubble_scales needs at least one scale")
     domain = Domain(bounds=tuple(((0.0, 1.0),) * dimension))
     x_m = tuple(center) if center is not None else (0.5,) * dimension
     # every start's profile at unit scale (its support does not depend on
@@ -684,7 +655,7 @@ def sign_perturbed_spec(
         return _QuotientObjective(level, a)
 
     def initial_guesses(level, rng, warm):
-        scales = [bubble_scales[1]] if warm is not None else list(bubble_scales)
+        scales = bubble_scales if warm is None else bubble_scales[1:2] or bubble_scales
         guesses = []
         for s in scales:
             init = BubbleInitializer(

@@ -357,6 +357,11 @@ def test_calculus_check_three_levels_exits_2(tmp_path, capsys):
      "the well center needs 3 coordinates"),
     ({"problem": "sign_perturbed", "params": {"well": {"center": [0.5, 0.5, 0.5, 0.9]}}},
      "the well center needs 3 coordinates"),
+    ({"problem": "singular", "params": {"g_affine": [1.0, 0.3, 5.0, -0.6337]}},
+     "g_affine needs 3 coefficients"),
+    ({"problem": "singular", "params": {"g_affine": [0.5]}}, "g_affine needs 3 coefficients"),
+    ({"problem": "sign_perturbed", "params": {"bubble_scales": []}},
+     "bubble_scales needs at least one scale"),
 ])
 def test_bad_config_values_exit_2_before_solving(tmp_path, capsys, monkeypatch, payload, message):
     def no_solve(*args, **kwargs):
@@ -428,3 +433,17 @@ def test_write_json_numpy_scalars_as_python_values(tmp_path):
         assert numpy_path.read_bytes() == python_path.read_bytes()
     cli._write_json(numpy_path, [np.float32(0.5), np.int32(3), np.bool_(False)])
     assert numpy_path.read_text(encoding="utf-8") == "[\n  0.5,\n  3,\n  false\n]\n"
+
+
+@pytest.mark.parametrize("levels", ["0..2", "1..3"])
+def test_singular_solve_below_level_two(tmp_path, levels):
+    # the level-1 harmonic start used to be NaN (an exactly singular 1x1
+    # block), which ended the solve with exit 1
+    cfg = write_config(tmp_path, {"problem": "singular", "levels": levels})
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
+    with open(out / "levels.csv", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [r["level"] for r in rows] == [str(n) for n in range(int(levels[0]), int(levels[0]) + 3)]
+    assert all(np.isfinite(float(r["value"])) for r in rows)

@@ -5,7 +5,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ultragrid.elements import Banded, apply_axis, gauss_interp, p1_matrices
+from ultragrid.elements import Banded, apply_axes, apply_axis, gauss_interp, p1_matrices
 
 
 def _kron_reference(mat: np.ndarray, arr: np.ndarray, axis: int) -> np.ndarray:
@@ -57,21 +57,52 @@ def test_apply_axis_matches_kronecker_reference(shape, data):
 
 @settings(max_examples=60, deadline=None)
 @given(
+    shape=st.lists(st.integers(1, 5), min_size=1, max_size=4),
+    k=st.integers(1, 6),
+    data=st.data(),
+)
+def test_dense_apply_axis_matches_tensordot(shape, k, data):
+    # a dense (k, m) matrix along every axis of a 1D..4D array, k != m
+    # included, as one (batched) GEMM; apply_axes writes the same products
+    # into a given output
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    arr = rng.standard_normal(shape)
+    for axis, m in enumerate(shape):
+        mat = rng.standard_normal((k, m))
+        ref = np.moveaxis(np.tensordot(mat, arr, axes=(1, axis)), 0, axis)
+        out = apply_axis(mat, arr, axis)
+        assert out.shape == ref.shape
+        np.testing.assert_allclose(out, ref, rtol=1e-12, atol=1e-12)
+    mats = [rng.standard_normal((k + axis, m)) for axis, m in enumerate(shape)]
+    ref = arr
+    for axis, mat in enumerate(mats):
+        ref = np.moveaxis(np.tensordot(mat, ref, axes=(1, axis)), 0, axis)
+    out = np.full(ref.shape, np.nan)
+    assert np.shares_memory(apply_axes(mats, arr, out), out)
+    np.testing.assert_allclose(out, ref, rtol=1e-12, atol=1e-12)
+    np.testing.assert_array_equal(apply_axes(mats, arr), out)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
     shape=st.lists(st.integers(2, 9), min_size=1, max_size=3),
     h=st.sampled_from([1.0, 0.5, 0.1, 3.0 / 16.0]),
     data=st.data(),
 )
 def test_p1_matrices_bit_identical_to_csr(shape, h, data):
-    # K and M applied along an axis, against the former CSR matrices,
-    # signed zeros included
+    # the dense K and M equal the former CSR matrices entry for entry,
+    # signed zeros included; applied along an axis, a GEMM sums each row in
+    # its own order, so the products agree with the CSR ones to rounding
+    # (each within 1e-15 of the sum of the absolute terms)
     axis = data.draw(st.integers(0, len(shape) - 1))
     arr = _signed_random(np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))), shape)
-    for band, csr in zip(p1_matrices(shape[axis], h), oracles.p1_matrices(shape[axis], h)):
-        np.testing.assert_array_equal(_dense(band, shape[axis]), csr.toarray())
-        got = apply_axis(band, arr, axis)
+    for mat, csr in zip(p1_matrices(shape[axis], h), oracles.p1_matrices(shape[axis], h)):
+        np.testing.assert_array_equal(mat, csr.toarray())
+        np.testing.assert_array_equal(np.signbit(mat), np.signbit(csr.toarray()))
+        got = apply_axis(mat, arr, axis)
         expected = oracles.apply_axis(csr, arr, axis)
-        np.testing.assert_array_equal(got, expected)
-        np.testing.assert_array_equal(np.signbit(got), np.signbit(expected))
+        bound = 1e-15 * oracles.apply_axis(abs(csr), np.abs(arr), axis)
+        assert np.all(np.abs(got - expected) <= bound)
 
 
 @settings(max_examples=30, deadline=None)

@@ -140,3 +140,15 @@ def test_node_set_indices_match_np_unique(indices, as_array):
     got = NodeSet(level, given_indices).indices
     assert got.dtype == expected.dtype == np.int64
     np.testing.assert_array_equal(got, expected)
+
+
+def test_node_count_is_a_python_int_without_numpy(monkeypatch):
+    # math.prod of the shape tuple: np.prod took ~50x longer per call
+    level = build_level(Domain(((0.0, 1.0), (0.0, 2.0), (-1.0, 0.0))), 3)
+
+    def no_numpy(*args, **kwargs):
+        raise AssertionError("node_count called np.prod")
+
+    monkeypatch.setattr(np, "prod", no_numpy)
+    assert level.node_count == 9 * 17 * 9
+    assert type(level.node_count) is int

@@ -250,17 +250,6 @@ def test_quotient_gradient_consistency():
     assert check_gradient(spec, level) < 1e-5
 
 
-def _former_quotient_value(obj, u):
-    """The former value-only evaluation: the Gauss pass without its adjoint."""
-    grid = u.reshape(obj.level.shape)
-    ku = obj._stiffness_apply(grid)
-    num = float(np.vdot(grid, ku))
-    den, pot, adj, adj_a = obj._gauss_pass(grid, adjoint=False)
-    assert adj is None and adj_a is None
-    num += pot
-    return num / den**obj.q if den > 0.0 else float("inf")
-
-
 def _old_quotient(obj, u):
     """The former quotient evaluation, kept as the oracle of the streamed pass.
 
@@ -323,7 +312,9 @@ def test_quotient_kernel_matches_former_formula(dimension, n, well):
     ref_value, ref_grad = _old_quotient(obj, u)
     assert value == pytest.approx(ref_value, rel=1e-12)
     np.testing.assert_allclose(grad, ref_grad, rtol=1e-12, atol=1e-12 * np.abs(ref_grad).max())
-    assert _former_quotient_value(obj, u) == value
+    # the former per-cell weighted sums against <u, adj>: the same exact
+    # Gauss sums, summed in another order
+    assert _whole_array_value_and_grad(obj, u)[0] == pytest.approx(value, rel=1e-15, abs=0.0)
 
 
 def _whole_array_value_and_grad(obj, u):
@@ -333,7 +324,14 @@ def _whole_array_value_and_grad(obj, u):
     GEMMs, axis 0 is swept cell by cell into adjoint accumulators the size
     of that contraction, and the scaled accumulators are back-projected at
     the end: the one-range Gauss pass as it was before it was streamed.
+    ``den`` and ``pot`` are each cell's Gauss-weighted sum, added in cell
+    order, as the pass took them before they were read off the adjoints.
     """
+
+    def weighted_sum(x, w0):  # one cell's rows x, axis-0 weights w0
+        for w in reversed(obj._gw[1:]):
+            x = x.reshape(-1, w.size) @ w
+        return float(w0 @ x)
 
     def apply_trailing(mats, t):
         for axis in range(t.ndim - 1, 0, -1):
@@ -360,9 +358,9 @@ def _whole_array_value_and_grad(obj, u):
         if a_gauss is not None:
             y = a_gauss[rows].reshape(ug.shape) * ug
             acc_a[nodes] += GWT0[nodes, rows] @ y
-            pot += obj._weighted_sum(ug * y, w0[rows])
+            pot += weighted_sum(ug * y, w0[rows])
         y = np.power(ug * ug, obj._half_exp) * ug
-        den += obj._weighted_sum(ug * y, w0[rows])
+        den += weighted_sum(ug * y, w0[rows])
         acc[nodes] += GWT0[nodes, rows] @ y
     ku = obj._stiffness_apply(grid)
     num = float(np.vdot(grid, ku)) + pot
@@ -374,20 +372,39 @@ def _whole_array_value_and_grad(obj, u):
     return num / den**obj.q, (2.0 * scale * ku + adj).ravel()
 
 
-@pytest.mark.parametrize(
-    "n, well", [(n, well) for n in (3, 4, 5) for well in (False, True)] + [(6, False)]
-)
-def test_streamed_pass_matches_whole_array_oracle(n, well):
-    # the value bit for bit; the gradient, now scaled after the
-    # back-projection instead of before it, to rounding
-    level = build_level(DOM3, n)
-    obj = problems._QuotientObjective(level, quadratic_well((0.4, 0.5, 0.6)) if well else None)
-    u = obj.pin(np.random.default_rng(30 + n).standard_normal(level.node_count))
+def _assert_matches_whole_array_oracle(obj, u):
+    # den = <u, adj> and pot = <u, adj_a> against the former per-cell
+    # weighted sums (the same exact Gauss sums) to 1e-15 relative; the
+    # gradient, scaled after the back-projection instead of before it, to
+    # rounding
     with problems.sweep_threads(1):
         value, grad = obj.value_and_grad(u)
     ref_value, ref_grad = _whole_array_value_and_grad(obj, u)
-    assert value == ref_value
+    assert value == pytest.approx(ref_value, rel=1e-15, abs=0.0)
     assert np.max(np.abs(grad - ref_grad)) <= 1e-14 * np.max(np.abs(ref_grad))
+
+
+@pytest.mark.parametrize(
+    "n, well", [(n, well) for n in (3, 4, 5, 6) for well in (False, True)]
+)
+def test_streamed_pass_matches_whole_array_oracle(n, well):
+    # u is a sign-changing random field
+    level = build_level(DOM3, n)
+    obj = problems._QuotientObjective(level, quadratic_well((0.4, 0.5, 0.6)) if well else None)
+    u = obj.pin(np.random.default_rng(30 + n).standard_normal(level.node_count))
+    _assert_matches_whole_array_oracle(obj, u)
+
+
+@pytest.mark.parametrize(
+    "dimension, n, well", [(4, 2, False), (4, 3, True), (5, 2, False), (5, 2, True)]
+)
+def test_streamed_pass_matches_whole_array_oracle_in_4d_and_5d(dimension, n, well):
+    # p = 4 and 10/3: the sweep takes np.power
+    level = build_level(Domain(((0.0, 1.0),) * dimension), n)
+    a = quadratic_well((0.4, 0.5, 0.6, 0.45, 0.55)[:dimension]) if well else None
+    obj = problems._QuotientObjective(level, a)
+    u = obj.pin(np.random.default_rng(10 * dimension + n).standard_normal(level.node_count))
+    _assert_matches_whole_array_oracle(obj, u)
 
 
 def test_quotient_evaluation_stores_no_gauss_grid():
@@ -444,9 +461,9 @@ def test_quotient_split_sweep_is_bit_identical(monkeypatch, dimension, n, well):
     for ranges in (1, 2, 3):
         with problems.sweep_threads(ranges):
             del starts[:]
-            value = _former_quotient_value(obj, u)
+            normalized = obj.normalize(u)
             assert len(starts) == min(ranges, level.shape[0] - 1)
-            results.append((value, *obj.value_and_grad(u), obj.normalize(u)))
+            results.append((*obj.value_and_grad(u), normalized))
     for got in results[1:]:
         _assert_bit_identical(results[0], got)
 
@@ -747,3 +764,44 @@ def test_interface_filters_bit_identical_to_ndimage(shape, seed):
         got, expected = problems._filter3(grid, reduce), oracle(grid)
         np.testing.assert_array_equal(got, expected)
         np.testing.assert_array_equal(np.signbit(got), np.signbit(expected))
+
+
+def test_singular_harmonic_start_at_level_one():
+    # the one free node at level 1, the odd-odd centre, is read by no
+    # interior stencil row: its row of the masked stiffness is zero, so its
+    # harmonic value is the minimum-norm 0 (SuperLU met an exactly singular
+    # 1x1 block and returned NaN)
+    spec = singular_spec()
+    level = build_level(spec.domain, 1)
+    obj = spec.build(level)
+    u = minimize_quadratic(obj._K, obj.fixed_values, obj.free_mask)
+    assert u[obj.free_mask].tolist() == [0.0]
+    np.testing.assert_array_equal(u[~obj.free_mask], obj.fixed_values[~obj.free_mask])
+    # the start is +init_floor at the centre, which lies on the midline
+    assert spec.initial_guesses(level, None, None)[0][obj.free_mask].tolist() == [0.1]
+
+
+def test_sawtooth_builds_one_objective_per_level(monkeypatch):
+    # the feasibility probe of solve_net and minimize_level share the build
+    count = []
+    init = problems._SawtoothObjective.__init__
+
+    def counting(self, level):
+        count.append(level.n)
+        init(self, level)
+
+    monkeypatch.setattr(problems._SawtoothObjective, "__init__", counting)
+    solve_net(sawtooth_spec(), [3, 4, 5, 6], seed=1)
+    assert count == [3, 4, 5, 6]
+
+
+def test_quotient_single_bubble_scale_warm_starts_with_it():
+    # one scale serves every start; none left is an error of the parameters
+    spec = sign_perturbed_spec(bubble_scales=[2.0])
+    level = build_level(spec.domain, 4)
+    warm = np.zeros(level.node_count)
+    (cold,) = spec.initial_guesses(level, None, None)
+    (guess,) = spec.initial_guesses(level, None, warm)
+    np.testing.assert_array_equal(guess, cold)
+    with pytest.raises(ValueError, match="at least one scale"):
+        sign_perturbed_spec(bubble_scales=[])
