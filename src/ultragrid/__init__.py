@@ -83,10 +83,10 @@ from .problems import (
     BoundaryDataError,
     BubbleInitializer,
     InterfaceDecomposition,
+    QuadraticWell,
     bubble,
     concentration_metric,
     extract_interface,
-    quadratic_well,
     sawtooth_pattern,
     sawtooth_spec,
     sign_perturbed_spec,

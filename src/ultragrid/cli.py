@@ -64,7 +64,7 @@ from .measure import Ball, Box, HalfSpace, NodeMask, density, gauss_check, perim
 from .nets import classify
 from .problems import (
     BoundaryDataError,
-    quadratic_well,
+    QuadraticWell,
     sawtooth_spec,
     sign_perturbed_spec,
     singular_spec,
@@ -215,18 +215,8 @@ def _build_problem(config: dict):
         if kind == "sawtooth":
             return sawtooth_spec()
         if kind == "sign_perturbed":
-            a = None
             well = params.pop("well", None)
-            if well is not None:
-                dimension = params.get("dimension", 3)
-                if len(well["center"]) != dimension:
-                    raise ConfigError(
-                        f"the well center needs {dimension} coordinates, "
-                        f"got {well['center']!r}"
-                    )
-                a = quadratic_well(
-                    well["center"], strength=float(well.get("strength", 50.0))
-                )
+            a = None if well is None else QuadraticWell(**well)
             return sign_perturbed_spec(a=a, **params)
         if kind == "singular":
             g_coeffs = params.pop("g_affine", None)

@@ -50,7 +50,7 @@ __all__ = [
     "sawtooth_pattern",
     "BubbleInitializer",
     "bubble",
-    "quadratic_well",
+    "QuadraticWell",
     "sign_perturbed_spec",
     "sweep_threads",
     "concentration_metric",
@@ -256,20 +256,25 @@ def bubble(init: BubbleInitializer, level: GridLevel) -> GridFunction:
     return GridFunction(level, values)
 
 
-def quadratic_well(center: Sequence[float], strength: float = 50.0) -> Callable:
-    """Potential ``a(x) = strength * |x - center|^2`` (isolated minimum).
+@dataclass(frozen=True)
+class QuadraticWell:
+    """The potential ``a(x) = strength * |x - center|^2`` (isolated minimum).
 
-    ``a`` takes one coordinate array per axis and raises ``ValueError``
-    unless there are as many as ``center`` has coordinates.
+    ``a`` is separable, ``sum_i strength (x_i - center_i)^2``, so the
+    quotient folds ``int a u^2`` into its 1D stiffness factors (see
+    :class:`_QuotientObjective`).  A non-negative ``strength`` keeps the
+    sharp Sobolev constant a lower bound of the quotient.  Raises
+    ``ValueError`` unless every value is finite.
     """
-    c = tuple(float(x) for x in center)
 
-    def a(*coords):
-        return strength * sum(
-            (np.asarray(x) - ci) ** 2 for x, ci in zip(coords, c, strict=True)
-        )
+    center: tuple[float, ...]
+    strength: float = 50.0
 
-    return a
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "center", tuple(float(c) for c in self.center))
+        object.__setattr__(self, "strength", float(self.strength))
+        if not all(math.isfinite(v) for v in self.center + (self.strength,)):
+            raise ValueError(f"the well needs a finite center and strength, got {self!r}")
 
 
 #: Gauss points of one quotient pass from which its sweep is split into
@@ -349,25 +354,30 @@ def _dirichlet_eigenpairs(m: int, h: float) -> tuple[np.ndarray, np.ndarray]:
 class _QuotientObjective(LevelObjective):
     """Exact multilinear-interpolant Sobolev quotient on one level.
 
-    The numerator's Dirichlet part is the stiffness kron-sum on the node
-    grid, each 1D factor (the dense P1 ``K1``/``M1``) applied as one batched
-    GEMM (:func:`~ultragrid.elements.apply_axis`).  The Gauss-point terms
-    (the denominator ``int |u|^p`` and the potential ``int a u^2``) come from
-    their adjoints ``adj = G^T W (u |u|^(p-2))`` and ``adj_a = G^T W (a u)``
-    (``G`` the Gauss interpolation, ``W`` the Gauss weights): ``<u, adj>``
-    and ``<u, adj_a>`` are the same exact Gauss sums, taken as two dot
-    products of node grids.  The adjoints come from one streamed pass
-    (:meth:`_gauss_pass`), sum-factorization style (Orszag, J. Comput. Phys.
-    37, 1980): axis 0 is swept one cell at a time, each cell reading only
-    its own two node rows, each row contracted with the dense 1D Gauss
-    matrices of axes ``1 .. N-1`` when the sweep reaches it, into a ring of
-    two rows.  A node row's adjoint is back-projected through the weighted
-    Gauss matrices of those axes as soon as both of its cells are swept.
-    So nothing the size of the Gauss grid, whole or contracted along axes
-    ``1 .. N-1``, is stored: a sweep holds a few Gauss rows at a time.
-    ``|u|^p`` is formed as ``u * u (u^2)^((p-2)/2)``; for ``p = 6`` the
-    power is a square, taken by ``np.multiply``, which rounds as
-    ``np.power(y, 2.0)`` does.
+    The numerator is the kron-sum ``sum_i M1 (x) .. K1_i .. (x) M1`` on the
+    node grid, each 1D factor (the dense P1 ``K1``/``M1``) applied as one
+    batched GEMM (:func:`~ultragrid.elements.apply_axis`).  A
+    :class:`QuadraticWell` ``a = sum_i s (x_i - c_i)^2`` is separable, so
+    ``int a u^2 = sum_i u . (M1 (x) .. A_i .. (x) M1) u`` with
+    ``A_i = G_i^T diag(w_i s (x_i - c_i)^2) G_i`` (``G_i`` the axis's Gauss
+    interpolation, ``w_i`` its Gauss weights): ``A_i`` is added to ``K1_i``
+    once, at build, and the potential runs inside the stiffness GEMMs.  The
+    sum is exact: ``M1`` is the exact P1 mass, and the 4-point rule
+    integrates ``A_i``'s integrand, of degree 4, exactly.
+
+    The denominator ``int |u|^p`` is ``<u, adj>``, with the adjoint
+    ``adj = G^T W (u |u|^(p-2))`` (``G`` the Gauss interpolation, ``W`` the
+    Gauss weights) taken in one streamed pass (:meth:`_gauss_pass`),
+    sum-factorization style (Orszag, J. Comput. Phys. 37, 1980): axis 0 is
+    swept one cell at a time, each cell reading only its own two node rows,
+    each row contracted with the dense 1D Gauss matrices of axes
+    ``1 .. N-1`` when the sweep reaches it, into a ring of two rows.  A node
+    row's adjoint is back-projected through the weighted Gauss matrices of
+    those axes as soon as both of its cells are swept.  So nothing the size
+    of the Gauss grid, whole or contracted along axes ``1 .. N-1``, is
+    stored: a sweep holds a few Gauss rows at a time.  ``|u|^p`` is formed
+    as ``u * u (u^2)^((p-2)/2)``; for ``p = 6`` the power is a square, taken
+    by ``np.multiply``, which rounds as ``np.power(y, 2.0)`` does.
 
     From ``_SPLIT_MIN_POINTS`` Gauss points on (3D level 5 and finer) the
     sweep runs on several threads: the axis-0 cells are cut into contiguous
@@ -379,13 +389,13 @@ class _QuotientObjective(LevelObjective):
     row's contraction and back-projection are the same GEMMs whichever
     range makes them; the node row where two ranges meet is finished after
     the join, the earlier range's partial row plus the later range's first
-    contribution, which is again the one-sweep order; and ``den`` and
-    ``pot`` are read off the finished adjoints.  The stiffness stays on the
-    main thread: running it beside the sweep gained no time.
+    contribution, which is again the one-sweep order; and ``den`` is read
+    off the finished adjoint.  The stiffness stays on the main thread:
+    running it beside the sweep gained no time.
 
-    L-BFGS runs in the H1 metric of the numerator: :meth:`precondition` is
-    the exact inverse of the interior Dirichlet stiffness
-    ``A = K1 (x) M1 (x) M1 + M1 (x) K1 (x) M1 + ...``, by fast
+    L-BFGS runs in the H1 metric of the numerator without the well:
+    :meth:`precondition` is the exact inverse of the interior Dirichlet
+    stiffness ``A = K1 (x) M1 (x) M1 + M1 (x) K1 (x) M1 + ...``, by fast
     diagonalization (Lynch, Rice & Thomas, Numer. Math. 6, 1964).  With the
     per-axis generalized eigenpairs ``K1 V = M1 V diag(lam)``,
     ``V^T M1 V = I``, ``A^-1 = (V (x) ... (x) V) diag(1 / (lam_i + lam_j + ...))
@@ -397,7 +407,7 @@ class _QuotientObjective(LevelObjective):
     meets it in a few dozen iterations at most.
     """
 
-    def __init__(self, level: GridLevel, potential: Optional[Callable]) -> None:
+    def __init__(self, level: GridLevel, well: Optional[QuadraticWell]) -> None:
         super().__init__(level)
         dim = level.dimension
         self.p = 2.0 * dim / (dim - 2)  # critical exponent
@@ -408,16 +418,17 @@ class _QuotientObjective(LevelObjective):
 
         self._K1, self._M1 = [], []
         self._G, self._GWT, self._gw = [], [], []
-        gauss_points = []
         for axis, m in enumerate(level.shape):
             K, M = p1_matrices(m, level.h)
+            G, pts, w = gauss_interp(m, level.h, level.domain.bounds[axis][0])
+            if well is not None:  # + A_i, the well's part along this axis
+                a = well.strength * (pts - well.center[axis]) ** 2
+                K = K + (G * (w * a)[:, None]).T @ G
             self._K1.append(K)
             self._M1.append(M)
-            G, pts, w = gauss_interp(m, level.h, level.domain.bounds[axis][0])
             self._G.append(G)
             self._GWT.append((G * w[:, None]).T)  # G^T diag(w)
             self._gw.append(w)
-            gauss_points.append(pts)
         self._row_shape = tuple(w.size for w in self._gw[1:])  # one node row on the Gauss points
         # cell c's axis-0 Gauss rows on its two node rows, ordered by ring
         # slot: slot r % 2 holds node row r
@@ -432,13 +443,6 @@ class _QuotientObjective(LevelObjective):
         self._V = [V for V, _ in eig]
         # the open mesh of np.ix_ sums to lam_i + lam_j + ... on the interior grid
         self._inv_lam = 1.0 / sum(np.ix_(*[lam for _, lam in eig]))
-
-        self._a_gauss = None
-        if potential is not None:
-            mesh = np.meshgrid(*gauss_points, indexing="ij", sparse=True)
-            a_vals = np.asarray(potential(*mesh), dtype=float)
-            shape = tuple(p.size for p in gauss_points)
-            self._a_gauss = np.broadcast_to(a_vals, shape)
 
     # -- tensor helpers ---------------------------------------------------
     def _stiffness_apply(self, grid: np.ndarray) -> np.ndarray:
@@ -460,15 +464,13 @@ class _QuotientObjective(LevelObjective):
         """Back-project one Gauss row of axes ``1 .. N-1`` into the node row ``out``."""
         apply_axes(self._GWT[1:], row.reshape(self._row_shape), out)
 
-    def _gauss_pass(self, grid: np.ndarray):
-        """``(den, pot, adj, adj_a)`` of one streamed Gauss-point pass.
+    def _gauss_pass(self, grid: np.ndarray) -> tuple[float, np.ndarray]:
+        """``(den, adj)`` of one streamed Gauss-point pass.
 
-        The node grids ``adj`` and ``adj_a`` hold the adjoints
-        ``G^T W (u |u|^(p-2))`` and ``G^T W (a u)``, ``G`` the Gauss
-        interpolation and ``W`` the Gauss weights; :meth:`value_and_grad`
-        scales and combines them.  ``den = <u, adj> = int |u|^p`` and
-        ``pot = <u, adj_a> = int a u^2``; without a potential ``adj_a`` is
-        ``None`` and ``pot`` is 0.
+        The node grid ``adj`` holds the adjoint ``G^T W (u |u|^(p-2))``,
+        ``G`` the Gauss interpolation and ``W`` the Gauss weights, and
+        ``den = <u, adj> = int |u|^p``; :meth:`value_and_grad` scales
+        ``adj`` into the gradient.
 
         From ``_SPLIT_MIN_POINTS`` Gauss points on, the axis-0 cells are
         split into contiguous ranges, one per thread (see
@@ -480,45 +482,40 @@ class _QuotientObjective(LevelObjective):
         if self._G[0].shape[0] * math.prod(self._row_shape) >= _SPLIT_MIN_POINTS:
             ranges = min(_sweep_ranges or _usable_cpus(), cells)
         starts = [cells * i // ranges for i in range(ranges)] + [cells]
-        adjs = [np.empty(grid.shape) for _ in range(1 if self._a_gauss is None else 2)]
+        adj = np.empty(grid.shape)
         if ranges == 1:
-            sweeps = [self._sweep(grid, 0, cells, adjs)]
+            sweeps = [self._sweep(grid, 0, cells, adj)]
         else:
             from concurrent.futures import wait
 
             pool = _helper_pool(ranges - 1)
             jobs = [
-                pool.submit(self._sweep, grid, starts[i], starts[i + 1], adjs)
+                pool.submit(self._sweep, grid, starts[i], starts[i + 1], adj)
                 for i in range(1, ranges)
             ]
             try:
-                sweeps = [self._sweep(grid, 0, starts[1], adjs)]
+                sweeps = [self._sweep(grid, 0, starts[1], adj)]
             finally:
                 wait(jobs)
             sweeps += [job.result() for job in jobs]  # re-raises a helper's exception
         # the node rows that no range finishes: the first, the last, and each
         # row where two ranges meet, the earlier range's part first, as one
         # sweep adds them
-        for k, adj in enumerate(adjs):
-            self._project(sweeps[0][0][k], adj[0])
-            for c0, before, after in zip(starts[1:], sweeps, sweeps[1:]):
-                self._project(before[1][k] + after[0][k], adj[c0])
-            self._project(sweeps[-1][1][k], adj[cells])
-        adj_a = adjs[1] if len(adjs) == 2 else None
-        pot = 0.0 if adj_a is None else float(np.vdot(grid, adj_a))
-        return float(np.vdot(grid, adjs[0])), pot, adjs[0], adj_a
+        self._project(sweeps[0][0], adj[0])
+        for c0, before, after in zip(starts[1:], sweeps, sweeps[1:]):
+            self._project(before[1] + after[0], adj[c0])
+        self._project(sweeps[-1][1], adj[cells])
+        return float(np.vdot(grid, adj)), adj
 
-    def _sweep(self, grid, c0, c1, adjs) -> tuple:
-        """Sweep the axis-0 cells ``c0 .. c1 - 1``: ``(heads, tails)``.
+    def _sweep(self, grid, c0, c1, adj) -> tuple:
+        """Sweep the axis-0 cells ``c0 .. c1 - 1``: ``(head, tail)``.
 
-        Row ``k`` of ``heads`` and ``tails`` holds the first cell's
-        contribution to node row ``c0`` and the last cell's to node row
-        ``c1`` of ``adjs[k]`` (``[adj]`` or ``[adj, adj_a]``); the node rows
-        between them are finished here and written into ``adjs[k]``.  Only
-        numpy is called, so a helper thread can sweep a range.
+        ``head`` holds the first cell's contribution to node row ``c0`` and
+        ``tail`` the last cell's to node row ``c1`` of ``adj``; the node rows
+        between them are finished here and written into ``adj``.  Only numpy
+        is called, so a helper thread can sweep a range.
         """
         GWT0, G0_ring, G_rows = self._GWT[0], self._G0_ring, self._G[1:]
-        a_gauss = self._a_gauss
         rule = G0_ring.shape[1]  # Gauss rows per cell
         width = math.prod(self._row_shape)
         # node rows contracted on the Gauss rows of axes 1 .. N-1, row r in
@@ -526,54 +523,41 @@ class _QuotientObjective(LevelObjective):
         ring = np.empty((2, width))
         # cell buffers, reused: fresh temporaries would cost page faults
         ug, y = np.empty((2, rule, width))
-        # ug is dead once u |u|^(p-2) is formed, so its rows hold adj's cell
-        # parts; adj_a's, made while ug is still needed, have a buffer of their own
-        backs = [ug[:2]] + [np.empty((2, width)) for _ in adjs[1:]]
-        heads, tails = np.empty((2, len(adjs), width))
-
-        def accumulate(k, c, vals):
-            back = backs[k]
-            np.matmul(GWT0[c : c + 2, rule * c : rule * (c + 1)], vals, out=back)
-            if c == c0:
-                heads[k] = back[0]
-            else:
-                back[0] += tails[k]
-                self._project(back[0], adjs[k][c])
-            tails[k] = back[1]
+        back = ug[:2]  # ug is dead once u |u|^(p-2) is formed: its rows hold adj's cell parts
+        head, tail = np.empty((2, width))
 
         apply_axes(G_rows, grid[c0], ring[c0 % 2])
         for c in range(c0, c1):
             apply_axes(G_rows, grid[c + 1], ring[(c + 1) % 2])
             np.matmul(G0_ring[c], ring, out=ug)
-            if a_gauss is not None:
-                a_rows = a_gauss[rule * c : rule * (c + 1)]
-                np.multiply(a_rows.reshape(ug.shape), ug, out=y)  # a u
-                accumulate(1, c, y)
             np.multiply(ug, ug, out=y)
             if self._half_exp == 2.0:
                 np.multiply(y, y, out=y)  # p = 6: numpy's power squares for 2.0 too
             else:
                 np.power(y, self._half_exp, out=y)
             np.multiply(y, ug, out=y)  # u |u|^(p-2)
-            accumulate(0, c, y)
-        return heads, tails
+            np.matmul(GWT0[c : c + 2, rule * c : rule * (c + 1)], y, out=back)
+            if c == c0:
+                head[:] = back[0]
+            else:
+                back[0] += tail
+                self._project(back[0], adj[c])
+            tail[:] = back[1]
+        return head, tail
 
     # -- energy -------------------------------------------------------------
     def value_and_grad(self, u: np.ndarray) -> tuple[float, np.ndarray]:
         grid = u.reshape(self.level.shape)
         ku = self._stiffness_apply(grid)
         num = float(np.vdot(grid, ku))
-        den, pot, adj, adj_a = self._gauss_pass(grid)
-        num += pot
+        den, adj = self._gauss_pass(grid)
         if den <= 0.0:
             return float("inf"), np.zeros(u.size)
         value = num / den**self.q
         scale = den**-self.q
         # d(num / den^q) = d_num / den^q - q num / den^(q+1) d_den, with
-        # d_num = 2 K u + 2 G^T W (a u) and d_den = p G^T W (u |u|^(p-2))
+        # d_num = 2 K u (the well is part of K) and d_den = p G^T W (u |u|^(p-2))
         adj *= -self.p * self.q * num * scale / den
-        if adj_a is not None:
-            adj += (2.0 * scale) * adj_a
         return value, (2.0 * scale * ku + adj).ravel()
 
     def precondition(self, g: np.ndarray) -> np.ndarray:
@@ -609,7 +593,7 @@ def concentration_metric(
 
 
 def sign_perturbed_spec(
-    a: Optional[Callable] = None,
+    a: Optional[QuadraticWell] = None,
     dimension: int = 3,
     delta: float = 0.25,
     theta: float = 2.0,
@@ -619,14 +603,17 @@ def sign_perturbed_spec(
 ) -> ProblemSpec:
     """Critical Sobolev quotient on the unit box with Dirichlet-zero data.
 
-    ``a`` is an optional potential (``a >= 0`` keeps the sharp constant a
-    certified lower bound); initial guesses are cutoff instanton bubbles at
-    grid-proportional scales, centered at ``center`` (default: box center).
-    A warm-started level adds one bubble, at the second scale (the first if
-    there is only one).
+    ``a`` is an optional potential well, with one center coordinate per
+    axis; in 3D the sharp constant is a certified lower bound without one
+    and with a non-negative ``a.strength``.  Initial guesses are cutoff
+    instanton bubbles at grid-proportional scales, centered at ``center``
+    (default: box center).  A warm-started level adds one bubble, at the
+    second scale (the first if there is only one).
     """
     if dimension < 3:
         raise ValueError("the critical-exponent study needs dimension >= 3")
+    if a is not None and len(a.center) != dimension:
+        raise ValueError(f"the well center needs {dimension} coordinates, got {a.center!r}")
     bubble_scales = tuple(bubble_scales)
     if not bubble_scales:
         raise ValueError("bubble_scales needs at least one scale")
@@ -640,15 +627,8 @@ def sign_perturbed_spec(
         raise ValueError("radius must be positive")
 
     lower = None
-    if dimension == 3:
-        if a is None:
-            lower = sobolev_constant(3)
-        else:
-            rng = np.random.default_rng(12345)
-            probes = rng.random((1000, dimension))
-            sampled = np.asarray(a(*[probes[:, i] for i in range(dimension)]))
-            if np.all(sampled >= 0.0):
-                lower = sobolev_constant(3)
+    if dimension == 3 and (a is None or a.strength >= 0.0):
+        lower = sobolev_constant(3)
 
     @lru_cache(maxsize=1)
     def build(level: GridLevel) -> LevelObjective:

@@ -21,6 +21,7 @@ from ultragrid import (
     HalfSpace,
     Net,
     NodeMask,
+    QuadraticWell,
     build_level,
     bump,
     density,
@@ -32,7 +33,6 @@ from ultragrid import (
     monad_neighbors,
     perimeter,
     pointwise_standard_part,
-    quadratic_well,
     restrict,
     sawtooth_spec,
     sign_perturbed_spec,
@@ -80,7 +80,7 @@ def quotient_net_well():
     # strength 500 concentrates the bubble fast enough that the coarse-node
     # tails decay as a clean power law over four levels; a weak well leaves
     # them preasymptotic and the extrapolated limits stall above zero
-    spec = sign_perturbed_spec(a=quadratic_well((0.5, 0.5, 0.5), strength=500.0))
+    spec = sign_perturbed_spec(a=QuadraticWell((0.5, 0.5, 0.5), strength=500.0))
     return solve_net(spec, levels=range(3, 7), seed=0, multistart=3)
 
 

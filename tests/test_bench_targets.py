@@ -2,11 +2,13 @@
 
 ``perfbench/tracing.py`` wraps functions and methods of ``ultragrid`` by
 name; a rename in ``src/`` would make a traced benchmark run fail at start.
-The tracing module is only loaded here, never installed.
+The tracing module is only loaded here, and installed only in the fresh
+interpreter of the traced-workload test.
 """
 
 import importlib
 import importlib.util
+import json
 import os
 import pathlib
 import subprocess
@@ -88,3 +90,54 @@ def test_minimize_quadratic_calls_the_module_spla(monkeypatch):
     spec = problems.singular_spec()
     spec.initial_guesses(grid.build_level(spec.domain, 3), None, None)
     assert len(calls) == 1
+
+
+_TRACED_WORKLOADS = """
+import json
+import pathlib
+import sys
+
+bench, out = pathlib.Path(sys.argv[1]), pathlib.Path(sys.argv[2])
+sys.path.insert(0, str(bench))
+import run
+import tracing
+import ultragrid.cli as cli
+
+tracer = tracing.Tracer(1)
+tracer.install()
+report = {}
+for name, spec in run.WORKLOADS.items():
+    del tracer.spans[:]
+    work = out / name
+    work.mkdir()
+    config = work / "config.json"
+    config.write_text(json.dumps(spec["config"](1)), encoding="utf-8")
+    argv = spec["args"] + ["--config", str(config), "--out", str(work / "out")]
+    (work / "out").mkdir()
+    code = tracer.wrap("cli.main", cli.main)(argv)
+    counts = tracing.span_counts(tracer.spans)
+    report[name] = {
+        "exit": code,
+        "never_fired": [n for n in spec["fires"] if not counts.get(n)],
+        "fired": [n for n in spec["silent"] if counts.get(n)],
+    }
+print(json.dumps(report))
+"""
+
+
+def test_traced_workloads_fire_their_spans(tmp_path):
+    # the benchmark's traced self-test, once per workload at seed 1, in one
+    # fresh interpreter: every span a workload must fire fires and every span
+    # it must not fire stays silent
+    src = str(pathlib.Path(importlib.import_module("ultragrid").__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    env.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    proc = subprocess.run(
+        [sys.executable, "-c", _TRACED_WORKLOADS, str(TRACING.parent), str(tmp_path)],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    report = json.loads(proc.stdout.splitlines()[-1])
+    assert report
+    for name, got in report.items():
+        assert got == {"exit": 0, "never_fired": [], "fired": []}, name

@@ -362,6 +362,14 @@ def test_calculus_check_three_levels_exits_2(tmp_path, capsys):
     ({"problem": "singular", "params": {"g_affine": [0.5]}}, "g_affine needs 3 coefficients"),
     ({"problem": "sign_perturbed", "params": {"bubble_scales": []}},
      "bubble_scales needs at least one scale"),
+    ({"problem": "sign_perturbed", "params": {"well": {"center": [0.5] * 3, "strength": "nan"}}},
+     "the well needs a finite center and strength"),
+    ({"problem": "sign_perturbed", "params": {"well": {"center": [0.5] * 3, "strength": "inf"}}},
+     "the well needs a finite center and strength"),
+    ({"problem": "sign_perturbed", "params": {"well": {"center": [0.5, float("nan"), 0.5]}}},
+     "the well needs a finite center and strength"),
+    ({"problem": "sign_perturbed", "params": {"well": {"center": [0.5] * 3, "strenght": 500}}},
+     "unexpected keyword argument 'strenght'"),
 ])
 def test_bad_config_values_exit_2_before_solving(tmp_path, capsys, monkeypatch, payload, message):
     def no_solve(*args, **kwargs):
@@ -374,6 +382,20 @@ def test_bad_config_values_exit_2_before_solving(tmp_path, capsys, monkeypatch, 
     assert main(["solve", "--config", cfg, "--out", str(out)]) == 2
     assert message in capsys.readouterr().err
     assert not any(out.iterdir())
+
+
+def test_negative_well_solves_without_a_certified_bound(tmp_path):
+    # a negative strength is a valid well, but the sharp constant no longer
+    # bounds its quotient from below, so the verdict is left out
+    well = {"center": [0.5, 0.5, 0.5], "strength": -5.0}
+    cfg = write_config(tmp_path, {"problem": "sign_perturbed", "levels": "2..4", "seed": 1,
+                                  "params": {"well": well}})
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
+    invariants = json.loads((out / "report.json").read_text())["invariants"]
+    assert "certified_lower_bound" not in invariants
+    assert invariants["all_levels_converged"]["passed"]
 
 
 @pytest.mark.parametrize("instances", [0, "20", None])

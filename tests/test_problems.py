@@ -18,6 +18,7 @@ from ultragrid import (
     BubbleInitializer,
     Domain,
     GridFunction,
+    QuadraticWell,
     bubble,
     build_level,
     check_gradient,
@@ -26,7 +27,6 @@ from ultragrid import (
     minimize_level,
     monad_neighbors,
     solve_net,
-    quadratic_well,
     restrict,
     sawtooth_pattern,
     sawtooth_spec,
@@ -218,7 +218,7 @@ def test_quotient_metric_solves_dense_stiffness(dim_n, lo, stretched, well, seed
     dim, n = dim_n
     bounds = tuple((lo, lo + (2.0 if axis == stretched else 1.0)) for axis in range(dim))
     level = build_level(Domain(bounds), n)
-    a = quadratic_well((0.5,) * dim) if well else None
+    a = QuadraticWell((0.5,) * dim) if well else None
     obj = problems._QuotientObjective(level, a)
     K, M = zip(*((A.toarray()[1:-1, 1:-1] for A in oracles.p1_matrices(m, level.h))
                  for m in level.shape))
@@ -250,12 +250,22 @@ def test_quotient_gradient_consistency():
     assert check_gradient(spec, level) < 1e-5
 
 
-def _old_quotient(obj, u):
+def _gauss_potential(level, well):
+    """The well's values on the full Gauss-point grid; ``None`` without a well."""
+    if well is None:
+        return None
+    points = [gauss_interp(m, level.h, level.domain.bounds[axis][0])[1]
+              for axis, m in enumerate(level.shape)]
+    mesh = np.meshgrid(*points, indexing="ij", sparse=True)
+    return well.strength * sum((x - c) ** 2 for x, c in zip(mesh, well.center, strict=True))
+
+
+def _old_quotient(obj, u, well):
     """The former quotient evaluation, kept as the oracle of the streamed pass.
 
     Sparse per-axis Gauss matrices applied along each axis over the full
-    Gauss-point grid, ``|u|^p`` by float power, and the weighted transposes
-    ``G^T diag(w)`` for the adjoint.
+    Gauss-point grid, ``|u|^p`` by float power, the potential term summed on
+    that grid, and the weighted transposes ``G^T diag(w)`` for the adjoint.
     """
     level = obj.level
     grid = u.reshape(level.shape)
@@ -284,7 +294,7 @@ def _old_quotient(obj, u):
         ku += chain(mats, grid)
     num = float(np.vdot(grid, ku))
     ug = chain(G, grid)
-    a = obj._a_gauss
+    a = _gauss_potential(level, well)
     if a is not None:
         num += gauss_sum(a * ug * ug)
     den = gauss_sum(np.abs(ug) ** obj.p)
@@ -303,21 +313,21 @@ def _old_quotient(obj, u):
 )
 def test_quotient_kernel_matches_former_formula(dimension, n, well):
     # p = 6, 4 and 10/3: the last needs a non-integer power
-    a = quadratic_well((0.4,) * dimension) if well else None
+    a = QuadraticWell((0.4,) * dimension) if well else None
     spec = sign_perturbed_spec(a=a, dimension=dimension)
     level = build_level(spec.domain, n)
     obj = spec.build(level)
     u = obj.pin(np.random.default_rng(n + dimension).standard_normal(level.node_count))
     value, grad = obj.value_and_grad(u)
-    ref_value, ref_grad = _old_quotient(obj, u)
+    ref_value, ref_grad = _old_quotient(obj, u, a)
     assert value == pytest.approx(ref_value, rel=1e-12)
     np.testing.assert_allclose(grad, ref_grad, rtol=1e-12, atol=1e-12 * np.abs(ref_grad).max())
     # the former per-cell weighted sums against <u, adj>: the same exact
     # Gauss sums, summed in another order
-    assert _whole_array_value_and_grad(obj, u)[0] == pytest.approx(value, rel=1e-15, abs=0.0)
+    assert _whole_array_value_and_grad(obj, u, a)[0] == pytest.approx(value, rel=1e-15, abs=0.0)
 
 
-def _whole_array_value_and_grad(obj, u):
+def _whole_array_value_and_grad(obj, u, well):
     """The former whole-array evaluation, kept as the oracle of the streamed pass.
 
     The node grid is contracted along axes 1 .. N-1 in whole (batched)
@@ -325,7 +335,9 @@ def _whole_array_value_and_grad(obj, u):
     of that contraction, and the scaled accumulators are back-projected at
     the end: the one-range Gauss pass as it was before it was streamed.
     ``den`` and ``pot`` are each cell's Gauss-weighted sum, added in cell
-    order, as the pass took them before they were read off the adjoints.
+    order, as the pass took them before they were read off the adjoint.
+    The potential is ``well`` on the Gauss grid, and the stiffness that of a
+    well-free objective, since ``obj``'s stiffness holds the well.
     """
 
     def weighted_sum(x, w0):  # one cell's rows x, axis-0 weights w0
@@ -346,7 +358,7 @@ def _whole_array_value_and_grad(obj, u):
     grid = u.reshape(obj.level.shape)
     t = apply_trailing(obj._G, grid)
     t = t.reshape(t.shape[0], -1)
-    a_gauss = obj._a_gauss
+    a_gauss = _gauss_potential(obj.level, well)
     acc = np.zeros(t.shape)
     acc_a = None if a_gauss is None else np.zeros(t.shape)
     G0, GWT0, w0 = obj._G[0], obj._GWT[0], obj._gw[0]
@@ -362,7 +374,7 @@ def _whole_array_value_and_grad(obj, u):
         y = np.power(ug * ug, obj._half_exp) * ug
         den += weighted_sum(ug * y, w0[rows])
         acc[nodes] += GWT0[nodes, rows] @ y
-    ku = obj._stiffness_apply(grid)
+    ku = problems._QuotientObjective(obj.level, None)._stiffness_apply(grid)
     num = float(np.vdot(grid, ku)) + pot
     scale = den**-obj.q
     acc *= -obj.p * obj.q * num * scale / den
@@ -372,14 +384,14 @@ def _whole_array_value_and_grad(obj, u):
     return num / den**obj.q, (2.0 * scale * ku + adj).ravel()
 
 
-def _assert_matches_whole_array_oracle(obj, u):
-    # den = <u, adj> and pot = <u, adj_a> against the former per-cell
-    # weighted sums (the same exact Gauss sums) to 1e-15 relative; the
-    # gradient, scaled after the back-projection instead of before it, to
-    # rounding
+def _assert_matches_whole_array_oracle(obj, u, well):
+    # den = <u, adj> against the former per-cell weighted sums (the same
+    # exact Gauss sum), and the well folded into the stiffness against its
+    # Gauss sum, to 1e-15 relative; the gradient, scaled after the
+    # back-projection instead of before it, to rounding
     with problems.sweep_threads(1):
         value, grad = obj.value_and_grad(u)
-    ref_value, ref_grad = _whole_array_value_and_grad(obj, u)
+    ref_value, ref_grad = _whole_array_value_and_grad(obj, u, well)
     assert value == pytest.approx(ref_value, rel=1e-15, abs=0.0)
     assert np.max(np.abs(grad - ref_grad)) <= 1e-14 * np.max(np.abs(ref_grad))
 
@@ -390,9 +402,10 @@ def _assert_matches_whole_array_oracle(obj, u):
 def test_streamed_pass_matches_whole_array_oracle(n, well):
     # u is a sign-changing random field
     level = build_level(DOM3, n)
-    obj = problems._QuotientObjective(level, quadratic_well((0.4, 0.5, 0.6)) if well else None)
+    a = QuadraticWell((0.4, 0.5, 0.6)) if well else None
+    obj = problems._QuotientObjective(level, a)
     u = obj.pin(np.random.default_rng(30 + n).standard_normal(level.node_count))
-    _assert_matches_whole_array_oracle(obj, u)
+    _assert_matches_whole_array_oracle(obj, u, a)
 
 
 @pytest.mark.parametrize(
@@ -401,31 +414,39 @@ def test_streamed_pass_matches_whole_array_oracle(n, well):
 def test_streamed_pass_matches_whole_array_oracle_in_4d_and_5d(dimension, n, well):
     # p = 4 and 10/3: the sweep takes np.power
     level = build_level(Domain(((0.0, 1.0),) * dimension), n)
-    a = quadratic_well((0.4, 0.5, 0.6, 0.45, 0.55)[:dimension]) if well else None
+    a = QuadraticWell((0.4, 0.5, 0.6, 0.45, 0.55)[:dimension]) if well else None
     obj = problems._QuotientObjective(level, a)
     u = obj.pin(np.random.default_rng(10 * dimension + n).standard_normal(level.node_count))
-    _assert_matches_whole_array_oracle(obj, u)
+    _assert_matches_whole_array_oracle(obj, u, a)
 
 
-def test_quotient_evaluation_stores_no_gauss_grid():
+@pytest.mark.parametrize("well", [False, True])
+def test_quotient_evaluation_stores_no_gauss_grid(well):
     # a 3D level-5 Gauss pass contracted along axes 1..2 is 33 x 128 x 128
-    # doubles (4.3 MB); the streamed pass holds a few Gauss rows (128 KB each)
-    # and node-sized arrays (287 KB each)
+    # doubles (4.3 MB), and the whole Gauss grid 128^3 (16.8 MB); the
+    # streamed pass holds a few Gauss rows (128 KB each) and node-sized
+    # arrays (287 KB each), and the well is a 33 x 33 term of each axis's
+    # stiffness factor.  Bounded: the build and first evaluation together,
+    # and the evaluation alone, beyond what the built objective holds
     level = build_level(DOM3, 5)
-    obj = problems._QuotientObjective(level, None)
-    u = obj.pin(np.random.default_rng(5).standard_normal(level.node_count))
+    u = np.random.default_rng(5).standard_normal(level.node_count)
     tracemalloc.start()
     try:
+        obj = problems._QuotientObjective(level, QuadraticWell((0.4, 0.5, 0.6)) if well else None)
+        u = obj.pin(u)
+        held, build_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
         with problems.sweep_threads(1):
             obj.value_and_grad(u)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 4_000_000
+    assert max(build_peak, peak) <= 6_000_000
+    assert peak - held <= 4_000_000
 
 
 def test_quotient_well_gradient_consistency():
-    spec = sign_perturbed_spec(a=quadratic_well((0.5, 0.5, 0.5)))
+    spec = sign_perturbed_spec(a=QuadraticWell((0.5, 0.5, 0.5)))
     level = build_level(spec.domain, 3)
     assert check_gradient(spec, level) < 1e-5
 
@@ -434,6 +455,29 @@ def _assert_bit_identical(expected, got):
     for x, y in zip(expected, got, strict=True):
         np.testing.assert_array_equal(y, x)
         np.testing.assert_array_equal(np.signbit(y), np.signbit(x))
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_strength_zero_well_is_the_free_quotient(n):
+    # the well's stiffness terms are exact zeros, so adding them changes no bit
+    level = build_level(DOM3, n)
+    free = problems._QuotientObjective(level, None)
+    zero = problems._QuotientObjective(level, QuadraticWell((0.4, 0.5, 0.6), strength=0.0))
+    u = free.pin(np.random.default_rng(n).standard_normal(level.node_count))
+    _assert_bit_identical(
+        (*free.value_and_grad(u), free.normalize(u)),
+        (*zero.value_and_grad(u), zero.normalize(u)),
+    )
+
+
+def test_quotient_lower_bound_needs_a_non_negative_well():
+    assert sign_perturbed_spec().lower_bound == sobolev_constant(3)
+    assert sign_perturbed_spec(a=QuadraticWell((0.5,) * 3, 0.0)).lower_bound == sobolev_constant(3)
+    assert sign_perturbed_spec(a=QuadraticWell((0.5,) * 3, -1.0)).lower_bound is None
+    # no bound is certified outside 3D
+    assert sign_perturbed_spec(a=QuadraticWell((0.5,) * 4), dimension=4).lower_bound is None
+    with pytest.raises(ValueError, match="the well center needs 3 coordinates"):
+        sign_perturbed_spec(a=QuadraticWell((0.5, 0.5)))
 
 
 @pytest.mark.parametrize(
@@ -453,7 +497,7 @@ def test_quotient_split_sweep_is_bit_identical(monkeypatch, dimension, n, well):
         return sweep(self, grid, c0, *args)
 
     monkeypatch.setattr(problems._QuotientObjective, "_sweep", recording)
-    a = quadratic_well((0.4,) * dimension) if well else None
+    a = QuadraticWell((0.4,) * dimension) if well else None
     level = build_level(Domain(((0.0, 1.0),) * dimension), n)
     obj = problems._QuotientObjective(level, a)
     u = obj.pin(np.random.default_rng(10 * dimension + n).standard_normal(level.node_count))
@@ -473,7 +517,7 @@ def test_split_sweep_stress_more_ranges_than_cores(monkeypatch):
     # reordered update of the shared accumulators breaks the bit identity
     monkeypatch.setattr(problems, "_SPLIT_MIN_POINTS", 0)
     level = build_level(DOM3, 4)
-    obj = problems._QuotientObjective(level, quadratic_well((0.4, 0.5, 0.6)))
+    obj = problems._QuotientObjective(level, QuadraticWell((0.4, 0.5, 0.6)))
     u = obj.pin(np.random.default_rng(44).standard_normal(level.node_count))
     with problems.sweep_threads(1):
         expected = obj.value_and_grad(u)
@@ -540,13 +584,14 @@ def test_quotient_above_sobolev_constant():
 
 
 def test_quadratic_well_and_concentration_metric():
-    a = quadratic_well((0.5, 0.5, 0.5), strength=10.0)
-    assert a(0.5, 0.5, 0.5) == 0.0
-    assert a(1.0, 0.5, 0.5) == pytest.approx(2.5)
-    # one coordinate per axis of the center, no more and no fewer
-    for coords in ((0.5, 0.5), (0.5, 0.5, 0.5, 0.9)):
-        with pytest.raises(ValueError):
-            a(*coords)
+    a = QuadraticWell([0.5, 0.5, 1], strength=10)
+    assert a == QuadraticWell((0.5, 0.5, 1.0), 10.0)
+    assert QuadraticWell((0.5,) * 3).strength == 50.0
+    # every value finite, or no well
+    for center, strength in (((0.5, float("nan"), 0.5), 1.0), ((0.5,) * 3, float("inf")),
+                             ((0.5,) * 3, "nan")):
+        with pytest.raises(ValueError, match="finite"):
+            QuadraticWell(center, strength)
 
     level = build_level(DOM3, 3)
     peak = restrict(

@@ -15,12 +15,12 @@ from ultragrid import (
     Kind,
     Net,
     ProblemSpec,
+    QuadraticWell,
     build_level,
     check_gradient,
     classify,
     minimize_level,
     prolong,
-    quadratic_well,
     restrict,
     sawtooth_spec,
     sign_perturbed_spec,
@@ -197,7 +197,7 @@ def test_quotient_starts_converge_in_level_independent_iterations(monkeypatch, w
         return result
 
     monkeypatch.setattr(solver, "lbfgs", recording_lbfgs)
-    a = quadratic_well((0.5, 0.5, 0.5)) if well else None
+    a = QuadraticWell((0.5, 0.5, 0.5)) if well else None
     net = solve_net(sign_perturbed_spec(a=a), range(3, 6), seed=1)
     assert len(runs) == 3 + 2 + 2  # three bubbles, then warm start + one bubble
     for gtol, result in runs:
