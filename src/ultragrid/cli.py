@@ -65,6 +65,7 @@ from .nets import classify
 from .problems import (
     BoundaryDataError,
     QuadraticWell,
+    _is_real,
     sawtooth_spec,
     sign_perturbed_spec,
     singular_spec,
@@ -221,6 +222,8 @@ def _build_problem(config: dict):
         if kind == "singular":
             g_coeffs = params.pop("g_affine", None)
             if g_coeffs is not None:
+                if not all(map(_is_real, g_coeffs)):
+                    raise ConfigError(f"g_affine needs real coefficients, got {g_coeffs!r}")
                 coeffs = tuple(float(c) for c in g_coeffs)
 
                 def g(*coords):

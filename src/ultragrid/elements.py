@@ -5,7 +5,8 @@ Every 1D operator of the package is small.  The SBP derivative of
 :func:`p1_matrices` and the per-axis Gauss interpolation of
 :func:`gauss_interp` are dense arrays.  :func:`apply_axis` applies either
 kind along one axis of an nd array, and :func:`apply_axes` applies one dense
-matrix along every axis.
+matrix along every axis (only the quotient's fast-diagonalization metric
+uses it).
 
 A banded product sums each output row in increasing column order, as if
 from ``+0.0``.  That is the order in which a CSR matrix-vector product sums
@@ -21,16 +22,18 @@ Used by the critical-exponent quotient: the quotient is evaluated as the
 the 1D linear-element stiffness/mass matrices (kron-sum structure) applied
 with :func:`apply_axis`, and the denominator uses 4-point Gauss quadrature per
 cell per axis, which integrates the degree-6 interpolant power exactly.
-The Gauss matrices are the dense 1D factors of the quotient's streamed
-Gauss-point pass (``problems._QuotientObjective``), applied with
-:func:`apply_axes`.
+The quotient's streamed Gauss-point pass (``problems._QuotientObjective``)
+takes only one cell's ``4 x 2`` block of :func:`gauss_interp`, the same in
+every cell, and applies its Kronecker powers cell by cell; the dense
+``4 (m - 1) x m`` matrix, two nonzeros a row, builds the potential well's
+1D terms.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -120,29 +123,26 @@ def apply_axis(op: Union[Banded, np.ndarray], arr: np.ndarray, axis: int) -> np.
     return out
 
 
-def apply_axes(
-    mats: Sequence[np.ndarray], arr: np.ndarray, out: Optional[np.ndarray] = None
-) -> np.ndarray:
+def apply_axes(mats: Sequence[np.ndarray], arr: np.ndarray) -> np.ndarray:
     """Apply the dense ``mats[k]`` along axis ``k`` of ``arr``, every axis
-    from the last to the first; ``out``, if given, receives the result."""
-    for axis in range(arr.ndim - 1, 0, -1):
+    from the last to the first (the quotient's fast-diagonalization metric,
+    ``problems._QuotientObjective.precondition``)."""
+    for axis in range(arr.ndim - 1, -1, -1):
         arr = _gemm(mats[axis], arr, axis)
-    return _gemm(mats[0], arr, 0, out)
+    return arr
 
 
-def _gemm(op: np.ndarray, arr: np.ndarray, axis: int, out: Optional[np.ndarray] = None):
+def _gemm(op: np.ndarray, arr: np.ndarray, axis: int) -> np.ndarray:
     """The dense ``(k, m)`` ``op`` along ``axis`` of ``arr``, as one GEMM.
 
     ``arr`` is viewed as ``(rows before, m, rows after)`` and ``op`` applied
     batched over the first index; along the last axis it is one plain GEMM
     with ``op`` transposed.  On a C-contiguous ``arr`` nothing is copied.
-    ``out`` must be C-contiguous: it is written through a reshaped view.
     """
     m = arr.shape[axis]
     head, tail = arr.shape[:axis], arr.shape[axis + 1:]
     shape = head + (op.shape[0],) + tail
-    if out is None:
-        out = np.empty(shape)
+    out = np.empty(shape)
     if tail:
         batched = arr.reshape(math.prod(head), m, -1)
         np.matmul(op, batched, out=out.reshape(batched.shape[0], op.shape[0], -1))

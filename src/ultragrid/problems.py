@@ -28,10 +28,11 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from importlib import resources
 from typing import Callable, Optional, Sequence
 
@@ -271,16 +272,27 @@ class QuadraticWell:
     strength: float = 50.0
 
     def __post_init__(self) -> None:
+        if not all(_is_real(v) and math.isfinite(v) for v in (*self.center, self.strength)):
+            raise ValueError(f"the well needs a finite center and strength, got {self!r}")
         object.__setattr__(self, "center", tuple(float(c) for c in self.center))
         object.__setattr__(self, "strength", float(self.strength))
-        if not all(math.isfinite(v) for v in self.center + (self.strength,)):
-            raise ValueError(f"the well needs a finite center and strength, got {self!r}")
+
+
+def _is_real(value) -> bool:
+    """Whether ``value`` is a real number.  A bool or a str is not, though
+    ``float`` takes both (a config's ``true`` or ``"500"``)."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 #: Gauss points of one quotient pass from which its sweep is split into
 #: ranges.  A smaller pass (3D level 4 and coarser) runs slower split than
 #: whole: the helper threads cost more than they save.
 _SPLIT_MIN_POINTS = 1 << 20
+
+#: The most columns of a cell's Gauss rows that the pointwise steps of a
+#: quotient sweep take at a time, so that their buffers stay in a 2 MB cache:
+#: 3D levels 5 and 6 ran faster with it than with half or twice as many.
+_CHUNK = 1 << 13
 
 _sweep_ranges: Optional[int] = None  # the cap of sweep_threads; None: _usable_cpus()
 _pool = None  # the helper threads of split sweeps, made on the first split
@@ -368,16 +380,26 @@ class _QuotientObjective(LevelObjective):
     The denominator ``int |u|^p`` is ``<u, adj>``, with the adjoint
     ``adj = G^T W (u |u|^(p-2))`` (``G`` the Gauss interpolation, ``W`` the
     Gauss weights) taken in one streamed pass (:meth:`_gauss_pass`),
-    sum-factorization style (Orszag, J. Comput. Phys. 37, 1980): axis 0 is
-    swept one cell at a time, each cell reading only its own two node rows,
-    each row contracted with the dense 1D Gauss matrices of axes
-    ``1 .. N-1`` when the sweep reaches it, into a ring of two rows.  A node
-    row's adjoint is back-projected through the weighted Gauss matrices of
-    those axes as soon as both of its cells are swept.  So nothing the size
-    of the Gauss grid, whole or contracted along axes ``1 .. N-1``, is
-    stored: a sweep holds a few Gauss rows at a time.  ``|u|^p`` is formed
-    as ``u * u (u^2)^((p-2)/2)``; for ``p = 6`` the power is a square, taken
-    by ``np.multiply``, which rounds as ``np.power(y, 2.0)`` does.
+    sum-factorization style (Orszag, J. Comput. Phys. 37, 1980; Kronbichler
+    & Kormann, Computers & Fluids 63, 2012): axis 0 is swept one cell at a
+    time, each cell reading only its own two node rows, each row contracted
+    onto its Gauss points of axes ``1 .. N-1`` when the sweep reaches it,
+    into a ring of two rows.  On the uniform grid every cell has the same
+    ``4 x 2`` block ``S = [1 - s, s]`` per axis, so a row's contraction
+    (:meth:`_interp`) is one GEMM with ``S (x) .. (x) S`` (``4^(N-1) x
+    2^(N-1)``) on the row's ``2^(N-1)`` corner slices, and its Gauss points
+    are stored cell-major, ``(point in the cell, cell)``; the dense Gauss
+    matrices, two nonzeros a row, are never applied.  Axis 0 and the power
+    act point by point, so the order of the points in a row does not
+    matter; they run on chunks of ``_CHUNK`` columns that stay in cache.  A
+    node row's adjoint is back-projected (:meth:`_project`) as soon as both
+    of its cells are swept: one GEMM with ``(B (x) .. (x) B)^T``,
+    ``B = diag(w) S``, then one ``np.bincount`` that adds each corner's part
+    onto its nodes.  So nothing the size of the Gauss grid, whole or
+    contracted along axes ``1 .. N-1``, is stored: a sweep holds a few Gauss
+    rows at a time.  ``|u|^p`` is formed as ``u * u (u^2)^((p-2)/2)``; for
+    ``p = 6`` the power is a square, taken by ``np.square``, which rounds as
+    ``np.power(y, 2.0)`` does.
 
     From ``_SPLIT_MIN_POINTS`` Gauss points on (3D level 5 and finer) the
     sweep runs on several threads: the axis-0 cells are cut into contiguous
@@ -386,12 +408,12 @@ class _QuotientObjective(LevelObjective):
     thread sweeps.  The ranges share no buffer and call only numpy; each
     writes the adjoint node rows that only its own cells touch.  The result
     is bit-identical to the one-range sweep for any number of ranges: a
-    row's contraction and back-projection are the same GEMMs whichever
-    range makes them; the node row where two ranges meet is finished after
-    the join, the earlier range's partial row plus the later range's first
-    contribution, which is again the one-sweep order; and ``den`` is read
-    off the finished adjoint.  The stiffness stays on the main thread:
-    running it beside the sweep gained no time.
+    row's contraction and back-projection are the same GEMMs and sums
+    whichever range makes them; the node row where two ranges meet is
+    finished after the join, the earlier range's partial row plus the later
+    range's first contribution, which is again the one-sweep order; and
+    ``den`` is read off the finished adjoint.  The stiffness stays on the
+    main thread: running it beside the sweep gained no time.
 
     L-BFGS runs in the H1 metric of the numerator without the well:
     :meth:`precondition` is the exact inverse of the interior Dirichlet
@@ -417,27 +439,31 @@ class _QuotientObjective(LevelObjective):
         self.fixed_values = np.zeros(level.node_count)
 
         self._K1, self._M1 = [], []
-        self._G, self._GWT, self._gw = [], [], []
         for axis, m in enumerate(level.shape):
             K, M = p1_matrices(m, level.h)
-            G, pts, w = gauss_interp(m, level.h, level.domain.bounds[axis][0])
             if well is not None:  # + A_i, the well's part along this axis
+                G, pts, w = gauss_interp(m, level.h, level.domain.bounds[axis][0])
                 a = well.strength * (pts - well.center[axis]) ** 2
                 K = K + (G * (w * a)[:, None]).T @ G
             self._K1.append(K)
             self._M1.append(M)
-            self._G.append(G)
-            self._GWT.append((G * w[:, None]).T)  # G^T diag(w)
-            self._gw.append(w)
-        self._row_shape = tuple(w.size for w in self._gw[1:])  # one node row on the Gauss points
-        # cell c's axis-0 Gauss rows on its two node rows, ordered by ring
-        # slot: slot r % 2 holds node row r
-        cells = level.shape[0] - 1
-        c = np.arange(cells)
-        slots = np.stack([c + c % 2, c + 1 - c % 2], axis=1)
-        self._G0_ring = np.take_along_axis(
-            self._G[0].reshape(cells, -1, cells + 1), slots[:, None, :], axis=2
-        )
+        # every cell's Gauss rows on its two nodes: the 4 x 2 block S, the
+        # same on every axis, and its weighted transpose S^T diag(w); axis 0
+        # takes cell c's block by ring slot (slot r % 2 holds node row r)
+        S, _, w = gauss_interp(2, level.h, 0.0)
+        self._S0, self._B0T = (S, S[:, ::-1]), (S * w[:, None]).T
+        # axes 1 .. N-1: the Kronecker powers of both blocks, on the 2^(N-1)
+        # corner slices of a node row, one per cell corner, in C order
+        self._Sk = reduce(np.kron, [S] * (dim - 1))
+        self._BkT = reduce(np.kron, [self._B0T] * (dim - 1))
+        self._cell_shape = tuple(m - 1 for m in level.shape[1:])  # the cells of a node row
+        self._corners = [tuple(slice(e, e + c) for e, c in zip(corner, self._cell_shape))
+                         for corner in np.ndindex((2,) * (dim - 1))]
+        # the node under each entry of the corner slices, corner by corner,
+        # for the sum of _project (_interp copies the slices: from level 5
+        # on that is faster than np.take)
+        nodes = np.arange(math.prod(level.shape[1:])).reshape(level.shape[1:])
+        self._gather = np.concatenate([nodes[corner].ravel() for corner in self._corners])
 
         eig = [_dirichlet_eigenpairs(m, level.h) for m in level.shape]
         self._V = [V for V, _ in eig]
@@ -460,9 +486,21 @@ class _QuotientObjective(LevelObjective):
                 prefix = apply_axis(self._M1[i], prefix, i)
         return out
 
-    def _project(self, row: np.ndarray, out: np.ndarray) -> None:
-        """Back-project one Gauss row of axes ``1 .. N-1`` into the node row ``out``."""
-        apply_axes(self._GWT[1:], row.reshape(self._row_shape), out)
+    def _interp(self, row: np.ndarray, out: np.ndarray, buf: np.ndarray) -> None:
+        """Contract the node row ``row`` onto its Gauss points of axes
+        ``1 .. N-1``, cell-major, into ``out``: one GEMM with ``S (x) .. (x) S``
+        on the corner slices of ``row``, gathered into ``buf``."""
+        for part, corner in zip(buf, self._corners):
+            part[...] = row[corner]
+        np.matmul(self._Sk, buf.reshape(len(buf), -1), out=out.reshape(len(self._Sk), -1))
+
+    def _project(self, row: np.ndarray, out: np.ndarray, buf: np.ndarray) -> None:
+        """Back-project one cell-major Gauss row of axes ``1 .. N-1`` into the
+        node row ``out``: one GEMM with ``(B (x) .. (x) B)^T`` into ``buf``,
+        then each corner's part added onto its nodes, the corners in order
+        (``np.bincount`` sums in the order of its input)."""
+        np.matmul(self._BkT, row.reshape(len(self._Sk), -1), out=buf.reshape(len(buf), -1))
+        out[...] = np.bincount(self._gather, weights=buf.reshape(-1)).reshape(out.shape)
 
     def _gauss_pass(self, grid: np.ndarray) -> tuple[float, np.ndarray]:
         """``(den, adj)`` of one streamed Gauss-point pass.
@@ -479,7 +517,7 @@ class _QuotientObjective(LevelObjective):
         """
         cells = grid.shape[0] - 1
         ranges = 1
-        if self._G[0].shape[0] * math.prod(self._row_shape) >= _SPLIT_MIN_POINTS:
+        if 4**grid.ndim * cells * math.prod(self._cell_shape) >= _SPLIT_MIN_POINTS:
             ranges = min(_sweep_ranges or _usable_cpus(), cells)
         starts = [cells * i // ranges for i in range(ranges)] + [cells]
         adj = np.empty(grid.shape)
@@ -501,10 +539,11 @@ class _QuotientObjective(LevelObjective):
         # the node rows that no range finishes: the first, the last, and each
         # row where two ranges meet, the earlier range's part first, as one
         # sweep adds them
-        self._project(sweeps[0][0], adj[0])
+        buf = np.empty((len(self._corners),) + self._cell_shape)
+        self._project(sweeps[0][0], adj[0], buf)
         for c0, before, after in zip(starts[1:], sweeps, sweeps[1:]):
-            self._project(before[1] + after[0], adj[c0])
-        self._project(sweeps[-1][1], adj[cells])
+            self._project(before[1] + after[0], adj[c0], buf)
+        self._project(sweeps[-1][1], adj[cells], buf)
         return float(np.vdot(grid, adj)), adj
 
     def _sweep(self, grid, c0, c1, adj) -> tuple:
@@ -515,35 +554,41 @@ class _QuotientObjective(LevelObjective):
         between them are finished here and written into ``adj``.  Only numpy
         is called, so a helper thread can sweep a range.
         """
-        GWT0, G0_ring, G_rows = self._GWT[0], self._G0_ring, self._G[1:]
-        rule = G0_ring.shape[1]  # Gauss rows per cell
-        width = math.prod(self._row_shape)
-        # node rows contracted on the Gauss rows of axes 1 .. N-1, row r in
-        # slot r % 2: cell c reads the two slots
+        S0, B0T = self._S0, self._B0T
+        rule, width = B0T.shape[1], len(self._Sk) * math.prod(self._cell_shape)
+        # node rows contracted on the Gauss rows of axes 1 .. N-1, cell-major,
+        # row r in slot r % 2: cell c reads the two slots
         ring = np.empty((2, width))
-        # cell buffers, reused: fresh temporaries would cost page faults
-        ug, y = np.empty((2, rule, width))
-        back = ug[:2]  # ug is dead once u |u|^(p-2) is formed: its rows hold adj's cell parts
-        head, tail = np.empty((2, width))
+        # cell c's parts of node rows c and c + 1, in slot c % 2: the next
+        # cell adds the second part to its first
+        back = np.empty((2, 2, width))
+        buf = np.empty((len(self._corners),) + self._cell_shape)  # a node row's corner slices
+        # a cell's pointwise steps run on equal chunks of at most _CHUNK
+        # columns, which stay in cache; their buffers are reused: fresh
+        # temporaries would cost page faults
+        step = math.gcd(width, _CHUNK)
+        ug, y = np.empty((2, rule, step))
+        chunks = [(ring[:, i : i + step], back[:, :, i : i + step]) for i in range(0, width, step)]
 
-        apply_axes(G_rows, grid[c0], ring[c0 % 2])
+        self._interp(grid[c0], ring[c0 % 2], buf)
         for c in range(c0, c1):
-            apply_axes(G_rows, grid[c + 1], ring[(c + 1) % 2])
-            np.matmul(G0_ring[c], ring, out=ug)
-            np.multiply(ug, ug, out=y)
-            if self._half_exp == 2.0:
-                np.multiply(y, y, out=y)  # p = 6: numpy's power squares for 2.0 too
-            else:
-                np.power(y, self._half_exp, out=y)
-            np.multiply(y, ug, out=y)  # u |u|^(p-2)
-            np.matmul(GWT0[c : c + 2, rule * c : rule * (c + 1)], y, out=back)
+            self._interp(grid[c + 1], ring[(c + 1) % 2], buf)
+            for rows, backs in chunks:
+                np.matmul(S0[c % 2], rows, out=ug)
+                np.square(ug, out=y)
+                if self._half_exp == 2.0:
+                    np.square(y, out=y)  # p = 6: rounds as np.power(y, 2.0)
+                else:
+                    np.power(y, self._half_exp, out=y)
+                np.multiply(y, ug, out=y)  # u |u|^(p-2)
+                np.matmul(B0T, y, out=backs[c % 2])
+            front = back[c % 2, 0]
             if c == c0:
-                head[:] = back[0]
+                head = front.copy()
             else:
-                back[0] += tail
-                self._project(back[0], adj[c])
-            tail[:] = back[1]
-        return head, tail
+                front += back[(c - 1) % 2, 1]
+                self._project(front, adj[c], buf)
+        return head, back[(c1 - 1) % 2, 1]
 
     # -- energy -------------------------------------------------------------
     def value_and_grad(self, u: np.ndarray) -> tuple[float, np.ndarray]:
@@ -615,8 +660,8 @@ def sign_perturbed_spec(
     if a is not None and len(a.center) != dimension:
         raise ValueError(f"the well center needs {dimension} coordinates, got {a.center!r}")
     bubble_scales = tuple(bubble_scales)
-    if not bubble_scales:
-        raise ValueError("bubble_scales needs at least one scale")
+    if not bubble_scales or not all(map(_is_real, bubble_scales)):
+        raise ValueError(f"bubble_scales needs at least one scale, each real, got {bubble_scales!r}")
     domain = Domain(bounds=tuple(((0.0, 1.0),) * dimension))
     x_m = tuple(center) if center is not None else (0.5,) * dimension
     # every start's profile at unit scale (its support does not depend on
@@ -797,7 +842,7 @@ def singular_spec(
         W, Wp, Wpp = _default_W, _default_Wp, _default_Wpp
     elif Wp is None:
         raise ValueError("a custom potential needs its derivative")
-    if not init_floor > 0:
+    if not (_is_real(init_floor) and init_floor > 0):
         raise ValueError(f"init_floor must be positive, got {init_floor!r}")
     _check_potential(W)
     if domain is None:

@@ -370,6 +370,20 @@ def test_calculus_check_three_levels_exits_2(tmp_path, capsys):
      "the well needs a finite center and strength"),
     ({"problem": "sign_perturbed", "params": {"well": {"center": [0.5] * 3, "strenght": 500}}},
      "unexpected keyword argument 'strenght'"),
+    # float() takes a bool or a numeric string, the config does not
+    ({"problem": "sign_perturbed", "params": {"well": {"center": [0.5] * 3, "strength": True}}},
+     "the well needs a finite center and strength"),
+    ({"problem": "sign_perturbed", "params": {"well": {"center": [0.5] * 3, "strength": "500"}}},
+     "the well needs a finite center and strength"),
+    ({"problem": "sign_perturbed", "params": {"well": {"center": [0.5, True, 0.5]}}},
+     "the well needs a finite center and strength"),
+    ({"problem": "sign_perturbed", "params": {"well": {"center": ["0.4", 0.5, 0.6]}}},
+     "the well needs a finite center and strength"),
+    ({"problem": "sign_perturbed", "params": {"bubble_scales": [True, 2.0]}},
+     "bubble_scales needs at least one scale, each real"),
+    ({"problem": "singular", "params": {"g_affine": [True, 0.0, "1"]}},
+     "g_affine needs real coefficients"),
+    ({"problem": "singular", "params": {"init_floor": True}}, "init_floor must be positive"),
 ])
 def test_bad_config_values_exit_2_before_solving(tmp_path, capsys, monkeypatch, payload, message):
     def no_solve(*args, **kwargs):

@@ -34,7 +34,7 @@ from ultragrid import (
     singular_spec,
     sobolev_constant,
 )
-from ultragrid.elements import gauss_interp
+from ultragrid.elements import apply_axes, gauss_interp
 from ultragrid.optimize import minimize_quadratic
 from ultragrid.solver import MinResult, verify_euler_lagrange
 
@@ -336,12 +336,21 @@ def _whole_array_value_and_grad(obj, u, well):
     the end: the one-range Gauss pass as it was before it was streamed.
     ``den`` and ``pot`` are each cell's Gauss-weighted sum, added in cell
     order, as the pass took them before they were read off the adjoint.
-    The potential is ``well`` on the Gauss grid, and the stiffness that of a
-    well-free objective, since ``obj``'s stiffness holds the well.
+    The dense Gauss matrices ``G``, ``G^T diag(w)`` and the weights ``w``
+    come from :func:`gauss_interp`.  The potential is ``well`` on the Gauss
+    grid, and the stiffness that of a well-free objective, since ``obj``'s
+    stiffness holds the well.
     """
+    level = obj.level
+    G, GWT, gw = [], [], []
+    for axis, m in enumerate(level.shape):
+        g, _points, w = gauss_interp(m, level.h, level.domain.bounds[axis][0])
+        G.append(g)
+        GWT.append((g * w[:, None]).T)
+        gw.append(w)
 
     def weighted_sum(x, w0):  # one cell's rows x, axis-0 weights w0
-        for w in reversed(obj._gw[1:]):
+        for w in reversed(gw[1:]):
             x = x.reshape(-1, w.size) @ w
         return float(w0 @ x)
 
@@ -356,12 +365,12 @@ def _whole_array_value_and_grad(obj, u, well):
         return t
 
     grid = u.reshape(obj.level.shape)
-    t = apply_trailing(obj._G, grid)
+    t = apply_trailing(G, grid)
     t = t.reshape(t.shape[0], -1)
     a_gauss = _gauss_potential(obj.level, well)
     acc = np.zeros(t.shape)
     acc_a = None if a_gauss is None else np.zeros(t.shape)
-    G0, GWT0, w0 = obj._G[0], obj._GWT[0], obj._gw[0]
+    G0, GWT0, w0 = G[0], GWT[0], gw[0]
     rule = G0.shape[0] // (G0.shape[1] - 1)
     den = pot = 0.0
     for c in range(G0.shape[1] - 1):
@@ -380,7 +389,7 @@ def _whole_array_value_and_grad(obj, u, well):
     acc *= -obj.p * obj.q * num * scale / den
     if acc_a is not None:
         acc += (2.0 * scale) * acc_a
-    adj = apply_trailing(obj._GWT, acc.reshape([acc.shape[0]] + [w.size for w in obj._gw[1:]]))
+    adj = apply_trailing(GWT, acc.reshape([acc.shape[0]] + [w.size for w in gw[1:]]))
     return num / den**obj.q, (2.0 * scale * ku + adj).ravel()
 
 
@@ -394,6 +403,48 @@ def _assert_matches_whole_array_oracle(obj, u, well):
     ref_value, ref_grad = _whole_array_value_and_grad(obj, u, well)
     assert value == pytest.approx(ref_value, rel=1e-15, abs=0.0)
     assert np.max(np.abs(grad - ref_grad)) <= 1e-14 * np.max(np.abs(ref_grad))
+
+
+_KERNEL_LEVELS = [(3, n) for n in (1, 2, 3, 4, 5)] + [(4, 2), (4, 3), (5, 2)]
+
+
+def _row_kernel(dimension, n, seed):
+    """A free quotient objective, a random node row and the kernel buffers:
+    ``(obj, row, gauss_row, corners)``."""
+    level = build_level(Domain(((0.0, 1.0),) * dimension), n)
+    obj = problems._QuotientObjective(level, None)
+    row = np.random.default_rng(seed).standard_normal(level.shape[1:])
+    cells = tuple(m - 1 for m in level.shape[1:])
+    gauss_row = np.empty((4 ** row.ndim, int(np.prod(cells))))
+    return obj, row, gauss_row, np.empty((2 ** row.ndim,) + cells)
+
+
+@pytest.mark.parametrize("dimension, n", _KERNEL_LEVELS)
+def test_interp_is_the_dense_gauss_contraction_in_cell_major_order(dimension, n):
+    # the dense Gauss matrices of axes 1 .. N-1 give the row in axis order,
+    # (cell 1, point 1, cell 2, point 2, ...); the per-cell Kronecker factor
+    # gives it in cell-major order, (point 1, point 2, ..., cell 1, cell 2, ...)
+    obj, row, got, buf = _row_kernel(dimension, n, 40 + n)
+    level, k = obj.level, row.ndim
+    dense = apply_axes([gauss_interp(m, level.h, 0.0)[0] for m in level.shape[1:]], row)
+    split = dense.reshape([x for m in level.shape[1:] for x in (m - 1, 4)])
+    expected = split.transpose([*range(1, 2 * k, 2), *range(0, 2 * k, 2)]).reshape(got.shape)
+    obj._interp(row, got, buf)
+    assert np.max(np.abs(got - expected)) <= 1e-15 * np.max(np.abs(expected))
+
+
+@pytest.mark.parametrize("dimension, n", _KERNEL_LEVELS)
+def test_project_is_the_weighted_adjoint_of_interp(dimension, n):
+    # <interp x, W y> = <x, project y>, W the Gauss weights of axes 1 .. N-1
+    # in cell-major order, to rounding of the sum of the absolute terms
+    obj, x, ix, buf = _row_kernel(dimension, n, 50 + n)
+    y = np.random.default_rng(60 + n).standard_normal(ix.shape)
+    w = gauss_interp(2, obj.level.h, 0.0)[2]
+    wy = functools.reduce(np.kron, [w] * x.ndim)[:, None] * y
+    obj._interp(x, ix, buf)
+    px = np.full(x.shape, np.nan)  # every node is written
+    obj._project(y, px, buf)
+    assert abs(np.vdot(ix, wy) - np.vdot(x, px)) <= 1e-14 * np.vdot(np.abs(ix), np.abs(wy))
 
 
 @pytest.mark.parametrize(
@@ -512,6 +563,20 @@ def test_quotient_split_sweep_is_bit_identical(monkeypatch, dimension, n, well):
         _assert_bit_identical(results[0], got)
 
 
+@pytest.mark.parametrize("dimension, n, well", [(3, 3, False), (3, 5, True), (4, 3, False)])
+def test_quotient_chunked_sweep_is_bit_identical(monkeypatch, dimension, n, well):
+    # the pointwise steps of a cell act column by column, so cutting them
+    # into chunks of 64 columns changes no bit
+    a = QuadraticWell((0.4,) * dimension) if well else None
+    level = build_level(Domain(((0.0, 1.0),) * dimension), n)
+    obj = problems._QuotientObjective(level, a)
+    u = obj.pin(np.random.default_rng(70 + n).standard_normal(level.node_count))
+    with problems.sweep_threads(1):
+        expected = (*obj.value_and_grad(u), obj.normalize(u))
+        monkeypatch.setattr(problems, "_CHUNK", 64)
+        _assert_bit_identical(expected, (*obj.value_and_grad(u), obj.normalize(u)))
+
+
 def test_split_sweep_stress_more_ranges_than_cores(monkeypatch):
     # more ranges than cores, threads switched every microsecond: a lost or
     # reordered update of the shared accumulators breaks the bit identity
@@ -532,12 +597,13 @@ def test_split_sweep_stress_more_ranges_than_cores(monkeypatch):
 
 
 def test_quotient_square_rounds_as_numpy_power():
-    # p = 6 squares u^2 with np.multiply where the sweep used np.power(y, 2.0)
+    # p = 6 squares u^2 with np.square where the sweep used np.power(y, 2.0),
+    # and then np.multiply(y, y)
     rng = np.random.default_rng(6)
     y = rng.standard_normal(200_000) * 10.0 ** rng.integers(-170, 170, 200_000)
     y = np.concatenate((y, [0.0, -0.0, 5e-324, 1e154, 1e155, np.inf, -np.inf, np.nan]))
     with np.errstate(over="ignore", under="ignore"):
-        _assert_bit_identical([np.power(y, 2.0)], [np.multiply(y, y)])
+        _assert_bit_identical([np.power(y, 2.0)] * 2, [np.multiply(y, y), np.square(y)])
 
 
 def test_split_sweep_calls_traced_functions_on_the_main_thread(monkeypatch):
