@@ -398,7 +398,8 @@ def cmd_solve(config: dict, out: pathlib.Path) -> int:
         "levels": [
             {**{k: row[k] for k in ("level", "h", "value", "grad_norm", "iterations",
                                     "converged")},
-             "diagnostics": r.diagnostics, "starts": [vars(s) for s in r.starts]}
+             "diagnostics": r.diagnostics, "starts": [vars(s) for s in r.starts],
+             "peak_rss_mb": r.peak_rss_mb}
             for r, row in zip(net.results, per_level)
         ],
         "classification": {

@@ -32,23 +32,24 @@ on noise and backtracks dozens of times; the gradient is still accurate
 there, and the approximate Wolfe test decides from it.  Its curvature half
 keeps ``s.y > 0``, so the L-BFGS update stays positive definite.
 
-Newton solves its steps by in-place banded Cholesky on a reverse
-Cuthill-McKee ordering of the free dofs (George & Liu, *Computer Solution of
-Large Sparse Positive Definite Systems*, 1981).  The only sparse LU left is
+Newton solves its steps by banded Cholesky, one independent diagonal block
+of the Hessian at a time: the objective lists the blocks and orders each for
+a narrow band (George & Liu, *Computer Solution of Large Sparse Positive
+Definite Systems*, 1981).  The only sparse LU left is
 :func:`minimize_quadratic`, for semidefinite quadratic minimizations such as
 a harmonic extension.
 
 L-BFGS is numpy only.  :func:`newton` and :func:`minimize_quadratic` import
-scipy (LAPACK, the sparse ordering, SuperLU) when first called, so a process
-that never runs them never loads scipy.  ``spla`` (``scipy.sparse.linalg``)
-is a module attribute resolved on first access.
+scipy (LAPACK, SuperLU) when first called, so a process that never runs them
+never loads scipy.  ``spla`` (``scipy.sparse.linalg``) is a module attribute
+resolved on first access.
 """
 
 from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 from numpy.linalg import LinAlgError
@@ -214,7 +215,7 @@ def lbfgs(
 
 def newton(
     value_and_grad: Callable[[np.ndarray], tuple[float, np.ndarray]],
-    hessian: Callable[[np.ndarray], tuple[object, np.ndarray]],
+    hessian: Callable[[np.ndarray], tuple[Sequence, np.ndarray]],
     x0: np.ndarray,
     weights: np.ndarray,
     free: np.ndarray,
@@ -224,29 +225,27 @@ def newton(
 ) -> OptimizeResult:
     """Damped Newton on the free dofs with an SPD Hessian ``K + diag(c(x))``.
 
-    ``hessian(x)`` returns the pair ``(K, c)``: a scipy sparse matrix ``K``
-    that is the same at every ``x`` of the run, and the array ``c`` of the
-    ``x``-dependent diagonal.  The free block of the Hessian is renumbered
-    once per call by reverse Cuthill-McKee on its pattern at ``x0``, and the
-    upper-band entries of ``K``'s free block are scattered once into lists
-    of their band positions.  Each step refills one Fortran-ordered band
-    buffer from those lists, adds ``c`` to its diagonal row, and factors and
-    solves it in place with banded Cholesky (LAPACK ``pbsv``, or ``ptsv``
-    when the band is tridiagonal).  The masked central-difference stiffness
-    of the singular study couples only nodes two apart, so its free block
-    splits into ``2**dim`` parity blocks that the ordering separates: at
-    level 7 in 2D the bandwidth is 64 instead of 254.
+    ``hessian(x)`` returns the pair ``(blocks, c)``.  ``c`` is the full-length
+    array of the ``x``-dependent diagonal.  ``blocks`` splits ``K``'s free
+    block into diagonal blocks with no coupling between them: a list of
+    pairs ``(nodes, band)``, where ``nodes`` lists the dofs of one block (every
+    free dof lies in exactly one block) and ``band`` is the upper band of
+    ``K[nodes][:, nodes]`` in the storage of ``scipy.linalg.solveh_banded``,
+    held as a scipy sparse matrix (a variable band is mostly zeros), the
+    same at every ``x`` of the run.  Each step copies each block's band
+    into one reused Fortran-ordered buffer, adds ``c`` to its diagonal row,
+    and factors and solves it in place with banded Cholesky (LAPACK
+    ``pbsv``, or ``ptsv`` when the band is tridiagonal).
 
     A step falls back to the preconditioned gradient step ``-g / d``
     whenever the Hessian is not positive definite (Cholesky fails; in the
     packaged studies only a custom singular potential with ``W'' < 0`` can
-    cause this) or the solve does not produce a finite descent direction.  Line search halves the step
-    until the value decreases and the acceptance predicate (if any) passes.
-    Stops when ``||g||_* <= gtol(f)`` at the current ``f``.
+    cause this) or the solve does not produce a finite descent direction.
+    Line search halves the step until the value decreases and the acceptance
+    predicate (if any) passes.  Stops when ``||g||_* <= gtol(f)`` at the
+    current ``f``.
     """
-    import scipy.sparse as sp
     from scipy.linalg import solveh_banded
-    from scipy.sparse.csgraph import reverse_cuthill_mckee
 
     tol = _tolerance(gtol)
     x = x0.copy()
@@ -254,44 +253,26 @@ def newton(
     f, g_full = value_and_grad(x)
     g = g_full[free]
     gnorm = _dual_norm(g, d)
-    free_idx = np.flatnonzero(free)
-    nf = free_idx.size
-    band = None
+    buf = None
 
     for it in range(max_iter):
         if gnorm <= tol(f):
             return OptimizeResult(x, f, gnorm, it, True)
 
-        K, diag = hessian(x)
-        if band is None:
-            H = sp.csr_matrix(K + sp.diags(diag))
-            H.sum_duplicates()
-            # pos[k]: place of dof k in the ordering of the free block, -1 if fixed
-            pos = np.full(x.size, -1, dtype=np.intp)
-            rcm = reverse_cuthill_mckee(H[free_idx][:, free_idx], symmetric_mode=True)
-            pos[free_idx[rcm]] = np.arange(nf)
-            order = pos[free_idx]
-            by_place = free_idx[rcm]  # the dof at each place
-            K = sp.coo_matrix(K)
-            K.sum_duplicates()
-            i, j = pos[K.row], pos[K.col]
-            upper = (i >= 0) & (j >= i)
-            i, j = i[upper], j[upper]
-            rows = int((j - i).max(initial=0)) + 1
-            band = np.zeros((rows, nf), order="F")
-            # upper band storage: A[i, j] goes to band[-1 - (j - i), j]
-            at = (rows - 1 - (j - i), j)
-            entries = K.data[upper]
-        else:
-            band.fill(0.0)
-        band[at] = entries
-        band[-1] += diag[by_place]
-        rhs = np.empty(nf)
-        rhs[order] = -g
+        blocks, diag = hessian(x)
+        if buf is None:
+            buf = np.empty(max(np.prod(band.shape) for _nodes, band in blocks))
+        p = np.zeros(x.size)
         try:
-            p = solveh_banded(
-                band, rhs, overwrite_ab=True, overwrite_b=True, check_finite=False
-            )[order]
+            for nodes, band in blocks:
+                ab = buf[: np.prod(band.shape)].reshape(band.shape, order="F")
+                band.toarray(out=ab)
+                ab[-1] += diag[nodes]
+                p[nodes] = solveh_banded(
+                    ab, -g_full[nodes], overwrite_ab=True, overwrite_b=True,
+                    check_finite=False,
+                )
+            p = p[free]
             if not np.all(np.isfinite(p)) or p @ g >= 0.0:
                 p = -g / d
         except LinAlgError:
@@ -313,33 +294,29 @@ def newton(
         if not accepted:
             return OptimizeResult(x, f, gnorm, it, gnorm <= tol(f))
 
-        x, f, g = x_new, f_new, g_new_full[free]
+        x, f, g_full = x_new, f_new, g_new_full
+        g = g_full[free]
         gnorm = _dual_norm(g, d)
 
     return OptimizeResult(x, f, gnorm, max_iter, gnorm <= tol(f))
 
 
-def minimize_quadratic(K, x: np.ndarray, free: np.ndarray) -> np.ndarray:
-    """Minimize ``1/2 y^T K y`` over the free entries, the rest pinned to ``x``.
+def minimize_quadratic(K, x: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+    """Minimize ``1/2 y^T K y`` over ``y[nodes]``, the rest pinned to ``x``.
 
-    Solves ``K_ff y_f = -K_fc x_c`` by sparse LU (SuperLU, through the
-    module's ``spla``).  Unlike the Newton Hessians, ``K_ff`` may be only
-    semidefinite, for instance the masked stiffness of the singular study,
-    whose odd-odd parity block never touches the boundary: LU returns 0 on
-    that block for its zero right-hand side, where Cholesky would meet a
-    pivot that is zero up to round-off.  A free entry whose row of ``K`` is
-    zero (the one free node of that block at level 1) leaves the quadratic
-    unchanged and gets the minimum-norm value 0 without entering the solve.
+    Returns ``y``: it solves ``K_nn y_n = -K_np x_p`` for a scipy CSR matrix
+    ``K`` by sparse LU (SuperLU with its default COLAMD column ordering,
+    through the module's ``spla``).  A right-hand side that is identically
+    zero gives ``y_n = 0`` without a solve, so ``K_nn`` may then be singular:
+    on the parity block of the singular study with every index odd, which
+    never touches the boundary, SuperLU would meet an exactly singular
+    matrix and return NaN.
     """
-    import scipy.sparse as sp
-
-    K = sp.csr_matrix(K)
-    free_idx = np.flatnonzero(free & (abs(K).sum(axis=1).A1 > 0.0))
-    fixed_idx = np.flatnonzero(~free)
-    y = np.zeros(x.size)
-    y[fixed_idx] = x[fixed_idx]
-    rhs = -K[free_idx][:, fixed_idx] @ y[fixed_idx]
-    # looked up on the module, so that the first access loads it
-    spla = sys.modules[__name__].spla
-    y[free_idx] = spla.spsolve(K[free_idx][:, free_idx].tocsc(), rhs)
+    y = x.copy()
+    y[nodes] = 0.0
+    rows = K[nodes]
+    rhs = -rows @ y
+    if rhs.any():
+        # looked up on the module, so that the first access loads it
+        y[nodes] = sys.modules[__name__].spla.spsolve(rows[:, nodes].tocsc(), rhs)
     return y

@@ -746,32 +746,59 @@ def _masked_stiffness(level: GridLevel):
     """Assemble ``sum_i D_i^T diag(d * mask_i) D_i`` as a scipy CSR matrix.
 
     scipy is imported here, on first use: only the singular study, whose
-    Newton solve and harmonic start need sparse matrices, loads it.
+    Newton bands and harmonic start are sliced from it, loads it.
     """
     import scipy.sparse as sp
 
-    mats = diff_op(level).matrices
-    terms = []
-    for i in range(level.dimension):
-        pieces = []
-        for axis, m in enumerate(level.shape):
-            w = sp.diags(level.axis_weights[axis])
-            if axis == i:
-                lo, up = mats[axis].diagonals  # D[i, i - 1] and D[i, i + 1]
-                D = sp.diags([lo[1:], up[:-1]], [-1, 1], format="csr")
-                mask = np.ones(m)
-                mask[0] = mask[-1] = 0.0
-                pieces.append(sp.csr_matrix(D.T @ sp.diags(level.axis_weights[axis] * mask) @ D))
-            else:
-                pieces.append(sp.csr_matrix(w))
-        term = pieces[0]
-        for p in pieces[1:]:
-            term = sp.kron(term, p, format="csr")
-        terms.append(term)
-    total = terms[0]
-    for t in terms[1:]:
-        total = total + t
-    return total.tocsr()
+    def factor(axis: int, i: int):
+        w = level.axis_weights[axis]
+        if axis != i:
+            return sp.diags(w, format="csr")
+        lo, up = diff_op(level).matrices[axis].diagonals  # D[k, k - 1], D[k, k + 1]
+        D = sp.diags([lo[1:], up[:-1]], [-1, 1], format="csr")
+        masked = w.copy()
+        masked[[0, -1]] = 0.0
+        return sp.csr_matrix(D.T @ sp.diags(masked) @ D)
+
+    terms = [
+        reduce(lambda a, b: sp.kron(a, b, format="csr"),
+               [factor(axis, i) for axis in range(level.dimension)])
+        for i in range(level.dimension)
+    ]
+    return sum(terms[1:], terms[0]).tocsr()
+
+
+def _upper_band(A):
+    """The upper band of the symmetric sparse matrix ``A`` in the storage of
+    ``scipy.linalg.solveh_banded`` (``A[i, j]`` at ``[-1 - (j - i), j]``),
+    held as a CSC matrix: the band of a parity block is one diagonal of the
+    block deep, but has at most ``dim + 1`` nonzeros per column."""
+    import scipy.sparse as sp
+
+    A = A.tocoo()
+    upper = A.col >= A.row
+    i, j = A.row[upper], A.col[upper]
+    rows = int((j - i).max(initial=0)) + 1
+    return sp.csc_matrix((A.data[upper], (rows - 1 - (j - i), j)), shape=(rows, A.shape[0]))
+
+
+def _parity_blocks(level: GridLevel, K) -> list:
+    """The free nodes of each parity class and the upper band of ``K`` on them.
+
+    The masked central differences couple only nodes two apart, so ``K`` has
+    no entry between nodes whose indices differ in parity along some axis:
+    its free block splits into ``2**dim`` independent blocks.  Each block
+    lists its nodes in wavefront order (by the sum of their indices, then by
+    index).  Its bandwidth is one diagonal of the block (64 at 2D level 7),
+    as in natural order, but LAPACK skips the zeros of its variable band
+    profile: a 2D level-7 block factors in ~2.0 ms against ~2.7 ms.
+    """
+    idx = np.unravel_index(np.arange(level.node_count), level.shape)
+    parity = sum((i % 2) << axis for axis, i in enumerate(idx))
+    order = np.argsort(sum(idx), kind="stable")
+    order = order[~level.boundary_mask[order]]
+    blocks = (order[parity[order] == p] for p in range(2**level.dimension))
+    return [(nodes, _upper_band(K[nodes][:, nodes])) for nodes in blocks if nodes.size]
 
 
 class _SingularObjective(LevelObjective):
@@ -794,6 +821,7 @@ class _SingularObjective(LevelObjective):
             _interior_row_mask(level, axis) for axis in range(level.dimension)
         ]
         self._K = _masked_stiffness(level)
+        self.blocks = _parity_blocks(level, self._K)
 
     def value_and_grad(self, u: np.ndarray) -> tuple[float, np.ndarray]:
         total = 0.0
@@ -806,7 +834,22 @@ class _SingularObjective(LevelObjective):
         return total, grad
 
     def hessian(self, u: np.ndarray):
-        return self._K, self._d * self._Wpp(u)
+        return self.blocks, self._d * self._Wpp(u)
+
+    def harmonic_extension(self) -> np.ndarray:
+        """The fixed values extended to minimize the masked Dirichlet energy.
+
+        One sparse LU solve per parity block of the masked stiffness (the
+        blocks do not couple).  The block of nodes with every index odd never
+        touches the boundary: its data is zero and its stiffness only
+        semidefinite, so the extension is exactly 0 there, without a solve.
+        """
+        u = self.fixed_values.copy()
+        for nodes, _band in self.blocks:
+            # in index order, COLAMD orders each block as it did the whole
+            # free matrix, and the extension rounds alike
+            u = minimize_quadratic(self._K, u, np.sort(nodes))
+        return u
 
     def feasible(self, u: np.ndarray) -> bool:
         return bool(np.all(u != 0.0))
@@ -872,14 +915,12 @@ def singular_spec(
     def initial_guesses(level, rng, warm):
         """The harmonic extension of ``g``, clipped away from zero.
 
-        The masked stiffness is only semidefinite on the free nodes: the
-        central differences couple nodes two apart, and the block of nodes
-        with every index odd never touches the boundary, so the extension
-        (a sparse LU solve) is exactly 0 there and the start is
-        ``+init_floor`` left of the midline and ``-init_floor`` right of it.
+        The extension is exactly 0 on the parity block with every index odd
+        (see :meth:`_SingularObjective.harmonic_extension`), so the start is
+        ``+init_floor`` left of the midline and ``-init_floor`` right of it
+        there.
         """
-        obj = build(level)
-        u = minimize_quadratic(obj._K, obj.fixed_values, obj.free_mask)
+        u = build(level).harmonic_extension()
         x0 = level.coordinates[:, 0]
         sign = np.where(u > 0, 1.0, np.where(u < 0, -1.0, np.where(x0 <= mid, 1.0, -1.0)))
         return [sign * np.maximum(np.abs(u), init_floor)]

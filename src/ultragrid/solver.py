@@ -13,6 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
+try:
+    import resource
+except ImportError:  # a platform without getrusage records no peak
+    resource = None
+
 import numpy as np
 
 # numpy loads numpy.random on first access; every solve and every check draws
@@ -85,9 +90,10 @@ class LevelObjective:
         raise NotImplementedError
 
     # --- optional hooks -------------------------------------------------
-    def hessian(self, u: np.ndarray) -> tuple[object, np.ndarray]:
-        """``(K, c)``: the Hessian is ``K + diag(c)``, with ``K`` a scipy
-        sparse matrix that does not depend on ``u`` (see
+    def hessian(self, u: np.ndarray) -> tuple[list, np.ndarray]:
+        """``(blocks, c)``: the Hessian is ``K + diag(c)``, with ``K`` given
+        by the upper bands of its uncoupled diagonal blocks on the free dofs,
+        ``(nodes, band)`` pairs that do not depend on ``u`` (see
         :func:`~ultragrid.optimize.newton`)."""
         raise NotImplementedError
 
@@ -157,6 +163,10 @@ class MinResult:
     diagnostics: dict = field(default_factory=dict)
     #: Every start in the order it ran; their iterations sum to ``iterations``.
     starts: tuple[StartRecord, ...] = ()
+    #: The process's peak resident set size in MiB (``ru_maxrss``, which Linux
+    #: counts in KiB) once the level is done: a high-water mark over the whole
+    #: process so far, not the level's own use; 0 without ``resource``.
+    peak_rss_mb: float = 0.0
 
 
 def _refine_axis(arr: np.ndarray, axis: int) -> np.ndarray:
@@ -264,6 +274,8 @@ def minimize_level(
         converged=best.converged,
         diagnostics=diagnostics,
         starts=tuple(records),
+        peak_rss_mb=resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+        if resource else 0.0,
     )
 
 

@@ -234,7 +234,8 @@ for name, argv, *config in runs:
         cfg.write_text(json.dumps(config[0]))
         argv = argv + ["--config", str(cfg)]
     code = cli.main(argv + ["--out", str(out)])
-    print(name, code, "scipy" in sys.modules, "numpy.ma" in sys.modules)
+    print(name, code, "scipy" in sys.modules, "numpy.ma" in sys.modules,
+          "scipy.sparse.csgraph" in sys.modules)
 """
 
 
@@ -242,9 +243,10 @@ def test_only_the_singular_solve_loads_scipy(tmp_path):
     # a fresh interpreter: importing the CLI, a calculus check and the
     # sawtooth and quotient solves leave scipy unloaded; the singular solve,
     # whose Newton steps and harmonic start need it, loads it and still runs
-    # (three levels each: both commands reject shorter ranges).  The import
-    # starts no thread pool, and nothing before the singular solve loads
-    # numpy.ma (np.unique would, ~13 ms)
+    # (three levels each: both commands reject shorter ranges), without
+    # scipy.sparse.csgraph: its parity blocks need no graph ordering.  The
+    # import starts no thread pool, and nothing before the singular solve
+    # loads numpy.ma (np.unique would, ~13 ms)
     src = str(pathlib.Path(cli.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     proc = subprocess.run(
@@ -255,11 +257,11 @@ def test_only_the_singular_solve_loads_scipy(tmp_path):
     lines = [out[0].split()] + [line.split() for line in out[-4:]]
     assert lines[:4] == [
         ["import", "False", "False"],
-        ["calculus-check", "0", "False", "False"],
-        ["sawtooth", "0", "False", "False"],
-        ["sign_perturbed", "0", "False", "False"],
+        ["calculus-check", "0", "False", "False", "False"],
+        ["sawtooth", "0", "False", "False", "False"],
+        ["sign_perturbed", "0", "False", "False", "False"],
     ], proc.stdout
-    assert lines[4][:3] == ["singular", "0", "True"], proc.stdout
+    assert lines[4][:3] + lines[4][4:] == ["singular", "0", "True", "False"], proc.stdout
 
 
 def test_threads_change_no_output_and_no_hash(tmp_path, monkeypatch):
@@ -321,6 +323,21 @@ def test_report_traces_every_start(tmp_path):
             assert lv["iterations"] == int(row["iterations"])
             assert all(s["converged"] for s in lv["starts"])
             assert lv["value"] == min(s["value"] for s in lv["starts"])
+
+
+def test_report_records_peak_rss_per_level(tmp_path):
+    # each level's entry records the process's high-water mark after it:
+    # present, positive and non-decreasing, and in report.json only
+    cfg = write_config(tmp_path, SAW)
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    peaks = [lv["peak_rss_mb"] for lv in report["levels"]]
+    assert len(peaks) == 3 and all(isinstance(p, float) and p > 0.0 for p in peaks)
+    assert peaks == sorted(peaks)
+    for path in out.glob("*.csv"):
+        assert "peak_rss" not in path.read_text(), path.name
 
 
 def test_calculus_check_three_levels_exits_2(tmp_path, capsys):

@@ -1,19 +1,19 @@
 """L-BFGS default-metric parity and its line search below the rounding of f;
-damped Newton: banded Cholesky steps, the indefinite fallback, SuperLU
-parity."""
+damped Newton: banded Cholesky steps block by block, the indefinite
+fallback, SuperLU parity."""
 
 import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 import ultragrid.optimize as optimize
 from ultragrid import build_level
 from ultragrid.optimize import OptimizeResult, lbfgs, newton
 from ultragrid.problems import (
     _masked_stiffness,
+    _upper_band,
     sawtooth_spec,
     sign_perturbed_spec,
     singular_spec,
@@ -255,8 +255,14 @@ def _random_spd_on(pattern: sp.spmatrix, rng) -> sp.csr_matrix:
     return (off + sp.diags(diag)).tocsr()
 
 
-def _one_newton_step(A, free, rng, monkeypatch):
-    """One Newton step on 1/2 x^T A x - b^T x; returns it, its oracle and band rows."""
+def _blocks_of(A, blocks):
+    """``newton``'s block form of ``A``: each node list with its upper band."""
+    return [(nodes, _upper_band(A[nodes][:, nodes])) for nodes in blocks]
+
+
+def _one_newton_step(A, blocks, free, rng, monkeypatch):
+    """One Newton step on 1/2 x^T A x - b^T x, ``A`` given on ``blocks``;
+    returns it, its oracle and the band rows of each solve."""
     n = A.shape[0]
     b = rng.standard_normal(n)
     x0 = rng.standard_normal(n)
@@ -275,7 +281,8 @@ def _one_newton_step(A, free, rng, monkeypatch):
 
     # newton imports it from scipy.linalg when called
     monkeypatch.setattr(scipy.linalg, "solveh_banded", spy)
-    result = newton(vag, lambda x: (A, np.zeros(n)), x0, d, free, gtol=0.0, max_iter=1)
+    hessian = _blocks_of(A, blocks), np.zeros(n)
+    result = newton(vag, lambda x: hessian, x0, d, free, gtol=0.0, max_iter=1)
     fi = np.flatnonzero(free)
     g = vag(x0)[1][fi]
     expected = x0.copy()
@@ -284,26 +291,30 @@ def _one_newton_step(A, free, rng, monkeypatch):
 
 
 def test_banded_step_parity_split_tridiagonal(rng, monkeypatch):
-    # 1D: nodes couple only to i +- 2, so the ordering splits the odd and even
-    # nodes into two paths and the band has 2 rows (the ptsv branch)
+    # 1D: nodes couple only to i +- 2, so the odd and the even nodes are two
+    # uncoupled paths, each with a band of 2 rows (the ptsv branch)
     n = 41
     pattern = sp.diags([1.0, 1.0, 1.0], [-2, 0, 2], shape=(n, n))
     A = _random_spd_on(pattern, rng)
     free = np.ones(n, dtype=bool)
     free[[0, -1]] = False
-    result, expected, rows = _one_newton_step(A, free, rng, monkeypatch)
-    assert rows == [2]
+    blocks = [np.arange(1, n - 1, 2), np.arange(2, n - 1, 2)]
+    result, expected, rows = _one_newton_step(A, blocks, free, rng, monkeypatch)
+    assert rows == [2, 2]
     np.testing.assert_allclose(result.x, expected, rtol=1e-10, atol=1e-12)
 
 
 def test_banded_step_singular_pattern(rng, monkeypatch):
     level = build_level(singular_spec().domain, 4)
+    obj = singular_spec().build(level)
     A = _random_spd_on(_masked_stiffness(level), rng)
     free = ~level.boundary_mask
-    result, expected, rows = _one_newton_step(A, free, rng, monkeypatch)
-    # 4 parity blocks of a 15 x 15 free grid: the widest is 8 x 8, bandwidth 8
-    # under reverse Cuthill-McKee, where the natural order has 30
-    assert rows == [9]
+    blocks = [nodes for nodes, _band in obj.blocks]
+    result, expected, rows = _one_newton_step(A, blocks, free, rng, monkeypatch)
+    # 4 parity blocks of a 15 x 15 free grid, 7 or 8 nodes a side: in
+    # wavefront order the bandwidth is at most the longest block diagonal,
+    # where the natural order of the whole free grid has 30
+    assert rows == [8, 8, 9, 9]
     np.testing.assert_allclose(result.x, expected, rtol=1e-10, atol=1e-12)
 
 
@@ -311,7 +322,7 @@ def test_banded_step_single_free_dof(rng, monkeypatch):
     A = _random_spd_on(np.ones((5, 5)), rng)
     free = np.zeros(5, dtype=bool)
     free[2] = True
-    result, expected, rows = _one_newton_step(A, free, rng, monkeypatch)
+    result, expected, rows = _one_newton_step(A, [np.array([2])], free, rng, monkeypatch)
     assert rows == [1]
     np.testing.assert_allclose(result.x, expected, rtol=1e-10, atol=1e-12)
 
@@ -324,12 +335,14 @@ def test_indefinite_hessian_takes_gradient_step():
     def vag(x):
         return float(np.sum((x * x - 1.0) ** 2)), 4.0 * x * (x * x - 1.0)
 
-    def hess(x):
-        return sp.csr_matrix((x.size, x.size)), 12.0 * x * x - 4.0
-
     x0 = np.array([0.0, 0.9, 0.1, 1.2, 0.0])
     free = np.array([False, True, True, True, False])
     d = np.array([1.0, 0.5, 1.0, 2.0, 1.0])
+    blocks = _blocks_of(sp.csr_matrix((x0.size, x0.size)), [np.flatnonzero(free)])
+
+    def hess(x):
+        return blocks, 12.0 * x * x - 4.0
+
     result = newton(vag, hess, x0, d, free, gtol=0.0, max_iter=1)
     f0, g0 = vag(x0)
     newton_dir = -g0[free] / (12.0 * x0[free] ** 2 - 4.0)
@@ -341,25 +354,25 @@ def test_indefinite_hessian_takes_gradient_step():
     assert np.array_equal(result.x[~free], x0[~free])
 
 
-def _former_band(K, c, free_idx, pos):
+def _former_band(K, c, nodes):
     """The former per-step band: ``H = K + diag(c)`` summed as sparse
-    matrices, its free upper band scattered in the ordering ``pos``."""
+    matrices, its upper band on ``nodes`` scattered into a dense array."""
     H = sp.csr_matrix(K + sp.diags(c))
     H.sum_duplicates()
-    H = H.tocoo()
-    i, j = pos[H.row], pos[H.col]
-    upper = (i >= 0) & (j >= i)
-    i, j = i[upper], j[upper]
+    H = H[nodes][:, nodes].tocoo()
+    upper = H.col >= H.row
+    i, j = H.row[upper], H.col[upper]
     rows = int((j - i).max(initial=0)) + 1
-    band = np.zeros((rows, free_idx.size), order="F")
+    band = np.zeros((rows, nodes.size), order="F")
     band[rows - 1 - (j - i), j] = H.data[upper]
     return band
 
 
 @pytest.mark.parametrize("n", [4, 6])
 def test_newton_band_equals_former_sparse_assembly(n, monkeypatch):
-    # the band refilled from K's entries plus the diagonal, on every step of
-    # a singular solve, against the former sparse sum scattered per step
+    # each block's band copied from the objective plus the diagonal, on
+    # every step of a singular solve, against the former sparse sum
+    # K + diag(c) of the whole matrix restricted to the block
     spec = singular_spec()
     level = build_level(spec.domain, n)
     obj = spec.build(level)
@@ -380,16 +393,13 @@ def test_newton_band_equals_former_sparse_assembly(n, monkeypatch):
     gtol = GTOL_FACTOR * (1.0 + abs(obj.value_and_grad(x0)[0]))
     newton(obj.value_and_grad, hessian, x0, level.weights, obj.free_mask,
            gtol=gtol, accept=obj.accept_step)
-    free_idx = np.flatnonzero(obj.free_mask)
-    K, c = obj.hessian(points[0])
-    H0 = sp.csr_matrix(K + sp.diags(c))[free_idx][:, free_idx]
-    pos = np.full(level.node_count, -1, dtype=np.intp)
-    pos[free_idx[reverse_cuthill_mckee(H0, symmetric_mode=True)]] = np.arange(free_idx.size)
-    assert len(bands) == len(points) > 1
-    for x, band in zip(points, bands):
-        expected = _former_band(*obj.hessian(x), free_idx, pos)
-        np.testing.assert_array_equal(band, expected)
-        np.testing.assert_array_equal(np.signbit(band), np.signbit(expected))
+    K = _masked_stiffness(level)
+    assert len(bands) == 4 * len(points) and len(points) > 1
+    expected = [_former_band(K, obj.hessian(x)[1], nodes)
+                for x in points for nodes, _band in obj.blocks]
+    for band, former in zip(bands, expected):
+        np.testing.assert_array_equal(band, former)
+        np.testing.assert_array_equal(np.signbit(band), np.signbit(former))
 
 
 def _superlu_newton(value_and_grad, hessian, x0, weights, free, gtol, max_iter=200, accept=None):
@@ -438,10 +448,13 @@ def test_newton_matches_superlu_reference_on_singular(n):
     obj = spec.build(level)
     x0 = spec.initial_guesses(level, None, None)[0]
     gtol = GTOL_FACTOR * (1.0 + abs(obj.value_and_grad(x0)[0]))
-    args = (obj.value_and_grad, obj.hessian, x0, level.weights, obj.free_mask)
+    args = (x0, level.weights, obj.free_mask)
     kwargs = dict(gtol=gtol, accept=obj.accept_step)
-    banded = newton(*args, **kwargs)
-    reference = _superlu_newton(*args, **kwargs)
+    banded = newton(obj.value_and_grad, obj.hessian, *args, **kwargs)
+    # the former Hessian form: the whole masked stiffness and the diagonal
+    K = _masked_stiffness(level)
+    reference = _superlu_newton(obj.value_and_grad, lambda x: (K, obj.hessian(x)[1]),
+                                *args, **kwargs)
     assert banded.converged and reference.converged
     assert banded.iterations == reference.iterations > 0
     np.testing.assert_allclose(banded.x, reference.x, rtol=1e-10)

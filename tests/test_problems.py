@@ -13,6 +13,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ultragrid.optimize as optimize
 import ultragrid.problems as problems
 from ultragrid import (
     BubbleInitializer,
@@ -38,6 +39,7 @@ from ultragrid.elements import apply_axes, gauss_interp
 from ultragrid.optimize import minimize_quadratic
 from ultragrid.solver import MinResult, verify_euler_lagrange
 
+DOM1 = Domain(((0.0, 1.0),))
 DOM3 = Domain(((0.0, 1.0), (0.0, 1.0), (0.0, 1.0)))
 
 
@@ -732,15 +734,49 @@ def test_singular_gradient_and_hessian():
     obj = spec.build(level)
     rng = np.random.default_rng(4)
     u = obj.pin(np.where(level.coordinates[:, 0] <= 0.5, 1.0, -1.0) + 0.0)
-    K, c = obj.hessian(u)
+    blocks, c = obj.hessian(u)
     # Hessian-vector product matches finite differences of the gradient
     v = rng.standard_normal(level.node_count)
     v[obj.fixed_mask] = 0.0
     eps = 1e-6
     fd = (obj.value_and_grad(u + eps * v)[1] - obj.value_and_grad(u - eps * v)[1]) / (2 * eps)
-    hv = K @ v + c * v
+    hv = c * v
+    for nodes, band in blocks:
+        hv[nodes] += _symmetric_from_band(band) @ v[nodes]
     free = obj.free_mask
     assert np.max(np.abs(fd[free] - hv[free])) < 1e-4 * max(np.max(np.abs(hv)), 1.0)
+
+
+def _symmetric_from_band(band) -> np.ndarray:
+    """The symmetric matrix whose upper band ``band`` holds, in the storage
+    of ``scipy.linalg.solveh_banded``."""
+    band = band.toarray()
+    u = band.shape[0] - 1
+    upper = sum(np.diag(band[u - k, k:], k) for k in range(u + 1))
+    return upper + np.triu(upper, 1).T
+
+
+@pytest.mark.parametrize("dom,n", [(DOM1, 3), (DOM1, 5), (None, 1), (None, 3),
+                                   (None, 5), (DOM3, 2), (DOM3, 3)])
+def test_singular_parity_blocks_are_the_free_stiffness(dom, n):
+    # the blocks partition the free nodes, one per parity class with free
+    # nodes, each in wavefront order (by index sum, then by index), and their
+    # bands hold K_ff bit for bit: K couples no two parity classes
+    spec = singular_spec(domain=dom)
+    level = build_level(spec.domain, n)
+    obj = spec.build(level)
+    idx = np.array(np.unravel_index(np.arange(level.node_count), level.shape))
+    free = np.flatnonzero(obj.free_mask)
+    nodes = [b for b, _band in obj.blocks]
+    assert len(nodes) == min(2**level.dimension, free.size)
+    np.testing.assert_array_equal(np.sort(np.concatenate(nodes)), free)
+    assembled = np.zeros((level.node_count, level.node_count))
+    for b, band in obj.blocks:
+        assert len({tuple(p) for p in idx[:, b].T % 2}) == 1
+        np.testing.assert_array_equal(b, sorted(b, key=lambda k: (idx[:, k].sum(), k)))
+        assembled[np.ix_(b, b)] = _symmetric_from_band(band)
+    K = obj._K.toarray()
+    np.testing.assert_array_equal(assembled[np.ix_(free, free)], K[np.ix_(free, free)])
 
 
 def test_singular_fused_value_and_grad_is_bit_identical():
@@ -795,7 +831,7 @@ def test_singular_harmonic_start_is_zero_on_the_odd_odd_block(n):
     spec = singular_spec()
     level = build_level(spec.domain, n)
     obj = spec.build(level)
-    u = minimize_quadratic(obj._K, obj.fixed_values, obj.free_mask)
+    u = obj.harmonic_extension()
     assert np.all(np.isfinite(u))
     np.testing.assert_array_equal(u[obj.fixed_mask], obj.fixed_values[obj.fixed_mask])
     i, j = np.unravel_index(np.arange(level.node_count), level.shape)
@@ -818,7 +854,7 @@ def test_singular_harmonic_start_is_the_former_clip(n, g):
     spec = singular_spec(g=g)
     level = build_level(spec.domain, n)
     obj = spec.build(level)
-    u = minimize_quadratic(obj._K, obj.fixed_values, obj.free_mask)
+    u = obj.harmonic_extension()
     assert np.any(u == 0.0)
     x0 = level.coordinates[:, 0]
     sign = np.where(u > 0, 1.0, np.where(u < 0, -1.0, np.where(x0 <= 0.5, 1.0, -1.0)))
@@ -879,17 +915,102 @@ def test_interface_filters_bit_identical_to_ndimage(shape, seed):
 
 def test_singular_harmonic_start_at_level_one():
     # the one free node at level 1, the odd-odd centre, is read by no
-    # interior stencil row: its row of the masked stiffness is zero, so its
-    # harmonic value is the minimum-norm 0 (SuperLU met an exactly singular
-    # 1x1 block and returned NaN)
+    # interior stencil row: its row of the masked stiffness is zero, and so
+    # is the data of its block, so its harmonic value is 0 (SuperLU met an
+    # exactly singular 1x1 block and returned NaN)
     spec = singular_spec()
     level = build_level(spec.domain, 1)
     obj = spec.build(level)
-    u = minimize_quadratic(obj._K, obj.fixed_values, obj.free_mask)
+    u = obj.harmonic_extension()
     assert u[obj.free_mask].tolist() == [0.0]
     np.testing.assert_array_equal(u[~obj.free_mask], obj.fixed_values[~obj.free_mask])
     # the start is +init_floor at the centre, which lies on the midline
     assert spec.initial_guesses(level, None, None)[0][obj.free_mask].tolist() == [0.1]
+
+
+def _former_harmonic_extension(K, x, free):
+    """The former harmonic start: one SuperLU solve of the whole free block;
+    a free node whose row of ``K`` is zero gets 0 without entering it."""
+    import scipy.sparse.linalg as spla
+
+    K = sp.csr_matrix(K)
+    free_idx = np.flatnonzero(free & (abs(K).sum(axis=1).A1 > 0.0))
+    fixed_idx = np.flatnonzero(~free)
+    y = np.zeros(x.size)
+    y[fixed_idx] = x[fixed_idx]
+    rhs = -K[free_idx][:, fixed_idx] @ y[fixed_idx]
+    y[free_idx] = spla.spsolve(K[free_idx][:, free_idx].tocsc(), rhs)
+    return y
+
+
+@pytest.mark.filterwarnings("ignore::scipy.sparse.linalg.MatrixRankWarning")
+@pytest.mark.parametrize("n", range(1, 8))
+def test_singular_harmonic_extension_matches_the_former_whole_solve(n):
+    # one SuperLU solve per parity block against the former solve of all
+    # blocks at once: the same to the last bit (signs of zero aside, which
+    # differ at levels 4 and 5) except at level 3, where six entries move by
+    # 1.1e-16; the start's signs are the same at every level
+    spec = singular_spec()
+    level = build_level(spec.domain, n)
+    obj = spec.build(level)
+    u = obj.harmonic_extension()
+    former = _former_harmonic_extension(obj._K, obj.fixed_values, obj.free_mask)
+    if n == 3:
+        np.testing.assert_allclose(u, former, rtol=0.0, atol=1.2e-16)
+    else:
+        np.testing.assert_array_equal(u, former)
+    x0 = level.coordinates[:, 0]
+    sign = np.where(former > 0, 1.0,
+                    np.where(former < 0, -1.0, np.where(x0 <= 0.5, 1.0, -1.0)))
+    start = spec.initial_guesses(level, None, None)[0]
+    np.testing.assert_array_equal(np.sign(start), sign)
+    np.testing.assert_allclose(start, sign * np.maximum(np.abs(former), 0.1), rtol=0.0,
+                               atol=1.2e-16)
+
+
+def test_minimize_quadratic_skips_a_block_with_zero_data(monkeypatch):
+    # the odd-odd block of the singular study never touches the boundary:
+    # its data is zero, so it gets 0 without a solve; the other three blocks
+    # of a 2D level each take one solve
+    spec = singular_spec()
+    level = build_level(spec.domain, 4)
+    obj = spec.build(level)
+    calls = []
+    real = optimize.spla
+
+    class Spy:
+        def spsolve(self, A, b):
+            calls.append(A.shape[0])
+            return real.spsolve(A, b)
+
+    monkeypatch.setattr(optimize, "spla", Spy())
+    u = obj.harmonic_extension()
+    odd = np.all(np.array(np.unravel_index(np.arange(level.node_count), level.shape)) % 2 == 1,
+                 axis=0)
+    assert sorted(calls) == [49, 56, 56]
+    assert np.all(u[odd] == 0.0) and not np.any(np.signbit(u[odd]))
+    y = minimize_quadratic(obj._K, obj.fixed_values, np.flatnonzero(odd))
+    np.testing.assert_array_equal(y, obj.fixed_values)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_singular_solves_in_1d(n):
+    # the whole-matrix SuperLU start met the exactly singular odd block of a
+    # 1D level and returned NaN, so no 1D level past the first started
+    spec = singular_spec(domain=DOM1)
+    res = minimize_level(spec, build_level(DOM1, n))
+    assert res.converged and res.iterations == 11
+    assert np.all(np.isfinite(res.u.values)) and np.min(np.abs(res.u.values)) > 0.0
+
+
+@pytest.mark.parametrize("n,value", [(2, 4.649142912812672), (3, 6.45447261813992),
+                                     (4, 8.266020177426904)])
+def test_singular_solves_in_3d(n, value):
+    # the values of the former whole-matrix start and Newton steps
+    spec = singular_spec(domain=DOM3)
+    res = minimize_level(spec, build_level(DOM3, n))
+    assert res.converged and res.iterations == 11
+    assert res.value == pytest.approx(value, rel=1e-12)
 
 
 def test_sawtooth_builds_one_objective_per_level(monkeypatch):
