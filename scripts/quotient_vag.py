@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Time one quotient ``value_and_grad`` per 3D level, at one range and at the default.
+"""Time one quotient ``value_and_grad`` per 3D level.
 
 Usage, from the root of a checkout::
 
@@ -7,10 +7,8 @@ Usage, from the root of a checkout::
 
 For each level this builds the free 3D critical quotient
 (``sign_perturbed_spec().build``), pins its first bubble start and times
-``value_and_grad`` there, alternating between a sweep of one range and the
-default sweep (one range per usable CPU from ``_SPLIT_MIN_POINTS`` Gauss
-points on, one range below), after one warm-up evaluation of each.  Prints
-per level and setting the median and the quartiles in milliseconds.
+``value_and_grad`` there ``--repeats`` times after one warm-up evaluation.
+Prints per level the median and the quartiles in milliseconds.
 
 OpenBLAS and OpenMP are pinned to one thread before numpy loads, as in the
 test suite and the benchmark; a value set in the environment wins.  ``--src``
@@ -51,25 +49,20 @@ def main(argv=None) -> int:
     from ultragrid import build_level, problems, sign_perturbed_spec
 
     print(f"ultragrid from {pathlib.Path(problems.__file__).parent}")
-    print(f"{'level':>5} {'ranges':>8} {'median ms':>10} {'q1 ms':>8} {'q3 ms':>8}")
+    print(f"{'level':>5} {'median ms':>10} {'q1 ms':>8} {'q3 ms':>8}")
     spec = sign_perturbed_spec()
-    settings = {"1": 1, "default": None}
     for n in args.levels:
         level = build_level(spec.domain, n)
         obj = spec.build(level)
         u = obj.pin(spec.initial_guesses(level, np.random.default_rng(1), None)[0])
-        times = {name: [] for name in settings}
-        for rep in range(args.repeats + 1):
-            for name, threads in settings.items():
-                with problems.sweep_threads(threads):
-                    start = time.perf_counter()
-                    obj.value_and_grad(u)
-                    elapsed = time.perf_counter() - start
-                if rep:  # the first round warms up
-                    times[name].append(elapsed * 1e3)
-        for name, samples in times.items():
-            q1, median, q3 = statistics.quantiles(samples, n=4)
-            print(f"{n:>5} {name:>8} {median:>10.3f} {q1:>8.3f} {q3:>8.3f}")
+        obj.value_and_grad(u)  # warm-up
+        samples = []
+        for _ in range(args.repeats):
+            start = time.perf_counter()
+            obj.value_and_grad(u)
+            samples.append((time.perf_counter() - start) * 1e3)
+        q1, median, q3 = statistics.quantiles(samples, n=4)
+        print(f"{n:>5} {median:>10.3f} {q1:>8.3f} {q3:>8.3f}")
     return 0
 
 

@@ -18,21 +18,17 @@ Three subcommands:
     and measure layers, print a pass/fail table, and write ``checks.csv``.
 
 Every CSV starts with a header row and carries a ``config_hash`` column (the
-first 12 hex digits of the SHA-256 of the canonical JSON config without
-``threads``).  Floats are written with ``%.17g`` and no timestamps appear in
-any CSV, so re-running with the same config and seed reproduces every CSV
-byte for byte.  Wall-clock timings live only in ``report.json``.
+first 12 hex digits of the SHA-256 of the canonical JSON config).  Floats are
+written with ``%.17g`` and no timestamps appear in any CSV, so re-running
+with the same config and seed reproduces every CSV byte for byte.
+Wall-clock timings live only in ``report.json``.
 
 Exit codes: 0 success, 1 invariant failure or internal error,
 2 configuration error, 3 partial result (report still written).  The config
 is checked before any work, so only a :class:`ConfigError` exits 2; any other
 ``ValueError`` is a fault of the program and exits 1 as an internal error.
-
-``--threads N`` caps the threads of a ``solve``: the Gauss-point sweep of
-the quotient study is split into at most ``N`` ranges (default: one per CPU
-of the process's affinity mask).  Every output but ``report.json``, which
-records the count used, is the same for any ``N``, so ``threads`` is not part
-of the hashed config and is not written to ``config.json``.
+A top-level config key that no command reads is ignored, but it is part of
+the hashed config.
 """
 
 from __future__ import annotations
@@ -69,7 +65,6 @@ from .problems import (
     sawtooth_spec,
     sign_perturbed_spec,
     singular_spec,
-    sweep_threads,
 )
 from .solver import prolong, solve_net, split, verify_euler_lagrange
 
@@ -95,12 +90,8 @@ def _canonical(config: dict) -> str:
 
 
 def config_hash(config: dict) -> str:
-    """First 12 hex digits of the SHA-256 of the canonical JSON config.
-
-    ``threads`` is left out: no output but ``report.json`` depends on it.
-    """
-    hashed = {k: v for k, v in config.items() if k != "threads"}
-    return hashlib.sha256(_canonical(hashed).encode("utf-8")).hexdigest()[:12]
+    """First 12 hex digits of the SHA-256 of the canonical JSON config."""
+    return hashlib.sha256(_canonical(config).encode("utf-8")).hexdigest()[:12]
 
 
 def _integer(config: dict, key: str, minimum: int) -> int:
@@ -109,11 +100,6 @@ def _integer(config: dict, key: str, minimum: int) -> int:
     if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
         raise ConfigError(f"{key} must be an integer >= {minimum}, got {value!r}")
     return value
-
-
-def _threads(config: dict) -> Optional[int]:
-    """The config's thread cap, ``None`` when it sets none."""
-    return None if config.get("threads") is None else _integer(config, "threads", 1)
 
 
 def _tolerances(config: dict) -> dict[str, float]:
@@ -147,7 +133,6 @@ def _validate(config: dict) -> None:
     if "instances" in config:
         _integer(config, "instances", 1)
     _tolerances(config)
-    _threads(config)
 
 
 def _parse_levels(text) -> list[int]:
@@ -186,7 +171,7 @@ def _load_config(args) -> dict:
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
         if not isinstance(config, dict):
             raise ConfigError("the top-level config must be a JSON object")
-    for key in ("levels", "seed", "format", "threads"):
+    for key in ("levels", "seed", "format"):
         if getattr(args, key) is not None:
             config[key] = getattr(args, key)
     config.setdefault("seed", 0)
@@ -209,17 +194,29 @@ def _out_dir(args) -> pathlib.Path:
     return out
 
 
+def _check_params(kind: str, params: dict, accepted: Sequence[str]) -> None:
+    """Raise :class:`ConfigError` naming the first key of ``params`` that the
+    problem ``kind`` does not accept."""
+    unknown = sorted(set(params) - set(accepted))
+    if unknown:
+        raise ConfigError(f"unknown parameter {unknown[0]!r} for problem {kind!r}")
+
+
 def _build_problem(config: dict):
     kind = config.get("problem")
     try:
         params = dict(config.get("params", {}))
         if kind == "sawtooth":
+            _check_params(kind, params, ())
             return sawtooth_spec()
         if kind == "sign_perturbed":
             well = params.pop("well", None)
             a = None if well is None else QuadraticWell(**well)
             return sign_perturbed_spec(a=a, **params)
         if kind == "singular":
+            # the other singular_spec arguments are callables and a Domain,
+            # which a JSON config cannot express
+            _check_params(kind, params, ("g_affine", "init_floor"))
             g_coeffs = params.pop("g_affine", None)
             if g_coeffs is not None:
                 if not all(map(_is_real, g_coeffs)):
@@ -298,8 +295,6 @@ def _verdict(measured, threshold, passed=None) -> dict:
 
 
 def cmd_solve(config: dict, out: pathlib.Path) -> int:
-    threads = _threads(config)
-    config = {k: v for k, v in config.items() if k != "threads"}
     problem = _build_problem(config)
     levels = _parse_levels(config.get("levels", "3..5"))
     fmt = config["format"]
@@ -307,25 +302,24 @@ def cmd_solve(config: dict, out: pathlib.Path) -> int:
     classify_kwargs = _tolerances(config)
 
     timings: dict[str, float] = {}
-    with sweep_threads(threads) as threads:
-        t0 = time.perf_counter()
-        try:
-            net = solve_net(problem, levels, seed=config["seed"], multistart=config["multistart"])
-        except (ResourceLimitError, BoundaryDataError) as exc:
-            # a level over the node cap is a bad level range, and boundary
-            # data that vanishes at some level's node is bad data
-            raise ConfigError(str(exc)) from exc
-        except RuntimeError as exc:
-            # certified-lower-bound violation: an invariant failure, not a crash
-            print(f"invariant failure: {exc}", file=sys.stderr)
-            return EXIT_INVARIANT
-        timings["solve_s"] = time.perf_counter() - t0
+    t0 = time.perf_counter()
+    try:
+        net = solve_net(problem, levels, seed=config["seed"], multistart=config["multistart"])
+    except (ResourceLimitError, BoundaryDataError) as exc:
+        # a level over the node cap is a bad level range, and boundary
+        # data that vanishes at some level's node is bad data
+        raise ConfigError(str(exc)) from exc
+    except RuntimeError as exc:
+        # certified-lower-bound violation: an invariant failure, not a crash
+        print(f"invariant failure: {exc}", file=sys.stderr)
+        return EXIT_INVARIANT
+    timings["solve_s"] = time.perf_counter() - t0
 
-        t0 = time.perf_counter()
-        splitting = split(net, **classify_kwargs)
-        value_class = classify(net.value_net(), **classify_kwargs)
-        el = verify_euler_lagrange(problem, net.results[-1])
-        timings["analysis_s"] = time.perf_counter() - t0
+    t0 = time.perf_counter()
+    splitting = split(net, **classify_kwargs)
+    value_class = classify(net.value_net(), **classify_kwargs)
+    el = verify_euler_lagrange(problem, net.results[-1])
+    timings["analysis_s"] = time.perf_counter() - t0
 
     diag_keys = sorted({k for r in net.results for k in r.diagnostics})
     # one row per level: levels.csv, plot_convergence.csv and report.json
@@ -423,7 +417,6 @@ def cmd_solve(config: dict, out: pathlib.Path) -> int:
         "invariants": verdicts,
         "partial": net.partial,
         "timings": timings,
-        "threads": threads,
     }
     _write_json(out / "report.json", report)
     _write_json(out / "config.json", {"config": config, "config_hash": chash})
@@ -646,11 +639,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="output directory")
         p.add_argument("--levels", help="level range A..B (overrides config)")
         p.add_argument("--seed", type=int, help="base RNG seed")
-        p.add_argument(
-            "--threads", type=int,
-            help="at most N threads for a solve (default: the CPUs this "
-            "process may run on); outputs do not depend on it",
-        )
         p.add_argument("--format", choices=("csv", "json"), help="table format")
     return parser
 

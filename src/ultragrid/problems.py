@@ -22,6 +22,9 @@ interior stencil rows only: the antisymmetric closure rows of the derivative
 are not consistent for nonzero boundary values and would otherwise add a
 spurious ``O(1/h)`` penalty.  Constants remain exactly harmonic under the
 resulting masked stiffness.
+
+No study starts a thread: the quotient's Gauss-point pass, the hottest code
+of the package, is one sweep on the calling thread.
 """
 
 from __future__ import annotations
@@ -29,8 +32,6 @@ from __future__ import annotations
 import json
 import math
 import numbers
-import os
-from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from importlib import resources
@@ -53,7 +54,6 @@ __all__ = [
     "bubble",
     "QuadraticWell",
     "sign_perturbed_spec",
-    "sweep_threads",
     "concentration_metric",
     "singular_spec",
     "BoundaryDataError",
@@ -284,65 +284,10 @@ def _is_real(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
-#: Gauss points of one quotient pass from which its sweep is split into
-#: ranges.  A smaller pass (3D level 4 and coarser) runs slower split than
-#: whole: the helper threads cost more than they save.
-_SPLIT_MIN_POINTS = 1 << 20
-
 #: The most columns of a cell's Gauss rows that the pointwise steps of a
 #: quotient sweep take at a time, so that their buffers stay in a 2 MB cache:
 #: 3D levels 5 and 6 ran faster with it than with half or twice as many.
 _CHUNK = 1 << 13
-
-_sweep_ranges: Optional[int] = None  # the cap of sweep_threads; None: _usable_cpus()
-_pool = None  # the helper threads of split sweeps, made on the first split
-_pool_workers = 0
-
-
-def _usable_cpus() -> int:
-    """The number of CPUs in this process's affinity mask."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # a platform without affinity masks
-        return os.cpu_count() or 1
-
-
-@contextmanager
-def sweep_threads(threads: Optional[int] = None):
-    """Split each quotient Gauss-point sweep into at most ``threads`` ranges.
-
-    Holds inside the ``with`` block and yields the cap; ``None`` means one
-    range per CPU in the process's affinity mask.  Results do not depend on
-    it: a split sweep is bit-identical to a whole one (see
-    :class:`_QuotientObjective`).
-    """
-    global _sweep_ranges
-    if threads is None:
-        threads = _usable_cpus()
-    if threads < 1:
-        raise ValueError(f"threads must be at least 1, got {threads}")
-    prior, _sweep_ranges = _sweep_ranges, threads
-    try:
-        yield threads
-    finally:
-        _sweep_ranges = prior
-
-
-def _helper_pool(workers: int):
-    """An executor of at least ``workers`` helper threads, kept for the process.
-
-    Made on the first split, so importing the package loads no
-    ``concurrent.futures`` and starts no thread.
-    """
-    global _pool, _pool_workers
-    if _pool_workers < workers:
-        from concurrent.futures import ThreadPoolExecutor
-
-        if _pool is not None:
-            _pool.shutdown()
-        _pool = ThreadPoolExecutor(workers, thread_name_prefix="ultragrid-sweep")
-        _pool_workers = workers
-    return _pool
 
 
 def _dirichlet_eigenpairs(m: int, h: float) -> tuple[np.ndarray, np.ndarray]:
@@ -399,21 +344,9 @@ class _QuotientObjective(LevelObjective):
     contracted along axes ``1 .. N-1``, is stored: a sweep holds a few Gauss
     rows at a time.  ``|u|^p`` is formed as ``u * u (u^2)^((p-2)/2)``; for
     ``p = 6`` the power is a square, taken by ``np.square``, which rounds as
-    ``np.power(y, 2.0)`` does.
-
-    From ``_SPLIT_MIN_POINTS`` Gauss points on (3D level 5 and finer) the
-    sweep runs on several threads: the axis-0 cells are cut into contiguous
-    ranges, at most one per CPU (:func:`sweep_threads`),
-    and a helper thread sweeps each range but the first, which the main
-    thread sweeps.  The ranges share no buffer and call only numpy; each
-    writes the adjoint node rows that only its own cells touch.  The result
-    is bit-identical to the one-range sweep for any number of ranges: a
-    row's contraction and back-projection are the same GEMMs and sums
-    whichever range makes them; the node row where two ranges meet is
-    finished after the join, the earlier range's partial row plus the later
-    range's first contribution, which is again the one-sweep order; and
-    ``den`` is read off the finished adjoint.  The stiffness stays on the
-    main thread: running it beside the sweep gained no time.
+    ``np.power(y, 2.0)`` does.  The pass is one sweep on the calling thread:
+    on a 2-vCPU machine, two ranges of cells on two threads ran slower per
+    evaluation and per solve than one sweep.
 
     L-BFGS runs in the H1 metric of the numerator without the well:
     :meth:`precondition` is the exact inverse of the interior Dirichlet
@@ -508,54 +441,15 @@ class _QuotientObjective(LevelObjective):
         The node grid ``adj`` holds the adjoint ``G^T W (u |u|^(p-2))``,
         ``G`` the Gauss interpolation and ``W`` the Gauss weights, and
         ``den = <u, adj> = int |u|^p``; :meth:`value_and_grad` scales
-        ``adj`` into the gradient.
-
-        From ``_SPLIT_MIN_POINTS`` Gauss points on, the axis-0 cells are
-        split into contiguous ranges, one per thread (see
-        :func:`sweep_threads`); the main thread sweeps the first range and
-        always joins the helpers before it returns or raises.
-        """
-        cells = grid.shape[0] - 1
-        ranges = 1
-        if 4**grid.ndim * cells * math.prod(self._cell_shape) >= _SPLIT_MIN_POINTS:
-            ranges = min(_sweep_ranges or _usable_cpus(), cells)
-        starts = [cells * i // ranges for i in range(ranges)] + [cells]
-        adj = np.empty(grid.shape)
-        if ranges == 1:
-            sweeps = [self._sweep(grid, 0, cells, adj)]
-        else:
-            from concurrent.futures import wait
-
-            pool = _helper_pool(ranges - 1)
-            jobs = [
-                pool.submit(self._sweep, grid, starts[i], starts[i + 1], adj)
-                for i in range(1, ranges)
-            ]
-            try:
-                sweeps = [self._sweep(grid, 0, starts[1], adj)]
-            finally:
-                wait(jobs)
-            sweeps += [job.result() for job in jobs]  # re-raises a helper's exception
-        # the node rows that no range finishes: the first, the last, and each
-        # row where two ranges meet, the earlier range's part first, as one
-        # sweep adds them
-        buf = np.empty((len(self._corners),) + self._cell_shape)
-        self._project(sweeps[0][0], adj[0], buf)
-        for c0, before, after in zip(starts[1:], sweeps, sweeps[1:]):
-            self._project(before[1] + after[0], adj[c0], buf)
-        self._project(sweeps[-1][1], adj[cells], buf)
-        return float(np.vdot(grid, adj)), adj
-
-    def _sweep(self, grid, c0, c1, adj) -> tuple:
-        """Sweep the axis-0 cells ``c0 .. c1 - 1``: ``(head, tail)``.
-
-        ``head`` holds the first cell's contribution to node row ``c0`` and
-        ``tail`` the last cell's to node row ``c1`` of ``adj``; the node rows
-        between them are finished here and written into ``adj``.  Only numpy
-        is called, so a helper thread can sweep a range.
+        ``adj`` into the gradient.  Node row ``c`` is finished right after
+        cell ``c``: row 0 from cell 0's part alone, each later row from the
+        previous cell's part plus cell ``c``'s, and the last row from the last
+        cell's part after the sweep.
         """
         S0, B0T = self._S0, self._B0T
         rule, width = B0T.shape[1], len(self._Sk) * math.prod(self._cell_shape)
+        cells = grid.shape[0] - 1
+        adj = np.empty(grid.shape)
         # node rows contracted on the Gauss rows of axes 1 .. N-1, cell-major,
         # row r in slot r % 2: cell c reads the two slots
         ring = np.empty((2, width))
@@ -570,8 +464,8 @@ class _QuotientObjective(LevelObjective):
         ug, y = np.empty((2, rule, step))
         chunks = [(ring[:, i : i + step], back[:, :, i : i + step]) for i in range(0, width, step)]
 
-        self._interp(grid[c0], ring[c0 % 2], buf)
-        for c in range(c0, c1):
+        self._interp(grid[0], ring[0], buf)
+        for c in range(cells):
             self._interp(grid[c + 1], ring[(c + 1) % 2], buf)
             for rows, backs in chunks:
                 np.matmul(S0[c % 2], rows, out=ug)
@@ -583,12 +477,11 @@ class _QuotientObjective(LevelObjective):
                 np.multiply(y, ug, out=y)  # u |u|^(p-2)
                 np.matmul(B0T, y, out=backs[c % 2])
             front = back[c % 2, 0]
-            if c == c0:
-                head = front.copy()
-            else:
+            if c > 0:
                 front += back[(c - 1) % 2, 1]
-                self._project(front, adj[c], buf)
-        return head, back[(c1 - 1) % 2, 1]
+            self._project(front, adj[c], buf)
+        self._project(back[(cells - 1) % 2, 1], adj[cells], buf)
+        return float(np.vdot(grid, adj)), adj
 
     # -- energy -------------------------------------------------------------
     def value_and_grad(self, u: np.ndarray) -> tuple[float, np.ndarray]:
@@ -664,6 +557,11 @@ def sign_perturbed_spec(
         raise ValueError(f"bubble_scales needs at least one scale, each real, got {bubble_scales!r}")
     domain = Domain(bounds=tuple(((0.0, 1.0),) * dimension))
     x_m = tuple(center) if center is not None else (0.5,) * dimension
+    if not all(map(_is_real, (*x_m, delta, theta, concentration_radius))):
+        raise ValueError(
+            "center, delta, theta and concentration_radius must be real, got "
+            f"{center!r}, {delta!r}, {theta!r} and {concentration_radius!r}"
+        )
     # every start's profile at unit scale (its support does not depend on
     # the level), so bad parameters fail before any level is built
     for s in bubble_scales:

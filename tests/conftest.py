@@ -6,11 +6,10 @@ literal constants it collects from the package source) goes to a temporary
 directory removed when the session ends, so no ``.hypothesis/`` is left in
 the checkout.  Per-test ``@settings`` still apply on top of this profile.
 
-BLAS and OpenMP default to one thread, as in the benchmark, so that
-OpenBLAS's own threads do not compete with the split Gauss-point sweep of
-the quotient study.  OpenBLAS reads the variables when numpy loads it, so
-they are set before anything here imports numpy; a value set in the
-environment still wins.
+BLAS and OpenMP default to one thread, as in the benchmark, so that the
+suite times and runs the kernels as the benchmark does.  OpenBLAS reads the
+variables when numpy loads it, so they are set before anything here imports
+numpy; a value set in the environment still wins.
 """
 
 import os

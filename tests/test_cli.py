@@ -11,7 +11,7 @@ import sys
 import numpy as np
 import pytest
 
-from ultragrid import cli, grid, problems, solver
+from ultragrid import cli, grid, solver
 from ultragrid.cli import main
 
 SAW = {"problem": "sawtooth", "levels": "3..5", "seed": 0}
@@ -264,40 +264,11 @@ def test_only_the_singular_solve_loads_scipy(tmp_path):
     assert lines[4][:3] + lines[4][4:] == ["singular", "0", "True", "False"], proc.stdout
 
 
-def test_threads_change_no_output_and_no_hash(tmp_path, monkeypatch):
-    # --threads 2 splits the level-5 quotient sweep in two, --threads 1 not at
-    # all; every output but report.json, which records the count, is the same
-    pools = []
-    helper_pool = problems._helper_pool
-    monkeypatch.setattr(problems, "_helper_pool", lambda n: pools.append(n) or helper_pool(n))
-    payload = {"problem": "sign_perturbed", "levels": "3..5", "seed": 1}
-    cfg = write_config(tmp_path, payload)
-    outputs = []
-    for threads in (1, 2):
-        out = tmp_path / f"out{threads}"
-        out.mkdir()
-        argv = ["solve", "--config", cfg, "--out", str(out), "--threads", str(threads)]
-        assert main(argv) == 0
-        # helper threads asked for: none with one thread, one with two
-        assert set(pools) == ({1} if threads == 2 else set())
-        report = json.loads((out / "report.json").read_text())
-        assert report["threads"] == threads
-        outputs.append({p.name: p.read_bytes() for p in out.iterdir() if p.name != "report.json"})
-    assert outputs[0] == outputs[1]
-    written = json.loads(outputs[0]["config.json"])
-    assert "threads" not in written["config"]
-    assert written["config_hash"] == cli.config_hash({**written["config"], "threads": 7})
-
-
-@pytest.mark.parametrize("threads", [0, -1, 1.5, "2", True])
-def test_threads_below_one_or_not_an_integer_exits_2(tmp_path, capsys, threads):
-    cfg = write_config(tmp_path, {**SAW, "threads": threads})
-    out = tmp_path / "out"
-    out.mkdir()
-    assert main(["solve", "--config", cfg, "--out", str(out)]) == 2
-    assert "threads must be an integer >= 1" in capsys.readouterr().err
-    assert not any(out.iterdir())
-    assert main(["calculus-check", "--levels", "3..5", "--threads", "0"]) == 2
+def test_threads_flag_is_rejected(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--levels", "3..5", "--threads", "2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
 
 
 def test_report_traces_every_start(tmp_path):
@@ -401,6 +372,21 @@ def test_calculus_check_three_levels_exits_2(tmp_path, capsys):
     ({"problem": "singular", "params": {"g_affine": [True, 0.0, "1"]}},
      "g_affine needs real coefficients"),
     ({"problem": "singular", "params": {"init_floor": True}}, "init_floor must be positive"),
+    # singular_spec's other arguments are callables or a Domain, and the
+    # sawtooth study takes none
+    ({"problem": "singular", "params": {"domain": [[0, 1], [0, 1]]}},
+     "unknown parameter 'domain' for problem 'singular'"),
+    ({"problem": "singular", "params": {"g": 1}}, "unknown parameter 'g' for problem 'singular'"),
+    ({"problem": "singular", "params": {"Wpp": 1}}, "unknown parameter 'Wpp'"),
+    ({"params": {"seed": 3}}, "unknown parameter 'seed' for problem 'sawtooth'"),
+    ({"problem": "sign_perturbed", "params": {"concentration_radius": True}},
+     "center, delta, theta and concentration_radius must be real"),
+    ({"problem": "sign_perturbed", "params": {"center": ["0.5", "0.5", "0.5"]}},
+     "center, delta, theta and concentration_radius must be real"),
+    ({"problem": "sign_perturbed", "params": {"delta": "0.25"}},
+     "center, delta, theta and concentration_radius must be real"),
+    ({"problem": "sign_perturbed", "params": {"theta": False}},
+     "center, delta, theta and concentration_radius must be real"),
 ])
 def test_bad_config_values_exit_2_before_solving(tmp_path, capsys, monkeypatch, payload, message):
     def no_solve(*args, **kwargs):

@@ -1,7 +1,6 @@
 """The three packaged studies: objectives, initializers, diagnostics."""
 
 import functools
-import sys
 import threading
 import tracemalloc
 
@@ -400,8 +399,7 @@ def _assert_matches_whole_array_oracle(obj, u, well):
     # exact Gauss sum), and the well folded into the stiffness against its
     # Gauss sum, to 1e-15 relative; the gradient, scaled after the
     # back-projection instead of before it, to rounding
-    with problems.sweep_threads(1):
-        value, grad = obj.value_and_grad(u)
+    value, grad = obj.value_and_grad(u)
     ref_value, ref_grad = _whole_array_value_and_grad(obj, u, well)
     assert value == pytest.approx(ref_value, rel=1e-15, abs=0.0)
     assert np.max(np.abs(grad - ref_grad)) <= 1e-14 * np.max(np.abs(ref_grad))
@@ -450,10 +448,11 @@ def test_project_is_the_weighted_adjoint_of_interp(dimension, n):
 
 
 @pytest.mark.parametrize(
-    "n, well", [(n, well) for n in (3, 4, 5, 6) for well in (False, True)]
+    "n, well", [(n, well) for n in (1, 2, 3, 4, 5, 6) for well in (False, True)]
 )
 def test_streamed_pass_matches_whole_array_oracle(n, well):
-    # u is a sign-changing random field
+    # u is a sign-changing random field; levels 1 and 2 have 2 and 4 cells
+    # along axis 0, where the first and last node rows of the sweep meet
     level = build_level(DOM3, n)
     a = QuadraticWell((0.4, 0.5, 0.6)) if well else None
     obj = problems._QuotientObjective(level, a)
@@ -489,8 +488,7 @@ def test_quotient_evaluation_stores_no_gauss_grid(well):
         u = obj.pin(u)
         held, build_peak = tracemalloc.get_traced_memory()
         tracemalloc.reset_peak()
-        with problems.sweep_threads(1):
-            obj.value_and_grad(u)
+        obj.value_and_grad(u)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -533,38 +531,6 @@ def test_quotient_lower_bound_needs_a_non_negative_well():
         sign_perturbed_spec(a=QuadraticWell((0.5, 0.5)))
 
 
-@pytest.mark.parametrize(
-    "dimension, n, well",
-    [(3, n, well) for n in (1, 3, 4, 5, 6) for well in (False, True)]
-    + [(4, 2, False), (4, 3, True), (5, 2, False), (5, 2, True)],
-)
-def test_quotient_split_sweep_is_bit_identical(monkeypatch, dimension, n, well):
-    # every level is split (no threshold) into 1, 2 and 3 ranges; 3D level 1
-    # has 2 cells for 3 ranges; 4D and 5D (p = 4 and 10/3) take np.power
-    monkeypatch.setattr(problems, "_SPLIT_MIN_POINTS", 0)
-    starts = []
-    sweep = problems._QuotientObjective._sweep
-
-    def recording(self, grid, c0, *args):
-        starts.append(c0)
-        return sweep(self, grid, c0, *args)
-
-    monkeypatch.setattr(problems._QuotientObjective, "_sweep", recording)
-    a = QuadraticWell((0.4,) * dimension) if well else None
-    level = build_level(Domain(((0.0, 1.0),) * dimension), n)
-    obj = problems._QuotientObjective(level, a)
-    u = obj.pin(np.random.default_rng(10 * dimension + n).standard_normal(level.node_count))
-    results = []
-    for ranges in (1, 2, 3):
-        with problems.sweep_threads(ranges):
-            del starts[:]
-            normalized = obj.normalize(u)
-            assert len(starts) == min(ranges, level.shape[0] - 1)
-            results.append((*obj.value_and_grad(u), normalized))
-    for got in results[1:]:
-        _assert_bit_identical(results[0], got)
-
-
 @pytest.mark.parametrize("dimension, n, well", [(3, 3, False), (3, 5, True), (4, 3, False)])
 def test_quotient_chunked_sweep_is_bit_identical(monkeypatch, dimension, n, well):
     # the pointwise steps of a cell act column by column, so cutting them
@@ -573,29 +539,9 @@ def test_quotient_chunked_sweep_is_bit_identical(monkeypatch, dimension, n, well
     level = build_level(Domain(((0.0, 1.0),) * dimension), n)
     obj = problems._QuotientObjective(level, a)
     u = obj.pin(np.random.default_rng(70 + n).standard_normal(level.node_count))
-    with problems.sweep_threads(1):
-        expected = (*obj.value_and_grad(u), obj.normalize(u))
-        monkeypatch.setattr(problems, "_CHUNK", 64)
-        _assert_bit_identical(expected, (*obj.value_and_grad(u), obj.normalize(u)))
-
-
-def test_split_sweep_stress_more_ranges_than_cores(monkeypatch):
-    # more ranges than cores, threads switched every microsecond: a lost or
-    # reordered update of the shared accumulators breaks the bit identity
-    monkeypatch.setattr(problems, "_SPLIT_MIN_POINTS", 0)
-    level = build_level(DOM3, 4)
-    obj = problems._QuotientObjective(level, QuadraticWell((0.4, 0.5, 0.6)))
-    u = obj.pin(np.random.default_rng(44).standard_normal(level.node_count))
-    with problems.sweep_threads(1):
-        expected = obj.value_and_grad(u)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        with problems.sweep_threads(2 * problems._usable_cpus() + 3):
-            for _ in range(20):
-                _assert_bit_identical(expected, obj.value_and_grad(u))
-    finally:
-        sys.setswitchinterval(interval)
+    expected = (*obj.value_and_grad(u), obj.normalize(u))
+    monkeypatch.setattr(problems, "_CHUNK", 64)
+    _assert_bit_identical(expected, (*obj.value_and_grad(u), obj.normalize(u)))
 
 
 def test_quotient_square_rounds_as_numpy_power():
@@ -608,39 +554,12 @@ def test_quotient_square_rounds_as_numpy_power():
         _assert_bit_identical([np.power(y, 2.0)] * 2, [np.multiply(y, y), np.square(y)])
 
 
-def test_split_sweep_calls_traced_functions_on_the_main_thread(monkeypatch):
-    # a span tracer keeps one stack per process, so during a split level-5
-    # solve apply_axis and value_and_grad must run on the main thread only,
-    # while a helper thread sweeps the second range
-    calls = {"apply_axis": set(), "value_and_grad": set(), "_sweep": set()}
-
-    def recording(name, fn):
-        @functools.wraps(fn)
-        def wrapper(*args, **kwargs):
-            calls[name].add(threading.get_ident())
-            return fn(*args, **kwargs)
-
-        return wrapper
-
-    monkeypatch.setattr(problems, "apply_axis", recording("apply_axis", problems.apply_axis))
-    for name in ("value_and_grad", "_sweep"):
-        method = getattr(problems._QuotientObjective, name)
-        monkeypatch.setattr(problems._QuotientObjective, name, recording(name, method))
-    with problems.sweep_threads(2):
-        net = solve_net(sign_perturbed_spec(), [3, 4, 5], seed=1)
+def test_quotient_solve_starts_no_thread():
+    # the Gauss pass sweeps every level, level 5 too, on the calling thread
+    before = set(threading.enumerate())
+    net = solve_net(sign_perturbed_spec(), [3, 4, 5], seed=1)
     assert net.results[-1].level.n == 5
-    main = threading.get_ident()
-    assert calls["apply_axis"] == {main}
-    assert calls["value_and_grad"] == {main}
-    assert main in calls["_sweep"] and calls["_sweep"] - {main}  # a helper swept too
-
-
-def test_sweep_threads_rejects_fewer_than_one():
-    with pytest.raises(ValueError, match="at least 1"):
-        with problems.sweep_threads(0):
-            pass
-    with problems.sweep_threads() as threads:
-        assert threads == problems._usable_cpus() >= 1
+    assert set(threading.enumerate()) <= before
 
 
 def test_quotient_above_sobolev_constant():
