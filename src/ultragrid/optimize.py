@@ -32,6 +32,12 @@ on noise and backtracks dozens of times; the gradient is still accurate
 there, and the approximate Wolfe test decides from it.  Its curvature half
 keeps ``s.y > 0``, so the L-BFGS update stays positive definite.
 
+L-BFGS stores its ``memory`` correction pairs ``(s, y)`` in two preallocated
+``(memory, n_free)`` arrays that are overwritten circularly (Nocedal, Math.
+Comp. 35, 1980), and otherwise works in fixed buffers (see :func:`lbfgs`),
+with the same arithmetic in the same order as a history kept in lists of
+fresh arrays.
+
 Newton solves its steps by banded Cholesky, one independent diagonal block
 of the Hessian at a time: the objective lists the blocks and orders each for
 a narrow band (George & Liu, *Computer Solution of Large Sparse Positive
@@ -102,7 +108,8 @@ def lbfgs(
     patience: int = 10,
     precondition: Optional[Callable[[np.ndarray], np.ndarray]] = None,
 ) -> OptimizeResult:
-    """Two-loop-recursion L-BFGS over the free dofs of ``x0``.
+    """Two-loop-recursion L-BFGS over the free dofs of ``x0``, the entries
+    where the boolean mask ``free`` is set.
 
     The initial inverse-Hessian guess is ``H0 = gamma * P^-1``, where
     ``precondition(v)`` returns ``P^-1 v`` for a free-dof vector ``v``; the
@@ -124,19 +131,45 @@ def lbfgs(
     ``||g||_*`` does not fall below its lowest value so far: at a large
     ``|f|`` the decrease alone says nothing, since a run that still
     converges decreases ``f`` by less than its rounding.
+
+    Stored, besides ``x0``: the ``2 * memory`` history vectors of the free
+    dofs in two ring arrays, ``x`` and the trial point (full length, swapped
+    on each accepted step), and on the free dofs the weights, the gradient,
+    the trial gradient, one scratch vector and the direction.  The
+    two-loop's ``q`` and the trial point's gathered ``x[free]`` use the
+    trial gradient's buffer until an evaluation fills it.  A new pair
+    ``(s, y)`` is formed in the direction's buffer and the scratch vector
+    and copied into the ring only if the curvature test keeps it, so a
+    skipped pair leaves the history untouched.  The objective's full
+    gradient is not kept past its evaluation.  Beyond the objective's and
+    the metric's own allocations, an iteration allocates only the direction
+    and the dual norm's temporaries, none of them inside an evaluation,
+    where the run's memory peaks.
     """
     tol = _tolerance(gtol)
     x = x0.copy()
+    x_new = x0.copy()  # the trial point; its pinned entries are x's for good
     d = weights[free]
     if precondition is None:
         def precondition(v: np.ndarray) -> np.ndarray:
             return v / d
-    f, g_full = value_and_grad(x)
-    g = g_full[free]
-    s_list: list[np.ndarray] = []
-    y_list: list[np.ndarray] = []
+    # the gradient at x, the trial gradient and a scratch vector, on the free
+    # dofs; the correction pairs in two rings, overwritten circularly, the
+    # oldest of ``count`` pairs in row ``oldest``
+    g, g_new, tmp = np.empty((3, d.size))
+    s_ring = np.empty((memory, d.size))
+    y_ring = np.empty((memory, d.size))
+    count = oldest = 0
     gamma = 1.0
 
+    def evaluate(point: np.ndarray, grad: np.ndarray) -> float:
+        """``f(point)``, with the free entries of its gradient put into
+        ``grad``: the full gradient is not kept."""
+        f, g_full = value_and_grad(point)
+        np.compress(free, g_full, out=grad)
+        return f
+
+    f = evaluate(x, g)
     gnorm = best_gnorm = _dual_norm(g, d)
     it = 0
     stalled = 0
@@ -146,22 +179,26 @@ def lbfgs(
         if stalled >= patience:
             return OptimizeResult(x, f, gnorm, it, False)
 
-        # two-loop recursion with H0 = gamma * P^-1
-        q = g.copy()
+        # two-loop recursion with H0 = gamma * P^-1, newest pair first; q
+        # lives in g_new's buffer, which only the line search fills
+        rows = [(oldest + j) % memory for j in range(count)]
+        q = g_new
+        np.copyto(q, g)
         alphas = []
-        for s, y in zip(reversed(s_list), reversed(y_list)):
+        for j in reversed(rows):
+            s, y = s_ring[j], y_ring[j]
             rho = 1.0 / (y @ s)
             a = rho * (s @ q)
-            q -= a * y
+            q -= np.multiply(y, a, out=tmp)
             alphas.append((a, rho))
         r = gamma * precondition(q)
-        for (a, rho), (s, y) in zip(reversed(alphas), zip(s_list, y_list)):
+        for (a, rho), j in zip(reversed(alphas), rows):
+            s, y = s_ring[j], y_ring[j]
             b = rho * (y @ r)
-            r += (a - b) * s
-        p = -r
+            r += np.multiply(s, a - b, out=tmp)
+        p = np.negative(r, out=r)
         if p @ g >= 0.0:  # not a descent direction: reset memory
-            s_list.clear()
-            y_list.clear()
+            count = oldest = 0
             p = -precondition(g)
 
         # backtracking with feasibility veto: Armijo, else approximate Wolfe
@@ -170,13 +207,14 @@ def lbfgs(
         step = 1.0
         accepted = False
         for _bt in range(60):
-            x_new = x.copy()
-            x_new[free] = x[free] + step * p
+            # x[free] + step p, with x[free] gathered into g_new's buffer
+            # until the evaluation fills it
+            np.compress(free, x, out=g_new)
+            x_new[free] = np.add(g_new, np.multiply(p, step, out=tmp), out=tmp)
             if accept is not None and not accept(x, x_new):
                 step *= 0.5
                 continue
-            f_new, g_new_full = value_and_grad(x_new)
-            g_new = g_new_full[free]
+            f_new = evaluate(x_new, g_new)
             if np.isfinite(f_new) and (
                 f_new <= f + 1e-4 * step * slope
                 or (f_new <= f + slack and 0.9 * slope <= g_new @ p <= -0.8 * slope)
@@ -187,8 +225,10 @@ def lbfgs(
         if not accepted:
             return OptimizeResult(x, f, gnorm, it, gnorm <= tol(f))
 
-        s = step * p
-        y = g_new - g
+        # the pair (s, y) in p's buffer and the scratch vector; copied into
+        # the ring only if it is kept, so a skipped pair destroys none
+        s = np.multiply(p, step, out=p)
+        y = np.subtract(g_new, g, out=tmp)
         sy = s @ y
         if sy > 1e-14 * float(np.linalg.norm(s) * np.linalg.norm(y) + 1e-300):
             # near the underflow range (a gradient that keeps falling towards
@@ -196,15 +236,19 @@ def lbfgs(
             with np.errstate(over="ignore", divide="ignore"):
                 rho, scaling = 1.0 / sy, sy / (y @ precondition(y))
             if np.isfinite(rho) and np.isfinite(scaling):
-                s_list.append(s)
-                y_list.append(y)
-                if len(s_list) > memory:
-                    s_list.pop(0)
-                    y_list.pop(0)
+                j = (oldest + count) % memory
+                s_ring[j] = s
+                y_ring[j] = y
+                if count < memory:
+                    count += 1
+                else:
+                    oldest = (oldest + 1) % memory
                 gamma = scaling
 
         flat = f - f_new <= ftol * max(abs(f), abs(f_new), 1.0)
-        x, f, g = x_new, f_new, g_new
+        x, x_new = x_new, x
+        f = f_new
+        g, g_new = g_new, g
         gnorm = _dual_norm(g, d)
         stalled = stalled + 1 if flat and gnorm >= best_gnorm else 0
         best_gnorm = min(best_gnorm, gnorm)

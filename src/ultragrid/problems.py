@@ -240,12 +240,28 @@ def _check_bubble(init: BubbleInitializer, domain: Domain) -> None:
             raise ValueError("bubble support exceeds the domain box")
 
 
+def _distance(level: GridLevel, center: Sequence[float]) -> np.ndarray:
+    """``|x - center|`` at every node of ``level``, flat in C order.
+
+    The squares are broadcast from ``level.axes`` and summed in axis order,
+    ``((x0 - c0)^2 + (x1 - c1)^2) + ...``, which is what
+    ``np.linalg.norm(level.coordinates - center, axis=1)`` computes, bit for
+    bit, without the ``(node_count, N)`` coordinate table.
+    """
+    dim = level.dimension
+    total = None
+    for axis, (x, c) in enumerate(zip(level.axes, center, strict=True)):
+        t = x.reshape((-1,) + (1,) * (dim - 1 - axis)) - float(c)
+        total = t * t if total is None else total + t * t
+    return np.sqrt(total, out=total).ravel()
+
+
 def bubble(init: BubbleInitializer, level: GridLevel) -> GridFunction:
     """Sample the cutoff profile at the nodes of ``level``."""
     _check_bubble(init, level.domain)
     dim = level.dimension
     support = init.delta * init.theta
-    r = np.linalg.norm(level.coordinates - np.asarray(init.center), axis=1)
+    r = _distance(level, init.center)
     power = (dim - 2) / 2.0
     u_eps = init.epsilon**-power * (1.0 + (r / init.epsilon) ** 2) ** -power
     edge = (
@@ -496,7 +512,9 @@ class _QuotientObjective(LevelObjective):
         # d(num / den^q) = d_num / den^q - q num / den^(q+1) d_den, with
         # d_num = 2 K u (the well is part of K) and d_den = p G^T W (u |u|^(p-2))
         adj *= -self.p * self.q * num * scale / den
-        return value, (2.0 * scale * ku + adj).ravel()
+        ku *= 2.0 * scale
+        ku += adj
+        return value, ku.ravel()
 
     def precondition(self, g: np.ndarray) -> np.ndarray:
         interior = g.reshape(self._inv_lam.shape)  # free dofs in C order
@@ -526,7 +544,7 @@ def concentration_metric(
     total = float(mass.sum())
     if total == 0.0:
         return 0.0
-    dist = np.linalg.norm(u.level.coordinates - np.asarray(x_m, dtype=float), axis=1)
+    dist = _distance(u.level, x_m)
     return float(mass[dist <= r].sum() / total)
 
 

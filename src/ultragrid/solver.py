@@ -193,9 +193,10 @@ def prolong(u: GridFunction, fine: GridLevel) -> GridFunction:
 
 
 def _run_optimizer(
-    obj: LevelObjective, start: np.ndarray, iter_budget: int
+    obj: LevelObjective, x: np.ndarray, iter_budget: int
 ) -> OptimizeResult:
-    """Run the appropriate optimizer with the self-scaling tolerance.
+    """Run the appropriate optimizer from the pinned start ``x`` with the
+    self-scaling tolerance.
 
     The optimizer tests ``||g||_* <= GTOL_FACTOR * (1 + |f|)`` at its current
     value ``f``, so one call decides convergence at the value it returns.
@@ -203,7 +204,6 @@ def _run_optimizer(
     def gtol(f: float) -> float:
         return GTOL_FACTOR * (1.0 + abs(f))
 
-    x = obj.pin(start)
     weights = obj.level.weights
     free = obj.free_mask
     if obj.has_hessian:
@@ -235,18 +235,19 @@ def minimize_level(
     obj = problem.build(level)
     rng = np.random.default_rng([seed, level.n])
 
+    # one copy of each start: the caller's warm start and the unpinned
+    # guesses are released once pinned (a level-7 start is 16 MB)
     starts: list[tuple[str, np.ndarray]] = []
     warm = None
     if init is not None:
-        warm = init.values if isinstance(init, GridFunction) else np.asarray(init, float)
-        warm = obj.pin(warm)
+        warm = obj.pin(init.values if isinstance(init, GridFunction) else init)
+        init = None
         if not obj.feasible(warm):
             raise ValueError("initial guess violates the feasibility predicate")
         starts.append(("warm", warm))
-    for guess in problem.initial_guesses(level, rng, warm):
-        arr = obj.pin(np.asarray(guess, dtype=float))
-        if obj.feasible(arr):
-            starts.append(("initializer", arr))
+    starts += [("initializer", arr)
+               for arr in map(obj.pin, problem.initial_guesses(level, rng, warm))
+               if obj.feasible(arr)]
     if problem.random_start is not None:
         while len(starts) < multistart:
             arr = obj.pin(problem.random_start(level, rng))
@@ -257,11 +258,15 @@ def minimize_level(
 
     best: OptimizeResult | None = None
     records = []
-    for kind, start in starts:
+    while starts:
+        kind, start = starts.pop(0)
         res = _run_optimizer(obj, start, MAX_ITERATIONS)
         records.append(StartRecord(kind, res.iterations, res.value, res.converged))
         if best is None or res.value < best.value:
             best = res
+        # the next run holds neither this start nor, unless it is the best,
+        # its result
+        del start, res
 
     x = obj.normalize(best.x)
     diagnostics = problem.diagnostics(obj, x) if problem.diagnostics else {}
@@ -295,6 +300,20 @@ class SolutionNet:
         return Net(tuple((r.level.n, r.u) for r in self.results))
 
 
+def _warm_start(
+    problem: ProblemSpec, level: GridLevel, results: Sequence[MinResult]
+) -> Optional[GridFunction]:
+    """The last result's minimizer prolonged onto ``level``, or ``None``:
+    on the first level, for a problem whose values are not nested, and for a
+    start that lost feasibility in prolongation (dropped, not an error;
+    explicit user inits still are)."""
+    if not (results and problem.monotone_values):
+        return None
+    init = prolong(results[-1].u, level)
+    obj = problem.build(level)
+    return init if obj.feasible(obj.pin(init.values)) else None
+
+
 def solve_net(
     problem: ProblemSpec,
     levels: Sequence[int],
@@ -320,16 +339,12 @@ def solve_net(
 
     results: list[MinResult] = []
     violations: list[int] = []
-    init: GridFunction | None = None
-    for i, level in enumerate(chain):
-        if init is not None:
-            # a warm start that lost feasibility in prolongation is dropped,
-            # not an error (explicit user inits still are)
-            obj = problem.build(level)
-            if not obj.feasible(obj.pin(init.values)):
-                init = None
+    for level in chain:
+        # the warm start is built in the call, so that only minimize_level
+        # holds it and can release it once pinned
         res = minimize_level(
-            problem, level, init=init, seed=seed, multistart=multistart
+            problem, level, init=_warm_start(problem, level, results), seed=seed,
+            multistart=multistart,
         )
         if problem.monotone_values and results and res.value > results[-1].value + 1e-10:
             violations.append(level.n)
@@ -340,8 +355,6 @@ def solve_net(
                 f"{problem.lower_bound}"
             )
         results.append(res)
-        warm = problem.monotone_values and i + 1 < len(chain)
-        init = prolong(res.u, chain[i + 1]) if warm else None
     partial = any(not r.converged for r in results)
     return SolutionNet(
         problem=problem,

@@ -1,6 +1,9 @@
-"""L-BFGS default-metric parity and its line search below the rounding of f;
+"""L-BFGS default-metric parity, its ring-buffer history against the former
+list-based L-BFGS, and its line search below the rounding of f;
 damped Newton: banded Cholesky steps block by block, the indefinite
 fallback, SuperLU parity."""
+
+from typing import Callable, Optional
 
 import numpy as np
 import pytest
@@ -10,7 +13,14 @@ import scipy.sparse.linalg as spla
 
 import ultragrid.optimize as optimize
 from ultragrid import build_level
-from ultragrid.optimize import OptimizeResult, lbfgs, newton
+from ultragrid.optimize import (
+    OptimizeResult,
+    Tolerance,
+    _dual_norm,
+    _tolerance,
+    lbfgs,
+    newton,
+)
 from ultragrid.problems import (
     _masked_stiffness,
     _upper_band,
@@ -109,6 +119,110 @@ def _diag_metric_lbfgs(
     return OptimizeResult(x, f, gnorm, it, gnorm <= gtol)
 
 
+def _list_lbfgs(
+    value_and_grad: Callable[[np.ndarray], tuple[float, np.ndarray]],
+    x0: np.ndarray,
+    weights: np.ndarray,
+    free: np.ndarray,
+    gtol: Tolerance,
+    max_iter: int = 10_000,
+    memory: int = 10,
+    accept: Optional[Callable[[np.ndarray, np.ndarray], bool]] = None,
+    ftol: float = 1e-12,
+    patience: int = 10,
+    precondition: Optional[Callable[[np.ndarray], np.ndarray]] = None,
+) -> OptimizeResult:
+    """The former ``lbfgs``, verbatim: the history in two lists, a fresh
+    array for every step, pair and trial point.  The oracle of the ring
+    buffer ``lbfgs``."""
+    tol = _tolerance(gtol)
+    x = x0.copy()
+    d = weights[free]
+    if precondition is None:
+        def precondition(v: np.ndarray) -> np.ndarray:
+            return v / d
+    f, g_full = value_and_grad(x)
+    g = g_full[free]
+    s_list: list[np.ndarray] = []
+    y_list: list[np.ndarray] = []
+    gamma = 1.0
+
+    gnorm = best_gnorm = _dual_norm(g, d)
+    it = 0
+    stalled = 0
+    while it < max_iter:
+        if gnorm <= tol(f):
+            return OptimizeResult(x, f, gnorm, it, True)
+        if stalled >= patience:
+            return OptimizeResult(x, f, gnorm, it, False)
+
+        # two-loop recursion with H0 = gamma * P^-1
+        q = g.copy()
+        alphas = []
+        for s, y in zip(reversed(s_list), reversed(y_list)):
+            rho = 1.0 / (y @ s)
+            a = rho * (s @ q)
+            q -= a * y
+            alphas.append((a, rho))
+        r = gamma * precondition(q)
+        for (a, rho), (s, y) in zip(reversed(alphas), zip(s_list, y_list)):
+            b = rho * (y @ r)
+            r += (a - b) * s
+        p = -r
+        if p @ g >= 0.0:  # not a descent direction: reset memory
+            s_list.clear()
+            y_list.clear()
+            p = -precondition(g)
+
+        # backtracking with feasibility veto: Armijo, else approximate Wolfe
+        slope = p @ g
+        slack = ftol * max(abs(f), 1.0)
+        step = 1.0
+        accepted = False
+        for _bt in range(60):
+            x_new = x.copy()
+            x_new[free] = x[free] + step * p
+            if accept is not None and not accept(x, x_new):
+                step *= 0.5
+                continue
+            f_new, g_new_full = value_and_grad(x_new)
+            g_new = g_new_full[free]
+            if np.isfinite(f_new) and (
+                f_new <= f + 1e-4 * step * slope
+                or (f_new <= f + slack and 0.9 * slope <= g_new @ p <= -0.8 * slope)
+            ):
+                accepted = True
+                break
+            step *= 0.5
+        if not accepted:
+            return OptimizeResult(x, f, gnorm, it, gnorm <= tol(f))
+
+        s = step * p
+        y = g_new - g
+        sy = s @ y
+        if sy > 1e-14 * float(np.linalg.norm(s) * np.linalg.norm(y) + 1e-300):
+            # near the underflow range (a gradient that keeps falling towards
+            # 1e-160) 1 / (y.s) or the scaling overflow; such a pair is skipped
+            with np.errstate(over="ignore", divide="ignore"):
+                rho, scaling = 1.0 / sy, sy / (y @ precondition(y))
+            if np.isfinite(rho) and np.isfinite(scaling):
+                s_list.append(s)
+                y_list.append(y)
+                if len(s_list) > memory:
+                    s_list.pop(0)
+                    y_list.pop(0)
+                gamma = scaling
+
+        flat = f - f_new <= ftol * max(abs(f), abs(f_new), 1.0)
+        x, f, g = x_new, f_new, g_new
+        gnorm = _dual_norm(g, d)
+        stalled = stalled + 1 if flat and gnorm >= best_gnorm else 0
+        best_gnorm = min(best_gnorm, gnorm)
+        it += 1
+
+    return OptimizeResult(x, f, gnorm, it, gnorm <= tol(f))
+
+
 def _assert_same_run(got, expected):
     assert expected.iterations > 0
     np.testing.assert_array_equal(got.x, expected.x)
@@ -116,6 +230,71 @@ def _assert_same_run(got, expected):
     assert got.grad_norm == expected.grad_norm
     assert got.iterations == expected.iterations
     assert got.converged == expected.converged
+
+
+def _quotient_h1_run():
+    # 3D level 4 from the middle bubble start in the quotient's H1 metric,
+    # with the solver's relative tolerance: 16 iterations, so the ring wraps
+    spec = sign_perturbed_spec()
+    level = build_level(spec.domain, 4)
+    obj = spec.build(level)
+    x0 = obj.pin(spec.initial_guesses(level, None, None)[1])
+    return (obj.value_and_grad, x0, level.weights, obj.free_mask), dict(
+        gtol=lambda f: GTOL_FACTOR * (1.0 + abs(f)), precondition=obj.precondition)
+
+
+def _sawtooth_chain_run():
+    # level 8 from a random start in the sawtooth's parity-chain metric: 25
+    # iterations
+    spec = sawtooth_spec()
+    level = build_level(spec.domain, 8)
+    obj = spec.build(level)
+    x0 = obj.pin(spec.random_start(level, np.random.default_rng(3)))
+    return (obj.value_and_grad, x0, level.weights, obj.free_mask), dict(
+        gtol=lambda f: GTOL_FACTOR * (1.0 + abs(f)), precondition=obj.precondition)
+
+
+def _rayleigh_underflow_run():
+    # the run of test_lbfgs_skips_curvature_pairs_near_underflow: 755
+    # iterations, of which 87 skip their pair, all with the ring full
+    a = np.arange(1.0, 31.0)
+
+    def vag(x):
+        xx = x @ x
+        f = float((x * a) @ x / xx)
+        return f, 2.0 * (a * x - f * x) / xx
+
+    n = a.size
+    return (vag, np.ones(n), np.ones(n), np.ones(n, dtype=bool)), dict(gtol=0.0)
+
+
+def _indefinite_metric_run():
+    # a quadratic under a diagonal metric with one negative entry: twice the
+    # two-loop direction is not a descent direction and the history is
+    # reset, the second time with the ring full; the run still converges
+    rng = np.random.default_rng(0)
+    Q = np.linalg.qr(rng.standard_normal((12, 12)))[0]
+    A = (Q * np.geomspace(1.0, 50.0, 12)) @ Q.T
+    w = np.ones(12)
+    w[rng.integers(12)] = -0.05
+
+    def vag(x):
+        return 0.5 * float(x @ A @ x), A @ x
+
+    return (vag, rng.standard_normal(12), np.ones(12), np.ones(12, dtype=bool)), dict(
+        gtol=1e-10, max_iter=300, precondition=lambda v: v * w)
+
+
+@pytest.mark.parametrize("run", [_quotient_h1_run, _sawtooth_chain_run,
+                                 _rayleigh_underflow_run, _indefinite_metric_run])
+def test_lbfgs_ring_bit_identical_to_list_oracle(run):
+    # the ring buffer history and the reused buffers change no bit of the run
+    args, kwargs = run()
+    got = lbfgs(*args, **kwargs)
+    expected = _list_lbfgs(*args, **kwargs)
+    _assert_same_run(got, expected)
+    np.testing.assert_array_equal(np.signbit(got.x), np.signbit(expected.x))
+    assert expected.iterations > 10  # more than the history holds
 
 
 def test_lbfgs_default_metric_bit_identical_on_quotient():

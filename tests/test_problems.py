@@ -496,6 +496,68 @@ def test_quotient_evaluation_stores_no_gauss_grid(well):
     assert peak - held <= 4_000_000
 
 
+def test_one_quotient_start_holds_the_history_and_a_few_vectors():
+    # one 3D level-5 start, from the bubble at scale 4: the peak above what
+    # the level and the objective hold is bounded by the L-BFGS history, 2 *
+    # memory free-dof vectors, plus 16 node vectors: the start, x and the
+    # trial point, four free-dof work vectors, the gradient and the Gauss
+    # pass (about 6 at level 5, where its fixed-size chunk buffers are large
+    # against a node vector).  The former list-based L-BFGS, with a fresh
+    # array for every temporary and the start pinned twice, peaked at 37.6
+    # node vectors, against 30.6 here and a bound of 32.6
+    spec = sign_perturbed_spec(bubble_scales=(4.0,))
+    level = build_level(spec.domain, 5)
+    node = 8 * level.node_count
+    history = 2 * 10 * 8 * (level.shape[0] - 2) ** 3
+    tracemalloc.start()
+    try:
+        spec.build(level)
+        level.weights, level.boundary_mask
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        res = minimize_level(spec, level)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(res.starts) == 1 and res.converged
+    assert peak - held <= history + 16 * node
+
+
+def _former_bubble(init, level):
+    """``bubble`` on the radius from the ``(node_count, N)`` coordinate table."""
+    dim = level.dimension
+    support = init.delta * init.theta
+    r = np.linalg.norm(level.coordinates - np.asarray(init.center), axis=1)
+    power = (dim - 2) / 2.0
+    u_eps = init.epsilon**-power * (1.0 + (r / init.epsilon) ** 2) ** -power
+    edge = init.epsilon**-power * (1.0 + (init.delta / init.epsilon) ** 2) ** -power
+    ramp = edge * (support - r) / (support - init.delta)
+    return np.where(r <= init.delta, u_eps, np.where(r <= support, ramp, 0.0))
+
+
+@pytest.mark.parametrize("dim, n", [(3, 1), (3, 2), (3, 3), (3, 4), (3, 5), (3, 6), (4, 3)])
+def test_radius_from_axes_bit_identical_to_coordinate_norm(dim, n):
+    # the radius broadcast from level.axes sums the squares in axis order,
+    # as np.linalg.norm(..., axis=1) does: the starts and the concentration
+    # are bit-identical, and no coordinate table is built
+    center = (0.4, 0.5, 0.6, 0.5)[:dim]
+    spec = sign_perturbed_spec(dimension=dim, center=center, delta=0.15)
+    level = build_level(spec.domain, n)
+    starts = spec.initial_guesses(level, None, None)
+    rng = np.random.default_rng(n)
+    u = GridFunction(level, starts[-1] * rng.uniform(0.5, 1.5, level.node_count))
+    measured = concentration_metric(u, center, 0.2)
+    assert "coordinates" not in vars(level)
+
+    for start, scale in zip(starts, (2.0, 4.0, 8.0), strict=True):
+        init = BubbleInitializer(center, scale * level.h, delta=0.15)
+        np.testing.assert_array_equal(start, _former_bubble(init, level))
+    dist = np.linalg.norm(level.coordinates - np.asarray(center), axis=1)
+    np.testing.assert_array_equal(problems._distance(level, center), dist)
+    mass = np.abs(u.values) ** (2.0 * dim / (dim - 2)) * level.weights
+    assert measured == float(mass[dist <= 0.2].sum() / float(mass.sum()))
+
+
 def test_quotient_well_gradient_consistency():
     spec = sign_perturbed_spec(a=QuadraticWell((0.5, 0.5, 0.5)))
     level = build_level(spec.domain, 3)
