@@ -1,0 +1,113 @@
+#!/usr/bin/env python3
+"""Time the measure kernels on 1D and 2D levels and trace their memory.
+
+Usage, from the root of a checkout::
+
+    python3 scripts/measure_kernels.py [--levels 3..8] [--repeats 21] [--src DIR]
+
+For each dimension 1 and 2 and each level this draws one random half-filled
+``NodeMask`` and one random field ``phi`` and runs ``density`` of the mask,
+``perimeter`` of the mask and ``gauss_check`` of ``phi`` on it, each
+``--repeats`` times after one warm-up call.  Prints per kernel the median
+and the quartiles in milliseconds, and the traced peak of one more call
+above its entry in node vectors (``tracemalloc`` bytes over 8 bytes per
+node), taken apart from the timed calls.
+
+OpenBLAS and OpenMP are pinned to one thread before numpy loads, as in the
+test suite and the benchmark; a value set in the environment wins.  ``--src``
+names the directory the ``ultragrid`` package is imported from (default:
+this checkout's ``src``), so two trees can be timed in alternating runs.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import pathlib
+import statistics
+import sys
+import time
+import tracemalloc
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+
+def _levels(text: str) -> range:
+    lo, _, hi = text.partition("..")
+    return range(int(lo), int(hi or lo) + 1)
+
+
+def _peak_node_vectors(call, node_count: int) -> float:
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return (peak - entry) / (8 * node_count)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--levels", type=_levels, default=_levels("3..8"))
+    parser.add_argument("--repeats", type=int, default=21)
+    parser.add_argument(
+        "--src", default=str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    )
+    args = parser.parse_args(argv)
+    sys.path.insert(0, args.src)
+
+    import numpy as np
+
+    from ultragrid import (
+        Domain,
+        GridFunction,
+        NodeMask,
+        build_level,
+        density,
+        gauss_check,
+        measure,
+        perimeter,
+    )
+
+    print(f"ultragrid from {pathlib.Path(measure.__file__).parent}")
+    print(
+        f"{'dim':>3} {'level':>5} {'kernel':<11} {'median ms':>10} {'q1 ms':>8}"
+        f" {'q3 ms':>8} {'peak nodes':>10}"
+    )
+    for dim in (1, 2):
+        domain = Domain(((0.0, 1.0),) * dim)
+        for n in args.levels:
+            level = build_level(domain, n)
+            rng = np.random.default_rng(n)
+            region = NodeMask(level, rng.random(level.node_count) < 0.5)
+            phi = tuple(
+                GridFunction(level, rng.standard_normal(level.node_count))
+                for _ in range(dim)
+            )
+            kernels = {
+                "density": lambda: density(region, level),
+                "perimeter": lambda: perimeter(region, level),
+                "gauss_check": lambda: gauss_check(phi, region),
+            }
+            for name, call in kernels.items():
+                call()  # warm-up
+                samples = []
+                for _ in range(args.repeats):
+                    start = time.perf_counter()
+                    call()
+                    samples.append((time.perf_counter() - start) * 1e3)
+                q1, median, q3 = statistics.quantiles(samples, n=4)
+                peak = _peak_node_vectors(call, level.node_count)
+                print(
+                    f"{dim:>3} {n:>5} {name:<11} {median:>10.3f} {q1:>8.3f}"
+                    f" {q3:>8.3f} {peak:>10.2f}"
+                )
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -25,6 +25,9 @@ some) rounds half to even.
 Because the derivative operator is summation-by-parts with a fully
 antisymmetric weighted matrix, the divergence-theorem identity returned by
 :func:`gauss_check` holds to rounding for arbitrary masks and fields.
+``|D theta|``, the normals and the Gauss flux are built in place in the
+per-axis derivative rows, in the operation order of the stacked-array
+formulas they replaced.
 """
 
 from __future__ import annotations
@@ -57,6 +60,12 @@ __all__ = [
 #: Midpoint samples per axis for the sampled density path (fixed for
 #: reproducibility).
 SAMPLES_PER_AXIS = 20
+
+#: Bytes the sampled density path may hold for one chunk of nodes.  A
+#: sample point takes ``16 * (dim + 1)`` of them: its coordinates and the
+#: indicator's temporaries, of which a node mask's per-axis index arithmetic
+#: is the largest.
+_SAMPLE_CHUNK_BYTES = 16 << 20
 
 
 @dataclass(frozen=True)
@@ -305,14 +314,22 @@ def _unit_ball_samples(dim: int) -> np.ndarray:
 
 
 def _sampled_fraction(level: GridLevel, region, eta: float) -> np.ndarray:
-    offsets = _unit_ball_samples(level.dimension) * eta
+    """Mean of ``region.indicator`` over the unit-ball samples of every node.
+
+    Nodes are taken in chunks sized by :data:`_SAMPLE_CHUNK_BYTES`, whose
+    sample points are written into one reused buffer.  Each node's mean
+    reads its own samples only, so the result does not depend on the chunk.
+    """
+    dim = level.dimension
+    offsets = _unit_ball_samples(dim) * eta
     nodes = level.coordinates
     n_nodes, n_samples = nodes.shape[0], offsets.shape[0]
     out = np.empty(n_nodes)
-    chunk = max(1, 4_000_000 // max(n_samples, 1))
+    chunk = min(n_nodes, max(1, _SAMPLE_CHUNK_BYTES // (16 * (dim + 1) * n_samples)))
+    buffer = np.empty((chunk, n_samples, dim))
     for start in range(0, n_nodes, chunk):
         stop = min(start + chunk, n_nodes)
-        pts = nodes[start:stop, None, :] + offsets[None, :, :]
+        pts = np.add(nodes[start:stop, None], offsets, out=buffer[: stop - start])
         out[start:stop] = region.indicator(pts).mean(axis=1)
     return out
 
@@ -382,25 +399,33 @@ def density(region: Region, level: GridLevel, eta_factor: float = 1.0) -> GridFu
     else:
         raise TypeError(f"unsupported region type {type(region).__name__}")
 
-    return GridFunction(level, np.clip(values, 0.0, 1.0))
+    # every path above builds a fresh array, so it is clipped in place
+    return GridFunction(level, np.clip(values, 0.0, 1.0, out=values))
 
 
-def _density_gradient(theta: GridFunction) -> tuple[np.ndarray, np.ndarray]:
-    """Per-axis summation-by-parts derivative stack and Euclidean magnitude.
-
-    Used by :func:`gauss_check`, whose two sides agree algebraically only
-    when the density gradient comes from the antisymmetric derivative.
-    """
-    op = diff_op(theta.level)
-    comps = np.stack(
-        [op.apply(theta.values, axis) for axis in range(theta.level.dimension)]
-    )
-    mag = np.sqrt(np.sum(comps**2, axis=0))
-    return comps, mag
+def _magnitude(rows: Sequence[np.ndarray]) -> np.ndarray:
+    """Euclidean magnitude of per-axis rows, summed in axis order into one
+    new array."""
+    mag = np.square(rows[0])
+    for row in rows[1:]:
+        mag += np.square(row)
+    return np.sqrt(mag, out=mag)
 
 
-def _consistent_gradient(theta: GridFunction) -> tuple[np.ndarray, np.ndarray]:
-    """Per-axis consistent derivative stack and Euclidean magnitude.
+def _outward_normals(rows: Sequence[np.ndarray], mag: np.ndarray) -> None:
+    """Overwrite each gradient row with ``-row / mag``, and with ``+0.0``
+    where ``mag`` is not above ``1e-14`` of its maximum."""
+    floor = 1e-14 * (mag.max() if mag.size else 0.0)
+    keep = mag > floor
+    drop = ~keep
+    for row in rows:
+        np.divide(row, mag, out=row, where=keep)
+        np.negative(row, out=row)
+        np.copyto(row, 0.0, where=drop)
+
+
+def _consistent_gradient(theta: GridFunction) -> tuple[list[np.ndarray], np.ndarray]:
+    """Per-axis consistent derivative rows and their Euclidean magnitude.
 
     Central differences inside, one-sided at the box faces.  The
     antisymmetric closure rows of the summation-by-parts derivative read a
@@ -412,15 +437,13 @@ def _consistent_gradient(theta: GridFunction) -> tuple[np.ndarray, np.ndarray]:
     grids = np.gradient(theta.grid_values, *([level.h] * level.dimension))
     if level.dimension == 1:
         grids = [grids]
-    comps = np.stack([g.ravel() for g in grids])
-    mag = np.sqrt(np.sum(comps**2, axis=0))
-    return comps, mag
+    rows = [g.ravel() for g in grids]
+    return rows, _magnitude(rows)
 
 
 def perimeter(region: Region, level: GridLevel, eta_factor: float = 1.0) -> float:
     """``sum_a |D theta(a)| d(a)``: the total-variation perimeter of the region."""
-    theta = density(region, level, eta_factor)
-    _comps, mag = _consistent_gradient(theta)
+    _rows, mag = _consistent_gradient(density(region, level, eta_factor))
     return float(mag @ level.weights)
 
 
@@ -432,9 +455,8 @@ def surface_integral(
     Note this is not the plain nodal sum over boundary nodes; the weight
     ``|D theta|`` carries the surface measure.
     """
-    theta = density(region, v.level, eta_factor)
-    _comps, mag = _consistent_gradient(theta)
-    return float((v.values * mag) @ v.level.weights)
+    _rows, mag = _consistent_gradient(density(region, v.level, eta_factor))
+    return float(np.multiply(v.values, mag, out=mag) @ v.level.weights)
 
 
 def normal_field(
@@ -442,21 +464,17 @@ def normal_field(
 ) -> tuple[GridFunction, ...]:
     """Outward unit normal ``-D theta / |D theta|`` (zero where the gradient
     magnitude is below ``1e-14`` of its maximum)."""
-    theta = density(region, level, eta_factor)
-    comps, mag = _consistent_gradient(theta)
-    floor = 1e-14 * (mag.max() if mag.size else 0.0)
-    safe = np.where(mag > floor, mag, 1.0)
-    normals = np.where(mag > floor, -comps / safe, 0.0)
-    return tuple(GridFunction(level, normals[i]) for i in range(level.dimension))
+    rows, mag = _consistent_gradient(density(region, level, eta_factor))
+    _outward_normals(rows, mag)
+    return tuple(GridFunction(level, row) for row in rows)
 
 
 @dataclass(frozen=True)
 class GaussResult:
-    """Both sides of the divergence-theorem identity plus the normal field."""
+    """Both sides of the divergence-theorem identity."""
 
     lhs: float
     rhs: float
-    normal: tuple[GridFunction, ...]
 
     @property
     def gap(self) -> float:
@@ -470,6 +488,11 @@ def gauss_check(
 
     Both sides are computed independently; they agree to rounding because the
     weighted derivative matrix is antisymmetric (the identity is algebraic).
+    The right-hand side is built in place in the summation-by-parts
+    derivative rows of ``theta``: each becomes ``phi_i`` times
+    ``-D_i theta / |D theta|`` (zero below the floor of :func:`normal_field`)
+    and the rows are summed in axis order onto ``+0.0``, holding only the
+    rows and ``|D theta|``.
     """
     level = phi[0].level
     if len(phi) != level.dimension:
@@ -477,11 +500,14 @@ def gauss_check(
     theta = density(region, level, eta_factor)
     lhs = float((divergence(phi).values * theta.values) @ level.weights)
 
-    comps, mag = _density_gradient(theta)
-    floor = 1e-14 * (mag.max() if mag.size else 0.0)
-    safe = np.where(mag > floor, mag, 1.0)
-    normals = np.where(mag > floor, -comps / safe, 0.0)
-    flux = sum(phi[i].values * normals[i] for i in range(level.dimension))
-    rhs = float((flux * mag) @ level.weights)
-    normal = tuple(GridFunction(level, normals[i]) for i in range(level.dimension))
-    return GaussResult(lhs=lhs, rhs=rhs, normal=normal)
+    op = diff_op(level)
+    rows = [op.apply(theta.values, axis) for axis in range(level.dimension)]
+    del theta  # not read again: freed before |D theta| is built
+    mag = _magnitude(rows)
+    _outward_normals(rows, mag)
+    for component, row in zip(phi, rows):
+        np.multiply(row, component.values, out=row)
+    flux = np.add(rows[0], 0.0, out=rows[0])  # sum() starts from +0.0
+    for row in rows[1:]:
+        flux += row
+    return GaussResult(lhs=lhs, rhs=float(np.multiply(flux, mag, out=flux) @ level.weights))

@@ -1,6 +1,10 @@
 """Density functions, perimeter, surface sums, and the Gauss identity."""
 
+import dataclasses
+import tracemalloc
+
 import csr_oracles as oracles
+import measure_oracles
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +14,7 @@ from ultragrid import (
     Ball,
     Box,
     Domain,
+    GaussResult,
     GridFunction,
     HalfSpace,
     NodeMask,
@@ -20,6 +25,7 @@ from ultragrid import (
     perimeter,
     surface_integral,
 )
+from ultragrid import measure
 from ultragrid.measure import (
     _box_fraction,
     _mask_fraction,
@@ -349,3 +355,121 @@ def test_node_mask_indicator_far_outside_the_box(x, node):
         mask[mask_node] = True
         hit = NodeMask(level, mask).indicator(np.array([[x]]))
         assert hit.tolist() == [mask_node == node]
+
+
+# ---------------------------------------------------------------------------
+# the in-place gradient sums against their former whole-array forms
+# (``measure_oracles``), and the node-sized arrays they hold
+# ---------------------------------------------------------------------------
+
+
+def _same_bytes(got, expected):
+    assert np.asarray(got).tobytes() == np.asarray(expected).tobytes()
+
+
+def _regions(level, rng):
+    dim = level.dimension
+    return (
+        NodeMask(level, rng.random(level.node_count) < 0.5),
+        NodeMask(level, level.coordinates[:, 0] <= 0.4),
+        NodeMask(level, np.zeros(level.node_count, bool)),
+        Ball((0.45,) * dim, 0.3),
+        Box(tuple((0.2, 0.65) for _ in range(dim))),
+        HalfSpace(dim - 1, 0.4, side="above"),
+    )
+
+
+def _negative_where_flat(values, flat):
+    # phi * (+0.0) is -0.0 where phi < 0: the sum must still start from +0.0
+    values[flat] = -np.abs(values[flat]) - 1.0
+    return values
+
+
+@pytest.mark.parametrize("dom, n", [(DOM1, 6), (DOM2, 4), (DOM3, 2)])
+@pytest.mark.parametrize("eta_factor", [1.0, 1.5, 3.0])
+def test_gradient_sums_bit_identical_to_whole_array_forms(dom, n, eta_factor):
+    level = build_level(dom, n)
+    rng = np.random.default_rng(43 + n)
+    flat_seen = 0
+    for region in _regions(level, rng):
+        theta = density(region, level, eta_factor)
+        flat = measure_oracles.below_floor(measure_oracles.sbp_gradient(theta)[1])
+        flat_seen += np.count_nonzero(flat)
+        phi = tuple(
+            GridFunction(level, _negative_where_flat(rng.standard_normal(level.node_count), flat))
+            for _ in range(level.dimension)
+        )
+        res = gauss_check(phi, region, eta_factor)
+        _same_bytes((res.lhs, res.rhs), measure_oracles.gauss_check(phi, region, eta_factor))
+
+        flat = measure_oracles.below_floor(measure_oracles.consistent_gradient(theta)[1])
+        v = GridFunction(level, _negative_where_flat(rng.standard_normal(level.node_count), flat))
+        _same_bytes(perimeter(region, level, eta_factor),
+                    measure_oracles.perimeter(region, level, eta_factor))
+        _same_bytes(surface_integral(v, region, eta_factor),
+                    measure_oracles.surface_integral(v, region, eta_factor))
+        got = normal_field(region, level, eta_factor)
+        expected = measure_oracles.normal_field(region, level, eta_factor)
+        assert len(got) == len(expected) == level.dimension
+        for g, e in zip(got, expected):
+            _same_bytes(g.values, e)
+    assert flat_seen > 0
+
+
+def test_gauss_result_holds_both_sides_only():
+    assert [f.name for f in dataclasses.fields(GaussResult)] == ["lhs", "rhs"]
+    assert not hasattr(measure, "_density_gradient")
+
+
+def _traced_peak(call):
+    """Traced bytes of a second ``call()`` above its entry (the first warms
+    the unit-ball samples, the derivative matrices and the level's caches)."""
+    call()
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        call()
+        return tracemalloc.get_traced_memory()[1] - entry
+    finally:
+        tracemalloc.stop()
+
+
+def _peak_node_vectors(call, level):
+    return _traced_peak(call) / (8 * level.node_count)
+
+
+def test_gauss_check_and_perimeter_hold_few_node_vectors():
+    # 5 node vectors in 2D: theta, the derivative rows and |D theta| or the
+    # derivative temporaries (10 when the normals were stacked and kept, 8
+    # for the perimeter's stacked gradient)
+    level = build_level(DOM2, 7)
+    rng = np.random.default_rng(47)
+    region = NodeMask(level, rng.random(level.node_count) < 0.5)
+    phi = tuple(
+        GridFunction(level, rng.standard_normal(level.node_count)) for _ in range(2)
+    )
+    assert _peak_node_vectors(lambda: gauss_check(phi, region), level) <= 6.0
+    assert _peak_node_vectors(lambda: perimeter(region, level), level) <= 6.0
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_sampled_density_peak_is_bounded(n):
+    # 4913 nodes x 4224 unit-ball samples at level 4; a chunk of 4M sample
+    # points (183 MiB traced for a box) before chunks were sized in bytes
+    level = build_level(DOM3, n)
+    box = Box(((0.2, 0.65), (0.1, 0.7), (0.3, 0.9)))
+    assert _traced_peak(lambda: density(box, level)) <= 32 * 2**20
+
+
+def test_sampled_density_does_not_depend_on_the_chunk(monkeypatch):
+    level = build_level(DOM3, 2)
+    rng = np.random.default_rng(53)
+    regions = (Box(((0.2, 0.65), (0.1, 0.7), (0.3, 0.9))),
+               NodeMask(level, rng.random(level.node_count) < 0.5))
+    expected = [_sampled_fraction(level, r, 1.5 * level.h) for r in regions]
+    # one node a chunk, three nodes a chunk (the last one short), one chunk
+    for budget in (1, 3 * 16 * 4 * len(_unit_ball_samples(3)), 1 << 40):
+        monkeypatch.setattr(measure, "_SAMPLE_CHUNK_BYTES", budget)
+        for region, e in zip(regions, expected):
+            _same_bytes(_sampled_fraction(level, region, 1.5 * level.h), e)
