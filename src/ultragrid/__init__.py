@@ -17,7 +17,6 @@ from .grid import (
     ResourceLimitError,
     boundary_nodes,
     build_level,
-    level_to_csv,
     monad_neighbors,
 )
 from .calculus import (
@@ -31,9 +30,7 @@ from .calculus import (
     divergence,
     gradient,
     grid_function_from_binary,
-    grid_function_from_csv,
     grid_function_to_binary,
-    grid_function_to_csv,
     inner,
     integral,
     laplacian,

@@ -46,8 +46,6 @@ __all__ = [
     "derivative_kernel_dimension",
     "bump",
     "standard_battery",
-    "grid_function_to_csv",
-    "grid_function_from_csv",
     "grid_function_to_binary",
     "grid_function_from_binary",
 ]
@@ -87,8 +85,9 @@ def restrict(
 ) -> GridFunction:
     """Sample ``f`` at the nodes; nodes outside ``region`` get value 0.
 
-    ``f`` is called with one coordinate array per axis (vectorized); if that
-    fails it is evaluated point by point.  ``region``, when given, is a
+    ``f`` is called once, with one coordinate array per axis (vectorized): a
+    scalar-only ``f`` such as ``math.sin`` raises ``TypeError``.  A scalar
+    result is broadcast to every node.  ``region``, when given, is a
     vectorized predicate with the same calling convention; ``f`` is only
     evaluated where the predicate holds, matching the convention that a
     function defined on a subset extends by zero.
@@ -103,12 +102,9 @@ def restrict(
     if inside.any():
         coords = level.coordinates[inside]
         args = [coords[:, i] for i in range(level.dimension)]
-        try:
-            sampled = np.asarray(f(*args), dtype=float)
-            if sampled.shape != (coords.shape[0],):
-                sampled = np.broadcast_to(sampled, (coords.shape[0],)).astype(float)
-        except (TypeError, ValueError):
-            sampled = np.array([float(f(*pt)) for pt in coords])
+        sampled = np.asarray(f(*args), dtype=float)
+        if sampled.shape != (coords.shape[0],):
+            sampled = np.broadcast_to(sampled, (coords.shape[0],)).astype(float)
         if not np.all(np.isfinite(sampled)):
             bad = int(np.flatnonzero(inside)[np.flatnonzero(~np.isfinite(sampled))[0]])
             raise ValueError(
@@ -263,15 +259,13 @@ def derivative_kernel_dimension(level: GridLevel, axis: int = 0, tol: float = 1e
 
 @dataclass(frozen=True)
 class TestFunction:
-    """A smooth compactly supported function with its analytic gradient.
+    """A smooth compactly supported function.
 
-    ``fn`` and ``grad`` take one coordinate array per axis; ``grad`` returns a
-    tuple of arrays (one per axis).  ``center`` and ``radius`` describe the
-    support ball for bookkeeping.
+    ``fn`` takes one coordinate array per axis.  ``center`` and ``radius``
+    describe the support ball for bookkeeping.
     """
 
     fn: Callable[..., np.ndarray]
-    grad: Callable[..., tuple[np.ndarray, ...]]
     center: tuple[float, ...]
     radius: float
 
@@ -291,20 +285,7 @@ def bump(center: Sequence[float], radius: float) -> TestFunction:
         vals = np.exp(1.0 - 1.0 / (1.0 - t))
         return np.where(inside, vals, 0.0)
 
-    def grad(*coords: np.ndarray) -> tuple[np.ndarray, ...]:
-        arrs = [np.asarray(x, dtype=float) - ci for x, ci in zip(coords, c)]
-        s2 = sum(a**2 for a in arrs) / r**2
-        inside = s2 < 1.0
-        t = np.clip(s2, 0.0, 1.0 - 1e-12)
-        base = np.exp(1.0 - 1.0 / (1.0 - t))
-        factor = -2.0 * base / ((1.0 - t) ** 2 * r**2)
-        comps = []
-        for a in arrs:
-            g = np.where(inside, factor * a, 0.0)
-            comps.append(g)
-        return tuple(comps)
-
-    return TestFunction(fn=fn, grad=grad, center=c, radius=r)
+    return TestFunction(fn=fn, center=c, radius=r)
 
 
 def standard_battery(domain, count: int = 3) -> tuple[TestFunction, ...]:
@@ -326,21 +307,6 @@ def standard_battery(domain, count: int = 3) -> tuple[TestFunction, ...]:
 # ---------------------------------------------------------------------------
 
 _BINARY_MAGIC = b"UGF1"
-
-
-def grid_function_to_csv(u: GridFunction, path) -> None:
-    """Write ``node_index,value`` rows with a header."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("index,value\n")
-        for i, v in enumerate(u.values):
-            fh.write(f"{i},{v:.17g}\n")
-
-
-def grid_function_from_csv(level: GridLevel, path) -> GridFunction:
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    values = np.zeros(level.node_count)
-    values[data[:, 0].astype(int)] = data[:, 1]
-    return GridFunction(level, values)
 
 
 def grid_function_to_binary(u: GridFunction, path) -> None:

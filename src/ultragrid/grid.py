@@ -29,7 +29,6 @@ __all__ = [
     "build_level",
     "boundary_nodes",
     "monad_neighbors",
-    "level_to_csv",
 ]
 
 #: Default cap on the node count of a single level.
@@ -87,14 +86,6 @@ class Domain:
         for lo, hi in self.bounds:
             vol *= hi - lo
         return vol
-
-    def contains(self, points: np.ndarray) -> np.ndarray:
-        """Vectorized membership test for an ``(..., N)`` array of points."""
-        pts = np.asarray(points, dtype=float)
-        inside = np.ones(pts.shape[:-1], dtype=bool)
-        for axis, (lo, hi) in enumerate(self.bounds):
-            inside &= (pts[..., axis] >= lo) & (pts[..., axis] <= hi)
-        return inside
 
 
 @dataclass(frozen=True)
@@ -256,22 +247,3 @@ def monad_neighbors(level: GridLevel, node: int) -> NodeSet:
     flat = np.ravel_multi_index(tuple(g.ravel() for g in mesh), level.shape)
     return NodeSet(level, flat)
 
-
-def level_to_csv(level: GridLevel, path) -> None:
-    """Write the node table: index, per-axis coordinates, weight, boundary tag."""
-    coords = level.coordinates
-    weights = level.weights
-    boundary = level.boundary_mask
-    header = (
-        ["index"]
-        + [f"x{i}" for i in range(level.dimension)]
-        + ["weight", "boundary"]
-    )
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\n")
-        for i in range(level.node_count):
-            row = [str(i)]
-            row += [f"{c:.17g}" for c in coords[i]]
-            row.append(f"{weights[i]:.17g}")
-            row.append("1" if boundary[i] else "0")
-            fh.write(",".join(row) + "\n")

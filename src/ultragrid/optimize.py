@@ -1,16 +1,16 @@
 """Internal optimizers: variable-metric L-BFGS and damped Newton.
 
 Both optimizers work on the free degrees of freedom of a nodal vector (fixed
-entries are pinned), measure convergence in the quadrature-weighted dual norm
-``||g||_* = sqrt(sum g_i^2 / d_i)`` (the L2 norm of the Riesz residual
-``g / d``), and support a step-acceptance predicate so that feasibility
-constraints (for instance a frozen sign pattern) can reject trial points
-during the line search.  The tolerance ``gtol`` is a number or a function of
-the current value ``f``, so a relative test such as
-``||g||_* <= 1e-8 (1 + |f|)`` is evaluated where the run is, not where it
-started.  ``converged`` means that this gradient test passed and nothing
-else: a run that stalls, exhausts its line search or its iterations reports
-``converged`` only if its last gradient meets the test.
+entries are pinned) and measure convergence in the quadrature-weighted dual
+norm ``||g||_* = sqrt(sum g_i^2 / d_i)`` (the L2 norm of the Riesz residual
+``g / d``).  Newton takes a step-acceptance predicate, so that a feasibility
+constraint (the singular study's frozen sign pattern) can reject trial points
+during its line search; L-BFGS evaluates every trial point.  The tolerance
+``gtol`` is a number or a function of the current value ``f``, so a
+relative test such as ``||g||_* <= 1e-8 (1 + |f|)`` is evaluated where the
+run is, not where it started.  ``converged`` means that this gradient test
+passed and nothing else: a run that stalls, exhausts its line search or its
+iterations reports ``converged`` only if its last gradient meets the test.
 
 L-BFGS starts each two-loop recursion from ``H0 = gamma * P^-1``, where
 ``P`` is an SPD metric on the free dofs given as the solve ``g -> P^-1 g``.
@@ -24,7 +24,7 @@ The L-BFGS line search backtracks from the unit step and accepts a trial
 point that satisfies the Armijo condition ``f_new <= f + 1e-4 t g.p`` or,
 failing that, the approximate Wolfe conditions of Hager & Zhang (SIAM J.
 Optim. 16, 2005) with ``delta = 0.1``, ``sigma = 0.9``:
-``f_new <= f + ftol max(|f|, 1)`` and
+``f_new <= f + FTOL max(|f|, 1)`` and
 ``0.9 g.p <= g_new.p <= -0.8 g.p``.  Near a minimum the predicted decrease
 ``1e-4 t g.p`` falls far below the rounding of ``f`` (1e-20 against 1e-16
 relative on the 3D quotient in its H1 metric), so Armijo rejects good steps
@@ -32,8 +32,8 @@ on noise and backtracks dozens of times; the gradient is still accurate
 there, and the approximate Wolfe test decides from it.  Its curvature half
 keeps ``s.y > 0``, so the L-BFGS update stays positive definite.
 
-L-BFGS stores its ``memory`` correction pairs ``(s, y)`` in two preallocated
-``(memory, n_free)`` arrays that are overwritten circularly (Nocedal, Math.
+L-BFGS stores its ``MEMORY`` correction pairs ``(s, y)`` in two preallocated
+``(MEMORY, n_free)`` arrays that are overwritten circularly (Nocedal, Math.
 Comp. 35, 1980), and otherwise works in fixed buffers (see :func:`lbfgs`),
 with the same arithmetic in the same order as a history kept in lists of
 fresh arrays.
@@ -76,6 +76,12 @@ def __getattr__(name: str):
 
 Tolerance = float | Callable[[float], float]
 
+#: L-BFGS correction pairs kept.
+MEMORY = 10
+#: Relative value slack of L-BFGS: the approximate Wolfe test's
+#: ``f_new <= f + FTOL max(|f|, 1)`` and the stall test's decrease floor.
+FTOL = 1e-12
+
 
 @dataclass
 class OptimizeResult:
@@ -102,9 +108,6 @@ def lbfgs(
     free: np.ndarray,
     gtol: Tolerance,
     max_iter: int = 10_000,
-    memory: int = 10,
-    accept: Optional[Callable[[np.ndarray, np.ndarray], bool]] = None,
-    ftol: float = 1e-12,
     patience: int = 10,
     precondition: Optional[Callable[[np.ndarray], np.ndarray]] = None,
 ) -> OptimizeResult:
@@ -116,23 +119,22 @@ def lbfgs(
     default ``P = diag(d)`` over the free weights ``d`` preconditions the
     mesh-dependent scaling of nodal gradients.  The same solve gives the
     steepest-descent reset ``-P^-1 g`` and the scaling
-    ``gamma = s.y / (y . P^-1 y)``.  ``accept(x_old, x_new)`` may veto a
-    trial point; vetoed steps shrink the line-search parameter like an
-    Armijo failure.  A trial point that fails Armijo is still taken when it
-    meets the approximate Wolfe conditions (see the module docstring), whose
-    value slack is ``ftol max(|f|, 1)``.
+    ``gamma = s.y / (y . P^-1 y)``.  A trial point that fails Armijo is
+    still taken when it meets the approximate Wolfe conditions (see the
+    module docstring), whose value slack is ``FTOL max(|f|, 1)``.  No trial
+    point is vetoed: every one is evaluated.
 
     Stops when ``||g||_* <= gtol(f)`` at the current ``f``, and early after
     ``patience`` consecutive stalled iterations (functionals with a flat
     direction, such as scale-invariant quotients, can otherwise grind at
     machine precision without the gradient norm ever reaching the
     tolerance); such a stall is not convergence.  An iteration is stalled
-    when its decrease of ``f`` falls below ``ftol max(|f|, |f_new|, 1)`` and
+    when its decrease of ``f`` falls below ``FTOL max(|f|, |f_new|, 1)`` and
     ``||g||_*`` does not fall below its lowest value so far: at a large
     ``|f|`` the decrease alone says nothing, since a run that still
     converges decreases ``f`` by less than its rounding.
 
-    Stored, besides ``x0``: the ``2 * memory`` history vectors of the free
+    Stored, besides ``x0``: the ``2 * MEMORY`` history vectors of the free
     dofs in two ring arrays, ``x`` and the trial point (full length, swapped
     on each accepted step), and on the free dofs the weights, the gradient,
     the trial gradient, one scratch vector and the direction.  The
@@ -157,8 +159,8 @@ def lbfgs(
     # dofs; the correction pairs in two rings, overwritten circularly, the
     # oldest of ``count`` pairs in row ``oldest``
     g, g_new, tmp = np.empty((3, d.size))
-    s_ring = np.empty((memory, d.size))
-    y_ring = np.empty((memory, d.size))
+    s_ring = np.empty((MEMORY, d.size))
+    y_ring = np.empty((MEMORY, d.size))
     count = oldest = 0
     gamma = 1.0
 
@@ -181,7 +183,7 @@ def lbfgs(
 
         # two-loop recursion with H0 = gamma * P^-1, newest pair first; q
         # lives in g_new's buffer, which only the line search fills
-        rows = [(oldest + j) % memory for j in range(count)]
+        rows = [(oldest + j) % MEMORY for j in range(count)]
         q = g_new
         np.copyto(q, g)
         alphas = []
@@ -201,9 +203,9 @@ def lbfgs(
             count = oldest = 0
             p = -precondition(g)
 
-        # backtracking with feasibility veto: Armijo, else approximate Wolfe
+        # backtracking: Armijo, else approximate Wolfe
         slope = p @ g
-        slack = ftol * max(abs(f), 1.0)
+        slack = FTOL * max(abs(f), 1.0)
         step = 1.0
         accepted = False
         for _bt in range(60):
@@ -211,9 +213,6 @@ def lbfgs(
             # until the evaluation fills it
             np.compress(free, x, out=g_new)
             x_new[free] = np.add(g_new, np.multiply(p, step, out=tmp), out=tmp)
-            if accept is not None and not accept(x, x_new):
-                step *= 0.5
-                continue
             f_new = evaluate(x_new, g_new)
             if np.isfinite(f_new) and (
                 f_new <= f + 1e-4 * step * slope
@@ -236,16 +235,16 @@ def lbfgs(
             with np.errstate(over="ignore", divide="ignore"):
                 rho, scaling = 1.0 / sy, sy / (y @ precondition(y))
             if np.isfinite(rho) and np.isfinite(scaling):
-                j = (oldest + count) % memory
+                j = (oldest + count) % MEMORY
                 s_ring[j] = s
                 y_ring[j] = y
-                if count < memory:
+                if count < MEMORY:
                     count += 1
                 else:
-                    oldest = (oldest + 1) % memory
+                    oldest = (oldest + 1) % MEMORY
                 gamma = scaling
 
-        flat = f - f_new <= ftol * max(abs(f), abs(f_new), 1.0)
+        flat = f - f_new <= FTOL * max(abs(f), abs(f_new), 1.0)
         x, x_new = x_new, x
         f = f_new
         g, g_new = g_new, g
@@ -282,9 +281,10 @@ def newton(
     ``pbsv``, or ``ptsv`` when the band is tridiagonal).
 
     A step falls back to the preconditioned gradient step ``-g / d``
-    whenever the Hessian is not positive definite (Cholesky fails; in the
-    packaged studies only a custom singular potential with ``W'' < 0`` can
-    cause this) or the solve does not produce a finite descent direction.
+    whenever the Hessian is not positive definite (Cholesky fails) or the
+    solve does not produce a finite descent direction.  No packaged study
+    reaches this: the singular potential's ``W'' = 6 t**-4`` is positive, so
+    the fallback is error handling for an objective whose Hessian is not.
     Line search halves the step until the value decreases and the acceptance
     predicate (if any) passes.  Stops when ``||g||_* <= gtol(f)`` at the
     current ``f``.

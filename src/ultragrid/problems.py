@@ -12,8 +12,8 @@
   denominator), so every discrete value is a true Sobolev quotient and stays
   above the sharp constant.
 * :func:`singular_spec` — minimization of
-  ``int (1/2 |grad u|^2 + W(u))`` with a singular potential (default
-  ``W(t) = t**-2``), sign-changing boundary data, and the nodal constraint
+  ``int (1/2 |grad u|^2 + W(u))`` with the singular potential
+  ``W(t) = t**-2``, sign-changing boundary data, and the nodal constraint
   ``u != 0``; the minimizer splits the box into robustly positive / negative
   regions separated by a thin interface.
 
@@ -529,18 +529,14 @@ class _QuotientObjective(LevelObjective):
         return u * den ** (-1.0 / self.p)
 
 
-def concentration_metric(
-    u: GridFunction, x_m: Sequence[float], r: float, exponent: Optional[float] = None
-) -> float:
+def concentration_metric(u: GridFunction, x_m: Sequence[float], r: float) -> float:
     """Fraction of the ``|u|^{2*}`` nodal mass inside the ball ``B_r(x_m)``."""
     if r <= 0:
         raise ValueError("radius must be positive")
     dim = u.level.dimension
-    if exponent is None:
-        if dim < 3:
-            raise ValueError("default exponent needs dimension >= 3")
-        exponent = 2.0 * dim / (dim - 2)
-    mass = np.abs(u.values) ** exponent * u.level.weights
+    if dim < 3:
+        raise ValueError("the critical exponent needs dimension >= 3")
+    mass = np.abs(u.values) ** (2.0 * dim / (dim - 2)) * u.level.weights
     total = float(mass.sum())
     if total == 0.0:
         return 0.0
@@ -640,18 +636,6 @@ def _default_Wpp(t: np.ndarray) -> np.ndarray:
     return 6.0 / (t * t * t * t)
 
 
-def _check_potential(W: Callable) -> None:
-    """Sampled growth checks: blow-up at zero, subquadratic at infinity."""
-    small = np.array([1e-1, 1e-2, 1e-3, 1e-4, 1e-5])
-    vals = np.asarray(W(small), dtype=float)
-    if not (np.all(np.diff(vals) > 0) and vals[-1] > 1e4):
-        raise ValueError("potential must blow up as t -> 0")
-    large = np.array([1e1, 1e2, 1e3, 1e4, 1e5, 1e6])
-    ratio = np.asarray(W(large), dtype=float) / large**2
-    if not (np.all(np.diff(ratio) < 0) and ratio[-1] < 1e-3):
-        raise ValueError("potential must be subquadratic at infinity")
-
-
 def _interior_row_mask(level: GridLevel, axis: int) -> np.ndarray:
     """Flat mask of nodes whose axis stencil row is a central difference."""
     idx = np.unravel_index(np.arange(level.node_count), level.shape)[axis]
@@ -718,19 +702,15 @@ def _parity_blocks(level: GridLevel, K) -> list:
 
 
 class _SingularObjective(LevelObjective):
-    def __init__(
-        self,
-        level: GridLevel,
-        W: Callable,
-        Wp: Callable,
-        Wpp: Optional[Callable],
-        g_values: np.ndarray,
-    ) -> None:
+    """The masked Dirichlet energy plus ``int W(u)``, ``W(t) = t**-2``,
+    minimized by Newton: ``W'' > 0`` keeps the Hessian SPD."""
+
+    has_hessian = True
+
+    def __init__(self, level: GridLevel, g_values: np.ndarray) -> None:
         super().__init__(level)
         self._op = diff_op(level)
         self._d = level.weights
-        self._W, self._Wp, self._Wpp = W, Wp, Wpp
-        self.has_hessian = Wpp is not None
         self.fixed_mask = level.boundary_mask.copy()
         self.fixed_values = np.where(self.fixed_mask, g_values, 0.0)
         self._row_masks = [
@@ -741,16 +721,16 @@ class _SingularObjective(LevelObjective):
 
     def value_and_grad(self, u: np.ndarray) -> tuple[float, np.ndarray]:
         total = 0.0
-        grad = self._d * self._Wp(u)
+        grad = self._d * _default_Wp(u)
         for axis, mask in enumerate(self._row_masks):
             du = self._op.apply(u, axis)
             total += 0.5 * float((du * du * mask) @ self._d)
             grad = grad + self._op.apply_transpose(du * mask * self._d, axis)
-        total += float(self._W(u) @ self._d)
+        total += float(_default_W(u) @ self._d)
         return total, grad
 
     def hessian(self, u: np.ndarray):
-        return self.blocks, self._d * self._Wpp(u)
+        return self.blocks, self._d * _default_Wpp(u)
 
     def harmonic_extension(self) -> np.ndarray:
         """The fixed values extended to minimize the masked Dirichlet energy.
@@ -780,30 +760,23 @@ class BoundaryDataError(ValueError):
 
 
 def singular_spec(
-    W: Optional[Callable] = None,
-    Wp: Optional[Callable] = None,
-    Wpp: Optional[Callable] = None,
     g: Optional[Callable] = None,
     domain: Optional[Domain] = None,
     init_floor: float = 0.1,
 ) -> ProblemSpec:
-    """The singular-potential study (default ``W(t) = t**-2`` on [0,1]^2).
+    """The singular-potential study, ``W(t) = t**-2`` (default on [0,1]^2).
 
-    ``g`` is sign-changing Dirichlet data, nonzero at every boundary node
-    (default: +1 where the first coordinate is <= the axis midpoint, else -1;
-    midline nodes get +1 by convention).  The initializer is the harmonic
+    Every level is minimized by damped Newton.  ``g`` is sign-changing
+    Dirichlet data, nonzero at every boundary node (default: +1 where the
+    first coordinate is <= the axis midpoint, else -1; midline nodes get +1
+    by convention).  The initializer is the harmonic
     extension of ``g`` clipped away from zero (``|u| >= init_floor``).
     The values of the study do not minimize one nested family of energies
     (``monotone_values`` is false), so no level starts from the prolonged
     coarser minimizer.
     """
-    if W is None:
-        W, Wp, Wpp = _default_W, _default_Wp, _default_Wpp
-    elif Wp is None:
-        raise ValueError("a custom potential needs its derivative")
     if not (_is_real(init_floor) and init_floor > 0):
         raise ValueError(f"init_floor must be positive, got {init_floor!r}")
-    _check_potential(W)
     if domain is None:
         domain = Domain(bounds=((0.0, 1.0), (0.0, 1.0)))
     mid = 0.5 * (domain.bounds[0][0] + domain.bounds[0][1])
@@ -826,7 +799,7 @@ def singular_spec(
 
     @lru_cache(maxsize=1)
     def build(level: GridLevel) -> LevelObjective:
-        return _SingularObjective(level, W, Wp, Wpp, _boundary_values(level))
+        return _SingularObjective(level, _boundary_values(level))
 
     def initial_guesses(level, rng, warm):
         """The harmonic extension of ``g``, clipped away from zero.
@@ -842,12 +815,11 @@ def singular_spec(
         return [sign * np.maximum(np.abs(u), init_floor)]
 
     def diagnostics(obj: LevelObjective, u: np.ndarray) -> dict:
-        gf = GridFunction(obj.level, u)
-        deco = extract_interface(gf)
         free = obj.free_mask
         return {
             "min_abs_u": float(np.min(np.abs(u[free]))) if free.any() else 0.0,
-            "interface_measure": deco.interface_measure,
+            # extract_interface's measure, without its sign-robust node sets
+            "interface_measure": perimeter(NodeMask(obj.level, u > 0.0), obj.level),
         }
 
     return ProblemSpec(

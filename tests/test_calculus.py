@@ -1,6 +1,7 @@
 """Grid functions, the summation-by-parts derivative, and quadrature."""
 
 import gc
+import math
 import weakref
 
 import csr_oracles as oracles
@@ -21,9 +22,7 @@ from ultragrid import (
     divergence,
     gradient,
     grid_function_from_binary,
-    grid_function_from_csv,
     grid_function_to_binary,
-    grid_function_to_csv,
     inner,
     integral,
     laplacian,
@@ -51,6 +50,13 @@ def test_restrict_vectorized_and_region():
     assert np.allclose(u.values, level.coordinates[:, 0] ** 2)
     v = restrict(lambda x: 1.0, level, region=lambda x: x < 0.5)
     assert v.values[0] == 1.0 and v.values[-1] == 0.0
+
+
+def test_restrict_rejects_scalar_only_function():
+    # f is called once on the coordinate arrays, never point by point
+    level = build_level(DOM1, 3)
+    with pytest.raises(TypeError):
+        restrict(math.sin, level)
 
 
 def test_restrict_reports_non_finite_node():
@@ -197,15 +203,6 @@ def test_standard_battery_inside_domain():
         g = restrict(phi.fn, level)
         assert np.all(g.values[level.boundary_mask] == 0.0)
         assert norm(g) > 0.0
-
-
-def test_csv_round_trip(tmp_path):
-    level = build_level(DOM1, 4)
-    u = restrict(lambda x: np.sin(x), level)
-    path = tmp_path / "u.csv"
-    grid_function_to_csv(u, path)
-    v = grid_function_from_csv(level, path)
-    assert np.array_equal(u.values, v.values)
 
 
 def test_binary_round_trip(tmp_path):

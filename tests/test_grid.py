@@ -12,7 +12,6 @@ from ultragrid import (
     ResourceLimitError,
     boundary_nodes,
     build_level,
-    level_to_csv,
     monad_neighbors,
 )
 
@@ -29,8 +28,6 @@ def test_domain_properties():
     assert dom.dimension == 2
     assert dom.base_spacing == 1.0
     assert dom.volume == 2.0
-    inside = dom.contains(np.array([[0.5, 1.0], [1.5, 0.5]]))
-    assert inside.tolist() == [True, False]
 
 
 def test_level_shapes_and_spacing():
@@ -89,15 +86,6 @@ def test_node_set_sorted_unique_mask():
     assert ns.mask().sum() == 3
     with pytest.raises(ValueError):
         NodeSet(level, np.array([level.node_count]))
-
-
-def test_level_to_csv(tmp_path):
-    level = build_level(Domain(((0.0, 1.0),)), 3)
-    path = tmp_path / "level.csv"
-    level_to_csv(level, path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0].startswith("index,")
-    assert len(lines) == level.node_count + 1
 
 
 def test_flat_multi_index_round_trip():

@@ -28,7 +28,7 @@ from ultragrid.problems import (
     sign_perturbed_spec,
     singular_spec,
 )
-from ultragrid.solver import GTOL_FACTOR, LevelObjective
+from ultragrid.solver import GTOL_FACTOR
 
 
 @pytest.fixture
@@ -299,11 +299,10 @@ def test_lbfgs_ring_bit_identical_to_list_oracle(run):
 
 def test_lbfgs_default_metric_bit_identical_on_quotient():
     # 3D level 3 from the middle bubble start, boundary pinned: the
-    # optimizer's own default metric and the default hook of LevelObjective
-    # (the quotient overrides it with its H1 metric) both reproduce the
-    # diag(1/d) L-BFGS bit for bit.  The oracle takes lbfgs's approximate
-    # Wolfe acceptance too: at the last step Armijo rejects the trial point
-    # on rounding noise, which lbfgs takes by design
+    # optimizer's own default metric reproduces the diag(1/d) L-BFGS bit for
+    # bit.  The oracle takes lbfgs's approximate Wolfe acceptance too: at the
+    # last step Armijo rejects the trial point on rounding noise, which lbfgs
+    # takes by design
     spec = sign_perturbed_spec()
     level = build_level(spec.domain, 3)
     obj = spec.build(level)
@@ -312,11 +311,6 @@ def test_lbfgs_default_metric_bit_identical_on_quotient():
     args = (obj.value_and_grad, x0, level.weights, obj.free_mask)
     expected = _diag_metric_lbfgs(*args, gtol=gtol, wolfe=True)
     _assert_same_run(lbfgs(*args, gtol=gtol), expected)
-
-    def default_hook(g):
-        return LevelObjective.precondition(obj, g)
-
-    _assert_same_run(lbfgs(*args, gtol=gtol, precondition=default_hook), expected)
 
 
 def test_lbfgs_default_metric_bit_identical_on_sawtooth_chain():
