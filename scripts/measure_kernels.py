@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Time the measure kernels on 1D and 2D levels and trace their memory.
+"""Time the measure kernels on 1D, 2D and 3D levels and trace their memory.
 
 Usage, from the root of a checkout::
 
@@ -8,10 +8,12 @@ Usage, from the root of a checkout::
 For each dimension 1 and 2 and each level this draws one random half-filled
 ``NodeMask`` and one random field ``phi`` and runs ``density`` of the mask,
 ``perimeter`` of the mask and ``gauss_check`` of ``phi`` on it, each
-``--repeats`` times after one warm-up call.  Prints per kernel the median
-and the quartiles in milliseconds, and the traced peak of one more call
-above its entry in node vectors (``tracemalloc`` bytes over 8 bytes per
-node), taken apart from the timed calls.
+``--repeats`` times after one warm-up call.  Then it runs ``density`` of
+one fixed 3D box (``box_density``, its sampled path) the same way at 3D
+levels 2..4, whatever ``--levels`` says.  Prints per kernel the median and
+the quartiles in milliseconds, and the traced peak of one more call above
+its entry in node vectors (``tracemalloc`` bytes over 8 bytes per node),
+taken apart from the timed calls.
 
 OpenBLAS and OpenMP are pinned to one thread before numpy loads, as in the
 test suite and the benchmark; a value set in the environment wins.  ``--src``
@@ -33,6 +35,10 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
 
+#: The 3D levels of the box density rows.
+BOX_LEVELS = range(2, 5)
+
+
 def _levels(text: str) -> range:
     lo, _, hi = text.partition("..")
     return range(int(lo), int(hi or lo) + 1)
@@ -50,6 +56,22 @@ def _peak_node_vectors(call, node_count: int) -> float:
     return (peak - entry) / (8 * node_count)
 
 
+def _time(dim: int, n: int, name: str, call, node_count: int, repeats: int) -> None:
+    """Print the timing quartiles and the traced peak of one kernel."""
+    call()  # warm-up
+    samples = []
+    for _ in range(repeats):
+        start = time.perf_counter()
+        call()
+        samples.append((time.perf_counter() - start) * 1e3)
+    q1, median, q3 = statistics.quantiles(samples, n=4)
+    peak = _peak_node_vectors(call, node_count)
+    print(
+        f"{dim:>3} {n:>5} {name:<11} {median:>10.3f} {q1:>8.3f}"
+        f" {q3:>8.3f} {peak:>10.2f}"
+    )
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--levels", type=_levels, default=_levels("3..8"))
@@ -63,6 +85,7 @@ def main(argv=None) -> int:
     import numpy as np
 
     from ultragrid import (
+        Box,
         Domain,
         GridFunction,
         NodeMask,
@@ -94,18 +117,11 @@ def main(argv=None) -> int:
                 "gauss_check": lambda: gauss_check(phi, region),
             }
             for name, call in kernels.items():
-                call()  # warm-up
-                samples = []
-                for _ in range(args.repeats):
-                    start = time.perf_counter()
-                    call()
-                    samples.append((time.perf_counter() - start) * 1e3)
-                q1, median, q3 = statistics.quantiles(samples, n=4)
-                peak = _peak_node_vectors(call, level.node_count)
-                print(
-                    f"{dim:>3} {n:>5} {name:<11} {median:>10.3f} {q1:>8.3f}"
-                    f" {q3:>8.3f} {peak:>10.2f}"
-                )
+                _time(dim, n, name, call, level.node_count, args.repeats)
+    box = Box(((0.2, 0.65), (0.1, 0.7), (0.3, 0.9)))
+    for n in BOX_LEVELS:
+        level = build_level(Domain(((0.0, 1.0),) * 3), n)
+        _time(3, n, "box_density", lambda: density(box, level), level.node_count, args.repeats)
     return 0
 
 

@@ -78,40 +78,24 @@ class GridFunction:
         return self.values.reshape(self.level.shape)
 
 
-def restrict(
-    f: Callable[..., float | np.ndarray],
-    level: GridLevel,
-    region: Callable[..., np.ndarray] | None = None,
-) -> GridFunction:
-    """Sample ``f`` at the nodes; nodes outside ``region`` get value 0.
+def restrict(f: Callable[..., float | np.ndarray], level: GridLevel) -> GridFunction:
+    """Sample ``f`` at the nodes.
 
     ``f`` is called once, with one coordinate array per axis (vectorized): a
     scalar-only ``f`` such as ``math.sin`` raises ``TypeError``.  A scalar
-    result is broadcast to every node.  ``region``, when given, is a
-    vectorized predicate with the same calling convention; ``f`` is only
-    evaluated where the predicate holds, matching the convention that a
-    function defined on a subset extends by zero.
+    result is broadcast to every node.  A function defined on a subset
+    extends by zero inside ``f``, e.g. with ``np.where``.
     """
-    mesh = level.meshgrid()
-    if region is not None:
-        inside = np.asarray(region(*mesh), dtype=bool).ravel()
-    else:
-        inside = np.ones(level.node_count, dtype=bool)
-
-    values = np.zeros(level.node_count)
-    if inside.any():
-        coords = level.coordinates[inside]
-        args = [coords[:, i] for i in range(level.dimension)]
-        sampled = np.asarray(f(*args), dtype=float)
-        if sampled.shape != (coords.shape[0],):
-            sampled = np.broadcast_to(sampled, (coords.shape[0],)).astype(float)
-        if not np.all(np.isfinite(sampled)):
-            bad = int(np.flatnonzero(inside)[np.flatnonzero(~np.isfinite(sampled))[0]])
-            raise ValueError(
-                f"function returned a non-finite value at node {bad} "
-                f"(coordinates {tuple(level.coordinates[bad])})"
-            )
-        values[inside] = sampled
+    coords = level.coordinates
+    sampled = np.asarray(f(*(coords[:, i] for i in range(level.dimension))), dtype=float)
+    values = np.empty(level.node_count)
+    values[:] = np.broadcast_to(sampled, values.shape)
+    if not np.all(np.isfinite(values)):
+        bad = int(np.flatnonzero(~np.isfinite(values))[0])
+        raise ValueError(
+            f"function returned a non-finite value at node {bad} "
+            f"(coordinates {tuple(coords[bad])})"
+        )
     return GridFunction(level, values)
 
 
@@ -218,9 +202,10 @@ def divergence(phi: Sequence[GridFunction]) -> GridFunction:
         if comp.level != level:
             raise ValueError("components live on different levels")
     op = diff_op(level)
-    total = np.zeros(level.node_count)
-    for axis, comp in enumerate(phi):
-        total += op.apply(comp.values, axis)
+    total = op.apply(phi[0].values, 0)
+    total += 0.0  # the sum starts from +0.0
+    for axis in range(1, level.dimension):
+        total += op.apply(phi[axis].values, axis)
     return GridFunction(level, total)
 
 
@@ -231,8 +216,9 @@ def laplacian(u: GridFunction) -> GridFunction:
     for every ``v``, by the antisymmetry of ``W @ D``.
     """
     op = diff_op(u.level)
-    total = np.zeros(u.level.node_count)
-    for axis in range(u.level.dimension):
+    total = op.apply(op.apply(u.values, 0), 0)
+    total += 0.0  # the sum starts from +0.0
+    for axis in range(1, u.level.dimension):
         total += op.apply(op.apply(u.values, axis), axis)
     return GridFunction(u.level, total)
 

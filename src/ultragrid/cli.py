@@ -513,10 +513,13 @@ def _check_sbp_gauss(chains: Sequence[Sequence[GridLevel]], instances: int, seed
                 u = rng.standard_normal(level.node_count)
                 v = rng.standard_normal(level.node_count)
                 for axis in range(dim):
-                    lhs = float((op.apply(u, axis) * v) @ d)
-                    rhs = float((u * op.apply(v, axis)) @ d)
+                    row = op.apply(u, axis)
+                    lhs = float(np.multiply(row, v, out=row) @ d)
+                    row = op.apply(v, axis)
+                    rhs = float(np.multiply(u, row, out=row) @ d)
                     scale = max(abs(lhs), abs(rhs), 1.0)
                     worst_sbp = max(worst_sbp, abs(lhs + rhs) / scale)
+                del u, v, row  # not read again: freed before the Gauss check
                 mask = rng.random(level.node_count) > 0.5
                 phi = tuple(
                     GridFunction(level, rng.standard_normal(level.node_count))

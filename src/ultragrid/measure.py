@@ -1,12 +1,12 @@
 """Density functions, perimeter, surface integrals, and the Gauss identity.
 
 The density of a region at a node is the volume fraction of the ball
-``B_eta(node)`` covered by the region, with ``eta = eta_factor * h``.  It is
-computed in closed form (exact volume fractions) for half-spaces (1D/2D/3D),
-balls (1D/2D/3D) and boxes (1D/2D); 3D boxes and explicit node masks use a
-fixed midpoint sampling rule (20 sample points per axis over the bounding
-cube of the ball, restricted to the ball, which yields at least ``16**N``
-effective samples in every supported dimension).
+``B_h(node)`` covered by the region: the ball is one grid step ``h`` in
+radius.  It is computed in closed form (exact volume fractions) for
+half-spaces (1D/2D/3D), balls (1D/2D/3D) and boxes (1D/2D); 3D boxes and
+explicit node masks use a fixed midpoint sampling rule (20 sample points
+per axis over the bounding cube of the ball, restricted to the ball, which
+yields at least ``16**N`` effective samples in every supported dimension).
 
 A node-mask region is the union of the nearest-node (Voronoi) cells of the
 masked nodes, with the nearest-node rule extended to all of space: points
@@ -14,13 +14,15 @@ beyond the domain box belong to the cell of the closest boundary node.  A
 full-domain mask therefore has density one everywhere and zero perimeter,
 which lets interface lengths be read directly from mask perimeters.
 
-For a node mask every sample lands on a node at a fixed index shift from
-the node it is taken at, so the rule is evaluated as an integer sum of the
-edge-padded mask shifted by each distinct shift, times the number of
-samples with that shift: exact, with no size cap.  A sample ``t`` of the
-unit ball is shifted by ``rint(t * eta_factor)`` per axis, rounded once for
-all nodes, so a half-integer ``t * eta_factor`` (``eta_factor = 2`` has
-some) rounds half to even.
+The sampling rule is counted, not evaluated point by point.  One table per
+dimension holds the prefix sums of the ball test over the lattice of tick
+indices, so the samples whose ticks lie in a box of index ranges are one
+inclusion-exclusion over its corners.  A sample in a 3D box is a box of
+tick ranges, one per axis, since ``x + tau h`` grows with ``tau``.  A
+sample taken at a mask node lands on a node at the shift ``rint(tau)`` of
+-1, 0 or +1 per axis, the same at every node, so the hits are an integer
+sum of the edge-padded mask shifted by each shift, times the count of the
+samples with that shift.  Both counts are exact integers, with no size cap.
 
 Because the derivative operator is summation-by-parts with a fully
 antisymmetric weighted matrix, the divergence-theorem identity returned by
@@ -32,7 +34,7 @@ formulas they replaced.
 
 from __future__ import annotations
 
-import math
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence, Union
@@ -40,7 +42,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from .calculus import GridFunction, diff_op, divergence
-from .grid import GridLevel, NodeSet
+from .grid import GridLevel
 
 __all__ = [
     "HalfSpace",
@@ -61,12 +63,6 @@ __all__ = [
 #: reproducibility).
 SAMPLES_PER_AXIS = 20
 
-#: Bytes the sampled density path may hold for one chunk of nodes.  A
-#: sample point takes ``16 * (dim + 1)`` of them: its coordinates and the
-#: indicator's temporaries, of which a node mask's per-axis index arithmetic
-#: is the largest.
-_SAMPLE_CHUNK_BYTES = 16 << 20
-
 
 @dataclass(frozen=True)
 class HalfSpace:
@@ -79,10 +75,6 @@ class HalfSpace:
     def __post_init__(self) -> None:
         if self.side not in ("below", "above"):
             raise ValueError("side must be 'below' or 'above'")
-
-    def indicator(self, points: np.ndarray) -> np.ndarray:
-        x = points[..., self.axis]
-        return x <= self.threshold if self.side == "below" else x >= self.threshold
 
 
 @dataclass(frozen=True)
@@ -99,12 +91,6 @@ class Box:
             if b <= a:
                 raise ValueError("box extents must be positive")
 
-    def indicator(self, points: np.ndarray) -> np.ndarray:
-        inside = np.ones(points.shape[:-1], dtype=bool)
-        for axis, (a, b) in enumerate(self.bounds):
-            inside &= (points[..., axis] >= a) & (points[..., axis] <= b)
-        return inside
-
 
 @dataclass(frozen=True)
 class Ball:
@@ -117,10 +103,6 @@ class Ball:
         object.__setattr__(self, "center", tuple(float(c) for c in self.center))
         if self.radius <= 0:
             raise ValueError("ball radius must be positive")
-
-    def indicator(self, points: np.ndarray) -> np.ndarray:
-        c = np.asarray(self.center)
-        return np.sum((points - c) ** 2, axis=-1) <= self.radius**2
 
 
 @dataclass(frozen=True, eq=False)
@@ -136,22 +118,8 @@ class NodeMask:
             raise ValueError("mask length does not match the level")
         object.__setattr__(self, "mask", m)
 
-    def indicator(self, points: np.ndarray) -> np.ndarray:
-        idx = _nearest_node(self.level, points)
-        return self.mask[idx]
-
 
 Region = Union[HalfSpace, Box, Ball, NodeMask]
-
-
-def _nearest_node(level: GridLevel, points: np.ndarray) -> np.ndarray:
-    """Flat index of the nearest node, clipping outside-the-box points."""
-    multi = []
-    for axis, (lo, _hi) in enumerate(level.domain.bounds):
-        i = np.rint((points[..., axis] - lo) / level.h)
-        # clip in float before the cast, so a far point cannot wrap in int64
-        multi.append(np.clip(i, 0, level.shape[axis] - 1).astype(np.int64))
-    return np.ravel_multi_index(tuple(multi), level.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -293,75 +261,101 @@ def _box_fraction(level: GridLevel, box: Box, eta: float) -> np.ndarray:
             + _disk_quadrant(A1, A2)
         )
         return area / np.pi
-    # 3D boxes: sampled (documented fallback)
-    return _sampled_fraction(level, box, eta)
+    return _sampled_box_fraction(level, box, eta)  # 3D boxes
 
 
 # ---------------------------------------------------------------------------
 # sampled fractions for 3D boxes and explicit masks
 # ---------------------------------------------------------------------------
 
+
 @lru_cache(maxsize=None)
-def _unit_ball_samples(dim: int) -> np.ndarray:
-    """Midpoint samples of the unit ball, fixed count per axis (read-only)."""
+def _ball_table(dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """The sampling rule of one dimension (read-only: the cache shares it).
+
+    Returns the :data:`SAMPLES_PER_AXIS` midpoint ticks ``tau`` of [-1, 1]
+    and the prefix sums ``P`` of the ball test over the tick lattice:
+    ``P[i_1, ..., i_N]`` counts the samples ``(tau[k_1], ..., tau[k_N])``
+    with every ``k_j < i_j`` and ``sum_j tau[k_j]**2 <= 1``.
+    """
     m = SAMPLES_PER_AXIS
-    ticks = (np.arange(m) + 0.5) / m * 2.0 - 1.0  # midpoints of [-1, 1]
-    mesh = np.meshgrid(*([ticks] * dim), indexing="ij")
-    pts = np.stack([g.ravel() for g in mesh], axis=-1)
-    pts = pts[np.sum(pts**2, axis=-1) <= 1.0]
-    pts.flags.writeable = False
-    return pts
+    ticks = (np.arange(m) + 0.5) / m * 2.0 - 1.0
+    lattice = np.stack(np.meshgrid(*([ticks] * dim), indexing="ij"), axis=-1)
+    table = np.zeros((m + 1,) * dim, dtype=np.int64)
+    table[(slice(1, None),) * dim] = np.sum(lattice**2, axis=-1) <= 1.0
+    for axis in range(dim):
+        table = table.cumsum(axis)
+    ticks.flags.writeable = table.flags.writeable = False
+    return ticks, table
 
 
-def _sampled_fraction(level: GridLevel, region, eta: float) -> np.ndarray:
-    """Mean of ``region.indicator`` over the unit-ball samples of every node.
+def _on_axis(index: np.ndarray, axis: int, dim: int) -> np.ndarray:
+    """A 1D ``index`` laid along ``axis`` of ``dim`` axes, to broadcast."""
+    return index.reshape((-1,) + (1,) * (dim - 1 - axis))
 
-    Nodes are taken in chunks sized by :data:`_SAMPLE_CHUNK_BYTES`, whose
-    sample points are written into one reused buffer.  Each node's mean
-    reads its own samples only, so the result does not depend on the chunk.
+
+def _ball_count(table: np.ndarray, lo: Sequence[np.ndarray], hi: Sequence[np.ndarray]) -> np.ndarray:
+    """Samples whose tick index lies in ``[lo[j], hi[j])`` on every axis
+    ``j``, by inclusion-exclusion over the corners of that index box.  The
+    per-axis index arrays broadcast against each other."""
+    count = table[tuple(hi)]
+    for picks in itertools.product((False, True), repeat=table.ndim):
+        if any(picks):
+            corner = table[tuple(a if low else b for low, a, b in zip(picks, lo, hi))]
+            if sum(picks) % 2:
+                count -= corner
+            else:
+                count += corner
+    return count
+
+
+def _sampled_box_fraction(level: GridLevel, box: Box, eta: float) -> np.ndarray:
+    """The sampling rule for a box.
+
+    ``x + tau * eta`` grows with ``tau``, so the ticks that put a sample
+    inside ``[a, b]`` along an axis are one range per node coordinate.
     """
     dim = level.dimension
-    offsets = _unit_ball_samples(dim) * eta
-    nodes = level.coordinates
-    n_nodes, n_samples = nodes.shape[0], offsets.shape[0]
-    out = np.empty(n_nodes)
-    chunk = min(n_nodes, max(1, _SAMPLE_CHUNK_BYTES // (16 * (dim + 1) * n_samples)))
-    buffer = np.empty((chunk, n_samples, dim))
-    for start in range(0, n_nodes, chunk):
-        stop = min(start + chunk, n_nodes)
-        pts = np.add(nodes[start:stop, None], offsets, out=buffer[: stop - start])
-        out[start:stop] = region.indicator(pts).mean(axis=1)
-    return out
+    ticks, table = _ball_table(dim)
+    lo, hi = [], []
+    for axis, (x, (a, b)) in enumerate(zip(level.axes, box.bounds)):
+        pts = x[:, None] + ticks * eta
+        first = np.count_nonzero(pts < a, axis=1)
+        stop = np.maximum(np.count_nonzero(pts <= b, axis=1), first)
+        lo.append(_on_axis(first, axis, dim))
+        hi.append(_on_axis(stop, axis, dim))
+    return (_ball_count(table, lo, hi) / int(table.flat[-1])).ravel()
 
 
-def _mask_fraction(region: NodeMask, eta_factor: float) -> np.ndarray:
-    """The sampling rule of :func:`_sampled_fraction` for a node mask.
+def _mask_fraction(region: NodeMask) -> np.ndarray:
+    """The sampling rule for a node mask.
 
-    From node ``i``, unit-ball sample ``t`` lands on node
-    ``clip(i + rint(t * eta_factor), 0, m - 1)`` along each axis.  The shift
-    does not depend on ``i``, so the number of samples that hit the mask is
-    a sum over the distinct shifts of (samples with that shift) times the
-    mask shifted by it, read from the mask padded by repeating its edge
-    nodes, which is the clip.  Shifts beyond ``m - 1`` clip to the same node
-    and are cut there, which bounds the padding.  The sum is an integer
-    count, divided by the sample count once, so the result is exact.
+    From node ``i``, sample ``tau`` lands on node ``clip(i + rint(tau), 0,
+    m - 1)`` along each axis: one of the shifts -1, 0 and +1, whose samples
+    are the ball count over the ticks that round to it.  The number of
+    samples that hit the mask is the sum over the ``3**N`` shifts of that
+    count times the mask shifted by it, read from the mask padded by one
+    copy of its edge nodes, which is the clip.  The sum is an integer count,
+    divided by the sample count once, so the result is exact.
     """
     level = region.level
-    reach = np.array(level.shape) - 1
-    shifts = np.rint(_unit_ball_samples(level.dimension) * eta_factor)
-    shifts = np.clip(shifts, -reach, reach).astype(np.int64)
-    radius = np.abs(shifts).max(axis=0)
-    size = tuple(2 * radius + 1)
-    counts = np.bincount(np.ravel_multi_index((shifts + radius).T, size))
-    distinct = np.flatnonzero(counts)
-    starts = np.transpose(np.unravel_index(distinct, size))
-    padded = np.pad(region.mask.reshape(level.shape), [(r, r) for r in radius], mode="edge")
+    dim = level.dimension
+    ticks, table = _ball_table(dim)
+    edges = np.searchsorted(np.rint(ticks), (-1.0, 0.0, 1.0, 2.0))
+    stencil = _ball_count(
+        table,
+        [_on_axis(edges[:-1], axis, dim) for axis in range(dim)],
+        [_on_axis(edges[1:], axis, dim) for axis in range(dim)],
+    )
+    padded = np.pad(region.mask.reshape(level.shape), 1, mode="edge")
     hits = np.zeros(level.shape, dtype=np.int32)
     term = np.empty_like(hits)
-    for start, count in zip(starts.tolist(), counts[distinct].tolist()):
-        window = padded[tuple(slice(a, a + m) for a, m in zip(start, level.shape))]
-        hits += np.multiply(window, count, out=term, dtype=np.int32)
-    return hits.ravel() / len(shifts)
+    for start in np.ndindex(stencil.shape):
+        count = int(stencil[start])
+        if count:
+            window = padded[tuple(slice(a, a + m) for a, m in zip(start, level.shape))]
+            hits += np.multiply(window, count, out=term, dtype=np.int32)
+    return hits.ravel() / int(table.flat[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -369,18 +363,16 @@ def _mask_fraction(region: NodeMask, eta_factor: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def density(region: Region, level: GridLevel, eta_factor: float = 1.0) -> GridFunction:
+def density(region: Region, level: GridLevel) -> GridFunction:
     """Ball-averaged indicator of ``region`` at every node (values in [0, 1]).
 
-    ``eta_factor`` (finite, at least 1) scales the ball radius
-    ``eta = eta_factor * h``.  A node mask must live on ``level``; its
-    samples shift by ``rint(t * eta_factor)`` nodes, and a tie (a
-    half-integer ``t * eta_factor``) rounds half to even, the same way at
-    every node.
+    The ball ``B_h(node)`` is one grid step in radius.  Half-spaces, balls
+    and 1D/2D boxes take their exact volume fractions; 3D boxes and node
+    masks, which must live on ``level``, take the fraction of the unit-ball
+    samples (:func:`_ball_table`, scaled by ``h``) inside the region,
+    counted exactly.
     """
-    if not math.isfinite(eta_factor) or eta_factor < 1.0:
-        raise ValueError("eta_factor must be finite and >= 1")
-    eta = eta_factor * level.h
+    eta = level.h
     dim = level.dimension
 
     if isinstance(region, HalfSpace):
@@ -395,7 +387,7 @@ def density(region: Region, level: GridLevel, eta_factor: float = 1.0) -> GridFu
     elif isinstance(region, NodeMask):
         if region.level != level:
             raise ValueError("node mask must live on the evaluation level")
-        values = _mask_fraction(region, eta_factor)
+        values = _mask_fraction(region)
     else:
         raise TypeError(f"unsupported region type {type(region).__name__}")
 
@@ -441,30 +433,26 @@ def _consistent_gradient(theta: GridFunction) -> tuple[list[np.ndarray], np.ndar
     return rows, _magnitude(rows)
 
 
-def perimeter(region: Region, level: GridLevel, eta_factor: float = 1.0) -> float:
+def perimeter(region: Region, level: GridLevel) -> float:
     """``sum_a |D theta(a)| d(a)``: the total-variation perimeter of the region."""
-    _rows, mag = _consistent_gradient(density(region, level, eta_factor))
+    _rows, mag = _consistent_gradient(density(region, level))
     return float(mag @ level.weights)
 
 
-def surface_integral(
-    v: GridFunction, region: Region, eta_factor: float = 1.0
-) -> float:
+def surface_integral(v: GridFunction, region: Region) -> float:
     """``sum_a v(a) |D theta(a)| d(a)`` — the density-weighted surface sum.
 
     Note this is not the plain nodal sum over boundary nodes; the weight
     ``|D theta|`` carries the surface measure.
     """
-    _rows, mag = _consistent_gradient(density(region, v.level, eta_factor))
+    _rows, mag = _consistent_gradient(density(region, v.level))
     return float(np.multiply(v.values, mag, out=mag) @ v.level.weights)
 
 
-def normal_field(
-    region: Region, level: GridLevel, eta_factor: float = 1.0
-) -> tuple[GridFunction, ...]:
+def normal_field(region: Region, level: GridLevel) -> tuple[GridFunction, ...]:
     """Outward unit normal ``-D theta / |D theta|`` (zero where the gradient
     magnitude is below ``1e-14`` of its maximum)."""
-    rows, mag = _consistent_gradient(density(region, level, eta_factor))
+    rows, mag = _consistent_gradient(density(region, level))
     _outward_normals(rows, mag)
     return tuple(GridFunction(level, row) for row in rows)
 
@@ -481,9 +469,7 @@ class GaussResult:
         return abs(self.lhs - self.rhs)
 
 
-def gauss_check(
-    phi: Sequence[GridFunction], region: Region, eta_factor: float = 1.0
-) -> GaussResult:
+def gauss_check(phi: Sequence[GridFunction], region: Region) -> GaussResult:
     """Evaluate ``sum (div phi) theta d`` and ``sum phi . n |D theta| d``.
 
     Both sides are computed independently; they agree to rounding because the
@@ -497,8 +483,9 @@ def gauss_check(
     level = phi[0].level
     if len(phi) != level.dimension:
         raise ValueError("field component count must equal the dimension")
-    theta = density(region, level, eta_factor)
-    lhs = float((divergence(phi).values * theta.values) @ level.weights)
+    theta = density(region, level)
+    lhs = divergence(phi).values
+    lhs = float(np.multiply(lhs, theta.values, out=lhs) @ level.weights)
 
     op = diff_op(level)
     rows = [op.apply(theta.values, axis) for axis in range(level.dimension)]

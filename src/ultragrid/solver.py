@@ -55,8 +55,10 @@ __all__ = [
 #: Relative optimizer tolerance: converged when ||g||_* <= GTOL_FACTOR * (1 + |f|)
 #: at the value ``f`` the optimizer returns.
 GTOL_FACTOR = 1e-8
-#: Iteration cap per level.
+#: Iteration cap of each L-BFGS start (a level runs several starts).
 MAX_ITERATIONS = 10_000
+#: Iteration cap of each Newton start.
+NEWTON_MAX_ITERATIONS = 200
 #: A coarse node whose values grow strictly in magnitude over the last three
 #: levels is singular once it reaches ``SINGULAR_SCALE * h**-SINGULAR_EXPONENT``
 #: at the finest one (the finite-level blow-up criterion of :func:`split`).
@@ -208,7 +210,7 @@ def _run_optimizer(obj: LevelObjective, x: np.ndarray) -> OptimizeResult:
     if obj.has_hessian:
         return newton(
             obj.value_and_grad, obj.hessian, x, weights, free,
-            gtol=gtol, accept=obj.accept_step,
+            gtol=gtol, max_iter=NEWTON_MAX_ITERATIONS, accept=obj.accept_step,
         )
     return lbfgs(
         obj.value_and_grad, x, weights, free,

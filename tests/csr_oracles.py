@@ -10,7 +10,7 @@ import numpy as np
 import scipy.ndimage as ndi
 import scipy.sparse as sp
 
-from ultragrid.measure import _unit_ball_samples
+from measure_oracles import unit_ball_samples
 
 
 def p1_matrices(m, h):
@@ -63,12 +63,12 @@ def apply_axis(mat, arr, axis):
     return np.moveaxis(out.reshape((mat.shape[0],) + moved.shape[1:]), 0, axis)
 
 
-def mask_fraction(region, eta_factor):
+def mask_fraction(region):
     """Node-mask density as one ``ndimage.correlate`` of the mask with the
     count of unit-ball samples per index shift, ``mode="nearest"`` clipping."""
     level = region.level
     reach = np.array(level.shape) - 1
-    shifts = np.rint(_unit_ball_samples(level.dimension) * eta_factor)
+    shifts = np.rint(unit_ball_samples(level.dimension))
     shifts = np.clip(shifts, -reach, reach).astype(np.int64)
     radius = np.abs(shifts).max(axis=0)
     counts = np.zeros(tuple(2 * radius + 1))

@@ -1,15 +1,70 @@
-"""The former whole-array forms of the measure layer's gradient sums, kept as
-oracles.
+"""The former forms of the measure layer, kept as oracles.
 
-``measure`` builds ``|D theta|``, the outward normals and the Gauss flux in
-place, row by row; these are the stacked-array formulas it replaced.  The
-tests compare the two bit for bit, signed zeros included.
+``measure`` counts the sampling rule of 3D boxes and node masks from one
+prefix-summed table; ``sampled_fraction`` evaluates a region's indicator at
+every sample point, as the rule was first written.  ``measure`` builds
+``|D theta|``, the outward normals and the Gauss flux in place, row by row;
+the rest are the stacked-array formulas it replaced.  The tests compare the
+two bit for bit, signed zeros included.
 """
+
+from functools import lru_cache
 
 import numpy as np
 
 from ultragrid.calculus import diff_op, divergence
-from ultragrid.measure import density
+from ultragrid.measure import SAMPLES_PER_AXIS, Ball, Box, HalfSpace, NodeMask, density
+
+
+@lru_cache(maxsize=None)
+def unit_ball_samples(dim):
+    """Midpoint samples of the unit ball, fixed count per axis (read-only)."""
+    m = SAMPLES_PER_AXIS
+    ticks = (np.arange(m) + 0.5) / m * 2.0 - 1.0  # midpoints of [-1, 1]
+    mesh = np.meshgrid(*([ticks] * dim), indexing="ij")
+    pts = np.stack([g.ravel() for g in mesh], axis=-1)
+    pts = pts[np.sum(pts**2, axis=-1) <= 1.0]
+    pts.flags.writeable = False
+    return pts
+
+
+def nearest_node(level, points):
+    """Flat index of the nearest node, clipping outside-the-box points."""
+    multi = []
+    for axis, (lo, _hi) in enumerate(level.domain.bounds):
+        i = np.rint((points[..., axis] - lo) / level.h)
+        # clip in float before the cast, so a far point cannot wrap in int64
+        multi.append(np.clip(i, 0, level.shape[axis] - 1).astype(np.int64))
+    return np.ravel_multi_index(tuple(multi), level.shape)
+
+
+def indicator(region, points):
+    """Whether each point (last axis: coordinates) lies in ``region``."""
+    if isinstance(region, HalfSpace):
+        x = points[..., region.axis]
+        return x <= region.threshold if region.side == "below" else x >= region.threshold
+    if isinstance(region, Box):
+        inside = np.ones(points.shape[:-1], dtype=bool)
+        for axis, (a, b) in enumerate(region.bounds):
+            inside &= (points[..., axis] >= a) & (points[..., axis] <= b)
+        return inside
+    if isinstance(region, Ball):
+        return np.sum((points - np.asarray(region.center)) ** 2, axis=-1) <= region.radius**2
+    assert isinstance(region, NodeMask)
+    return region.mask[nearest_node(region.level, points)]
+
+
+def sampled_fraction(region, level, nodes=slice(None)):
+    """Mean of ``indicator`` over the unit-ball samples of radius ``h`` at
+    ``nodes``, taken in chunks of about ``2**18`` sample points."""
+    offsets = unit_ball_samples(level.dimension) * level.h
+    coords = level.coordinates[nodes]
+    out = np.empty(len(coords))
+    chunk = max(1, (1 << 18) // len(offsets))
+    for start in range(0, len(coords), chunk):
+        pts = coords[start:start + chunk, None] + offsets
+        out[start:start + chunk] = indicator(region, pts).mean(axis=1)
+    return out
 
 
 def _stack_and_magnitude(comps):
@@ -45,26 +100,26 @@ def sbp_gradient(theta):
     )
 
 
-def perimeter(region, level, eta_factor=1.0):
-    _comps, mag = consistent_gradient(density(region, level, eta_factor))
+def perimeter(region, level):
+    _comps, mag = consistent_gradient(density(region, level))
     return float(mag @ level.weights)
 
 
-def surface_integral(v, region, eta_factor=1.0):
-    _comps, mag = consistent_gradient(density(region, v.level, eta_factor))
+def surface_integral(v, region):
+    _comps, mag = consistent_gradient(density(region, v.level))
     return float((v.values * mag) @ v.level.weights)
 
 
-def normal_field(region, level, eta_factor=1.0):
+def normal_field(region, level):
     """The normal components as plain arrays."""
-    comps, mag = consistent_gradient(density(region, level, eta_factor))
+    comps, mag = consistent_gradient(density(region, level))
     return tuple(_normals(comps, mag))
 
 
-def gauss_check(phi, region, eta_factor=1.0):
+def gauss_check(phi, region):
     """``(lhs, rhs)`` of the Gauss identity."""
     level = phi[0].level
-    theta = density(region, level, eta_factor)
+    theta = density(region, level)
     lhs = float((divergence(phi).values * theta.values) @ level.weights)
     comps, mag = sbp_gradient(theta)
     normals = _normals(comps, mag)

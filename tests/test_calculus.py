@@ -48,8 +48,13 @@ def test_restrict_vectorized_and_region():
     level = build_level(DOM1, 4)
     u = restrict(lambda x: x**2, level)
     assert np.allclose(u.values, level.coordinates[:, 0] ** 2)
-    v = restrict(lambda x: 1.0, level, region=lambda x: x < 0.5)
+    # a function on a region extends by zero inside f
+    v = restrict(lambda x: np.where(x < 0.5, 1.0, 0.0), level)
     assert v.values[0] == 1.0 and v.values[-1] == 0.0
+    assert np.all(restrict(lambda x: 2.0, level).values == 2.0)
+    # f may hand back its coordinate array: the values are a fresh copy
+    w = restrict(lambda x: x, level)
+    assert not np.shares_memory(w.values, level.coordinates)
 
 
 def test_restrict_rejects_scalar_only_function():

@@ -26,12 +26,7 @@ from ultragrid import (
     surface_integral,
 )
 from ultragrid import measure
-from ultragrid.measure import (
-    _box_fraction,
-    _mask_fraction,
-    _sampled_fraction,
-    _unit_ball_samples,
-)
+from ultragrid.measure import _box_fraction, _mask_fraction
 
 DOM1 = Domain(((0.0, 1.0),))
 DOM2 = Domain(((0.0, 1.0), (0.0, 1.0)))
@@ -69,7 +64,7 @@ def test_box_closed_form_matches_sampling_2d():
     eta = level.h
     box = Box(((0.22, 0.61), (0.33, 0.84)))
     exact = _box_fraction(level, box, eta)
-    sampled = _sampled_fraction(level, box, eta)
+    sampled = measure_oracles.sampled_fraction(box, level)
     # the sampled rule carries midpoint error near corners; the closed form
     # is the reference
     assert np.max(np.abs(exact - sampled)) < 0.05
@@ -164,9 +159,9 @@ def test_region_validation():
 
 
 # ---------------------------------------------------------------------------
-# node-mask density: the count-stencil correlation against the indicator
-# oracle (``_sampled_fraction`` evaluates ``NodeMask.indicator`` at every
-# sample point)
+# the counted sampling rule of node masks and 3D boxes against the indicator
+# oracle (``measure_oracles.sampled_fraction`` evaluates the region's
+# indicator at every sample point)
 # ---------------------------------------------------------------------------
 
 MASK_DOMAINS = {
@@ -175,22 +170,17 @@ MASK_DOMAINS = {
     3: (DOM3, Domain(((0.1, 0.6), (-1.0, 0.0), (2.0, 2.5)))),
 }
 MASK_MAX_LEVEL = {1: 8, 2: 5, 3: 3}
-# no sample t of the unit ball makes t * eta_factor a half-integer
-TIE_FREE_FACTORS = (1.0, 1.25, 1.5, 3.0, 1e6)
 
 
-def _assert_matches_oracle(region, eta_factor):
-    level = region.level
-    expected = _sampled_fraction(level, region, eta_factor * level.h)
-    np.testing.assert_array_equal(density(region, level, eta_factor).values, expected)
+def _same_bytes(got, expected):
+    assert np.asarray(got).tobytes() == np.asarray(expected).tobytes()
 
 
-def _indicator_mean(region, nodes):
-    """The sampling rule at ``eta_factor = 1``, evaluated at ``nodes`` only."""
-    level = region.level
-    offsets = _unit_ball_samples(level.dimension) * level.h
-    pts = level.coordinates[nodes, None, :] + offsets[None, :, :]
-    return region.indicator(pts).mean(axis=1)
+def _assert_matches_oracle(region, level, nodes=slice(None)):
+    _same_bytes(
+        density(region, level).values[nodes],
+        measure_oracles.sampled_fraction(region, level, nodes),
+    )
 
 
 @settings(max_examples=60, deadline=None)
@@ -198,11 +188,10 @@ def _indicator_mean(region, nodes):
 def test_mask_density_matches_indicator_sampling(dim, data):
     domain = data.draw(st.sampled_from(MASK_DOMAINS[dim]))
     level = build_level(domain, data.draw(st.integers(0, MASK_MAX_LEVEL[dim])))
-    eta_factor = data.draw(st.sampled_from(TIE_FREE_FACTORS))
     fill = data.draw(st.floats(0.0, 1.0))
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     mask = rng.random(level.node_count) < fill
-    _assert_matches_oracle(NodeMask(level, mask), eta_factor)
+    _assert_matches_oracle(NodeMask(level, mask), level)
 
 
 #: calculus-check covers the Gauss identity in 1D and 2D only
@@ -213,17 +202,16 @@ GAUSS_MAX_LEVEL = {1: 8, 2: 5, 3: 4}
 @given(dim=st.sampled_from((1, 2, 3)), data=st.data())
 def test_gauss_identity_on_random_masks_and_fields(dim, data):
     # the identity is algebraic (the weighted derivative is antisymmetric),
-    # so it holds to rounding for any mask, field and sampling radius
+    # so it holds to rounding for any mask and field
     domain = data.draw(st.sampled_from(MASK_DOMAINS[dim]))
     level = build_level(domain, data.draw(st.integers(0, GAUSS_MAX_LEVEL[dim])))
-    eta_factor = data.draw(st.sampled_from(TIE_FREE_FACTORS))
     fill = data.draw(st.floats(0.0, 1.0))
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     mask = rng.random(level.node_count) < fill
     phi = tuple(
         GridFunction(level, rng.standard_normal(level.node_count)) for _ in range(dim)
     )
-    res = gauss_check(phi, NodeMask(level, mask), eta_factor)
+    res = gauss_check(phi, NodeMask(level, mask))
     assert res.gap <= 1e-12 * max(abs(res.lhs), abs(res.rhs), 1.0)
 
 
@@ -233,26 +221,46 @@ def test_mask_density_bit_identical_to_ndimage_correlation(dim, data):
     # the integer sum of shifted slices against the former float correlation
     domain = data.draw(st.sampled_from(MASK_DOMAINS[dim]))
     level = build_level(domain, data.draw(st.integers(0, MASK_MAX_LEVEL[dim])))
-    eta_factor = data.draw(st.sampled_from((1.0, 1.5, 3.0, 1e6)))
     fill = data.draw(st.floats(0.0, 1.0))
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     region = NodeMask(level, rng.random(level.node_count) < fill)
-    got = _mask_fraction(region, eta_factor)
-    expected = oracles.mask_fraction(region, eta_factor)
-    np.testing.assert_array_equal(got, expected)
-    np.testing.assert_array_equal(np.signbit(got), np.signbit(expected))
+    _same_bytes(_mask_fraction(region), oracles.mask_fraction(region))
 
 
 @pytest.mark.parametrize("dom, n", [(DOM1, 5), (DOM2, 4), (DOM3, 2)])
-@pytest.mark.parametrize("eta_factor", TIE_FREE_FACTORS)
-def test_mask_density_explicit_masks(dom, n, eta_factor):
+def test_mask_density_explicit_masks(dom, n):
     level = build_level(dom, n)
     corner = np.zeros(level.node_count, bool)
     corner[0] = True
     face = level.coordinates[:, 0] == 0.0
     full = np.ones(level.node_count, bool)
     for mask in (corner, face, full, ~full):
-        _assert_matches_oracle(NodeMask(level, mask), eta_factor)
+        _assert_matches_oracle(NodeMask(level, mask), level)
+
+
+#: boxes inside the cube, across a face, around it, thinner than a sample
+#: step, and off it
+BOXES_3D = (
+    Box(((0.2, 0.65), (0.1, 0.7), (0.3, 0.9))),
+    Box(((0.25, 0.75),) * 3),
+    Box(((-0.5, 0.5), (0.0, 1.0), (0.125, 0.375))),
+    Box(((-1.0, 2.0),) * 3),
+    Box(((0.5, 0.5 + 1e-9), (0.3, 0.6), (0.4, 0.45))),
+    Box(((1.5, 2.0),) * 3),
+)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
+def test_box_density_matches_indicator_sampling_3d(n):
+    level = build_level(DOM3, n)
+    # and a box whose faces hold samples: x + tau * h at the end nodes
+    ticks = (np.arange(20) + 0.5) / 20 * 2.0 - 1.0
+    on_samples = Box(tuple((x[0] + ticks[12] * level.h, x[-1] + ticks[6] * level.h)
+                           for x in level.axes))
+    # at level 4 every 7th node: the oracle takes ~0.3 s a box over all 4913
+    nodes = slice(None, None, 7 if n == 4 else 1)
+    for box in BOXES_3D + (on_samples,):
+        _assert_matches_oracle(box, level, nodes)
 
 
 def test_mask_density_past_former_gather_cap():
@@ -265,7 +273,7 @@ def test_mask_density_past_former_gather_cap():
     m0, m1 = level.shape
     corners = level.flat_index(([0, 0, m0 - 1, m0 - 1], [0, m1 - 1, 0, m1 - 1]))
     picks = np.concatenate([rng.choice(level.node_count, 1000, replace=False), corners])
-    np.testing.assert_array_equal(theta[picks], _indicator_mean(region, picks))
+    _same_bytes(theta[picks], measure_oracles.sampled_fraction(region, level, picks))
 
 
 def test_mask_density_on_levels_rebuilt_in_turn():
@@ -276,56 +284,8 @@ def test_mask_density_on_levels_rebuilt_in_turn():
     for dom in (DOM1, DOM2, DOM3, DOM2, DOM1, DOM2):
         level = build_level(dom, 3)
         region = NodeMask(level, rng.random(level.node_count) < 0.5)
-        theta = density(region, level).values
-        np.testing.assert_array_equal(theta, _indicator_mean(region, slice(None)))
+        _assert_matches_oracle(region, level)
         del level, region
-
-
-@pytest.mark.parametrize("dom, n", [(DOM1, 5), (DOM2, 4)])
-def test_mask_density_ties_round_alike_at_every_node(dom, n):
-    # at eta_factor = 2 the samples t = +-0.25, +-0.75 give half-integer
-    # shifts; each is rounded once, so a one-node mask at any interior node
-    # must produce the same stencil around it
-    level = build_level(dom, n)
-    reach = 2
-    center = level.flat_index(tuple(m // 2 for m in level.shape))
-    windows = {}
-    for node in np.flatnonzero(~level.boundary_mask):
-        mask = np.zeros(level.node_count, bool)
-        mask[node] = True
-        theta = density(NodeMask(level, mask), level, 2.0).grid_values
-        padded = np.pad(theta, reach, constant_values=np.nan)
-        at = level.multi_index(node)
-        window = padded[tuple(slice(i, i + 2 * reach + 1) for i in at)]
-        inside = ~np.isnan(window)
-        assert np.count_nonzero(window[inside]) == np.count_nonzero(theta)
-        windows[node] = window
-    ref = windows[center]
-    assert not np.isnan(ref).any()
-    for window in windows.values():
-        inside = ~np.isnan(window)
-        np.testing.assert_array_equal(window[inside], ref[inside])
-
-
-@pytest.mark.parametrize("eta_factor", [np.nan, np.inf, -np.inf, 0.5])
-def test_density_rejects_bad_eta_factor(eta_factor):
-    level = build_level(DOM1, 3)
-    for region in (HalfSpace(0, 0.5), NodeMask(level, level.coordinates[:, 0] < 0.5)):
-        with pytest.raises(ValueError):
-            density(region, level, eta_factor)
-
-
-def test_mask_density_stencil_is_bounded_for_huge_eta_factor():
-    # shifts past the last node are cut to it; uncut, eta_factor = 1e6 would
-    # ask for a count stencil of (2e6 + 1)**3 entries
-    level = build_level(DOM3, 2)
-    rng = np.random.default_rng(37)
-    region = NodeMask(level, rng.random(level.node_count) < 0.5)
-    theta = density(region, level, 1e6).values
-    np.testing.assert_array_equal(
-        theta, _sampled_fraction(level, region, 1e6 * level.h)
-    )
-    np.testing.assert_array_equal(density(region, level, 1e300).values, theta)
 
 
 def test_mask_density_rejects_mask_of_another_level():
@@ -353,7 +313,7 @@ def test_node_mask_indicator_far_outside_the_box(x, node):
     for mask_node in (node, 4):
         mask = np.zeros(level.node_count, bool)
         mask[mask_node] = True
-        hit = NodeMask(level, mask).indicator(np.array([[x]]))
+        hit = measure_oracles.indicator(NodeMask(level, mask), np.array([[x]]))
         assert hit.tolist() == [mask_node == node]
 
 
@@ -361,10 +321,6 @@ def test_node_mask_indicator_far_outside_the_box(x, node):
 # the in-place gradient sums against their former whole-array forms
 # (``measure_oracles``), and the node-sized arrays they hold
 # ---------------------------------------------------------------------------
-
-
-def _same_bytes(got, expected):
-    assert np.asarray(got).tobytes() == np.asarray(expected).tobytes()
 
 
 def _regions(level, rng):
@@ -386,30 +342,29 @@ def _negative_where_flat(values, flat):
 
 
 @pytest.mark.parametrize("dom, n", [(DOM1, 6), (DOM2, 4), (DOM3, 2)])
-@pytest.mark.parametrize("eta_factor", [1.0, 1.5, 3.0])
-def test_gradient_sums_bit_identical_to_whole_array_forms(dom, n, eta_factor):
+def test_gradient_sums_bit_identical_to_whole_array_forms(dom, n):
     level = build_level(dom, n)
     rng = np.random.default_rng(43 + n)
     flat_seen = 0
     for region in _regions(level, rng):
-        theta = density(region, level, eta_factor)
+        theta = density(region, level)
         flat = measure_oracles.below_floor(measure_oracles.sbp_gradient(theta)[1])
         flat_seen += np.count_nonzero(flat)
         phi = tuple(
             GridFunction(level, _negative_where_flat(rng.standard_normal(level.node_count), flat))
             for _ in range(level.dimension)
         )
-        res = gauss_check(phi, region, eta_factor)
-        _same_bytes((res.lhs, res.rhs), measure_oracles.gauss_check(phi, region, eta_factor))
+        res = gauss_check(phi, region)
+        _same_bytes((res.lhs, res.rhs), measure_oracles.gauss_check(phi, region))
 
         flat = measure_oracles.below_floor(measure_oracles.consistent_gradient(theta)[1])
         v = GridFunction(level, _negative_where_flat(rng.standard_normal(level.node_count), flat))
-        _same_bytes(perimeter(region, level, eta_factor),
-                    measure_oracles.perimeter(region, level, eta_factor))
-        _same_bytes(surface_integral(v, region, eta_factor),
-                    measure_oracles.surface_integral(v, region, eta_factor))
-        got = normal_field(region, level, eta_factor)
-        expected = measure_oracles.normal_field(region, level, eta_factor)
+        _same_bytes(perimeter(region, level),
+                    measure_oracles.perimeter(region, level))
+        _same_bytes(surface_integral(v, region),
+                    measure_oracles.surface_integral(v, region))
+        got = normal_field(region, level)
+        expected = measure_oracles.normal_field(region, level)
         assert len(got) == len(expected) == level.dimension
         for g, e in zip(got, expected):
             _same_bytes(g.values, e)
@@ -453,23 +408,13 @@ def test_gauss_check_and_perimeter_hold_few_node_vectors():
     assert _peak_node_vectors(lambda: perimeter(region, level), level) <= 6.0
 
 
-@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_sampled_density_peak_is_bounded(n):
-    # 4913 nodes x 4224 unit-ball samples at level 4; a chunk of 4M sample
-    # points (183 MiB traced for a box) before chunks were sized in bytes
+    # the ball counts take ~3 node vectors (the count, one corner and its
+    # flat index) and numpy's iterator buffers, at most 8192 elements per
+    # operand; evaluated point by point, a level-4 box had 4913 nodes x 4224
+    # unit-ball samples (32 MiB traced in chunks, 183 MiB in one)
     level = build_level(DOM3, n)
     box = Box(((0.2, 0.65), (0.1, 0.7), (0.3, 0.9)))
-    assert _traced_peak(lambda: density(box, level)) <= 32 * 2**20
-
-
-def test_sampled_density_does_not_depend_on_the_chunk(monkeypatch):
-    level = build_level(DOM3, 2)
-    rng = np.random.default_rng(53)
-    regions = (Box(((0.2, 0.65), (0.1, 0.7), (0.3, 0.9))),
-               NodeMask(level, rng.random(level.node_count) < 0.5))
-    expected = [_sampled_fraction(level, r, 1.5 * level.h) for r in regions]
-    # one node a chunk, three nodes a chunk (the last one short), one chunk
-    for budget in (1, 3 * 16 * 4 * len(_unit_ball_samples(3)), 1 << 40):
-        monkeypatch.setattr(measure, "_SAMPLE_CHUNK_BYTES", budget)
-        for region, e in zip(regions, expected):
-            _same_bytes(_sampled_fraction(level, region, 1.5 * level.h), e)
+    node_vector = 8 * level.node_count
+    assert _traced_peak(lambda: density(box, level)) <= 4 * node_vector + 256 * 2**10
