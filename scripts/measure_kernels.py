@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Time the measure kernels on 1D, 2D and 3D levels and trace their memory.
+"""Time the measure kernels and the SBP derivative and trace their memory.
 
 Usage, from the root of a checkout::
 
@@ -7,8 +7,9 @@ Usage, from the root of a checkout::
 
 For each dimension 1 and 2 and each level this draws one random half-filled
 ``NodeMask`` and one random field ``phi`` and runs ``density`` of the mask,
-``perimeter`` of the mask and ``gauss_check`` of ``phi`` on it, each
-``--repeats`` times after one warm-up call.  Then it runs ``density`` of
+``perimeter`` of the mask, ``gauss_check`` of ``phi`` on it and ``diffop``,
+the level's SBP derivative ``D`` and then ``D^T`` applied along axis 0 to
+``phi``'s first component, each ``--repeats`` times after one warm-up call.  Then it runs ``density`` of
 one fixed 3D box (``box_density``, its sampled path) the same way at 3D
 levels 2..4, whatever ``--levels`` says.  Prints per kernel the median and
 the quartiles in milliseconds, and the traced peak of one more call above
@@ -91,6 +92,7 @@ def main(argv=None) -> int:
         NodeMask,
         build_level,
         density,
+        diff_op,
         gauss_check,
         measure,
         perimeter,
@@ -111,10 +113,12 @@ def main(argv=None) -> int:
                 GridFunction(level, rng.standard_normal(level.node_count))
                 for _ in range(dim)
             )
+            op, u = diff_op(level), phi[0].values
             kernels = {
                 "density": lambda: density(region, level),
                 "perimeter": lambda: perimeter(region, level),
                 "gauss_check": lambda: gauss_check(phi, region),
+                "diffop": lambda: (op.apply(u, 0), op.apply_transpose(u, 0)),
             }
             for name, call in kernels.items():
                 _time(dim, n, name, call, level.node_count, args.repeats)

@@ -1,21 +1,15 @@
-"""Tensor-product 1D operators and the one axis-application primitive.
+"""Tensor-product 1D dense operators and the one axis-application primitive.
 
-Every 1D operator of the package is small.  The SBP derivative of
-:mod:`ultragrid.calculus` is :class:`Banded`; the P1 stiffness/mass pair of
-:func:`p1_matrices` and the per-axis Gauss interpolation of
-:func:`gauss_interp` are dense arrays.  :func:`apply_axis` applies either
-kind along one axis of an nd array, and :func:`apply_axes` applies one dense
-matrix along every axis (only the quotient's fast-diagonalization metric
-uses it).
-
-A banded product sums each output row in increasing column order, as if
-from ``+0.0``.  That is the order in which a CSR matrix-vector product sums
-a row, so a :class:`Banded` and a CSR matrix with the same entries give
-bit-identical results, signed zeros included.  A dense matrix is applied as
-one GEMM, batched over the leading axes of a C-contiguous operand, so no
-axis is moved and no operand is copied (sum factorization: Orszag, J.
-Comput. Phys. 37, 1980; Kronbichler & Kormann, Computers & Fluids 63,
-2012).  Its rounding is the BLAS kernel's.
+The P1 stiffness/mass pair of :func:`p1_matrices` and the per-axis Gauss
+interpolation of :func:`gauss_interp` are small dense arrays.
+:func:`apply_axis` applies one along one axis of an nd array, as one GEMM
+batched over the leading axes of a C-contiguous operand, so no axis is moved
+and no operand is copied (sum factorization: Orszag, J. Comput. Phys. 37,
+1980; Kronbichler & Kormann, Computers & Fluids 63, 2012); its rounding is
+the BLAS kernel's.  :func:`apply_axes` applies one matrix along every axis
+(only the quotient's fast-diagonalization metric uses it).  The SBP
+derivative is not a dense operator: :mod:`ultragrid.calculus` applies it as
+its own two-neighbour stencil.
 
 Used by the critical-exponent quotient: the quotient is evaluated as the
 *exact* energy of the multilinear nodal interpolant, so the numerator uses
@@ -32,25 +26,11 @@ every cell, and applies its Kronecker powers cell by cell; the dense
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Sequence
 
 import numpy as np
 
-__all__ = ["Banded", "p1_matrices", "gauss_interp", "apply_axis", "apply_axes"]
-
-
-@dataclass(frozen=True, eq=False)
-class Banded:
-    """A square matrix stored by diagonals.
-
-    ``diagonals[k][i]`` is ``A[i, i + offsets[k]]``; the offsets increase,
-    and the entries of a diagonal whose column falls outside the matrix are
-    never read.
-    """
-
-    offsets: tuple[int, ...]
-    diagonals: tuple[np.ndarray, ...]
+__all__ = ["p1_matrices", "gauss_interp", "apply_axis", "apply_axes"]
 
 
 def p1_matrices(m: int, h: float) -> tuple[np.ndarray, np.ndarray]:
@@ -93,47 +73,8 @@ def gauss_interp(m: int, h: float, lo: float) -> tuple[np.ndarray, np.ndarray, n
     return G, points, weights
 
 
-def apply_axis(op: Union[Banded, np.ndarray], arr: np.ndarray, axis: int) -> np.ndarray:
-    """Apply a banded or a dense ``(k, m)`` matrix along one axis of an nd array.
-
-    A dense ``op`` is one GEMM, batched over the leading axes, that copies
-    nothing of a C-contiguous ``arr``.  A :class:`Banded` ``op`` sums each
-    output row's diagonal products in offset order.  The first diagonal's
-    products are written in place instead of added to ``+0.0``; that
-    differs from a sum started at ``+0.0`` only where every product of a
-    row is ``-0.0``, which the closing ``+= 0.0`` turns into ``+0.0``.
-    """
-    if not isinstance(op, Banded):
-        return _gemm(op, arr, axis)
-    m = arr.shape[axis]
-    out = np.zeros(arr.shape)
-    lead = (slice(None),) * axis
-    tail = (1,) * (arr.ndim - axis - 1)
-    for k, diag in zip(op.offsets, op.diagonals):
-        lo, hi = max(0, -k), m - max(0, k)  # the rows inside the matrix
-        if lo < hi:
-            rows = out[lead + (slice(lo, hi),)]
-            coef = diag[lo:hi].reshape((-1,) + tail)
-            src = arr[lead + (slice(lo + k, hi + k),)]
-            if k == op.offsets[0]:
-                np.multiply(coef, src, out=rows)
-            else:
-                rows += coef * src
-    out += 0.0
-    return out
-
-
-def apply_axes(mats: Sequence[np.ndarray], arr: np.ndarray) -> np.ndarray:
-    """Apply the dense ``mats[k]`` along axis ``k`` of ``arr``, every axis
-    from the last to the first (the quotient's fast-diagonalization metric,
-    ``problems._QuotientObjective.precondition``)."""
-    for axis in range(arr.ndim - 1, -1, -1):
-        arr = _gemm(mats[axis], arr, axis)
-    return arr
-
-
-def _gemm(op: np.ndarray, arr: np.ndarray, axis: int) -> np.ndarray:
-    """The dense ``(k, m)`` ``op`` along ``axis`` of ``arr``, as one GEMM.
+def apply_axis(op: np.ndarray, arr: np.ndarray, axis: int) -> np.ndarray:
+    """Apply the dense ``(k, m)`` ``op`` along ``axis`` of ``arr``, as one GEMM.
 
     ``arr`` is viewed as ``(rows before, m, rows after)`` and ``op`` applied
     batched over the first index; along the last axis it is one plain GEMM
@@ -149,3 +90,12 @@ def _gemm(op: np.ndarray, arr: np.ndarray, axis: int) -> np.ndarray:
     else:
         np.matmul(arr.reshape(-1, m), op.T, out=out.reshape(-1, op.shape[0]))
     return out.reshape(shape)
+
+
+def apply_axes(mats: Sequence[np.ndarray], arr: np.ndarray) -> np.ndarray:
+    """Apply ``mats[k]`` along axis ``k`` of ``arr``, every axis from the last
+    to the first (the quotient's fast-diagonalization metric,
+    ``problems._QuotientObjective.precondition``)."""
+    for axis in range(arr.ndim - 1, -1, -1):
+        arr = apply_axis(mats[axis], arr, axis)
+    return arr

@@ -156,16 +156,6 @@ class GridLevel:
             mask[tuple(sl_lo)] = True
         return mask.ravel()
 
-    def meshgrid(self) -> tuple[np.ndarray, ...]:
-        """Coordinate arrays of shape ``self.shape``, one per axis."""
-        return tuple(np.meshgrid(*self.axes, indexing="ij"))
-
-    def multi_index(self, flat: np.ndarray | int) -> tuple[np.ndarray, ...]:
-        return np.unravel_index(flat, self.shape)
-
-    def flat_index(self, multi: tuple) -> np.ndarray:
-        return np.ravel_multi_index(multi, self.shape)
-
 
 @dataclass(frozen=True, eq=False)
 class NodeSet:

@@ -37,7 +37,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence, Union
+from typing import Iterable, Iterator, Sequence, Union
 
 import numpy as np
 
@@ -395,12 +395,14 @@ def density(region: Region, level: GridLevel) -> GridFunction:
     return GridFunction(level, np.clip(values, 0.0, 1.0, out=values))
 
 
-def _magnitude(rows: Sequence[np.ndarray]) -> np.ndarray:
+def _magnitude(rows: Iterable[np.ndarray]) -> np.ndarray:
     """Euclidean magnitude of per-axis rows, summed in axis order into one
-    new array."""
-    mag = np.square(rows[0])
-    for row in rows[1:]:
+    new array; each row is read as it comes and not held past its square."""
+    rows = iter(rows)
+    mag = np.square(next(rows))
+    for row in rows:
         mag += np.square(row)
+        del row  # freed before the next row is made
     return np.sqrt(mag, out=mag)
 
 
@@ -416,26 +418,24 @@ def _outward_normals(rows: Sequence[np.ndarray], mag: np.ndarray) -> None:
         np.copyto(row, 0.0, where=drop)
 
 
-def _consistent_gradient(theta: GridFunction) -> tuple[list[np.ndarray], np.ndarray]:
-    """Per-axis consistent derivative rows and their Euclidean magnitude.
+def _consistent_gradient(theta: GridFunction) -> Iterator[np.ndarray]:
+    """The per-axis consistent derivative rows, made one axis at a time.
 
     Central differences inside, one-sided at the box faces.  The
     antisymmetric closure rows of the summation-by-parts derivative read a
     spurious ``theta/h`` at boundary nodes where the density is nonzero, so
     measure-theoretic quantities (perimeter, surface sums, normals) of
-    regions meeting the box boundary use this stencil instead.
+    regions meeting the box boundary use this stencil instead.  Fed to
+    :func:`_magnitude`, only ``theta``, ``|D theta|`` and one row are alive.
     """
     level = theta.level
-    grids = np.gradient(theta.grid_values, *([level.h] * level.dimension))
-    if level.dimension == 1:
-        grids = [grids]
-    rows = [g.ravel() for g in grids]
-    return rows, _magnitude(rows)
+    for axis in range(level.dimension):
+        yield np.gradient(theta.grid_values, level.h, axis=axis).ravel()
 
 
 def perimeter(region: Region, level: GridLevel) -> float:
     """``sum_a |D theta(a)| d(a)``: the total-variation perimeter of the region."""
-    _rows, mag = _consistent_gradient(density(region, level))
+    mag = _magnitude(_consistent_gradient(density(region, level)))
     return float(mag @ level.weights)
 
 
@@ -445,14 +445,15 @@ def surface_integral(v: GridFunction, region: Region) -> float:
     Note this is not the plain nodal sum over boundary nodes; the weight
     ``|D theta|`` carries the surface measure.
     """
-    _rows, mag = _consistent_gradient(density(region, v.level))
+    mag = _magnitude(_consistent_gradient(density(region, v.level)))
     return float(np.multiply(v.values, mag, out=mag) @ v.level.weights)
 
 
 def normal_field(region: Region, level: GridLevel) -> tuple[GridFunction, ...]:
     """Outward unit normal ``-D theta / |D theta|`` (zero where the gradient
     magnitude is below ``1e-14`` of its maximum)."""
-    rows, mag = _consistent_gradient(density(region, level))
+    rows = list(_consistent_gradient(density(region, level)))
+    mag = _magnitude(rows)
     _outward_normals(rows, mag)
     return tuple(GridFunction(level, row) for row in rows)
 

@@ -81,6 +81,8 @@ MEMORY = 10
 #: Relative value slack of L-BFGS: the approximate Wolfe test's
 #: ``f_new <= f + FTOL max(|f|, 1)`` and the stall test's decrease floor.
 FTOL = 1e-12
+#: Consecutive stalled iterations after which L-BFGS stops unconverged.
+PATIENCE = 10
 
 
 @dataclass
@@ -108,7 +110,6 @@ def lbfgs(
     free: np.ndarray,
     gtol: Tolerance,
     max_iter: int = 10_000,
-    patience: int = 10,
     precondition: Optional[Callable[[np.ndarray], np.ndarray]] = None,
 ) -> OptimizeResult:
     """Two-loop-recursion L-BFGS over the free dofs of ``x0``, the entries
@@ -125,7 +126,7 @@ def lbfgs(
     point is vetoed: every one is evaluated.
 
     Stops when ``||g||_* <= gtol(f)`` at the current ``f``, and early after
-    ``patience`` consecutive stalled iterations (functionals with a flat
+    ``PATIENCE`` consecutive stalled iterations (functionals with a flat
     direction, such as scale-invariant quotients, can otherwise grind at
     machine precision without the gradient norm ever reaching the
     tolerance); such a stall is not convergence.  An iteration is stalled
@@ -178,7 +179,7 @@ def lbfgs(
     while it < max_iter:
         if gnorm <= tol(f):
             return OptimizeResult(x, f, gnorm, it, True)
-        if stalled >= patience:
+        if stalled >= PATIENCE:
             return OptimizeResult(x, f, gnorm, it, False)
 
         # two-loop recursion with H0 = gamma * P^-1, newest pair first; q

@@ -39,8 +39,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .calculus import GridFunction, diff_op, standard_battery
-from .elements import Banded, apply_axes, apply_axis, gauss_interp, p1_matrices
+from .calculus import GridFunction, Stencil, diff_op, standard_battery
+from .elements import apply_axes, apply_axis, gauss_interp, p1_matrices
 from .grid import Domain, GridLevel, NodeSet
 from .measure import NodeMask, perimeter
 from .optimize import minimize_quadratic
@@ -84,7 +84,7 @@ def sobolev_constant(dimension: int = 3) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _h1_chains(D: Banded, d: np.ndarray) -> list:
+def _h1_chains(D: Stencil, d: np.ndarray) -> list:
     """The 1D metric ``P = W + D^T W D`` (``W = diag(d)``) factored by parity chain.
 
     ``D`` is the SBP derivative, whose diagonal is zero, so ``D^T W D``
@@ -103,7 +103,7 @@ def _h1_chains(D: Banded, d: np.ndarray) -> list:
     ``1 / (2k + 1)`` (5e-5 at level 14), far from underflow at any level
     under the node cap.
     """
-    lo, up = D.diagonals  # D[i, i - 1] and D[i, i + 1]
+    lo, up = D  # D[i, i - 1] and D[i, i + 1]
     diag = d.copy()
     diag[:-1] += d[1:] * lo[1:] * lo[1:]  # row j + 1 of D reads node j
     diag[1:] += d[:-1] * up[:-1] * up[:-1]  # row j - 1 of D reads node j
@@ -199,7 +199,7 @@ def sawtooth_spec() -> ProblemSpec:
         initial_guesses=initial_guesses,
         random_start=random_start,
         lower_bound=0.0,
-        battery=standard_battery(domain, 3),
+        battery=standard_battery(domain),
     )
 
 
@@ -614,7 +614,7 @@ def sign_perturbed_spec(
         build=build,
         initial_guesses=initial_guesses,
         lower_bound=lower,
-        battery=standard_battery(domain, 3),
+        battery=standard_battery(domain),
         diagnostics=diagnostics,
     )
 
@@ -636,12 +636,6 @@ def _default_Wpp(t: np.ndarray) -> np.ndarray:
     return 6.0 / (t * t * t * t)
 
 
-def _interior_row_mask(level: GridLevel, axis: int) -> np.ndarray:
-    """Flat mask of nodes whose axis stencil row is a central difference."""
-    idx = np.unravel_index(np.arange(level.node_count), level.shape)[axis]
-    return (idx > 0) & (idx < level.shape[axis] - 1)
-
-
 def _masked_stiffness(level: GridLevel):
     """Assemble ``sum_i D_i^T diag(d * mask_i) D_i`` as a scipy CSR matrix.
 
@@ -654,7 +648,7 @@ def _masked_stiffness(level: GridLevel):
         w = level.axis_weights[axis]
         if axis != i:
             return sp.diags(w, format="csr")
-        lo, up = diff_op(level).matrices[axis].diagonals  # D[k, k - 1], D[k, k + 1]
+        lo, up = diff_op(level).matrices[axis]  # D[k, k - 1], D[k, k + 1]
         D = sp.diags([lo[1:], up[:-1]], [-1, 1], format="csr")
         masked = w.copy()
         masked[[0, -1]] = 0.0
@@ -713,19 +707,19 @@ class _SingularObjective(LevelObjective):
         self._d = level.weights
         self.fixed_mask = level.boundary_mask.copy()
         self.fixed_values = np.where(self.fixed_mask, g_values, 0.0)
-        self._row_masks = [
-            _interior_row_mask(level, axis) for axis in range(level.dimension)
-        ]
         self._K = _masked_stiffness(level)
         self.blocks = _parity_blocks(level, self._K)
 
     def value_and_grad(self, u: np.ndarray) -> tuple[float, np.ndarray]:
         total = 0.0
         grad = self._d * _default_Wp(u)
-        for axis, mask in enumerate(self._row_masks):
+        for axis in range(self.level.dimension):
             du = self._op.apply(u, axis)
-            total += 0.5 * float((du * du * mask) @ self._d)
-            grad = grad + self._op.apply_transpose(du * mask * self._d, axis)
+            # the energy leaves out the closure rows of D_i
+            du.reshape(self.level.shape)[(slice(None),) * axis + ([0, -1],)] = 0.0
+            total += 0.5 * float((du * du) @ self._d)
+            du *= self._d
+            grad += self._op.apply_transpose(du, axis)
         total += float(_default_W(u) @ self._d)
         return total, grad
 
@@ -827,7 +821,7 @@ def singular_spec(
         domain=domain,
         build=build,
         initial_guesses=initial_guesses,
-        battery=standard_battery(domain, 3),
+        battery=standard_battery(domain),
         diagnostics=diagnostics,
         monotone_values=False,
     )

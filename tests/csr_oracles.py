@@ -1,9 +1,10 @@
 """The former scipy forms of the package's numpy operators, kept as oracles.
 
-The package applies its 1D operators as numpy banded or dense arrays and
-evaluates its mask correlation and 3x3 min/max filters with shifted slices;
-these are the compressed-sparse-row matrices and ``scipy.ndimage`` calls they
-replaced.  The tests compare the two bit for bit, signed zeros included.
+The package applies its SBP derivative as a two-neighbour stencil and its
+other 1D operators as dense arrays, and evaluates its mask correlation and
+3x3 min/max filters with shifted slices; these are the compressed-sparse-row
+matrices and ``scipy.ndimage`` calls they replaced.  The tests compare the
+two bit for bit, signed zeros included.
 """
 
 import numpy as np

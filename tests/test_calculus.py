@@ -269,7 +269,7 @@ def test_sbp_antisymmetry_on_random_levels(corner, unit, data, n):
     for axis, m in enumerate(level.shape):
         WD = level.weights[:, None] * np.stack([op.apply(e, axis) for e in eye], axis=1)
         S = WD + WD.T
-        idx = level.multi_index(np.arange(level.node_count))[axis]
+        idx = np.unravel_index(np.arange(level.node_count), level.shape)[axis]
         inner = (idx > 0) & (idx < m - 1)
         assert np.all(S[np.ix_(inner, inner)] == 0.0)
         assert np.abs(S).max() <= 4 * np.finfo(float).eps * np.abs(WD).max()

@@ -5,25 +5,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ultragrid.elements import Banded, apply_axes, apply_axis, gauss_interp, p1_matrices
-
-
-def _kron_reference(mat: np.ndarray, arr: np.ndarray, axis: int) -> np.ndarray:
-    """``(I_before (x) mat (x) I_after) @ arr.ravel()`` as a dense product."""
-    before = int(np.prod(arr.shape[:axis]))
-    after = int(np.prod(arr.shape[axis + 1:]))
-    full = np.kron(np.kron(np.eye(before), mat), np.eye(after))
-    out_shape = arr.shape[:axis] + (mat.shape[0],) + arr.shape[axis + 1:]
-    return (full @ arr.ravel()).reshape(out_shape)
-
-
-def _dense(band: Banded, m: int) -> np.ndarray:
-    """The ``m x m`` matrix of a banded operator, entry by entry."""
-    out = np.zeros((m, m))
-    for k, diag in zip(band.offsets, band.diagonals):
-        for i in range(max(0, -k), m - max(0, k)):
-            out[i, i + k] = diag[i]
-    return out
+from ultragrid.elements import apply_axes, apply_axis, gauss_interp, p1_matrices
 
 
 def _signed_random(rng, shape):
@@ -33,26 +15,6 @@ def _signed_random(rng, shape):
     u[pick < 0.2] = 0.0
     u[pick > 0.8] = -0.0
     return u
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    shape=st.lists(st.integers(1, 5), min_size=1, max_size=4),
-    data=st.data(),
-)
-def test_apply_axis_matches_kronecker_reference(shape, data):
-    # a random banded matrix, diagonals inside, partly outside and wholly
-    # outside the matrix
-    axis = data.draw(st.integers(0, len(shape) - 1))
-    m = shape[axis]
-    offsets = sorted(data.draw(st.sets(st.integers(-m, m), min_size=1, max_size=4)))
-    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-    arr = rng.standard_normal(shape)
-    band = Banded(tuple(offsets), tuple(rng.standard_normal(m) for _ in offsets))
-    out = apply_axis(band, arr, axis)
-    ref = _kron_reference(_dense(band, m), arr, axis)
-    assert out.shape == ref.shape
-    np.testing.assert_allclose(out, ref, rtol=1e-12, atol=1e-12)
 
 
 @settings(max_examples=60, deadline=None)

@@ -88,12 +88,6 @@ def test_node_set_sorted_unique_mask():
         NodeSet(level, np.array([level.node_count]))
 
 
-def test_flat_multi_index_round_trip():
-    level = build_level(Domain(((0.0, 1.0), (0.0, 1.0))), 3)
-    flat = np.arange(level.node_count)
-    assert np.array_equal(level.flat_index(level.multi_index(flat)), flat)
-
-
 def test_levels_are_values():
     # built separately, from equal but distinct domain objects
     a = build_level(Domain(((0.0, 1.0), (0.0, 2.0))), 4)

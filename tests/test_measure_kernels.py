@@ -18,7 +18,7 @@ def test_main_prints_quartiles_and_peaks_per_kernel(capsys):
         "dim", "level", "kernel", "median", "ms", "q1", "ms", "q3", "ms", "peak", "nodes"
     ]
     rows = [line.split() for line in lines[2:]]
-    kernels = ["density", "perimeter", "gauss_check"]
+    kernels = ["density", "perimeter", "gauss_check", "diffop"]
     assert [row[:3] for row in rows] == [
         [dim, n, kernel] for dim in ("1", "2") for n in ("2", "3") for kernel in kernels
     ] + [["3", n, "box_density"] for n in ("2", "3", "4")]

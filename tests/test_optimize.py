@@ -337,13 +337,13 @@ def test_lbfgs_default_metric_bit_identical_on_sawtooth_chain():
     assert full.converged and full.iterations <= 60
 
 
-def test_lbfgs_reaches_gtol_below_the_rounding_of_a_large_constant(rng):
+def test_lbfgs_reaches_gtol_below_the_rounding_of_a_large_constant(rng, monkeypatch):
     # f = 1/2 |Bx - b|^2 = c + 1/2 (x - x*)^T A (x - x*), A = B^T B, with a
     # large residual c ~ 1.6e7 that the sum of squares rounds with a noise of
     # ~1e-9, not monotone in x.  Near x* the Armijo decrease 1e-4 t g.p
     # falls below that noise, so Armijo alone backtracks on it and never
     # reaches gtol; the approximate Wolfe test decides from the gradient,
-    # which is still accurate there.  The stall guard is off (patience =
+    # which is still accurate there.  The stall guard is off (PATIENCE =
     # max_iter), so that only the line search decides.
     n, m = 20, 60
     U = np.linalg.qr(rng.standard_normal((m, n)))[0]
@@ -358,17 +358,17 @@ def test_lbfgs_reaches_gtol_below_the_rounding_of_a_large_constant(rng):
     x0 = rng.standard_normal(n)
     d = np.ones(n)
     free = np.ones(n, dtype=bool)
-    kwargs = dict(gtol=1e-8, max_iter=200, patience=200)
-    armijo_only = _diag_metric_lbfgs(vag, x0, d, free, **kwargs)
+    armijo_only = _diag_metric_lbfgs(vag, x0, d, free, gtol=1e-8, max_iter=200, patience=200)
     assert armijo_only.value > 1e7
     assert armijo_only.iterations == 200 and not armijo_only.converged
-    result = lbfgs(vag, x0, d, free, **kwargs)
-    assert result.converged and result.grad_norm <= 1e-8
-    assert result.iterations <= 60
-    # a tolerance given as a function is evaluated at the current value
-    rel = lbfgs(vag, x0, d, free, gtol=lambda f: 1e-16 * (1.0 + abs(f)),
-                max_iter=200, patience=200)
-    assert rel.converged and rel.grad_norm <= 1e-16 * (1.0 + abs(rel.value))
+    with monkeypatch.context() as patch:
+        patch.setattr(optimize, "PATIENCE", 200)
+        result = lbfgs(vag, x0, d, free, gtol=1e-8, max_iter=200)
+        assert result.converged and result.grad_norm <= 1e-8
+        assert result.iterations <= 60
+        # a tolerance given as a function is evaluated at the current value
+        rel = lbfgs(vag, x0, d, free, gtol=lambda f: 1e-16 * (1.0 + abs(f)), max_iter=200)
+        assert rel.converged and rel.grad_norm <= 1e-16 * (1.0 + abs(rel.value))
     # the stall guard at its default patience: near the minimum every
     # decrease falls below ftol max(|f|, 1), but ||g||_* keeps falling, so
     # the run is not stalled (a guard on the decrease of f alone stopped it
