@@ -276,21 +276,14 @@ def derivative_kernel_dimension(level: GridLevel) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TestFunction:
-    """A smooth compactly supported function.
-
-    ``fn`` takes one coordinate array per axis.  ``center`` and ``radius``
-    describe the support ball for bookkeeping.
-    """
-
-    fn: Callable[..., np.ndarray]
-    center: tuple[float, ...]
-    radius: float
+#: A test function: one coordinate array per axis in, its values out (a
+#: smooth compactly supported bump, as :func:`bump` builds).
+TestFunction = Callable[..., np.ndarray]
 
 
 def bump(center: Sequence[float], radius: float) -> TestFunction:
-    """The standard smooth bump ``exp(1 - 1/(1 - s^2))`` on ``|x - c| < r``."""
+    """The standard smooth bump ``exp(1 - 1/(1 - s^2))`` on ``|x - c| < r``,
+    ``s = |x - c| / r``, and zero outside: the function itself."""
     c = tuple(float(x) for x in center)
     r = float(radius)
     if r <= 0:
@@ -304,11 +297,13 @@ def bump(center: Sequence[float], radius: float) -> TestFunction:
         vals = np.exp(1.0 - 1.0 / (1.0 - t))
         return np.where(inside, vals, 0.0)
 
-    return TestFunction(fn=fn, center=c, radius=r)
+    return fn
 
 
 def standard_battery(domain) -> tuple[TestFunction, ...]:
-    """A deterministic battery of three bumps strictly inside the domain box."""
+    """The battery every pairing of the package uses: three bumps strictly
+    inside the domain box, centred at 0.5, 0.35 and 0.65 of each axis, with
+    radii 0.25, 0.2125 and 0.175 times the smallest extent."""
     lo = np.array([b[0] for b in domain.bounds])
     hi = np.array([b[1] for b in domain.bounds])
     span = hi - lo

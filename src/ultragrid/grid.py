@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Sequence
 
 import numpy as np
 
@@ -143,6 +144,21 @@ class GridLevel:
         """Flat ``(node_count, N)`` array of node coordinates."""
         mesh = np.meshgrid(*self.axes, indexing="ij")
         return np.stack([m.ravel() for m in mesh], axis=-1)
+
+    def distance(self, center: Sequence[float]) -> np.ndarray:
+        """``|x - center|`` at every node, flat in C order.
+
+        The squares are broadcast from :attr:`axes` and summed in axis order,
+        ``((x0 - c0)^2 + (x1 - c1)^2) + ...``, which is what
+        ``np.linalg.norm(self.coordinates - center, axis=1)`` computes, bit
+        for bit, without the ``(node_count, N)`` coordinate table.
+        """
+        dim = self.dimension
+        total = None
+        for axis, (x, c) in enumerate(zip(self.axes, center, strict=True)):
+            t = x.reshape((-1,) + (1,) * (dim - 1 - axis)) - float(c)
+            total = t * t if total is None else total + t * t
+        return np.sqrt(total, out=total).ravel()
 
     @cached_property
     def boundary_mask(self) -> np.ndarray:

@@ -380,7 +380,7 @@ def density(region: Region, level: GridLevel) -> GridFunction:
         s = (region.threshold - x) if region.side == "below" else (x - region.threshold)
         values = _cap_fraction(s / eta, dim)
     elif isinstance(region, Ball):
-        dist = np.linalg.norm(level.coordinates - np.asarray(region.center), axis=1)
+        dist = level.distance(region.center)
         values = _ball_overlap_fraction(dist, eta, region.radius, dim)
     elif isinstance(region, Box):
         values = _box_fraction(level, region, eta)

@@ -255,10 +255,8 @@ def coarse_values(net: Net) -> np.ndarray:
         step = round(math.log2(coarse.h / lvl.h))
         if step < 0 or abs(coarse.h - lvl.h * 2**step) > 1e-12 * coarse.h:
             raise ValueError("net levels are not dyadically nested")
-        factor = 2**step
-        multi = np.unravel_index(np.arange(coarse.node_count), coarse.shape)
-        fine_flat = np.ravel_multi_index(tuple(m * factor for m in multi), lvl.shape)
-        columns.append(u.values[fine_flat])
+        # the coarse nodes are every 2**step-th fine node along each axis
+        columns.append(u.grid_values[(slice(None, None, 2**step),) * lvl.dimension].ravel())
     return np.stack(columns)
 
 

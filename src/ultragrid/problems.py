@@ -39,7 +39,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .calculus import GridFunction, Stencil, diff_op, standard_battery
+from .calculus import GridFunction, Stencil, diff_op
 from .elements import apply_axes, apply_axis, gauss_interp, p1_matrices
 from .grid import Domain, GridLevel, NodeSet
 from .measure import NodeMask, perimeter
@@ -199,7 +199,6 @@ def sawtooth_spec() -> ProblemSpec:
         initial_guesses=initial_guesses,
         random_start=random_start,
         lower_bound=0.0,
-        battery=standard_battery(domain),
     )
 
 
@@ -240,28 +239,12 @@ def _check_bubble(init: BubbleInitializer, domain: Domain) -> None:
             raise ValueError("bubble support exceeds the domain box")
 
 
-def _distance(level: GridLevel, center: Sequence[float]) -> np.ndarray:
-    """``|x - center|`` at every node of ``level``, flat in C order.
-
-    The squares are broadcast from ``level.axes`` and summed in axis order,
-    ``((x0 - c0)^2 + (x1 - c1)^2) + ...``, which is what
-    ``np.linalg.norm(level.coordinates - center, axis=1)`` computes, bit for
-    bit, without the ``(node_count, N)`` coordinate table.
-    """
-    dim = level.dimension
-    total = None
-    for axis, (x, c) in enumerate(zip(level.axes, center, strict=True)):
-        t = x.reshape((-1,) + (1,) * (dim - 1 - axis)) - float(c)
-        total = t * t if total is None else total + t * t
-    return np.sqrt(total, out=total).ravel()
-
-
 def bubble(init: BubbleInitializer, level: GridLevel) -> GridFunction:
     """Sample the cutoff profile at the nodes of ``level``."""
     _check_bubble(init, level.domain)
     dim = level.dimension
     support = init.delta * init.theta
-    r = _distance(level, init.center)
+    r = level.distance(init.center)
     power = (dim - 2) / 2.0
     u_eps = init.epsilon**-power * (1.0 + (r / init.epsilon) ** 2) ** -power
     edge = (
@@ -324,6 +307,11 @@ def _dirichlet_eigenpairs(m: int, h: float) -> tuple[np.ndarray, np.ndarray]:
     return np.sin(np.outer(k, theta)) / norm, lam
 
 
+class BoundaryDataError(ValueError):
+    """Dirichlet data a level cannot take: singular-study data that vanishes
+    at a boundary node, or quotient data that fixes every node of a level."""
+
+
 class _QuotientObjective(LevelObjective):
     """Exact multilinear-interpolant Sobolev quotient on one level.
 
@@ -379,6 +367,9 @@ class _QuotientObjective(LevelObjective):
     """
 
     def __init__(self, level: GridLevel, well: Optional[QuadraticWell]) -> None:
+        if min(level.shape) < 3:
+            # every start would pin to zero, and the quotient would be 0 / 0
+            raise BoundaryDataError(f"level {level.n} has no interior node")
         super().__init__(level)
         dim = level.dimension
         self.p = 2.0 * dim / (dim - 2)  # critical exponent
@@ -540,7 +531,7 @@ def concentration_metric(u: GridFunction, x_m: Sequence[float], r: float) -> flo
     total = float(mass.sum())
     if total == 0.0:
         return 0.0
-    dist = _distance(u.level, x_m)
+    dist = u.level.distance(x_m)
     return float(mass[dist <= r].sum() / total)
 
 
@@ -614,7 +605,6 @@ def sign_perturbed_spec(
         build=build,
         initial_guesses=initial_guesses,
         lower_bound=lower,
-        battery=standard_battery(domain),
         diagnostics=diagnostics,
     )
 
@@ -749,10 +739,6 @@ class _SingularObjective(LevelObjective):
         return bool(np.all(u_new[free] * u_old[free] > 0.0))
 
 
-class BoundaryDataError(ValueError):
-    """Dirichlet data of the singular study that vanishes at a boundary node."""
-
-
 def singular_spec(
     g: Optional[Callable] = None,
     domain: Optional[Domain] = None,
@@ -821,7 +807,6 @@ def singular_spec(
         domain=domain,
         build=build,
         initial_guesses=initial_guesses,
-        battery=standard_battery(domain),
         diagnostics=diagnostics,
         monotone_values=False,
     )

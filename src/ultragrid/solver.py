@@ -24,7 +24,7 @@ import numpy as np
 # from it, so it is loaded with the package rather than inside a request
 import numpy.random  # noqa: F401
 
-from .calculus import GridFunction, TestFunction, inner, norm, restrict
+from .calculus import GridFunction, inner, norm, restrict, standard_battery
 from .grid import Domain, GridLevel, NodeSet, build_level
 from .nets import (
     Classification,
@@ -125,7 +125,9 @@ class LevelObjective:
 
 @dataclass(frozen=True)
 class ProblemSpec:
-    """A variational problem: objective factory plus initialization policy."""
+    """A variational problem: objective factory plus initialization policy.
+    Its results pair with ``standard_battery(domain)`` in :func:`split`
+    and :func:`verify_euler_lagrange`."""
 
     name: str
     domain: Domain
@@ -133,7 +135,6 @@ class ProblemSpec:
     initial_guesses: Callable[[GridLevel, np.random.Generator, Optional[np.ndarray]], list]
     random_start: Optional[Callable[[GridLevel, np.random.Generator], np.ndarray]] = None
     lower_bound: Optional[float] = None
-    battery: tuple[TestFunction, ...] = ()
     diagnostics: Optional[Callable[[LevelObjective, np.ndarray], dict]] = None
     #: Whether per-level values minimize one nested family of energies, so
     #: that warm-started values must be non-increasing.  Problems whose
@@ -384,11 +385,7 @@ class Splitting:
     pairings: tuple[PairingReport, ...]
 
 
-def split(
-    solutions: SolutionNet | Net,
-    battery: tuple[TestFunction, ...] | None = None,
-    **classify_kwargs,
-) -> Splitting:
+def split(solutions: SolutionNet | Net, **classify_kwargs) -> Splitting:
     """Split a minimizer net into its standard part and remainders.
 
     ``w`` and the singular set come from the pointwise standard part; a node
@@ -396,14 +393,11 @@ def split(
     magnitude beyond ``SINGULAR_SCALE * h**-SINGULAR_EXPONENT`` (the
     finite-level blow-up criterion).  ``psi_n = u_n - interp(w)`` with dyadic
     linear interpolation, so the reconstruction is exact at coarse nodes.
+    Each ``psi_n`` is paired with every function of
+    ``standard_battery`` of the net's domain, a solved net and a bare
+    :class:`Net` alike, and each pairing net is classified.
     """
-    if isinstance(solutions, SolutionNet):
-        u_net = solutions.minimizer_net()
-        if battery is None:
-            battery = solutions.problem.battery
-    else:
-        u_net = solutions
-    battery = battery or ()
+    u_net = solutions.minimizer_net() if isinstance(solutions, SolutionNet) else solutions
 
     w, singular = pointwise_standard_part(u_net, **classify_kwargs)
     coarse = w.level
@@ -433,10 +427,10 @@ def split(
     psi_net = Net(tuple(psi_entries))
 
     pairings = []
-    for j, phi in enumerate(battery):
+    for j, phi in enumerate(standard_battery(coarse.domain)):
         vals = []
         for _n, psi in psi_net.entries:
-            phi_grid = restrict(phi.fn, psi.level)
+            phi_grid = restrict(phi, psi.level)
             vals.append(inner(psi, phi_grid))
         number_net = Net(tuple(zip(psi_net.levels, vals)))
         pairings.append(
@@ -469,7 +463,8 @@ def verify_euler_lagrange(problem: ProblemSpec, result: MinResult) -> ELReport:
 
     The strong-form residual is the Riesz residual ``grad / d`` (for the
     singular study, ``-lap u + W'(u)``), evaluated at free nodes only.  Weak
-    residuals pair the gradient with the battery.
+    residuals pair the gradient at free nodes with each function of
+    ``standard_battery`` of the level's domain.
     """
     obj = problem.build(result.level)
     free = obj.free_mask
@@ -481,8 +476,8 @@ def verify_euler_lagrange(problem: ProblemSpec, result: MinResult) -> ELReport:
 
     g = np.where(free, g, 0.0)
     weak = []
-    for phi in problem.battery:
-        phi_grid = restrict(phi.fn, result.level)
+    for phi in standard_battery(result.level.domain):
+        phi_grid = restrict(phi, result.level)
         weak.append(float(g @ phi_grid.values))
     return ELReport(max_residual=max_res, l2_residual=l2_res, weak_residuals=tuple(weak))
 

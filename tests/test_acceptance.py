@@ -143,9 +143,9 @@ def test_acceptance_2_calculus_convergence(capsys):
         derr.append(np.max(np.abs(derivative(u).values[interior] - exact[interior])))
         qerr.append(abs(integral(GridFunction(level, np.sin(np.pi * x))) - 2 / np.pi))
         heav = GridFunction(level, (x >= 0.5).astype(float))
-        phi_g = restrict(phi.fn, level)
+        phi_g = restrict(phi, level)
         pairing = float((derivative(heav, 0).values * phi_g.values) @ level.weights)
-        herr.append(abs(pairing - float(phi.fn(0.5))))
+        herr.append(abs(pairing - float(phi(0.5))))
         hs.append(level.h)
     d_order = _fit_order(hs, derr)
     q_order = _fit_order(hs, qerr)

@@ -194,7 +194,7 @@ def test_derivative_kernel_dimension_is_one():
 def test_bump_is_smooth_compact_and_positive():
     phi = bump((0.5,), 0.25)
     level = build_level(DOM1, 6)
-    g = restrict(phi.fn, level)
+    g = restrict(phi, level)
     x = level.coordinates[:, 0]
     assert np.all(g.values[np.abs(x - 0.5) >= 0.25] == 0.0)
     assert g.values[np.argmin(np.abs(x - 0.5))] == pytest.approx(1.0)
@@ -205,7 +205,7 @@ def test_standard_battery_inside_domain():
     battery = standard_battery(DOM2)
     level = build_level(DOM2, 5)
     for phi in battery:
-        g = restrict(phi.fn, level)
+        g = restrict(phi, level)
         assert np.all(g.values[level.boundary_mask] == 0.0)
         assert norm(g) > 0.0
 

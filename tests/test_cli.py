@@ -323,6 +323,47 @@ def test_calculus_check_three_levels_exits_2(tmp_path, capsys):
     assert main(["calculus-check", "--config", cfg]) == 2
 
 
+@pytest.mark.parametrize("levels", ["0..3", "1..8"])
+def test_calculus_check_below_level_three_exits_2_before_checking(
+    tmp_path, capsys, monkeypatch, levels
+):
+    # below level 3 the fits fail on correct code (1..8 fits the Heaviside
+    # pairing order at ~0.51, and level 0 has no interior node), so the
+    # range is a config error, found before any check runs
+    def no_check(*args, **kwargs):
+        raise AssertionError("a level was checked before the range was checked")
+
+    monkeypatch.setattr(cli, "diff_op", no_check)
+    monkeypatch.setattr(cli, "derivative", no_check)
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main(["calculus-check", "--levels", levels, "--out", str(out)]) == 2
+    assert "from level 3 up" in capsys.readouterr().err
+    assert not any(out.iterdir())
+
+
+def test_sign_perturbed_level_without_interior_exits_2_before_solving(
+    tmp_path, capsys, monkeypatch
+):
+    # level 0 of the unit cube has no interior node: every start pins to
+    # zero and the quotient is 0 / 0, so the range is bad data, found when
+    # the level's objective is built, before any optimizer runs
+    def no_run(*args, **kwargs):
+        raise AssertionError("a level was solved before its interior was checked")
+
+    monkeypatch.setattr(solver, "_run_optimizer", no_run)
+    cfg = write_config(tmp_path, {"problem": "sign_perturbed", "levels": "0..2"})
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 2
+    assert "config error: level 0 has no interior node" in capsys.readouterr().err
+    assert not any(out.iterdir())
+
+    monkeypatch.undo()
+    cfg = write_config(tmp_path, {"problem": "sign_perturbed", "levels": "1..3"})
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
+
+
 @pytest.mark.parametrize("payload, message", [
     ({"seed": -1}, "seed must be an integer >= 0"),
     ({"seed": "3"}, "seed must be an integer >= 0"),

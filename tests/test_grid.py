@@ -99,6 +99,21 @@ def test_levels_are_values():
     assert a != build_level(Domain(((0.0, 1.0), (0.0, 1.0))), 4)
 
 
+@pytest.mark.parametrize("bounds, center", [
+    (((0.0, 1.0),), (0.3,)),
+    (((-1.0, 2.0),), (0.5,)),
+    (((0.0, 1.0), (0.0, 1.0)), (0.4, 0.6)),
+    (((0.0, 2.0), (-1.0, 0.0)), (0.7, -0.2)),
+])
+@pytest.mark.parametrize("n", [0, 3, 6])
+def test_distance_bit_identical_to_coordinate_norm(bounds, center, n):
+    # the 1D and 2D cases of the radius broadcast from the axes; 3D and 4D
+    # are checked with the quotient's starts in test_problems
+    level = build_level(Domain(bounds), n)
+    dist = np.linalg.norm(level.coordinates - np.asarray(center), axis=1)
+    np.testing.assert_array_equal(level.distance(center), dist)
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     indices=st.lists(st.integers(-3, 30), max_size=40),

@@ -554,7 +554,7 @@ def test_radius_from_axes_bit_identical_to_coordinate_norm(dim, n):
         init = BubbleInitializer(center, scale * level.h, delta=0.15)
         np.testing.assert_array_equal(start, _former_bubble(init, level))
     dist = np.linalg.norm(level.coordinates - np.asarray(center), axis=1)
-    np.testing.assert_array_equal(problems._distance(level, center), dist)
+    np.testing.assert_array_equal(level.distance(center), dist)
     mass = np.abs(u.values) ** (2.0 * dim / (dim - 2)) * level.weights
     assert measured == float(mass[dist <= 0.2].sum() / float(mass.sum()))
 

@@ -19,6 +19,7 @@ from ultragrid import (
     build_level,
     check_gradient,
     classify,
+    inner,
     minimize_level,
     prolong,
     restrict,
@@ -54,7 +55,6 @@ def quadratic_problem():
         build=_Quadratic,
         initial_guesses=lambda level, rng, warm: [np.zeros(level.node_count)],
         lower_bound=0.0,
-        battery=standard_battery(DOM1),
     )
 
 
@@ -230,6 +230,23 @@ def test_split_constant_net_keeps_value():
     sp = split(net)
     assert len(sp.singular) == 0
     assert np.allclose(sp.w.values, fns[0].values, atol=1e-12)
+
+
+def test_split_pairs_against_the_standard_battery_of_the_domain():
+    # a solved net and a bare Net alike get three pairings, one per function
+    # of standard_battery of the net's domain
+    net = solve_net(quadratic_problem(), levels=range(3, 6))
+    dom = Domain(((0.0, 2.0),))
+    levels = [build_level(dom, n) for n in (3, 4, 5)]
+    bare = Net(tuple((lvl.n, restrict(lambda x: np.sin(3 * x) + x, lvl)) for lvl in levels))
+    for solutions, domain in ((net, DOM1), (net.minimizer_net(), DOM1), (bare, dom)):
+        sp = split(solutions)
+        battery = standard_battery(domain)
+        assert [rep.test_index for rep in sp.pairings] == [0, 1, 2]
+        for rep, phi in zip(sp.pairings, battery, strict=True):
+            assert rep.values == tuple(
+                inner(psi, restrict(phi, psi.level)) for _n, psi in sp.psi.entries
+            )
 
 
 def test_pairings_of_vanishing_remainder():
