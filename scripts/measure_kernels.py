@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Time the measure kernels and the SBP derivative and trace their memory.
+"""Time the measure kernels, the SBP derivative and ``restrict`` and trace
+their memory.
 
 Usage, from the root of a checkout::
 
@@ -11,7 +12,9 @@ For each dimension 1 and 2 and each level this draws one random half-filled
 the level's SBP derivative ``D`` and then ``D^T`` applied along axis 0 to
 ``phi``'s first component, each ``--repeats`` times after one warm-up call.  Then it runs ``density`` of
 one fixed 3D box (``box_density``, its sampled path) the same way at 3D
-levels 2..4, whatever ``--levels`` says.  Prints per kernel the median and
+levels 2..4, whatever ``--levels`` says, and ``restrict`` of the first bump
+of the standard battery at 3D levels 3..6, each call on a freshly built level
+(so nothing a level caches is reused).  Prints per kernel the median and
 the quartiles in milliseconds, and the traced peak of one more call above
 its entry in node vectors (``tracemalloc`` bytes over 8 bytes per node),
 taken apart from the timed calls.
@@ -38,6 +41,8 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
 
 #: The 3D levels of the box density rows.
 BOX_LEVELS = range(2, 5)
+#: The 3D levels of the restrict rows.
+RESTRICT_LEVELS = range(3, 7)
 
 
 def _levels(text: str) -> range:
@@ -96,6 +101,8 @@ def main(argv=None) -> int:
         gauss_check,
         measure,
         perimeter,
+        restrict,
+        standard_battery,
     )
 
     print(f"ultragrid from {pathlib.Path(measure.__file__).parent}")
@@ -126,6 +133,11 @@ def main(argv=None) -> int:
     for n in BOX_LEVELS:
         level = build_level(Domain(((0.0, 1.0),) * 3), n)
         _time(3, n, "box_density", lambda: density(box, level), level.node_count, args.repeats)
+    cube = Domain(((0.0, 1.0),) * 3)
+    bump = standard_battery(cube)[0]
+    for n in RESTRICT_LEVELS:
+        count = build_level(cube, n).node_count
+        _time(3, n, "restrict", lambda: restrict(bump, build_level(cube, n)), count, args.repeats)
     return 0
 
 

@@ -15,7 +15,6 @@ from .grid import (
     GridLevel,
     NodeSet,
     ResourceLimitError,
-    boundary_nodes,
     build_level,
     monad_neighbors,
 )
@@ -36,7 +35,6 @@ from .calculus import (
     laplacian,
     norm,
     restrict,
-    sigma,
     standard_battery,
 )
 from .measure import (
@@ -57,7 +55,6 @@ from .nets import (
     Net,
     classify,
     coarse_values,
-    is_infinitesimal,
     pointwise_standard_part,
 )
 from .solver import (

@@ -40,7 +40,6 @@ __all__ = [
     "TestFunction",
     "restrict",
     "integral",
-    "sigma",
     "inner",
     "norm",
     "diff_op",
@@ -86,20 +85,21 @@ class GridFunction:
 def restrict(f: Callable[..., float | np.ndarray], level: GridLevel) -> GridFunction:
     """Sample ``f`` at the nodes.
 
-    ``f`` is called once, with one coordinate array per axis (vectorized): a
-    scalar-only ``f`` such as ``math.sin`` raises ``TypeError``.  A scalar
-    result is broadcast to every node.  A function defined on a subset
-    extends by zero inside ``f``, e.g. with ``np.where``.
+    ``f`` is called once, on the open mesh ``np.ix_(*level.axes)``: one
+    coordinate array per axis, laid along that axis, so the arrays broadcast
+    against each other to the lattice shape (a vectorized, elementwise ``f``
+    needs nothing more; a scalar-only ``f`` such as ``math.sin`` raises
+    ``TypeError``).  A result of lower shape, a scalar included, is
+    broadcast to every node.  A function defined on a subset extends by zero
+    inside ``f``, e.g. with ``np.where``.
     """
-    coords = level.coordinates
-    sampled = np.asarray(f(*(coords[:, i] for i in range(level.dimension))), dtype=float)
-    values = np.empty(level.node_count)
-    values[:] = np.broadcast_to(sampled, values.shape)
+    sampled = np.asarray(f(*np.ix_(*level.axes)), dtype=float)
+    values = np.broadcast_to(sampled, level.shape).copy().ravel()
     if not np.all(np.isfinite(values)):
         bad = int(np.flatnonzero(~np.isfinite(values))[0])
         raise ValueError(
             f"function returned a non-finite value at node {bad} "
-            f"(coordinates {tuple(coords[bad])})"
+            f"(coordinates {tuple(level.coordinates_of(bad))})"
         )
     return GridFunction(level, values)
 
@@ -112,15 +112,6 @@ def integral(u: GridFunction, over: NodeSet | None = None) -> float:
         raise ValueError("node set belongs to a different level")
     idx = over.indices
     return float(u.values[idx] @ u.level.weights[idx])
-
-
-def sigma(level: GridLevel, a: int) -> GridFunction:
-    """Nodal indicator: 1 at node ``a``, 0 elsewhere."""
-    if not 0 <= a < level.node_count:
-        raise ValueError(f"node index {a} out of range")
-    values = np.zeros(level.node_count)
-    values[a] = 1.0
-    return GridFunction(level, values)
 
 
 def inner(u: GridFunction, v: GridFunction) -> float:

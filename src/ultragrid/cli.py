@@ -400,7 +400,7 @@ def cmd_solve(config: dict, out: pathlib.Path) -> int:
         "classification": {
             "value_net": value_class.as_dict(),
             "singular_nodes": singular.tolist(),
-            "singular_coordinates": splitting.w.level.coordinates[singular].tolist(),
+            "singular_coordinates": splitting.w.level.coordinates_of(singular).tolist(),
             "pairings": [
                 {
                     "test_index": rep.test_index,
@@ -536,7 +536,7 @@ def _check_orders(chain: Sequence[GridLevel]):
     """Fitted derivative / quadrature / Heaviside-pairing orders in 1D."""
     hs, derr, qerr, herr = [], [], [], []
     for level in chain:
-        x = level.coordinates[:, 0]
+        (x,) = level.axes
         u = GridFunction(level, np.sin(2.0 * np.pi * x))
         du = derivative(u, 0)
         exact = 2.0 * np.pi * np.cos(2.0 * np.pi * x)

@@ -28,7 +28,6 @@ __all__ = [
     "NodeSet",
     "ResourceLimitError",
     "build_level",
-    "boundary_nodes",
     "monad_neighbors",
 ]
 
@@ -94,7 +93,9 @@ class GridLevel:
     """The uniform lattice over ``domain`` at refinement level ``n``.
 
     Nodes form the tensor product of per-axis coordinates including both box
-    faces.  Flat node indices are C-ordered (last axis fastest).
+    faces.  Flat node indices are C-ordered (last axis fastest).  Functions
+    of the nodes are evaluated on the open mesh ``np.ix_(*axes)``, which
+    broadcasts to the lattice shape.
 
     A level is a value: levels built from the same ``(domain, n)`` are equal
     and hash alike, so they can be mixed freely and used as cache keys.
@@ -139,25 +140,21 @@ class GridLevel:
             grid = np.multiply.outer(grid, w)
         return np.ascontiguousarray(grid).ravel()
 
-    @cached_property
-    def coordinates(self) -> np.ndarray:
-        """Flat ``(node_count, N)`` array of node coordinates."""
-        mesh = np.meshgrid(*self.axes, indexing="ij")
-        return np.stack([m.ravel() for m in mesh], axis=-1)
+    def coordinates_of(self, nodes) -> np.ndarray:
+        """Coordinates of the flat node indices ``nodes``: ``(k, N)`` for
+        ``k`` indices, ``(N,)`` for one."""
+        multi = np.unravel_index(nodes, self.shape)
+        return np.stack([x[i] for x, i in zip(self.axes, multi)], axis=-1)
 
     def distance(self, center: Sequence[float]) -> np.ndarray:
         """``|x - center|`` at every node, flat in C order.
 
-        The squares are broadcast from :attr:`axes` and summed in axis order,
-        ``((x0 - c0)^2 + (x1 - c1)^2) + ...``, which is what
-        ``np.linalg.norm(self.coordinates - center, axis=1)`` computes, bit
-        for bit, without the ``(node_count, N)`` coordinate table.
+        The squares are taken on the open mesh ``np.ix_(*axes)`` and summed
+        in axis order, ``((x0 - c0)^2 + (x1 - c1)^2) + ...``: bit for bit the
+        row norms of the node coordinates, without building them.
         """
-        dim = self.dimension
-        total = None
-        for axis, (x, c) in enumerate(zip(self.axes, center, strict=True)):
-            t = x.reshape((-1,) + (1,) * (dim - 1 - axis)) - float(c)
-            total = t * t if total is None else total + t * t
+        mesh = np.ix_(*self.axes)
+        total = sum((x - float(c)) ** 2 for x, c in zip(mesh, center, strict=True))
         return np.sqrt(total, out=total).ravel()
 
     @cached_property
@@ -228,11 +225,6 @@ def build_level(domain: Domain, n: int, node_cap: int = DEFAULT_NODE_CAP) -> Gri
             f"level {n} requires {count} nodes, exceeding the cap of {node_cap}"
         )
     return GridLevel(domain=domain, n=n, h=h, shape=tuple(shape))
-
-
-def boundary_nodes(level: GridLevel) -> NodeSet:
-    """Nodes lying on the boundary of the domain box."""
-    return NodeSet(level, np.flatnonzero(level.boundary_mask))
 
 
 def monad_neighbors(level: GridLevel, node: int) -> NodeSet:

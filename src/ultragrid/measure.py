@@ -240,27 +240,27 @@ def _ball_overlap_fraction(dist: np.ndarray, eta: float, radius: float, dim: int
 
 
 def _box_fraction(level: GridLevel, box: Box, eta: float) -> np.ndarray:
-    coords = level.coordinates
     dim = level.dimension
     if dim == 1:
         a, b = box.bounds[0]
-        x = coords[:, 0]
+        (x,) = level.axes
         lo = np.maximum(x - eta, a)
         hi = np.minimum(x + eta, b)
         return np.clip(hi - lo, 0.0, 2.0 * eta) / (2.0 * eta)
     if dim == 2:
         (a1, b1), (a2, b2) = box.bounds
-        A1 = (a1 - coords[:, 0]) / eta
-        B1 = (b1 - coords[:, 0]) / eta
-        A2 = (a2 - coords[:, 1]) / eta
-        B2 = (b2 - coords[:, 1]) / eta
+        x1, x2 = np.ix_(*level.axes)
+        A1 = (a1 - x1) / eta
+        B1 = (b1 - x1) / eta
+        A2 = (a2 - x2) / eta
+        B2 = (b2 - x2) / eta
         area = (
             _disk_quadrant(B1, B2)
             - _disk_quadrant(A1, B2)
             - _disk_quadrant(B1, A2)
             + _disk_quadrant(A1, A2)
         )
-        return area / np.pi
+        return (area / np.pi).ravel()
     return _sampled_box_fraction(level, box, eta)  # 3D boxes
 
 
@@ -376,9 +376,9 @@ def density(region: Region, level: GridLevel) -> GridFunction:
     dim = level.dimension
 
     if isinstance(region, HalfSpace):
-        x = level.coordinates[:, region.axis]
+        x = np.ix_(*level.axes)[region.axis]
         s = (region.threshold - x) if region.side == "below" else (x - region.threshold)
-        values = _cap_fraction(s / eta, dim)
+        values = np.broadcast_to(_cap_fraction(s / eta, dim), level.shape).copy().ravel()
     elif isinstance(region, Ball):
         dist = level.distance(region.center)
         values = _ball_overlap_fraction(dist, eta, region.radius, dim)

@@ -46,7 +46,6 @@ __all__ = [
     "Classification",
     "Net",
     "classify",
-    "is_infinitesimal",
     "coarse_values",
     "pointwise_standard_part",
 ]
@@ -230,12 +229,6 @@ def classify(
     xs = np.array([float(p) for p in net.payloads])
     hs = np.array(net.spacings())
     return _classify_values(xs, hs, rtol, atol, kappa)
-
-
-def is_infinitesimal(net: Net, **kwargs) -> bool:
-    """True iff the net classifies as ``Standard(0)``."""
-    c = classify(net, **kwargs)
-    return c.kind is Kind.STANDARD and c.value == 0.0
 
 
 def coarse_values(net: Net) -> np.ndarray:

@@ -271,16 +271,17 @@ class QuadraticWell:
     strength: float = 50.0
 
     def __post_init__(self) -> None:
-        if not all(_is_real(v) and math.isfinite(v) for v in (*self.center, self.strength)):
+        if not all(map(_is_real, (*self.center, self.strength))):
             raise ValueError(f"the well needs a finite center and strength, got {self!r}")
         object.__setattr__(self, "center", tuple(float(c) for c in self.center))
         object.__setattr__(self, "strength", float(self.strength))
 
 
 def _is_real(value) -> bool:
-    """Whether ``value`` is a real number.  A bool or a str is not, though
-    ``float`` takes both (a config's ``true`` or ``"500"``)."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+    """Whether ``value`` is a finite real number.  A bool or a str is not,
+    though ``float`` takes both (a config's ``true`` or ``"500"``), and
+    neither is the ``NaN`` or ``Infinity`` a JSON config can hold."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
 
 
 #: The most columns of a cell's Gauss rows that the pointwise steps of a
@@ -766,10 +767,8 @@ def singular_spec(
             return np.where(np.asarray(coords[0]) <= mid, 1.0, -1.0)
 
     def _boundary_values(level: GridLevel) -> np.ndarray:
-        coords = level.coordinates
-        vals = np.asarray(
-            g(*[coords[:, i] for i in range(level.dimension)]), dtype=float
-        )
+        vals = np.asarray(g(*np.ix_(*level.axes)), dtype=float)
+        vals = np.broadcast_to(vals, level.shape).ravel()
         on_boundary = level.boundary_mask
         zero = on_boundary & (vals == 0.0)
         if zero.any():
@@ -789,10 +788,10 @@ def singular_spec(
         ``+init_floor`` left of the midline and ``-init_floor`` right of it
         there.
         """
-        u = build(level).harmonic_extension()
-        x0 = level.coordinates[:, 0]
+        u = build(level).harmonic_extension().reshape(level.shape)
+        x0 = np.ix_(*level.axes)[0]
         sign = np.where(u > 0, 1.0, np.where(u < 0, -1.0, np.where(x0 <= mid, 1.0, -1.0)))
-        return [sign * np.maximum(np.abs(u), init_floor)]
+        return [(sign * np.maximum(np.abs(u), init_floor)).ravel()]
 
     def diagnostics(obj: LevelObjective, u: np.ndarray) -> dict:
         free = obj.free_mask
@@ -873,7 +872,7 @@ def extract_interface(
     xi_idx = np.flatnonzero(xi)
     xi_dist = None
     if reference_distance is not None and xi_idx.size:
-        xi_dist = float(np.max(reference_distance(level.coordinates[xi_idx])))
+        xi_dist = float(np.max(reference_distance(level.coordinates_of(xi_idx))))
     return InterfaceDecomposition(
         omega1=NodeSet(level, np.flatnonzero(omega1)),
         omega2=NodeSet(level, np.flatnonzero(omega2)),

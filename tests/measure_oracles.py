@@ -2,7 +2,10 @@
 
 ``measure`` counts the sampling rule of 3D boxes and node masks from one
 prefix-summed table; ``sampled_fraction`` evaluates a region's indicator at
-every sample point, as the rule was first written.  ``measure`` builds
+every sample point, as the rule was first written.  ``measure`` takes the
+closed forms of half-spaces and 1D/2D boxes on the open mesh of the level's
+axes; ``closed_form_density`` takes them on the columns of the coordinate
+table, as they were first written.  ``measure`` builds
 ``|D theta|``, the outward normals and the Gauss flux in place, row by row;
 the rest are the stacked-array formulas it replaced.  The tests compare the
 two bit for bit, signed zeros included.
@@ -11,9 +14,19 @@ two bit for bit, signed zeros included.
 from functools import lru_cache
 
 import numpy as np
+from grid_oracles import coordinate_table
 
 from ultragrid.calculus import diff_op, divergence
-from ultragrid.measure import SAMPLES_PER_AXIS, Ball, Box, HalfSpace, NodeMask, density
+from ultragrid.measure import (
+    SAMPLES_PER_AXIS,
+    Ball,
+    Box,
+    HalfSpace,
+    NodeMask,
+    _cap_fraction,
+    _disk_quadrant,
+    density,
+)
 
 
 @lru_cache(maxsize=None)
@@ -58,13 +71,40 @@ def sampled_fraction(region, level, nodes=slice(None)):
     """Mean of ``indicator`` over the unit-ball samples of radius ``h`` at
     ``nodes``, taken in chunks of about ``2**18`` sample points."""
     offsets = unit_ball_samples(level.dimension) * level.h
-    coords = level.coordinates[nodes]
+    coords = coordinate_table(level)[nodes]
     out = np.empty(len(coords))
     chunk = max(1, (1 << 18) // len(offsets))
     for start in range(0, len(coords), chunk):
         pts = coords[start:start + chunk, None] + offsets
         out[start:start + chunk] = indicator(region, pts).mean(axis=1)
     return out
+
+
+def closed_form_density(region, level):
+    """``density`` of a half-space or a 1D/2D box, evaluated on the columns
+    of the former coordinate table, as it once was."""
+    coords = coordinate_table(level)
+    eta, dim = level.h, level.dimension
+    if isinstance(region, HalfSpace):
+        x = coords[:, region.axis]
+        s = (region.threshold - x) if region.side == "below" else (x - region.threshold)
+        values = _cap_fraction(s / eta, dim)
+    elif dim == 1:
+        ((a, b),) = region.bounds
+        x = coords[:, 0]
+        lo = np.maximum(x - eta, a)
+        hi = np.minimum(x + eta, b)
+        values = np.clip(hi - lo, 0.0, 2.0 * eta) / (2.0 * eta)
+    else:
+        (a1, b1), (a2, b2) = region.bounds
+        A1, B1 = (a1 - coords[:, 0]) / eta, (b1 - coords[:, 0]) / eta
+        A2, B2 = (a2 - coords[:, 1]) / eta, (b2 - coords[:, 1]) / eta
+        area = (
+            _disk_quadrant(B1, B2) - _disk_quadrant(A1, B2)
+            - _disk_quadrant(B1, A2) + _disk_quadrant(A1, A2)
+        )
+        values = area / np.pi
+    return np.clip(values, 0.0, 1.0)
 
 
 def _stack_and_magnitude(comps):

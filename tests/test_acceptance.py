@@ -12,6 +12,7 @@ import warnings
 
 import numpy as np
 import pytest
+from grid_oracles import coordinate_table
 
 from ultragrid import (
     Ball,
@@ -136,7 +137,7 @@ def test_acceptance_2_calculus_convergence(capsys):
     phi = bump((0.3,), 0.25)
     for n in range(3, 9):
         level = build_level(domain, n)
-        x = level.coordinates[:, 0]
+        x = coordinate_table(level)[:, 0]
         u = GridFunction(level, np.sin(2 * np.pi * x))
         exact = 2 * np.pi * np.cos(2 * np.pi * x)
         interior = ~level.boundary_mask
@@ -356,10 +357,10 @@ def test_acceptance_7_splitting_fidelity(capsys):
     net = Net(tuple((lvl.n, f) for lvl, f in zip(levels, fns)))
     w, singular = pointwise_standard_part(net)
     coarse = levels[0]
-    coords = coarse.coordinates[singular.indices][:, 0]
+    coords = coordinate_table(coarse)[singular.indices][:, 0]
     if coords.tolist() != [0.0]:
         failures.append(f"singular set {coords.tolist()} != [0.0]")
-    x = coarse.coordinates[:, 0]
+    x = coordinate_table(coarse)[:, 0]
     off = np.abs(x) >= 0.1
     err = float(np.max(np.abs(w.values[off] - 2 * np.log(np.abs(x[off])))))
     if err > 0.05:

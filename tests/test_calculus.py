@@ -2,11 +2,13 @@
 
 import gc
 import math
+import tracemalloc
 import weakref
 
 import csr_oracles as oracles
 import numpy as np
 import pytest
+from grid_oracles import coordinate_table
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -28,7 +30,6 @@ from ultragrid import (
     laplacian,
     norm,
     restrict,
-    sigma,
     standard_battery,
 )
 
@@ -47,14 +48,14 @@ def test_grid_function_rejects_non_finite():
 def test_restrict_vectorized_and_region():
     level = build_level(DOM1, 4)
     u = restrict(lambda x: x**2, level)
-    assert np.allclose(u.values, level.coordinates[:, 0] ** 2)
+    assert np.allclose(u.values, coordinate_table(level)[:, 0] ** 2)
     # a function on a region extends by zero inside f
     v = restrict(lambda x: np.where(x < 0.5, 1.0, 0.0), level)
     assert v.values[0] == 1.0 and v.values[-1] == 0.0
     assert np.all(restrict(lambda x: 2.0, level).values == 2.0)
     # f may hand back its coordinate array: the values are a fresh copy
     w = restrict(lambda x: x, level)
-    assert not np.shares_memory(w.values, level.coordinates)
+    assert not np.shares_memory(w.values, level.axes[0])
 
 
 def test_restrict_rejects_scalar_only_function():
@@ -68,6 +69,48 @@ def test_restrict_reports_non_finite_node():
     level = build_level(DOM1, 3)
     with pytest.raises(ValueError, match="node"):
         restrict(lambda x: np.where(x == 0.5, np.inf, 1.0), level)
+    # the message names the node's flat index and its coordinates
+    level = build_level(DOM2, 3)
+    with pytest.raises(ValueError) as info:
+        restrict(lambda x, y: np.where((x == 0.5) & (y == 0.25), np.nan, x * y), level)
+    bad = 4 * level.shape[1] + 2
+    assert str(info.value) == (
+        f"function returned a non-finite value at node {bad} "
+        f"(coordinates {tuple(coordinate_table(level)[bad])})"
+    )
+
+
+def _non_separable(*x):
+    return np.sin(3.0 * x[0] * x[-1]) * np.hypot(x[0], x[-1] - 0.3)
+
+
+@pytest.mark.parametrize("dim, n", [(1, 10), (2, 7), (3, 5), (3, 6)])
+def test_restrict_on_the_axes_is_the_coordinate_table_sample(dim, n):
+    # f is called on the open mesh of the axes; an elementwise f gives, bit
+    # for bit, its values on the columns of the former coordinate table
+    level = build_level(Domain(((0.0, 1.0),) * dim), n)
+    table = coordinate_table(level)
+    for f in (*standard_battery(level.domain), _non_separable):
+        np.testing.assert_array_equal(restrict(f, level).values, f(*table.T))
+
+
+def test_restrict_holds_no_node_table():
+    # at 3D level 6 the bump's sum of squares, its temporaries and the copy
+    # peak at ~4.1 node vectors (7.1 through the cached coordinate table,
+    # which then stayed on the level); afterwards only the result is held
+    level = build_level(Domain(((0.0, 1.0),) * 3), 6)
+    phi = standard_battery(level.domain)[0]
+    node_vector = 8 * level.node_count
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        u = restrict(phi, level)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - entry < 5 * node_vector
+    assert held - entry - u.values.nbytes < 0.1 * node_vector
+    assert not any(np.size(v) >= level.node_count for v in vars(level).values())
 
 
 def test_integral_is_trapezoid_exact_for_linear():
@@ -78,7 +121,7 @@ def test_integral_is_trapezoid_exact_for_linear():
 
 def test_sigma_and_inner():
     level = build_level(DOM1, 3)
-    s = sigma(level, 4)
+    s = GridFunction(level, np.arange(level.node_count) == 4)
     u = restrict(lambda x: x, level)
     # pairing with a nodal indicator extracts value times weight
     assert np.isclose(inner(u, s), u.values[4] * level.weights[4])
@@ -151,7 +194,7 @@ def test_derivative_second_order_interior():
     hs = []
     for n in (4, 5, 6, 7):
         level = build_level(DOM1, n)
-        x = level.coordinates[:, 0]
+        x = coordinate_table(level)[:, 0]
         u = GridFunction(level, np.sin(2 * np.pi * x))
         du = derivative(u).values
         exact = 2 * np.pi * np.cos(2 * np.pi * x)
@@ -195,7 +238,7 @@ def test_bump_is_smooth_compact_and_positive():
     phi = bump((0.5,), 0.25)
     level = build_level(DOM1, 6)
     g = restrict(phi, level)
-    x = level.coordinates[:, 0]
+    x = coordinate_table(level)[:, 0]
     assert np.all(g.values[np.abs(x - 0.5) >= 0.25] == 0.0)
     assert g.values[np.argmin(np.abs(x - 0.5))] == pytest.approx(1.0)
     assert np.all(g.values >= 0.0)

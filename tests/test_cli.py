@@ -428,6 +428,19 @@ def test_sign_perturbed_level_without_interior_exits_2_before_solving(
      "center, delta, theta and concentration_radius must be real"),
     ({"problem": "sign_perturbed", "params": {"theta": False}},
      "center, delta, theta and concentration_radius must be real"),
+    # json reads NaN and Infinity, which no parameter takes
+    ({"problem": "singular", "params": {"init_floor": float("inf")}},
+     "init_floor must be positive"),
+    ({"problem": "singular", "params": {"g_affine": [float("inf"), 0.0, 1.0]}},
+     "g_affine needs real coefficients"),
+    ({"problem": "sign_perturbed", "params": {"bubble_scales": [float("inf")]}},
+     "bubble_scales needs at least one scale, each real"),
+    ({"problem": "sign_perturbed", "params": {"center": [0.5, 0.5, float("nan")]}},
+     "center, delta, theta and concentration_radius must be real"),
+    ({"problem": "sign_perturbed", "params": {"delta": float("nan")}},
+     "center, delta, theta and concentration_radius must be real"),
+    ({"problem": "sign_perturbed", "params": {"theta": float("nan")}},
+     "center, delta, theta and concentration_radius must be real"),
 ])
 def test_bad_config_values_exit_2_before_solving(tmp_path, capsys, monkeypatch, payload, message):
     def no_solve(*args, **kwargs):
@@ -439,6 +452,22 @@ def test_bad_config_values_exit_2_before_solving(tmp_path, capsys, monkeypatch, 
     out.mkdir()
     assert main(["solve", "--config", cfg, "--out", str(out)]) == 2
     assert message in capsys.readouterr().err
+    assert not any(out.iterdir())
+
+
+def test_overflowing_number_exits_2_before_solving(tmp_path, capsys, monkeypatch):
+    # json reads 1e400 as inf
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a level was solved before the config was checked")
+
+    monkeypatch.setattr(solver, "minimize_level", no_solve)
+    cfg = tmp_path / "config.json"
+    cfg.write_text('{"problem": "singular", "levels": "4..5", "params": {"init_floor": 1e400}}',
+                   encoding="utf-8")
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "init_floor must be positive, got inf" in capsys.readouterr().err
     assert not any(out.iterdir())
 
 

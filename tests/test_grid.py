@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from grid_oracles import coordinate_table
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -10,7 +11,6 @@ from ultragrid import (
     GridLevel,
     NodeSet,
     ResourceLimitError,
-    boundary_nodes,
     build_level,
     monad_neighbors,
 )
@@ -44,8 +44,8 @@ def test_level_nesting_is_dyadic():
     coarse = build_level(dom, 3)
     fine = build_level(dom, 4)
     # every coarse node is a fine node
-    cset = {tuple(p) for p in np.round(fine.coordinates, 12)}
-    assert all(tuple(p) in cset for p in np.round(coarse.coordinates, 12))
+    cset = {tuple(p) for p in np.round(coordinate_table(fine), 12)}
+    assert all(tuple(p) in cset for p in np.round(coordinate_table(coarse), 12))
 
 
 def test_trapezoid_weights_sum_to_volume():
@@ -65,7 +65,7 @@ def test_node_cap():
 
 def test_boundary_nodes_1d():
     level = build_level(Domain(((0.0, 1.0),)), 3)
-    assert boundary_nodes(level).indices.tolist() == [0, level.node_count - 1]
+    assert np.flatnonzero(level.boundary_mask).tolist() == [0, level.node_count - 1]
 
 
 def test_monad_symmetry_and_membership():
@@ -110,8 +110,22 @@ def test_distance_bit_identical_to_coordinate_norm(bounds, center, n):
     # the 1D and 2D cases of the radius broadcast from the axes; 3D and 4D
     # are checked with the quotient's starts in test_problems
     level = build_level(Domain(bounds), n)
-    dist = np.linalg.norm(level.coordinates - np.asarray(center), axis=1)
+    dist = np.linalg.norm(coordinate_table(level) - np.asarray(center), axis=1)
     np.testing.assert_array_equal(level.distance(center), dist)
+
+
+@pytest.mark.parametrize("bounds", [
+    ((0.0, 1.0),),
+    ((0.0, 2.0), (-1.0, 0.0)),
+    ((0.0, 1.0), (0.0, 2.0), (-0.5, 0.5)),
+])
+def test_coordinates_of_nodes_are_rows_of_the_coordinate_table(bounds):
+    level = build_level(Domain(bounds), 3)
+    table = coordinate_table(level)
+    nodes = np.random.default_rng(5).integers(0, level.node_count, size=17)
+    np.testing.assert_array_equal(level.coordinates_of(nodes), table[nodes])
+    np.testing.assert_array_equal(level.coordinates_of(int(nodes[0])), table[nodes[0]])
+    assert level.coordinates_of(nodes[:0]).shape == (0, level.dimension)
 
 
 @settings(max_examples=200, deadline=None)

@@ -7,6 +7,7 @@ import csr_oracles as oracles
 import measure_oracles
 import numpy as np
 import pytest
+from grid_oracles import coordinate_table
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -46,7 +47,7 @@ def test_density_probe_values_1d_3d():
     for dom in (DOM1, DOM3):
         level = build_level(dom, 4)
         theta = density(HalfSpace(0, 0.5), level)
-        x = level.coordinates[:, 0]
+        x = coordinate_table(level)[:, 0]
         assert np.all(theta.values[x < 0.5 - level.h] == 1.0)
         assert np.all(theta.values[x > 0.5 + level.h] == 0.0)
         assert np.all(theta.values[np.isclose(x, 0.5)] == 0.5)
@@ -70,6 +71,27 @@ def test_box_closed_form_matches_sampling_2d():
     assert np.max(np.abs(exact - sampled)) < 0.05
 
 
+@pytest.mark.parametrize("region, dim", [
+    (HalfSpace(0, 0.5), 1),
+    (HalfSpace(0, 0.3, "above"), 2),
+    (HalfSpace(1, 0.625, "above"), 2),
+    (HalfSpace(0, 0.5), 3),
+    (HalfSpace(2, 0.41), 3),
+    (Box(((0.25, 0.61),)), 1),
+    (Box(((0.25, 0.75), (0.33, 0.84))), 2),
+    (Box(((0.22, 0.5), (0.0, 1.0))), 2),
+])
+@pytest.mark.parametrize("n", [2, 5])
+def test_closed_forms_on_the_axes_are_the_coordinate_table_ones(region, dim, n):
+    # on the open mesh of the axes, bit for bit as on the coordinate table,
+    # signed zeros included
+    level = build_level(Domain(((0.0, 1.0),) * dim), n)
+    got = density(region, level).values
+    expected = measure_oracles.closed_form_density(region, level)
+    np.testing.assert_array_equal(got, expected)
+    np.testing.assert_array_equal(np.signbit(got), np.signbit(expected))
+
+
 def test_square_perimeter():
     level = build_level(DOM2, 7)
     p = perimeter(Box(((0.25, 0.75), (0.25, 0.75))), level)
@@ -87,7 +109,7 @@ def test_half_mask_perimeter_is_interface_length():
     # the nearest-node region extends past the box, so only the internal
     # interface contributes
     level = build_level(DOM2, 6)
-    mask = level.coordinates[:, 0] <= 0.5
+    mask = coordinate_table(level)[:, 0] <= 0.5
     assert perimeter(NodeMask(level, mask), level) == pytest.approx(1.0, rel=0.02)
 
 
@@ -104,7 +126,7 @@ def test_full_and_empty_masks():
 def test_surface_integral_of_coordinate():
     # integral of x over the boundary of the square [0.25, 0.75]^2 is 1.0
     level = build_level(DOM2, 7)
-    v = GridFunction(level, level.coordinates[:, 0])
+    v = GridFunction(level, coordinate_table(level)[:, 0])
     s = surface_integral(v, Box(((0.25, 0.75), (0.25, 0.75))))
     assert s == pytest.approx(1.0, rel=0.05)
 
@@ -115,7 +137,7 @@ def test_normal_field_points_outward():
     nx, ny = normals[0].values, normals[1].values
     mag = np.sqrt(nx**2 + ny**2)
     active = mag > 0.5
-    offset = level.coordinates[active] - np.array([0.5, 0.5])
+    offset = coordinate_table(level)[active] - np.array([0.5, 0.5])
     radial = offset / np.linalg.norm(offset, axis=1, keepdims=True)
     dots = nx[active] * radial[:, 0] + ny[active] * radial[:, 1]
     assert np.all(dots > 0.7)
@@ -232,7 +254,7 @@ def test_mask_density_explicit_masks(dom, n):
     level = build_level(dom, n)
     corner = np.zeros(level.node_count, bool)
     corner[0] = True
-    face = level.coordinates[:, 0] == 0.0
+    face = coordinate_table(level)[:, 0] == 0.0
     full = np.ones(level.node_count, bool)
     for mask in (corner, face, full, ~full):
         _assert_matches_oracle(NodeMask(level, mask), level)
@@ -327,7 +349,7 @@ def _regions(level, rng):
     dim = level.dimension
     return (
         NodeMask(level, rng.random(level.node_count) < 0.5),
-        NodeMask(level, level.coordinates[:, 0] <= 0.4),
+        NodeMask(level, coordinate_table(level)[:, 0] <= 0.4),
         NodeMask(level, np.zeros(level.node_count, bool)),
         Ball((0.45,) * dim, 0.3),
         Box(tuple((0.2, 0.65) for _ in range(dim))),

@@ -1,5 +1,5 @@
-"""``scripts/measure_kernels.py``: the measure-layer timings and memory peaks
-that change notes report."""
+"""``scripts/measure_kernels.py``: the kernel timings and memory peaks that
+change notes report."""
 
 import importlib.util
 import pathlib
@@ -21,7 +21,9 @@ def test_main_prints_quartiles_and_peaks_per_kernel(capsys):
     kernels = ["density", "perimeter", "gauss_check", "diffop"]
     assert [row[:3] for row in rows] == [
         [dim, n, kernel] for dim in ("1", "2") for n in ("2", "3") for kernel in kernels
-    ] + [["3", n, "box_density"] for n in ("2", "3", "4")]
+    ] + [["3", n, "box_density"] for n in ("2", "3", "4")] + [
+        ["3", n, "restrict"] for n in ("3", "4", "5", "6")
+    ]
     # median, first and third quartile in ms, then the traced peak
     for _dim, _n, _kernel, median, q1, q3, peak in rows:
         assert 0.0 < float(q1) <= float(median) <= float(q3)

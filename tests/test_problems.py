@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
+from grid_oracles import coordinate_table
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -178,7 +179,7 @@ def test_bubble_support_and_continuity():
         epsilon=0.1, delta=0.2, theta=2.0, center=(0.5, 0.5, 0.5)
     )
     u = bubble(init, level).values
-    r = np.linalg.norm(level.coordinates - 0.5, axis=1)
+    r = np.linalg.norm(coordinate_table(level) - 0.5, axis=1)
     assert np.all(u[r > init.delta * init.theta + 1e-12] == 0.0)
     assert np.all(u >= 0.0)
     assert u[r.argmin()] == u.max()
@@ -528,7 +529,7 @@ def _former_bubble(init, level):
     """``bubble`` on the radius from the ``(node_count, N)`` coordinate table."""
     dim = level.dimension
     support = init.delta * init.theta
-    r = np.linalg.norm(level.coordinates - np.asarray(init.center), axis=1)
+    r = np.linalg.norm(coordinate_table(level) - np.asarray(init.center), axis=1)
     power = (dim - 2) / 2.0
     u_eps = init.epsilon**-power * (1.0 + (r / init.epsilon) ** 2) ** -power
     edge = init.epsilon**-power * (1.0 + (init.delta / init.epsilon) ** 2) ** -power
@@ -548,12 +549,12 @@ def test_radius_from_axes_bit_identical_to_coordinate_norm(dim, n):
     rng = np.random.default_rng(n)
     u = GridFunction(level, starts[-1] * rng.uniform(0.5, 1.5, level.node_count))
     measured = concentration_metric(u, center, 0.2)
-    assert "coordinates" not in vars(level)
+    assert not hasattr(level, "coordinates")
 
     for start, scale in zip(starts, (2.0, 4.0, 8.0), strict=True):
         init = BubbleInitializer(center, scale * level.h, delta=0.15)
         np.testing.assert_array_equal(start, _former_bubble(init, level))
-    dist = np.linalg.norm(level.coordinates - np.asarray(center), axis=1)
+    dist = np.linalg.norm(coordinate_table(level) - np.asarray(center), axis=1)
     np.testing.assert_array_equal(level.distance(center), dist)
     mass = np.abs(u.values) ** (2.0 * dim / (dim - 2)) * level.weights
     assert measured == float(mass[dist <= 0.2].sum() / float(mass.sum()))
@@ -715,7 +716,7 @@ def test_singular_gradient_and_hessian():
     assert check_gradient(spec, level) < 1e-5
     obj = spec.build(level)
     rng = np.random.default_rng(4)
-    u = obj.pin(np.where(level.coordinates[:, 0] <= 0.5, 1.0, -1.0) + 0.0)
+    u = obj.pin(np.where(coordinate_table(level)[:, 0] <= 0.5, 1.0, -1.0) + 0.0)
     blocks, c = obj.hessian(u)
     # Hessian-vector product matches finite differences of the gradient
     v = rng.standard_normal(level.node_count)
@@ -831,22 +832,34 @@ def test_singular_harmonic_start_is_zero_on_the_odd_odd_block(n):
     # harmonic: the free rows of K u vanish (the entries of K are at most 1)
     assert np.max(np.abs((obj._K @ u)[free])) < 1e-12
     start = spec.initial_guesses(level, None, None)[0]
-    left = level.coordinates[:, 0] <= 0.5
+    left = coordinate_table(level)[:, 0] <= 0.5
     np.testing.assert_array_equal(start[odd], np.where(left[odd], 0.1, -0.1))
     assert np.all(np.abs(start[free]) >= 0.1)
 
 
-@pytest.mark.parametrize("n", [3, 4, 5])
-@pytest.mark.parametrize("g", [None, lambda x, y: 1.0 - 2.5 * x + 0.5 * y])
+def _affine(*coeffs):
+    """The boundary data a config's ``g_affine`` sets, as the CLI builds it."""
+    def g(*coords):
+        return sum(c * np.asarray(x) for c, x in zip(coeffs[:-1], coords)) + coeffs[-1]
+    return g
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+@pytest.mark.parametrize("g", [None, lambda x, y: 1.0 - 2.5 * x + 0.5 * y,
+                               _affine(1.0, -2.5, 0.5)])
 def test_singular_harmonic_start_is_the_former_clip(n, g):
     # the shared floor leaves the harmonic start as it was, bit for bit,
-    # including the midline sign rule at its exact zeros
+    # including the midline sign rule at its exact zeros; g and the rule
+    # read the open mesh of the axes, and the boundary values and the start
+    # are those taken on the columns of the former coordinate table
     spec = singular_spec(g=g)
     level = build_level(spec.domain, n)
     obj = spec.build(level)
+    x0, x1 = coordinate_table(level).T
+    data = np.where(x0 <= 0.5, 1.0, -1.0) if g is None else g(x0, x1)
+    np.testing.assert_array_equal(obj.fixed_values, np.where(level.boundary_mask, data, 0.0))
     u = obj.harmonic_extension()
     assert np.any(u == 0.0)
-    x0 = level.coordinates[:, 0]
     sign = np.where(u > 0, 1.0, np.where(u < 0, -1.0, np.where(x0 <= 0.5, 1.0, -1.0)))
     former = sign * np.maximum(np.abs(u), 0.1)
     np.testing.assert_array_equal(spec.initial_guesses(level, None, None)[0], former)
@@ -860,7 +873,10 @@ def test_singular_minimizer_and_interface():
     u = res.u.values
     assert np.min(np.abs(u)) > 0.0
 
-    dec = extract_interface(res.u, reference_distance=lambda P: np.abs(P[:, 0] - 0.5))
+    def distance(points):
+        return np.abs(points[:, 0] - 0.5)
+
+    dec = extract_interface(res.u, reference_distance=distance)
     m1, m2, mi = dec.omega1.mask(), dec.omega2.mask(), dec.xi.mask()
     assert not np.any(m1 & m2) and not np.any(m1 & mi) and not np.any(m2 & mi)
     assert np.all(m1 | m2 | mi)
@@ -873,6 +889,9 @@ def test_singular_minimizer_and_interface():
         nb = monad_neighbors(level, int(idx))
         assert np.all(u[nb.indices] < 0.0)
     assert dec.xi_max_distance <= 2 * level.h
+    # read from the mixed nodes' rows of the former coordinate table
+    xi_rows = coordinate_table(level)[dec.xi.indices]
+    assert dec.xi_max_distance == float(np.max(distance(xi_rows)))
     assert abs(dec.interface_measure - 1.0) <= 0.1
     # the diagnostics take the same perimeter without the node sets
     assert res.diagnostics["interface_measure"] == dec.interface_measure
@@ -941,7 +960,7 @@ def test_singular_harmonic_extension_matches_the_former_whole_solve(n):
         np.testing.assert_allclose(u, former, rtol=0.0, atol=1.2e-16)
     else:
         np.testing.assert_array_equal(u, former)
-    x0 = level.coordinates[:, 0]
+    x0 = coordinate_table(level)[:, 0]
     sign = np.where(former > 0, 1.0,
                     np.where(former < 0, -1.0, np.where(x0 <= 0.5, 1.0, -1.0)))
     start = spec.initial_guesses(level, None, None)[0]

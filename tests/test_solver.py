@@ -1,9 +1,11 @@
 """Level-net minimization, splitting, and residual verification."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
+from grid_oracles import coordinate_table
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -39,7 +41,7 @@ class _Quadratic(LevelObjective):
 
     def __init__(self, level):
         super().__init__(level)
-        x = level.coordinates[:, 0]
+        x = coordinate_table(level)[:, 0]
         self.target = x * (1.0 - x)
         self.d = level.weights
 
@@ -63,7 +65,7 @@ def test_prolong_linear_exact():
     fine = build_level(DOM1, 5)
     u = restrict(lambda x: 2.0 * x + 1.0, coarse)
     v = prolong(u, fine)
-    assert np.allclose(v.values, 2.0 * fine.coordinates[:, 0] + 1.0, atol=1e-14)
+    assert np.allclose(v.values, 2.0 * coordinate_table(fine)[:, 0] + 1.0, atol=1e-14)
 
 
 @settings(max_examples=40, deadline=None)
@@ -82,7 +84,7 @@ def test_prolong_exact_on_multilinear_data(extents, lo, coarse_n, steps, seed):
     subsets = list(itertools.product((0, 1), repeat=dim))
 
     def f(*x):
-        return sum(c * np.prod([xi for xi, on in zip(x, s) if on], axis=0)
+        return sum(c * math.prod(xi for xi, on in zip(x, s) if on)
                    for c, s in zip(coeffs, subsets))
 
     def box():
@@ -114,7 +116,8 @@ def test_minimize_level_reaches_zero():
     res = minimize_level(quadratic_problem(), level)
     assert res.converged
     assert res.value == pytest.approx(0.0, abs=1e-12)
-    assert np.allclose(res.u.values, level.coordinates[:, 0] * (1 - level.coordinates[:, 0]))
+    x = coordinate_table(level)[:, 0]
+    assert np.allclose(res.u.values, x * (1 - x))
 
 
 def test_solve_net_quadratic_standard_limit():
@@ -128,7 +131,7 @@ def test_solve_net_quadratic_standard_limit():
     sp = split(net)
     # the minimizers converge to the representable target: w equals it and
     # the remainders vanish at coarse nodes
-    coarse_x = sp.w.level.coordinates[:, 0]
+    coarse_x = coordinate_table(sp.w.level)[:, 0]
     assert np.allclose(sp.w.values, coarse_x * (1 - coarse_x), atol=1e-8)
     assert len(sp.singular) == 0
     # psi carries only the piecewise-linear interpolation error of the
@@ -267,7 +270,7 @@ def test_verify_euler_lagrange_at_minimizer_and_elsewhere():
 
     # a generic point is not critical
     bad = res
-    bad.u = GridFunction(level, level.coordinates[:, 0])
+    bad.u = GridFunction(level, coordinate_table(level)[:, 0])
     bad_el = verify_euler_lagrange(problem, bad)
     assert bad_el.max_residual > 1e-3
 
