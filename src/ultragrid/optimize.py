@@ -136,7 +136,8 @@ def lbfgs(
     converges decreases ``f`` by less than its rounding.
 
     Stored, besides ``x0``: the ``2 * MEMORY`` history vectors of the free
-    dofs in two ring arrays, ``x`` and the trial point (full length, swapped
+    dofs in two ring arrays, with each pair's ``1 / (y.s)``, taken once when
+    the pair is stored, ``x`` and the trial point (full length, swapped
     on each accepted step), and on the free dofs the weights, the gradient,
     the trial gradient, one scratch vector and the direction.  The
     two-loop's ``q`` and the trial point's gathered ``x[free]`` use the
@@ -162,6 +163,7 @@ def lbfgs(
     g, g_new, tmp = np.empty((3, d.size))
     s_ring = np.empty((MEMORY, d.size))
     y_ring = np.empty((MEMORY, d.size))
+    rho_ring = [0.0] * MEMORY  # 1 / (y.s) of each stored pair
     count = oldest = 0
     gamma = 1.0
 
@@ -189,8 +191,7 @@ def lbfgs(
         np.copyto(q, g)
         alphas = []
         for j in reversed(rows):
-            s, y = s_ring[j], y_ring[j]
-            rho = 1.0 / (y @ s)
+            s, y, rho = s_ring[j], y_ring[j], rho_ring[j]
             a = rho * (s @ q)
             q -= np.multiply(y, a, out=tmp)
             alphas.append((a, rho))
@@ -200,12 +201,13 @@ def lbfgs(
             b = rho * (y @ r)
             r += np.multiply(s, a - b, out=tmp)
         p = np.negative(r, out=r)
-        if p @ g >= 0.0:  # not a descent direction: reset memory
+        slope = p @ g
+        if slope >= 0.0:  # not a descent direction: reset memory
             count = oldest = 0
             p = -precondition(g)
+            slope = p @ g
 
         # backtracking: Armijo, else approximate Wolfe
-        slope = p @ g
         slack = FTOL * max(abs(f), 1.0)
         step = 1.0
         accepted = False
@@ -239,6 +241,7 @@ def lbfgs(
                 j = (oldest + count) % MEMORY
                 s_ring[j] = s
                 y_ring[j] = y
+                rho_ring[j] = rho
                 if count < MEMORY:
                     count += 1
                 else:

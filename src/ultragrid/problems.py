@@ -186,7 +186,7 @@ def sawtooth_spec() -> ProblemSpec:
     def build(level: GridLevel) -> LevelObjective:
         return _SawtoothObjective(level)
 
-    def initial_guesses(level, rng, warm):
+    def initial_guesses(level, warm):
         return [np.zeros(level.node_count), sawtooth_pattern(level)]
 
     def random_start(level, rng):
@@ -377,7 +377,6 @@ class _QuotientObjective(LevelObjective):
         self.q = (dim - 2) / dim  # denominator power 2 / 2*
         self._half_exp = (self.p - 2.0) / 2.0  # |u|^(p-2) = (u^2)^half_exp
         self.fixed_mask = level.boundary_mask.copy()
-        self.fixed_values = np.zeros(level.node_count)
 
         self._K1, self._M1 = [], []
         for axis, m in enumerate(level.shape):
@@ -583,7 +582,7 @@ def sign_perturbed_spec(
     def build(level: GridLevel) -> LevelObjective:
         return _QuotientObjective(level, a)
 
-    def initial_guesses(level, rng, warm):
+    def initial_guesses(level, warm):
         scales = bubble_scales if warm is None else bubble_scales[1:2] or bubble_scales
         guesses = []
         for s in scales:
@@ -780,7 +779,7 @@ def singular_spec(
     def build(level: GridLevel) -> LevelObjective:
         return _SingularObjective(level, _boundary_values(level))
 
-    def initial_guesses(level, rng, warm):
+    def initial_guesses(level, warm):
         """The harmonic extension of ``g``, clipped away from zero.
 
         The extension is exactly 0 on the parity block with every index odd

@@ -18,11 +18,9 @@ try:
 except ImportError:  # a platform without getrusage records no peak
     resource = None
 
+# numpy loads numpy.random on first access: only a request that draws from it
+# (a random start, check_gradient, calculus-check) pays for loading it
 import numpy as np
-
-# numpy loads numpy.random on first access; every solve and every check draws
-# from it, so it is loaded with the package rather than inside a request
-import numpy.random  # noqa: F401
 
 from .calculus import GridFunction, inner, norm, restrict, standard_battery
 from .grid import Domain, GridLevel, NodeSet, build_level
@@ -86,7 +84,8 @@ class LevelObjective:
     def __init__(self, level: GridLevel) -> None:
         self.level = level
         self.fixed_mask = np.zeros(level.node_count, dtype=bool)
-        self.fixed_values = np.zeros(level.node_count)
+        # zero data as a zero-stride view: no node vector is stored
+        self.fixed_values = np.broadcast_to(0.0, (level.node_count,))
 
     # --- required -----------------------------------------------------
     def value_and_grad(self, u: np.ndarray) -> tuple[float, np.ndarray]:
@@ -127,12 +126,16 @@ class LevelObjective:
 class ProblemSpec:
     """A variational problem: objective factory plus initialization policy.
     Its results pair with ``standard_battery(domain)`` in :func:`split`
-    and :func:`verify_euler_lagrange`."""
+    and :func:`verify_euler_lagrange`.
+
+    ``initial_guesses(level, warm)`` lists a level's starts (``warm`` is the
+    pinned warm start or ``None``); ``random_start(level, rng)`` draws one
+    more from a generator built only when it is about to draw."""
 
     name: str
     domain: Domain
     build: Callable[[GridLevel], LevelObjective]
-    initial_guesses: Callable[[GridLevel, np.random.Generator, Optional[np.ndarray]], list]
+    initial_guesses: Callable[[GridLevel, Optional[np.ndarray]], list]
     random_start: Optional[Callable[[GridLevel, np.random.Generator], np.ndarray]] = None
     lower_bound: Optional[float] = None
     diagnostics: Optional[Callable[[LevelObjective, np.ndarray], dict]] = None
@@ -234,10 +237,10 @@ def minimize_level(
     its random-start generator (seeded, so results are deterministic).
     """
     obj = problem.build(level)
-    rng = np.random.default_rng([seed, level.n])
 
     # one copy of each start: the caller's warm start and the unpinned
-    # guesses are released once pinned (a level-7 start is 16 MB)
+    # guesses are released once pinned, and the pinned warm start once its
+    # run ends (a level-7 start is 16 MB)
     starts: list[tuple[str, np.ndarray]] = []
     warm = None
     if init is not None:
@@ -247,9 +250,11 @@ def minimize_level(
             raise ValueError("initial guess violates the feasibility predicate")
         starts.append(("warm", warm))
     starts += [("initializer", arr)
-               for arr in map(obj.pin, problem.initial_guesses(level, rng, warm))
+               for arr in map(obj.pin, problem.initial_guesses(level, warm))
                if obj.feasible(arr)]
-    if problem.random_start is not None:
+    del warm  # the start list holds it
+    if problem.random_start is not None and len(starts) < multistart:
+        rng = np.random.default_rng([seed, level.n])
         while len(starts) < multistart:
             arr = obj.pin(problem.random_start(level, rng))
             if obj.feasible(arr):
@@ -492,7 +497,7 @@ def check_gradient(problem: ProblemSpec, level: GridLevel) -> float:
     """
     obj = problem.build(level)
     rng = np.random.default_rng([0, 97, level.n])
-    guesses = problem.initial_guesses(level, rng, None)
+    guesses = problem.initial_guesses(level, None)
     u = obj.pin(np.asarray(guesses[-1], dtype=float))
     scale = max(1.0, float(np.max(np.abs(u))))
     # nudge off any symmetry point of the functional, staying feasible

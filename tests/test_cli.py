@@ -264,6 +264,47 @@ def test_only_the_singular_solve_loads_scipy(tmp_path):
     assert lines[4][:3] + lines[4][4:] == ["singular", "0", "True", "False"], proc.stdout
 
 
+
+_RANDOM_GUARD = """
+import json, pathlib, sys
+from ultragrid import cli
+
+print("import", "numpy.random" in sys.modules, "scipy" in sys.modules)
+root = pathlib.Path(sys.argv[1])
+for name in sys.argv[2:]:
+    out = root / name
+    out.mkdir()
+    argv = ["calculus-check", "--levels", "3..6"]
+    if name != "calculus-check":
+        cfg = root / (name + ".json")
+        cfg.write_text(json.dumps({"problem": name}))
+        argv = ["solve", "--levels", "3..5", "--config", str(cfg)]
+    code = cli.main(argv + ["--out", str(out)])
+    print(name, code, "numpy.random" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize("requests, loaded", [
+    (["sign_perturbed", "sawtooth"], ["False", "True"]),
+    (["calculus-check"], ["True"]),
+])
+def test_only_requests_that_draw_load_numpy_random(tmp_path, requests, loaded):
+    # a fresh interpreter: importing the CLI loads neither numpy.random nor
+    # scipy, a quotient solve draws nothing and leaves numpy.random unloaded,
+    # and the sawtooth's random start and calculus-check's random instances
+    # load it on their first draw
+    src = str(pathlib.Path(cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-c", _RANDOM_GUARD, str(tmp_path), *requests],
+        capture_output=True, text=True, check=True, env=env,
+    )
+    out = proc.stdout.splitlines()
+    lines = [out[0].split()] + [line.split() for line in out[-len(requests):]]
+    assert lines == [["import", "False", "False"]] + [
+        [name, "0", flag] for name, flag in zip(requests, loaded)
+    ], proc.stdout
+
 def test_threads_flag_is_rejected(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["solve", "--levels", "3..5", "--threads", "2"])

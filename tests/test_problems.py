@@ -525,6 +525,24 @@ def test_one_quotient_start_holds_the_history_and_a_few_vectors():
     assert peak - held <= history + 16 * node
 
 
+
+@pytest.mark.parametrize("well", [False, True])
+def test_quotient_fixed_data_holds_no_node_vector(well):
+    # the zero Dirichlet data is a read-only zero-stride view of one 0.0, not
+    # a vector of zeros (287 KB at 3D level 5, 17 MB at level 7); pinning
+    # still writes +0.0 on every boundary node
+    level = build_level(DOM3, 5)
+    obj = problems._QuotientObjective(level, QuadraticWell((0.4, 0.5, 0.6)) if well else None)
+    fixed = obj.fixed_values
+    assert fixed.shape == (level.node_count,) and fixed.strides == (0,)
+    while fixed.base is not None:
+        fixed = fixed.base
+    assert fixed.nbytes == 8
+    u = obj.pin(np.full(level.node_count, -1.0))
+    boundary = u[level.boundary_mask]
+    assert np.all(boundary == 0.0) and not np.signbit(boundary).any()
+    assert np.all(u[~level.boundary_mask] == -1.0)
+
 def _former_bubble(init, level):
     """``bubble`` on the radius from the ``(node_count, N)`` coordinate table."""
     dim = level.dimension
@@ -545,7 +563,7 @@ def test_radius_from_axes_bit_identical_to_coordinate_norm(dim, n):
     center = (0.4, 0.5, 0.6, 0.5)[:dim]
     spec = sign_perturbed_spec(dimension=dim, center=center, delta=0.15)
     level = build_level(spec.domain, n)
-    starts = spec.initial_guesses(level, None, None)
+    starts = spec.initial_guesses(level, None)
     rng = np.random.default_rng(n)
     u = GridFunction(level, starts[-1] * rng.uniform(0.5, 1.5, level.node_count))
     measured = concentration_metric(u, center, 0.2)
@@ -800,7 +818,7 @@ def test_singular_riesz_residual_is_the_former_strong_residual(n):
     spec = singular_spec()
     level = build_level(spec.domain, n)
     obj = spec.build(level)
-    u = spec.initial_guesses(level, None, None)[0]
+    u = spec.initial_guesses(level, None)[0]
     lap = np.zeros_like(u)
     for axis, mask in enumerate(_interior_row_masks(level)):
         du = obj._op.apply(u, axis)
@@ -831,7 +849,7 @@ def test_singular_harmonic_start_is_zero_on_the_odd_odd_block(n):
     free = obj.free_mask
     # harmonic: the free rows of K u vanish (the entries of K are at most 1)
     assert np.max(np.abs((obj._K @ u)[free])) < 1e-12
-    start = spec.initial_guesses(level, None, None)[0]
+    start = spec.initial_guesses(level, None)[0]
     left = coordinate_table(level)[:, 0] <= 0.5
     np.testing.assert_array_equal(start[odd], np.where(left[odd], 0.1, -0.1))
     assert np.all(np.abs(start[free]) >= 0.1)
@@ -862,7 +880,7 @@ def test_singular_harmonic_start_is_the_former_clip(n, g):
     assert np.any(u == 0.0)
     sign = np.where(u > 0, 1.0, np.where(u < 0, -1.0, np.where(x0 <= 0.5, 1.0, -1.0)))
     former = sign * np.maximum(np.abs(u), 0.1)
-    np.testing.assert_array_equal(spec.initial_guesses(level, None, None)[0], former)
+    np.testing.assert_array_equal(spec.initial_guesses(level, None)[0], former)
 
 
 def test_singular_minimizer_and_interface():
@@ -926,7 +944,7 @@ def test_singular_harmonic_start_at_level_one():
     assert u[obj.free_mask].tolist() == [0.0]
     np.testing.assert_array_equal(u[~obj.free_mask], obj.fixed_values[~obj.free_mask])
     # the start is +init_floor at the centre, which lies on the midline
-    assert spec.initial_guesses(level, None, None)[0][obj.free_mask].tolist() == [0.1]
+    assert spec.initial_guesses(level, None)[0][obj.free_mask].tolist() == [0.1]
 
 
 def _former_harmonic_extension(K, x, free):
@@ -963,7 +981,7 @@ def test_singular_harmonic_extension_matches_the_former_whole_solve(n):
     x0 = coordinate_table(level)[:, 0]
     sign = np.where(former > 0, 1.0,
                     np.where(former < 0, -1.0, np.where(x0 <= 0.5, 1.0, -1.0)))
-    start = spec.initial_guesses(level, None, None)[0]
+    start = spec.initial_guesses(level, None)[0]
     np.testing.assert_array_equal(np.sign(start), sign)
     np.testing.assert_allclose(start, sign * np.maximum(np.abs(former), 0.1), rtol=0.0,
                                atol=1.2e-16)
@@ -1033,8 +1051,8 @@ def test_quotient_single_bubble_scale_warm_starts_with_it():
     spec = sign_perturbed_spec(bubble_scales=[2.0])
     level = build_level(spec.domain, 4)
     warm = np.zeros(level.node_count)
-    (cold,) = spec.initial_guesses(level, None, None)
-    (guess,) = spec.initial_guesses(level, None, warm)
+    (cold,) = spec.initial_guesses(level, None)
+    (guess,) = spec.initial_guesses(level, warm)
     np.testing.assert_array_equal(guess, cold)
     with pytest.raises(ValueError, match="at least one scale"):
         sign_perturbed_spec(bubble_scales=[])

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -55,7 +56,7 @@ def quadratic_problem():
         name="quadratic",
         domain=DOM1,
         build=_Quadratic,
-        initial_guesses=lambda level, rng, warm: [np.zeros(level.node_count)],
+        initial_guesses=lambda level, warm: [np.zeros(level.node_count)],
         lower_bound=0.0,
     )
 
@@ -297,8 +298,35 @@ def test_warm_start_feasibility_is_a_usage_error():
         name="positive",
         domain=DOM1,
         build=Positive,
-        initial_guesses=lambda level, rng, warm: [np.zeros(level.node_count)],
+        initial_guesses=lambda level, warm: [np.zeros(level.node_count)],
     )
     level = build_level(DOM1, 3)
     with pytest.raises(ValueError):
         minimize_level(problem, level, init=np.full(level.node_count, -1.0))
+
+
+def test_second_start_of_a_warm_quotient_level_runs_without_the_warm_start(monkeypatch):
+    # a warm 3D level-4 quotient level runs the warm start, then one bubble
+    # start.  When the second run begins, the first run's start is gone and
+    # its result's x has taken its place: the memory traced then is what it
+    # was when the first run began, give or take a few small objects.  Were
+    # the pinned warm start still held, it would be one node vector more
+    spec = sign_perturbed_spec()
+    level = build_level(spec.domain, 4)
+    spec.build(level)
+    level.weights, level.boundary_mask
+    held = []
+    run = solver._run_optimizer
+
+    def traced_run(obj, x):
+        held.append(tracemalloc.get_traced_memory()[0])
+        return run(obj, x)
+
+    monkeypatch.setattr(solver, "_run_optimizer", traced_run)
+    tracemalloc.start()
+    try:
+        res = minimize_level(spec, level, init=spec.initial_guesses(level, None)[0])
+    finally:
+        tracemalloc.stop()
+    assert [r.kind for r in res.starts] == ["warm", "initializer"]
+    assert held[1] - held[0] < 4 * level.node_count  # half a node vector
