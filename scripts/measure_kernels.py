@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Time the measure kernels, the SBP derivative and ``restrict`` and trace
-their memory.
+"""Time the measure kernels, the SBP derivative, ``restrict`` and the
+quotient's ``value_and_grad`` and trace their memory.
 
 Usage, from the root of a checkout::
 
@@ -14,7 +14,9 @@ the level's SBP derivative ``D`` and then ``D^T`` applied along axis 0 to
 one fixed 3D box (``box_density``, its sampled path) the same way at 3D
 levels 2..4, whatever ``--levels`` says, and ``restrict`` of the first bump
 of the standard battery at 3D levels 3..6, each call on a freshly built level
-(so nothing a level caches is reused).  Prints per kernel the median and
+(so nothing a level caches is reused).  Last, ``quotient_vag`` evaluates the
+free 3D critical quotient (``sign_perturbed_spec().build``) at its first
+pinned bubble start, at 3D levels 3..6.  Prints per kernel the median and
 the quartiles in milliseconds, and the traced peak of one more call above
 its entry in node vectors (``tracemalloc`` bytes over 8 bytes per node),
 taken apart from the timed calls.
@@ -41,8 +43,8 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
 
 #: The 3D levels of the box density rows.
 BOX_LEVELS = range(2, 5)
-#: The 3D levels of the restrict rows.
-RESTRICT_LEVELS = range(3, 7)
+#: The 3D levels of the restrict rows and of the quotient_vag rows.
+RESTRICT_LEVELS = QUOTIENT_LEVELS = range(3, 7)
 
 
 def _levels(text: str) -> range:
@@ -73,7 +75,7 @@ def _time(dim: int, n: int, name: str, call, node_count: int, repeats: int) -> N
     q1, median, q3 = statistics.quantiles(samples, n=4)
     peak = _peak_node_vectors(call, node_count)
     print(
-        f"{dim:>3} {n:>5} {name:<11} {median:>10.3f} {q1:>8.3f}"
+        f"{dim:>3} {n:>5} {name:<12} {median:>10.3f} {q1:>8.3f}"
         f" {q3:>8.3f} {peak:>10.2f}"
     )
 
@@ -102,12 +104,13 @@ def main(argv=None) -> int:
         measure,
         perimeter,
         restrict,
+        sign_perturbed_spec,
         standard_battery,
     )
 
     print(f"ultragrid from {pathlib.Path(measure.__file__).parent}")
     print(
-        f"{'dim':>3} {'level':>5} {'kernel':<11} {'median ms':>10} {'q1 ms':>8}"
+        f"{'dim':>3} {'level':>5} {'kernel':<12} {'median ms':>10} {'q1 ms':>8}"
         f" {'q3 ms':>8} {'peak nodes':>10}"
     )
     for dim in (1, 2):
@@ -138,6 +141,12 @@ def main(argv=None) -> int:
     for n in RESTRICT_LEVELS:
         count = build_level(cube, n).node_count
         _time(3, n, "restrict", lambda: restrict(bump, build_level(cube, n)), count, args.repeats)
+    spec = sign_perturbed_spec()
+    for n in QUOTIENT_LEVELS:
+        level = build_level(spec.domain, n)
+        obj = spec.build(level)
+        u = obj.pin(spec.initial_guesses(level, None)[0])
+        _time(3, n, "quotient_vag", lambda: obj.value_and_grad(u), level.node_count, args.repeats)
     return 0
 
 

@@ -111,13 +111,7 @@ def _tolerances(config: dict) -> dict[str, float]:
     for key, value in tol.items():
         if key not in ("rtol", "atol", "kappa"):
             raise ConfigError(f"unknown tolerance {key!r} (expected rtol, atol or kappa)")
-        if (
-            isinstance(value, bool)
-            or not isinstance(value, (int, float))
-            or not math.isfinite(value)
-            or value < 0
-            or (value == 0 and key != "kappa")
-        ):
+        if not _is_real(value) or value < 0 or (value == 0 and key != "kappa"):
             bound = ">= 0" if key == "kappa" else "> 0"
             raise ConfigError(f"tolerance {key} must be a finite number {bound}, got {value!r}")
         out[key] = float(value)

@@ -88,6 +88,11 @@ class Domain:
         return vol
 
 
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
+
+
 @dataclass(frozen=True)
 class GridLevel:
     """The uniform lattice over ``domain`` at refinement level ``n``.
@@ -98,7 +103,8 @@ class GridLevel:
     broadcasts to the lattice shape.
 
     A level is a value: levels built from the same ``(domain, n)`` are equal
-    and hash alike, so they can be mixed freely and used as cache keys.
+    and hash alike, so they can be mixed freely and used as cache keys.  Its
+    cached arrays are read-only, so every holder may share them.
     """
 
     domain: Domain
@@ -117,10 +123,8 @@ class GridLevel:
     @cached_property
     def axes(self) -> tuple[np.ndarray, ...]:
         """Per-axis node coordinates."""
-        out = []
-        for (lo, _hi), m in zip(self.domain.bounds, self.shape):
-            out.append(lo + self.h * np.arange(m))
-        return tuple(out)
+        return tuple(_read_only(lo + self.h * np.arange(m))
+                     for (lo, _hi), m in zip(self.domain.bounds, self.shape))
 
     @cached_property
     def axis_weights(self) -> tuple[np.ndarray, ...]:
@@ -129,7 +133,7 @@ class GridLevel:
         for m in self.shape:
             w = np.full(m, self.h)
             w[0] = w[-1] = 0.5 * self.h
-            out.append(w)
+            out.append(_read_only(w))
         return tuple(out)
 
     @cached_property
@@ -138,7 +142,7 @@ class GridLevel:
         grid = self.axis_weights[0]
         for w in self.axis_weights[1:]:
             grid = np.multiply.outer(grid, w)
-        return np.ascontiguousarray(grid).ravel()
+        return _read_only(np.ascontiguousarray(grid).ravel())
 
     def coordinates_of(self, nodes) -> np.ndarray:
         """Coordinates of the flat node indices ``nodes``: ``(k, N)`` for
@@ -167,7 +171,7 @@ class GridLevel:
             mask[tuple(sl_lo)] = True
             sl_lo[axis] = m - 1
             mask[tuple(sl_lo)] = True
-        return mask.ravel()
+        return _read_only(mask.ravel())
 
 
 @dataclass(frozen=True, eq=False)

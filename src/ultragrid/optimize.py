@@ -6,11 +6,11 @@ norm ``||g||_* = sqrt(sum g_i^2 / d_i)`` (the L2 norm of the Riesz residual
 ``g / d``).  Newton takes a step-acceptance predicate, so that a feasibility
 constraint (the singular study's frozen sign pattern) can reject trial points
 during its line search; L-BFGS evaluates every trial point.  The tolerance
-``gtol`` is a number or a function of the current value ``f``, so a
-relative test such as ``||g||_* <= 1e-8 (1 + |f|)`` is evaluated where the
-run is, not where it started.  ``converged`` means that this gradient test
-passed and nothing else: a run that stalls, exhausts its line search or its
-iterations reports ``converged`` only if its last gradient meets the test.
+``gtol`` is a function of the current value ``f``, so a relative test such
+as ``||g||_* <= 1e-8 (1 + |f|)`` is evaluated where the run is, not where it
+started.  ``converged`` means that this gradient test passed and nothing
+else: a run that stalls, exhausts its line search or its iterations reports
+``converged`` only if its last gradient meets the test.
 
 L-BFGS starts each two-loop recursion from ``H0 = gamma * P^-1``, where
 ``P`` is an SPD metric on the free dofs given as the solve ``g -> P^-1 g``.
@@ -74,8 +74,6 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-Tolerance = float | Callable[[float], float]
-
 #: L-BFGS correction pairs kept.
 MEMORY = 10
 #: Relative value slack of L-BFGS: the approximate Wolfe test's
@@ -98,17 +96,12 @@ def _dual_norm(g: np.ndarray, d: np.ndarray) -> float:
     return float(np.sqrt(np.sum(g * g / d)))
 
 
-def _tolerance(gtol: Tolerance) -> Callable[[float], float]:
-    """``gtol`` as a function of the current value."""
-    return gtol if callable(gtol) else (lambda f: gtol)
-
-
 def lbfgs(
     value_and_grad: Callable[[np.ndarray], tuple[float, np.ndarray]],
     x0: np.ndarray,
     weights: np.ndarray,
     free: np.ndarray,
-    gtol: Tolerance,
+    gtol: Callable[[float], float],
     max_iter: int = 10_000,
     precondition: Optional[Callable[[np.ndarray], np.ndarray]] = None,
 ) -> OptimizeResult:
@@ -150,7 +143,6 @@ def lbfgs(
     and the dual norm's temporaries, none of them inside an evaluation,
     where the run's memory peaks.
     """
-    tol = _tolerance(gtol)
     x = x0.copy()
     x_new = x0.copy()  # the trial point; its pinned entries are x's for good
     d = weights[free]
@@ -179,7 +171,7 @@ def lbfgs(
     it = 0
     stalled = 0
     while it < max_iter:
-        if gnorm <= tol(f):
+        if gnorm <= gtol(f):
             return OptimizeResult(x, f, gnorm, it, True)
         if stalled >= PATIENCE:
             return OptimizeResult(x, f, gnorm, it, False)
@@ -225,7 +217,7 @@ def lbfgs(
                 break
             step *= 0.5
         if not accepted:
-            return OptimizeResult(x, f, gnorm, it, gnorm <= tol(f))
+            return OptimizeResult(x, f, gnorm, it, gnorm <= gtol(f))
 
         # the pair (s, y) in p's buffer and the scratch vector; copied into
         # the ring only if it is kept, so a skipped pair destroys none
@@ -257,7 +249,7 @@ def lbfgs(
         best_gnorm = min(best_gnorm, gnorm)
         it += 1
 
-    return OptimizeResult(x, f, gnorm, it, gnorm <= tol(f))
+    return OptimizeResult(x, f, gnorm, it, gnorm <= gtol(f))
 
 
 def newton(
@@ -266,8 +258,8 @@ def newton(
     x0: np.ndarray,
     weights: np.ndarray,
     free: np.ndarray,
-    gtol: Tolerance,
-    max_iter: int = 200,
+    gtol: Callable[[float], float],
+    max_iter: int,
     accept: Optional[Callable[[np.ndarray, np.ndarray], bool]] = None,
 ) -> OptimizeResult:
     """Damped Newton on the free dofs with an SPD Hessian ``K + diag(c(x))``.
@@ -295,7 +287,6 @@ def newton(
     """
     from scipy.linalg import solveh_banded
 
-    tol = _tolerance(gtol)
     x = x0.copy()
     d = weights[free]
     f, g_full = value_and_grad(x)
@@ -304,7 +295,7 @@ def newton(
     buf = None
 
     for it in range(max_iter):
-        if gnorm <= tol(f):
+        if gnorm <= gtol(f):
             return OptimizeResult(x, f, gnorm, it, True)
 
         blocks, diag = hessian(x)
@@ -340,13 +331,13 @@ def newton(
                 break
             step *= 0.5
         if not accepted:
-            return OptimizeResult(x, f, gnorm, it, gnorm <= tol(f))
+            return OptimizeResult(x, f, gnorm, it, gnorm <= gtol(f))
 
         x, f, g_full = x_new, f_new, g_new_full
         g = g_full[free]
         gnorm = _dual_norm(g, d)
 
-    return OptimizeResult(x, f, gnorm, max_iter, gnorm <= tol(f))
+    return OptimizeResult(x, f, gnorm, max_iter, gnorm <= gtol(f))
 
 
 def minimize_quadratic(K, x: np.ndarray, nodes: np.ndarray) -> np.ndarray:

@@ -371,12 +371,11 @@ class _QuotientObjective(LevelObjective):
         if min(level.shape) < 3:
             # every start would pin to zero, and the quotient would be 0 / 0
             raise BoundaryDataError(f"level {level.n} has no interior node")
-        super().__init__(level)
+        super().__init__(level, boundary=0.0)
         dim = level.dimension
         self.p = 2.0 * dim / (dim - 2)  # critical exponent
         self.q = (dim - 2) / dim  # denominator power 2 / 2*
         self._half_exp = (self.p - 2.0) / 2.0  # |u|^(p-2) = (u^2)^half_exp
-        self.fixed_mask = level.boundary_mask.copy()
 
         self._K1, self._M1 = [], []
         for axis, m in enumerate(level.shape):
@@ -692,11 +691,9 @@ class _SingularObjective(LevelObjective):
     has_hessian = True
 
     def __init__(self, level: GridLevel, g_values: np.ndarray) -> None:
-        super().__init__(level)
+        super().__init__(level, boundary=g_values)
         self._op = diff_op(level)
         self._d = level.weights
-        self.fixed_mask = level.boundary_mask.copy()
-        self.fixed_values = np.where(self.fixed_mask, g_values, 0.0)
         self._K = _masked_stiffness(level)
         self.blocks = _parity_blocks(level, self._K)
 

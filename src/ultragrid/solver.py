@@ -67,25 +67,35 @@ SINGULAR_EXPONENT = 0.5
 class LevelObjective:
     """Base class for per-level objectives.
 
-    Subclasses must set ``level`` and implement :meth:`value_and_grad`, and
-    may override the Hessian, feasibility, step acceptance, normalization
-    and metric hooks.  Gradients are full-length nodal arrays; entries at
-    pinned dofs are ignored.  An objective with ``has_hessian`` set is
-    minimized by Newton, which :meth:`accept_step` may veto steps of; any
-    other by L-BFGS.  ``precondition``, when set, works on free-dof vectors
-    instead: it is the solve ``g -> P^-1 g`` of the SPD metric ``P`` that
-    L-BFGS starts from; ``None`` leaves L-BFGS its own L2 metric ``diag(d)``
-    of the free weights.
+    ``boundary`` is the Dirichlet data of ``level``: ``None`` pins no node;
+    otherwise every node of ``level.boundary_mask`` is pinned to it, a number
+    or a node vector whose entries off the boundary are not read.
+    ``fixed_mask`` is the level's own read-only mask, shared, not copied,
+    and ``free_mask`` its complement, taken once.
+
+    Subclasses implement :meth:`value_and_grad`, and may override the
+    Hessian, feasibility, step acceptance, normalization and metric hooks.
+    Gradients are full-length nodal arrays; entries at pinned dofs are
+    ignored.  An objective with ``has_hessian`` set is minimized by Newton,
+    which :meth:`accept_step` may veto steps of; any other by L-BFGS.
+    ``precondition``, when set, works on free-dof vectors instead: it is the
+    solve ``g -> P^-1 g`` of the SPD metric ``P`` that L-BFGS starts from;
+    ``None`` leaves L-BFGS its own L2 metric ``diag(d)`` of the free weights.
     """
 
-    level: GridLevel
     has_hessian: bool = False
 
-    def __init__(self, level: GridLevel) -> None:
+    def __init__(self, level: GridLevel, boundary: float | np.ndarray | None = None) -> None:
         self.level = level
-        self.fixed_mask = np.zeros(level.node_count, dtype=bool)
-        # zero data as a zero-stride view: no node vector is stored
-        self.fixed_values = np.broadcast_to(0.0, (level.node_count,))
+        shape = (level.node_count,)
+        # a free level's mask and constant data are zero-stride views: no
+        # node vector is stored for them
+        if boundary is None:
+            self.fixed_mask, boundary = np.broadcast_to(False, shape), 0.0
+        else:
+            self.fixed_mask = level.boundary_mask
+        self.fixed_values = np.broadcast_to(np.asarray(boundary, dtype=float), shape)
+        self.free_mask = ~self.fixed_mask
 
     # --- required -----------------------------------------------------
     def value_and_grad(self, u: np.ndarray) -> tuple[float, np.ndarray]:
@@ -116,10 +126,6 @@ class LevelObjective:
         out = np.array(u, dtype=float, copy=True).ravel()
         out[self.fixed_mask] = self.fixed_values[self.fixed_mask]
         return out
-
-    @property
-    def free_mask(self) -> np.ndarray:
-        return ~self.fixed_mask
 
 
 @dataclass(frozen=True)
@@ -159,21 +165,30 @@ class StartRecord:
 
 @dataclass
 class MinResult:
-    """Outcome of one per-level minimization."""
+    """Outcome of one per-level minimization: the best start's minimizer
+    ``u``, its value, gradient norm and ``converged``, the optimizer's
+    verdict of the gradient test."""
 
-    level: GridLevel
     u: GridFunction
     value: float
     grad_norm: float
-    iterations: int
     converged: bool
     diagnostics: dict = field(default_factory=dict)
-    #: Every start in the order it ran; their iterations sum to ``iterations``.
+    #: Every start in the order it ran.
     starts: tuple[StartRecord, ...] = ()
     #: The process's peak resident set size in MiB (``ru_maxrss``, which Linux
     #: counts in KiB) once the level is done: a high-water mark over the whole
     #: process so far, not the level's own use; 0 without ``resource``.
     peak_rss_mb: float = 0.0
+
+    @property
+    def level(self) -> GridLevel:
+        return self.u.level
+
+    @property
+    def iterations(self) -> int:
+        """The iterations of every start of the level."""
+        return sum(r.iterations for r in self.starts)
 
 
 def _refine_axis(arr: np.ndarray, axis: int) -> np.ndarray:
@@ -231,10 +246,12 @@ def minimize_level(
 ) -> MinResult:
     """Minimize the problem on one level from one or more starts.
 
-    ``init`` (a warm start) must satisfy the boundary condition and the
-    feasibility predicate; an infeasible explicit ``init`` is a usage error.
-    Additional starts come from the problem's initializers and, if provided,
-    its random-start generator (seeded, so results are deterministic).
+    ``init`` (a warm start, given or prolonged by :func:`solve_net`) is
+    pinned and must then satisfy the feasibility predicate: an infeasible
+    one is a usage error (``ValueError``).  Additional starts come from the
+    problem's initializers and, if provided, its random-start generator
+    (seeded, so results are deterministic); an infeasible one is skipped.
+    No other function tests whether a start is feasible.
     """
     obj = problem.build(level)
 
@@ -277,11 +294,9 @@ def minimize_level(
     x = obj.normalize(best.x)
     diagnostics = problem.diagnostics(obj, x) if problem.diagnostics else {}
     return MinResult(
-        level=level,
         u=GridFunction(level, x),
         value=best.value,
         grad_norm=best.grad_norm,
-        iterations=sum(r.iterations for r in records),
         converged=best.converged,
         diagnostics=diagnostics,
         starts=tuple(records),
@@ -296,8 +311,12 @@ class SolutionNet:
 
     problem: ProblemSpec
     results: tuple[MinResult, ...]
-    partial: bool
     monotone_violations: tuple[int, ...]
+
+    @property
+    def partial(self) -> bool:
+        """Whether some level missed the gradient test."""
+        return any(not r.converged for r in self.results)
 
     def value_net(self) -> Net:
         return Net(tuple((r.level.n, r.value) for r in self.results))
@@ -309,15 +328,12 @@ class SolutionNet:
 def _warm_start(
     problem: ProblemSpec, level: GridLevel, results: Sequence[MinResult]
 ) -> Optional[GridFunction]:
-    """The last result's minimizer prolonged onto ``level``, or ``None``:
-    on the first level, for a problem whose values are not nested, and for a
-    start that lost feasibility in prolongation (dropped, not an error;
-    explicit user inits still are)."""
+    """The last result's minimizer prolonged onto ``level``, or ``None`` on
+    the first level and for a problem whose values are not nested.  It only
+    prolongs: :func:`minimize_level` pins the start and tests it."""
     if not (results and problem.monotone_values):
         return None
-    init = prolong(results[-1].u, level)
-    obj = problem.build(level)
-    return init if obj.feasible(obj.pin(init.values)) else None
+    return prolong(results[-1].u, level)
 
 
 def solve_net(
@@ -330,12 +346,13 @@ def solve_net(
 
     For a nested family of energies (``ProblemSpec.monotone_values``), each
     level after the first also starts from the prolongation of the previous
-    level's minimizer, unless it is infeasible there: that start bounds the
-    level's value by the previous one.  Nested-space monotonicity
-    (``m_{n+1} <= m_n + 1e-10``) is asserted for such a family; a violating
-    level is recorded in ``monotone_violations`` and flagged as non-converged
-    rather than silently accepted.  If the problem declares a certified lower
-    bound, every level value is checked against it.
+    level's minimizer: that start bounds the level's value by the previous
+    one.  A prolongation that fails the feasibility predicate is a
+    ``ValueError``, as an infeasible explicit start is.  Nested-space
+    monotonicity (``m_{n+1} <= m_n + 1e-10``) is checked for such a family;
+    a violating level is recorded in ``monotone_violations`` only: its
+    ``converged`` stays the optimizer's verdict.  If the problem declares a
+    certified lower bound, every level value is checked against it.
     """
     level_list = sorted(int(n) for n in levels)
     if len(level_list) < 3:
@@ -354,20 +371,13 @@ def solve_net(
         )
         if problem.monotone_values and results and res.value > results[-1].value + 1e-10:
             violations.append(level.n)
-            res.converged = False
         if problem.lower_bound is not None and res.value < problem.lower_bound - 1e-10:
             raise RuntimeError(
                 f"level {level.n} value {res.value} violates the certified lower bound "
                 f"{problem.lower_bound}"
             )
         results.append(res)
-    partial = any(not r.converged for r in results)
-    return SolutionNet(
-        problem=problem,
-        results=tuple(results),
-        partial=partial,
-        monotone_violations=tuple(violations),
-    )
+    return SolutionNet(problem, tuple(results), tuple(violations))
 
 
 @dataclass(frozen=True)

@@ -221,7 +221,7 @@ def _sawtooth_bruteforce(level_n):
             start = np.zeros(level.node_count)
             start[free] = h * np.concatenate(([0.0], np.cumsum(signs)))
             res = lbfgs(
-                obj.value_and_grad, start, weights, free, gtol=1e-12, max_iter=500
+                obj.value_and_grad, start, weights, free, gtol=lambda f: 1e-12, max_iter=500
             )
             best = min(best, res.value)
         chain_minima.append(best)

@@ -543,6 +543,45 @@ def test_sweep_run_with_a_bad_value_rolls_up_to_exit_3(tmp_path, capsys):
         assert [r["status"] for r in csv.DictReader(fh)] == ["0", "2"]
 
 
+class _Rising(solver.LevelObjective):
+    """``J(u) = sum (u - x)^2 d + n`` on level ``n``: the minimum of each
+    level is its index, so the value net rises."""
+
+    def value_and_grad(self, u):
+        r = u - self.level.axes[0]
+        d = self.level.weights
+        return float((r * r) @ d) + self.level.n, 2.0 * r * d
+
+
+def test_rising_values_fail_monotonicity_not_convergence(tmp_path, monkeypatch):
+    # converged is the optimizer's gradient verdict on every row; the
+    # violation is recorded in nested_monotonicity alone, which exits 1
+    def rising_spec():
+        return solver.ProblemSpec(
+            name="rising",
+            domain=grid.Domain(((0.0, 1.0),)),
+            build=_Rising,
+            initial_guesses=lambda level, warm: [np.zeros(level.node_count)],
+        )
+
+    monkeypatch.setattr(cli, "sawtooth_spec", rising_spec)
+    cfg = write_config(tmp_path, SAW)
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 1
+    with open(out / "levels.csv", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [r["level"] for r in rows] == ["3", "4", "5"]
+    for r in rows:
+        met = float(r["grad_norm"]) <= 1e-8 * (1.0 + abs(float(r["value"])))
+        assert r["converged"] == ("1" if met else "0")
+    report = json.loads((out / "report.json").read_text())
+    verdicts = report["invariants"]
+    assert [k for k, v in verdicts.items() if not v["passed"]] == ["nested_monotonicity"]
+    assert verdicts["nested_monotonicity"]["measured"] == [4, 5]
+    assert report["partial"] is False
+
+
 def test_solver_value_error_is_an_internal_error(tmp_path, capsys, monkeypatch):
     # only a ConfigError exits 2: a ValueError raised inside the solver is a
     # fault of the program, exit 1

@@ -68,6 +68,15 @@ def test_boundary_nodes_1d():
     assert np.flatnonzero(level.boundary_mask).tolist() == [0, level.node_count - 1]
 
 
+def test_cached_level_arrays_are_read_only():
+    # objectives and kernels share a level's cached arrays, so none may
+    # write into them
+    level = build_level(Domain(((0.0, 1.0), (0.0, 2.0))), 3)
+    for arr in (level.boundary_mask, level.weights, level.axes[0], level.axis_weights[1]):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = arr[0]
+
+
 def test_monad_symmetry_and_membership():
     level = build_level(Domain(((0.0, 1.0), (0.0, 1.0))), 3)
     rng = np.random.default_rng(1)

@@ -15,9 +15,7 @@ import ultragrid.optimize as optimize
 from ultragrid import build_level
 from ultragrid.optimize import (
     OptimizeResult,
-    Tolerance,
     _dual_norm,
-    _tolerance,
     lbfgs,
     newton,
 )
@@ -28,7 +26,7 @@ from ultragrid.problems import (
     sign_perturbed_spec,
     singular_spec,
 )
-from ultragrid.solver import GTOL_FACTOR
+from ultragrid.solver import GTOL_FACTOR, NEWTON_MAX_ITERATIONS
 
 
 @pytest.fixture
@@ -124,7 +122,7 @@ def _list_lbfgs(
     x0: np.ndarray,
     weights: np.ndarray,
     free: np.ndarray,
-    gtol: Tolerance,
+    gtol: Callable[[float], float],
     max_iter: int = 10_000,
     memory: int = 10,
     accept: Optional[Callable[[np.ndarray, np.ndarray], bool]] = None,
@@ -135,7 +133,6 @@ def _list_lbfgs(
     """The former ``lbfgs``, verbatim: the history in two lists, a fresh
     array for every step, pair and trial point.  The oracle of the ring
     buffer ``lbfgs``."""
-    tol = _tolerance(gtol)
     x = x0.copy()
     d = weights[free]
     if precondition is None:
@@ -151,7 +148,7 @@ def _list_lbfgs(
     it = 0
     stalled = 0
     while it < max_iter:
-        if gnorm <= tol(f):
+        if gnorm <= gtol(f):
             return OptimizeResult(x, f, gnorm, it, True)
         if stalled >= patience:
             return OptimizeResult(x, f, gnorm, it, False)
@@ -195,7 +192,7 @@ def _list_lbfgs(
                 break
             step *= 0.5
         if not accepted:
-            return OptimizeResult(x, f, gnorm, it, gnorm <= tol(f))
+            return OptimizeResult(x, f, gnorm, it, gnorm <= gtol(f))
 
         s = step * p
         y = g_new - g
@@ -220,7 +217,7 @@ def _list_lbfgs(
         best_gnorm = min(best_gnorm, gnorm)
         it += 1
 
-    return OptimizeResult(x, f, gnorm, it, gnorm <= tol(f))
+    return OptimizeResult(x, f, gnorm, it, gnorm <= gtol(f))
 
 
 def _assert_same_run(got, expected):
@@ -265,7 +262,7 @@ def _rayleigh_underflow_run():
         return f, 2.0 * (a * x - f * x) / xx
 
     n = a.size
-    return (vag, np.ones(n), np.ones(n), np.ones(n, dtype=bool)), dict(gtol=0.0)
+    return (vag, np.ones(n), np.ones(n), np.ones(n, dtype=bool)), dict(gtol=lambda f: 0.0)
 
 
 def _indefinite_metric_run():
@@ -282,7 +279,7 @@ def _indefinite_metric_run():
         return 0.5 * float(x @ A @ x), A @ x
 
     return (vag, rng.standard_normal(12), np.ones(12), np.ones(12, dtype=bool)), dict(
-        gtol=1e-10, max_iter=300, precondition=lambda v: v * w)
+        gtol=lambda f: 1e-10, max_iter=300, precondition=lambda v: v * w)
 
 
 @pytest.mark.parametrize("run", [_quotient_h1_run, _sawtooth_chain_run,
@@ -310,7 +307,7 @@ def test_lbfgs_default_metric_bit_identical_on_quotient():
     gtol = GTOL_FACTOR * (1.0 + abs(obj.value_and_grad(x0)[0]))
     args = (obj.value_and_grad, x0, level.weights, obj.free_mask)
     expected = _diag_metric_lbfgs(*args, gtol=gtol, wolfe=True)
-    _assert_same_run(lbfgs(*args, gtol=gtol), expected)
+    _assert_same_run(lbfgs(*args, gtol=lambda f: gtol), expected)
 
 
 def test_lbfgs_default_metric_bit_identical_on_sawtooth_chain():
@@ -327,13 +324,13 @@ def test_lbfgs_default_metric_bit_identical_on_sawtooth_chain():
     # the first 36 iterations all take Armijo steps, so the approximate Wolfe
     # test of lbfgs does not enter; the run is not yet at its tolerance
     expected = _diag_metric_lbfgs(*args, gtol=1e-12, max_iter=36)
-    got = lbfgs(*args, gtol=1e-12, max_iter=36)
+    got = lbfgs(*args, gtol=lambda f: 1e-12, max_iter=36)
     _assert_same_run(got, expected)
     assert got.grad_norm > 1e-12 and not got.converged
     # from iteration ~20 on f decreases by less than ftol while ||g||_* still
     # falls from 6e-6 to 1e-10: the run converges, where a stall guard on
     # the decrease of f alone stopped it after 30 iterations at 7e-8
-    full = lbfgs(*args, gtol=1e-12, max_iter=500)
+    full = lbfgs(*args, gtol=lambda f: 1e-12, max_iter=500)
     assert full.converged and full.iterations <= 60
 
 
@@ -363,17 +360,17 @@ def test_lbfgs_reaches_gtol_below_the_rounding_of_a_large_constant(rng, monkeypa
     assert armijo_only.iterations == 200 and not armijo_only.converged
     with monkeypatch.context() as patch:
         patch.setattr(optimize, "PATIENCE", 200)
-        result = lbfgs(vag, x0, d, free, gtol=1e-8, max_iter=200)
+        result = lbfgs(vag, x0, d, free, gtol=lambda f: 1e-8, max_iter=200)
         assert result.converged and result.grad_norm <= 1e-8
         assert result.iterations <= 60
-        # a tolerance given as a function is evaluated at the current value
+        # the tolerance is evaluated at the current value
         rel = lbfgs(vag, x0, d, free, gtol=lambda f: 1e-16 * (1.0 + abs(f)), max_iter=200)
         assert rel.converged and rel.grad_norm <= 1e-16 * (1.0 + abs(rel.value))
     # the stall guard at its default patience: near the minimum every
     # decrease falls below ftol max(|f|, 1), but ||g||_* keeps falling, so
     # the run is not stalled (a guard on the decrease of f alone stopped it
     # after 30 iterations at ||g||_* = 2.6e-6)
-    default = lbfgs(vag, x0, d, free, gtol=1e-8, max_iter=200)
+    default = lbfgs(vag, x0, d, free, gtol=lambda f: 1e-8, max_iter=200)
     assert default.converged and default.grad_norm <= 1e-8
     assert default.iterations <= 60
 
@@ -388,7 +385,7 @@ def test_lbfgs_stall_guard_stops_a_flat_direction_quotient(metric):
     obj = spec.build(level)
     x0 = obj.pin(spec.initial_guesses(level, None)[1])
     result = lbfgs(
-        obj.value_and_grad, x0, level.weights, obj.free_mask, gtol=0.0,
+        obj.value_and_grad, x0, level.weights, obj.free_mask, gtol=lambda f: 0.0,
         precondition=obj.precondition if metric == "h1" else None,
     )
     assert not result.converged
@@ -411,7 +408,7 @@ def test_lbfgs_skips_curvature_pairs_near_underflow():
         return f, 2.0 * (a * x - f * x) / xx
 
     n = a.size
-    result = lbfgs(vag, np.ones(n), np.ones(n), np.ones(n, dtype=bool), gtol=0.0)
+    result = lbfgs(vag, np.ones(n), np.ones(n), np.ones(n, dtype=bool), gtol=lambda f: 0.0)
     assert result.iterations < 10_000
     assert np.all(np.isfinite(result.x))
     assert result.value == pytest.approx(1.0, abs=1e-15)
@@ -455,7 +452,7 @@ def _one_newton_step(A, blocks, free, rng, monkeypatch):
     # newton imports it from scipy.linalg when called
     monkeypatch.setattr(scipy.linalg, "solveh_banded", spy)
     hessian = _blocks_of(A, blocks), np.zeros(n)
-    result = newton(vag, lambda x: hessian, x0, d, free, gtol=0.0, max_iter=1)
+    result = newton(vag, lambda x: hessian, x0, d, free, gtol=lambda f: 0.0, max_iter=1)
     fi = np.flatnonzero(free)
     g = vag(x0)[1][fi]
     expected = x0.copy()
@@ -516,7 +513,7 @@ def test_indefinite_hessian_takes_gradient_step():
     def hess(x):
         return blocks, 12.0 * x * x - 4.0
 
-    result = newton(vag, hess, x0, d, free, gtol=0.0, max_iter=1)
+    result = newton(vag, hess, x0, d, free, gtol=lambda f: 0.0, max_iter=1)
     f0, g0 = vag(x0)
     newton_dir = -g0[free] / (12.0 * x0[free] ** 2 - 4.0)
     assert newton_dir @ g0[free] < 0.0
@@ -565,7 +562,7 @@ def test_newton_band_equals_former_sparse_assembly(n, monkeypatch):
     x0 = spec.initial_guesses(level, None)[0]
     gtol = GTOL_FACTOR * (1.0 + abs(obj.value_and_grad(x0)[0]))
     newton(obj.value_and_grad, hessian, x0, level.weights, obj.free_mask,
-           gtol=gtol, accept=obj.accept_step)
+           gtol=lambda f: gtol, max_iter=NEWTON_MAX_ITERATIONS, accept=obj.accept_step)
     K = _masked_stiffness(level)
     assert len(bands) == 4 * len(points) and len(points) > 1
     expected = [_former_band(K, obj.hessian(x)[1], nodes)
@@ -584,7 +581,7 @@ def _superlu_newton(value_and_grad, hessian, x0, weights, free, gtol, max_iter=2
     gnorm = float(np.sqrt(np.sum(g * g / d)))
     free_idx = np.flatnonzero(free)
     for it in range(max_iter):
-        if gnorm <= gtol:
+        if gnorm <= gtol(f):
             return OptimizeResult(x, f, gnorm, it, True)
         K, c = hessian(x)
         H = (K + sp.diags(c)).tocsr()[free_idx][:, free_idx].tocsc()
@@ -608,10 +605,10 @@ def _superlu_newton(value_and_grad, hessian, x0, weights, free, gtol, max_iter=2
                 break
             step *= 0.5
         if not accepted:
-            return OptimizeResult(x, f, gnorm, it, gnorm <= gtol)
+            return OptimizeResult(x, f, gnorm, it, gnorm <= gtol(f))
         x, f, g = x_new, f_new, g_new_full[free]
         gnorm = float(np.sqrt(np.sum(g * g / d)))
-    return OptimizeResult(x, f, gnorm, max_iter, gnorm <= gtol)
+    return OptimizeResult(x, f, gnorm, max_iter, gnorm <= gtol(f))
 
 
 @pytest.mark.parametrize("n", [4, 5])
@@ -622,7 +619,7 @@ def test_newton_matches_superlu_reference_on_singular(n):
     x0 = spec.initial_guesses(level, None)[0]
     gtol = GTOL_FACTOR * (1.0 + abs(obj.value_and_grad(x0)[0]))
     args = (x0, level.weights, obj.free_mask)
-    kwargs = dict(gtol=gtol, accept=obj.accept_step)
+    kwargs = dict(gtol=lambda f: gtol, max_iter=NEWTON_MAX_ITERATIONS, accept=obj.accept_step)
     banded = newton(obj.value_and_grad, obj.hessian, *args, **kwargs)
     # the former Hessian form: the whole masked stiffness and the diagonal
     K = _masked_stiffness(level)

@@ -697,6 +697,18 @@ def test_singular_boundary_data_never_zero():
     assert np.all(np.abs(obj.fixed_values[boundary]) == 1.0)
 
 
+@pytest.mark.parametrize("factory", [sign_perturbed_spec, singular_spec])
+def test_pinned_objective_holds_the_level_mask(factory):
+    # the objective pins the level's own boundary mask, not a copy, and
+    # takes its complement once
+    spec = factory()
+    level = build_level(spec.domain, 3)
+    obj = spec.build(level)
+    assert np.shares_memory(obj.fixed_mask, level.boundary_mask)
+    assert obj.free_mask is obj.free_mask
+    np.testing.assert_array_equal(obj.free_mask, ~level.boundary_mask)
+
+
 def test_singular_rejects_zero_boundary_data():
     spec = singular_spec(g=lambda x, y: x - 0.25)  # vanishes on the boundary
     level = build_level(spec.domain, 3)
@@ -828,7 +840,7 @@ def test_singular_riesz_residual_is_the_former_strong_residual(n):
     riesz = (grad / level.weights)[obj.free_mask]
     scale = np.max(np.abs(former))
     assert np.max(np.abs(riesz - former)) <= 1e-13 * scale
-    result = MinResult(level, GridFunction(level, u), value, 0.0, 0, False)
+    result = MinResult(GridFunction(level, u), value, 0.0, False)
     assert verify_euler_lagrange(spec, result).max_residual == np.max(np.abs(riesz))
 
 

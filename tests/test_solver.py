@@ -305,6 +305,30 @@ def test_warm_start_feasibility_is_a_usage_error():
         minimize_level(problem, level, init=np.full(level.node_count, -1.0))
 
 
+def test_infeasible_prolongation_is_a_usage_error():
+    # the level-3 minimizer x(1 - x) reaches 0.25 at x = 1/2, so its
+    # prolongation fails the predicate u <= 0.2 on level 4; minimize_level
+    # rejects it as it rejects an infeasible explicit start
+    class Capped(_Quadratic):
+        def feasible(self, u):
+            return bool(np.all(u <= 0.2))
+
+    problem = ProblemSpec(
+        name="capped",
+        domain=DOM1,
+        build=Capped,
+        initial_guesses=lambda level, warm: [np.zeros(level.node_count)],
+    )
+    with pytest.raises(ValueError, match="feasibility"):
+        solve_net(problem, levels=range(3, 6))
+
+
+def test_free_objective_stores_no_mask():
+    obj = _Quadratic(build_level(DOM1, 4))
+    assert obj.fixed_mask.strides == (0,) and not obj.fixed_mask.any()
+    assert obj.free_mask is obj.free_mask and obj.free_mask.all()
+
+
 def test_second_start_of_a_warm_quotient_level_runs_without_the_warm_start(monkeypatch):
     # a warm 3D level-4 quotient level runs the warm start, then one bubble
     # start.  When the second run begins, the first run's start is gone and
