@@ -32,7 +32,6 @@ from .calculus import (
     grid_function_to_binary,
     inner,
     integral,
-    laplacian,
     norm,
     restrict,
     standard_battery,
@@ -45,9 +44,7 @@ from .measure import (
     NodeMask,
     density,
     gauss_check,
-    normal_field,
     perimeter,
-    surface_integral,
 )
 from .nets import (
     Classification,
@@ -66,7 +63,6 @@ from .solver import (
     SolutionNet,
     Splitting,
     StartRecord,
-    check_gradient,
     minimize_level,
     prolong,
     solve_net,

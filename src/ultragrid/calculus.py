@@ -18,8 +18,6 @@ matrix-vector product sums a row from ``+0.0``, so the stencil and a CSR
 Consequences used throughout the package:
 
 * ``inner(D u, v) == -inner(u, D v)`` to rounding, always;
-* the discrete Laplacian ``sum_i D_i (D_i u)`` satisfies
-  ``inner(lap u, v) == -sum_i inner(D_i u, D_i v)`` exactly;
 * the divergence-theorem identity in :mod:`ultragrid.measure` is algebraic.
 """
 
@@ -46,7 +44,6 @@ __all__ = [
     "derivative",
     "gradient",
     "divergence",
-    "laplacian",
     "derivative_kernel_dimension",
     "bump",
     "standard_battery",
@@ -225,20 +222,6 @@ def divergence(phi: Sequence[GridFunction]) -> GridFunction:
     for axis in range(1, level.dimension):
         total += op.apply(phi[axis].values, axis)
     return GridFunction(level, total)
-
-
-def laplacian(u: GridFunction) -> GridFunction:
-    """Discrete Laplacian ``sum_i D_i (D_i u)``.
-
-    Satisfies ``inner(laplacian(u), v) == -sum_i inner(D_i u, D_i v)`` exactly
-    for every ``v``, by the antisymmetry of ``W @ D``.
-    """
-    op = diff_op(u.level)
-    total = op.apply(op.apply(u.values, 0), 0)
-    total += 0.0  # the sum starts from +0.0
-    for axis in range(1, u.level.dimension):
-        total += op.apply(op.apply(u.values, axis), axis)
-    return GridFunction(u.level, total)
 
 
 #: Relative singular-value cutoff of :func:`derivative_kernel_dimension`.

@@ -32,6 +32,14 @@ import numpy as np
 
 __all__ = ["p1_matrices", "gauss_interp", "apply_axis", "apply_axes"]
 
+# the 4-point Gauss-Legendre rule on [-1, 1]: the doubles
+# numpy.polynomial.legendre.leggauss(4) returns, stored so that no request
+# loads numpy.polynomial for them
+_GAUSS_POINTS = np.array([-0.8611363115940526, -0.33998104358485626,
+                          0.33998104358485626, 0.8611363115940526])
+_GAUSS_WEIGHTS = np.array([0.34785484513745357, 0.6521451548625464,
+                           0.6521451548625464, 0.34785484513745357])
+
 
 def p1_matrices(m: int, h: float) -> tuple[np.ndarray, np.ndarray]:
     """1D linear-element stiffness ``K`` and consistent mass ``M`` on ``m``
@@ -57,9 +65,8 @@ def gauss_interp(m: int, h: float, lo: float) -> tuple[np.ndarray, np.ndarray, n
     ``points`` are the Gauss coordinates and ``weights`` the quadrature
     weights.
     """
-    t, wt = np.polynomial.legendre.leggauss(4)
     cells = m - 1
-    s = (t + 1.0) / 2.0  # barycentric position inside the cell
+    s = (_GAUSS_POINTS + 1.0) / 2.0  # barycentric position inside the cell
     rows = np.arange(4 * cells)
     cell_idx = np.repeat(np.arange(cells), 4)
     s_rep = np.tile(s, cells)
@@ -69,7 +76,7 @@ def gauss_interp(m: int, h: float, lo: float) -> tuple[np.ndarray, np.ndarray, n
     G[rows, cell_idx + 1] = s_rep
 
     points = lo + (cell_idx + s_rep) * h
-    weights = np.tile(wt, cells) * (h / 2.0)
+    weights = np.tile(_GAUSS_WEIGHTS, cells) * (h / 2.0)
     return G, points, weights
 
 

@@ -1,4 +1,4 @@
-"""Density functions, perimeter, surface integrals, and the Gauss identity.
+"""Density functions, perimeter, and the Gauss identity.
 
 The density of a region at a node is the volume fraction of the ball
 ``B_h(node)`` covered by the region: the ball is one grid step ``h`` in
@@ -53,8 +53,6 @@ __all__ = [
     "GaussResult",
     "density",
     "perimeter",
-    "surface_integral",
-    "normal_field",
     "gauss_check",
     "SAMPLES_PER_AXIS",
 ]
@@ -424,9 +422,9 @@ def _consistent_gradient(theta: GridFunction) -> Iterator[np.ndarray]:
     Central differences inside, one-sided at the box faces.  The
     antisymmetric closure rows of the summation-by-parts derivative read a
     spurious ``theta/h`` at boundary nodes where the density is nonzero, so
-    measure-theoretic quantities (perimeter, surface sums, normals) of
-    regions meeting the box boundary use this stencil instead.  Fed to
-    :func:`_magnitude`, only ``theta``, ``|D theta|`` and one row are alive.
+    the perimeter of a region meeting the box boundary uses this stencil
+    instead.  Fed to :func:`_magnitude`, only ``theta``, ``|D theta|`` and
+    one row are alive.
     """
     level = theta.level
     for axis in range(level.dimension):
@@ -437,25 +435,6 @@ def perimeter(region: Region, level: GridLevel) -> float:
     """``sum_a |D theta(a)| d(a)``: the total-variation perimeter of the region."""
     mag = _magnitude(_consistent_gradient(density(region, level)))
     return float(mag @ level.weights)
-
-
-def surface_integral(v: GridFunction, region: Region) -> float:
-    """``sum_a v(a) |D theta(a)| d(a)`` — the density-weighted surface sum.
-
-    Note this is not the plain nodal sum over boundary nodes; the weight
-    ``|D theta|`` carries the surface measure.
-    """
-    mag = _magnitude(_consistent_gradient(density(region, v.level)))
-    return float(np.multiply(v.values, mag, out=mag) @ v.level.weights)
-
-
-def normal_field(region: Region, level: GridLevel) -> tuple[GridFunction, ...]:
-    """Outward unit normal ``-D theta / |D theta|`` (zero where the gradient
-    magnitude is below ``1e-14`` of its maximum)."""
-    rows = list(_consistent_gradient(density(region, level)))
-    mag = _magnitude(rows)
-    _outward_normals(rows, mag)
-    return tuple(GridFunction(level, row) for row in rows)
 
 
 @dataclass(frozen=True)
@@ -477,7 +456,7 @@ def gauss_check(phi: Sequence[GridFunction], region: Region) -> GaussResult:
     weighted derivative matrix is antisymmetric (the identity is algebraic).
     The right-hand side is built in place in the summation-by-parts
     derivative rows of ``theta``: each becomes ``phi_i`` times
-    ``-D_i theta / |D theta|`` (zero below the floor of :func:`normal_field`)
+    ``-D_i theta / |D theta|`` (zero below the floor of :func:`_outward_normals`)
     and the rows are summed in axis order onto ``+0.0``, holding only the
     rows and ``|D theta|``.
     """

@@ -19,7 +19,7 @@ except ImportError:  # a platform without getrusage records no peak
     resource = None
 
 # numpy loads numpy.random on first access: only a request that draws from it
-# (a random start, check_gradient, calculus-check) pays for loading it
+# (a random start, calculus-check) pays for loading it
 import numpy as np
 
 from .calculus import GridFunction, inner, norm, restrict, standard_battery
@@ -47,7 +47,6 @@ __all__ = [
     "solve_net",
     "split",
     "verify_euler_lagrange",
-    "check_gradient",
 ]
 
 #: Relative optimizer tolerance: converged when ||g||_* <= GTOL_FACTOR * (1 + |f|)
@@ -136,7 +135,9 @@ class ProblemSpec:
 
     ``initial_guesses(level, warm)`` lists a level's starts (``warm`` is the
     pinned warm start or ``None``); ``random_start(level, rng)`` draws one
-    more from a generator built only when it is about to draw."""
+    more from a generator built only when it is about to draw.  Every
+    start, pinned, must satisfy the objective's feasibility predicate:
+    :func:`minimize_level` raises ``ValueError`` at the first that does not."""
 
     name: str
     domain: Domain
@@ -246,14 +247,21 @@ def minimize_level(
 ) -> MinResult:
     """Minimize the problem on one level from one or more starts.
 
-    ``init`` (a warm start, given or prolonged by :func:`solve_net`) is
-    pinned and must then satisfy the feasibility predicate: an infeasible
-    one is a usage error (``ValueError``).  Additional starts come from the
-    problem's initializers and, if provided, its random-start generator
-    (seeded, so results are deterministic); an infeasible one is skipped.
+    The starts are ``init`` (a warm start, given or prolonged by
+    :func:`solve_net`), then the problem's initializers, then
+    ``multistart`` less that many draws of its random-start generator, if
+    it has one (seeded, so results are deterministic).  Each is pinned and
+    must then satisfy the feasibility predicate: an infeasible one is a
+    usage error (``ValueError``), raised before the next start is made.
     No other function tests whether a start is feasible.
     """
     obj = problem.build(level)
+
+    def feasible_start(kind: str, u: np.ndarray) -> tuple[str, np.ndarray]:
+        u = obj.pin(u)
+        if not obj.feasible(u):
+            raise ValueError(f"{kind} start violates the feasibility predicate")
+        return kind, u
 
     # one copy of each start: the caller's warm start and the unpinned
     # guesses are released once pinned, and the pinned warm start once its
@@ -261,23 +269,19 @@ def minimize_level(
     starts: list[tuple[str, np.ndarray]] = []
     warm = None
     if init is not None:
-        warm = obj.pin(init.values if isinstance(init, GridFunction) else init)
+        starts.append(feasible_start(
+            "warm", init.values if isinstance(init, GridFunction) else init))
         init = None
-        if not obj.feasible(warm):
-            raise ValueError("initial guess violates the feasibility predicate")
-        starts.append(("warm", warm))
-    starts += [("initializer", arr)
-               for arr in map(obj.pin, problem.initial_guesses(level, warm))
-               if obj.feasible(arr)]
+        warm = starts[0][1]
+    starts += [feasible_start("initializer", u)
+               for u in problem.initial_guesses(level, warm)]
     del warm  # the start list holds it
     if problem.random_start is not None and len(starts) < multistart:
         rng = np.random.default_rng([seed, level.n])
-        while len(starts) < multistart:
-            arr = obj.pin(problem.random_start(level, rng))
-            if obj.feasible(arr):
-                starts.append(("random", arr))
+        starts += [feasible_start("random", problem.random_start(level, rng))
+                   for _ in range(multistart - len(starts))]
     if not starts:
-        raise ValueError(f"problem {problem.name!r} produced no feasible start")
+        raise ValueError(f"problem {problem.name!r} produced no start")
 
     best: OptimizeResult | None = None
     records = []
@@ -495,40 +499,3 @@ def verify_euler_lagrange(problem: ProblemSpec, result: MinResult) -> ELReport:
         phi_grid = restrict(phi, result.level)
         weak.append(float(g @ phi_grid.values))
     return ELReport(max_residual=max_res, l2_residual=l2_res, weak_residuals=tuple(weak))
-
-
-def check_gradient(problem: ProblemSpec, level: GridLevel) -> float:
-    """Max relative error of the analytic gradient against central differences.
-
-    Probes five random directions supported on the free dofs, with step
-    ``1e-6`` times the start's scale, around the problem's first initializer
-    (nudged to stay feasible).  Used to enforce the gradient-consistency
-    invariant of :class:`ProblemSpec`.
-    """
-    obj = problem.build(level)
-    rng = np.random.default_rng([0, 97, level.n])
-    guesses = problem.initial_guesses(level, None)
-    u = obj.pin(np.asarray(guesses[-1], dtype=float))
-    scale = max(1.0, float(np.max(np.abs(u))))
-    # nudge off any symmetry point of the functional, staying feasible
-    bumped = u.copy()
-    bumped[obj.free_mask] += 0.05 * scale * rng.standard_normal(int(obj.free_mask.sum()))
-    if obj.feasible(bumped):
-        u = bumped
-
-    worst = 0.0
-    g = obj.value_and_grad(u)[1]
-    for _ in range(5):
-        v = rng.standard_normal(u.size)
-        v[obj.fixed_mask] = 0.0
-        v /= max(np.linalg.norm(v), 1e-300)
-        step = 1e-6 * scale
-        up = u + step * v
-        dn = u - step * v
-        if not (obj.feasible(up) and obj.feasible(dn)):
-            continue
-        fd = (obj.value_and_grad(up)[0] - obj.value_and_grad(dn)[0]) / (2.0 * step)
-        an = float(g @ v)
-        denom = max(abs(fd), abs(an), 1e-10)
-        worst = max(worst, abs(fd - an) / denom)
-    return worst

@@ -145,17 +145,6 @@ def perimeter(region, level):
     return float(mag @ level.weights)
 
 
-def surface_integral(v, region):
-    _comps, mag = consistent_gradient(density(region, v.level))
-    return float((v.values * mag) @ v.level.weights)
-
-
-def normal_field(region, level):
-    """The normal components as plain arrays."""
-    comps, mag = consistent_gradient(density(region, level))
-    return tuple(_normals(comps, mag))
-
-
 def gauss_check(phi, region):
     """``(lhs, rhs)`` of the Gauss identity."""
     level = phi[0].level

@@ -27,7 +27,6 @@ from ultragrid import (
     grid_function_to_binary,
     inner,
     integral,
-    laplacian,
     norm,
     restrict,
     standard_battery,
@@ -203,20 +202,6 @@ def test_derivative_second_order_interior():
         hs.append(level.h)
     slope, _ = np.polyfit(np.log(hs), np.log(errs), 1)
     assert abs(slope - 2.0) < 0.2
-
-
-def test_weak_laplacian_identity():
-    # sum (lap u) v d == -sum Du . Dv d for all u, v (algebraic identity)
-    rng = np.random.default_rng(5)
-    level = build_level(DOM2, 4)
-    d = level.weights
-    u = GridFunction(level, rng.standard_normal(level.node_count))
-    v = GridFunction(level, rng.standard_normal(level.node_count))
-    lhs = (laplacian(u).values * v.values) @ d
-    rhs = -sum(
-        (gradient(u)[i].values * gradient(v)[i].values) @ d for i in range(2)
-    )
-    assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), 1.0)
 
 
 def test_divergence_matches_component_sum():

@@ -4,7 +4,9 @@ import csr_oracles as oracles
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.polynomial.legendre import leggauss
 
+from ultragrid import elements
 from ultragrid.elements import apply_axes, apply_axis, gauss_interp, p1_matrices
 
 
@@ -89,3 +91,9 @@ def test_gauss_interp_integrates_degree_seven_exactly():
         exact += h * (b**7 - a**7) / (7.0 * (b - a))
     assert abs(weights @ (G @ u) ** 6 - exact) <= 1e-14
     assert np.allclose(points.reshape(-1, 4).mean(axis=1), nodes[:-1] + h / 2)
+
+
+def test_gauss_rule_is_leggauss_bit_for_bit():
+    points, weights = leggauss(4)
+    assert elements._GAUSS_POINTS.tobytes() == points.tobytes()
+    assert elements._GAUSS_WEIGHTS.tobytes() == weights.tobytes()

@@ -12,6 +12,7 @@ import scipy.sparse as sp
 from grid_oracles import coordinate_table
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from solver_oracles import check_gradient
 
 import ultragrid.optimize as optimize
 import ultragrid.problems as problems
@@ -22,7 +23,6 @@ from ultragrid import (
     QuadraticWell,
     bubble,
     build_level,
-    check_gradient,
     concentration_metric,
     extract_interface,
     minimize_level,

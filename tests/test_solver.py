@@ -9,6 +9,7 @@ import pytest
 from grid_oracles import coordinate_table
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from solver_oracles import check_gradient
 
 import ultragrid.solver as solver
 from ultragrid import (
@@ -20,7 +21,6 @@ from ultragrid import (
     ProblemSpec,
     QuadraticWell,
     build_level,
-    check_gradient,
     classify,
     inner,
     minimize_level,
@@ -321,6 +321,47 @@ def test_infeasible_prolongation_is_a_usage_error():
     )
     with pytest.raises(ValueError, match="feasibility"):
         solve_net(problem, levels=range(3, 6))
+
+
+class _Positive(_Quadratic):
+    def feasible(self, u):
+        return bool(np.all(u > 0.0))
+
+
+def test_infeasible_initializer_is_a_usage_error():
+    # the zero initializer fails u > 0: a usage error, not a dropped start
+    problem = ProblemSpec(
+        name="positive",
+        domain=DOM1,
+        build=_Positive,
+        initial_guesses=lambda level, warm: [np.zeros(level.node_count)],
+        random_start=lambda level, rng: np.ones(level.node_count),
+    )
+    with pytest.raises(ValueError, match="initializer start violates the feasibility"):
+        minimize_level(problem, build_level(DOM1, 3))
+
+
+def test_infeasible_random_start_fails_on_its_first_draw():
+    # every draw fails u > 0; the sentinel stops a policy that would keep
+    # drawing instead of failing
+    calls = []
+
+    def random_start(level, rng):
+        calls.append(level.n)
+        if len(calls) > 50:
+            raise RuntimeError("still drawing after 50 infeasible starts")
+        return -np.ones(level.node_count)
+
+    problem = ProblemSpec(
+        name="negative draws",
+        domain=DOM1,
+        build=_Positive,
+        initial_guesses=lambda level, warm: [],
+        random_start=random_start,
+    )
+    with pytest.raises(ValueError, match="random start violates the feasibility"):
+        minimize_level(problem, build_level(DOM1, 3))
+    assert calls == [3]
 
 
 def test_free_objective_stores_no_mask():
