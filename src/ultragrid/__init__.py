@@ -27,7 +27,6 @@ from .calculus import (
     derivative_kernel_dimension,
     diff_op,
     divergence,
-    gradient,
     grid_function_from_binary,
     grid_function_to_binary,
     inner,

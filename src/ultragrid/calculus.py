@@ -42,7 +42,6 @@ __all__ = [
     "norm",
     "diff_op",
     "derivative",
-    "gradient",
     "divergence",
     "derivative_kernel_dimension",
     "bump",
@@ -201,11 +200,6 @@ def derivative(u: GridFunction, axis: int = 0) -> GridFunction:
     """SBP derivative of ``u`` along ``axis``."""
     op = diff_op(u.level)
     return GridFunction(u.level, op.apply(u.values, axis))
-
-
-def gradient(u: GridFunction) -> tuple[GridFunction, ...]:
-    """All axis derivatives of ``u``."""
-    return tuple(derivative(u, axis) for axis in range(u.level.dimension))
 
 
 def divergence(phi: Sequence[GridFunction]) -> GridFunction:

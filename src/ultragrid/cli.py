@@ -123,7 +123,6 @@ def _validate(config: dict) -> None:
     if config["format"] not in ("csv", "json"):
         raise ConfigError(f"format must be 'csv' or 'json', got {config['format']!r}")
     _integer(config, "seed", 0)
-    _integer(config, "multistart", 1)
     if "instances" in config:
         _integer(config, "instances", 1)
     _tolerances(config)
@@ -170,7 +169,6 @@ def _load_config(args) -> dict:
             config[key] = getattr(args, key)
     config.setdefault("seed", 0)
     config.setdefault("format", "csv")
-    config.setdefault("multistart", 3)
     _validate(config)
     return config
 
@@ -298,7 +296,7 @@ def cmd_solve(config: dict, out: pathlib.Path) -> int:
     timings: dict[str, float] = {}
     t0 = time.perf_counter()
     try:
-        net = solve_net(problem, levels, seed=config["seed"], multistart=config["multistart"])
+        net = solve_net(problem, levels)
     except (ResourceLimitError, BoundaryDataError) as exc:
         # a level over the node cap is a bad level range, and boundary
         # data that vanishes at some level's node, or covers every node of
@@ -639,7 +637,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--out", help="output directory")
         p.add_argument("--levels", help="level range A..B (overrides config)")
-        p.add_argument("--seed", type=int, help="base RNG seed")
+        p.add_argument("--seed", type=int, help="RNG seed of calculus-check's random instances")
         p.add_argument("--format", choices=("csv", "json"), help="table format")
     return parser
 

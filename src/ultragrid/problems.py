@@ -189,15 +189,11 @@ def sawtooth_spec() -> ProblemSpec:
     def initial_guesses(level, warm):
         return [np.zeros(level.node_count), sawtooth_pattern(level)]
 
-    def random_start(level, rng):
-        return rng.standard_normal(level.node_count) * level.h
-
     return ProblemSpec(
         name="sawtooth",
         domain=domain,
         build=build,
         initial_guesses=initial_guesses,
-        random_start=random_start,
         lower_bound=0.0,
     )
 

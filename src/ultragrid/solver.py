@@ -18,8 +18,6 @@ try:
 except ImportError:  # a platform without getrusage records no peak
     resource = None
 
-# numpy loads numpy.random on first access: only a request that draws from it
-# (a random start, calculus-check) pays for loading it
 import numpy as np
 
 from .calculus import GridFunction, inner, norm, restrict, standard_battery
@@ -133,17 +131,15 @@ class ProblemSpec:
     Its results pair with ``standard_battery(domain)`` in :func:`split`
     and :func:`verify_euler_lagrange`.
 
-    ``initial_guesses(level, warm)`` lists a level's starts (``warm`` is the
-    pinned warm start or ``None``); ``random_start(level, rng)`` draws one
-    more from a generator built only when it is about to draw.  Every
-    start, pinned, must satisfy the objective's feasibility predicate:
+    ``initial_guesses(level, warm)`` lists a level's starts after the warm
+    one (``warm`` is the pinned warm start or ``None``).  Every start,
+    pinned, must satisfy the objective's feasibility predicate:
     :func:`minimize_level` raises ``ValueError`` at the first that does not."""
 
     name: str
     domain: Domain
     build: Callable[[GridLevel], LevelObjective]
     initial_guesses: Callable[[GridLevel, Optional[np.ndarray]], list]
-    random_start: Optional[Callable[[GridLevel, np.random.Generator], np.ndarray]] = None
     lower_bound: Optional[float] = None
     diagnostics: Optional[Callable[[LevelObjective, np.ndarray], dict]] = None
     #: Whether per-level values minimize one nested family of energies, so
@@ -158,7 +154,7 @@ class ProblemSpec:
 class StartRecord:
     """One start of a per-level minimization and where it ended."""
 
-    kind: str  # "warm", "initializer" or "random"
+    kind: str  # "warm" or "initializer"
     iterations: int
     value: float
     converged: bool
@@ -242,15 +238,11 @@ def minimize_level(
     problem: ProblemSpec,
     level: GridLevel,
     init: GridFunction | np.ndarray | None = None,
-    seed: int = 0,
-    multistart: int = 3,
 ) -> MinResult:
     """Minimize the problem on one level from one or more starts.
 
     The starts are ``init`` (a warm start, given or prolonged by
-    :func:`solve_net`), then the problem's initializers, then
-    ``multistart`` less that many draws of its random-start generator, if
-    it has one (seeded, so results are deterministic).  Each is pinned and
+    :func:`solve_net`), then the problem's initializers.  Each is pinned and
     must then satisfy the feasibility predicate: an infeasible one is a
     usage error (``ValueError``), raised before the next start is made.
     No other function tests whether a start is feasible.
@@ -276,10 +268,6 @@ def minimize_level(
     starts += [feasible_start("initializer", u)
                for u in problem.initial_guesses(level, warm)]
     del warm  # the start list holds it
-    if problem.random_start is not None and len(starts) < multistart:
-        rng = np.random.default_rng([seed, level.n])
-        starts += [feasible_start("random", problem.random_start(level, rng))
-                   for _ in range(multistart - len(starts))]
     if not starts:
         raise ValueError(f"problem {problem.name!r} produced no start")
 
@@ -340,12 +328,7 @@ def _warm_start(
     return prolong(results[-1].u, level)
 
 
-def solve_net(
-    problem: ProblemSpec,
-    levels: Sequence[int],
-    seed: int = 0,
-    multistart: int = 3,
-) -> SolutionNet:
+def solve_net(problem: ProblemSpec, levels: Sequence[int]) -> SolutionNet:
     """Minimize over a chain of at least three levels with warm starting.
 
     For a nested family of energies (``ProblemSpec.monotone_values``), each
@@ -369,10 +352,7 @@ def solve_net(
     for level in chain:
         # the warm start is built in the call, so that only minimize_level
         # holds it and can release it once pinned
-        res = minimize_level(
-            problem, level, init=_warm_start(problem, level, results), seed=seed,
-            multistart=multistart,
-        )
+        res = minimize_level(problem, level, init=_warm_start(problem, level, results))
         if problem.monotone_values and results and res.value > results[-1].value + 1e-10:
             violations.append(level.n)
         if problem.lower_bound is not None and res.value < problem.lower_bound - 1e-10:

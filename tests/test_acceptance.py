@@ -68,12 +68,12 @@ def _fit_order(hs, errs):
 
 @pytest.fixture(scope="module")
 def sawtooth_net():
-    return solve_net(sawtooth_spec(), levels=range(3, 9), seed=0, multistart=3)
+    return solve_net(sawtooth_spec(), levels=range(3, 9))
 
 
 @pytest.fixture(scope="module")
 def quotient_net_free():
-    return solve_net(sign_perturbed_spec(), levels=range(3, 7), seed=0, multistart=3)
+    return solve_net(sign_perturbed_spec(), levels=range(3, 7))
 
 
 @pytest.fixture(scope="module")
@@ -82,12 +82,12 @@ def quotient_net_well():
     # tails decay as a clean power law over four levels; a weak well leaves
     # them preasymptotic and the extrapolated limits stall above zero
     spec = sign_perturbed_spec(a=QuadraticWell((0.5, 0.5, 0.5), strength=500.0))
-    return solve_net(spec, levels=range(3, 7), seed=0, multistart=3)
+    return solve_net(spec, levels=range(3, 7))
 
 
 @pytest.fixture(scope="module")
 def singular_net():
-    return solve_net(singular_spec(), levels=range(4, 7), seed=0, multistart=3)
+    return solve_net(singular_spec(), levels=range(4, 7))
 
 
 # --- criterion 1 ---------------------------------------------------------------

@@ -22,7 +22,6 @@ from ultragrid import (
     derivative_kernel_dimension,
     diff_op,
     divergence,
-    gradient,
     grid_function_from_binary,
     grid_function_to_binary,
     inner,

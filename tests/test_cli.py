@@ -96,6 +96,29 @@ def test_csv_determinism(tmp_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
 
 
+def _rows_without_hash(path):
+    with open(path, encoding="utf-8", newline="") as fh:
+        rows = list(csv.reader(fh))
+    col = rows[0].index("config_hash")
+    return [row[:col] + row[col + 1:] for row in rows]
+
+
+def test_sawtooth_solve_does_not_depend_on_the_seed(tmp_path):
+    # the seed feeds only calculus-check: a solve at two seeds writes the
+    # same tables, the config hash aside
+    outs = []
+    for seed in (1, 7919):
+        out = tmp_path / str(seed)
+        out.mkdir()
+        cfg = write_config(tmp_path, dict(SAW, levels="3..6", seed=seed))
+        assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
+        outs.append(out)
+    names = sorted(p.name for p in outs[0].glob("*.csv"))
+    assert names == ["levels.csv", "plot_convergence.csv", "psi.csv", "splitting.csv"]
+    for name in names:
+        assert _rows_without_hash(outs[0] / name) == _rows_without_hash(outs[1] / name), name
+
+
 def test_json_format(tmp_path):
     cfg = write_config(tmp_path, dict(SAW, format="json"))
     out = tmp_path / "out"
@@ -288,14 +311,13 @@ for name in sys.argv[2:]:
 
 
 @pytest.mark.parametrize("requests, loaded", [
-    (["sign_perturbed", "sawtooth"], ["False", "True"]),
+    (["sign_perturbed", "sawtooth"], ["False", "False"]),
     (["calculus-check"], ["True"]),
 ])
 def test_only_requests_that_draw_load_numpy_random(tmp_path, requests, loaded):
     # a fresh interpreter: importing the CLI loads neither numpy.random nor
-    # scipy, a quotient solve draws nothing and leaves numpy.random unloaded,
-    # and the sawtooth's random start and calculus-check's random instances
-    # load it on their first draw
+    # scipy, no solve draws and each leaves numpy.random unloaded, and
+    # calculus-check's random instances load it on their first draw
     src = str(pathlib.Path(cli.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     proc = subprocess.run(
@@ -321,7 +343,7 @@ def test_report_traces_every_start(tmp_path):
     for payload, kinds in (
         # the singular study's values are not monotone: no level starts warm
         ({"problem": "singular", "levels": "4..6", "seed": 1}, [["initializer"]] * 3),
-        (SAW, [["initializer", "initializer", "random"]]
+        (SAW, [["initializer", "initializer"]]
          + [["warm", "initializer", "initializer"]] * 2),
     ):
         cfg = write_config(tmp_path, payload)
@@ -411,8 +433,8 @@ def test_sign_perturbed_level_without_interior_exits_2_before_solving(
 @pytest.mark.parametrize("payload, message", [
     ({"seed": -1}, "seed must be an integer >= 0"),
     ({"seed": "3"}, "seed must be an integer >= 0"),
-    ({"multistart": 0}, "multistart must be an integer >= 1"),
-    ({"multistart": 2.5}, "multistart must be an integer >= 1"),
+    ({"seed": 2.5}, "seed must be an integer >= 0"),
+    ({"seed": True}, "seed must be an integer >= 0"),
     ({"tolerances": [1e-4]}, "tolerances must be an object"),
     ({"tolerances": {"rtol": "tight"}}, "tolerance rtol must be a finite number > 0"),
     ({"tolerances": {"atol": 0.0}}, "tolerance atol must be a finite number > 0"),

@@ -246,7 +246,7 @@ def _sawtooth_chain_run():
     spec = sawtooth_spec()
     level = build_level(spec.domain, 8)
     obj = spec.build(level)
-    x0 = obj.pin(spec.random_start(level, np.random.default_rng(3)))
+    x0 = obj.pin(np.random.default_rng(3).standard_normal(level.node_count) * level.h)
     return (obj.value_and_grad, x0, level.weights, obj.free_mask), dict(
         gtol=lambda f: GTOL_FACTOR * (1.0 + abs(f)), precondition=obj.precondition)
 
