@@ -145,7 +145,7 @@ def main(argv=None) -> int:
     for n in QUOTIENT_LEVELS:
         level = build_level(spec.domain, n)
         obj = spec.build(level)
-        u = obj.pin(spec.initial_guesses(level, None)[0])
+        u = obj.pin(spec.initial_guesses(level)[0])
         _time(3, n, "quotient_vag", lambda: obj.value_and_grad(u), level.node_count, args.repeats)
     return 0
 

@@ -50,7 +50,7 @@ __all__ = [
 #: Relative optimizer tolerance: converged when ||g||_* <= GTOL_FACTOR * (1 + |f|)
 #: at the value ``f`` the optimizer returns.
 GTOL_FACTOR = 1e-8
-#: Iteration cap of each L-BFGS start (a level runs several starts).
+#: Iteration cap of each L-BFGS start (a level may run several starts).
 MAX_ITERATIONS = 10_000
 #: Iteration cap of each Newton start.
 NEWTON_MAX_ITERATIONS = 200
@@ -131,22 +131,26 @@ class ProblemSpec:
     Its results pair with ``standard_battery(domain)`` in :func:`split`
     and :func:`verify_euler_lagrange`.
 
-    ``initial_guesses(level, warm)`` lists a level's starts after the warm
-    one (``warm`` is the pinned warm start or ``None``).  Every start,
-    pinned, must satisfy the objective's feasibility predicate:
-    :func:`minimize_level` raises ``ValueError`` at the first that does not."""
+    ``initial_guesses(level)`` lists the starts of a level that has no warm
+    start: the first level of every study, and every level of a study whose
+    values are not nested.  Every start, pinned, must satisfy the
+    objective's feasibility predicate: :func:`minimize_level` raises
+    ``ValueError`` at the first that does not."""
 
     name: str
     domain: Domain
     build: Callable[[GridLevel], LevelObjective]
-    initial_guesses: Callable[[GridLevel, Optional[np.ndarray]], list]
+    initial_guesses: Callable[[GridLevel], list]
     lower_bound: Optional[float] = None
     diagnostics: Optional[Callable[[LevelObjective, np.ndarray], dict]] = None
-    #: Whether per-level values minimize one nested family of energies, so
-    #: that warm-started values must be non-increasing.  Problems whose
-    #: quadrature changes meaning across levels (e.g. a singular potential
-    #: term) opt out: their value net is classified instead of asserted, and
-    #: no level starts from the prolonged coarser minimizer.
+    #: Whether the levels nest: the prolonged coarser minimizer keeps its
+    #: value on the finer level, so that it bounds the finer level's minimum
+    #: and values must be non-increasing.  Only then does a level after the
+    #: first run that warm start, and only it.  A study opts out when the
+    #: prolongation does not keep the value (the sawtooth's grid-scale
+    #: oscillation) or its quadrature changes meaning across levels (a
+    #: singular potential term): its value net is classified instead of
+    #: asserted, and every level runs the study's initializers.
     monotone_values: bool = True
 
 
@@ -239,42 +243,37 @@ def minimize_level(
     level: GridLevel,
     init: GridFunction | np.ndarray | None = None,
 ) -> MinResult:
-    """Minimize the problem on one level from one or more starts.
+    """Minimize the problem on one level from one kind of start.
 
-    The starts are ``init`` (a warm start, given or prolonged by
-    :func:`solve_net`), then the problem's initializers.  Each is pinned and
-    must then satisfy the feasibility predicate: an infeasible one is a
-    usage error (``ValueError``), raised before the next start is made.
-    No other function tests whether a start is feasible.
+    The starts are ``[init]`` when a warm start is given (or prolonged by
+    :func:`solve_net`), and the problem's initializers otherwise.  Each is
+    pinned and must then satisfy the feasibility predicate: an infeasible
+    one is a usage error (``ValueError``), raised before the next start is
+    made.  No other function tests whether a start is feasible.
     """
     obj = problem.build(level)
-
-    def feasible_start(kind: str, u: np.ndarray) -> tuple[str, np.ndarray]:
-        u = obj.pin(u)
-        if not obj.feasible(u):
-            raise ValueError(f"{kind} start violates the feasibility predicate")
-        return kind, u
-
-    # one copy of each start: the caller's warm start and the unpinned
-    # guesses are released once pinned, and the pinned warm start once its
-    # run ends (a level-7 start is 16 MB)
-    starts: list[tuple[str, np.ndarray]] = []
-    warm = None
     if init is not None:
-        starts.append(feasible_start(
-            "warm", init.values if isinstance(init, GridFunction) else init))
+        kind, guesses = "warm", [init.values if isinstance(init, GridFunction) else init]
         init = None
-        warm = starts[0][1]
-    starts += [feasible_start("initializer", u)
-               for u in problem.initial_guesses(level, warm)]
-    del warm  # the start list holds it
-    if not starts:
+    else:
+        kind, guesses = "initializer", problem.initial_guesses(level)
+    if not guesses:
         raise ValueError(f"problem {problem.name!r} produced no start")
+
+    # one copy of each start: each guess, the caller's warm start too, is
+    # released once pinned, and each pinned start once its run ends (a
+    # level-7 start is 16 MB)
+    starts = []
+    while guesses:
+        start = obj.pin(guesses.pop(0))
+        if not obj.feasible(start):
+            raise ValueError(f"{kind} start violates the feasibility predicate")
+        starts.append(start)
 
     best: OptimizeResult | None = None
     records = []
     while starts:
-        kind, start = starts.pop(0)
+        start = starts.pop(0)
         res = _run_optimizer(obj, start)
         records.append(StartRecord(kind, res.iterations, res.value, res.converged))
         if best is None or res.value < best.value:
@@ -331,10 +330,11 @@ def _warm_start(
 def solve_net(problem: ProblemSpec, levels: Sequence[int]) -> SolutionNet:
     """Minimize over a chain of at least three levels with warm starting.
 
-    For a nested family of energies (``ProblemSpec.monotone_values``), each
-    level after the first also starts from the prolongation of the previous
-    level's minimizer: that start bounds the level's value by the previous
-    one.  A prolongation that fails the feasibility predicate is a
+    For nested levels (``ProblemSpec.monotone_values``), each level after the
+    first starts from the prolongation of the previous level's minimizer
+    alone: that start keeps the previous level's value, so the level's own
+    cannot exceed it.  Every other level runs the study's initializers.  A
+    prolongation that fails the feasibility predicate is a
     ``ValueError``, as an infeasible explicit start is.  Nested-space
     monotonicity (``m_{n+1} <= m_n + 1e-10``) is checked for such a family;
     a violating level is recorded in ``monotone_violations`` only: its

@@ -17,7 +17,7 @@ def check_gradient(problem, level):
     """
     obj = problem.build(level)
     rng = np.random.default_rng([0, 97, level.n])
-    guesses = problem.initial_guesses(level, None)
+    guesses = problem.initial_guesses(level)
     u = obj.pin(np.asarray(guesses[-1], dtype=float))
     scale = max(1.0, float(np.max(np.abs(u))))
     # nudge off any symmetry point of the functional, staying feasible

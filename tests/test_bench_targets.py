@@ -88,7 +88,7 @@ def test_minimize_quadratic_calls_the_module_spla(monkeypatch):
 
     monkeypatch.setattr(optimize, "spla", Spy())
     spec = problems.singular_spec()
-    spec.initial_guesses(grid.build_level(spec.domain, 3), None)
+    spec.initial_guesses(grid.build_level(spec.domain, 3))
     # one solve per parity block with nonzero data: the odd-odd block of a
     # 2D level has none
     assert len(calls) == 3

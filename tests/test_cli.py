@@ -343,8 +343,11 @@ def test_report_traces_every_start(tmp_path):
     for payload, kinds in (
         # the singular study's values are not monotone: no level starts warm
         ({"problem": "singular", "levels": "4..6", "seed": 1}, [["initializer"]] * 3),
-        (SAW, [["initializer", "initializer"]]
-         + [["warm", "initializer", "initializer"]] * 2),
+        # nor the sawtooth's, whose levels do not nest
+        (SAW, [["initializer"]] * 3),
+        # the quotient's levels nest: after the first, each runs its warm start alone
+        ({"problem": "sign_perturbed", "levels": "3..5", "seed": 1},
+         [["initializer"] * 3, ["warm"], ["warm"]]),
     ):
         cfg = write_config(tmp_path, payload)
         out = tmp_path / payload["problem"]
@@ -586,7 +589,7 @@ def test_rising_values_fail_monotonicity_not_convergence(tmp_path, monkeypatch):
             name="rising",
             domain=grid.Domain(((0.0, 1.0),)),
             build=_Rising,
-            initial_guesses=lambda level, warm: [np.zeros(level.node_count)],
+            initial_guesses=lambda level: [np.zeros(level.node_count)],
         )
 
     monkeypatch.setattr(cli, "sawtooth_spec", rising_spec)

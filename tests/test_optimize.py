@@ -235,7 +235,7 @@ def _quotient_h1_run():
     spec = sign_perturbed_spec()
     level = build_level(spec.domain, 4)
     obj = spec.build(level)
-    x0 = obj.pin(spec.initial_guesses(level, None)[1])
+    x0 = obj.pin(spec.initial_guesses(level)[1])
     return (obj.value_and_grad, x0, level.weights, obj.free_mask), dict(
         gtol=lambda f: GTOL_FACTOR * (1.0 + abs(f)), precondition=obj.precondition)
 
@@ -303,7 +303,7 @@ def test_lbfgs_default_metric_bit_identical_on_quotient():
     spec = sign_perturbed_spec()
     level = build_level(spec.domain, 3)
     obj = spec.build(level)
-    x0 = obj.pin(spec.initial_guesses(level, None)[1])
+    x0 = obj.pin(spec.initial_guesses(level)[1])
     gtol = GTOL_FACTOR * (1.0 + abs(obj.value_and_grad(x0)[0]))
     args = (obj.value_and_grad, x0, level.weights, obj.free_mask)
     expected = _diag_metric_lbfgs(*args, gtol=gtol, wolfe=True)
@@ -383,7 +383,7 @@ def test_lbfgs_stall_guard_stops_a_flat_direction_quotient(metric):
     spec = sign_perturbed_spec()
     level = build_level(spec.domain, 3)
     obj = spec.build(level)
-    x0 = obj.pin(spec.initial_guesses(level, None)[1])
+    x0 = obj.pin(spec.initial_guesses(level)[1])
     result = lbfgs(
         obj.value_and_grad, x0, level.weights, obj.free_mask, gtol=lambda f: 0.0,
         precondition=obj.precondition if metric == "h1" else None,
@@ -559,7 +559,7 @@ def test_newton_band_equals_former_sparse_assembly(n, monkeypatch):
         return real(ab, rhs, **kwargs)
 
     monkeypatch.setattr(scipy.linalg, "solveh_banded", spy)
-    x0 = spec.initial_guesses(level, None)[0]
+    x0 = spec.initial_guesses(level)[0]
     gtol = GTOL_FACTOR * (1.0 + abs(obj.value_and_grad(x0)[0]))
     newton(obj.value_and_grad, hessian, x0, level.weights, obj.free_mask,
            gtol=lambda f: gtol, max_iter=NEWTON_MAX_ITERATIONS, accept=obj.accept_step)
@@ -616,7 +616,7 @@ def test_newton_matches_superlu_reference_on_singular(n):
     spec = singular_spec()
     level = build_level(spec.domain, n)
     obj = spec.build(level)
-    x0 = spec.initial_guesses(level, None)[0]
+    x0 = spec.initial_guesses(level)[0]
     gtol = GTOL_FACTOR * (1.0 + abs(obj.value_and_grad(x0)[0]))
     args = (x0, level.weights, obj.free_mask)
     kwargs = dict(gtol=lambda f: gtol, max_iter=NEWTON_MAX_ITERATIONS, accept=obj.accept_step)

@@ -139,13 +139,11 @@ def test_sawtooth_metric_backward_error(n):
         assert eta <= 1e-15
 
 
-#: ``(iterations, value)`` per level of ``solve_net(sawtooth, 3..12)`` as the
-#: metric's former banded Cholesky (LAPACK ``pbtrf``/``pbtrs``) produced them,
-#: keyed by the two seeds they were recorded at, which no start reads
-_SAWTOOTH_CHOLESKY_RUNS = {
-    1: (5, 32, 31, 32, 33, 38, 41, 45, 47, 51),
-    7919: (5, 32, 31, 32, 33, 38, 41, 45, 47, 51),
-}
+#: The iterations and the values per level of ``solve_net(sawtooth, 3..12)``
+#: as the metric's former banded Cholesky (LAPACK ``pbtrf``/``pbtrs``)
+#: produced them, less the iterations of the warm starts that the study ran
+#: then and that never won
+_SAWTOOTH_CHOLESKY_ITERATIONS = (5, 5, 5, 4, 4, 4, 4, 3, 3, 2)
 _SAWTOOTH_CHOLESKY_VALUES = (
     0.015563964843750007, 0.0039024353027343746, 0.0009763240814208984,
     0.00024412572383880615, 6.1034224927425385e-05, 1.5258730854839087e-05,
@@ -154,15 +152,17 @@ _SAWTOOTH_CHOLESKY_VALUES = (
 )
 
 
-@pytest.mark.parametrize("seed", sorted(_SAWTOOTH_CHOLESKY_RUNS))
-def test_sawtooth_metric_runs_as_under_banded_cholesky(seed):
+def test_sawtooth_metric_runs_as_under_banded_cholesky():
     # the recurrence solve rounds differently from LAPACK, but every level
-    # takes the same iterations, converges alike and ends within 1e-12
+    # takes the same iterations, converges alike and ends within 1e-12.  The
+    # levels do not nest, so no verdict of the study checks that the values
+    # fall: this test does
     net = solve_net(sawtooth_spec(), range(3, 13))
-    assert tuple(r.iterations for r in net.results) == _SAWTOOTH_CHOLESKY_RUNS[seed]
+    values = [r.value for r in net.results]
+    assert tuple(r.iterations for r in net.results) == _SAWTOOTH_CHOLESKY_ITERATIONS
     assert all(r.converged for r in net.results)
-    np.testing.assert_allclose([r.value for r in net.results], _SAWTOOTH_CHOLESKY_VALUES,
-                               rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(values, _SAWTOOTH_CHOLESKY_VALUES, rtol=1e-12, atol=0.0)
+    assert all(fine < coarse for coarse, fine in zip(values, values[1:]))
 
 
 # --- critical Sobolev quotient ----------------------------------------------
@@ -564,7 +564,7 @@ def test_radius_from_axes_bit_identical_to_coordinate_norm(dim, n):
     center = (0.4, 0.5, 0.6, 0.5)[:dim]
     spec = sign_perturbed_spec(dimension=dim, center=center, delta=0.15)
     level = build_level(spec.domain, n)
-    starts = spec.initial_guesses(level, None)
+    starts = spec.initial_guesses(level)
     rng = np.random.default_rng(n)
     u = GridFunction(level, starts[-1] * rng.uniform(0.5, 1.5, level.node_count))
     measured = concentration_metric(u, center, 0.2)
@@ -831,7 +831,7 @@ def test_singular_riesz_residual_is_the_former_strong_residual(n):
     spec = singular_spec()
     level = build_level(spec.domain, n)
     obj = spec.build(level)
-    u = spec.initial_guesses(level, None)[0]
+    u = spec.initial_guesses(level)[0]
     lap = np.zeros_like(u)
     for axis, mask in enumerate(_interior_row_masks(level)):
         du = obj._op.apply(u, axis)
@@ -862,7 +862,7 @@ def test_singular_harmonic_start_is_zero_on_the_odd_odd_block(n):
     free = obj.free_mask
     # harmonic: the free rows of K u vanish (the entries of K are at most 1)
     assert np.max(np.abs((obj._K @ u)[free])) < 1e-12
-    start = spec.initial_guesses(level, None)[0]
+    start = spec.initial_guesses(level)[0]
     left = coordinate_table(level)[:, 0] <= 0.5
     np.testing.assert_array_equal(start[odd], np.where(left[odd], 0.1, -0.1))
     assert np.all(np.abs(start[free]) >= 0.1)
@@ -893,7 +893,7 @@ def test_singular_harmonic_start_is_the_former_clip(n, g):
     assert np.any(u == 0.0)
     sign = np.where(u > 0, 1.0, np.where(u < 0, -1.0, np.where(x0 <= 0.5, 1.0, -1.0)))
     former = sign * np.maximum(np.abs(u), 0.1)
-    np.testing.assert_array_equal(spec.initial_guesses(level, None)[0], former)
+    np.testing.assert_array_equal(spec.initial_guesses(level)[0], former)
 
 
 def test_singular_minimizer_and_interface():
@@ -957,7 +957,7 @@ def test_singular_harmonic_start_at_level_one():
     assert u[obj.free_mask].tolist() == [0.0]
     np.testing.assert_array_equal(u[~obj.free_mask], obj.fixed_values[~obj.free_mask])
     # the start is +init_floor at the centre, which lies on the midline
-    assert spec.initial_guesses(level, None)[0][obj.free_mask].tolist() == [0.1]
+    assert spec.initial_guesses(level)[0][obj.free_mask].tolist() == [0.1]
 
 
 def _former_harmonic_extension(K, x, free):
@@ -994,7 +994,7 @@ def test_singular_harmonic_extension_matches_the_former_whole_solve(n):
     x0 = coordinate_table(level)[:, 0]
     sign = np.where(former > 0, 1.0,
                     np.where(former < 0, -1.0, np.where(x0 <= 0.5, 1.0, -1.0)))
-    start = spec.initial_guesses(level, None)[0]
+    start = spec.initial_guesses(level)[0]
     np.testing.assert_array_equal(np.sign(start), sign)
     np.testing.assert_allclose(start, sign * np.maximum(np.abs(former), 0.1), rtol=0.0,
                                atol=1.2e-16)
@@ -1059,13 +1059,9 @@ def test_sawtooth_builds_one_objective_per_level(monkeypatch):
     assert count == [3, 4, 5, 6]
 
 
-def test_quotient_single_bubble_scale_warm_starts_with_it():
-    # one scale serves every start; none left is an error of the parameters
+def test_quotient_single_bubble_scale_gives_one_start():
+    # one scale gives one start; none is an error of the parameters
     spec = sign_perturbed_spec(bubble_scales=[2.0])
-    level = build_level(spec.domain, 4)
-    warm = np.zeros(level.node_count)
-    (cold,) = spec.initial_guesses(level, None)
-    (guess,) = spec.initial_guesses(level, warm)
-    np.testing.assert_array_equal(guess, cold)
+    assert len(spec.initial_guesses(build_level(spec.domain, 4))) == 1
     with pytest.raises(ValueError, match="at least one scale"):
         sign_perturbed_spec(bubble_scales=[])

@@ -56,7 +56,7 @@ def quadratic_problem():
         name="quadratic",
         domain=DOM1,
         build=_Quadratic,
-        initial_guesses=lambda level, warm: [np.zeros(level.node_count)],
+        initial_guesses=lambda level: [np.zeros(level.node_count)],
         lower_bound=0.0,
     )
 
@@ -166,10 +166,11 @@ def test_solve_net_builds_each_level_once(monkeypatch):
 
 
 def test_sawtooth_starts_converge_in_level_independent_iterations(monkeypatch):
-    # under the H1 metric every start, the prolonged warm starts included,
+    # under the H1 metric every level's one start, the sawtooth pattern,
     # meets its tolerance by the gradient test in a bounded number of
-    # iterations; under diag(d) every warm start from level 4 on stalls, the
-    # level-10 one after 1,129 iterations at 3e4 times its tolerance
+    # iterations; under diag(d) the former warm start, the prolonged coarser
+    # minimizer, stalled from level 4 on, at level 10 after 1,129 iterations
+    # at 3e4 times its tolerance
     runs = []
     real_lbfgs = solver.lbfgs
 
@@ -180,7 +181,7 @@ def test_sawtooth_starts_converge_in_level_independent_iterations(monkeypatch):
 
     monkeypatch.setattr(solver, "lbfgs", recording_lbfgs)
     solve_net(sawtooth_spec(), range(3, 11))
-    assert len(runs) == 2 + 3 * 7  # two initializers, then warm start + two
+    assert len(runs) == 8  # the pattern start alone on each level
     for gtol, result in runs:
         assert result.grad_norm <= gtol(result.value)
         assert result.iterations <= 100
@@ -203,12 +204,16 @@ def test_quotient_starts_converge_in_level_independent_iterations(monkeypatch, w
     monkeypatch.setattr(solver, "lbfgs", recording_lbfgs)
     a = QuadraticWell((0.5, 0.5, 0.5)) if well else None
     net = solve_net(sign_perturbed_spec(a=a), range(3, 6))
-    assert len(runs) == 3 + 2 + 2  # three bubbles, then warm start + one bubble
+    assert len(runs) == 3 + 1 + 1  # three bubbles, then the warm start alone
     for gtol, result in runs:
         assert result.converged
         assert result.grad_norm <= gtol(result.value)
         assert result.iterations <= 40
     assert all(r.converged for r in net.results)
+    if not well:
+        # the warm start won on every level before it ran alone
+        assert [r.value for r in net.results] == [
+            6.8376902874019851, 6.3805703624488714, 6.1212613083864404]
 
 
 def test_solve_net_requires_three_levels():
@@ -298,7 +303,7 @@ def test_warm_start_feasibility_is_a_usage_error():
         name="positive",
         domain=DOM1,
         build=Positive,
-        initial_guesses=lambda level, warm: [np.zeros(level.node_count)],
+        initial_guesses=lambda level: [np.zeros(level.node_count)],
     )
     level = build_level(DOM1, 3)
     with pytest.raises(ValueError):
@@ -317,7 +322,7 @@ def test_infeasible_prolongation_is_a_usage_error():
         name="capped",
         domain=DOM1,
         build=Capped,
-        initial_guesses=lambda level, warm: [np.zeros(level.node_count)],
+        initial_guesses=lambda level: [np.zeros(level.node_count)],
     )
     with pytest.raises(ValueError, match="feasibility"):
         solve_net(problem, levels=range(3, 6))
@@ -334,7 +339,7 @@ def test_infeasible_initializer_is_a_usage_error():
         name="positive",
         domain=DOM1,
         build=_Positive,
-        initial_guesses=lambda level, warm: [np.zeros(level.node_count)],
+        initial_guesses=lambda level: [np.zeros(level.node_count)],
     )
     with pytest.raises(ValueError, match="initializer start violates the feasibility"):
         minimize_level(problem, build_level(DOM1, 3))
@@ -346,12 +351,12 @@ def test_free_objective_stores_no_mask():
     assert obj.free_mask is obj.free_mask and obj.free_mask.all()
 
 
-def test_second_start_of_a_warm_quotient_level_runs_without_the_warm_start(monkeypatch):
-    # a warm 3D level-4 quotient level runs the warm start, then one bubble
-    # start.  When the second run begins, the first run's start is gone and
-    # its result's x has taken its place: the memory traced then is what it
-    # was when the first run began, give or take a few small objects.  Were
-    # the pinned warm start still held, it would be one node vector more
+def test_each_start_of_a_cold_quotient_level_runs_without_the_one_before(monkeypatch):
+    # a cold 3D level-4 quotient level runs three bubble starts.  When a run
+    # begins, the run before it has dropped its start and kept at most its
+    # result's x: the memory traced then is what it was when the run before
+    # began, give or take a few small objects.  Were a start held through
+    # the later runs, it would be one node vector more
     spec = sign_perturbed_spec()
     level = build_level(spec.domain, 4)
     spec.build(level)
@@ -366,8 +371,8 @@ def test_second_start_of_a_warm_quotient_level_runs_without_the_warm_start(monke
     monkeypatch.setattr(solver, "_run_optimizer", traced_run)
     tracemalloc.start()
     try:
-        res = minimize_level(spec, level, init=spec.initial_guesses(level, None)[0])
+        res = minimize_level(spec, level)
     finally:
         tracemalloc.stop()
-    assert [r.kind for r in res.starts] == ["warm", "initializer"]
-    assert held[1] - held[0] < 4 * level.node_count  # half a node vector
+    assert [r.kind for r in res.starts] == ["initializer"] * 3
+    assert max(b - a for a, b in zip(held, held[1:])) < 4 * level.node_count  # half a node vector
