@@ -142,7 +142,9 @@ def test_sawtooth_metric_backward_error(n):
 #: The iterations and the values per level of ``solve_net(sawtooth, 3..12)``
 #: as the metric's former banded Cholesky (LAPACK ``pbtrf``/``pbtrs``)
 #: produced them, less the iterations of the warm starts that the study ran
-#: then and that never won
+#: then and that never won.  They were recorded with the global random state
+#: seeded at each of ``_SAWTOOTH_SEEDS``, which no start reads
+_SAWTOOTH_SEEDS = (1, 7919)
 _SAWTOOTH_CHOLESKY_ITERATIONS = (5, 5, 5, 4, 4, 4, 4, 3, 3, 2)
 _SAWTOOTH_CHOLESKY_VALUES = (
     0.015563964843750007, 0.0039024353027343746, 0.0009763240814208984,
@@ -152,12 +154,18 @@ _SAWTOOTH_CHOLESKY_VALUES = (
 )
 
 
-def test_sawtooth_metric_runs_as_under_banded_cholesky():
+@pytest.mark.parametrize("seed", _SAWTOOTH_SEEDS)
+def test_sawtooth_metric_runs_as_under_banded_cholesky(seed):
     # the recurrence solve rounds differently from LAPACK, but every level
-    # takes the same iterations, converges alike and ends within 1e-12.  The
-    # levels do not nest, so no verdict of the study checks that the values
-    # fall: this test does
-    net = solve_net(sawtooth_spec(), range(3, 13))
+    # takes the same iterations, converges alike and ends within 1e-12, under
+    # either seed of the global random state.  The levels do not nest, so no
+    # verdict of the study checks that the values fall: this test does
+    state = np.random.get_state()
+    np.random.seed(seed)
+    try:
+        net = solve_net(sawtooth_spec(), range(3, 13))
+    finally:
+        np.random.set_state(state)
     values = [r.value for r in net.results]
     assert tuple(r.iterations for r in net.results) == _SAWTOOTH_CHOLESKY_ITERATIONS
     assert all(r.converged for r in net.results)
