@@ -30,7 +30,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .grid import GridLevel, NodeSet
+from .grid import GridLevel
 
 __all__ = [
     "GridFunction",
@@ -100,14 +100,9 @@ def restrict(f: Callable[..., float | np.ndarray], level: GridLevel) -> GridFunc
     return GridFunction(level, values)
 
 
-def integral(u: GridFunction, over: NodeSet | None = None) -> float:
-    """Weighted nodal sum ``sum_a u(a) d(a)``, optionally over a node subset."""
-    if over is None:
-        return float(u.values @ u.level.weights)
-    if over.level != u.level:
-        raise ValueError("node set belongs to a different level")
-    idx = over.indices
-    return float(u.values[idx] @ u.level.weights[idx])
+def integral(u: GridFunction) -> float:
+    """Weighted nodal sum ``sum_a u(a) d(a)``."""
+    return float(u.values @ u.level.weights)
 
 
 def inner(u: GridFunction, v: GridFunction) -> float:

@@ -27,8 +27,7 @@ Exit codes: 0 success, 1 invariant failure or internal error,
 2 configuration error, 3 partial result (report still written).  The config
 is checked before any work, so only a :class:`ConfigError` exits 2; any other
 ``ValueError`` is a fault of the program and exits 1 as an internal error.
-A top-level config key that no command reads is ignored, but it is part of
-the hashed config.
+A top-level config key that no command reads is a configuration error.
 """
 
 from __future__ import annotations
@@ -118,8 +117,16 @@ def _tolerances(config: dict) -> dict[str, float]:
     return out
 
 
+#: the top-level config keys some command reads
+_CONFIG_KEYS = ("problem", "params", "levels", "seed", "format", "tolerances", "instances", "sweep")
+
+
 def _validate(config: dict) -> None:
-    """Raise :class:`ConfigError` for a bad value of a key the commands read."""
+    """Raise :class:`ConfigError` for a top-level key that no command reads,
+    or for a bad value of one the commands read."""
+    unknown = sorted(set(config) - set(_CONFIG_KEYS))
+    if unknown:
+        raise ConfigError(f"unknown config key {unknown[0]!r}")
     if config["format"] not in ("csv", "json"):
         raise ConfigError(f"format must be 'csv' or 'json', got {config['format']!r}")
     _integer(config, "seed", 0)

@@ -80,13 +80,6 @@ class Domain:
         """Level-0 spacing ``h_0`` (the smallest axis extent)."""
         return min(hi - lo for lo, hi in self.bounds)
 
-    @property
-    def volume(self) -> float:
-        vol = 1.0
-        for lo, hi in self.bounds:
-            vol *= hi - lo
-        return vol
-
 
 def _read_only(arr: np.ndarray) -> np.ndarray:
     arr.flags.writeable = False

@@ -102,7 +102,7 @@ def lbfgs(
     weights: np.ndarray,
     free: np.ndarray,
     gtol: Callable[[float], float],
-    max_iter: int = 10_000,
+    max_iter: int,
     precondition: Optional[Callable[[np.ndarray], np.ndarray]] = None,
 ) -> OptimizeResult:
     """Two-loop-recursion L-BFGS over the free dofs of ``x0``, the entries

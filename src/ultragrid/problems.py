@@ -294,22 +294,15 @@ def _is_real(value) -> bool:
 _CHUNK = 1 << 13
 
 
-def _dirichlet_eigenpairs(m: int, h: float) -> tuple[np.ndarray, np.ndarray]:
-    """``(V, lam)`` with ``K1 V = M1 V diag(lam)`` and ``V^T M1 V = I``.
-
-    ``K1`` and ``M1`` are the P1 stiffness and mass on the ``m - 2`` interior
-    nodes of an axis (Dirichlet data).  Both are symmetric Toeplitz
-    tridiagonal, so their generalized eigenvectors are the sine vectors
-    ``sin(j k pi / (m - 1))`` with ``lam_k = 6 (1 - cos t_k) / (h^2 (2 + cos t_k))``,
-    ``t_k = k pi / (m - 1)``; each is scaled to unit ``M1``-norm.
-    """
-    k = np.arange(1, m - 1)
-    theta = k * np.pi / (m - 1)
-    cos = np.cos(theta)
-    lam = 6.0 * (1.0 - cos) / (h * h * (2.0 + cos))
-    # ||sin||^2 = (m - 1) / 2 and M1 scales a sine vector by h (2 + cos) / 3
-    norm = np.sqrt((m - 1) / 2.0 * h * (2.0 + cos) / 3.0)
-    return np.sin(np.outer(k, theta)) / norm, lam
+def _interior_eigenpairs(K: np.ndarray, M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(V, lam)`` with ``K V = M V diag(lam)`` and ``V^T M V = I`` on the
+    interior nodes of an axis (Dirichlet data), from ``numpy.linalg.eigh``
+    alone: ``M = U diag(mu) U^T`` gives ``S = U diag(mu)^-1/2`` with
+    ``S^T M S = I``, then ``S^T K S = W diag(lam) W^T`` and ``V = S W``."""
+    mu, U = np.linalg.eigh(M[1:-1, 1:-1])
+    S = U / np.sqrt(mu)
+    lam, W = np.linalg.eigh(S.T @ K[1:-1, 1:-1] @ S)
+    return S @ W, lam
 
 
 class BoundaryDataError(ValueError):
@@ -357,15 +350,19 @@ class _QuotientObjective(LevelObjective):
     on a 2-vCPU machine, two ranges of cells on two threads ran slower per
     evaluation and per solve than one sweep.
 
-    L-BFGS runs in the H1 metric of the numerator without the well:
-    :meth:`precondition` is the exact inverse of the interior Dirichlet
-    stiffness ``A = K1 (x) M1 (x) M1 + M1 (x) K1 (x) M1 + ...``, by fast
+    L-BFGS runs in the metric of the numerator itself:
+    :meth:`precondition` is the exact inverse of its interior Dirichlet block
+    ``A = K1_0 (x) M1 (x) M1 + M1 (x) K1_1 (x) M1 + ...``, with the same
+    ``K1_i`` the numerator applies, the well's ``A_i`` included, by fast
     diagonalization (Lynch, Rice & Thomas, Numer. Math. 6, 1964).  With the
-    per-axis generalized eigenpairs ``K1 V = M1 V diag(lam)``,
-    ``V^T M1 V = I``, ``A^-1 = (V (x) ... (x) V) diag(1 / (lam_i + lam_j + ...))
-    (V (x) ... (x) V)^T``: one dense contraction per axis each way and a
-    scaling.  Under the L2 metric ``diag(d)`` the finer starts stall above
-    the tolerance.  Under ``A``, with the approximate Wolfe line search of
+    per-axis generalized eigenpairs ``K1_i V_i = M1 V_i diag(lam_i)``,
+    ``V_i^T M1 V_i = I`` (:func:`_interior_eigenpairs`), ``A^-1 = (V_0 (x)
+    V_1 (x) ..) diag(1 / (lam_0 + lam_1 + ..)) (V_0 (x) V_1 (x) ..)^T``: one
+    dense contraction per axis each way and a scaling.  A well of negative
+    strength stays out of the metric: ``A_i`` is then indefinite, and the
+    well-free ``K1_i`` keep ``A`` positive definite.  Under the L2 metric
+    ``diag(d)`` the finer starts stall above the tolerance.  Under ``A``,
+    with the approximate Wolfe line search of
     :func:`~ultragrid.optimize.lbfgs` (without it, Armijo backtracks on
     rounding noise near the minimum), every start, with or without a well,
     meets it in a few dozen iterations at most.
@@ -381,15 +378,22 @@ class _QuotientObjective(LevelObjective):
         self.q = (dim - 2) / dim  # denominator power 2 / 2*
         self._half_exp = (self.p - 2.0) / 2.0  # |u|^(p-2) = (u^2)^half_exp
 
-        self._K1, self._M1 = [], []
+        self._K1, self._M1, eig = [], [], []
         for axis, m in enumerate(level.shape):
             K, M = p1_matrices(m, level.h)
+            metric = K
             if well is not None:  # + A_i, the well's part along this axis
                 G, pts, w = gauss_interp(m, level.h, level.domain.bounds[axis][0])
                 a = well.strength * (pts - well.center[axis]) ** 2
                 K = K + (G * (w * a)[:, None]).T @ G
+                if well.strength >= 0.0:  # A_i >= 0: the metric stays SPD
+                    metric = K
             self._K1.append(K)
             self._M1.append(M)
+            eig.append(_interior_eigenpairs(metric, M))
+        self._V = [V for V, _ in eig]
+        # the open mesh of np.ix_ sums to lam_i + lam_j + ... on the interior grid
+        self._inv_lam = 1.0 / sum(np.ix_(*[lam for _, lam in eig]))
         # every cell's Gauss rows on its two nodes: the 4 x 2 block S, the
         # same on every axis, and its weighted transpose S^T diag(w); axis 0
         # takes cell c's block by ring slot (slot r % 2 holds node row r)
@@ -407,11 +411,6 @@ class _QuotientObjective(LevelObjective):
         # on that is faster than np.take)
         nodes = np.arange(math.prod(level.shape[1:])).reshape(level.shape[1:])
         self._gather = np.concatenate([nodes[corner].ravel() for corner in self._corners])
-
-        eig = [_dirichlet_eigenpairs(m, level.h) for m in level.shape]
-        self._V = [V for V, _ in eig]
-        # the open mesh of np.ix_ sums to lam_i + lam_j + ... on the interior grid
-        self._inv_lam = 1.0 / sum(np.ix_(*[lam for _, lam in eig]))
 
     # -- tensor helpers ---------------------------------------------------
     def _stiffness_apply(self, grid: np.ndarray) -> np.ndarray:

@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 from ultragrid import (
     Domain,
     GridFunction,
-    NodeSet,
     bump,
     build_level,
     derivative,
@@ -131,8 +130,6 @@ def test_equal_levels_mix():
     u = restrict(lambda x, y: x + y, a)
     v = restrict(lambda x, y: x * y, b)
     assert inner(u, v) == inner(u, restrict(lambda x, y: x * y, a))
-    over = NodeSet(b, np.arange(0, b.node_count, 2))
-    assert integral(u, over) == integral(u, NodeSet(a, over.indices))
     np.testing.assert_array_equal(
         divergence((u, v)).values, derivative(u, 0).values + derivative(v, 1).values
     )
@@ -144,8 +141,6 @@ def test_mixing_different_levels_still_raises():
     w = restrict(lambda x, y: x, build_level(DOM2, 3))
     with pytest.raises(ValueError, match="different levels"):
         inner(u, v)
-    with pytest.raises(ValueError, match="different level"):
-        integral(u, NodeSet(v.level, [0]))
     with pytest.raises(ValueError, match="different levels"):
         divergence((w, restrict(lambda x, y: y, build_level(DOM2, 4))))
 

@@ -191,6 +191,31 @@ def test_calculus_check_without_out_dir(capsys):
     assert main(["calculus-check", "--levels", "3..6"]) == 0
 
 
+def test_unknown_top_level_key_exits_2_and_writes_nothing(tmp_path, capsys, monkeypatch):
+    # a misplaced problem parameter (g_affine belongs in params) would
+    # otherwise solve the default data and exit 0
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a level was solved before the config was checked")
+
+    payload = {"problem": "singular", "levels": "4..6", "g_affine": [1, -2.5, 0.5]}
+    out = tmp_path / "out"
+    with monkeypatch.context() as patch:
+        patch.setattr(solver, "minimize_level", no_solve)
+        for command in ("solve", "sweep", "calculus-check"):
+            cfg = write_config(tmp_path, dict(payload, sweep=[{}]) if command == "sweep" else payload)
+            assert main([command, "--config", cfg, "--out", str(out)]) == 2
+            assert "unknown config key 'g_affine'" in capsys.readouterr().err
+            assert not out.exists()
+    # a sweep entry's unknown key fails that run alone
+    out.mkdir()
+    cfg = write_config(tmp_path, dict(SAW, sweep=[{"seed": 1}, {"g_affine": [1, -2.5, 0.5]}]))
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == 3
+    assert "run 1: config error: unknown config key 'g_affine'" in capsys.readouterr().err
+    with open(out / "summary.csv", encoding="utf-8") as fh:
+        assert [r["status"] for r in csv.DictReader(fh)] == ["0", "2"]
+    assert not any((out / "run_001").iterdir())
+
+
 def test_unknown_problem_exits_2(tmp_path):
     out = tmp_path / "out"
     out.mkdir()
@@ -248,6 +273,8 @@ runs = [
     ("calculus-check", ["calculus-check", "--levels", "3..6"]),
     ("sawtooth", ["solve", "--levels", "3..5"], {"problem": "sawtooth"}),
     ("sign_perturbed", ["solve", "--levels", "3..5"], {"problem": "sign_perturbed"}),
+    ("well", ["solve", "--levels", "3..5"], {"problem": "sign_perturbed", "params": {
+        "well": {"center": [0.4, 0.5, 0.6], "strength": 500}}}),
     ("singular", ["solve", "--levels", "3..5"], {"problem": "singular"}),
 ]
 for name, argv, *config in runs:
@@ -265,7 +292,8 @@ for name, argv, *config in runs:
 
 def test_only_the_singular_solve_loads_scipy(tmp_path):
     # a fresh interpreter: importing the CLI, a calculus check and the
-    # sawtooth and quotient solves leave scipy unloaded; the singular solve,
+    # sawtooth and quotient solves, free and with a well (whose metric takes
+    # its eigenpairs from numpy.linalg), leave scipy unloaded; the singular solve,
     # whose Newton steps and harmonic start need it, loads it and still runs
     # (three levels each: both commands reject shorter ranges), without
     # scipy.sparse.csgraph: its parity blocks need no graph ordering.  The
@@ -280,14 +308,15 @@ def test_only_the_singular_solve_loads_scipy(tmp_path):
         capture_output=True, text=True, check=True, env=env,
     )
     out = proc.stdout.splitlines()
-    lines = [out[0].split()] + [line.split() for line in out[-4:]]
-    assert lines[:4] == [
+    lines = [out[0].split()] + [line.split() for line in out[-5:]]
+    assert lines[:5] == [
         ["import", "False", "False", "False"],
         ["calculus-check", "0", "False", "False", "False", "False"],
         ["sawtooth", "0", "False", "False", "False", "False"],
         ["sign_perturbed", "0", "False", "False", "False", "False"],
+        ["well", "0", "False", "False", "False", "False"],
     ], proc.stdout
-    assert lines[4][:3] + lines[4][4:5] == ["singular", "0", "True", "False"], proc.stdout
+    assert lines[5][:3] + lines[5][4:5] == ["singular", "0", "True", "False"], proc.stdout
 
 
 

@@ -27,7 +27,6 @@ def test_domain_properties():
     dom = Domain(((0.0, 1.0), (0.0, 2.0)))
     assert dom.dimension == 2
     assert dom.base_spacing == 1.0
-    assert dom.volume == 2.0
 
 
 def test_level_shapes_and_spacing():
@@ -51,7 +50,7 @@ def test_level_nesting_is_dyadic():
 def test_trapezoid_weights_sum_to_volume():
     dom = Domain(((0.0, 1.0), (0.0, 2.0)))
     level = build_level(dom, 4)
-    assert np.isclose(level.weights.sum(), dom.volume)
+    assert np.isclose(level.weights.sum(), 2.0)
     # interior weight h^N, boundary halved per touched face
     interior = ~level.boundary_mask
     assert np.allclose(level.weights[interior], level.h**2)

@@ -26,7 +26,7 @@ from ultragrid.problems import (
     sign_perturbed_spec,
     singular_spec,
 )
-from ultragrid.solver import GTOL_FACTOR, NEWTON_MAX_ITERATIONS
+from ultragrid.solver import GTOL_FACTOR, MAX_ITERATIONS, NEWTON_MAX_ITERATIONS
 
 
 @pytest.fixture
@@ -237,7 +237,8 @@ def _quotient_h1_run():
     obj = spec.build(level)
     x0 = obj.pin(spec.initial_guesses(level)[1])
     return (obj.value_and_grad, x0, level.weights, obj.free_mask), dict(
-        gtol=lambda f: GTOL_FACTOR * (1.0 + abs(f)), precondition=obj.precondition)
+        gtol=lambda f: GTOL_FACTOR * (1.0 + abs(f)), max_iter=MAX_ITERATIONS,
+        precondition=obj.precondition)
 
 
 def _sawtooth_chain_run():
@@ -248,7 +249,8 @@ def _sawtooth_chain_run():
     obj = spec.build(level)
     x0 = obj.pin(np.random.default_rng(3).standard_normal(level.node_count) * level.h)
     return (obj.value_and_grad, x0, level.weights, obj.free_mask), dict(
-        gtol=lambda f: GTOL_FACTOR * (1.0 + abs(f)), precondition=obj.precondition)
+        gtol=lambda f: GTOL_FACTOR * (1.0 + abs(f)), max_iter=MAX_ITERATIONS,
+        precondition=obj.precondition)
 
 
 def _rayleigh_underflow_run():
@@ -262,7 +264,8 @@ def _rayleigh_underflow_run():
         return f, 2.0 * (a * x - f * x) / xx
 
     n = a.size
-    return (vag, np.ones(n), np.ones(n), np.ones(n, dtype=bool)), dict(gtol=lambda f: 0.0)
+    return (vag, np.ones(n), np.ones(n), np.ones(n, dtype=bool)), dict(
+        gtol=lambda f: 0.0, max_iter=MAX_ITERATIONS)
 
 
 def _indefinite_metric_run():
@@ -307,7 +310,7 @@ def test_lbfgs_default_metric_bit_identical_on_quotient():
     gtol = GTOL_FACTOR * (1.0 + abs(obj.value_and_grad(x0)[0]))
     args = (obj.value_and_grad, x0, level.weights, obj.free_mask)
     expected = _diag_metric_lbfgs(*args, gtol=gtol, wolfe=True)
-    _assert_same_run(lbfgs(*args, gtol=lambda f: gtol), expected)
+    _assert_same_run(lbfgs(*args, gtol=lambda f: gtol, max_iter=MAX_ITERATIONS), expected)
 
 
 def test_lbfgs_default_metric_bit_identical_on_sawtooth_chain():
@@ -386,7 +389,7 @@ def test_lbfgs_stall_guard_stops_a_flat_direction_quotient(metric):
     x0 = obj.pin(spec.initial_guesses(level)[1])
     result = lbfgs(
         obj.value_and_grad, x0, level.weights, obj.free_mask, gtol=lambda f: 0.0,
-        precondition=obj.precondition if metric == "h1" else None,
+        max_iter=MAX_ITERATIONS, precondition=obj.precondition if metric == "h1" else None,
     )
     assert not result.converged
     assert result.iterations <= 100
@@ -408,8 +411,9 @@ def test_lbfgs_skips_curvature_pairs_near_underflow():
         return f, 2.0 * (a * x - f * x) / xx
 
     n = a.size
-    result = lbfgs(vag, np.ones(n), np.ones(n), np.ones(n, dtype=bool), gtol=lambda f: 0.0)
-    assert result.iterations < 10_000
+    result = lbfgs(vag, np.ones(n), np.ones(n), np.ones(n, dtype=bool), gtol=lambda f: 0.0,
+                   max_iter=MAX_ITERATIONS)
+    assert result.iterations < MAX_ITERATIONS
     assert np.all(np.isfinite(result.x))
     assert result.value == pytest.approx(1.0, abs=1e-15)
     assert result.grad_norm <= 1e-150

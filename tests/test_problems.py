@@ -201,18 +201,31 @@ def test_bubble_support_must_fit_domain():
         bubble(init, level)
 
 
+def _dense_well(m, h, lo, center, strength):
+    """``int s (x - c)^2 phi_j phi_k`` over the ``m`` P1 hats of one axis, by
+    an 8-point Gauss rule per cell (exact for the degree-4 integrand)."""
+    t, w = np.polynomial.legendre.leggauss(8)
+    s = (t + 1.0) / 2.0
+    hats = np.stack([1.0 - s, s])  # a cell's two hat functions at its points
+    A = np.zeros((m, m))
+    for cell in range(m - 1):
+        a = strength * (lo + (cell + s) * h - center) ** 2
+        A[cell : cell + 2, cell : cell + 2] += (hats * (w * h / 2.0 * a)) @ hats.T
+    return A
+
+
 @pytest.mark.parametrize("m", [3, 4, 9, 17])
 def test_dirichlet_eigenpairs_match_eigh(m):
-    # the closed-form sine eigenpairs against the generalized eigensolver
+    # the metric's per-axis interior eigenpairs, free and with a strength-500
+    # well, against the generalized eigensolver
     h = 1.0 / (m - 1)
-    K, M = (A.toarray()[1:-1, 1:-1] for A in oracles.p1_matrices(m, h))
-    V, lam = problems._dirichlet_eigenpairs(m, h)
-    ref_lam, ref_V = scipy.linalg.eigh(K, M)
-    np.testing.assert_allclose(lam, ref_lam, rtol=1e-12)
-    # eigenvectors agree up to sign (the eigenvalues are simple)
-    signs = np.sign(np.sum(V * ref_V, axis=0))
-    np.testing.assert_allclose(V, ref_V * signs, atol=1e-10 * np.abs(V).max())
-    np.testing.assert_allclose(V.T @ M @ V, np.eye(m - 2), atol=1e-12)
+    K, M = (A.toarray() for A in oracles.p1_matrices(m, h))
+    for stiffness in (K, K + _dense_well(m, h, 0.0, 0.4, 500.0)):
+        V, lam = problems._interior_eigenpairs(stiffness, M)
+        Ki, Mi = stiffness[1:-1, 1:-1], M[1:-1, 1:-1]
+        np.testing.assert_allclose(lam, scipy.linalg.eigh(Ki, Mi, eigvals_only=True), rtol=1e-12)
+        np.testing.assert_allclose(V.T @ Mi @ V, np.eye(m - 2), atol=1e-12)
+        np.testing.assert_allclose(Ki @ V, Mi @ V * lam, atol=1e-10 * lam.max())
 
 
 @settings(max_examples=30, deadline=None)
@@ -220,20 +233,27 @@ def test_dirichlet_eigenpairs_match_eigh(m):
     dim_n=st.sampled_from([(3, 1), (3, 2), (3, 3), (4, 1), (4, 2), (5, 2)]),
     lo=st.sampled_from([0.0, -0.75]),
     stretched=st.integers(-1, 4),
-    well=st.booleans(),
+    strength=st.sampled_from([None, 500.0, -200.0]),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_quotient_metric_solves_dense_stiffness(dim_n, lo, stretched, well, seed):
-    # P = sum_i M1 (x) .. K1 (at axis i) .. (x) M1, the interior Dirichlet
-    # stiffness, assembled densely in 3D, 4D and 5D on a cube or on a box
-    # twice as long along one axis; the potential does not enter the metric
+def test_quotient_metric_solves_dense_stiffness(dim_n, lo, stretched, strength, seed):
+    # P = sum_i M1 (x) .. (K1 + A_i) (at axis i) .. (x) M1, the numerator's
+    # interior Dirichlet block with the well's A_i, assembled densely in 3D,
+    # 4D and 5D on a cube or on a box twice as long along one axis; a well of
+    # negative strength stays out of the metric
     dim, n = dim_n
     bounds = tuple((lo, lo + (2.0 if axis == stretched else 1.0)) for axis in range(dim))
     level = build_level(Domain(bounds), n)
-    a = QuadraticWell((0.5,) * dim) if well else None
+    center = tuple(np.linspace(0.4, 0.6, dim))
+    a = None if strength is None else QuadraticWell(center, strength)
     obj = problems._QuotientObjective(level, a)
-    K, M = zip(*((A.toarray()[1:-1, 1:-1] for A in oracles.p1_matrices(m, level.h))
-                 for m in level.shape))
+    K, M = [], []
+    for axis, m in enumerate(level.shape):
+        Ka, Ma = (A.toarray() for A in oracles.p1_matrices(m, level.h))
+        if strength is not None and strength >= 0.0:
+            Ka = Ka + _dense_well(m, level.h, bounds[axis][0], center[axis], strength)
+        K.append(Ka[1:-1, 1:-1])
+        M.append(Ma[1:-1, 1:-1])
     P = sum(
         functools.reduce(np.kron, [K[axis] if axis == i else M[axis] for axis in range(dim)])
         for i in range(dim)
@@ -243,6 +263,19 @@ def test_quotient_metric_solves_dense_stiffness(dim_n, lo, stretched, well, seed
     expected = np.linalg.solve(P, g)
     assert np.linalg.norm(got - expected) <= 1e-10 * np.linalg.norm(expected)
     assert g @ got > 0.0
+
+
+def test_negative_well_converges_in_the_well_free_metric():
+    # strength -200 makes each A_i indefinite: the metric keeps the well-free
+    # factors, stays positive definite, and every level meets its tolerance
+    spec = sign_perturbed_spec(a=QuadraticWell((0.5, 0.5, 0.5), -200.0))
+    net = solve_net(spec, range(2, 5))
+    assert all(r.converged for r in net.results)
+    rng = np.random.default_rng(0)
+    for r in net.results:
+        obj = spec.build(r.level)
+        g = rng.standard_normal(int(obj.free_mask.sum()))
+        assert g @ obj.precondition(g) > 0.0
 
 
 def test_quotient_scale_invariance():

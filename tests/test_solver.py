@@ -213,7 +213,26 @@ def test_quotient_starts_converge_in_level_independent_iterations(monkeypatch, w
     if not well:
         # the warm start won on every level before it ran alone
         assert [r.value for r in net.results] == [
-            6.8376902874019851, 6.3805703624488714, 6.1212613083864404]
+            6.8376902874019851, 6.3805703624488732, 6.1212613083864431]
+
+
+def test_well_warm_starts_run_in_the_metric_of_the_well(monkeypatch):
+    # the metric inverts the numerator with the well's A_i: a strength-500
+    # well's warm starts take 10 and 12 iterations at levels 4 and 5, and 18
+    # and 18 in a metric without the well
+    runs = []
+    real_lbfgs = solver.lbfgs
+
+    def recording_lbfgs(*args, **kwargs):
+        runs.append(real_lbfgs(*args, **kwargs))
+        return runs[-1]
+
+    monkeypatch.setattr(solver, "lbfgs", recording_lbfgs)
+    net = solve_net(sign_perturbed_spec(a=QuadraticWell((0.4, 0.5, 0.6), 500.0)), range(3, 6))
+    assert all(r.converged for r in net.results)
+    warm = runs[3:]  # after level 3's three bubble starts
+    assert len(warm) == 2
+    assert all(result.iterations <= 14 for result in warm)
 
 
 def test_solve_net_requires_three_levels():
