@@ -101,24 +101,8 @@ def _integer(config: dict, key: str, minimum: int) -> int:
     return value
 
 
-def _tolerances(config: dict) -> dict[str, float]:
-    """The classification tolerances the config sets, as keyword arguments."""
-    tol = config.get("tolerances", {})
-    if not isinstance(tol, dict):
-        raise ConfigError(f"tolerances must be an object, got {tol!r}")
-    out = {}
-    for key, value in tol.items():
-        if key not in ("rtol", "atol", "kappa"):
-            raise ConfigError(f"unknown tolerance {key!r} (expected rtol, atol or kappa)")
-        if not _is_real(value) or value < 0 or (value == 0 and key != "kappa"):
-            bound = ">= 0" if key == "kappa" else "> 0"
-            raise ConfigError(f"tolerance {key} must be a finite number {bound}, got {value!r}")
-        out[key] = float(value)
-    return out
-
-
 #: the top-level config keys some command reads
-_CONFIG_KEYS = ("problem", "params", "levels", "seed", "format", "tolerances", "instances", "sweep")
+_CONFIG_KEYS = ("problem", "params", "levels", "seed", "format", "sweep")
 
 
 def _validate(config: dict) -> None:
@@ -130,9 +114,6 @@ def _validate(config: dict) -> None:
     if config["format"] not in ("csv", "json"):
         raise ConfigError(f"format must be 'csv' or 'json', got {config['format']!r}")
     _integer(config, "seed", 0)
-    if "instances" in config:
-        _integer(config, "instances", 1)
-    _tolerances(config)
 
 
 def _parse_levels(text) -> list[int]:
@@ -209,13 +190,14 @@ def _build_problem(config: dict):
             _check_params(kind, params, ())
             return sawtooth_spec()
         if kind == "sign_perturbed":
+            _check_params(kind, params, ("dimension", "well"))
             well = params.pop("well", None)
             a = None if well is None else QuadraticWell(**well)
             return sign_perturbed_spec(a=a, **params)
         if kind == "singular":
-            # the other singular_spec arguments are callables and a Domain,
+            # the other singular_spec arguments are a callable and a Domain,
             # which a JSON config cannot express
-            _check_params(kind, params, ("g_affine", "init_floor"))
+            _check_params(kind, params, ("g_affine",))
             g_coeffs = params.pop("g_affine", None)
             if g_coeffs is not None:
                 if not all(map(_is_real, g_coeffs)):
@@ -296,9 +278,9 @@ def _verdict(measured, threshold, passed=None) -> dict:
 def cmd_solve(config: dict, out: pathlib.Path) -> int:
     problem = _build_problem(config)
     levels = _parse_levels(config.get("levels", "3..5"))
+    out.mkdir(exist_ok=True)  # a sweep run's directory, once its config is read
     fmt = config["format"]
     chash = config_hash(config)
-    classify_kwargs = _tolerances(config)
 
     timings: dict[str, float] = {}
     t0 = time.perf_counter()
@@ -316,8 +298,8 @@ def cmd_solve(config: dict, out: pathlib.Path) -> int:
     timings["solve_s"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    splitting = split(net, **classify_kwargs)
-    value_class = classify(net.value_net(), **classify_kwargs)
+    splitting = split(net)
+    value_class = classify(net.value_net())
     el = verify_euler_lagrange(problem, net.results[-1])
     timings["analysis_s"] = time.perf_counter() - t0
 
@@ -460,7 +442,6 @@ def cmd_sweep(config: dict, out: pathlib.Path) -> int:
         if not isinstance(override, dict):
             raise ConfigError(f"sweep entry {i} is not an object")
         run_config = _merge(base, override)
-        run_dir.mkdir(exist_ok=True)
         try:
             _validate(run_config)
             status = cmd_solve(run_config, run_dir)
@@ -499,8 +480,13 @@ def _fit_order(hs: Sequence[float], errs: Sequence[float]) -> float:
     return float(slope)
 
 
-def _check_sbp_gauss(chains: Sequence[Sequence[GridLevel]], instances: int, seed: int):
-    """Worst relative antisymmetry / Gauss gaps over random instances."""
+#: the random instances that calculus-check draws per level
+CHECK_INSTANCES = 20
+
+
+def _check_sbp_gauss(chains: Sequence[Sequence[GridLevel]], seed: int):
+    """Worst relative antisymmetry / Gauss gaps over ``CHECK_INSTANCES``
+    random instances per level."""
     worst_sbp = 0.0
     worst_gauss = 0.0
     rng = np.random.default_rng(seed)
@@ -509,7 +495,7 @@ def _check_sbp_gauss(chains: Sequence[Sequence[GridLevel]], instances: int, seed
             dim = level.dimension
             op = diff_op(level)
             d = level.weights
-            for _ in range(instances):
+            for _ in range(CHECK_INSTANCES):
                 u = rng.standard_normal(level.node_count)
                 v = rng.standard_normal(level.node_count)
                 for axis in range(dim):
@@ -555,7 +541,6 @@ def _check_orders(chain: Sequence[GridLevel]):
 
 def cmd_calculus_check(config: dict, out: Optional[pathlib.Path]) -> int:
     levels = _parse_levels(config.get("levels", "3..7"))
-    instances = config.get("instances", 20)
     seed = config["seed"]
     chash = config_hash(config)
 
@@ -577,7 +562,7 @@ def cmd_calculus_check(config: dict, out: Optional[pathlib.Path]) -> int:
             "calculus-check needs at least four levels, from level 3 up, for its order fits"
         )
 
-    worst_sbp, worst_gauss = _check_sbp_gauss((lines, squares), instances, seed)
+    worst_sbp, worst_gauss = _check_sbp_gauss((lines, squares), seed)
     d_order, q_order, hs, herr = _check_orders(lines)
     h_order = _fit_order(hs, herr)
     # density probes and perimeter oracles at h = 1/128 in 2D

@@ -14,8 +14,8 @@ The decision rules, in order:
    reported when the increment ratio is geometric, otherwise the last entry
    (checked first so settled nets keep small nonzero values);
 2. *infinitesimal snap*: all tail entries satisfy ``|x_n| <= kappa * h_n``
-   with ``kappa`` configurable (default 10) — the scale-aware zero test —
-   giving ``Standard(0)``;
+   (``kappa`` defaults to 10) — the scale-aware zero test — giving
+   ``Standard(0)``;
 3. *geometric tail*: increment ratio ``rho = d2/d1`` with ``|rho| < 1`` and
    fitted order ``p = -log2|rho|`` in ``[0.3, 6]`` gives the extrapolated
    limit ``x_last + d2 * rho / (1 - rho)`` (snapped to 0 when below the
@@ -27,6 +27,10 @@ The decision rules, in order:
 5. otherwise ``Unclassified`` with a monotone-growth diagnostic.
 
 For number nets with no grid attached, ``h_n = 2**-n`` by convention.
+
+A solve classifies at the defaults ``rtol = 1e-6``, ``atol = 1e-9`` and
+``kappa = 10``; the keyword arguments of :func:`classify` and
+:func:`pointwise_standard_part` serve tests.
 """
 
 from __future__ import annotations

@@ -231,23 +231,21 @@ class BubbleInitializer:
             raise ValueError("epsilon, delta must be positive and theta > 1")
 
 
-def _check_bubble(init: BubbleInitializer, domain: Domain) -> None:
-    """Raise ``ValueError`` unless the profile's support fits in ``domain``."""
-    if domain.dimension < 3:
+def bubble(init: BubbleInitializer, level: GridLevel) -> GridFunction:
+    """Sample the cutoff profile at the nodes of ``level``.
+
+    Raises ``ValueError`` unless the profile's support fits in the level's
+    domain box.
+    """
+    dim = level.dimension
+    if dim < 3:
         raise ValueError("the bubble profile needs dimension >= 3")
-    if len(init.center) != domain.dimension:
+    if len(init.center) != dim:
         raise ValueError("the bubble center needs one coordinate per axis")
     support = init.delta * init.theta
-    for c, (lo, hi) in zip(init.center, domain.bounds):
+    for c, (lo, hi) in zip(init.center, level.domain.bounds):
         if c - support < lo - 1e-12 or c + support > hi + 1e-12:
             raise ValueError("bubble support exceeds the domain box")
-
-
-def bubble(init: BubbleInitializer, level: GridLevel) -> GridFunction:
-    """Sample the cutoff profile at the nodes of ``level``."""
-    _check_bubble(init, level.domain)
-    dim = level.dimension
-    support = init.delta * init.theta
     r = level.distance(init.center)
     power = (dim - 2) / 2.0
     u_eps = init.epsilon**-power * (1.0 + (r / init.epsilon) ** 2) ** -power
@@ -537,44 +535,31 @@ def concentration_metric(u: GridFunction, x_m: Sequence[float], r: float) -> flo
     return float(mass[dist <= r].sum() / total)
 
 
-def sign_perturbed_spec(
-    a: Optional[QuadraticWell] = None,
-    dimension: int = 3,
-    delta: float = 0.25,
-    theta: float = 2.0,
-    center: Optional[Sequence[float]] = None,
-    bubble_scales: Sequence[float] = (2.0, 4.0, 8.0),
-    concentration_radius: float = 0.2,
-) -> ProblemSpec:
+#: the widths, in grid steps, of the first quotient level's bubble starts: on
+#: a strength-500 well at (0.4, 0.5, 0.6) from level 4, scale 8 ends lower
+#: than scales 2 and 4
+BUBBLE_SCALES = (2.0, 4.0, 8.0)
+#: the radius of the ball around the box center that ``concentration`` reads
+CONCENTRATION_RADIUS = 0.2
+
+
+def sign_perturbed_spec(a: Optional[QuadraticWell] = None, dimension: int = 3) -> ProblemSpec:
     """Critical Sobolev quotient on the unit box with Dirichlet-zero data.
 
     ``a`` is an optional potential well, with one center coordinate per
     axis; in 3D the sharp constant is a certified lower bound without one
     and with a non-negative ``a.strength``.  The first level starts from
-    cutoff instanton bubbles, one per scale of ``bubble_scales`` in grid
-    steps, centered at ``center`` (default: box center); every later level
-    from the prolonged coarser minimizer alone.
+    cutoff instanton bubbles at the box center, one per scale of
+    ``BUBBLE_SCALES`` in grid steps; every later level from the prolonged
+    coarser minimizer alone.  The ``concentration`` diagnostic is the
+    ``|u|^{2*}`` mass within ``CONCENTRATION_RADIUS`` of the center.
     """
     if dimension < 3:
         raise ValueError("the critical-exponent study needs dimension >= 3")
     if a is not None and len(a.center) != dimension:
         raise ValueError(f"the well center needs {dimension} coordinates, got {a.center!r}")
-    bubble_scales = tuple(bubble_scales)
-    if not bubble_scales or not all(map(_is_real, bubble_scales)):
-        raise ValueError(f"bubble_scales needs at least one scale, each real, got {bubble_scales!r}")
     domain = Domain(bounds=tuple(((0.0, 1.0),) * dimension))
-    x_m = tuple(center) if center is not None else (0.5,) * dimension
-    if not all(map(_is_real, (*x_m, delta, theta, concentration_radius))):
-        raise ValueError(
-            "center, delta, theta and concentration_radius must be real, got "
-            f"{center!r}, {delta!r}, {theta!r} and {concentration_radius!r}"
-        )
-    # every start's profile at unit scale (its support does not depend on
-    # the level), so bad parameters fail before any level is built
-    for s in bubble_scales:
-        _check_bubble(BubbleInitializer(x_m, s, delta, theta), domain)
-    if concentration_radius <= 0:
-        raise ValueError("radius must be positive")
+    x_m = (0.5,) * dimension
 
     lower = None
     if dimension == 3 and (a is None or a.strength >= 0.0):
@@ -585,18 +570,13 @@ def sign_perturbed_spec(
         return _QuotientObjective(level, a)
 
     def initial_guesses(level):
-        guesses = []
-        for s in bubble_scales:
-            init = BubbleInitializer(
-                center=x_m, epsilon=s * level.h, delta=delta, theta=theta
-            )
-            guesses.append(bubble(init, level).values)
-        return guesses
+        return [bubble(BubbleInitializer(x_m, s * level.h), level).values
+                for s in BUBBLE_SCALES]
 
     def diagnostics(obj: LevelObjective, u: np.ndarray) -> dict:
         gf = GridFunction(obj.level, u)
         return {
-            "concentration": concentration_metric(gf, x_m, concentration_radius),
+            "concentration": concentration_metric(gf, x_m, CONCENTRATION_RADIUS),
             "linf": float(np.max(np.abs(u))),
         }
 
@@ -738,24 +718,23 @@ class _SingularObjective(LevelObjective):
         return bool(np.all(u_new[free] * u_old[free] > 0.0))
 
 
-def singular_spec(
-    g: Optional[Callable] = None,
-    domain: Optional[Domain] = None,
-    init_floor: float = 0.1,
-) -> ProblemSpec:
+#: the least ``|u|`` of the singular study's start: the harmonic extension
+#: is floored away from zero to it, with its signs kept
+INIT_FLOOR = 0.1
+
+
+def singular_spec(g: Optional[Callable] = None, domain: Optional[Domain] = None) -> ProblemSpec:
     """The singular-potential study, ``W(t) = t**-2`` (default on [0,1]^2).
 
     Every level is minimized by damped Newton.  ``g`` is sign-changing
     Dirichlet data, nonzero at every boundary node (default: +1 where the
     first coordinate is <= the axis midpoint, else -1; midline nodes get +1
     by convention).  The initializer is the harmonic
-    extension of ``g`` clipped away from zero (``|u| >= init_floor``).
+    extension of ``g`` clipped away from zero (``|u| >= INIT_FLOOR``).
     The values of the study do not minimize one nested family of energies
     (``monotone_values`` is false), so no level starts from the prolonged
     coarser minimizer.
     """
-    if not (_is_real(init_floor) and init_floor > 0):
-        raise ValueError(f"init_floor must be positive, got {init_floor!r}")
     if domain is None:
         domain = Domain(bounds=((0.0, 1.0), (0.0, 1.0)))
     mid = 0.5 * (domain.bounds[0][0] + domain.bounds[0][1])
@@ -783,13 +762,13 @@ def singular_spec(
 
         The extension is exactly 0 on the parity block with every index odd
         (see :meth:`_SingularObjective.harmonic_extension`), so the start is
-        ``+init_floor`` left of the midline and ``-init_floor`` right of it
+        ``+INIT_FLOOR`` left of the midline and ``-INIT_FLOOR`` right of it
         there.
         """
         u = build(level).harmonic_extension().reshape(level.shape)
         x0 = np.ix_(*level.axes)[0]
         sign = np.where(u > 0, 1.0, np.where(u < 0, -1.0, np.where(x0 <= mid, 1.0, -1.0)))
-        return [(sign * np.maximum(np.abs(u), init_floor)).ravel()]
+        return [(sign * np.maximum(np.abs(u), INIT_FLOOR)).ravel()]
 
     def diagnostics(obj: LevelObjective, u: np.ndarray) -> dict:
         free = obj.free_mask

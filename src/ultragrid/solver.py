@@ -384,7 +384,7 @@ class Splitting:
     pairings: tuple[PairingReport, ...]
 
 
-def split(solutions: SolutionNet | Net, **classify_kwargs) -> Splitting:
+def split(solutions: SolutionNet | Net) -> Splitting:
     """Split a minimizer net into its standard part and remainders.
 
     ``w`` and the singular set come from the pointwise standard part; a node
@@ -394,11 +394,12 @@ def split(solutions: SolutionNet | Net, **classify_kwargs) -> Splitting:
     linear interpolation, so the reconstruction is exact at coarse nodes.
     Each ``psi_n`` is paired with every function of
     ``standard_battery`` of the net's domain, a solved net and a bare
-    :class:`Net` alike, and each pairing net is classified.
+    :class:`Net` alike, and each pairing net is classified.  Every
+    classification runs at the default tolerances of :mod:`~ultragrid.nets`.
     """
     u_net = solutions.minimizer_net() if isinstance(solutions, SolutionNet) else solutions
 
-    w, singular = pointwise_standard_part(u_net, **classify_kwargs)
+    w, singular = pointwise_standard_part(u_net)
     coarse = w.level
 
     values = coarse_values(u_net)
@@ -436,7 +437,7 @@ def split(solutions: SolutionNet | Net, **classify_kwargs) -> Splitting:
             PairingReport(
                 test_index=j,
                 values=tuple(vals),
-                classification=classify(number_net, **classify_kwargs),
+                classification=classify(number_net),
             )
         )
     return Splitting(

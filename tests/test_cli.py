@@ -5,6 +5,7 @@ import functools
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -213,7 +214,15 @@ def test_unknown_top_level_key_exits_2_and_writes_nothing(tmp_path, capsys, monk
     assert "run 1: config error: unknown config key 'g_affine'" in capsys.readouterr().err
     with open(out / "summary.csv", encoding="utf-8") as fh:
         assert [r["status"] for r in csv.DictReader(fh)] == ["0", "2"]
-    assert not any((out / "run_001").iterdir())
+    assert not (out / "run_001").exists()
+
+
+def test_readme_names_exactly_the_config_keys():
+    # the README's "any but ..." sentence lists the top-level keys a command
+    # reads: a key dropped from the config cannot linger in the docs
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    sentence = re.search(r"\(any but (.*?)\)", readme.read_text(encoding="utf-8"), re.S)
+    assert sorted(re.findall(r"`([^`]+)`", sentence.group(1))) == sorted(cli._CONFIG_KEYS)
 
 
 def test_unknown_problem_exits_2(tmp_path):
@@ -467,19 +476,20 @@ def test_sign_perturbed_level_without_interior_exits_2_before_solving(
     ({"seed": "3"}, "seed must be an integer >= 0"),
     ({"seed": 2.5}, "seed must be an integer >= 0"),
     ({"seed": True}, "seed must be an integer >= 0"),
-    ({"tolerances": [1e-4]}, "tolerances must be an object"),
-    ({"tolerances": {"rtol": "tight"}}, "tolerance rtol must be a finite number > 0"),
-    ({"tolerances": {"atol": 0.0}}, "tolerance atol must be a finite number > 0"),
-    ({"tolerances": {"kappa": -1.0}}, "tolerance kappa must be a finite number >= 0"),
-    ({"tolerances": {"gtol": 1e-8}}, "unknown tolerance 'gtol'"),
+    ({"tolerances": [1e-4]}, "unknown config key 'tolerances'"),
+    ({"tolerances": {"rtol": "tight"}}, "unknown config key 'tolerances'"),
+    ({"tolerances": {"atol": 0.0}}, "unknown config key 'tolerances'"),
+    ({"tolerances": {"kappa": -1.0}}, "unknown config key 'tolerances'"),
+    ({"tolerances": {"gtol": 1e-8}}, "unknown config key 'tolerances'"),
     ({"levels": [3, "4", 5]}, "a level list must hold integers"),
     ({"levels": [3, 4, 4, 5]}, "levels must be distinct"),
-    ({"problem": "singular", "params": {"init_floor": 0.0}}, "init_floor must be positive"),
+    ({"problem": "singular", "params": {"init_floor": 0.0}},
+     "unknown parameter 'init_floor' for problem 'singular'"),
     ({"params": "none"}, "bad parameters"),
     ({"problem": "sign_perturbed", "params": {"center": [0.1, 0.5, 0.5]}},
-     "bubble support exceeds the domain box"),
+     "unknown parameter 'center' for problem 'sign_perturbed'"),
     ({"problem": "sign_perturbed", "params": {"concentration_radius": 0.0}},
-     "radius must be positive"),
+     "unknown parameter 'concentration_radius' for problem 'sign_perturbed'"),
     ({"problem": "sign_perturbed", "params": {"well": {"center": [0.5, 0.5]}}},
      "the well center needs 3 coordinates"),
     ({"problem": "sign_perturbed", "params": {"well": {"center": [0.5, 0.5, 0.5, 0.9]}}},
@@ -488,7 +498,7 @@ def test_sign_perturbed_level_without_interior_exits_2_before_solving(
      "g_affine needs 3 coefficients"),
     ({"problem": "singular", "params": {"g_affine": [0.5]}}, "g_affine needs 3 coefficients"),
     ({"problem": "sign_perturbed", "params": {"bubble_scales": []}},
-     "bubble_scales needs at least one scale"),
+     "unknown parameter 'bubble_scales' for problem 'sign_perturbed'"),
     ({"problem": "sign_perturbed", "params": {"well": {"center": [0.5] * 3, "strength": "nan"}}},
      "the well needs a finite center and strength"),
     ({"problem": "sign_perturbed", "params": {"well": {"center": [0.5] * 3, "strength": "inf"}}},
@@ -507,10 +517,11 @@ def test_sign_perturbed_level_without_interior_exits_2_before_solving(
     ({"problem": "sign_perturbed", "params": {"well": {"center": ["0.4", 0.5, 0.6]}}},
      "the well needs a finite center and strength"),
     ({"problem": "sign_perturbed", "params": {"bubble_scales": [True, 2.0]}},
-     "bubble_scales needs at least one scale, each real"),
+     "unknown parameter 'bubble_scales' for problem 'sign_perturbed'"),
     ({"problem": "singular", "params": {"g_affine": [True, 0.0, "1"]}},
      "g_affine needs real coefficients"),
-    ({"problem": "singular", "params": {"init_floor": True}}, "init_floor must be positive"),
+    ({"problem": "singular", "params": {"init_floor": True}},
+     "unknown parameter 'init_floor' for problem 'singular'"),
     # singular_spec's other arguments are callables or a Domain, and the
     # sawtooth study takes none
     ({"problem": "singular", "params": {"domain": [[0, 1], [0, 1]]}},
@@ -519,26 +530,27 @@ def test_sign_perturbed_level_without_interior_exits_2_before_solving(
     ({"problem": "singular", "params": {"Wpp": 1}}, "unknown parameter 'Wpp'"),
     ({"params": {"seed": 3}}, "unknown parameter 'seed' for problem 'sawtooth'"),
     ({"problem": "sign_perturbed", "params": {"concentration_radius": True}},
-     "center, delta, theta and concentration_radius must be real"),
+     "unknown parameter 'concentration_radius' for problem 'sign_perturbed'"),
     ({"problem": "sign_perturbed", "params": {"center": ["0.5", "0.5", "0.5"]}},
-     "center, delta, theta and concentration_radius must be real"),
+     "unknown parameter 'center' for problem 'sign_perturbed'"),
     ({"problem": "sign_perturbed", "params": {"delta": "0.25"}},
-     "center, delta, theta and concentration_radius must be real"),
+     "unknown parameter 'delta' for problem 'sign_perturbed'"),
     ({"problem": "sign_perturbed", "params": {"theta": False}},
-     "center, delta, theta and concentration_radius must be real"),
-    # json reads NaN and Infinity, which no parameter takes
+     "unknown parameter 'theta' for problem 'sign_perturbed'"),
+    # json reads NaN and Infinity, which no parameter takes; a key that set a
+    # study value, now a constant, exits 2 whatever its value
     ({"problem": "singular", "params": {"init_floor": float("inf")}},
-     "init_floor must be positive"),
+     "unknown parameter 'init_floor' for problem 'singular'"),
     ({"problem": "singular", "params": {"g_affine": [float("inf"), 0.0, 1.0]}},
      "g_affine needs real coefficients"),
     ({"problem": "sign_perturbed", "params": {"bubble_scales": [float("inf")]}},
-     "bubble_scales needs at least one scale, each real"),
+     "unknown parameter 'bubble_scales' for problem 'sign_perturbed'"),
     ({"problem": "sign_perturbed", "params": {"center": [0.5, 0.5, float("nan")]}},
-     "center, delta, theta and concentration_radius must be real"),
+     "unknown parameter 'center' for problem 'sign_perturbed'"),
     ({"problem": "sign_perturbed", "params": {"delta": float("nan")}},
-     "center, delta, theta and concentration_radius must be real"),
+     "unknown parameter 'delta' for problem 'sign_perturbed'"),
     ({"problem": "sign_perturbed", "params": {"theta": float("nan")}},
-     "center, delta, theta and concentration_radius must be real"),
+     "unknown parameter 'theta' for problem 'sign_perturbed'"),
 ])
 def test_bad_config_values_exit_2_before_solving(tmp_path, capsys, monkeypatch, payload, message):
     def no_solve(*args, **kwargs):
@@ -560,12 +572,12 @@ def test_overflowing_number_exits_2_before_solving(tmp_path, capsys, monkeypatch
 
     monkeypatch.setattr(solver, "minimize_level", no_solve)
     cfg = tmp_path / "config.json"
-    cfg.write_text('{"problem": "singular", "levels": "4..5", "params": {"init_floor": 1e400}}',
+    cfg.write_text('{"problem": "singular", "levels": "4..5", "params": {"g_affine": [1e400, 0, 1]}}',
                    encoding="utf-8")
     out = tmp_path / "out"
     out.mkdir()
     assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 2
-    assert "init_floor must be positive, got inf" in capsys.readouterr().err
+    assert "g_affine needs real coefficients, got [inf, 0, 1]" in capsys.readouterr().err
     assert not any(out.iterdir())
 
 
@@ -585,9 +597,58 @@ def test_negative_well_solves_without_a_certified_bound(tmp_path):
 
 @pytest.mark.parametrize("instances", [0, "20", None])
 def test_calculus_check_bad_instances_exits_2(tmp_path, capsys, instances):
+    # calculus-check always draws CHECK_INSTANCES instances: a config that
+    # sets the count, to any value, names the key and writes nothing
     cfg = write_config(tmp_path, {"levels": "3..6", "instances": instances})
-    assert main(["calculus-check", "--config", cfg]) == 2
-    assert "instances must be an integer >= 1" in capsys.readouterr().err
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main(["calculus-check", "--config", cfg, "--out", str(out)]) == 2
+    assert "config error: unknown config key 'instances'" in capsys.readouterr().err
+    assert not any(out.iterdir())
+
+
+@pytest.mark.parametrize("key, params", [
+    ("tolerances", None), ("instances", None), ("delta", "sign_perturbed"),
+    ("theta", "sign_perturbed"), ("center", "sign_perturbed"),
+    ("bubble_scales", "sign_perturbed"), ("concentration_radius", "sign_perturbed"),
+    ("init_floor", "singular"),
+])
+def test_removed_keys_exit_2_and_write_nothing(tmp_path, capsys, monkeypatch, key, params):
+    # each value that is now a module constant, set at its former default,
+    # is an unknown key: solve (and calculus-check, for a top-level key)
+    # exits 2 naming it, and a sweep entry that sets it fails its run
+    # without a run directory
+    former = {"tolerances": {"rtol": 1e-6}, "instances": 20, "delta": 0.25, "theta": 2.0,
+              "center": [0.5, 0.5, 0.5], "bubble_scales": [2.0, 4.0, 8.0],
+              "concentration_radius": 0.2, "init_floor": 0.1}[key]
+    if params is None:
+        setting, message = {key: former}, f"unknown config key '{key}'"
+        base = {"problem": "sign_perturbed", "levels": "3..5"}
+    else:
+        setting, message = {"params": {key: former}}, f"unknown parameter '{key}' for problem"
+        base = {"problem": params, "levels": "4..6"}
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a level was solved before the config was checked")
+
+    commands = ["solve", "calculus-check"] if params is None else ["solve"]
+    with monkeypatch.context() as patch:
+        patch.setattr(solver, "minimize_level", no_solve)
+        for command in commands:
+            out = tmp_path / command
+            out.mkdir()
+            cfg = write_config(tmp_path, {**base, **setting})
+            assert main([command, "--config", cfg, "--out", str(out)]) == 2
+            assert message in capsys.readouterr().err
+            assert not any(out.iterdir())
+    out = tmp_path / "sweep"
+    out.mkdir()
+    cfg = write_config(tmp_path, dict(SAW, sweep=[{"seed": 1}, {**base, **setting}]))
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == 3
+    assert f"run 1: config error: {message}" in capsys.readouterr().err
+    with open(out / "summary.csv", encoding="utf-8") as fh:
+        assert [r["status"] for r in csv.DictReader(fh)] == ["0", "2"]
+    assert (out / "run_000").is_dir() and not (out / "run_001").exists()
 
 
 def test_sweep_run_with_a_bad_value_rolls_up_to_exit_3(tmp_path, capsys):

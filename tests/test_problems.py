@@ -549,7 +549,7 @@ def test_one_quotient_start_holds_the_history_and_a_few_vectors():
     # against a node vector).  The former list-based L-BFGS, with a fresh
     # array for every temporary and the start pinned twice, peaked at 37.6
     # node vectors, against 30.6 here and a bound of 32.6
-    spec = sign_perturbed_spec(bubble_scales=(4.0,))
+    spec = sign_perturbed_spec()
     level = build_level(spec.domain, 5)
     node = 8 * level.node_count
     history = 2 * 10 * 8 * (level.shape[0] - 2) ** 3
@@ -559,7 +559,10 @@ def test_one_quotient_start_holds_the_history_and_a_few_vectors():
         level.weights, level.boundary_mask
         held = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        res = minimize_level(spec, level)
+        # passed, not held: the start is released once pinned
+        res = minimize_level(
+            spec, level, init=bubble(BubbleInitializer((0.5,) * 3, 4.0 * level.h), level)
+        )
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -603,16 +606,15 @@ def test_radius_from_axes_bit_identical_to_coordinate_norm(dim, n):
     # as np.linalg.norm(..., axis=1) does: the starts and the concentration
     # are bit-identical, and no coordinate table is built
     center = (0.4, 0.5, 0.6, 0.5)[:dim]
-    spec = sign_perturbed_spec(dimension=dim, center=center, delta=0.15)
-    level = build_level(spec.domain, n)
-    starts = spec.initial_guesses(level)
+    level = build_level(Domain(((0.0, 1.0),) * dim), n)
+    inits = [BubbleInitializer(center, scale * level.h, delta=0.15) for scale in (2.0, 4.0, 8.0)]
+    starts = [bubble(init, level).values for init in inits]
     rng = np.random.default_rng(n)
     u = GridFunction(level, starts[-1] * rng.uniform(0.5, 1.5, level.node_count))
     measured = concentration_metric(u, center, 0.2)
     assert not hasattr(level, "coordinates")
 
-    for start, scale in zip(starts, (2.0, 4.0, 8.0), strict=True):
-        init = BubbleInitializer(center, scale * level.h, delta=0.15)
+    for start, init in zip(starts, inits):
         np.testing.assert_array_equal(start, _former_bubble(init, level))
     dist = np.linalg.norm(coordinate_table(level) - np.asarray(center), axis=1)
     np.testing.assert_array_equal(level.distance(center), dist)
@@ -1100,9 +1102,13 @@ def test_sawtooth_builds_one_objective_per_level(monkeypatch):
     assert count == [3, 4, 5, 6]
 
 
-def test_quotient_single_bubble_scale_gives_one_start():
-    # one scale gives one start; none is an error of the parameters
-    spec = sign_perturbed_spec(bubble_scales=[2.0])
-    assert len(spec.initial_guesses(build_level(spec.domain, 4))) == 1
-    with pytest.raises(ValueError, match="at least one scale"):
-        sign_perturbed_spec(bubble_scales=[])
+def test_every_bubble_scale_can_end_lowest():
+    # the first level's starts are load-bearing: on a strength-500 well at
+    # (0.4, 0.5, 0.6), with level 4 as the first level, scales 2 and 4 end
+    # on one minimum and scale 8 on a lower one, which the level takes
+    spec = sign_perturbed_spec(a=QuadraticWell((0.4, 0.5, 0.6), 500.0))
+    level = build_level(spec.domain, 4)
+    ends = [minimize_level(spec, level, init=u).value for u in spec.initial_guesses(level)]
+    assert ends == [pytest.approx(6.9661110142040, abs=1e-12)] * 2 + [
+        pytest.approx(6.8009048399328, abs=1e-12)]
+    assert minimize_level(spec, level).value == min(ends)
