@@ -35,9 +35,10 @@ formulas they replaced.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Iterator, Sequence, Union
 
 import numpy as np
 
@@ -393,14 +394,12 @@ def density(region: Region, level: GridLevel) -> GridFunction:
     return GridFunction(level, np.clip(values, 0.0, 1.0, out=values))
 
 
-def _magnitude(rows: Iterable[np.ndarray]) -> np.ndarray:
-    """Euclidean magnitude of per-axis rows, summed in axis order into one
-    new array; each row is read as it comes and not held past its square."""
-    rows = iter(rows)
-    mag = np.square(next(rows))
-    for row in rows:
+def _magnitude(rows: Sequence[np.ndarray]) -> np.ndarray:
+    """Euclidean magnitude of the per-axis rows, their squares summed in axis
+    order into one new array; the rows are left as they are."""
+    mag = np.square(rows[0])
+    for row in rows[1:]:
         mag += np.square(row)
-        del row  # freed before the next row is made
     return np.sqrt(mag, out=mag)
 
 
@@ -423,18 +422,44 @@ def _consistent_gradient(theta: GridFunction) -> Iterator[np.ndarray]:
     antisymmetric closure rows of the summation-by-parts derivative read a
     spurious ``theta/h`` at boundary nodes where the density is nonzero, so
     the perimeter of a region meeting the box boundary uses this stencil
-    instead.  Fed to :func:`_magnitude`, only ``theta``, ``|D theta|`` and
-    one row are alive.
+    instead.  As :func:`perimeter` sums their squares, only ``theta``,
+    ``|D theta|`` and one row are alive.  Each row is ``np.gradient(theta, h, axis=axis)``,
+    byte for byte, with no temporary beside it: the central differences are
+    written into the row and divided there, on the flat arrays, where the
+    nodes one stride of the axis apart are the axis neighbours; the faces of
+    the axis, which that also reaches, are then overwritten with the
+    one-sided differences.
     """
     level = theta.level
+    flat, grid = theta.values, theta.grid_values
     for axis in range(level.dimension):
-        yield np.gradient(theta.grid_values, level.h, axis=axis).ravel()
+        stride = math.prod(level.shape[axis + 1 :])
+        row = np.empty(flat.size)
+        inner = row[stride : flat.size - stride]
+        np.subtract(flat[2 * stride :], flat[: flat.size - 2 * stride], out=inner)
+        np.divide(inner, 2.0 * level.h, out=inner)
+        lead = (slice(None),) * axis
+        for face, up, lo in ((slice(0, 1), slice(1, 2), slice(0, 1)),
+                             (slice(-1, None), slice(-1, None), slice(-2, -1))):
+            out = row.reshape(level.shape)[lead + (face,)]
+            np.subtract(grid[lead + (up,)], grid[lead + (lo,)], out=out)
+            np.divide(out, level.h, out=out)
+        yield row
 
 
 def perimeter(region: Region, level: GridLevel) -> float:
-    """``sum_a |D theta(a)| d(a)``: the total-variation perimeter of the region."""
-    mag = _magnitude(_consistent_gradient(density(region, level)))
-    return float(mag @ level.weights)
+    """``sum_a |D theta(a)| d(a)``: the total-variation perimeter of the region.
+
+    ``|D theta|`` rounds as :func:`_magnitude` does, but each row is squared
+    in place and the first holds the sum: nothing else reads the rows.
+    """
+    rows = _consistent_gradient(density(region, level))
+    mag = next(rows)
+    np.square(mag, out=mag)
+    for row in rows:
+        mag += np.square(row, out=row)
+        del row  # freed before the next row is made
+    return float(np.sqrt(mag, out=mag) @ level.weights)
 
 
 @dataclass(frozen=True)

@@ -398,11 +398,33 @@ def test_gauss_check_and_perimeter_hold_few_node_vectors():
     assert _peak_node_vectors(lambda: perimeter(region, level), level) <= 6.0
 
 
+def test_perimeter_holds_three_node_vectors_at_2d_level_7():
+    # theta, |D theta| (the first row, squared in place) and one derivative
+    # row: 3.03 node vectors.  Below numpy's 256 KiB temporary elision,
+    # np.gradient's difference and quotient temporaries and the square of a
+    # row beside it made 4.99
+    level = build_level(DOM2, 7)
+    region = NodeMask(level, np.random.default_rng(47).random(level.node_count) < 0.5)
+    assert _peak_node_vectors(lambda: perimeter(region, level), level) <= 3.5
+
+
+def test_consistent_gradient_is_np_gradient_byte_for_byte():
+    rng = np.random.default_rng(59)
+    for dim, n in [(1, 0), (1, 1), (1, 6), (2, 0), (2, 3), (3, 1), (3, 3), (4, 2)]:
+        level = build_level(Domain(((0.0, 1.0),) * dim), n)
+        theta = GridFunction(level, rng.standard_normal(level.node_count))
+        rows = list(measure._consistent_gradient(theta))
+        assert len(rows) == dim
+        for axis, row in enumerate(rows):
+            expected = np.gradient(theta.grid_values, level.h, axis=axis).ravel()
+            assert row.tobytes() == expected.tobytes()
+
+
 @pytest.mark.parametrize("dim,n", [(2, 8), (3, 5)])
 def test_perimeter_makes_one_derivative_row_at_a_time(dim, n):
-    # theta, |D theta|, one np.gradient row and its difference temporary:
-    # 4.25 node vectors in 2D and 4.41 in 3D, where the rows of every axis
-    # made at once and then summed held 5.00 and 6.01
+    # theta, |D theta| and one derivative row: 3.01 node vectors in 2D, and
+    # in 3D 4.02 while the node-mask density is made; the rows of every
+    # axis made at once and then summed held 5.00 and 6.01
     level = build_level(Domain(((0.0, 1.0),) * dim), n)
     region = NodeMask(level, np.random.default_rng(53).random(level.node_count) < 0.5)
     assert _peak_node_vectors(lambda: perimeter(region, level), level) <= 4.5
