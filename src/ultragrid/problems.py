@@ -721,6 +721,11 @@ class _SingularObjective(LevelObjective):
 #: the least ``|u|`` of the singular study's start: the harmonic extension
 #: is floored away from zero to it, with its signs kept
 INIT_FLOOR = 0.1
+#: a harmonic value within this fraction of ``max |g|`` of zero counts as
+#: zero for the start's sign: at levels 4..7 the default data leaves 8 / 16 /
+#: 32 / 64 values of at most 2.3e-15 off the odd-odd block, whose signs
+#: follow the LU's rounding and would fix Newton's sign orthant
+SIGN_ZERO_RTOL = 1e-12
 
 
 def singular_spec(g: Optional[Callable] = None, domain: Optional[Domain] = None) -> ProblemSpec:
@@ -760,14 +765,18 @@ def singular_spec(g: Optional[Callable] = None, domain: Optional[Domain] = None)
     def initial_guesses(level):
         """The harmonic extension of ``g``, clipped away from zero.
 
-        The extension is exactly 0 on the parity block with every index odd
-        (see :meth:`_SingularObjective.harmonic_extension`), so the start is
-        ``+INIT_FLOOR`` left of the midline and ``-INIT_FLOOR`` right of it
-        there.
+        A value within ``SIGN_ZERO_RTOL * max |g|`` of zero counts as zero:
+        the start is ``+INIT_FLOOR`` left of the midline and ``-INIT_FLOOR``
+        right of it there.  That covers the parity block with every index
+        odd, where the extension is exactly 0 (see
+        :meth:`_SingularObjective.harmonic_extension`), and the rounding
+        noise that the sparse LU leaves where the extension vanishes.
         """
-        u = build(level).harmonic_extension().reshape(level.shape)
+        obj = build(level)
+        u = obj.harmonic_extension().reshape(level.shape)
         x0 = np.ix_(*level.axes)[0]
-        sign = np.where(u > 0, 1.0, np.where(u < 0, -1.0, np.where(x0 <= mid, 1.0, -1.0)))
+        zero = np.abs(u) <= SIGN_ZERO_RTOL * np.max(np.abs(obj.fixed_values))
+        sign = np.where(zero, np.where(x0 <= mid, 1.0, -1.0), np.sign(u))
         return [(sign * np.maximum(np.abs(u), INIT_FLOOR)).ravel()]
 
     def diagnostics(obj: LevelObjective, u: np.ndarray) -> dict:
