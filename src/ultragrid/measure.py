@@ -423,12 +423,13 @@ def _consistent_gradient(theta: GridFunction) -> Iterator[np.ndarray]:
     spurious ``theta/h`` at boundary nodes where the density is nonzero, so
     the perimeter of a region meeting the box boundary uses this stencil
     instead.  As :func:`perimeter` sums their squares, only ``theta``,
-    ``|D theta|`` and one row are alive.  Each row is ``np.gradient(theta, h, axis=axis)``,
-    byte for byte, with no temporary beside it: the central differences are
-    written into the row and divided there, on the flat arrays, where the
-    nodes one stride of the axis apart are the axis neighbours; the faces of
-    the axis, which that also reaches, are then overwritten with the
-    one-sided differences.
+    ``|D theta|`` and one row are alive.
+
+    Each row equals ``np.gradient(theta, h, axis=axis)`` byte for byte,
+    with no temporary beside it.  The central differences are written into
+    the row and divided there, on the flat arrays, where the nodes one
+    stride of the axis apart are the axis neighbours.  That also reaches the
+    axis's faces, which the one-sided differences then overwrite.
     """
     level = theta.level
     flat, grid = theta.values, theta.grid_values

@@ -572,8 +572,8 @@ def test_overflowing_number_exits_2_before_solving(tmp_path, capsys, monkeypatch
 
     monkeypatch.setattr(solver, "minimize_level", no_solve)
     cfg = tmp_path / "config.json"
-    cfg.write_text('{"problem": "singular", "levels": "4..5", "params": {"g_affine": [1e400, 0, 1]}}',
-                   encoding="utf-8")
+    cfg.write_text('{"problem": "singular", "levels": "4..5", '
+                   '"params": {"g_affine": [1e400, 0, 1]}}', encoding="utf-8")
     out = tmp_path / "out"
     out.mkdir()
     assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 2
