@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import hashlib
 import json
 import math
 import pathlib
@@ -43,6 +42,17 @@ import time
 from typing import Optional, Sequence
 
 import numpy as np
+
+# CPython's own SHA-256 (_sha2 from 3.12, _sha256 before): hashlib would load
+# OpenSSL's libcrypto, ~3.6 MB resident, for ~60 bytes of config JSON; a
+# CPython built without its own hash modules still has hashlib's
+try:
+    from _sha2 import sha256
+except ImportError:
+    try:
+        from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
 
 from .calculus import (
     GridFunction,
@@ -90,7 +100,7 @@ def _canonical(config: dict) -> str:
 
 def config_hash(config: dict) -> str:
     """First 12 hex digits of the SHA-256 of the canonical JSON config."""
-    return hashlib.sha256(_canonical(config).encode("utf-8")).hexdigest()[:12]
+    return sha256(_canonical(config).encode("utf-8")).hexdigest()[:12]
 
 
 def _integer(config: dict, key: str, minimum: int) -> int:
@@ -162,6 +172,11 @@ def _load_config(args) -> dict:
 
 
 def _out_dir(args) -> pathlib.Path:
+    """The ``--out`` directory, which must exist or have a parent that does.
+
+    A missing one is not made here: each command makes it once its config
+    has passed the command's own checks, so a bad config leaves none behind.
+    """
     if args.out is None:
         raise ConfigError("an output directory is required (--out DIR)")
     out = pathlib.Path(args.out)
@@ -170,7 +185,6 @@ def _out_dir(args) -> pathlib.Path:
             raise ConfigError(f"output location is not a directory: {out}")
         if not out.parent.is_dir():
             raise ConfigError(f"output location does not exist: {out.parent}")
-        out.mkdir()
     return out
 
 
@@ -278,7 +292,6 @@ def _verdict(measured, threshold, passed=None) -> dict:
 def cmd_solve(config: dict, out: pathlib.Path) -> int:
     problem = _build_problem(config)
     levels = _parse_levels(config.get("levels", "3..5"))
-    out.mkdir(exist_ok=True)  # a sweep run's directory, once its config is read
     fmt = config["format"]
     chash = config_hash(config)
 
@@ -296,6 +309,9 @@ def cmd_solve(config: dict, out: pathlib.Path) -> int:
         print(f"invariant failure: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
     timings["solve_s"] = time.perf_counter() - t0
+    # made once solve_net has built every level under the node cap and the
+    # boundary data has passed: a config error leaves no directory
+    out.mkdir(exist_ok=True)
 
     t0 = time.perf_counter()
     splitting = split(net)
@@ -432,15 +448,16 @@ def cmd_sweep(config: dict, out: pathlib.Path) -> int:
     base = {k: v for k, v in config.items() if k != "sweep"}
     chash = config_hash(config)
     run_dirs = [out / f"run_{i:03d}" for i in range(len(overrides))]
-    for run_dir in run_dirs:
+    for i, (override, run_dir) in enumerate(zip(overrides, run_dirs)):
+        if not isinstance(override, dict):
+            raise ConfigError(f"sweep entry {i} is not an object")
         if run_dir.exists() and not run_dir.is_dir():
             raise ConfigError(f"output location is not a directory: {run_dir}")
+    out.mkdir(exist_ok=True)
 
     rows = []
     worst = EXIT_OK
     for i, (override, run_dir) in enumerate(zip(overrides, run_dirs)):
-        if not isinstance(override, dict):
-            raise ConfigError(f"sweep entry {i} is not an object")
         run_config = _merge(base, override)
         try:
             _validate(run_config)
@@ -595,6 +612,7 @@ def cmd_calculus_check(config: dict, out: Optional[pathlib.Path]) -> int:
               f"bound={v['threshold']:.6g}  {verdict}")
 
     if out is not None:
+        out.mkdir(exist_ok=True)
         rows = [[chash, name, v["measured"], v["threshold"], v["passed"]]
                 for name, v in checks.items()]
         _write_table(out / "checks.csv",

@@ -2,6 +2,7 @@
 
 import csv
 import functools
+import hashlib
 import json
 import os
 import pathlib
@@ -11,6 +12,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ultragrid import cli, grid, solver
 from ultragrid.cli import main
@@ -215,6 +218,93 @@ def test_unknown_top_level_key_exits_2_and_writes_nothing(tmp_path, capsys, monk
     with open(out / "summary.csv", encoding="utf-8") as fh:
         assert [r["status"] for r in csv.DictReader(fh)] == ["0", "2"]
     assert not (out / "run_001").exists()
+
+
+@pytest.mark.parametrize("command, payload, extra", [
+    # a bad study parameter, caught by _build_problem
+    ("solve", {"problem": "singular", "params": {"g_affine": [1, 2]}}, []),
+    # a level range too short for the order fits, caught by calculus-check
+    ("calculus-check", {}, ["--levels", "3..4"]),
+    # a sweep config without its list, and one with an entry that is no object
+    ("sweep", {"problem": "sawtooth"}, []),
+    ("sweep", {"problem": "sawtooth", "sweep": [{}, 5]}, []),
+], ids=["solve-params", "calculus-check-levels", "sweep-no-list", "sweep-bad-entry"])
+def test_bad_config_makes_no_out_dir(tmp_path, capsys, monkeypatch, command, payload, extra):
+    # the missing --out is made only once the command's config has passed
+    # its checks: a config error leaves no empty directory behind
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a level was solved before the config was checked")
+
+    monkeypatch.setattr(solver, "minimize_level", no_solve)
+    cfg = write_config(tmp_path, payload)
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out), *extra]) == 2
+    assert "config error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_sweep_run_over_the_node_cap_makes_no_run_dir(tmp_path, capsys):
+    # the run's levels pass _parse_levels, but level 9 of the 3D cube is over
+    # the node cap: that run fails alone, and leaves no run directory
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, dict(SAW, sweep=[{}, {"problem": "sign_perturbed",
+                                                        "levels": "9..11"}]))
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == 3
+    assert "run 1: config error: level 9 requires 135005697 nodes" in capsys.readouterr().err
+    with open(out / "summary.csv", encoding="utf-8") as fh:
+        assert [r["status"] for r in csv.DictReader(fh)] == ["0", "2"]
+    assert (out / "run_000" / "report.json").is_file()
+    assert not (out / "run_001").exists()
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+@given(st.dictionaries(st.text(), _JSON, max_size=6))
+def test_config_hash_is_hashlib_sha256(config):
+    # CPython's own SHA-256 gives hashlib's digest
+    expected = hashlib.sha256(cli._canonical(config).encode("utf-8")).hexdigest()[:12]
+    assert cli.config_hash(config) == expected
+
+
+def test_config_hash_pinned():
+    # the digest of SAW's resolved config, as hashlib gave it
+    assert cli.config_hash(dict(SAW, format="csv")) == "141e122767ae"
+
+
+_OPENSSL_GUARD = """
+import json, pathlib, sys
+from ultragrid import cli
+
+print("import", "_hashlib" in sys.modules)
+root = pathlib.Path(sys.argv[1])
+for name in ("sawtooth", "sign_perturbed"):
+    cfg = root / (name + ".json")
+    cfg.write_text(json.dumps({"problem": name}))
+    code = cli.main(["solve", "--levels", "3..5", "--config", str(cfg),
+                     "--out", str(root / name)])
+    print(name, code, "_hashlib" in sys.modules)
+"""
+
+
+def test_cli_and_the_numpy_only_solves_load_no_openssl(tmp_path):
+    # a fresh interpreter: importing the CLI, and a sawtooth and a quotient
+    # solve after it, leave OpenSSL's _hashlib unloaded (config_hash takes
+    # CPython's own SHA-256); scipy's import and numpy.random load it, so
+    # the singular solve and calculus-check are not checked here
+    src = str(pathlib.Path(cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-c", _OPENSSL_GUARD, str(tmp_path)],
+        capture_output=True, text=True, check=True, env=env,
+    )
+    lines = [line.split() for line in proc.stdout.splitlines()[-3:]]
+    assert lines == [["import", "False"], ["sawtooth", "0", "False"],
+                     ["sign_perturbed", "0", "False"]], proc.stdout
 
 
 def test_readme_names_exactly_the_config_keys():
