@@ -70,7 +70,6 @@ from .solver import (
 )
 from .problems import (
     BoundaryDataError,
-    BubbleInitializer,
     InterfaceDecomposition,
     QuadraticWell,
     bubble,

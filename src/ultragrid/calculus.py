@@ -191,7 +191,7 @@ def diff_op(level: GridLevel) -> DiffOp:
     return DiffOp(level=level, matrices=mats, transposes=transposes)
 
 
-def derivative(u: GridFunction, axis: int = 0) -> GridFunction:
+def derivative(u: GridFunction, axis: int) -> GridFunction:
     """SBP derivative of ``u`` along ``axis``."""
     op = diff_op(u.level)
     return GridFunction(u.level, op.apply(u.values, axis))

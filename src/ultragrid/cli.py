@@ -27,7 +27,8 @@ Exit codes: 0 success, 1 invariant failure or internal error,
 2 configuration error, 3 partial result (report still written).  The config
 is checked before any work, so only a :class:`ConfigError` exits 2; any other
 ``ValueError`` is a fault of the program and exits 1 as an internal error.
-A top-level config key that no command reads is a configuration error.
+A top-level config key that the command does not read is a configuration
+error.
 """
 
 from __future__ import annotations
@@ -64,13 +65,12 @@ from .calculus import (
     integral,
     restrict,
 )
-from .grid import Domain, GridLevel, ResourceLimitError, build_level
+from .grid import DEFAULT_NODE_CAP, Domain, GridLevel, ResourceLimitError, build_level
 from .measure import Ball, Box, HalfSpace, NodeMask, density, gauss_check, perimeter
 from .nets import classify
 from .problems import (
     BoundaryDataError,
     QuadraticWell,
-    _is_real,
     sawtooth_spec,
     sign_perturbed_spec,
     singular_spec,
@@ -111,14 +111,20 @@ def _integer(config: dict, key: str, minimum: int) -> int:
     return value
 
 
-#: the top-level config keys some command reads
-_CONFIG_KEYS = ("problem", "params", "levels", "seed", "format", "sweep")
+_SOLVE_KEYS = ("problem", "params", "levels", "seed", "format")
+#: the top-level config keys each command reads; a sweep entry is merged
+#: into a solve config
+_CONFIG_KEYS = {
+    "solve": _SOLVE_KEYS,
+    "sweep": _SOLVE_KEYS + ("sweep",),
+    "calculus-check": ("levels", "seed", "format"),
+}
 
 
-def _validate(config: dict) -> None:
-    """Raise :class:`ConfigError` for a top-level key that no command reads,
-    or for a bad value of one the commands read."""
-    unknown = sorted(set(config) - set(_CONFIG_KEYS))
+def _validate(config: dict, command: str) -> None:
+    """Raise :class:`ConfigError` for a top-level key that ``command`` does
+    not read, or for a bad value of one it reads."""
+    unknown = sorted(set(config) - set(_CONFIG_KEYS[command]))
     if unknown:
         raise ConfigError(f"unknown config key {unknown[0]!r}")
     if config["format"] not in ("csv", "json"):
@@ -140,6 +146,15 @@ def _parse_levels(text) -> list[int]:
             lo, hi = int(parts[0]), int(parts[1])
         except ValueError as exc:
             raise ConfigError(f"bad level range {text!r}") from exc
+        # both ends are checked before the list is built; the top by
+        # build_level's first rule: from level log2(cap) up, a level's
+        # smallest axis alone is over the node cap, in any domain
+        if lo < 0:
+            raise ConfigError("levels must be non-negative")
+        if hi >= (DEFAULT_NODE_CAP - 1).bit_length():
+            raise ConfigError(
+                f"level {hi} requires more than {DEFAULT_NODE_CAP} nodes, exceeding the cap"
+            )
         levels = list(range(lo, hi + 1))
     if len(set(levels)) != len(levels):
         raise ConfigError(f"levels must be distinct, got {text!r}")
@@ -167,7 +182,7 @@ def _load_config(args) -> dict:
             config[key] = getattr(args, key)
     config.setdefault("seed", 0)
     config.setdefault("format", "csv")
-    _validate(config)
+    _validate(config, args.command)
     return config
 
 
@@ -199,7 +214,10 @@ def _check_params(kind: str, params: dict, accepted: Sequence[str]) -> None:
 def _build_problem(config: dict):
     kind = config.get("problem")
     try:
-        params = dict(config.get("params", {}))
+        params = config.get("params", {})
+        if not isinstance(params, dict):
+            raise ValueError("params must be a JSON object")
+        params = dict(params)  # a copy: the well is popped, the config hashed later
         if kind == "sawtooth":
             _check_params(kind, params, ())
             return sawtooth_spec()
@@ -209,28 +227,9 @@ def _build_problem(config: dict):
             a = None if well is None else QuadraticWell(**well)
             return sign_perturbed_spec(a=a, **params)
         if kind == "singular":
-            # the other singular_spec arguments are a callable and a Domain,
-            # which a JSON config cannot express
+            # singular_spec's domain is not a JSON value
             _check_params(kind, params, ("g_affine",))
-            g_coeffs = params.pop("g_affine", None)
-            if g_coeffs is not None:
-                if not all(map(_is_real, g_coeffs)):
-                    raise ConfigError(f"g_affine needs real coefficients, got {g_coeffs!r}")
-                coeffs = tuple(float(c) for c in g_coeffs)
-
-                def g(*coords):
-                    slopes = zip(coeffs[:-1], coords, strict=True)
-                    return sum(ci * np.asarray(x) for ci, x in slopes) + coeffs[-1]
-
-                params["g"] = g
-            spec = singular_spec(**params)
-            dimension = spec.domain.dimension
-            if g_coeffs is not None and len(coeffs) != dimension + 1:
-                raise ConfigError(
-                    f"g_affine needs {dimension + 1} coefficients (one per axis "
-                    f"and a constant), got {g_coeffs!r}"
-                )
-            return spec
+            return singular_spec(**params)
     except (TypeError, KeyError, ValueError) as exc:
         raise ConfigError(f"bad parameters for problem {kind!r}: {exc}") from exc
     raise ConfigError(
@@ -460,7 +459,7 @@ def cmd_sweep(config: dict, out: pathlib.Path) -> int:
     for i, (override, run_dir) in enumerate(zip(overrides, run_dirs)):
         run_config = _merge(base, override)
         try:
-            _validate(run_config)
+            _validate(run_config, "solve")
             status = cmd_solve(run_config, run_dir)
         except ConfigError as exc:
             print(f"run {i}: config error: {exc}", file=sys.stderr)

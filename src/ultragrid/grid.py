@@ -210,6 +210,12 @@ def build_level(domain: Domain, n: int, node_cap: int = DEFAULT_NODE_CAP) -> Gri
     """
     if n < 0:
         raise ValueError("level index must be non-negative")
+    if n >= (node_cap - 1).bit_length():
+        # the smallest axis alone has 2**n + 1 > node_cap nodes: refused
+        # before 2.0**-n underflows, or 2**n grows, for a huge n
+        raise ResourceLimitError(
+            f"level {n} requires more than {node_cap} nodes, exceeding the cap"
+        )
     h = domain.base_spacing * 2.0**-n
     shape = []
     count = 1

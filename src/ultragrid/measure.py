@@ -65,15 +65,10 @@ SAMPLES_PER_AXIS = 20
 
 @dataclass(frozen=True)
 class HalfSpace:
-    """The region on one side of an axis-aligned hyperplane."""
+    """The half-space ``x_axis <= threshold``."""
 
     axis: int
     threshold: float
-    side: str = "below"  # "below": x_axis <= threshold; "above": >=
-
-    def __post_init__(self) -> None:
-        if self.side not in ("below", "above"):
-            raise ValueError("side must be 'below' or 'above'")
 
 
 @dataclass(frozen=True)
@@ -375,8 +370,7 @@ def density(region: Region, level: GridLevel) -> GridFunction:
     dim = level.dimension
 
     if isinstance(region, HalfSpace):
-        x = np.ix_(*level.axes)[region.axis]
-        s = (region.threshold - x) if region.side == "below" else (x - region.threshold)
+        s = region.threshold - np.ix_(*level.axes)[region.axis]
         values = np.broadcast_to(_cap_fraction(s / eta, dim), level.shape).copy().ravel()
     elif isinstance(region, Ball):
         dist = level.distance(region.center)

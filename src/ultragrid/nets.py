@@ -10,16 +10,15 @@ cannot be classified, with diagnostics attached.
 The decision rules, in order:
 
 1. *raw Cauchy*: the last increment satisfies
-   ``|d2| <= atol + rtol * |x_last|`` — the Richardson-extrapolated value is
+   ``|d2| <= ATOL + RTOL * |x_last|`` — the Richardson-extrapolated value is
    reported when the increment ratio is geometric, otherwise the last entry
    (checked first so settled nets keep small nonzero values);
-2. *infinitesimal snap*: all tail entries satisfy ``|x_n| <= kappa * h_n``
-   (``kappa`` defaults to 10) — the scale-aware zero test — giving
-   ``Standard(0)``;
+2. *infinitesimal snap*: all tail entries satisfy ``|x_n| <= KAPPA * h_n``
+   — the scale-aware zero test — giving ``Standard(0)``;
 3. *geometric tail*: increment ratio ``rho = d2/d1`` with ``|rho| < 1`` and
    fitted order ``p = -log2|rho|`` in ``[0.3, 6]`` gives the extrapolated
    limit ``x_last + d2 * rho / (1 - rho)`` (snapped to 0 when below the
-   ``kappa * h`` floor); an unstable fit (``p`` outside the band) reports the
+   ``KAPPA * h`` floor); an unstable fit (``p`` outside the band) reports the
    raw last entry with a low-confidence flag;
 4. *divergence*: ``|x_n|`` strictly increasing over the tail and either above
    ``DIVERGENCE_CUTOFF`` (1e6) or growing in ``1/h`` with a fitted exponent
@@ -27,10 +26,8 @@ The decision rules, in order:
 5. otherwise ``Unclassified`` with a monotone-growth diagnostic.
 
 For number nets with no grid attached, ``h_n = 2**-n`` by convention.
-
-A solve classifies at the defaults ``rtol = 1e-6``, ``atol = 1e-9`` and
-``kappa = 10``; the keyword arguments of :func:`classify` and
-:func:`pointwise_standard_part` serve tests.
+Every classification reads the module constants ``RTOL``, ``ATOL`` and
+``KAPPA``.
 """
 
 from __future__ import annotations
@@ -54,6 +51,12 @@ __all__ = [
     "pointwise_standard_part",
 ]
 
+#: The raw Cauchy test's relative tolerance, on ``|x_last|``.
+RTOL = 1e-6
+#: The raw Cauchy test's absolute tolerance.
+ATOL = 1e-9
+#: A tail within ``KAPPA * h_n`` of zero is infinitesimal.
+KAPPA = 10.0
 #: A growing tail whose last entry exceeds this in magnitude diverges.
 DIVERGENCE_CUTOFF = 1e6
 #: A growing tail diverges when its growth exponent in ``1/h`` exceeds this.
@@ -142,9 +145,7 @@ class Net:
         return tuple(2.0 ** -n for n, _ in self.entries)
 
 
-def _classify_values(
-    xs: np.ndarray, hs: np.ndarray, rtol: float, atol: float, kappa: float
-) -> Classification:
+def _classify_values(xs: np.ndarray, hs: np.ndarray) -> Classification:
     x1, x2, x3 = xs[-3], xs[-2], xs[-1]
     h1, h2, h3 = hs[-3], hs[-2], hs[-1]
     d1, d2 = x2 - x1, x3 - x2
@@ -160,8 +161,8 @@ def _classify_values(
         return float(x3)
 
     # 1. raw Cauchy tail (checked first so settled nets keep their value even
-    #    when it sits below the kappa*h floor)
-    if abs(d2) <= atol + rtol * abs(x3):
+    #    when it sits below the KAPPA*h floor)
+    if abs(d2) <= ATOL + RTOL * abs(x3):
         return Classification(
             Kind.STANDARD,
             extrapolate(),
@@ -171,7 +172,7 @@ def _classify_values(
         )
 
     # 2. scale-aware zero
-    if abs(x1) <= kappa * h1 and abs(x2) <= kappa * h2 and abs(x3) <= kappa * h3:
+    if abs(x1) <= KAPPA * h1 and abs(x2) <= KAPPA * h2 and abs(x3) <= KAPPA * h3:
         return Classification(
             Kind.STANDARD, 0.0, increments=(d1, d2), monotone_growth=growing
         )
@@ -180,7 +181,7 @@ def _classify_values(
     if math.isfinite(rho) and abs(rho) < 1.0 and d2 != 0.0:
         if p is not None and 0.3 <= p <= 6.0:
             limit = extrapolate()
-            if abs(limit) <= kappa * h3:
+            if abs(limit) <= KAPPA * h3:
                 limit = 0.0
             return Classification(
                 Kind.STANDARD,
@@ -219,20 +220,13 @@ def _classify_values(
     )
 
 
-def classify(
-    net: Net,
-    rtol: float = 1e-6,
-    atol: float = 1e-9,
-    kappa: float = 10.0,
-) -> Classification:
+def classify(net: Net) -> Classification:
     """Classify a number net (see the module docstring for the rule order)."""
     if net.is_grid_net:
         raise ValueError("classify expects a net of numbers")
-    if rtol <= 0 or atol <= 0:
-        raise ValueError("tolerances must be positive")
     xs = np.array([float(p) for p in net.payloads])
     hs = np.array(net.spacings())
-    return _classify_values(xs, hs, rtol, atol, kappa)
+    return _classify_values(xs, hs)
 
 
 def coarse_values(net: Net) -> np.ndarray:
@@ -257,12 +251,7 @@ def coarse_values(net: Net) -> np.ndarray:
     return np.stack(columns)
 
 
-def pointwise_standard_part(
-    net: Net,
-    rtol: float = 1e-6,
-    atol: float = 1e-9,
-    kappa: float = 10.0,
-) -> tuple[GridFunction, NodeSet]:
+def pointwise_standard_part(net: Net) -> tuple[GridFunction, NodeSet]:
     """Per-node standard part of a grid-function net over the coarsest level.
 
     For each node of the coarsest level, the net of values at that fixed
@@ -280,7 +269,7 @@ def pointwise_standard_part(
     w = np.zeros(coarse.node_count)
     singular = []
     for j in range(coarse.node_count):
-        c = _classify_values(values[:, j], hs, rtol, atol, kappa)
+        c = _classify_values(values[:, j], hs)
         if c.kind in (Kind.INFINITE_PLUS, Kind.INFINITE_MINUS) or (
             c.kind is Kind.UNCLASSIFIED and c.monotone_growth
         ):

@@ -50,7 +50,6 @@ __all__ = [
     "sobolev_constant",
     "sawtooth_spec",
     "sawtooth_pattern",
-    "BubbleInitializer",
     "bubble",
     "QuadraticWell",
     "sign_perturbed_spec",
@@ -63,7 +62,7 @@ __all__ = [
 
 
 @lru_cache(maxsize=1)
-def sobolev_constant(dimension: int = 3) -> float:
+def sobolev_constant(dimension: int) -> float:
     """The sharp Sobolev constant, read from the pre-registered fixture.
 
     The fixture is produced independently by
@@ -211,50 +210,41 @@ def sawtooth_spec() -> ProblemSpec:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BubbleInitializer:
-    """Cutoff Aubin-Talenti profile ``U(r) = (1 + r^2)^{-(N-2)/2}``.
-
-    The scaled profile ``U_eps(r) = eps^{(2-N)/2} U(r/eps)`` is kept for
-    ``r <= delta``, continued linearly down to zero on
-    ``delta < r <= delta * theta`` and vanishes beyond.
-    """
-
-    center: tuple[float, ...]
-    epsilon: float
-    delta: float = 0.25
-    theta: float = 2.0
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "center", tuple(float(c) for c in self.center))
-        if self.epsilon <= 0 or self.delta <= 0 or self.theta <= 1:
-            raise ValueError("epsilon, delta must be positive and theta > 1")
+#: the radius of the bubble's Aubin-Talenti profile
+BUBBLE_DELTA = 0.25
+#: the factor of the bubble's linear cutoff: its support has radius
+#: ``BUBBLE_DELTA * BUBBLE_THETA``
+BUBBLE_THETA = 2.0
 
 
-def bubble(init: BubbleInitializer, level: GridLevel) -> GridFunction:
-    """Sample the cutoff profile at the nodes of ``level``.
+def bubble(level: GridLevel, center: Sequence[float], epsilon: float) -> GridFunction:
+    """The cutoff Aubin-Talenti profile ``U(r) = (1 + r^2)^{-(N-2)/2}`` at the
+    nodes of ``level``.
 
-    Raises ``ValueError`` unless the profile's support fits in the level's
-    domain box.
+    The scaled profile ``U_eps(r) = eps^{(2-N)/2} U(r/eps)`` around
+    ``center`` is kept for ``r <= BUBBLE_DELTA``, continued linearly down to
+    zero on ``BUBBLE_DELTA < r <= BUBBLE_DELTA * BUBBLE_THETA`` and vanishes
+    beyond.  Raises ``ValueError`` unless ``epsilon`` is positive and the
+    profile's support fits in the level's domain box.
     """
     dim = level.dimension
     if dim < 3:
         raise ValueError("the bubble profile needs dimension >= 3")
-    if len(init.center) != dim:
+    center = tuple(float(c) for c in center)
+    if len(center) != dim:
         raise ValueError("the bubble center needs one coordinate per axis")
-    support = init.delta * init.theta
-    for c, (lo, hi) in zip(init.center, level.domain.bounds):
+    if epsilon <= 0:
+        raise ValueError("the bubble's epsilon must be positive")
+    support = BUBBLE_DELTA * BUBBLE_THETA
+    for c, (lo, hi) in zip(center, level.domain.bounds):
         if c - support < lo - 1e-12 or c + support > hi + 1e-12:
             raise ValueError("bubble support exceeds the domain box")
-    r = level.distance(init.center)
+    r = level.distance(center)
     power = (dim - 2) / 2.0
-    u_eps = init.epsilon**-power * (1.0 + (r / init.epsilon) ** 2) ** -power
-    edge = (
-        init.epsilon**-power
-        * (1.0 + (init.delta / init.epsilon) ** 2) ** -power
-    )
-    ramp = edge * (support - r) / (support - init.delta)
-    values = np.where(r <= init.delta, u_eps, np.where(r <= support, ramp, 0.0))
+    u_eps = epsilon**-power * (1.0 + (r / epsilon) ** 2) ** -power
+    edge = epsilon**-power * (1.0 + (BUBBLE_DELTA / epsilon) ** 2) ** -power
+    ramp = edge * (support - r) / (support - BUBBLE_DELTA)
+    values = np.where(r <= BUBBLE_DELTA, u_eps, np.where(r <= support, ramp, 0.0))
     return GridFunction(level, values)
 
 
@@ -570,8 +560,7 @@ def sign_perturbed_spec(a: Optional[QuadraticWell] = None, dimension: int = 3) -
         return _QuotientObjective(level, a)
 
     def initial_guesses(level):
-        return [bubble(BubbleInitializer(x_m, s * level.h), level).values
-                for s in BUBBLE_SCALES]
+        return [bubble(level, x_m, s * level.h).values for s in BUBBLE_SCALES]
 
     def diagnostics(obj: LevelObjective, u: np.ndarray) -> dict:
         gf = GridFunction(obj.level, u)
@@ -728,13 +717,18 @@ INIT_FLOOR = 0.1
 SIGN_ZERO_RTOL = 1e-12
 
 
-def singular_spec(g: Optional[Callable] = None, domain: Optional[Domain] = None) -> ProblemSpec:
+def singular_spec(
+    g_affine: Optional[Sequence[float]] = None, domain: Optional[Domain] = None
+) -> ProblemSpec:
     """The singular-potential study, ``W(t) = t**-2`` (default on [0,1]^2).
 
-    Every level is minimized by damped Newton.  ``g`` is sign-changing
-    Dirichlet data, nonzero at every boundary node (default: +1 where the
-    first coordinate is <= the axis midpoint, else -1; midline nodes get +1
-    by convention).  The initializer is the harmonic
+    Every level is minimized by damped Newton.  The Dirichlet data ``g`` is
+    sign-changing and must be nonzero at every boundary node.  By default
+    ``g`` is +1 where the first coordinate is <= the axis midpoint, else -1
+    (midline nodes get +1 by convention); ``g_affine``, finite reals
+    ``(c_1, ..., c_N, c)``, one per axis and a constant, sets the affine
+    ``g = c_1 x_1 + ... + c_N x_N + c`` instead, and raises ``ValueError``
+    otherwise.  The initializer is the harmonic
     extension of ``g`` clipped away from zero (``|u| >= INIT_FLOOR``).
     The values of the study do not minimize one nested family of energies
     (``monotone_values`` is false), so no level starts from the prolonged
@@ -744,9 +738,22 @@ def singular_spec(g: Optional[Callable] = None, domain: Optional[Domain] = None)
         domain = Domain(bounds=((0.0, 1.0), (0.0, 1.0)))
     mid = 0.5 * (domain.bounds[0][0] + domain.bounds[0][1])
 
-    if g is None:
+    if g_affine is None:
         def g(*coords):
             return np.where(np.asarray(coords[0]) <= mid, 1.0, -1.0)
+    else:
+        if not all(map(_is_real, g_affine)):
+            raise ValueError(f"g_affine needs real coefficients, got {g_affine!r}")
+        coeffs = tuple(float(c) for c in g_affine)
+        if len(coeffs) != domain.dimension + 1:
+            raise ValueError(
+                f"g_affine needs {domain.dimension + 1} coefficients (one per axis "
+                f"and a constant), got {g_affine!r}"
+            )
+
+        def g(*coords):
+            slopes = zip(coeffs[:-1], coords)
+            return sum(ci * np.asarray(x) for ci, x in slopes) + coeffs[-1]
 
     def _boundary_values(level: GridLevel) -> np.ndarray:
         vals = np.asarray(g(*np.ix_(*level.axes)), dtype=float)

@@ -54,8 +54,7 @@ def nearest_node(level, points):
 def indicator(region, points):
     """Whether each point (last axis: coordinates) lies in ``region``."""
     if isinstance(region, HalfSpace):
-        x = points[..., region.axis]
-        return x <= region.threshold if region.side == "below" else x >= region.threshold
+        return points[..., region.axis] <= region.threshold
     if isinstance(region, Box):
         inside = np.ones(points.shape[:-1], dtype=bool)
         for axis, (a, b) in enumerate(region.bounds):
@@ -86,9 +85,7 @@ def closed_form_density(region, level):
     coords = coordinate_table(level)
     eta, dim = level.h, level.dimension
     if isinstance(region, HalfSpace):
-        x = coords[:, region.axis]
-        s = (region.threshold - x) if region.side == "below" else (x - region.threshold)
-        values = _cap_fraction(s / eta, dim)
+        values = _cap_fraction((region.threshold - coords[:, region.axis]) / eta, dim)
     elif dim == 1:
         ((a, b),) = region.bounds
         x = coords[:, 0]

@@ -189,7 +189,7 @@ def test_derivative_second_order_interior():
         level = build_level(DOM1, n)
         x = coordinate_table(level)[:, 0]
         u = GridFunction(level, np.sin(2 * np.pi * x))
-        du = derivative(u).values
+        du = derivative(u, 0).values
         exact = 2 * np.pi * np.cos(2 * np.pi * x)
         interior = ~level.boundary_mask
         errs.append(np.max(np.abs(du[interior] - exact[interior])))

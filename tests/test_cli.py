@@ -218,6 +218,25 @@ def test_unknown_top_level_key_exits_2_and_writes_nothing(tmp_path, capsys, monk
     with open(out / "summary.csv", encoding="utf-8") as fh:
         assert [r["status"] for r in csv.DictReader(fh)] == ["0", "2"]
     assert not (out / "run_001").exists()
+    # a key another command reads is unknown to this one: solve runs no sweep
+    # list, calculus-check solves no problem, and a sweep entry is read as a
+    # solve config
+    out = tmp_path / "out2"
+    for command, config, key in (
+        ("solve", dict(SAW, sweep=[{}, {"seed": 1}]), "sweep"),
+        ("calculus-check", {"problem": "sawtooth", "params": {}}, "params"),
+        ("calculus-check", {"levels": "3..6", "problem": "sawtooth"}, "problem"),
+    ):
+        cfg = write_config(tmp_path, config)
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        assert f"config error: unknown config key {key!r}" in capsys.readouterr().err
+        assert not out.exists()
+    cfg = write_config(tmp_path, dict(SAW, sweep=[{"seed": 1}, {"sweep": [{}]}]))
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == 3
+    assert "run 1: config error: unknown config key 'sweep'" in capsys.readouterr().err
+    with open(out / "summary.csv", encoding="utf-8") as fh:
+        assert [r["status"] for r in csv.DictReader(fh)] == ["0", "2"]
+    assert not (out / "run_001").exists()
 
 
 @pytest.mark.parametrize("command, payload, extra", [
@@ -308,11 +327,14 @@ def test_cli_and_the_numpy_only_solves_load_no_openssl(tmp_path):
 
 
 def test_readme_names_exactly_the_config_keys():
-    # the README's "any but ..." sentence lists the top-level keys a command
-    # reads: a key dropped from the config cannot linger in the docs
+    # the README's list of the top-level keys each command reads, one item
+    # per command: a key dropped from the config cannot linger in the docs
     readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
-    sentence = re.search(r"\(any but (.*?)\)", readme.read_text(encoding="utf-8"), re.S)
-    assert sorted(re.findall(r"`([^`]+)`", sentence.group(1))) == sorted(cli._CONFIG_KEYS)
+    text = readme.read_text(encoding="utf-8")
+    listed = dict(re.findall(r"^- `([a-z-]+)` reads (.*?)\.$", text, re.M | re.S))
+    assert sorted(listed) == sorted(cli._CONFIG_KEYS)
+    for command, keys in cli._CONFIG_KEYS.items():
+        assert sorted(re.findall(r"`([^`]+)`", listed[command])) == sorted(keys), command
 
 
 def test_unknown_problem_exits_2(tmp_path):
@@ -343,6 +365,36 @@ def test_solve_level_over_node_cap_exits_2_before_solving(tmp_path, capsys, monk
     assert main(["solve", "--config", cfg, "--out", str(out)]) == 2
     assert "config error: level 24 requires" in capsys.readouterr().err
     assert not (out / "report.json").exists()
+
+
+@pytest.mark.parametrize("levels, message", [
+    ("0..1000000000000000", "level 1000000000000000 requires more than 16777216 nodes"),
+    ("-1000000000000000..5", "levels must be non-negative"),
+    ([3, 4, 1100], "level 1100 requires more than 16777216 nodes"),
+], ids=["top", "start", "list"])
+@pytest.mark.parametrize("command", ["solve", "calculus-check", "sweep-entry"])
+def test_level_far_over_the_node_cap_exits_2_and_writes_nothing(
+    tmp_path, capsys, monkeypatch, command, levels, message
+):
+    # a range is checked at both ends before its list is built, and
+    # build_level refuses a level whose smallest axis alone is over the cap
+    # before it computes 2.0**-n, which underflows to 0 at level 1100
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a level was solved before the cap was checked")
+
+    monkeypatch.setattr(solver, "minimize_level", no_solve)
+    out = tmp_path / "out"
+    if command == "sweep-entry":
+        cfg = write_config(tmp_path, dict(SAW, sweep=[{"levels": levels}]))
+        assert main(["sweep", "--config", cfg, "--out", str(out)]) == 3
+        assert f"run 0: config error: {message}" in capsys.readouterr().err
+        assert [p.name for p in out.iterdir()] == ["summary.csv"]
+    else:
+        cfg = write_config(tmp_path, dict(SAW, levels=levels) if command == "solve"
+                           else {"levels": levels})
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        assert f"config error: {message}" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_calculus_check_level_over_node_cap_exits_2_before_checking(tmp_path, capsys, monkeypatch):
@@ -641,6 +693,10 @@ def test_sign_perturbed_level_without_interior_exits_2_before_solving(
      "unknown parameter 'delta' for problem 'sign_perturbed'"),
     ({"problem": "sign_perturbed", "params": {"theta": float("nan")}},
      "unknown parameter 'theta' for problem 'sign_perturbed'"),
+    # params is a JSON object: dict() would take a list of pairs
+    ({"problem": "sign_perturbed", "params": [["dimension", 3]]},
+     "bad parameters for problem 'sign_perturbed': params must be a JSON object"),
+    ({"params": None}, "bad parameters for problem 'sawtooth': params must be a JSON object"),
 ])
 def test_bad_config_values_exit_2_before_solving(tmp_path, capsys, monkeypatch, payload, message):
     def no_solve(*args, **kwargs):
@@ -727,7 +783,10 @@ def test_removed_keys_exit_2_and_write_nothing(tmp_path, capsys, monkeypatch, ke
         for command in commands:
             out = tmp_path / command
             out.mkdir()
-            cfg = write_config(tmp_path, {**base, **setting})
+            config = {**base, **setting}
+            if command == "calculus-check":
+                del config["problem"]  # it reads no problem
+            cfg = write_config(tmp_path, config)
             assert main([command, "--config", cfg, "--out", str(out)]) == 2
             assert message in capsys.readouterr().err
             assert not any(out.iterdir())
@@ -808,7 +867,8 @@ def test_solver_value_error_is_an_internal_error(tmp_path, capsys, monkeypatch):
 
 @pytest.mark.parametrize("command", ["solve", "calculus-check"])
 def test_out_naming_a_file_exits_2(tmp_path, capsys, command):
-    cfg = write_config(tmp_path, dict(SAW, levels="3..6"))
+    # calculus-check reads no problem
+    cfg = write_config(tmp_path, dict(SAW if command == "solve" else {}, levels="3..6"))
     target = tmp_path / "taken"
     target.write_text("not a directory\n", encoding="utf-8")
     assert main([command, "--config", cfg, "--out", str(target)]) == 2

@@ -62,6 +62,19 @@ def test_node_cap():
         build_level(dom, 10)
 
 
+def test_node_cap_refuses_a_level_from_its_smallest_axis():
+    # level n's smallest axis alone has 2**n + 1 nodes: from level log2(cap)
+    # up the level is refused before its spacing 2.0**-n is computed, which
+    # is 0.0 at level 1100 and would divide by zero
+    line = Domain(((0.0, 1.0),))
+    assert build_level(line, 23).node_count == 2**23 + 1
+    for n in (24, 1100, 10**15):
+        with pytest.raises(ResourceLimitError, match=f"level {n} requires more than"):
+            build_level(line, n)
+    with pytest.raises(ResourceLimitError, match="level 7 requires more than 100 nodes"):
+        build_level(Domain(((0.0, 1.0), (0.0, 4.0))), 7, node_cap=100)
+
+
 def test_boundary_nodes_1d():
     level = build_level(Domain(((0.0, 1.0),)), 3)
     assert np.flatnonzero(level.boundary_mask).tolist() == [0, level.node_count - 1]

@@ -71,8 +71,8 @@ def test_box_closed_form_matches_sampling_2d():
 
 @pytest.mark.parametrize("region, dim", [
     (HalfSpace(0, 0.5), 1),
-    (HalfSpace(0, 0.3, "above"), 2),
-    (HalfSpace(1, 0.625, "above"), 2),
+    (HalfSpace(0, 0.3), 2),
+    (HalfSpace(1, 0.625), 2),
     (HalfSpace(0, 0.5), 3),
     (HalfSpace(2, 0.41), 3),
     (Box(((0.25, 0.61),)), 1),
@@ -151,8 +151,6 @@ def test_region_validation():
         Ball((0.5,), -1.0)
     with pytest.raises(ValueError):
         Box(((0.5, 0.5),))
-    with pytest.raises(ValueError):
-        HalfSpace(0, 0.5, side="sideways")
     level = build_level(DOM1, 3)
     with pytest.raises(ValueError):
         NodeMask(level, np.ones(3, bool))
@@ -331,7 +329,7 @@ def _regions(level, rng):
         NodeMask(level, np.zeros(level.node_count, bool)),
         Ball((0.45,) * dim, 0.3),
         Box(tuple((0.2, 0.65) for _ in range(dim))),
-        HalfSpace(dim - 1, 0.4, side="above"),
+        HalfSpace(dim - 1, 0.4),
     )
 
 

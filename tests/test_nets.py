@@ -1,5 +1,7 @@
 """Level-indexed nets and standard-part classification."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from grid_oracles import coordinate_table
@@ -18,6 +20,7 @@ from ultragrid import (
     pointwise_standard_part,
     restrict,
 )
+from ultragrid import nets
 
 DOM1 = Domain(((0.0, 1.0),))
 
@@ -49,7 +52,7 @@ def test_classify_convergent_geometric():
 
 
 def test_classify_settled_constant_keeps_small_value():
-    # constant below the kappa*h floor must NOT snap to zero
+    # constant below the KAPPA*h floor must NOT snap to zero
     net = number_net([(n, 0.03125) for n in range(3, 9)])
     c = classify(net)
     assert c.kind is Kind.STANDARD
@@ -77,15 +80,12 @@ def test_classify_oscillating_unclassified():
     assert not c.monotone_growth
 
 
-def test_classify_rejects_grid_net_and_bad_tols():
+def test_classify_rejects_grid_net():
     level = build_level(DOM1, 3)
     u = GridFunction(level, np.zeros(level.node_count))
     gnet = Net(((3, u), (4, u), (5, u)))
     with pytest.raises(ValueError):
         classify(gnet)
-    net = number_net([(3, 1.0), (4, 1.0), (5, 1.0)])
-    with pytest.raises(ValueError):
-        classify(net, rtol=0.0)
 
 
 @settings(max_examples=100, deadline=None)
@@ -96,10 +96,12 @@ def test_classify_rejects_grid_net_and_bad_tols():
     kappa=st.sampled_from((0.0, 10.0, 1e4)),
 )
 def test_classify_reads_only_the_last_three_entries(head, tail, first, kappa):
-    # prepending coarser levels leaves the classification unchanged
+    # prepending coarser levels leaves the classification unchanged, at the
+    # module's KAPPA and at others
     levels = list(range(first, first + len(head) + 3))
-    short = classify(number_net(zip(levels[-3:], tail)), kappa=kappa)
-    assert classify(number_net(zip(levels, head + tail)), kappa=kappa) == short
+    with mock.patch.object(nets, "KAPPA", kappa):
+        short = classify(number_net(zip(levels[-3:], tail)))
+        assert classify(number_net(zip(levels, head + tail))) == short
 
 
 def test_classification_requires_finite_standard_value():

@@ -17,7 +17,6 @@ from solver_oracles import check_gradient
 import ultragrid.optimize as optimize
 import ultragrid.problems as problems
 from ultragrid import (
-    BubbleInitializer,
     Domain,
     GridFunction,
     QuadraticWell,
@@ -65,7 +64,7 @@ def test_sawtooth_pattern_has_unit_operator_slope():
 
     level = build_level(sawtooth_spec().domain, 5)
     u = GridFunction(level, sawtooth_pattern(level))
-    du = derivative(u).values
+    du = derivative(u, 0).values
     interior = ~level.boundary_mask
     assert np.allclose(np.abs(du[interior]), 1.0, atol=1e-12)
 
@@ -182,23 +181,33 @@ def test_sobolev_constant_fixture():
     assert s3 == pytest.approx(3.0 * (np.pi / 2.0) ** (4.0 / 3.0), abs=1e-12)
 
 
+#: a box that holds an off-centre bubble's support, of radius 0.5
+BIG3 = Domain(((-0.5, 1.5),) * 3)
+
+
 def test_bubble_support_and_continuity():
-    level = build_level(DOM3, 4)
-    init = BubbleInitializer(
-        epsilon=0.1, delta=0.2, theta=2.0, center=(0.5, 0.5, 0.5)
-    )
-    u = bubble(init, level).values
-    r = np.linalg.norm(coordinate_table(level) - 0.5, axis=1)
-    assert np.all(u[r > init.delta * init.theta + 1e-12] == 0.0)
+    level = build_level(BIG3, 5)
+    center = (0.4, 0.5, 0.6)
+    u = bubble(level, center, 0.1).values
+    r = np.linalg.norm(coordinate_table(level) - np.asarray(center), axis=1)
+    support = problems.BUBBLE_DELTA * problems.BUBBLE_THETA
+    assert np.all(u[r > support + 1e-12] == 0.0)
+    assert np.any(u[r <= support] > 0.0)
     assert np.all(u >= 0.0)
     assert u[r.argmin()] == u.max()
 
 
 def test_bubble_support_must_fit_domain():
     level = build_level(DOM3, 4)
-    init = BubbleInitializer(epsilon=0.1, delta=0.5, theta=2.0, center=(0.5,) * 3)
-    with pytest.raises(ValueError):
-        bubble(init, level)
+    bubble(level, (0.5,) * 3, 0.1)  # the support touches every face
+    with pytest.raises(ValueError, match="support"):
+        bubble(level, (0.4, 0.5, 0.5), 0.1)
+    with pytest.raises(ValueError, match="epsilon"):
+        bubble(level, (0.5,) * 3, 0.0)
+    with pytest.raises(ValueError, match="one coordinate per axis"):
+        bubble(level, (0.5,) * 2, 0.1)
+    with pytest.raises(ValueError, match="dimension"):
+        bubble(build_level(Domain(((0.0, 1.0),) * 2), 4), (0.5,) * 2, 0.1)
 
 
 def _dense_well(m, h, lo, center, strength):
@@ -561,7 +570,7 @@ def test_one_quotient_start_holds_the_history_and_a_few_vectors():
         tracemalloc.reset_peak()
         # passed, not held: the start is released once pinned
         res = minimize_level(
-            spec, level, init=bubble(BubbleInitializer((0.5,) * 3, 4.0 * level.h), level)
+            spec, level, init=bubble(level, (0.5,) * 3, 4.0 * level.h)
         )
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -588,16 +597,17 @@ def test_quotient_fixed_data_holds_no_node_vector(well):
     assert np.all(boundary == 0.0) and not np.signbit(boundary).any()
     assert np.all(u[~level.boundary_mask] == -1.0)
 
-def _former_bubble(init, level):
+def _former_bubble(level, center, epsilon):
     """``bubble`` on the radius from the ``(node_count, N)`` coordinate table."""
     dim = level.dimension
-    support = init.delta * init.theta
-    r = np.linalg.norm(coordinate_table(level) - np.asarray(init.center), axis=1)
+    delta = problems.BUBBLE_DELTA
+    support = delta * problems.BUBBLE_THETA
+    r = np.linalg.norm(coordinate_table(level) - np.asarray(center), axis=1)
     power = (dim - 2) / 2.0
-    u_eps = init.epsilon**-power * (1.0 + (r / init.epsilon) ** 2) ** -power
-    edge = init.epsilon**-power * (1.0 + (init.delta / init.epsilon) ** 2) ** -power
-    ramp = edge * (support - r) / (support - init.delta)
-    return np.where(r <= init.delta, u_eps, np.where(r <= support, ramp, 0.0))
+    u_eps = epsilon**-power * (1.0 + (r / epsilon) ** 2) ** -power
+    edge = epsilon**-power * (1.0 + (delta / epsilon) ** 2) ** -power
+    ramp = edge * (support - r) / (support - delta)
+    return np.where(r <= delta, u_eps, np.where(r <= support, ramp, 0.0))
 
 
 @pytest.mark.parametrize("dim, n", [(3, 1), (3, 2), (3, 3), (3, 4), (3, 5), (3, 6), (4, 3)])
@@ -606,16 +616,16 @@ def test_radius_from_axes_bit_identical_to_coordinate_norm(dim, n):
     # as np.linalg.norm(..., axis=1) does: the starts and the concentration
     # are bit-identical, and no coordinate table is built
     center = (0.4, 0.5, 0.6, 0.5)[:dim]
-    level = build_level(Domain(((0.0, 1.0),) * dim), n)
-    inits = [BubbleInitializer(center, scale * level.h, delta=0.15) for scale in (2.0, 4.0, 8.0)]
-    starts = [bubble(init, level).values for init in inits]
+    level = build_level(Domain(((-0.5, 1.5),) * dim), n)  # holds the support
+    epsilons = [scale * level.h for scale in (2.0, 4.0, 8.0)]
+    starts = [bubble(level, center, epsilon).values for epsilon in epsilons]
     rng = np.random.default_rng(n)
     u = GridFunction(level, starts[-1] * rng.uniform(0.5, 1.5, level.node_count))
     measured = concentration_metric(u, center, 0.2)
     assert not hasattr(level, "coordinates")
 
-    for start, init in zip(starts, inits):
-        np.testing.assert_array_equal(start, _former_bubble(init, level))
+    for start, epsilon in zip(starts, epsilons):
+        np.testing.assert_array_equal(start, _former_bubble(level, center, epsilon))
     dist = np.linalg.norm(coordinate_table(level) - np.asarray(center), axis=1)
     np.testing.assert_array_equal(level.distance(center), dist)
     mass = np.abs(u.values) ** (2.0 * dim / (dim - 2)) * level.weights
@@ -754,7 +764,7 @@ def test_pinned_objective_holds_the_level_mask(factory):
 
 
 def test_singular_rejects_zero_boundary_data():
-    spec = singular_spec(g=lambda x, y: x - 0.25)  # vanishes on the boundary
+    spec = singular_spec(g_affine=(1.0, 0.0, -0.25))  # vanishes on the boundary
     level = build_level(spec.domain, 3)
     with pytest.raises(ValueError, match="node"):
         spec.build(level)
@@ -776,7 +786,7 @@ def test_singular_feasibility_and_sign_preservation():
 
 def test_singular_energy_of_harmonic_constant():
     # masked Dirichlet term vanishes on constants even with nonzero boundary
-    spec = singular_spec(g=lambda x, y: np.ones_like(x))
+    spec = singular_spec(g_affine=(0.0, 0.0, 1.0))
     level = build_level(spec.domain, 4)
     obj = spec.build(level)
     u = obj.pin(np.ones(level.node_count))
@@ -912,26 +922,27 @@ def test_singular_harmonic_start_is_zero_on_the_odd_odd_block(n):
 
 
 def _affine(*coeffs):
-    """The boundary data a config's ``g_affine`` sets, as the CLI builds it."""
+    """The boundary data ``g_affine`` sets, as ``singular_spec`` builds it."""
     def g(*coords):
         return sum(c * np.asarray(x) for c, x in zip(coeffs[:-1], coords)) + coeffs[-1]
     return g
 
 
+# the ids are those of the callables these data were once given as
 @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
-@pytest.mark.parametrize("g", [None, lambda x, y: 1.0 - 2.5 * x + 0.5 * y,
-                               _affine(1.0, -2.5, 0.5)])
-def test_singular_harmonic_start_is_the_former_clip(n, g):
+@pytest.mark.parametrize("g_affine", [None, pytest.param((-2.5, 0.5, 1.0), id="<lambda>"),
+                                      pytest.param((1.0, -2.5, 0.5), id="g")])
+def test_singular_harmonic_start_is_the_former_clip(n, g_affine):
     # the shared floor leaves the harmonic start as it was, bit for bit,
     # except for its sign rule: a value within 1e-12 max |g| of zero, and
     # not only an exact zero, takes the midline sign; g and the rule read
     # the open mesh of the axes, and the boundary values and the start are
     # those taken on the columns of the former coordinate table
-    spec = singular_spec(g=g)
+    spec = singular_spec(g_affine=g_affine)
     level = build_level(spec.domain, n)
     obj = spec.build(level)
     x0, x1 = coordinate_table(level).T
-    data = np.where(x0 <= 0.5, 1.0, -1.0) if g is None else g(x0, x1)
+    data = np.where(x0 <= 0.5, 1.0, -1.0) if g_affine is None else _affine(*g_affine)(x0, x1)
     np.testing.assert_array_equal(obj.fixed_values, np.where(level.boundary_mask, data, 0.0))
     u = obj.harmonic_extension()
     assert np.any(u == 0.0)
@@ -1045,14 +1056,14 @@ def test_singular_harmonic_extension_matches_the_former_whole_solve(n):
                                atol=1.2e-16)
 
 
-@pytest.mark.parametrize("g", [None, _affine(1.0, -2.5, 0.5)])
-def test_singular_start_signs_do_not_depend_on_the_lu_ordering(monkeypatch, g):
+@pytest.mark.parametrize("g_affine", [None, pytest.param((1.0, -2.5, 0.5), id="g")])
+def test_singular_start_signs_do_not_depend_on_the_lu_ordering(monkeypatch, g_affine):
     # where the harmonic extension vanishes the LU leaves rounding noise, up
     # to 2.3e-15, whose signs follow its column ordering; the start counts
     # it as zero, so another ordering gives the same signs (the default
     # data's level-4 value moved from 7.5130851 to 7.3520083 under it)
     def starts():
-        spec = singular_spec(g=g)
+        spec = singular_spec(g_affine=g_affine)
         return [spec.initial_guesses(build_level(spec.domain, n))[0] for n in range(4, 8)]
 
     default = starts()

@@ -5,7 +5,11 @@ import pathlib
 
 import pytest
 
-SCRIPT = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "src_lines.py"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SCRIPT = ROOT / "scripts" / "src_lines.py"
+#: the package stays under this many lines, blank lines and docstrings
+#: included (3,921 when the guard was set)
+SRC_LINE_TARGET = 4000
 
 # lines of every kind and the edge cases of each rule; the test below lists
 # the line numbers of each kind
@@ -62,3 +66,8 @@ def test_main_prints_a_row_per_file_and_a_total(src_lines, tmp_path, capsys):
                                               str(tmp_path / "pkg" / "b.py")]
     assert rows[2][1:] == ["1", "0", "1", "1", "3"]
     assert rows[-1] == ["total", "8", "5", "2", "7", "22"]
+
+
+def test_src_stays_under_the_line_target(src_lines):
+    total = sum(sum(src_lines.count_lines(f).values()) for f in (ROOT / "src").rglob("*.py"))
+    assert total < SRC_LINE_TARGET
