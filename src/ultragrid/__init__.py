@@ -16,7 +16,6 @@ from .grid import (
     NodeSet,
     ResourceLimitError,
     build_level,
-    monad_neighbors,
 )
 from .calculus import (
     DiffOp,
@@ -70,11 +69,9 @@ from .solver import (
 )
 from .problems import (
     BoundaryDataError,
-    InterfaceDecomposition,
     QuadraticWell,
     bubble,
     concentration_metric,
-    extract_interface,
     sawtooth_pattern,
     sawtooth_spec,
     sign_perturbed_spec,

@@ -24,11 +24,15 @@ with the same config and seed reproduces every CSV byte for byte.
 Wall-clock timings live only in ``report.json``.
 
 Exit codes: 0 success, 1 invariant failure or internal error,
-2 configuration error, 3 partial result (report still written).  The config
-is checked before any work, so only a :class:`ConfigError` exits 2; any other
-``ValueError`` is a fault of the program and exits 1 as an internal error.
-A top-level config key that the command does not read is a configuration
-error.
+2 configuration error, 3 partial result.  A ``solve`` whose verdicts all pass
+but ``all_levels_converged`` is a partial result; a failed verdict of any
+other kind, the ``certified_lower_bound`` one included, exits 1.  Either way
+every level is solved and every file written first.  A finest level that
+missed the gradient test also fails ``weak_euler_lagrange``, so it exits 1.
+The config is checked before any work, so only a :class:`ConfigError` exits
+2; any other ``ValueError`` or ``RuntimeError`` is a fault of the program and
+exits 1 as an internal error.  A top-level config key that the command does
+not read is a configuration error.
 """
 
 from __future__ import annotations
@@ -303,10 +307,6 @@ def cmd_solve(config: dict, out: pathlib.Path) -> int:
         # data that vanishes at some level's node, or covers every node of
         # a level, is bad data
         raise ConfigError(str(exc)) from exc
-    except RuntimeError as exc:
-        # certified-lower-bound violation: an invariant failure, not a crash
-        print(f"invariant failure: {exc}", file=sys.stderr)
-        return EXIT_INVARIANT
     timings["solve_s"] = time.perf_counter() - t0
     # made once solve_net has built every level under the node cap and the
     # boundary data has passed: a config error leaves no directory
@@ -418,11 +418,11 @@ def cmd_solve(config: dict, out: pathlib.Path) -> int:
     _write_json(out / "report.json", report)
     _write_json(out / "config.json", {"config": config, "config_hash": chash})
 
-    if not all(v["passed"] for v in verdicts.values()):
+    # a level that missed the gradient test, and nothing else, is a partial
+    # result; any other failed verdict is an invariant failure
+    if any(not v["passed"] for k, v in verdicts.items() if k != "all_levels_converged"):
         return EXIT_INVARIANT
-    if net.partial:
-        return EXIT_PARTIAL
-    return EXIT_OK
+    return EXIT_PARTIAL if net.partial else EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -664,7 +664,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except ValueError as exc:
+    except (ValueError, RuntimeError) as exc:
         # the config was checked up front: this is a fault of the program
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INVARIANT

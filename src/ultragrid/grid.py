@@ -28,7 +28,6 @@ __all__ = [
     "NodeSet",
     "ResourceLimitError",
     "build_level",
-    "monad_neighbors",
 ]
 
 #: Default cap on the node count of a single level.
@@ -188,10 +187,6 @@ class NodeSet:
     def __len__(self) -> int:
         return int(self.indices.size)
 
-    def __contains__(self, index: int) -> bool:
-        pos = np.searchsorted(self.indices, index)
-        return bool(pos < self.indices.size and self.indices[pos] == index)
-
     def mask(self) -> np.ndarray:
         m = np.zeros(self.level.node_count, dtype=bool)
         m[self.indices] = True
@@ -228,23 +223,4 @@ def build_level(domain: Domain, n: int, node_cap: int = DEFAULT_NODE_CAP) -> Gri
             f"level {n} requires {count} nodes, exceeding the cap of {node_cap}"
         )
     return GridLevel(domain=domain, n=n, h=h, shape=tuple(shape))
-
-
-def monad_neighbors(level: GridLevel, node: int) -> NodeSet:
-    """The stencil neighborhood of ``node``: all nodes within one cell per axis.
-
-    This is the finite-level monad; it includes the node itself and is
-    symmetric (``j in monad(i)`` iff ``i in monad(j)``).
-    """
-    if not 0 <= node < level.node_count:
-        raise ValueError(f"node index {node} out of range")
-    multi = np.unravel_index(node, level.shape)
-    ranges = []
-    for idx, m in zip(multi, level.shape):
-        lo = max(int(idx) - 1, 0)
-        hi = min(int(idx) + 1, m - 1)
-        ranges.append(np.arange(lo, hi + 1))
-    mesh = np.meshgrid(*ranges, indexing="ij")
-    flat = np.ravel_multi_index(tuple(g.ravel() for g in mesh), level.shape)
-    return NodeSet(level, flat)
 

@@ -35,13 +35,13 @@ import numbers
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from importlib import resources
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .calculus import GridFunction, Stencil, diff_op
 from .elements import apply_axes, apply_axis, gauss_interp, p1_matrices
-from .grid import Domain, GridLevel, NodeSet
+from .grid import DEFAULT_NODE_CAP, Domain, GridLevel
 from .measure import NodeMask, perimeter
 from .optimize import minimize_quadratic
 from .solver import LevelObjective, ProblemSpec
@@ -56,8 +56,6 @@ __all__ = [
     "concentration_metric",
     "singular_spec",
     "BoundaryDataError",
-    "InterfaceDecomposition",
-    "extract_interface",
 ]
 
 
@@ -546,6 +544,10 @@ def sign_perturbed_spec(a: Optional[QuadraticWell] = None, dimension: int = 3) -
     """
     if dimension < 3:
         raise ValueError("the critical-exponent study needs dimension >= 3")
+    if dimension > DEFAULT_NODE_CAP.bit_length() - 1:
+        # level 0 has 2**dimension nodes: refused before the bounds tuple is built
+        raise ValueError(f"dimension {dimension}: level 0 has 2**{dimension} nodes, "
+                         f"exceeding the cap of {DEFAULT_NODE_CAP}")
     if a is not None and len(a.center) != dimension:
         raise ValueError(f"the well center needs {dimension} coordinates, got {a.center!r}")
     domain = Domain(bounds=tuple(((0.0, 1.0),) * dimension))
@@ -790,7 +792,9 @@ def singular_spec(
         free = obj.free_mask
         return {
             "min_abs_u": float(np.min(np.abs(u[free]))) if free.any() else 0.0,
-            # extract_interface's measure, without its sign-robust node sets
+            # the interface length: the perimeter of the {u > 0} node mask,
+            # whose nearest-node region reaches past the box, so that only
+            # the internal interface counts
             "interface_measure": perimeter(NodeMask(obj.level, u > 0.0), obj.level),
         }
 
@@ -803,73 +807,3 @@ def singular_spec(
         monotone_values=False,
     )
 
-
-# ---------------------------------------------------------------------------
-# interface extraction
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class InterfaceDecomposition:
-    """Disjoint cover of the nodes by sign robustness.
-
-    ``omega1`` (``omega2``): nodes whose whole stencil neighborhood is
-    strictly positive (negative); ``xi``: the remaining, mixed or touching
-    zero.  ``interface_measure`` is the perimeter of the ``{u > 0}`` node
-    mask (the nearest-node region extends past the box, so the measure counts
-    only the internal interface).
-    """
-
-    omega1: NodeSet
-    omega2: NodeSet
-    xi: NodeSet
-    interface_measure: float
-    xi_max_distance: Optional[float] = None
-
-
-def _filter3(grid: np.ndarray, reduce: Callable) -> np.ndarray:
-    """``reduce`` (``np.minimum`` or ``np.maximum``) over the ``3^N`` block
-    around every node, nodes past the box edge replaced by the edge node.
-
-    One axis at a time, each node's left, centre and right neighbours in
-    that order, as ``scipy.ndimage.minimum_filter(grid, 3, mode="nearest")``
-    does, so the result matches it bit for bit, signed zeros included.
-    """
-    for axis, m in enumerate(grid.shape):
-        pad = [(1, 1) if a == axis else (0, 0) for a in range(grid.ndim)]
-        padded = np.pad(grid, pad, mode="edge")
-        lead = (slice(None),) * axis
-        left, centre, right = (padded[lead + (slice(k, k + m),)] for k in range(3))
-        grid = reduce(reduce(left, centre), right)
-    return grid
-
-
-def extract_interface(
-    u: GridFunction, reference_distance: Optional[Callable] = None
-) -> InterfaceDecomposition:
-    """Decompose the nodes of ``u`` by stencil-robust sign.
-
-    ``reference_distance``, when given, maps an ``(k, N)`` coordinate array
-    to distances from a reference surface; the maximum over the mixed set is
-    reported (useful to check interface location).
-    """
-    level = u.level
-    grid = u.grid_values
-    nmin = _filter3(grid, np.minimum).ravel()
-    nmax = _filter3(grid, np.maximum).ravel()
-    omega1 = nmin > 0.0
-    omega2 = nmax < 0.0
-    xi = ~(omega1 | omega2)
-
-    measure = perimeter(NodeMask(level, u.values > 0.0), level)
-    xi_idx = np.flatnonzero(xi)
-    xi_dist = None
-    if reference_distance is not None and xi_idx.size:
-        xi_dist = float(np.max(reference_distance(level.coordinates_of(xi_idx))))
-    return InterfaceDecomposition(
-        omega1=NodeSet(level, np.flatnonzero(omega1)),
-        omega2=NodeSet(level, np.flatnonzero(omega2)),
-        xi=NodeSet(level, xi_idx),
-        interface_measure=measure,
-        xi_max_distance=xi_dist,
-    )

@@ -300,7 +300,6 @@ def minimize_level(
 class SolutionNet:
     """Per-level minimization results with net views and health flags."""
 
-    problem: ProblemSpec
     results: tuple[MinResult, ...]
     monotone_violations: tuple[int, ...]
 
@@ -338,8 +337,10 @@ def solve_net(problem: ProblemSpec, levels: Sequence[int]) -> SolutionNet:
     ``ValueError``, as an infeasible explicit start is.  Nested-space
     monotonicity (``m_{n+1} <= m_n + 1e-10``) is checked for such a family;
     a violating level is recorded in ``monotone_violations`` only: its
-    ``converged`` stays the optimizer's verdict.  If the problem declares a
-    certified lower bound, every level value is checked against it.
+    ``converged`` stays the optimizer's verdict.  A certified lower bound,
+    when the problem declares one, is judged by the ``solve`` command's
+    ``certified_lower_bound`` verdict, not here: a violating level is
+    returned like any other.
     """
     level_list = sorted(int(n) for n in levels)
     if len(level_list) < 3:
@@ -355,13 +356,8 @@ def solve_net(problem: ProblemSpec, levels: Sequence[int]) -> SolutionNet:
         res = minimize_level(problem, level, init=_warm_start(problem, level, results))
         if problem.monotone_values and results and res.value > results[-1].value + 1e-10:
             violations.append(level.n)
-        if problem.lower_bound is not None and res.value < problem.lower_bound - 1e-10:
-            raise RuntimeError(
-                f"level {level.n} value {res.value} violates the certified lower bound "
-                f"{problem.lower_bound}"
-            )
         results.append(res)
-    return SolutionNet(problem, tuple(results), tuple(violations))
+    return SolutionNet(tuple(results), tuple(violations))
 
 
 @dataclass(frozen=True)

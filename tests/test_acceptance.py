@@ -12,7 +12,7 @@ import warnings
 
 import numpy as np
 import pytest
-from grid_oracles import coordinate_table
+from grid_oracles import coordinate_table, interface, monad
 
 from ultragrid import (
     Ball,
@@ -27,11 +27,9 @@ from ultragrid import (
     bump,
     density,
     derivative,
-    extract_interface,
     gauss_check,
     integral,
     minimize_level,
-    monad_neighbors,
     perimeter,
     pointwise_standard_part,
     restrict,
@@ -314,31 +312,29 @@ def test_acceptance_6_singular_problem(capsys, singular_net):
     if weak > 1e-6 * scale:
         failures.append(f"weak EL residual {weak:.3e} above 1e-6 * {scale:.3e}")
 
-    dec = extract_interface(
-        res.u, reference_distance=lambda P: np.abs(P[:, 0] - 0.5)
-    )
-    m1, m2, mi = dec.omega1.mask(), dec.omega2.mask(), dec.xi.mask()
+    dec = interface(res.u, lambda P: np.abs(P[:, 0] - 0.5))
+    m1, m2, mi = dec.omega1, dec.omega2, dec.xi
     if np.any(m1 & m2) or np.any(m1 & mi) or np.any(m2 & mi):
         failures.append("interface decomposition overlaps")
     if not np.all(m1 | m2 | mi):
         failures.append("interface decomposition does not cover")
     rng = np.random.default_rng(6)
-    for idx in rng.choice(dec.omega1.indices, size=10, replace=False):
-        if not np.all(u[monad_neighbors(level, int(idx)).indices] > 0):
+    for idx in rng.choice(np.flatnonzero(m1), size=10, replace=False):
+        if not np.all(u[monad(level, int(idx))] > 0):
             failures.append(f"monad positivity fails at node {int(idx)}")
             break
-    for idx in rng.choice(dec.omega2.indices, size=10, replace=False):
-        if not np.all(u[monad_neighbors(level, int(idx)).indices] < 0):
+    for idx in rng.choice(np.flatnonzero(m2), size=10, replace=False):
+        if not np.all(u[monad(level, int(idx))] < 0):
             failures.append(f"monad negativity fails at node {int(idx)}")
             break
     if dec.xi_max_distance > 2 * level.h:
         failures.append(
             f"interface node distance {dec.xi_max_distance:.4f} above 2h={2 * level.h}"
         )
-    if abs(dec.interface_measure - 1.0) > 0.1:
+    if abs(dec.measure - 1.0) > 0.1:
         # conjecture check only: a warning, not a failure
         warnings.warn(
-            f"interface measure {dec.interface_measure:.4f} outside 1.0 +/- 10%",
+            f"interface measure {dec.measure:.4f} outside 1.0 +/- 10%",
             stacklevel=1,
         )
     _report(capsys, 6, "singular problem", failures)

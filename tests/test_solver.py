@@ -300,7 +300,9 @@ def test_verify_euler_lagrange_at_minimizer_and_elsewhere():
     assert bad_el.max_residual > 1e-3
 
 
-def test_lower_bound_violation_raises():
+def test_lower_bound_violation_returns_every_level():
+    # the certified bound is the solve command's verdict: solve_net returns
+    # a violating level like any other, and the next level after it
     base = quadratic_problem()
     bad = ProblemSpec(
         name="impossible",
@@ -309,8 +311,9 @@ def test_lower_bound_violation_raises():
         initial_guesses=base.initial_guesses,
         lower_bound=1.0,  # the true minimum 0 violates this certificate
     )
-    with pytest.raises(RuntimeError):
-        solve_net(bad, levels=range(3, 6))
+    net = solve_net(bad, levels=range(3, 6))
+    assert [r.level.n for r in net.results] == [3, 4, 5]
+    assert all(r.converged and r.value < bad.lower_bound for r in net.results)
 
 
 def test_warm_start_feasibility_is_a_usage_error():
