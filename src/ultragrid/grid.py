@@ -30,7 +30,7 @@ __all__ = [
     "build_level",
 ]
 
-#: Default cap on the node count of a single level.
+#: Cap on the node count of a single level.
 DEFAULT_NODE_CAP = 2**24
 
 
@@ -193,23 +193,25 @@ class NodeSet:
         return m
 
 
-def build_level(domain: Domain, n: int, node_cap: int = DEFAULT_NODE_CAP) -> GridLevel:
+def build_level(domain: Domain, n: int) -> GridLevel:
     """Build level ``n`` of the dyadic family over ``domain``.
 
     Raises
     ------
     ResourceLimitError
-        If the level would have more than ``node_cap`` nodes.
+        If the level would have more than ``DEFAULT_NODE_CAP`` nodes (read
+        at call time).
     ValueError
         If ``n`` is negative.
     """
     if n < 0:
         raise ValueError("level index must be non-negative")
-    if n >= (node_cap - 1).bit_length():
-        # the smallest axis alone has 2**n + 1 > node_cap nodes: refused
-        # before 2.0**-n underflows, or 2**n grows, for a huge n
+    cap = DEFAULT_NODE_CAP
+    if n >= (cap - 1).bit_length():
+        # the smallest axis alone has 2**n + 1 > cap nodes: refused before
+        # 2.0**-n underflows, or 2**n grows, for a huge n
         raise ResourceLimitError(
-            f"level {n} requires more than {node_cap} nodes, exceeding the cap"
+            f"level {n} requires more than {cap} nodes, exceeding the cap"
         )
     h = domain.base_spacing * 2.0**-n
     shape = []
@@ -218,9 +220,8 @@ def build_level(domain: Domain, n: int, node_cap: int = DEFAULT_NODE_CAP) -> Gri
         m = round((hi - lo) / h) + 1
         shape.append(m)
         count *= m
-    if count > node_cap:
+    if count > cap:
         raise ResourceLimitError(
-            f"level {n} requires {count} nodes, exceeding the cap of {node_cap}"
+            f"level {n} requires {count} nodes, exceeding the cap of {cap}"
         )
     return GridLevel(domain=domain, n=n, h=h, shape=tuple(shape))
-

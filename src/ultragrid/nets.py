@@ -61,6 +61,11 @@ KAPPA = 10.0
 DIVERGENCE_CUTOFF = 1e6
 #: A growing tail diverges when its growth exponent in ``1/h`` exceeds this.
 GROWTH_MIN = 0.3
+#: A node of :func:`pointwise_standard_part` whose values grow strictly in
+#: magnitude over the tail is singular once it reaches
+#: ``SINGULAR_SCALE * h**-SINGULAR_EXPONENT`` at the finest level.
+SINGULAR_SCALE = 1.0
+SINGULAR_EXPONENT = 0.5
 
 
 class Kind(enum.Enum):
@@ -255,24 +260,27 @@ def pointwise_standard_part(net: Net) -> tuple[GridFunction, NodeSet]:
     """Per-node standard part of a grid-function net over the coarsest level.
 
     For each node of the coarsest level, the net of values at that fixed
-    spatial point is classified.  The returned function ``w`` carries the
-    standard value where one exists and zero elsewhere; the node set ``S``
-    collects the singular nodes (classified infinite, or unclassified with
-    monotone growth).
+    spatial point is classified.  The node is singular when it classifies
+    infinite, or when its magnitude grows strictly over the tail and it is
+    either unclassified or at least ``SINGULAR_SCALE * h**-SINGULAR_EXPONENT``
+    at the finest level (the finite-level blow-up criterion).  The returned
+    function ``w`` carries the standard value of every other node that has
+    one and zero elsewhere; the node set ``S`` collects the singular nodes.
     """
     if not net.is_grid_net:
         raise ValueError("pointwise_standard_part expects a net of grid functions")
     coarse = net.entries[0][1].level
     hs = np.array(net.spacings())
     values = coarse_values(net)
+    blowup = SINGULAR_SCALE * hs[-1] ** -SINGULAR_EXPONENT
 
     w = np.zeros(coarse.node_count)
     singular = []
     for j in range(coarse.node_count):
         c = _classify_values(values[:, j], hs)
-        if c.kind in (Kind.INFINITE_PLUS, Kind.INFINITE_MINUS) or (
-            c.kind is Kind.UNCLASSIFIED and c.monotone_growth
-        ):
+        if c.kind in (Kind.INFINITE_PLUS, Kind.INFINITE_MINUS) or (c.monotone_growth and (
+            c.kind is Kind.UNCLASSIFIED or abs(values[-1, j]) >= blowup
+        )):
             singular.append(j)
         elif c.kind is Kind.STANDARD:
             w[j] = c.value

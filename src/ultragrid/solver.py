@@ -4,7 +4,8 @@ A :class:`ProblemSpec` knows how to build a per-level objective (value and
 gradient, optional Hessian, boundary pinning, feasibility) and how to
 produce initial guesses.  :func:`solve_net` minimizes level by level with
 dyadic warm-start prolongation, :func:`split` decomposes the minimizer net
-into a coarse standard part ``w`` plus per-level remainders ``psi``, and
+into a coarse standard part ``w`` plus per-level remainders ``psi``, of
+which it reports norms and test-function pairings, and
 :func:`verify_euler_lagrange` reports strong- and weak-form residuals.
 """
 
@@ -22,13 +23,7 @@ import numpy as np
 
 from .calculus import GridFunction, inner, norm, restrict, standard_battery
 from .grid import Domain, GridLevel, NodeSet, build_level
-from .nets import (
-    Classification,
-    Net,
-    classify,
-    coarse_values,
-    pointwise_standard_part,
-)
+from .nets import Classification, Net, classify, pointwise_standard_part
 from .optimize import OptimizeResult, lbfgs, newton
 
 __all__ = [
@@ -54,11 +49,6 @@ GTOL_FACTOR = 1e-8
 MAX_ITERATIONS = 10_000
 #: Iteration cap of each Newton start.
 NEWTON_MAX_ITERATIONS = 200
-#: A coarse node whose values grow strictly in magnitude over the last three
-#: levels is singular once it reaches ``SINGULAR_SCALE * h**-SINGULAR_EXPONENT``
-#: at the finest one (the finite-level blow-up criterion of :func:`split`).
-SINGULAR_SCALE = 1.0
-SINGULAR_EXPONENT = 0.5
 
 
 class LevelObjective:
@@ -371,78 +361,48 @@ class PairingReport:
 
 @dataclass(frozen=True)
 class Splitting:
-    """Decomposition ``u_n = w + psi_n`` (exact at shared coarse nodes)."""
+    """Decomposition ``u_n = w + psi_n``: the standard part ``w`` with its
+    singular nodes, and the norm and pairings of each remainder ``psi_n``
+    (the remainders themselves are not kept)."""
 
     w: GridFunction
     singular: NodeSet
-    psi: Net
     psi_norms: tuple[tuple[int, float], ...]
     pairings: tuple[PairingReport, ...]
 
 
-def split(solutions: SolutionNet | Net) -> Splitting:
+def split(u_net: Net) -> Splitting:
     """Split a minimizer net into its standard part and remainders.
 
-    ``w`` and the singular set come from the pointwise standard part; a node
-    is additionally marked singular when its values grow strictly in
-    magnitude beyond ``SINGULAR_SCALE * h**-SINGULAR_EXPONENT`` (the
-    finite-level blow-up criterion).  ``psi_n = u_n - interp(w)`` with dyadic
-    linear interpolation, so the reconstruction is exact at coarse nodes.
-    Each ``psi_n`` is paired with every function of
-    ``standard_battery`` of the net's domain, a solved net and a bare
-    :class:`Net` alike, and each pairing net is classified.  Every
-    classification runs at the default tolerances of :mod:`~ultragrid.nets`.
+    ``w`` and the singular set are :func:`~ultragrid.nets.pointwise_standard_part`
+    of the net.  ``psi_n = u_n - interp(w)`` with dyadic linear
+    interpolation, so the reconstruction is exact at coarse nodes.  Each
+    ``psi_n`` is formed in turn, its norm taken and paired with every
+    function of ``standard_battery`` of the net's domain, and released; each
+    pairing net is then classified.  Every classification runs at the
+    default tolerances of :mod:`~ultragrid.nets`.
     """
-    u_net = solutions.minimizer_net() if isinstance(solutions, SolutionNet) else solutions
-
     w, singular = pointwise_standard_part(u_net)
-    coarse = w.level
+    battery = standard_battery(w.level.domain)
 
-    values = coarse_values(u_net)
-    hs = np.array(u_net.spacings())
-    mags = np.abs(values[-3:])
-    blowup = (
-        (mags[0] < mags[1])
-        & (mags[1] < mags[2])
-        & (mags[2] >= SINGULAR_SCALE * hs[-1] ** -SINGULAR_EXPONENT)
-    )
-    if blowup.any():
-        # NodeSet sorts and drops duplicates: the union, without np.union1d
-        singular = NodeSet(coarse, np.concatenate((singular.indices, np.flatnonzero(blowup))))
-        w_vals = w.values.copy()
-        w_vals[singular.indices] = 0.0
-        w = GridFunction(coarse, w_vals)
-
-    psi_entries = []
     psi_norms = []
+    vals = [[] for _ in battery]
     for n, u in u_net.entries:
-        w_fine = prolong(w, u.level)
-        psi = GridFunction(u.level, u.values - w_fine.values)
-        psi_entries.append((n, psi))
+        psi = GridFunction(u.level, u.values - prolong(w, u.level).values)
         psi_norms.append((n, norm(psi)))
-    psi_net = Net(tuple(psi_entries))
+        for row, phi in zip(vals, battery):
+            row.append(inner(psi, restrict(phi, u.level)))
+        del psi  # the next remainder is formed without this one held
 
-    pairings = []
-    for j, phi in enumerate(standard_battery(coarse.domain)):
-        vals = []
-        for _n, psi in psi_net.entries:
-            phi_grid = restrict(phi, psi.level)
-            vals.append(inner(psi, phi_grid))
-        number_net = Net(tuple(zip(psi_net.levels, vals)))
-        pairings.append(
-            PairingReport(
-                test_index=j,
-                values=tuple(vals),
-                classification=classify(number_net),
-            )
+    pairings = tuple(
+        PairingReport(
+            test_index=j,
+            values=tuple(row),
+            classification=classify(Net(tuple(zip(u_net.levels, row)))),
         )
-    return Splitting(
-        w=w,
-        singular=singular,
-        psi=psi_net,
-        psi_norms=tuple(psi_norms),
-        pairings=tuple(pairings),
+        for j, row in enumerate(vals)
     )
+    return Splitting(w=w, singular=singular, psi_norms=tuple(psi_norms), pairings=pairings)
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,20 @@
-"""A gradient reference for the solver's objectives, kept with the tests.
+"""References for the solver, kept with the tests.
 
 ``check_gradient`` compares an objective's analytic gradient with central
 differences of its value; the study tests hold every packaged objective to
-it.
+it.  ``remainders`` forms the remainders that ``split`` reports on and does
+not keep.
 """
 
 import numpy as np
+
+from ultragrid import GridFunction, prolong
+
+
+def remainders(net, w):
+    """``(n, u_n - prolong(w))`` for each entry ``(n, u_n)`` of a minimizer net."""
+    return [(n, GridFunction(u.level, u.values - prolong(w, u.level).values))
+            for n, u in net.entries]
 
 
 def check_gradient(problem, level):

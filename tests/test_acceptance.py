@@ -242,7 +242,7 @@ def test_acceptance_4_sawtooth(capsys, sawtooth_net):
     if abs(slope - 2.0) > 0.3:
         failures.append(f"decay exponent {slope:.3f} not 2.0 +/- 0.3")
 
-    sp = split(net)
+    sp = split(net.minimizer_net())
     w_max = float(np.max(np.abs(sp.w.values)))
     if w_max > 1e-6:
         failures.append(f"|w| max {w_max:.3e} above 1e-6")
@@ -284,7 +284,7 @@ def test_acceptance_5_sign_perturbed(capsys, quotient_net_free, quotient_net_wel
     if not all(b >= a - 1e-12 for a, b in zip(conc, conc[1:])):
         failures.append(f"concentration not non-decreasing: {conc}")
 
-    sp = split(quotient_net_well)
+    sp = split(quotient_net_well.minimizer_net())
     w_max = float(np.max(np.abs(sp.w.values)))
     u_max = float(np.max(np.abs(quotient_net_well.results[-1].u.values)))
     if w_max > 1e-3 * u_max:

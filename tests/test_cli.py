@@ -1,7 +1,6 @@
 """The batch front end: exits, outputs, and byte-level determinism."""
 
 import csv
-import functools
 import hashlib
 import json
 import os
@@ -403,7 +402,7 @@ def test_calculus_check_level_over_node_cap_exits_2_before_checking(tmp_path, ca
     def no_check(*args, **kwargs):
         raise AssertionError("a level was checked before the cap was checked")
 
-    monkeypatch.setattr(cli, "build_level", functools.partial(grid.build_level, node_cap=100))
+    monkeypatch.setattr(grid, "DEFAULT_NODE_CAP", 100)
     monkeypatch.setattr(cli, "diff_op", no_check)
     monkeypatch.setattr(cli, "derivative", no_check)
     out = tmp_path / "out"

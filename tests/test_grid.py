@@ -13,6 +13,7 @@ from ultragrid import (
     ResourceLimitError,
     build_level,
 )
+from ultragrid import grid
 
 
 def test_domain_validation():
@@ -61,7 +62,7 @@ def test_node_cap():
         build_level(dom, 10)
 
 
-def test_node_cap_refuses_a_level_from_its_smallest_axis():
+def test_node_cap_refuses_a_level_from_its_smallest_axis(monkeypatch):
     # level n's smallest axis alone has 2**n + 1 nodes: from level log2(cap)
     # up the level is refused before its spacing 2.0**-n is computed, which
     # is 0.0 at level 1100 and would divide by zero
@@ -70,8 +71,10 @@ def test_node_cap_refuses_a_level_from_its_smallest_axis():
     for n in (24, 1100, 10**15):
         with pytest.raises(ResourceLimitError, match=f"level {n} requires more than"):
             build_level(line, n)
+    # build_level reads the cap at call time
+    monkeypatch.setattr(grid, "DEFAULT_NODE_CAP", 100)
     with pytest.raises(ResourceLimitError, match="level 7 requires more than 100 nodes"):
-        build_level(Domain(((0.0, 1.0), (0.0, 4.0))), 7, node_cap=100)
+        build_level(Domain(((0.0, 1.0), (0.0, 4.0))), 7)
 
 
 def test_boundary_nodes_1d():

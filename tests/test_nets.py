@@ -150,6 +150,29 @@ def test_pointwise_standard_part_log_singularity():
     assert np.max(err) <= 0.05
 
 
+def test_pointwise_standard_part_marks_a_growing_standard_node_over_the_bound():
+    # two nodes with the same geometric tail, growing strictly, that classify
+    # STANDARD: the one at or over h**-0.5 at the finest level (32**0.5) is
+    # singular with w = 0, the one below it keeps its standard value
+    levels = [build_level(DOM1, n) for n in (3, 4, 5)]
+    assert nets.SINGULAR_SCALE * levels[-1].h ** -nets.SINGULAR_EXPONENT == 32**0.5
+    tails = {2: (10.0, 15.0, 17.5), 5: (1.0, 1.5, 1.75)}
+    entries = []
+    for k, lvl in enumerate(levels):
+        u = np.zeros(lvl.node_count)
+        for node, tail in tails.items():
+            u[node * 2**k] = tail[k]
+        entries.append((lvl.n, GridFunction(lvl, u)))
+    for node, limit in ((2, 20.0), (5, 2.0)):
+        c = classify(number_net((lvl.n, tails[node][k]) for k, lvl in enumerate(levels)))
+        assert c.kind is Kind.STANDARD and c.monotone_growth
+        assert c.value == pytest.approx(limit)
+    w, singular = pointwise_standard_part(Net(tuple(entries)))
+    assert singular.indices.tolist() == [2]
+    assert w.values[2] == 0.0
+    assert w.values[5] == pytest.approx(2.0)
+
+
 def test_spacings_grid_vs_number():
     net = number_net([(3, 1.0), (4, 1.0), (5, 1.0)])
     assert net.spacings() == (2.0**-3, 2.0**-4, 2.0**-5)

@@ -9,9 +9,9 @@ import pytest
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SCRIPT = ROOT / "scripts" / "settable_values.py"
 #: the most values a caller can set in the package, defaults and dataclass
-#: fields together (12 and 72 when the guard was set): a change that adds
-#: one raises this ceiling
-SETTABLE_CEILING = 77
+#: fields together (12 and 72 when the guard was set, 10 and 65 when it was
+#: last tightened): a change that adds one raises this ceiling
+SETTABLE_CEILING = 75
 
 # every rule of both kinds and what each leaves out; the test below lists
 # the counted names

@@ -9,9 +9,10 @@ import pytest
 from grid_oracles import coordinate_table
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from solver_oracles import check_gradient
+from solver_oracles import check_gradient, remainders
 
 import ultragrid.solver as solver
+from ultragrid import cli
 from ultragrid import (
     Domain,
     GridFunction,
@@ -24,6 +25,7 @@ from ultragrid import (
     classify,
     inner,
     minimize_level,
+    norm,
     prolong,
     restrict,
     sawtooth_spec,
@@ -129,7 +131,7 @@ def test_solve_net_quadratic_standard_limit():
     c = classify(net.value_net())
     assert c.kind is Kind.STANDARD and c.value == 0.0
 
-    sp = split(net)
+    sp = split(net.minimizer_net())
     # the minimizers converge to the representable target: w equals it and
     # the remainders vanish at coarse nodes
     coarse_x = coordinate_table(sp.w.level)[:, 0]
@@ -139,8 +141,9 @@ def test_solve_net_quadratic_standard_limit():
     # coarse w (O(h^2) of the coarsest level); it vanishes at coarse nodes
     for _n, psi_norm in sp.psi_norms:
         assert psi_norm < 5e-3
-    coarse_nodes = sp.psi.entries[-1][1].values[:: 2 ** (len(sp.psi.entries) - 1)]
-    assert np.max(np.abs(sp.psi.entries[0][1].values)) < 5e-3
+    psi = remainders(net.minimizer_net(), sp.w)
+    coarse_nodes = psi[-1][1].values[:: 2 ** (len(psi) - 1)]
+    assert np.max(np.abs(psi[0][1].values)) < 5e-3
     assert np.max(np.abs(coarse_nodes)) < 1e-8
 
 
@@ -241,13 +244,16 @@ def test_solve_net_requires_three_levels():
 
 
 def test_split_reconstruction_exact_at_coarse_nodes():
+    # split reports the norms of u_n - prolong(w), and at the coarse nodes
+    # that remainder is exactly u_n - w
     net = solve_net(quadratic_problem(), levels=range(3, 6))
-    sp = split(net)
-    for (n, _), (_, psi_n) in zip(sp.psi_norms, sp.psi.entries):
-        res = next(r for r in net.results if r.level.n == n)
-        w_fine = prolong(sp.w, res.level)
-        gap = np.max(np.abs(res.u.values - w_fine.values - psi_n.values))
-        assert gap <= 1e-13
+    u_net = net.minimizer_net()
+    sp = split(u_net)
+    psi = remainders(u_net, sp.w)
+    assert sp.psi_norms == tuple((n, norm(psi_n)) for n, psi_n in psi)
+    for k, ((_n, u), (_, psi_n)) in enumerate(zip(u_net.entries, psi)):
+        coarse = slice(None, None, 2**k)
+        assert np.array_equal(psi_n.values[coarse], u.values[coarse] - sp.w.values)
 
 
 def test_split_constant_net_keeps_value():
@@ -261,25 +267,53 @@ def test_split_constant_net_keeps_value():
 
 
 def test_split_pairs_against_the_standard_battery_of_the_domain():
-    # a solved net and a bare Net alike get three pairings, one per function
-    # of standard_battery of the net's domain
+    # a solved minimizer net and a bare Net alike get three pairings, one per
+    # function of standard_battery of the net's domain
     net = solve_net(quadratic_problem(), levels=range(3, 6))
     dom = Domain(((0.0, 2.0),))
     levels = [build_level(dom, n) for n in (3, 4, 5)]
     bare = Net(tuple((lvl.n, restrict(lambda x: np.sin(3 * x) + x, lvl)) for lvl in levels))
-    for solutions, domain in ((net, DOM1), (net.minimizer_net(), DOM1), (bare, dom)):
-        sp = split(solutions)
+    for u_net, domain in ((net.minimizer_net(), DOM1), (bare, dom)):
+        sp = split(u_net)
+        psi = remainders(u_net, sp.w)
+        assert sp.psi_norms == tuple((n, norm(psi_n)) for n, psi_n in psi)
         battery = standard_battery(domain)
         assert [rep.test_index for rep in sp.pairings] == [0, 1, 2]
         for rep, phi in zip(sp.pairings, battery, strict=True):
             assert rep.values == tuple(
-                inner(psi, restrict(phi, psi.level)) for _n, psi in sp.psi.entries
+                inner(psi_n, restrict(phi, psi_n.level)) for _n, psi_n in psi
             )
+
+
+def test_solve_report_writes_nothing_and_reads_no_clock(tmp_path, monkeypatch):
+    # the tables and report of a solve, computed in an empty working
+    # directory with no clock in reach, leave the directory empty
+    problem = quadratic_problem()
+    net = solve_net(problem, levels=range(3, 6))
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "time", None)
+    tables, report = cli._solve_report(problem, net, "0123456789ab")
+    assert list(tmp_path.iterdir()) == []
+    assert {name: header for name, (header, _rows) in tables.items()} == {
+        "levels.csv": ["config_hash", "level", "h", "dim", "value", "grad_norm",
+                       "iterations", "converged"],
+        "plot_convergence.csv": ["config_hash", "level", "h", "value", "psi_l2"],
+        "splitting.csv": ["config_hash", "node", "w", "singular"],
+        "psi.csv": ["config_hash", "level", "psi_l2", "pairing_max"],
+    }
+    assert [len(rows) for _header, rows in tables.values()] == [3, 3, 9, 3]
+    assert list(report["invariants"]) == [
+        "all_levels_converged", "nested_monotonicity", "certified_lower_bound",
+        "weak_euler_lagrange",
+    ]
+    assert all(v["passed"] for v in report["invariants"].values())
+    assert report["config_hash"] == "0123456789ab" and report["problem"] == "quadratic"
+    assert "config" not in report and "timings" not in report
 
 
 def test_pairings_of_vanishing_remainder():
     net = solve_net(quadratic_problem(), levels=range(3, 6))
-    sp = split(net)
+    sp = split(net.minimizer_net())
     for rep in sp.pairings:
         assert rep.classification.kind is Kind.STANDARD
         assert abs(rep.classification.value) <= 1e-8
