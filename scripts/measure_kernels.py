@@ -15,8 +15,11 @@ one fixed 3D box (``box_density``, its sampled path) the same way at 3D
 levels 2..4, whatever ``--levels`` says, and ``restrict`` of the first bump
 of the standard battery at 3D levels 3..6, each call on a freshly built level
 (so nothing a level caches is reused).  Last, ``quotient_vag`` evaluates the
-free 3D critical quotient (``sign_perturbed_spec().build``) at its first
-pinned bubble start, at 3D levels 3..6.  Prints per kernel the median and
+free 3D critical quotient (``sign_perturbed_spec().build``, cube-symmetric
+data: its kernels run on one octant) at its first pinned bubble start, and
+``quotient_vag_well`` the quotient with the strength-500 well at
+(0.4, 0.5, 0.6), which stays on the full grid, at its first start, each at
+3D levels 3..6.  Prints per kernel the median and
 the quartiles in milliseconds, and the traced peak of one more call above
 its entry in node vectors (``tracemalloc`` bytes over 8 bytes per node),
 taken apart from the timed calls.
@@ -43,7 +46,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
 
 #: The 3D levels of the box density rows.
 BOX_LEVELS = range(2, 5)
-#: The 3D levels of the restrict rows and of the quotient_vag rows.
+#: The 3D levels of the restrict rows and of the two quotient rows.
 RESTRICT_LEVELS = QUOTIENT_LEVELS = range(3, 7)
 
 
@@ -75,7 +78,7 @@ def _time(dim: int, n: int, name: str, call, node_count: int, repeats: int) -> N
     q1, median, q3 = statistics.quantiles(samples, n=4)
     peak = _peak_node_vectors(call, node_count)
     print(
-        f"{dim:>3} {n:>5} {name:<12} {median:>10.3f} {q1:>8.3f}"
+        f"{dim:>3} {n:>5} {name:<17} {median:>10.3f} {q1:>8.3f}"
         f" {q3:>8.3f} {peak:>10.2f}"
     )
 
@@ -97,6 +100,7 @@ def main(argv=None) -> int:
         Domain,
         GridFunction,
         NodeMask,
+        QuadraticWell,
         build_level,
         density,
         diff_op,
@@ -110,7 +114,7 @@ def main(argv=None) -> int:
 
     print(f"ultragrid from {pathlib.Path(measure.__file__).parent}")
     print(
-        f"{'dim':>3} {'level':>5} {'kernel':<12} {'median ms':>10} {'q1 ms':>8}"
+        f"{'dim':>3} {'level':>5} {'kernel':<17} {'median ms':>10} {'q1 ms':>8}"
         f" {'q3 ms':>8} {'peak nodes':>10}"
     )
     for dim in (1, 2):
@@ -141,12 +145,14 @@ def main(argv=None) -> int:
     for n in RESTRICT_LEVELS:
         count = build_level(cube, n).node_count
         _time(3, n, "restrict", lambda: restrict(bump, build_level(cube, n)), count, args.repeats)
-    spec = sign_perturbed_spec()
-    for n in QUOTIENT_LEVELS:
-        level = build_level(spec.domain, n)
-        obj = spec.build(level)
-        u = obj.pin(spec.initial_guesses(level)[0])
-        _time(3, n, "quotient_vag", lambda: obj.value_and_grad(u), level.node_count, args.repeats)
+    well = QuadraticWell((0.4, 0.5, 0.6), 500.0)
+    for name, spec in (("quotient_vag", sign_perturbed_spec()),
+                       ("quotient_vag_well", sign_perturbed_spec(a=well))):
+        for n in QUOTIENT_LEVELS:
+            level = build_level(spec.domain, n)
+            obj = spec.build(level)
+            u = obj.pin(spec.initial_guesses(level)[0])
+            _time(3, n, name, lambda: obj.value_and_grad(u), level.node_count, args.repeats)
     return 0
 
 

@@ -462,16 +462,19 @@ def cmd_sweep(config: dict, out: pathlib.Path) -> int:
     worst = EXIT_OK
     for i, (override, run_dir) in enumerate(zip(overrides, run_dirs)):
         run_config = _merge(base, override)
+        value = float("nan")  # not an earlier run's, left in run_dir
         try:
             _validate(run_config, "solve")
             status = cmd_solve(run_config, run_dir)
         except ConfigError as exc:
             print(f"run {i}: config error: {exc}", file=sys.stderr)
             status = EXIT_CONFIG
-        value = float("nan")
-        report_path = run_dir / "report.json"
-        if status != EXIT_CONFIG and report_path.is_file():  # not an earlier run's
-            report = json.loads(report_path.read_text(encoding="utf-8"))
+        except (ValueError, RuntimeError) as exc:
+            # a fault of the program, as in main, but in this run alone
+            print(f"run {i}: internal error: {exc}", file=sys.stderr)
+            status = EXIT_INVARIANT
+        else:
+            report = json.loads((run_dir / "report.json").read_text(encoding="utf-8"))
             value = report["levels"][-1]["value"]
         rows.append(
             [chash, i, config_hash(run_config), run_config.get("problem", ""),

@@ -280,15 +280,67 @@ def _is_real(value) -> bool:
 _CHUNK = 1 << 13
 
 
-def _interior_eigenpairs(K: np.ndarray, M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _interior_eigenpairs(K: np.ndarray, M: np.ndarray, free: slice) -> tuple[np.ndarray, np.ndarray]:
     """``(V, lam)`` with ``K V = M V diag(lam)`` and ``V^T M V = I`` on the
-    interior nodes of an axis (Dirichlet data), from ``numpy.linalg.eigh``
-    alone: ``M = U diag(mu) U^T`` gives ``S = U diag(mu)^-1/2`` with
-    ``S^T M S = I``, then ``S^T K S = W diag(lam) W^T`` and ``V = S W``."""
-    mu, U = np.linalg.eigh(M[1:-1, 1:-1])
+    nodes ``free`` of an axis, the others Dirichlet (``slice(1, -1)``: both
+    ends; ``slice(1, None)``: the first, the last natural), from
+    ``numpy.linalg.eigh`` alone: ``M = U diag(mu) U^T`` gives
+    ``S = U diag(mu)^-1/2`` with ``S^T M S = I``, then
+    ``S^T K S = W diag(lam) W^T`` and ``V = S W``."""
+    mu, U = np.linalg.eigh(M[free, free])
     S = U / np.sqrt(mu)
-    lam, W = np.linalg.eigh(S.T @ K[1:-1, 1:-1] @ S)
+    lam, W = np.linalg.eigh(S.T @ K[free, free] @ S)
     return S @ W, lam
+
+
+@lru_cache(maxsize=4)
+def _mirror_indices(shape: tuple[int, ...]) -> tuple[tuple, tuple]:
+    """The indices that fold a grid of odd lengths ``shape`` onto its low
+    half and back, built once per shape: per axis, the low half and the
+    mirrored high half of the grid already folded along the axes before it;
+    and per orthant that is not empty, the pair (its nodes in the grid, its
+    mirror in the low half)."""
+    folds = tuple(
+        ((slice(None),) * axis + (slice(m // 2 + 1),),
+         (slice(None),) * axis + (slice(m - 1, m // 2 - 1 if m > 1 else None, -1),))
+        for axis, m in enumerate(shape)
+    )
+    fills = tuple(
+        (tuple(slice(m // 2 + 1, None) if hi else slice(m // 2 + 1)
+               for hi, m in zip(corner, shape)),
+         tuple(slice(-2, None, -1) if hi else slice(None) for hi in corner))
+        for corner in np.ndindex((2,) * len(shape))
+        if all(m > 1 for hi, m in zip(corner, shape) if hi)
+    )
+    return folds, fills
+
+
+def _mirror_average(grid: np.ndarray) -> np.ndarray:
+    """The low half of ``grid`` (odd lengths), midplane included, with each
+    node the mean of its mirror images about every axis's midplane: the
+    mirror pair is averaged axis by axis.  ``(x + x) * 0.5`` is ``x``, so on
+    a grid symmetric about every midplane this is its low half, bit for bit."""
+    for low, high in _mirror_indices(grid.shape)[0]:
+        half = np.add(grid[low], grid[high])
+        half *= 0.5
+        grid = half
+    return grid
+
+
+def _mirror_fill(half: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """The grid of odd lengths ``shape`` symmetric about every midplane whose
+    low half is ``half``: each orthant copied, mirrored, into one array."""
+    out = np.empty(shape)
+    for dst, src in _mirror_indices(shape)[1]:
+        out[dst] = half[src]
+    return out
+
+
+def _scale_midplanes(half: np.ndarray, factor: float) -> None:
+    """Scale the last slice of ``half`` along each axis, the midplane of the
+    low half, by ``factor``: a node on ``k`` midplanes by ``factor**k``."""
+    for axis in range(half.ndim):
+        half[(slice(None),) * axis + (-1,)] *= factor
 
 
 class BoundaryDataError(ValueError):
@@ -352,6 +404,27 @@ class _QuotientObjective(LevelObjective):
     :func:`~ultragrid.optimize.lbfgs` (without it, Armijo backtracks on
     rounding noise near the minimum), every start, with or without a well,
     meets it in a few dozen iterations at most.
+
+    Cube-symmetric data, no well or one centred at the box centre, take
+    :class:`_OctantQuotient` (the rule is :func:`sign_perturbed_spec`'s):
+    the kernels above run on the low octant ``[0, 1/2]^N``, the solver and
+    every output stay on the full grid.  The midplanes are grid lines at
+    every level >= 1, so no cell straddles them, and the octant's per-axis
+    factors are the P1 ``K1``/``M1`` of ``[0, 1/2]`` on ``(m + 1) / 2``
+    nodes, the well's ``A_i`` included: node 0 Dirichlet, the midplane node
+    natural, so the metric's eigenpairs come from ``K[1:, 1:]``,
+    ``M[1:, 1:]``.  The objective is ``Q(Sym u)``: ``u`` is folded onto the
+    octant by averaging mirror images, axis by axis
+    (:func:`_mirror_average`; ``(x + x) * 0.5`` is exact, so a symmetric
+    ``u`` folds bit for bit), and ``num`` and ``den`` are ``2^N`` times the
+    octant's.  A node of the octant stands for ``m_k`` nodes of the grid,
+    ``2`` per axis off its midplane and ``1`` on it.  The gradient is the
+    full grid's: the octant's gradient over ``m_k``, mirrored back
+    (:func:`_mirror_fill`), so ``verify_euler_lagrange``'s residuals and
+    pairings keep their meaning.  The metric solve folds its vector, scales
+    it by ``m_k / 2^N``, applies the octant's inverse and mirrors it back;
+    on symmetric vectors, which are all L-BFGS forms from symmetric
+    gradients, that is the full metric's inverse.
     """
 
     def __init__(self, level: GridLevel, well: Optional[QuadraticWell]) -> None:
@@ -364,8 +437,10 @@ class _QuotientObjective(LevelObjective):
         self.q = (dim - 2) / dim  # denominator power 2 / 2*
         self._half_exp = (self.p - 2.0) / 2.0  # |u|^(p-2) = (u^2)^half_exp
 
-        self._K1, self._M1, eig = [], [], []
+        self._K1, self._M1, eig, shape = [], [], [], []
         for axis, m in enumerate(level.shape):
+            m, free = self._axis(m)
+            shape.append(m)
             K, M = p1_matrices(m, level.h)
             metric = K
             if well is not None:  # + A_i, the well's part along this axis
@@ -376,7 +451,7 @@ class _QuotientObjective(LevelObjective):
                     metric = K
             self._K1.append(K)
             self._M1.append(M)
-            eig.append(_interior_eigenpairs(metric, M))
+            eig.append(_interior_eigenpairs(metric, M, free))
         self._V = [V for V, _ in eig]
         # the open mesh of np.ix_ sums to lam_i + lam_j + ... on the interior grid
         self._inv_lam = 1.0 / sum(np.ix_(*[lam for _, lam in eig]))
@@ -389,14 +464,26 @@ class _QuotientObjective(LevelObjective):
         # corner slices of a node row, one per cell corner, in C order
         self._Sk = reduce(np.kron, [S] * (dim - 1))
         self._BkT = reduce(np.kron, [self._B0T] * (dim - 1))
-        self._cell_shape = tuple(m - 1 for m in level.shape[1:])  # the cells of a node row
+        self._cell_shape = tuple(m - 1 for m in shape[1:])  # the cells of a node row
         self._corners = [tuple(slice(e, e + c) for e, c in zip(corner, self._cell_shape))
                          for corner in np.ndindex((2,) * (dim - 1))]
         # the node under each entry of the corner slices, corner by corner,
         # for the sum of _project (_interp copies the slices: from level 5
         # on that is faster than np.take)
-        nodes = np.arange(math.prod(level.shape[1:])).reshape(level.shape[1:])
+        nodes = np.arange(math.prod(shape[1:])).reshape(shape[1:])
         self._gather = np.concatenate([nodes[corner].ravel() for corner in self._corners])
+
+    #: the mirror copies of the kernel grid that make up the domain
+    _copies = 1.0
+
+    def _axis(self, m: int) -> tuple[int, slice]:
+        """The kernel grid's nodes on a level axis of ``m`` nodes, and the
+        slice of them the metric solves for: every node, both ends Dirichlet."""
+        return m, slice(1, -1)
+
+    def _kernel_grid(self, u: np.ndarray) -> np.ndarray:
+        """The node vector ``u`` on the kernel grid."""
+        return u.reshape(self.level.shape)
 
     # -- tensor helpers ---------------------------------------------------
     def _stiffness_apply(self, grid: np.ndarray) -> np.ndarray:
@@ -480,12 +567,19 @@ class _QuotientObjective(LevelObjective):
 
     # -- energy -------------------------------------------------------------
     def value_and_grad(self, u: np.ndarray) -> tuple[float, np.ndarray]:
-        grid = u.reshape(self.level.shape)
+        value, grad = self._energy(self._kernel_grid(u))
+        return value, grad.ravel()
+
+    def _energy(self, grid: np.ndarray) -> tuple[float, np.ndarray]:
+        """``(value, grad)`` of the kernel grid ``grid`` taken ``_copies``
+        times: ``num`` and ``den`` are ``_copies`` times ``grid``'s own, and
+        ``grad`` is the gradient in ``grid``'s nodes over ``_copies``."""
         ku = self._stiffness_apply(grid)
-        num = float(np.vdot(grid, ku))
+        num = self._copies * float(np.vdot(grid, ku))
         den, adj = self._gauss_pass(grid)
+        den *= self._copies
         if den <= 0.0:
-            return float("inf"), np.zeros(u.size)
+            return float("inf"), np.zeros(grid.shape)
         value = num / den**self.q
         scale = den**-self.q
         # d(num / den^q) = d_num / den^q - q num / den^(q+1) d_den, with
@@ -493,19 +587,52 @@ class _QuotientObjective(LevelObjective):
         adj *= -self.p * self.q * num * scale / den
         ku *= 2.0 * scale
         ku += adj
-        return value, ku.ravel()
+        return value, ku
 
     def precondition(self, g: np.ndarray) -> np.ndarray:
-        interior = g.reshape(self._inv_lam.shape)  # free dofs in C order
-        t = apply_axes([V.T for V in self._V], interior)
+        return self._solve_metric(g.reshape(self._inv_lam.shape)).ravel()
+
+    def _solve_metric(self, t: np.ndarray) -> np.ndarray:
+        """The kernel grid's metric solve on its free dofs ``t``."""
+        t = apply_axes([V.T for V in self._V], t)
         t *= self._inv_lam
-        return apply_axes(self._V, t).ravel()
+        return apply_axes(self._V, t)
 
     def normalize(self, u: np.ndarray) -> np.ndarray:
-        den = self._gauss_pass(u.reshape(self.level.shape))[0]
+        den = self._copies * self._gauss_pass(self._kernel_grid(u))[0]
         if den <= 0.0:
             return u
         return u * den ** (-1.0 / self.p)
+
+
+class _OctantQuotient(_QuotientObjective):
+    """The quotient of cube-symmetric data, its kernels on the octant
+    ``[0, 1/2]^N`` (the last paragraph of :class:`_QuotientObjective`)."""
+
+    def __init__(self, level: GridLevel, well: Optional[QuadraticWell]) -> None:
+        super().__init__(level, well)
+        self._copies = 2.0**level.dimension
+        self._free_shape = tuple(m - 2 for m in level.shape)
+
+    def _axis(self, m: int) -> tuple[int, slice]:
+        # node 0 is Dirichlet, the midplane node (m - 1) / 2 natural
+        return (m + 1) // 2, slice(1, None)
+
+    def _kernel_grid(self, u: np.ndarray) -> np.ndarray:
+        return _mirror_average(u.reshape(self.level.shape))
+
+    def value_and_grad(self, u: np.ndarray) -> tuple[float, np.ndarray]:
+        value, grad = self._energy(self._kernel_grid(u))
+        # the octant gradient is _copies times grad, summed over each node's
+        # m_k mirrors: each mirror takes _copies / m_k times grad, twice
+        # grad per midplane the node lies on
+        _scale_midplanes(grad, 2.0)
+        return value, _mirror_fill(grad, self.level.shape).ravel()
+
+    def precondition(self, g: np.ndarray) -> np.ndarray:
+        t = _mirror_average(g.reshape(self._free_shape))
+        _scale_midplanes(t, 0.5)  # m_k / _copies
+        return _mirror_fill(self._solve_metric(t), self._free_shape).ravel()
 
 
 def concentration_metric(u: GridFunction, x_m: Sequence[float], r: float) -> float:
@@ -541,6 +668,9 @@ def sign_perturbed_spec(a: Optional[QuadraticWell] = None, dimension: int = 3) -
     ``BUBBLE_SCALES`` in grid steps; every later level from the prolonged
     coarser minimizer alone.  The ``concentration`` diagnostic is the
     ``|u|^{2*}`` mass within ``CONCENTRATION_RADIUS`` of the center.
+    Without a well, or with one centred at the box center, the data are
+    cube-symmetric, and the objective runs its kernels on one octant
+    (:class:`_OctantQuotient`); any other well keeps the full grid.
     """
     if dimension < 3:
         raise ValueError("the critical-exponent study needs dimension >= 3")
@@ -557,9 +687,12 @@ def sign_perturbed_spec(a: Optional[QuadraticWell] = None, dimension: int = 3) -
     if dimension == 3 and (a is None or a.strength >= 0.0):
         lower = sobolev_constant(3)
 
+    # cube-symmetric data: the kernels run on one octant
+    objective = _OctantQuotient if a is None or a.center == x_m else _QuotientObjective
+
     @lru_cache(maxsize=1)
     def build(level: GridLevel) -> LevelObjective:
-        return _QuotientObjective(level, a)
+        return objective(level, a)
 
     def initial_guesses(level):
         return [bubble(level, x_m, s * level.h).values for s in BUBBLE_SCALES]

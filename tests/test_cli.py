@@ -261,6 +261,32 @@ def test_bad_config_makes_no_out_dir(tmp_path, capsys, monkeypatch, command, pay
     assert not out.exists()
 
 
+def test_sweep_run_with_an_internal_error_fails_alone(tmp_path, capsys, monkeypatch):
+    # run 0 raises inside the solve: the sweep reports it, runs the next
+    # entry, writes both rows and exits 3; run_000 holds an earlier sweep's
+    # report, whose value is not taken
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, dict(SAW, sweep=[{"seed": 0}, {"seed": 1}]))
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
+    real_solve_net, calls = cli.solve_net, []
+
+    def failing_first(*args, **kwargs):
+        calls.append(args)
+        if len(calls) == 1:
+            raise RuntimeError("boom")
+        return real_solve_net(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "solve_net", failing_first)
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == 3
+    assert "run 0: internal error: boom" in capsys.readouterr().err
+    with open(out / "summary.csv", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [(r["run"], r["status"]) for r in rows] == [("0", "1"), ("1", "0")]
+    assert np.isnan(float(rows[0]["final_value"]))
+    assert np.isfinite(float(rows[1]["final_value"]))
+    assert len(calls) == 2
+
+
 def test_sweep_run_over_the_node_cap_makes_no_run_dir(tmp_path, capsys):
     # the run's levels pass _parse_levels, but level 9 of the 3D cube is over
     # the node cap: that run fails alone, and leaves no run directory

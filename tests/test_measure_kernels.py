@@ -22,7 +22,9 @@ def test_main_prints_quartiles_and_peaks_per_kernel(capsys):
     assert [row[:3] for row in rows] == [
         [dim, n, kernel] for dim in ("1", "2") for n in ("2", "3") for kernel in kernels
     ] + [["3", n, "box_density"] for n in ("2", "3", "4")] + [
-        ["3", n, kernel] for kernel in ("restrict", "quotient_vag") for n in ("3", "4", "5", "6")
+        ["3", n, kernel]
+        for kernel in ("restrict", "quotient_vag", "quotient_vag_well")
+        for n in ("3", "4", "5", "6")
     ]
     # median, first and third quartile in ms, then the traced peak
     for _dim, _n, _kernel, median, q1, q3, peak in rows:

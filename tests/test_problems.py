@@ -1,5 +1,6 @@
 """The three packaged studies: objectives, initializers, diagnostics."""
 
+import dataclasses
 import functools
 import threading
 import tracemalloc
@@ -223,16 +224,21 @@ def _dense_well(m, h, lo, center, strength):
 
 @pytest.mark.parametrize("m", [3, 4, 9, 17])
 def test_dirichlet_eigenpairs_match_eigh(m):
-    # the metric's per-axis interior eigenpairs, free and with a strength-500
-    # well, against the generalized eigensolver
+    # the metric's per-axis eigenpairs, free and with a strength-500 well,
+    # against the generalized eigensolver: on the interior nodes (both ends
+    # Dirichlet), and on all but the first (the octant's half axis, whose
+    # last node, the midplane, is natural)
     h = 1.0 / (m - 1)
     K, M = (A.toarray() for A in oracles.p1_matrices(m, h))
     for stiffness in (K, K + _dense_well(m, h, 0.0, 0.4, 500.0)):
-        V, lam = problems._interior_eigenpairs(stiffness, M)
-        Ki, Mi = stiffness[1:-1, 1:-1], M[1:-1, 1:-1]
-        np.testing.assert_allclose(lam, scipy.linalg.eigh(Ki, Mi, eigvals_only=True), rtol=1e-12)
-        np.testing.assert_allclose(V.T @ Mi @ V, np.eye(m - 2), atol=1e-12)
-        np.testing.assert_allclose(Ki @ V, Mi @ V * lam, atol=1e-10 * lam.max())
+        for free in (slice(1, -1), slice(1, None)):
+            V, lam = problems._interior_eigenpairs(stiffness, M, free)
+            Ki, Mi = stiffness[free, free], M[free, free]
+            np.testing.assert_allclose(
+                lam, scipy.linalg.eigh(Ki, Mi, eigvals_only=True), rtol=1e-12
+            )
+            np.testing.assert_allclose(V.T @ Mi @ V, np.eye(len(Mi)), atol=1e-12)
+            np.testing.assert_allclose(Ki @ V, Mi @ V * lam, atol=1e-10 * lam.max())
 
 
 @settings(max_examples=30, deadline=None)
@@ -364,11 +370,12 @@ def _old_quotient(obj, u, well):
      (4, 2, False), (4, 2, True), (5, 2, False)],
 )
 def test_quotient_kernel_matches_former_formula(dimension, n, well):
-    # p = 6, 4 and 10/3: the last needs a non-integer power
+    # p = 6, 4 and 10/3: the last needs a non-integer power.  The full-grid
+    # objective: the free study's octant objective is checked against it,
+    # and against this oracle at the mirror average, in the octant tests
     a = QuadraticWell((0.4,) * dimension) if well else None
-    spec = sign_perturbed_spec(a=a, dimension=dimension)
-    level = build_level(spec.domain, n)
-    obj = spec.build(level)
+    level = build_level(Domain(((0.0, 1.0),) * dimension), n)
+    obj = problems._QuotientObjective(level, a)
     u = obj.pin(np.random.default_rng(n + dimension).standard_normal(level.node_count))
     value, grad = obj.value_and_grad(u)
     ref_value, ref_grad = _old_quotient(obj, u, a)
@@ -722,6 +729,109 @@ def test_quadratic_well_and_concentration_metric():
     assert concentration_metric(peak, (0.5, 0.5, 0.5), 0.2) > 0.5
     with pytest.raises(ValueError):
         concentration_metric(peak, (0.5, 0.5, 0.5), -1.0)
+
+
+# --- the quotient on one octant ------------------------------------------------
+
+
+def _symmetric_well(dimension, well):
+    return QuadraticWell((0.5,) * dimension, 500.0) if well else None
+
+
+def _mirror_mean(u, shape):
+    """The mean of ``u`` over the ``2^N`` reflections of the box: every
+    subset of the axes flipped."""
+    grid = u.reshape(shape)
+    images = [np.flip(grid, [axis for axis in range(grid.ndim) if corner[axis]])
+              for corner in np.ndindex((2,) * grid.ndim)]
+    return (sum(images) / len(images)).ravel()
+
+
+def _assert_close(got, expected, rtol=1e-12):
+    got, expected = np.asarray(got), np.asarray(expected)
+    assert np.max(np.abs(got - expected)) <= rtol * np.max(np.abs(expected))
+
+
+@pytest.mark.parametrize(
+    "dimension, n, well",
+    [(3, n, well) for n in (3, 4, 5) for well in (False, True)]
+    + [(4, n, well) for n in (2, 3) for well in (False, True)],
+)
+def test_octant_matches_the_full_grid_at_the_bubble_starts(dimension, n, well):
+    # the starts are cube-symmetric: the octant's value, gradient, metric
+    # solve and normalization are the full grid's, summed in another order
+    a = _symmetric_well(dimension, well)
+    spec = sign_perturbed_spec(a=a, dimension=dimension)
+    level = build_level(spec.domain, n)
+    octant, full = spec.build(level), problems._QuotientObjective(level, a)
+    assert type(octant) is problems._OctantQuotient
+    for start in spec.initial_guesses(level):
+        u = octant.pin(start)
+        value, grad = octant.value_and_grad(u)
+        ref_value, ref_grad = full.value_and_grad(u)
+        assert value == pytest.approx(ref_value, rel=1e-12, abs=0.0)
+        _assert_close(grad, ref_grad)
+        g = grad[octant.free_mask]
+        _assert_close(octant.precondition(g), full.precondition(g))
+        _assert_close(octant.normalize(u), full.normalize(u))
+
+
+@pytest.mark.parametrize("dimension, n, well", [(3, 3, False), (3, 4, True), (4, 2, True)])
+def test_octant_evaluates_the_mirror_average(dimension, n, well):
+    # at a field that is not symmetric, the octant objective is the quotient
+    # of its mean over the reflections of the box, and its gradient that
+    # quotient's full-grid gradient there (the gradient of a symmetric field
+    # is symmetric); on a symmetric vector its metric solve is the full one's
+    a = _symmetric_well(dimension, well)
+    spec = sign_perturbed_spec(a=a, dimension=dimension)
+    level = build_level(spec.domain, n)
+    octant, full = spec.build(level), problems._QuotientObjective(level, a)
+    rng = np.random.default_rng(90 + n)
+    u = octant.pin(rng.standard_normal(level.node_count))
+    mean = _mirror_mean(u, level.shape)
+    value, grad = octant.value_and_grad(u)
+    ref_value, ref_grad = full.value_and_grad(mean)
+    assert value == pytest.approx(ref_value, rel=1e-12, abs=0.0)
+    assert value != pytest.approx(full.value_and_grad(u)[0], rel=1e-3)
+    _assert_close(grad, ref_grad)
+    # and the former formula, evaluated at the mean
+    _assert_close(grad, _old_quotient(full, mean, a)[1])
+    interior = tuple(m - 2 for m in level.shape)
+    g = _mirror_mean(rng.standard_normal(int(octant.free_mask.sum())), interior)
+    _assert_close(octant.precondition(g), full.precondition(g))
+
+
+@pytest.mark.parametrize("well", [False, True])
+def test_octant_solves_as_the_full_grid(well):
+    # the same iterations and verdicts on every level, the values to rounding
+    a = _symmetric_well(3, well)
+    spec = sign_perturbed_spec(a=a)
+    full_spec = dataclasses.replace(
+        spec, build=functools.lru_cache(maxsize=1)(lambda level: problems._QuotientObjective(level, a))
+    )
+    nets = [solve_net(s, range(3, 6)) for s in (spec, full_spec)]
+    assert type(spec.build(nets[0].results[-1].level)) is problems._OctantQuotient
+    for got, expected in zip(*(net.results for net in nets), strict=True):
+        assert [s.iterations for s in got.starts] == [s.iterations for s in expected.starts]
+        assert got.converged == expected.converged
+        assert got.value == pytest.approx(expected.value, rel=1e-12, abs=0.0)
+
+
+def test_only_cube_symmetric_data_takes_the_octant():
+    level3, level4 = build_level(DOM3, 3), build_level(Domain(((0.0, 1.0),) * 4), 2)
+    octant = [
+        sign_perturbed_spec().build(level3),
+        sign_perturbed_spec(a=QuadraticWell((0.5,) * 3, -200.0)).build(level3),
+        sign_perturbed_spec(dimension=4).build(level4),
+        sign_perturbed_spec(a=QuadraticWell((0.5,) * 4), dimension=4).build(level4),
+    ]
+    full = [
+        sign_perturbed_spec(a=QuadraticWell((0.5, 0.5, 0.4), 500.0)).build(level3),
+        sign_perturbed_spec(a=QuadraticWell((0.4, 0.5, 0.6), 500.0)).build(level3),
+        sign_perturbed_spec(a=QuadraticWell((0.5, 0.5, 0.5, 0.6)), dimension=4).build(level4),
+    ]
+    assert all(type(obj) is problems._OctantQuotient for obj in octant)
+    assert all(type(obj) is problems._QuotientObjective for obj in full)
 
 
 # --- objective caching ------------------------------------------------------
