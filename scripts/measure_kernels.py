@@ -16,9 +16,10 @@ levels 2..4, whatever ``--levels`` says, and ``restrict`` of the first bump
 of the standard battery at 3D levels 3..6, each call on a freshly built level
 (so nothing a level caches is reused).  Last, ``quotient_vag`` evaluates the
 free 3D critical quotient (``sign_perturbed_spec().build``, cube-symmetric
-data: its kernels run on one octant) at its first pinned bubble start, and
-``quotient_vag_well`` the quotient with the strength-500 well at
-(0.4, 0.5, 0.6), which stays on the full grid, at its first start, each at
+data: it folds every axis, so its kernels run on one octant) at its first
+pinned bubble start, and ``quotient_vag_well`` the quotient with the
+strength-500 well at (0.4, 0.45, 0.6), which is centred in no axis and so
+folds none (its kernels run on the full grid), at its first start, each at
 3D levels 3..6.  Prints per kernel the median and
 the quartiles in milliseconds, and the traced peak of one more call above
 its entry in node vectors (``tracemalloc`` bytes over 8 bytes per node),
@@ -145,7 +146,7 @@ def main(argv=None) -> int:
     for n in RESTRICT_LEVELS:
         count = build_level(cube, n).node_count
         _time(3, n, "restrict", lambda: restrict(bump, build_level(cube, n)), count, args.repeats)
-    well = QuadraticWell((0.4, 0.5, 0.6), 500.0)
+    well = QuadraticWell((0.4, 0.45, 0.6), 500.0)
     for name, spec in (("quotient_vag", sign_perturbed_spec()),
                        ("quotient_vag_well", sign_perturbed_spec(a=well))):
         for n in QUOTIENT_LEVELS:

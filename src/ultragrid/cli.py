@@ -69,7 +69,7 @@ from .calculus import (
     integral,
     restrict,
 )
-from .grid import DEFAULT_NODE_CAP, Domain, GridLevel, ResourceLimitError, build_level
+from .grid import Domain, GridLevel, ResourceLimitError, build_level, check_level_index
 from .measure import Ball, Box, HalfSpace, NodeMask, density, gauss_check, perimeter
 from .nets import classify
 from .problems import (
@@ -152,14 +152,13 @@ def _parse_levels(text) -> list[int]:
         except ValueError as exc:
             raise ConfigError(f"bad level range {text!r}") from exc
         # both ends are checked before the list is built; the top by
-        # build_level's first rule: from level log2(cap) up, a level's
-        # smallest axis alone is over the node cap, in any domain
+        # build_level's own rule for a level over the cap in any domain
         if lo < 0:
             raise ConfigError("levels must be non-negative")
-        if hi >= (DEFAULT_NODE_CAP - 1).bit_length():
-            raise ConfigError(
-                f"level {hi} requires more than {DEFAULT_NODE_CAP} nodes, exceeding the cap"
-            )
+        try:
+            check_level_index(hi)
+        except ResourceLimitError as exc:
+            raise ConfigError(str(exc)) from exc
         levels = list(range(lo, hi + 1))
     if len(set(levels)) != len(levels):
         raise ConfigError(f"levels must be distinct, got {text!r}")

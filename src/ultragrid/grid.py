@@ -28,6 +28,7 @@ __all__ = [
     "NodeSet",
     "ResourceLimitError",
     "build_level",
+    "check_level_index",
 ]
 
 #: Cap on the node count of a single level.
@@ -193,6 +194,17 @@ class NodeSet:
         return m
 
 
+def check_level_index(n: int) -> None:
+    """Raise :class:`ResourceLimitError` if level ``n`` is over the node cap
+    in any domain: from level ``log2(cap)`` up, its smallest axis alone has
+    ``2**n + 1`` nodes, more than ``DEFAULT_NODE_CAP`` (read at call time).
+    Decided from ``n`` alone, before ``2.0**-n`` underflows, or ``2**n``
+    grows, for a huge ``n``."""
+    cap = DEFAULT_NODE_CAP
+    if n >= (cap - 1).bit_length():
+        raise ResourceLimitError(f"level {n} requires more than {cap} nodes, exceeding the cap")
+
+
 def build_level(domain: Domain, n: int) -> GridLevel:
     """Build level ``n`` of the dyadic family over ``domain``.
 
@@ -206,13 +218,8 @@ def build_level(domain: Domain, n: int) -> GridLevel:
     """
     if n < 0:
         raise ValueError("level index must be non-negative")
+    check_level_index(n)
     cap = DEFAULT_NODE_CAP
-    if n >= (cap - 1).bit_length():
-        # the smallest axis alone has 2**n + 1 > cap nodes: refused before
-        # 2.0**-n underflows, or 2**n grows, for a huge n
-        raise ResourceLimitError(
-            f"level {n} requires more than {cap} nodes, exceeding the cap"
-        )
     h = domain.base_spacing * 2.0**-n
     shape = []
     count = 1

@@ -14,11 +14,11 @@ else: a run that stalls, exhausts its line search or its iterations reports
 
 L-BFGS starts each two-loop recursion from ``H0 = gamma * P^-1``, where
 ``P`` is an SPD metric on the free dofs given as the solve ``g -> P^-1 g``.
-The default ``P = diag(d)`` is the mesh-dependent L2 metric; an objective
-may supply a Sobolev metric instead (Neuberger, *Sobolev Gradients and
-Differential Equations*, 1997), under which the iteration count need not
-grow with the level.  The stopping test stays in the ``diag(d)`` dual norm
-whatever the metric.
+The caller names it: ``P = diag(d)`` is the mesh-dependent L2 metric; an
+objective may supply a Sobolev metric instead (Neuberger, *Sobolev
+Gradients and Differential Equations*, 1997), under which the iteration
+count need not grow with the level.  The stopping test stays in the
+``diag(d)`` dual norm whatever the metric.
 
 The L-BFGS line search backtracks from the unit step and accepts a trial
 point that satisfies the Armijo condition ``f_new <= f + 1e-4 t g.p`` or,
@@ -55,7 +55,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from numpy.linalg import LinAlgError
@@ -103,16 +103,16 @@ def lbfgs(
     free: np.ndarray,
     gtol: Callable[[float], float],
     max_iter: int,
-    precondition: Optional[Callable[[np.ndarray], np.ndarray]] = None,
+    precondition: Callable[[np.ndarray], np.ndarray],
 ) -> OptimizeResult:
     """Two-loop-recursion L-BFGS over the free dofs of ``x0``, the entries
     where the boolean mask ``free`` is set.
 
     The initial inverse-Hessian guess is ``H0 = gamma * P^-1``, where
-    ``precondition(v)`` returns ``P^-1 v`` for a free-dof vector ``v``; the
-    default ``P = diag(d)`` over the free weights ``d`` preconditions the
-    mesh-dependent scaling of nodal gradients.  The same solve gives the
-    steepest-descent reset ``-P^-1 g`` and the scaling
+    ``precondition(v)`` returns ``P^-1 v`` for a free-dof vector ``v``
+    (``v / d`` over the free weights ``d`` is the L2 metric, which
+    preconditions the mesh-dependent scaling of nodal gradients).  The same
+    solve gives the steepest-descent reset ``-P^-1 g`` and the scaling
     ``gamma = s.y / (y . P^-1 y)``.  A trial point that fails Armijo is
     still taken when it meets the approximate Wolfe conditions (see the
     module docstring), whose value slack is ``FTOL max(|f|, 1)``.  No trial
@@ -146,9 +146,6 @@ def lbfgs(
     x = x0.copy()
     x_new = x0.copy()  # the trial point; its pinned entries are x's for good
     d = weights[free]
-    if precondition is None:
-        def precondition(v: np.ndarray) -> np.ndarray:
-            return v / d
     # the gradient at x, the trial gradient and a scratch vector, on the free
     # dofs; the correction pairs in two rings, overwritten circularly, the
     # oldest of ``count`` pairs in row ``oldest``
@@ -260,7 +257,7 @@ def newton(
     free: np.ndarray,
     gtol: Callable[[float], float],
     max_iter: int,
-    accept: Optional[Callable[[np.ndarray, np.ndarray], bool]] = None,
+    accept: Callable[[np.ndarray, np.ndarray], bool],
 ) -> OptimizeResult:
     """Damped Newton on the free dofs with an SPD Hessian ``K + diag(c(x))``.
 
@@ -282,8 +279,8 @@ def newton(
     reaches this: the singular potential's ``W'' = 6 t**-4`` is positive, so
     the fallback is error handling for an objective whose Hessian is not.
     Line search halves the step until the value decreases and the acceptance
-    predicate (if any) passes.  Stops when ``||g||_* <= gtol(f)`` at the
-    current ``f``.
+    predicate ``accept(x, x_new)`` passes.  Stops when
+    ``||g||_* <= gtol(f)`` at the current ``f``.
     """
     from scipy.linalg import solveh_banded
 
@@ -322,7 +319,7 @@ def newton(
         for _bt in range(60):
             x_new = x.copy()
             x_new[free] = x[free] + step * p
-            if accept is not None and not accept(x, x_new):
+            if not accept(x, x_new):
                 step *= 0.5
                 continue
             f_new, g_new_full = value_and_grad(x_new)

@@ -10,7 +10,9 @@
   Dirichlet data.  The quotient is evaluated as the exact energy of the
   multilinear nodal interpolant (stiffness kron-sum numerator, per-cell Gauss
   denominator), so every discrete value is a true Sobolev quotient and stays
-  above the sharp constant.
+  above the sharp constant.  The kernels fold each axis the data are
+  symmetric about onto its low half: every axis without a well, one axis
+  in three for a well at (0.4, 0.5, 0.6).
 * :func:`singular_spec` — minimization of
   ``int (1/2 |grad u|^2 + W(u))`` with the singular potential
   ``W(t) = t**-2``, sign-changing boundary data, and the nodal constraint
@@ -294,52 +296,62 @@ def _interior_eigenpairs(K: np.ndarray, M: np.ndarray, free: slice) -> tuple[np.
 
 
 @lru_cache(maxsize=4)
-def _mirror_indices(shape: tuple[int, ...]) -> tuple[tuple, tuple]:
+def _mirror_indices(shape: tuple[int, ...], folds: tuple[int, ...]) -> tuple[tuple, tuple]:
     """The indices that fold a grid of odd lengths ``shape`` onto its low
-    half and back, built once per shape: per axis, the low half and the
-    mirrored high half of the grid already folded along the axes before it;
-    and per orthant that is not empty, the pair (its nodes in the grid, its
+    half along the axes ``folds`` and back, built once per ``(shape,
+    folds)``: per folded axis, the low half and the mirrored high half of
+    the grid already folded along the axes before it; and per orthant of the
+    folded axes that is not empty, the pair (its nodes in the grid, its
     mirror in the low half)."""
-    folds = tuple(
+    halves = tuple(
         ((slice(None),) * axis + (slice(m // 2 + 1),),
          (slice(None),) * axis + (slice(m - 1, m // 2 - 1 if m > 1 else None, -1),))
-        for axis, m in enumerate(shape)
+        for axis, m in ((axis, shape[axis]) for axis in folds)
     )
-    fills = tuple(
-        (tuple(slice(m // 2 + 1, None) if hi else slice(m // 2 + 1)
-               for hi, m in zip(corner, shape)),
-         tuple(slice(-2, None, -1) if hi else slice(None) for hi in corner))
-        for corner in np.ndindex((2,) * len(shape))
-        if all(m > 1 for hi, m in zip(corner, shape) if hi)
-    )
-    return folds, fills
+    fills = []
+    for corner in np.ndindex((2,) * len(folds)):
+        hi = dict(zip(folds, corner))
+        if all(shape[axis] > 1 for axis in folds if hi[axis]):
+            fills.append((
+                tuple(slice(None) if axis not in hi else
+                      slice(m // 2 + 1, None) if hi[axis] else slice(m // 2 + 1)
+                      for axis, m in enumerate(shape)),
+                tuple(slice(-2, None, -1) if hi.get(axis) else slice(None)
+                      for axis in range(len(shape))),
+            ))
+    return halves, tuple(fills)
 
 
-def _mirror_average(grid: np.ndarray) -> np.ndarray:
-    """The low half of ``grid`` (odd lengths), midplane included, with each
-    node the mean of its mirror images about every axis's midplane: the
-    mirror pair is averaged axis by axis.  ``(x + x) * 0.5`` is ``x``, so on
-    a grid symmetric about every midplane this is its low half, bit for bit."""
-    for low, high in _mirror_indices(grid.shape)[0]:
+def _mirror_average(grid: np.ndarray, folds: tuple[int, ...]) -> np.ndarray:
+    """The low half of ``grid`` (odd lengths) along the axes ``folds``,
+    midplanes included, with each node the mean of its mirror images about
+    those axes' midplanes: the mirror pair is averaged axis by axis.
+    ``(x + x) * 0.5`` is ``x``, so on a grid symmetric about those midplanes
+    this is its low half, bit for bit; with no fold it is ``grid``."""
+    for low, high in _mirror_indices(grid.shape, folds)[0]:
         half = np.add(grid[low], grid[high])
         half *= 0.5
         grid = half
     return grid
 
 
-def _mirror_fill(half: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """The grid of odd lengths ``shape`` symmetric about every midplane whose
-    low half is ``half``: each orthant copied, mirrored, into one array."""
+def _mirror_fill(half: np.ndarray, shape: tuple[int, ...], folds: tuple[int, ...]) -> np.ndarray:
+    """The grid of odd lengths ``shape`` symmetric about the midplanes of the
+    axes ``folds`` whose low half is ``half``: each orthant copied, mirrored,
+    into one array.  With no fold it is ``half`` itself, not a copy."""
+    if not folds:
+        return half
     out = np.empty(shape)
-    for dst, src in _mirror_indices(shape)[1]:
+    for dst, src in _mirror_indices(shape, folds)[1]:
         out[dst] = half[src]
     return out
 
 
-def _scale_midplanes(half: np.ndarray, factor: float) -> None:
-    """Scale the last slice of ``half`` along each axis, the midplane of the
-    low half, by ``factor``: a node on ``k`` midplanes by ``factor**k``."""
-    for axis in range(half.ndim):
+def _scale_midplanes(half: np.ndarray, factor: float, folds: tuple[int, ...]) -> None:
+    """Scale the last slice of ``half`` along each axis of ``folds``, the
+    midplane of the low half, by ``factor``: a node on ``k`` of those
+    midplanes by ``factor**k``."""
+    for axis in folds:
         half[(slice(None),) * axis + (-1,)] *= factor
 
 
@@ -405,29 +417,31 @@ class _QuotientObjective(LevelObjective):
     rounding noise near the minimum), every start, with or without a well,
     meets it in a few dozen iterations at most.
 
-    Cube-symmetric data, no well or one centred at the box centre, take
-    :class:`_OctantQuotient` (the rule is :func:`sign_perturbed_spec`'s):
-    the kernels above run on the low octant ``[0, 1/2]^N``, the solver and
-    every output stay on the full grid.  The midplanes are grid lines at
-    every level >= 1, so no cell straddles them, and the octant's per-axis
-    factors are the P1 ``K1``/``M1`` of ``[0, 1/2]`` on ``(m + 1) / 2``
+    The kernels fold each axis of ``folds``, an axis the data are symmetric
+    about (the rule is :func:`sign_perturbed_spec`'s), onto its low half; the
+    solver and every output stay on the full grid.  The midplanes are grid
+    lines at every level >= 1, so no cell straddles them, and a folded axis's
+    factors are the P1 ``K1``/``M1`` of its low half on ``(m + 1) / 2``
     nodes, the well's ``A_i`` included: node 0 Dirichlet, the midplane node
     natural, so the metric's eigenpairs come from ``K[1:, 1:]``,
-    ``M[1:, 1:]``.  The objective is ``Q(Sym u)``: ``u`` is folded onto the
-    octant by averaging mirror images, axis by axis
+    ``M[1:, 1:]``.  Every other axis keeps its ``m`` nodes, both ends
+    Dirichlet.  The objective is ``Q(Sym u)``: ``u`` is folded by averaging
+    its mirror images about the folded midplanes, axis by axis
     (:func:`_mirror_average`; ``(x + x) * 0.5`` is exact, so a symmetric
-    ``u`` folds bit for bit), and ``num`` and ``den`` are ``2^N`` times the
-    octant's.  A node of the octant stands for ``m_k`` nodes of the grid,
-    ``2`` per axis off its midplane and ``1`` on it.  The gradient is the
-    full grid's: the octant's gradient over ``m_k``, mirrored back
-    (:func:`_mirror_fill`), so ``verify_euler_lagrange``'s residuals and
-    pairings keep their meaning.  The metric solve folds its vector, scales
-    it by ``m_k / 2^N``, applies the octant's inverse and mirrors it back;
-    on symmetric vectors, which are all L-BFGS forms from symmetric
-    gradients, that is the full metric's inverse.
+    ``u`` folds bit for bit), and ``num`` and ``den`` are ``2^F`` times the
+    folded grid's, ``F = len(folds)``.  A node of the folded grid stands for
+    ``m_k`` nodes of the grid, ``2`` per folded axis off its midplane and
+    ``1`` on it.  The gradient is the full grid's: the folded grid's over
+    ``m_k``, mirrored back (:func:`_mirror_fill`), so
+    ``verify_euler_lagrange``'s residuals and pairings keep their meaning.
+    The metric solve folds its vector, scales it by ``m_k / 2^F``, applies
+    the folded inverse and mirrors it back; on symmetric vectors, which are
+    all L-BFGS forms from symmetric gradients, that is the full metric's
+    inverse.  With no fold, each of these steps is the identity.
     """
 
-    def __init__(self, level: GridLevel, well: Optional[QuadraticWell]) -> None:
+    def __init__(self, level: GridLevel, well: Optional[QuadraticWell],
+                 folds: tuple[int, ...]) -> None:
         if min(level.shape) < 3:
             # every start would pin to zero, and the quotient would be 0 / 0
             raise BoundaryDataError(f"level {level.n} has no interior node")
@@ -436,10 +450,15 @@ class _QuotientObjective(LevelObjective):
         self.p = 2.0 * dim / (dim - 2)  # critical exponent
         self.q = (dim - 2) / dim  # denominator power 2 / 2*
         self._half_exp = (self.p - 2.0) / 2.0  # |u|^(p-2) = (u^2)^half_exp
+        self.folds = folds
+        self._copies = 2.0 ** len(folds)  # the mirror copies of the folded grid
+        self._free_shape = tuple(m - 2 for m in level.shape)
 
         self._K1, self._M1, eig, shape = [], [], [], []
         for axis, m in enumerate(level.shape):
-            m, free = self._axis(m)
+            free = slice(1, -1)
+            if axis in folds:  # node 0 Dirichlet, the midplane node (m - 1) / 2 natural
+                m, free = (m + 1) // 2, slice(1, None)
             shape.append(m)
             K, M = p1_matrices(m, level.h)
             metric = K
@@ -472,18 +491,6 @@ class _QuotientObjective(LevelObjective):
         # on that is faster than np.take)
         nodes = np.arange(math.prod(shape[1:])).reshape(shape[1:])
         self._gather = np.concatenate([nodes[corner].ravel() for corner in self._corners])
-
-    #: the mirror copies of the kernel grid that make up the domain
-    _copies = 1.0
-
-    def _axis(self, m: int) -> tuple[int, slice]:
-        """The kernel grid's nodes on a level axis of ``m`` nodes, and the
-        slice of them the metric solves for: every node, both ends Dirichlet."""
-        return m, slice(1, -1)
-
-    def _kernel_grid(self, u: np.ndarray) -> np.ndarray:
-        """The node vector ``u`` on the kernel grid."""
-        return u.reshape(self.level.shape)
 
     # -- tensor helpers ---------------------------------------------------
     def _stiffness_apply(self, grid: np.ndarray) -> np.ndarray:
@@ -567,19 +574,13 @@ class _QuotientObjective(LevelObjective):
 
     # -- energy -------------------------------------------------------------
     def value_and_grad(self, u: np.ndarray) -> tuple[float, np.ndarray]:
-        value, grad = self._energy(self._kernel_grid(u))
-        return value, grad.ravel()
-
-    def _energy(self, grid: np.ndarray) -> tuple[float, np.ndarray]:
-        """``(value, grad)`` of the kernel grid ``grid`` taken ``_copies``
-        times: ``num`` and ``den`` are ``_copies`` times ``grid``'s own, and
-        ``grad`` is the gradient in ``grid``'s nodes over ``_copies``."""
+        grid = _mirror_average(u.reshape(self.level.shape), self.folds)
         ku = self._stiffness_apply(grid)
         num = self._copies * float(np.vdot(grid, ku))
         den, adj = self._gauss_pass(grid)
         den *= self._copies
         if den <= 0.0:
-            return float("inf"), np.zeros(grid.shape)
+            return float("inf"), np.zeros(u.size)
         value = num / den**self.q
         scale = den**-self.q
         # d(num / den^q) = d_num / den^q - q num / den^(q+1) d_den, with
@@ -587,52 +588,25 @@ class _QuotientObjective(LevelObjective):
         adj *= -self.p * self.q * num * scale / den
         ku *= 2.0 * scale
         ku += adj
-        return value, ku
+        # the folded gradient is _copies times ku, summed over each node's
+        # m_k mirrors: each mirror takes _copies / m_k times ku, twice ku per
+        # folded midplane the node lies on
+        _scale_midplanes(ku, 2.0, self.folds)
+        return value, _mirror_fill(ku, self.level.shape, self.folds).ravel()
 
     def precondition(self, g: np.ndarray) -> np.ndarray:
-        return self._solve_metric(g.reshape(self._inv_lam.shape)).ravel()
-
-    def _solve_metric(self, t: np.ndarray) -> np.ndarray:
-        """The kernel grid's metric solve on its free dofs ``t``."""
+        t = _mirror_average(g.reshape(self._free_shape), self.folds)
+        _scale_midplanes(t, 0.5, self.folds)  # m_k / _copies
         t = apply_axes([V.T for V in self._V], t)
         t *= self._inv_lam
-        return apply_axes(self._V, t)
+        return _mirror_fill(apply_axes(self._V, t), self._free_shape, self.folds).ravel()
 
     def normalize(self, u: np.ndarray) -> np.ndarray:
-        den = self._copies * self._gauss_pass(self._kernel_grid(u))[0]
+        grid = _mirror_average(u.reshape(self.level.shape), self.folds)
+        den = self._copies * self._gauss_pass(grid)[0]
         if den <= 0.0:
             return u
         return u * den ** (-1.0 / self.p)
-
-
-class _OctantQuotient(_QuotientObjective):
-    """The quotient of cube-symmetric data, its kernels on the octant
-    ``[0, 1/2]^N`` (the last paragraph of :class:`_QuotientObjective`)."""
-
-    def __init__(self, level: GridLevel, well: Optional[QuadraticWell]) -> None:
-        super().__init__(level, well)
-        self._copies = 2.0**level.dimension
-        self._free_shape = tuple(m - 2 for m in level.shape)
-
-    def _axis(self, m: int) -> tuple[int, slice]:
-        # node 0 is Dirichlet, the midplane node (m - 1) / 2 natural
-        return (m + 1) // 2, slice(1, None)
-
-    def _kernel_grid(self, u: np.ndarray) -> np.ndarray:
-        return _mirror_average(u.reshape(self.level.shape))
-
-    def value_and_grad(self, u: np.ndarray) -> tuple[float, np.ndarray]:
-        value, grad = self._energy(self._kernel_grid(u))
-        # the octant gradient is _copies times grad, summed over each node's
-        # m_k mirrors: each mirror takes _copies / m_k times grad, twice
-        # grad per midplane the node lies on
-        _scale_midplanes(grad, 2.0)
-        return value, _mirror_fill(grad, self.level.shape).ravel()
-
-    def precondition(self, g: np.ndarray) -> np.ndarray:
-        t = _mirror_average(g.reshape(self._free_shape))
-        _scale_midplanes(t, 0.5)  # m_k / _copies
-        return _mirror_fill(self._solve_metric(t), self._free_shape).ravel()
 
 
 def concentration_metric(u: GridFunction, x_m: Sequence[float], r: float) -> float:
@@ -668,9 +642,11 @@ def sign_perturbed_spec(a: Optional[QuadraticWell] = None, dimension: int = 3) -
     ``BUBBLE_SCALES`` in grid steps; every later level from the prolonged
     coarser minimizer alone.  The ``concentration`` diagnostic is the
     ``|u|^{2*}`` mass within ``CONCENTRATION_RADIUS`` of the center.
-    Without a well, or with one centred at the box center, the data are
-    cube-symmetric, and the objective runs its kernels on one octant
-    (:class:`_OctantQuotient`); any other well keeps the full grid.
+    The data are symmetric about the midplane of each axis along which the
+    well, if any, is centred, and the objective folds each such axis onto its
+    low half (:class:`_QuotientObjective`): without a well, or with one at
+    the box center, it runs its kernels on one orthant; with one at
+    (0.4, 0.5, 0.6) it folds axis 1 alone.
     """
     if dimension < 3:
         raise ValueError("the critical-exponent study needs dimension >= 3")
@@ -687,12 +663,12 @@ def sign_perturbed_spec(a: Optional[QuadraticWell] = None, dimension: int = 3) -
     if dimension == 3 and (a is None or a.strength >= 0.0):
         lower = sobolev_constant(3)
 
-    # cube-symmetric data: the kernels run on one octant
-    objective = _OctantQuotient if a is None or a.center == x_m else _QuotientObjective
+    # the axes the data are symmetric about: the kernels run on their low halves
+    folds = tuple(k for k in range(dimension) if a is None or a.center[k] == x_m[k])
 
     @lru_cache(maxsize=1)
     def build(level: GridLevel) -> LevelObjective:
-        return objective(level, a)
+        return _QuotientObjective(level, a, folds)
 
     def initial_guesses(level):
         return [bubble(level, x_m, s * level.h).values for s in BUBBLE_SCALES]

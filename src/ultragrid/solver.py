@@ -65,9 +65,9 @@ class LevelObjective:
     Gradients are full-length nodal arrays; entries at pinned dofs are
     ignored.  An objective with ``has_hessian`` set is minimized by Newton,
     which :meth:`accept_step` may veto steps of; any other by L-BFGS.
-    ``precondition``, when set, works on free-dof vectors instead: it is the
-    solve ``g -> P^-1 g`` of the SPD metric ``P`` that L-BFGS starts from;
-    ``None`` leaves L-BFGS its own L2 metric ``diag(d)`` of the free weights.
+    :meth:`precondition` works on free-dof vectors instead: it is the solve
+    ``g -> P^-1 g`` of the SPD metric ``P`` that L-BFGS starts from, by
+    default the L2 metric ``diag(d)`` of the free weights.
     """
 
     has_hessian: bool = False
@@ -106,7 +106,8 @@ class LevelObjective:
     def normalize(self, u: np.ndarray) -> np.ndarray:
         return u
 
-    precondition: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    def precondition(self, g: np.ndarray) -> np.ndarray:
+        return g / self.level.weights[self.free_mask]
 
     # --- helpers --------------------------------------------------------
     def pin(self, u: np.ndarray) -> np.ndarray:

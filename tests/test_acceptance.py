@@ -213,13 +213,15 @@ def _sawtooth_bruteforce(level_n):
     chain_minima = []
     for p in (0, 1):
         free = parity == p
+        d = weights[free]
         steps = int(free.sum()) - 1
         best = np.inf
         for signs in itertools.product((-2.0, 2.0), repeat=steps):
             start = np.zeros(level.node_count)
             start[free] = h * np.concatenate(([0.0], np.cumsum(signs)))
             res = lbfgs(
-                obj.value_and_grad, start, weights, free, gtol=lambda f: 1e-12, max_iter=500
+                obj.value_and_grad, start, weights, free, gtol=lambda f: 1e-12, max_iter=500,
+                precondition=lambda v: v / d,  # the L2 metric
             )
             best = min(best, res.value)
         chain_minima.append(best)

@@ -422,6 +422,17 @@ def test_level_far_over_the_node_cap_exits_2_and_writes_nothing(
         assert not out.exists()
 
 
+def test_the_level_range_reads_the_node_cap_at_call_time(monkeypatch):
+    # the top of a range is refused by build_level's own rule, on the cap as
+    # it is when the config is read: with a cap of 100 nodes, level 7's axis
+    # alone has 129
+    monkeypatch.setattr(grid, "DEFAULT_NODE_CAP", 100)
+    with pytest.raises(cli.ConfigError,
+                       match="^level 7 requires more than 100 nodes, exceeding the cap$"):
+        cli._parse_levels("3..7")
+    assert cli._parse_levels("3..6") == [3, 4, 5, 6]
+
+
 def test_calculus_check_level_over_node_cap_exits_2_before_checking(tmp_path, capsys, monkeypatch):
     # with a cap of 100 nodes the 2D level 4 (289 nodes) is over it; every
     # level is built before the first check, so no level may be checked

@@ -1,8 +1,9 @@
-"""L-BFGS default-metric parity, its ring-buffer history against the former
+"""L-BFGS L2-metric parity, its ring-buffer history against the former
 list-based L-BFGS, and its line search below the rounding of f;
 damped Newton: banded Cholesky steps block by block, the indefinite
 fallback, SuperLU parity."""
 
+import functools
 from typing import Callable, Optional
 
 import numpy as np
@@ -26,12 +27,22 @@ from ultragrid.problems import (
     sign_perturbed_spec,
     singular_spec,
 )
-from ultragrid.solver import GTOL_FACTOR, MAX_ITERATIONS, NEWTON_MAX_ITERATIONS
+from ultragrid.solver import GTOL_FACTOR, MAX_ITERATIONS, NEWTON_MAX_ITERATIONS, LevelObjective
 
 
 @pytest.fixture
 def rng():
     return np.random.default_rng(20)
+
+
+def _l2_metric(weights, free):
+    """The L2 metric's solve ``v -> v / d`` over the free weights ``d``."""
+    d = weights[free]
+    return lambda v: v / d
+
+
+def _any_step(x, x_new):
+    return True
 
 
 def _diag_metric_lbfgs(
@@ -264,8 +275,9 @@ def _rayleigh_underflow_run():
         return f, 2.0 * (a * x - f * x) / xx
 
     n = a.size
-    return (vag, np.ones(n), np.ones(n), np.ones(n, dtype=bool)), dict(
-        gtol=lambda f: 0.0, max_iter=MAX_ITERATIONS)
+    free = np.ones(n, dtype=bool)
+    return (vag, np.ones(n), np.ones(n), free), dict(
+        gtol=lambda f: 0.0, max_iter=MAX_ITERATIONS, precondition=_l2_metric(np.ones(n), free))
 
 
 def _indefinite_metric_run():
@@ -298,11 +310,11 @@ def test_lbfgs_ring_bit_identical_to_list_oracle(run):
 
 
 def test_lbfgs_default_metric_bit_identical_on_quotient():
-    # 3D level 3 from the middle bubble start, boundary pinned: the
-    # optimizer's own default metric reproduces the diag(1/d) L-BFGS bit for
-    # bit.  The oracle takes lbfgs's approximate Wolfe acceptance too: at the
-    # last step Armijo rejects the trial point on rounding noise, which lbfgs
-    # takes by design
+    # 3D level 3 from the middle bubble start, boundary pinned: the L2
+    # metric, LevelObjective's default solve g / d, reproduces the diag(1/d)
+    # L-BFGS bit for bit.  The oracle takes lbfgs's approximate Wolfe
+    # acceptance too: at the last step Armijo rejects the trial point on
+    # rounding noise, which lbfgs takes by design
     spec = sign_perturbed_spec()
     level = build_level(spec.domain, 3)
     obj = spec.build(level)
@@ -310,7 +322,9 @@ def test_lbfgs_default_metric_bit_identical_on_quotient():
     gtol = GTOL_FACTOR * (1.0 + abs(obj.value_and_grad(x0)[0]))
     args = (obj.value_and_grad, x0, level.weights, obj.free_mask)
     expected = _diag_metric_lbfgs(*args, gtol=gtol, wolfe=True)
-    _assert_same_run(lbfgs(*args, gtol=lambda f: gtol, max_iter=MAX_ITERATIONS), expected)
+    l2 = functools.partial(LevelObjective.precondition, obj)
+    _assert_same_run(
+        lbfgs(*args, gtol=lambda f: gtol, max_iter=MAX_ITERATIONS, precondition=l2), expected)
 
 
 def test_lbfgs_default_metric_bit_identical_on_sawtooth_chain():
@@ -327,13 +341,14 @@ def test_lbfgs_default_metric_bit_identical_on_sawtooth_chain():
     # the first 36 iterations all take Armijo steps, so the approximate Wolfe
     # test of lbfgs does not enter; the run is not yet at its tolerance
     expected = _diag_metric_lbfgs(*args, gtol=1e-12, max_iter=36)
-    got = lbfgs(*args, gtol=lambda f: 1e-12, max_iter=36)
+    l2 = _l2_metric(level.weights, free)
+    got = lbfgs(*args, gtol=lambda f: 1e-12, max_iter=36, precondition=l2)
     _assert_same_run(got, expected)
     assert got.grad_norm > 1e-12 and not got.converged
     # from iteration ~20 on f decreases by less than ftol while ||g||_* still
     # falls from 6e-6 to 1e-10: the run converges, where a stall guard on
     # the decrease of f alone stopped it after 30 iterations at 7e-8
-    full = lbfgs(*args, gtol=lambda f: 1e-12, max_iter=500)
+    full = lbfgs(*args, gtol=lambda f: 1e-12, max_iter=500, precondition=l2)
     assert full.converged and full.iterations <= 60
 
 
@@ -358,22 +373,24 @@ def test_lbfgs_reaches_gtol_below_the_rounding_of_a_large_constant(rng, monkeypa
     x0 = rng.standard_normal(n)
     d = np.ones(n)
     free = np.ones(n, dtype=bool)
+    l2 = _l2_metric(d, free)
     armijo_only = _diag_metric_lbfgs(vag, x0, d, free, gtol=1e-8, max_iter=200, patience=200)
     assert armijo_only.value > 1e7
     assert armijo_only.iterations == 200 and not armijo_only.converged
     with monkeypatch.context() as patch:
         patch.setattr(optimize, "PATIENCE", 200)
-        result = lbfgs(vag, x0, d, free, gtol=lambda f: 1e-8, max_iter=200)
+        result = lbfgs(vag, x0, d, free, gtol=lambda f: 1e-8, max_iter=200, precondition=l2)
         assert result.converged and result.grad_norm <= 1e-8
         assert result.iterations <= 60
         # the tolerance is evaluated at the current value
-        rel = lbfgs(vag, x0, d, free, gtol=lambda f: 1e-16 * (1.0 + abs(f)), max_iter=200)
+        rel = lbfgs(vag, x0, d, free, gtol=lambda f: 1e-16 * (1.0 + abs(f)), max_iter=200,
+                    precondition=l2)
         assert rel.converged and rel.grad_norm <= 1e-16 * (1.0 + abs(rel.value))
     # the stall guard at its default patience: near the minimum every
     # decrease falls below ftol max(|f|, 1), but ||g||_* keeps falling, so
     # the run is not stalled (a guard on the decrease of f alone stopped it
     # after 30 iterations at ||g||_* = 2.6e-6)
-    default = lbfgs(vag, x0, d, free, gtol=lambda f: 1e-8, max_iter=200)
+    default = lbfgs(vag, x0, d, free, gtol=lambda f: 1e-8, max_iter=200, precondition=l2)
     assert default.converged and default.grad_norm <= 1e-8
     assert default.iterations <= 60
 
@@ -387,9 +404,10 @@ def test_lbfgs_stall_guard_stops_a_flat_direction_quotient(metric):
     level = build_level(spec.domain, 3)
     obj = spec.build(level)
     x0 = obj.pin(spec.initial_guesses(level)[1])
+    l2 = functools.partial(LevelObjective.precondition, obj)
     result = lbfgs(
         obj.value_and_grad, x0, level.weights, obj.free_mask, gtol=lambda f: 0.0,
-        max_iter=MAX_ITERATIONS, precondition=obj.precondition if metric == "h1" else None,
+        max_iter=MAX_ITERATIONS, precondition=obj.precondition if metric == "h1" else l2,
     )
     assert not result.converged
     assert result.iterations <= 100
@@ -411,8 +429,9 @@ def test_lbfgs_skips_curvature_pairs_near_underflow():
         return f, 2.0 * (a * x - f * x) / xx
 
     n = a.size
-    result = lbfgs(vag, np.ones(n), np.ones(n), np.ones(n, dtype=bool), gtol=lambda f: 0.0,
-                   max_iter=MAX_ITERATIONS)
+    free = np.ones(n, dtype=bool)
+    result = lbfgs(vag, np.ones(n), np.ones(n), free, gtol=lambda f: 0.0,
+                   max_iter=MAX_ITERATIONS, precondition=_l2_metric(np.ones(n), free))
     assert result.iterations < MAX_ITERATIONS
     assert np.all(np.isfinite(result.x))
     assert result.value == pytest.approx(1.0, abs=1e-15)
@@ -456,7 +475,8 @@ def _one_newton_step(A, blocks, free, rng, monkeypatch):
     # newton imports it from scipy.linalg when called
     monkeypatch.setattr(scipy.linalg, "solveh_banded", spy)
     hessian = _blocks_of(A, blocks), np.zeros(n)
-    result = newton(vag, lambda x: hessian, x0, d, free, gtol=lambda f: 0.0, max_iter=1)
+    result = newton(vag, lambda x: hessian, x0, d, free, gtol=lambda f: 0.0, max_iter=1,
+                    accept=_any_step)
     fi = np.flatnonzero(free)
     g = vag(x0)[1][fi]
     expected = x0.copy()
@@ -517,7 +537,7 @@ def test_indefinite_hessian_takes_gradient_step():
     def hess(x):
         return blocks, 12.0 * x * x - 4.0
 
-    result = newton(vag, hess, x0, d, free, gtol=lambda f: 0.0, max_iter=1)
+    result = newton(vag, hess, x0, d, free, gtol=lambda f: 0.0, max_iter=1, accept=_any_step)
     f0, g0 = vag(x0)
     newton_dir = -g0[free] / (12.0 * x0[free] ** 2 - 4.0)
     assert newton_dir @ g0[free] < 0.0

@@ -259,7 +259,7 @@ def test_quotient_metric_solves_dense_stiffness(dim_n, lo, stretched, strength, 
     level = build_level(Domain(bounds), n)
     center = tuple(np.linspace(0.4, 0.6, dim))
     a = None if strength is None else QuadraticWell(center, strength)
-    obj = problems._QuotientObjective(level, a)
+    obj = problems._QuotientObjective(level, a, ())
     K, M = [], []
     for axis, m in enumerate(level.shape):
         Ka, Ma = (A.toarray() for A in oracles.p1_matrices(m, level.h))
@@ -371,11 +371,11 @@ def _old_quotient(obj, u, well):
 )
 def test_quotient_kernel_matches_former_formula(dimension, n, well):
     # p = 6, 4 and 10/3: the last needs a non-integer power.  The full-grid
-    # objective: the free study's octant objective is checked against it,
-    # and against this oracle at the mirror average, in the octant tests
+    # objective: the folded objectives are checked against it, and against
+    # this oracle at the mirror average, in the folding tests
     a = QuadraticWell((0.4,) * dimension) if well else None
     level = build_level(Domain(((0.0, 1.0),) * dimension), n)
-    obj = problems._QuotientObjective(level, a)
+    obj = problems._QuotientObjective(level, a, ())
     u = obj.pin(np.random.default_rng(n + dimension).standard_normal(level.node_count))
     value, grad = obj.value_and_grad(u)
     ref_value, ref_grad = _old_quotient(obj, u, a)
@@ -442,7 +442,7 @@ def _whole_array_value_and_grad(obj, u, well):
         y = np.power(ug * ug, obj._half_exp) * ug
         den += weighted_sum(ug * y, w0[rows])
         acc[nodes] += GWT0[nodes, rows] @ y
-    ku = problems._QuotientObjective(obj.level, None)._stiffness_apply(grid)
+    ku = problems._QuotientObjective(obj.level, None, ())._stiffness_apply(grid)
     num = float(np.vdot(grid, ku)) + pot
     scale = den**-obj.q
     acc *= -obj.p * obj.q * num * scale / den
@@ -470,7 +470,7 @@ def _row_kernel(dimension, n, seed):
     """A free quotient objective, a random node row and the kernel buffers:
     ``(obj, row, gauss_row, corners)``."""
     level = build_level(Domain(((0.0, 1.0),) * dimension), n)
-    obj = problems._QuotientObjective(level, None)
+    obj = problems._QuotientObjective(level, None, ())
     row = np.random.default_rng(seed).standard_normal(level.shape[1:])
     cells = tuple(m - 1 for m in level.shape[1:])
     gauss_row = np.empty((4 ** row.ndim, int(np.prod(cells))))
@@ -513,7 +513,7 @@ def test_streamed_pass_matches_whole_array_oracle(n, well):
     # along axis 0, where the first and last node rows of the sweep meet
     level = build_level(DOM3, n)
     a = QuadraticWell((0.4, 0.5, 0.6)) if well else None
-    obj = problems._QuotientObjective(level, a)
+    obj = problems._QuotientObjective(level, a, ())
     u = obj.pin(np.random.default_rng(30 + n).standard_normal(level.node_count))
     _assert_matches_whole_array_oracle(obj, u, a)
 
@@ -525,7 +525,7 @@ def test_streamed_pass_matches_whole_array_oracle_in_4d_and_5d(dimension, n, wel
     # p = 4 and 10/3: the sweep takes np.power
     level = build_level(Domain(((0.0, 1.0),) * dimension), n)
     a = QuadraticWell((0.4, 0.5, 0.6, 0.45, 0.55)[:dimension]) if well else None
-    obj = problems._QuotientObjective(level, a)
+    obj = problems._QuotientObjective(level, a, ())
     u = obj.pin(np.random.default_rng(10 * dimension + n).standard_normal(level.node_count))
     _assert_matches_whole_array_oracle(obj, u, a)
 
@@ -542,7 +542,8 @@ def test_quotient_evaluation_stores_no_gauss_grid(well):
     u = np.random.default_rng(5).standard_normal(level.node_count)
     tracemalloc.start()
     try:
-        obj = problems._QuotientObjective(level, QuadraticWell((0.4, 0.5, 0.6)) if well else None)
+        a = QuadraticWell((0.4, 0.5, 0.6)) if well else None
+        obj = problems._QuotientObjective(level, a, ())
         u = obj.pin(u)
         held, build_peak = tracemalloc.get_traced_memory()
         tracemalloc.reset_peak()
@@ -591,7 +592,8 @@ def test_quotient_fixed_data_holds_no_node_vector(well):
     # a vector of zeros (287 KB at 3D level 5, 17 MB at level 7); pinning
     # still writes +0.0 on every boundary node
     level = build_level(DOM3, 5)
-    obj = problems._QuotientObjective(level, QuadraticWell((0.4, 0.5, 0.6)) if well else None)
+    a = QuadraticWell((0.4, 0.5, 0.6)) if well else None
+    obj = problems._QuotientObjective(level, a, ())
     fixed = obj.fixed_values
     assert fixed.shape == (level.node_count,) and fixed.strides == (0,)
     while fixed.base is not None:
@@ -653,8 +655,8 @@ def _assert_bit_identical(expected, got):
 def test_strength_zero_well_is_the_free_quotient(n):
     # the well's stiffness terms are exact zeros, so adding them changes no bit
     level = build_level(DOM3, n)
-    free = problems._QuotientObjective(level, None)
-    zero = problems._QuotientObjective(level, QuadraticWell((0.4, 0.5, 0.6), strength=0.0))
+    free = problems._QuotientObjective(level, None, ())
+    zero = problems._QuotientObjective(level, QuadraticWell((0.4, 0.5, 0.6), strength=0.0), ())
     u = free.pin(np.random.default_rng(n).standard_normal(level.node_count))
     _assert_bit_identical(
         (*free.value_and_grad(u), free.normalize(u)),
@@ -678,7 +680,7 @@ def test_quotient_chunked_sweep_is_bit_identical(monkeypatch, dimension, n, well
     # into chunks of 64 columns changes no bit
     a = QuadraticWell((0.4,) * dimension) if well else None
     level = build_level(Domain(((0.0, 1.0),) * dimension), n)
-    obj = problems._QuotientObjective(level, a)
+    obj = problems._QuotientObjective(level, a, ())
     u = obj.pin(np.random.default_rng(70 + n).standard_normal(level.node_count))
     expected = (*obj.value_and_grad(u), obj.normalize(u))
     monkeypatch.setattr(problems, "_CHUNK", 64)
@@ -731,19 +733,32 @@ def test_quadratic_well_and_concentration_metric():
         concentration_metric(peak, (0.5, 0.5, 0.5), -1.0)
 
 
-# --- the quotient on one octant ------------------------------------------------
+# --- the quotient folded about the axes its data are symmetric about --------
 
 
-def _symmetric_well(dimension, well):
-    return QuadraticWell((0.5,) * dimension, 500.0) if well else None
+def _fold_well(dimension, well):
+    """The strength-500 well a folding test names: none for ``False``, at
+    the box centre for ``True``, else at the center ``well``."""
+    if isinstance(well, bool):
+        return QuadraticWell((0.5,) * dimension, 500.0) if well else None
+    return QuadraticWell(well, 500.0)
 
 
-def _mirror_mean(u, shape):
-    """The mean of ``u`` over the ``2^N`` reflections of the box: every
-    subset of the axes flipped."""
+def _well_id(well):
+    return str(well).replace(" ", "") if isinstance(well, tuple) else None
+
+
+#: wells centred in some axes but not all: each folds the axes it is
+#: centred in
+_PARTLY_CENTRED = {3: [(0.4, 0.5, 0.6), (0.5, 0.5, 0.4)], 4: [(0.5, 0.5, 0.5, 0.6)]}
+
+
+def _mirror_mean(u, shape, folds):
+    """The mean of ``u`` over the ``2^F`` reflections of the box about the
+    midplanes of the axes ``folds``: every subset of them flipped."""
     grid = u.reshape(shape)
-    images = [np.flip(grid, [axis for axis in range(grid.ndim) if corner[axis]])
-              for corner in np.ndindex((2,) * grid.ndim)]
+    images = [np.flip(grid, [axis for axis, hi in zip(folds, corner) if hi])
+              for corner in np.ndindex((2,) * len(folds))]
     return (sum(images) / len(images)).ravel()
 
 
@@ -754,42 +769,50 @@ def _assert_close(got, expected, rtol=1e-12):
 
 @pytest.mark.parametrize(
     "dimension, n, well",
-    [(3, n, well) for n in (3, 4, 5) for well in (False, True)]
-    + [(4, n, well) for n in (2, 3) for well in (False, True)],
+    [(3, n, well) for n in (3, 4, 5) for well in [False, True] + _PARTLY_CENTRED[3]]
+    + [(4, n, well) for n in (2, 3) for well in [False, True] + _PARTLY_CENTRED[4]],
+    ids=_well_id,
 )
 def test_octant_matches_the_full_grid_at_the_bubble_starts(dimension, n, well):
-    # the starts are cube-symmetric: the octant's value, gradient, metric
-    # solve and normalization are the full grid's, summed in another order
-    a = _symmetric_well(dimension, well)
+    # the starts are cube-symmetric: the folded objective's value, gradient,
+    # metric solve and normalization are the full grid's, summed in another
+    # order, whichever axes it folds
+    a = _fold_well(dimension, well)
     spec = sign_perturbed_spec(a=a, dimension=dimension)
     level = build_level(spec.domain, n)
-    octant, full = spec.build(level), problems._QuotientObjective(level, a)
-    assert type(octant) is problems._OctantQuotient
+    folded, full = spec.build(level), problems._QuotientObjective(level, a, ())
+    assert folded.folds
     for start in spec.initial_guesses(level):
-        u = octant.pin(start)
-        value, grad = octant.value_and_grad(u)
+        u = folded.pin(start)
+        value, grad = folded.value_and_grad(u)
         ref_value, ref_grad = full.value_and_grad(u)
         assert value == pytest.approx(ref_value, rel=1e-12, abs=0.0)
         _assert_close(grad, ref_grad)
-        g = grad[octant.free_mask]
-        _assert_close(octant.precondition(g), full.precondition(g))
-        _assert_close(octant.normalize(u), full.normalize(u))
+        g = grad[folded.free_mask]
+        _assert_close(folded.precondition(g), full.precondition(g))
+        _assert_close(folded.normalize(u), full.normalize(u))
 
 
-@pytest.mark.parametrize("dimension, n, well", [(3, 3, False), (3, 4, True), (4, 2, True)])
+@pytest.mark.parametrize(
+    "dimension, n, well",
+    [(3, 3, False), (3, 4, True), (4, 2, True),
+     (3, 3, (0.4, 0.5, 0.6)), (3, 4, (0.5, 0.5, 0.4)), (4, 2, (0.5, 0.5, 0.5, 0.6))],
+    ids=_well_id,
+)
 def test_octant_evaluates_the_mirror_average(dimension, n, well):
-    # at a field that is not symmetric, the octant objective is the quotient
-    # of its mean over the reflections of the box, and its gradient that
-    # quotient's full-grid gradient there (the gradient of a symmetric field
-    # is symmetric); on a symmetric vector its metric solve is the full one's
-    a = _symmetric_well(dimension, well)
+    # at a field that is not symmetric, the folded objective is the quotient
+    # of its mean over the reflections of the box about the folded axes, and
+    # its gradient that quotient's full-grid gradient there (the gradient of
+    # a symmetric field is symmetric); on a symmetric vector its metric solve
+    # is the full one's
+    a = _fold_well(dimension, well)
     spec = sign_perturbed_spec(a=a, dimension=dimension)
     level = build_level(spec.domain, n)
-    octant, full = spec.build(level), problems._QuotientObjective(level, a)
+    folded, full = spec.build(level), problems._QuotientObjective(level, a, ())
     rng = np.random.default_rng(90 + n)
-    u = octant.pin(rng.standard_normal(level.node_count))
-    mean = _mirror_mean(u, level.shape)
-    value, grad = octant.value_and_grad(u)
+    u = folded.pin(rng.standard_normal(level.node_count))
+    mean = _mirror_mean(u, level.shape, folded.folds)
+    value, grad = folded.value_and_grad(u)
     ref_value, ref_grad = full.value_and_grad(mean)
     assert value == pytest.approx(ref_value, rel=1e-12, abs=0.0)
     assert value != pytest.approx(full.value_and_grad(u)[0], rel=1e-3)
@@ -797,41 +820,46 @@ def test_octant_evaluates_the_mirror_average(dimension, n, well):
     # and the former formula, evaluated at the mean
     _assert_close(grad, _old_quotient(full, mean, a)[1])
     interior = tuple(m - 2 for m in level.shape)
-    g = _mirror_mean(rng.standard_normal(int(octant.free_mask.sum())), interior)
-    _assert_close(octant.precondition(g), full.precondition(g))
+    g = _mirror_mean(rng.standard_normal(int(folded.free_mask.sum())), interior, folded.folds)
+    _assert_close(folded.precondition(g), full.precondition(g))
 
 
-@pytest.mark.parametrize("well", [False, True])
+@pytest.mark.parametrize(
+    "well", [False, True] + _PARTLY_CENTRED[3] + _PARTLY_CENTRED[4], ids=_well_id
+)
 def test_octant_solves_as_the_full_grid(well):
     # the same iterations and verdicts on every level, the values to rounding
-    a = _symmetric_well(3, well)
-    spec = sign_perturbed_spec(a=a)
-    full_spec = dataclasses.replace(
-        spec, build=functools.lru_cache(maxsize=1)(lambda level: problems._QuotientObjective(level, a))
-    )
-    nets = [solve_net(s, range(3, 6)) for s in (spec, full_spec)]
-    assert type(spec.build(nets[0].results[-1].level)) is problems._OctantQuotient
+    dimension = 3 if isinstance(well, bool) else len(well)
+    a = _fold_well(dimension, well)
+    spec = sign_perturbed_spec(a=a, dimension=dimension)
+    full_spec = dataclasses.replace(spec, build=functools.lru_cache(maxsize=1)(
+        lambda level: problems._QuotientObjective(level, a, ())))
+    levels = range(3, 6) if dimension == 3 else range(2, 5)
+    nets = [solve_net(s, levels) for s in (spec, full_spec)]
+    assert spec.build(nets[0].results[-1].level).folds
     for got, expected in zip(*(net.results for net in nets), strict=True):
         assert [s.iterations for s in got.starts] == [s.iterations for s in expected.starts]
         assert got.converged == expected.converged
         assert got.value == pytest.approx(expected.value, rel=1e-12, abs=0.0)
 
 
-def test_only_cube_symmetric_data_takes_the_octant():
+def test_each_axis_the_data_are_symmetric_about_is_folded():
+    # an axis folds when there is no well or the well is centred in it
     level3, level4 = build_level(DOM3, 3), build_level(Domain(((0.0, 1.0),) * 4), 2)
-    octant = [
-        sign_perturbed_spec().build(level3),
-        sign_perturbed_spec(a=QuadraticWell((0.5,) * 3, -200.0)).build(level3),
-        sign_perturbed_spec(dimension=4).build(level4),
-        sign_perturbed_spec(a=QuadraticWell((0.5,) * 4), dimension=4).build(level4),
+    cases = [
+        (sign_perturbed_spec(), level3, (0, 1, 2)),
+        (sign_perturbed_spec(a=QuadraticWell((0.5,) * 3, -200.0)), level3, (0, 1, 2)),
+        (sign_perturbed_spec(a=QuadraticWell((0.5, 0.5, 0.4), 500.0)), level3, (0, 1)),
+        (sign_perturbed_spec(a=QuadraticWell((0.4, 0.5, 0.6), 500.0)), level3, (1,)),
+        (sign_perturbed_spec(a=QuadraticWell((0.4, 0.45, 0.6), 500.0)), level3, ()),
+        (sign_perturbed_spec(dimension=4), level4, (0, 1, 2, 3)),
+        (sign_perturbed_spec(a=QuadraticWell((0.5, 0.5, 0.5, 0.6)), dimension=4), level4,
+         (0, 1, 2)),
     ]
-    full = [
-        sign_perturbed_spec(a=QuadraticWell((0.5, 0.5, 0.4), 500.0)).build(level3),
-        sign_perturbed_spec(a=QuadraticWell((0.4, 0.5, 0.6), 500.0)).build(level3),
-        sign_perturbed_spec(a=QuadraticWell((0.5, 0.5, 0.5, 0.6)), dimension=4).build(level4),
-    ]
-    assert all(type(obj) is problems._OctantQuotient for obj in octant)
-    assert all(type(obj) is problems._QuotientObjective for obj in full)
+    for spec, level, folds in cases:
+        obj = spec.build(level)
+        assert obj.folds == folds
+        assert obj._copies == 2.0 ** len(folds)
 
 
 # --- objective caching ------------------------------------------------------
