@@ -10,9 +10,9 @@
   Dirichlet data.  The quotient is evaluated as the exact energy of the
   multilinear nodal interpolant (stiffness kron-sum numerator, per-cell Gauss
   denominator), so every discrete value is a true Sobolev quotient and stays
-  above the sharp constant.  The kernels fold each axis the data are
-  symmetric about onto its low half: every axis without a well, one axis
-  in three for a well at (0.4, 0.5, 0.6).
+  above the sharp constant.  The kernels, and the vector L-BFGS runs on,
+  fold each axis the data are symmetric about onto its low half: every axis
+  without a well, one axis in three for a well at (0.4, 0.5, 0.6).
 * :func:`singular_spec` — minimization of
   ``int (1/2 |grad u|^2 + W(u))`` with the singular potential
   ``W(t) = t**-2``, sign-changing boundary data, and the nodal constraint
@@ -347,14 +347,6 @@ def _mirror_fill(half: np.ndarray, shape: tuple[int, ...], folds: tuple[int, ...
     return out
 
 
-def _scale_midplanes(half: np.ndarray, factor: float, folds: tuple[int, ...]) -> None:
-    """Scale the last slice of ``half`` along each axis of ``folds``, the
-    midplane of the low half, by ``factor``: a node on ``k`` of those
-    midplanes by ``factor**k``."""
-    for axis in folds:
-        half[(slice(None),) * axis + (-1,)] *= factor
-
-
 class BoundaryDataError(ValueError):
     """Dirichlet data a level cannot take: singular-study data that vanishes
     at a boundary node, or quotient data that fixes every node of a level."""
@@ -418,26 +410,31 @@ class _QuotientObjective(LevelObjective):
     meets it in a few dozen iterations at most.
 
     The kernels fold each axis of ``folds``, an axis the data are symmetric
-    about (the rule is :func:`sign_perturbed_spec`'s), onto its low half; the
-    solver and every output stay on the full grid.  The midplanes are grid
-    lines at every level >= 1, so no cell straddles them, and a folded axis's
-    factors are the P1 ``K1``/``M1`` of its low half on ``(m + 1) / 2``
-    nodes, the well's ``A_i`` included: node 0 Dirichlet, the midplane node
-    natural, so the metric's eigenpairs come from ``K[1:, 1:]``,
-    ``M[1:, 1:]``.  Every other axis keeps its ``m`` nodes, both ends
-    Dirichlet.  The objective is ``Q(Sym u)``: ``u`` is folded by averaging
-    its mirror images about the folded midplanes, axis by axis
+    about (the rule is :func:`sign_perturbed_spec`'s), onto its low half, and
+    L-BFGS runs on the folded grid too; the starts, the minimizer and every
+    output are on the full grid.  The midplanes are grid lines at every
+    level >= 1, so no cell straddles them, and a folded axis's factors are
+    the P1 ``K1``/``M1`` of its low half on ``(m + 1) / 2`` nodes, the
+    well's ``A_i`` included: node 0 Dirichlet, the midplane node natural, so
+    the metric's eigenpairs come from ``K[1:, 1:]``, ``M[1:, 1:]``.  Every
+    other axis keeps its ``m`` nodes, both ends Dirichlet.
+
+    The optimizer's vector ``x`` is the interior of the folded grid: nodes
+    ``1 .. (m - 1) / 2`` of a folded axis, the midplane included, and
+    ``1 .. m - 2`` of every other axis.  :meth:`dofs` averages a node
+    vector's mirror images about the folded midplanes, axis by axis
     (:func:`_mirror_average`; ``(x + x) * 0.5`` is exact, so a symmetric
-    ``u`` folds bit for bit), and ``num`` and ``den`` are ``2^F`` times the
-    folded grid's, ``F = len(folds)``.  A node of the folded grid stands for
-    ``m_k`` nodes of the grid, ``2`` per folded axis off its midplane and
-    ``1`` on it.  The gradient is the full grid's: the folded grid's over
-    ``m_k``, mirrored back (:func:`_mirror_fill`), so
-    ``verify_euler_lagrange``'s residuals and pairings keep their meaning.
-    The metric solve folds its vector, scales it by ``m_k / 2^F``, applies
-    the folded inverse and mirrors it back; on symmetric vectors, which are
-    all L-BFGS forms from symmetric gradients, that is the full metric's
-    inverse.  With no fold, each of these steps is the identity.
+    ``u`` folds bit for bit), and :meth:`nodes` mirrors ``x`` back
+    (:func:`_mirror_fill`), zero on the boundary.  :meth:`value_and_grad`
+    is ``Q(nodes(x))``, evaluated on the folded grid: ``num``, ``den`` and
+    the gradient are ``2^F`` times its own, ``F = len(folds)``.  A dof
+    stands for ``m_k`` nodes, ``2`` per folded axis off its midplane and
+    ``1`` on it, and its gradient is the sum of theirs; with
+    ``dof_weights`` ``m_k d_k``, the dual norm and every pairing of a step
+    with a gradient in L-BFGS are the full grid's at ``nodes(x)``.
+    :meth:`precondition` is ``A^-1 (g / 2^F)`` with the folded ``A``, the
+    full metric's inverse on symmetric vectors.  With no fold, the maps are
+    the interior and its zero padding.
     """
 
     def __init__(self, level: GridLevel, well: Optional[QuadraticWell],
@@ -452,14 +449,17 @@ class _QuotientObjective(LevelObjective):
         self._half_exp = (self.p - 2.0) / 2.0  # |u|^(p-2) = (u^2)^half_exp
         self.folds = folds
         self._copies = 2.0 ** len(folds)  # the mirror copies of the folded grid
-        self._free_shape = tuple(m - 2 for m in level.shape)
 
-        self._K1, self._M1, eig, shape = [], [], [], []
+        self._K1, self._M1, eig, shape, interior, weights = [], [], [], [], [], []
         for axis, m in enumerate(level.shape):
-            free = slice(1, -1)
+            free, d = slice(1, -1), level.axis_weights[axis][1:-1]
             if axis in folds:  # node 0 Dirichlet, the midplane node (m - 1) / 2 natural
                 m, free = (m + 1) // 2, slice(1, None)
+                d = d[: m - 1] * 2.0  # two mirror images off the midplane
+                d[-1] *= 0.5  # one on it
             shape.append(m)
+            interior.append(free)
+            weights.append(d)
             K, M = p1_matrices(m, level.h)
             metric = K
             if well is not None:  # + A_i, the well's part along this axis
@@ -472,8 +472,15 @@ class _QuotientObjective(LevelObjective):
             self._M1.append(M)
             eig.append(_interior_eigenpairs(metric, M, free))
         self._V = [V for V, _ in eig]
-        # the open mesh of np.ix_ sums to lam_i + lam_j + ... on the interior grid
-        self._inv_lam = 1.0 / sum(np.ix_(*[lam for _, lam in eig]))
+        # the open mesh of np.ix_ sums to lam_i + lam_j + ... on the interior
+        # grid; the metric solve's 1 / 2^F is taken into it, a power of two
+        self._inv_lam = 1.0 / (self._copies * sum(np.ix_(*[lam for _, lam in eig])))
+        # the optimizer's vector: the folded grid's interior, each dof
+        # weighted by m_k d_k
+        self._shape, self._interior = tuple(shape), tuple(interior)
+        self._free_shape = tuple(len(d) for d in weights)
+        self.dof_weights = reduce(np.multiply.outer, weights).ravel()
+        self.dof_free = np.broadcast_to(True, self.dof_weights.shape)
         # every cell's Gauss rows on its two nodes: the 4 x 2 block S, the
         # same on every axis, and its weighted transpose S^T diag(w); axis 0
         # takes cell c's block by ring slot (slot r % 2 holds node row r)
@@ -572,15 +579,28 @@ class _QuotientObjective(LevelObjective):
         self._project(back[(cells - 1) % 2, 1], adj[cells], buf)
         return float(np.vdot(grid, adj)), adj
 
+    # -- the optimizer's vector ------------------------------------------------
+    def _folded_grid(self, x: np.ndarray) -> np.ndarray:
+        """``x`` in the folded grid, zero on its Dirichlet nodes."""
+        grid = np.zeros(self._shape)
+        grid[self._interior] = x.reshape(self._free_shape)
+        return grid
+
+    def dofs(self, u: np.ndarray) -> np.ndarray:
+        return _mirror_average(u.reshape(self.level.shape), self.folds)[self._interior].ravel()
+
+    def nodes(self, x: np.ndarray) -> np.ndarray:
+        return _mirror_fill(self._folded_grid(x), self.level.shape, self.folds).ravel()
+
     # -- energy -------------------------------------------------------------
-    def value_and_grad(self, u: np.ndarray) -> tuple[float, np.ndarray]:
-        grid = _mirror_average(u.reshape(self.level.shape), self.folds)
+    def value_and_grad(self, x: np.ndarray) -> tuple[float, np.ndarray]:
+        grid = self._folded_grid(x)
         ku = self._stiffness_apply(grid)
         num = self._copies * float(np.vdot(grid, ku))
         den, adj = self._gauss_pass(grid)
         den *= self._copies
         if den <= 0.0:
-            return float("inf"), np.zeros(u.size)
+            return float("inf"), np.zeros(x.size)
         value = num / den**self.q
         scale = den**-self.q
         # d(num / den^q) = d_num / den^q - q num / den^(q+1) d_den, with
@@ -588,18 +608,12 @@ class _QuotientObjective(LevelObjective):
         adj *= -self.p * self.q * num * scale / den
         ku *= 2.0 * scale
         ku += adj
-        # the folded gradient is _copies times ku, summed over each node's
-        # m_k mirrors: each mirror takes _copies / m_k times ku, twice ku per
-        # folded midplane the node lies on
-        _scale_midplanes(ku, 2.0, self.folds)
-        return value, _mirror_fill(ku, self.level.shape, self.folds).ravel()
+        return value, np.multiply(ku[self._interior], self._copies).ravel()
 
     def precondition(self, g: np.ndarray) -> np.ndarray:
-        t = _mirror_average(g.reshape(self._free_shape), self.folds)
-        _scale_midplanes(t, 0.5, self.folds)  # m_k / _copies
-        t = apply_axes([V.T for V in self._V], t)
+        t = apply_axes([V.T for V in self._V], g.reshape(self._free_shape))
         t *= self._inv_lam
-        return _mirror_fill(apply_axes(self._V, t), self._free_shape, self.folds).ravel()
+        return apply_axes(self._V, t).ravel()
 
     def normalize(self, u: np.ndarray) -> np.ndarray:
         grid = _mirror_average(u.reshape(self.level.shape), self.folds)

@@ -62,10 +62,17 @@ class LevelObjective:
 
     Subclasses implement :meth:`value_and_grad`, and may override the
     Hessian, feasibility, step acceptance, normalization and metric hooks.
-    Gradients are full-length nodal arrays; entries at pinned dofs are
-    ignored.  An objective with ``has_hessian`` set is minimized by Newton,
-    which :meth:`accept_step` may veto steps of; any other by L-BFGS.
-    :meth:`precondition` works on free-dof vectors instead: it is the solve
+    An objective with ``has_hessian`` set is minimized by Newton, which
+    :meth:`accept_step` may veto steps of, on node vectors: it keeps the
+    default maps below, and its gradients are full-length nodal arrays
+    whose entries at pinned dofs are ignored.
+    Any other is minimized by L-BFGS on the optimizer's vector, which
+    :meth:`dofs` maps a node vector to and :meth:`nodes` maps back, pinned;
+    :meth:`value_and_grad` then takes and returns that vector.  L-BFGS reads
+    its entries where ``dof_free`` is set and weighs them by
+    ``dof_weights`` in the dual norm.  By default the optimizer's vector is
+    the node vector itself, with the level's weights and ``free_mask``.
+    :meth:`precondition` works on its free entries: it is the solve
     ``g -> P^-1 g`` of the SPD metric ``P`` that L-BFGS starts from, by
     default the L2 metric ``diag(d)`` of the free weights.
     """
@@ -83,6 +90,7 @@ class LevelObjective:
             self.fixed_mask = level.boundary_mask
         self.fixed_values = np.broadcast_to(np.asarray(boundary, dtype=float), shape)
         self.free_mask = ~self.fixed_mask
+        self.dof_weights, self.dof_free = level.weights, self.free_mask
 
     # --- required -----------------------------------------------------
     def value_and_grad(self, u: np.ndarray) -> tuple[float, np.ndarray]:
@@ -107,7 +115,15 @@ class LevelObjective:
         return u
 
     def precondition(self, g: np.ndarray) -> np.ndarray:
-        return g / self.level.weights[self.free_mask]
+        return g / self.dof_weights[self.dof_free]
+
+    def dofs(self, u: np.ndarray) -> np.ndarray:
+        """The optimizer's vector of the node vector ``u``."""
+        return u
+
+    def nodes(self, x: np.ndarray) -> np.ndarray:
+        """The pinned node vector of the optimizer's vector ``x``."""
+        return x
 
     # --- helpers --------------------------------------------------------
     def pin(self, u: np.ndarray) -> np.ndarray:
@@ -208,25 +224,29 @@ def prolong(u: GridFunction, fine: GridLevel) -> GridFunction:
 
 def _run_optimizer(obj: LevelObjective, x: np.ndarray) -> OptimizeResult:
     """Run the appropriate optimizer from the pinned start ``x`` with the
-    self-scaling tolerance.
+    self-scaling tolerance; the result's ``x`` is a node vector.
 
     The optimizer tests ``||g||_* <= GTOL_FACTOR * (1 + |f|)`` at its current
     value ``f``, so one call decides convergence at the value it returns.
+    L-BFGS runs on the objective's optimizer vector: the start is mapped in
+    by :meth:`LevelObjective.dofs` and released, unless the caller holds it,
+    and the minimizer mapped out by :meth:`LevelObjective.nodes`.
     """
     def gtol(f: float) -> float:
         return GTOL_FACTOR * (1.0 + abs(f))
 
-    weights = obj.level.weights
-    free = obj.free_mask
     if obj.has_hessian:
         return newton(
-            obj.value_and_grad, obj.hessian, x, weights, free,
+            obj.value_and_grad, obj.hessian, x, obj.level.weights, obj.free_mask,
             gtol=gtol, max_iter=NEWTON_MAX_ITERATIONS, accept=obj.accept_step,
         )
-    return lbfgs(
-        obj.value_and_grad, x, weights, free,
+    x = obj.dofs(x)
+    res = lbfgs(
+        obj.value_and_grad, x, obj.dof_weights, obj.dof_free,
         gtol=gtol, max_iter=MAX_ITERATIONS, precondition=obj.precondition,
     )
+    res.x = obj.nodes(res.x)
+    return res
 
 
 def minimize_level(
@@ -264,14 +284,13 @@ def minimize_level(
     best: OptimizeResult | None = None
     records = []
     while starts:
-        start = starts.pop(0)
-        res = _run_optimizer(obj, start)
+        # passed, not held, so that the optimizer can release it
+        res = _run_optimizer(obj, starts.pop(0))
         records.append(StartRecord(kind, res.iterations, res.value, res.converged))
         if best is None or res.value < best.value:
             best = res
-        # the next run holds neither this start nor, unless it is the best,
-        # its result
-        del start, res
+        # the next run does not hold this result unless it is the best
+        del res
 
     x = obj.normalize(best.x)
     diagnostics = problem.diagnostics(obj, x) if problem.diagnostics else {}
@@ -421,12 +440,16 @@ def verify_euler_lagrange(problem: ProblemSpec, result: MinResult) -> ELReport:
     The strong-form residual is the Riesz residual ``grad / d`` (for the
     singular study, ``-lap u + W'(u)``), evaluated at free nodes only.  Weak
     residuals pair the gradient at free nodes with each function of
-    ``standard_battery`` of the level's domain.
+    ``standard_battery`` of the level's domain.  Both are taken on the
+    objective's optimizer vector (:meth:`LevelObjective.dofs`): a dof that
+    stands for ``m`` nodes of equal Riesz residual carries ``m`` times
+    their gradient and weight, so the residual is theirs, and it pairs with
+    the mean of each test function over them.
     """
     obj = problem.build(result.level)
-    free = obj.free_mask
-    d = result.level.weights
-    g = obj.value_and_grad(result.u.values)[1]
+    free = obj.dof_free
+    d = obj.dof_weights
+    g = obj.value_and_grad(obj.dofs(result.u.values))[1]
     r = (g / d)[free]
     max_res = float(np.max(np.abs(r))) if r.size else 0.0
     l2_res = float(np.sqrt(np.sum(r**2 * d[free])))
@@ -435,5 +458,5 @@ def verify_euler_lagrange(problem: ProblemSpec, result: MinResult) -> ELReport:
     weak = []
     for phi in standard_battery(result.level.domain):
         phi_grid = restrict(phi, result.level)
-        weak.append(float(g @ phi_grid.values))
+        weak.append(float(g @ obj.dofs(phi_grid.values)))
     return ELReport(max_residual=max_res, l2_residual=l2_res, weak_residuals=tuple(weak))

@@ -246,8 +246,8 @@ def _quotient_h1_run():
     spec = sign_perturbed_spec()
     level = build_level(spec.domain, 4)
     obj = spec.build(level)
-    x0 = obj.pin(spec.initial_guesses(level)[1])
-    return (obj.value_and_grad, x0, level.weights, obj.free_mask), dict(
+    x0 = obj.dofs(obj.pin(spec.initial_guesses(level)[1]))
+    return (obj.value_and_grad, x0, obj.dof_weights, obj.dof_free), dict(
         gtol=lambda f: GTOL_FACTOR * (1.0 + abs(f)), max_iter=MAX_ITERATIONS,
         precondition=obj.precondition)
 
@@ -318,9 +318,9 @@ def test_lbfgs_default_metric_bit_identical_on_quotient():
     spec = sign_perturbed_spec()
     level = build_level(spec.domain, 3)
     obj = spec.build(level)
-    x0 = obj.pin(spec.initial_guesses(level)[1])
+    x0 = obj.dofs(obj.pin(spec.initial_guesses(level)[1]))
     gtol = GTOL_FACTOR * (1.0 + abs(obj.value_and_grad(x0)[0]))
-    args = (obj.value_and_grad, x0, level.weights, obj.free_mask)
+    args = (obj.value_and_grad, x0, obj.dof_weights, obj.dof_free)
     expected = _diag_metric_lbfgs(*args, gtol=gtol, wolfe=True)
     l2 = functools.partial(LevelObjective.precondition, obj)
     _assert_same_run(
@@ -403,10 +403,10 @@ def test_lbfgs_stall_guard_stops_a_flat_direction_quotient(metric):
     spec = sign_perturbed_spec()
     level = build_level(spec.domain, 3)
     obj = spec.build(level)
-    x0 = obj.pin(spec.initial_guesses(level)[1])
+    x0 = obj.dofs(obj.pin(spec.initial_guesses(level)[1]))
     l2 = functools.partial(LevelObjective.precondition, obj)
     result = lbfgs(
-        obj.value_and_grad, x0, level.weights, obj.free_mask, gtol=lambda f: 0.0,
+        obj.value_and_grad, x0, obj.dof_weights, obj.dof_free, gtol=lambda f: 0.0,
         max_iter=MAX_ITERATIONS, precondition=obj.precondition if metric == "h1" else l2,
     )
     assert not result.converged

@@ -13,7 +13,7 @@ import scipy.sparse as sp
 from grid_oracles import coordinate_table, interface, monad
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from solver_oracles import check_gradient
+from solver_oracles import check_gradient, mirror_counts, node_gradient, node_value_and_grad
 
 import ultragrid.optimize as optimize
 import ultragrid.problems as problems
@@ -287,7 +287,7 @@ def test_negative_well_converges_in_the_well_free_metric():
     rng = np.random.default_rng(0)
     for r in net.results:
         obj = spec.build(r.level)
-        g = rng.standard_normal(int(obj.free_mask.sum()))
+        g = rng.standard_normal(obj.dof_weights.size)
         assert g @ obj.precondition(g) > 0.0
 
 
@@ -296,10 +296,10 @@ def test_quotient_scale_invariance():
     level = build_level(spec.domain, 3)
     obj = spec.build(level)
     rng = np.random.default_rng(2)
-    u = obj.pin(rng.standard_normal(level.node_count))
-    q = obj.value_and_grad(u)[0]
+    x = obj.dofs(obj.pin(rng.standard_normal(level.node_count)))
+    q = obj.value_and_grad(x)[0]
     for alpha in (0.5, -3.0, 17.0):
-        assert abs(obj.value_and_grad(alpha * u)[0] - q) <= 1e-12 * abs(q)
+        assert abs(obj.value_and_grad(alpha * x)[0] - q) <= 1e-12 * abs(q)
 
 
 def test_quotient_gradient_consistency():
@@ -377,10 +377,14 @@ def test_quotient_kernel_matches_former_formula(dimension, n, well):
     level = build_level(Domain(((0.0, 1.0),) * dimension), n)
     obj = problems._QuotientObjective(level, a, ())
     u = obj.pin(np.random.default_rng(n + dimension).standard_normal(level.node_count))
-    value, grad = obj.value_and_grad(u)
+    value, grad = node_value_and_grad(obj, u)
     ref_value, ref_grad = _old_quotient(obj, u, a)
     assert value == pytest.approx(ref_value, rel=1e-12)
-    np.testing.assert_allclose(grad, ref_grad, rtol=1e-12, atol=1e-12 * np.abs(ref_grad).max())
+    # L-BFGS reads the gradient on the free nodes only
+    free = obj.free_mask
+    assert not grad[~free].any()
+    np.testing.assert_allclose(grad[free], ref_grad[free], rtol=1e-12,
+                               atol=1e-12 * np.abs(ref_grad).max())
     # the former per-cell weighted sums against <u, adj>: the same exact
     # Gauss sums, summed in another order
     assert _whole_array_value_and_grad(obj, u, a)[0] == pytest.approx(value, rel=1e-15, abs=0.0)
@@ -455,12 +459,13 @@ def _whole_array_value_and_grad(obj, u, well):
 def _assert_matches_whole_array_oracle(obj, u, well):
     # den = <u, adj> against the former per-cell weighted sums (the same
     # exact Gauss sum), and the well folded into the stiffness against its
-    # Gauss sum, to 1e-15 relative; the gradient, scaled after the
-    # back-projection instead of before it, to rounding
-    value, grad = obj.value_and_grad(u)
+    # Gauss sum, to 1e-15 relative; the gradient on the free nodes, scaled
+    # after the back-projection instead of before it, to rounding
+    value, grad = node_value_and_grad(obj, u)
     ref_value, ref_grad = _whole_array_value_and_grad(obj, u, well)
+    free = obj.free_mask
     assert value == pytest.approx(ref_value, rel=1e-15, abs=0.0)
-    assert np.max(np.abs(grad - ref_grad)) <= 1e-14 * np.max(np.abs(ref_grad))
+    assert np.max(np.abs(grad - ref_grad)[free]) <= 1e-14 * np.max(np.abs(ref_grad))
 
 
 _KERNEL_LEVELS = [(3, n) for n in (1, 2, 3, 4, 5)] + [(4, 2), (4, 3), (5, 2)]
@@ -544,10 +549,10 @@ def test_quotient_evaluation_stores_no_gauss_grid(well):
     try:
         a = QuadraticWell((0.4, 0.5, 0.6)) if well else None
         obj = problems._QuotientObjective(level, a, ())
-        u = obj.pin(u)
+        x = obj.dofs(obj.pin(u))
         held, build_peak = tracemalloc.get_traced_memory()
         tracemalloc.reset_peak()
-        obj.value_and_grad(u)
+        obj.value_and_grad(x)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -584,6 +589,35 @@ def test_one_quotient_start_holds_the_history_and_a_few_vectors():
     assert len(res.starts) == 1 and res.converged
     assert peak - held <= history + 16 * node
 
+
+
+def test_one_folded_quotient_start_holds_the_folded_history_and_a_few_vectors():
+    # L-BFGS runs on the octant's dofs: one free 3D level-5 start holds a
+    # history of 2 * memory vectors of 16^3 dofs (655 KB, 2.28 node
+    # vectors), 8x fewer than the full grid's 31^3 free nodes.  Above what
+    # the level and the objective hold, the peak is that history plus 4.0
+    # node vectors (the start, the Gauss pass's chunk buffers, the unfolded
+    # minimizer), against 24.2 when L-BFGS ran on the full grid; the bubble
+    # built in the call peaks at 5.1 node vectors and the diagnostics at 5.5,
+    # both without the history.  Bounded by the history plus 5 node vectors
+    spec = sign_perturbed_spec()
+    level = build_level(spec.domain, 5)
+    node = 8 * level.node_count
+    history = 2 * 10 * 8 * 16**3
+    tracemalloc.start()
+    try:
+        spec.build(level)
+        level.weights, level.boundary_mask
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        res = minimize_level(
+            spec, level, init=bubble(level, (0.5,) * 3, 4.0 * level.h)
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(res.starts) == 1 and res.converged
+    assert peak - held <= history + 5 * node
 
 
 @pytest.mark.parametrize("well", [False, True])
@@ -658,9 +692,10 @@ def test_strength_zero_well_is_the_free_quotient(n):
     free = problems._QuotientObjective(level, None, ())
     zero = problems._QuotientObjective(level, QuadraticWell((0.4, 0.5, 0.6), strength=0.0), ())
     u = free.pin(np.random.default_rng(n).standard_normal(level.node_count))
+    x = free.dofs(u)
     _assert_bit_identical(
-        (*free.value_and_grad(u), free.normalize(u)),
-        (*zero.value_and_grad(u), zero.normalize(u)),
+        (*free.value_and_grad(x), free.precondition(x), free.normalize(u)),
+        (*zero.value_and_grad(x), zero.precondition(x), zero.normalize(u)),
     )
 
 
@@ -682,9 +717,10 @@ def test_quotient_chunked_sweep_is_bit_identical(monkeypatch, dimension, n, well
     level = build_level(Domain(((0.0, 1.0),) * dimension), n)
     obj = problems._QuotientObjective(level, a, ())
     u = obj.pin(np.random.default_rng(70 + n).standard_normal(level.node_count))
-    expected = (*obj.value_and_grad(u), obj.normalize(u))
+    x = obj.dofs(u)
+    expected = (*obj.value_and_grad(x), obj.normalize(u))
     monkeypatch.setattr(problems, "_CHUNK", 64)
-    _assert_bit_identical(expected, (*obj.value_and_grad(u), obj.normalize(u)))
+    _assert_bit_identical(expected, (*obj.value_and_grad(x), obj.normalize(u)))
 
 
 def test_quotient_square_rounds_as_numpy_power():
@@ -784,12 +820,11 @@ def test_octant_matches_the_full_grid_at_the_bubble_starts(dimension, n, well):
     assert folded.folds
     for start in spec.initial_guesses(level):
         u = folded.pin(start)
-        value, grad = folded.value_and_grad(u)
-        ref_value, ref_grad = full.value_and_grad(u)
+        value, g = folded.value_and_grad(folded.dofs(u))
+        ref_value, ref_g = full.value_and_grad(full.dofs(u))
         assert value == pytest.approx(ref_value, rel=1e-12, abs=0.0)
-        _assert_close(grad, ref_grad)
-        g = grad[folded.free_mask]
-        _assert_close(folded.precondition(g), full.precondition(g))
+        _assert_close(node_gradient(folded, g), node_gradient(full, ref_g))
+        _assert_close(folded.nodes(folded.precondition(g)), full.nodes(full.precondition(ref_g)))
         _assert_close(folded.normalize(u), full.normalize(u))
 
 
@@ -812,25 +847,38 @@ def test_octant_evaluates_the_mirror_average(dimension, n, well):
     rng = np.random.default_rng(90 + n)
     u = folded.pin(rng.standard_normal(level.node_count))
     mean = _mirror_mean(u, level.shape, folded.folds)
-    value, grad = folded.value_and_grad(u)
-    ref_value, ref_grad = full.value_and_grad(mean)
+    value, grad = node_value_and_grad(folded, u)
+    ref_value, ref_grad = node_value_and_grad(full, mean)
     assert value == pytest.approx(ref_value, rel=1e-12, abs=0.0)
-    assert value != pytest.approx(full.value_and_grad(u)[0], rel=1e-3)
+    assert value != pytest.approx(full.value_and_grad(full.dofs(u))[0], rel=1e-3)
     _assert_close(grad, ref_grad)
-    # and the former formula, evaluated at the mean
-    _assert_close(grad, _old_quotient(full, mean, a)[1])
+    # and the former formula, evaluated at the mean, on the free nodes
+    free = folded.free_mask
+    _assert_close(grad[free], _old_quotient(full, mean, a)[1][free])
+    # a symmetric full-grid gradient g, whose dof gradient sums each dof's
+    # mirror images
     interior = tuple(m - 2 for m in level.shape)
-    g = _mirror_mean(rng.standard_normal(int(folded.free_mask.sum())), interior, folded.folds)
-    _assert_close(folded.precondition(g), full.precondition(g))
+    g = _mirror_mean(rng.standard_normal(int(free.sum())), interior, folded.folds)
+    folded_g = folded.dofs(full.nodes(g)) * mirror_counts(folded)
+    _assert_close(folded.nodes(folded.precondition(folded_g)), full.nodes(full.precondition(g)))
 
 
 @pytest.mark.parametrize(
     "well", [False, True] + _PARTLY_CENTRED[3] + _PARTLY_CENTRED[4], ids=_well_id
 )
 def test_octant_solves_as_the_full_grid(well):
-    # the same iterations and verdicts on every level, the values to rounding
     dimension = 3 if isinstance(well, bool) else len(well)
-    a = _fold_well(dimension, well)
+    _assert_solves_as_the_full_grid(dimension, _fold_well(dimension, well))
+
+
+def test_octant_solves_as_the_full_grid_in_4d():
+    _assert_solves_as_the_full_grid(4, None)
+
+
+def _assert_solves_as_the_full_grid(dimension, a):
+    # L-BFGS on the folded dofs against L-BFGS on the full grid's interior
+    # nodes: the same iterations of every start and the same verdicts on
+    # every level, the values to rounding
     spec = sign_perturbed_spec(a=a, dimension=dimension)
     full_spec = dataclasses.replace(spec, build=functools.lru_cache(maxsize=1)(
         lambda level: problems._QuotientObjective(level, a, ())))
@@ -841,6 +889,52 @@ def test_octant_solves_as_the_full_grid(well):
         assert [s.iterations for s in got.starts] == [s.iterations for s in expected.starts]
         assert got.converged == expected.converged
         assert got.value == pytest.approx(expected.value, rel=1e-12, abs=0.0)
+
+
+_MAP_CASES = [(3, 3, False), (3, 4, True), (4, 2, False), (3, 3, (0.4, 0.5, 0.6)),
+              (3, 4, (0.5, 0.5, 0.4)), (4, 2, (0.5, 0.5, 0.5, 0.6)), (3, 3, (0.4, 0.45, 0.6))]
+
+
+@pytest.mark.parametrize("dimension, n, well", _MAP_CASES, ids=_well_id)
+def test_dofs_and_nodes_fold_and_unfold(dimension, n, well):
+    # nodes(dofs(u)) is the mirror average of u, zero on the boundary, and
+    # bit for bit u itself at the (symmetric) bubble starts; dofs(nodes(x))
+    # is x, whatever the folds (none for the well at (0.4, 0.45, 0.6))
+    a = _fold_well(dimension, well)
+    spec = sign_perturbed_spec(a=a, dimension=dimension)
+    level = build_level(spec.domain, n)
+    obj = spec.build(level)
+    rng = np.random.default_rng(20 + n)
+    u = obj.pin(rng.standard_normal(level.node_count))
+    _assert_close(obj.nodes(obj.dofs(u)), _mirror_mean(u, level.shape, obj.folds), rtol=1e-15)
+    for start in spec.initial_guesses(level):
+        u = obj.pin(start)
+        _assert_bit_identical([u], [obj.nodes(obj.dofs(u))])
+    x = rng.standard_normal(obj.dof_weights.size)
+    _assert_bit_identical([x], [obj.dofs(obj.nodes(x))])
+    assert obj.dof_free.all() and obj.dof_free.shape == x.shape
+
+
+@pytest.mark.parametrize("dimension, n, well", _MAP_CASES[:-1], ids=_well_id)
+def test_dual_norm_and_pairings_on_dofs_are_the_full_grids(dimension, n, well):
+    # at the bubble starts and at a random symmetric field, the dual norm of
+    # the folded gradient in the weights m_k d_k, and its pairing with a
+    # random symmetric step, are the full grid's on its interior nodes
+    a = _fold_well(dimension, well)
+    spec = sign_perturbed_spec(a=a, dimension=dimension)
+    level = build_level(spec.domain, n)
+    folded, full = spec.build(level), problems._QuotientObjective(level, a, ())
+    rng = np.random.default_rng(30 + n)
+    fields = [folded.pin(start) for start in spec.initial_guesses(level)]
+    fields.append(folded.nodes(rng.standard_normal(folded.dof_weights.size)))
+    step = folded.nodes(rng.standard_normal(folded.dof_weights.size))
+    for u in fields:
+        g = folded.value_and_grad(folded.dofs(u))[1]
+        ref = full.value_and_grad(full.dofs(u))[1]
+        assert optimize._dual_norm(g, folded.dof_weights) == pytest.approx(
+            optimize._dual_norm(ref, full.dof_weights), rel=1e-13, abs=0.0)
+        pairing = full.dofs(step) @ ref
+        assert abs(folded.dofs(step) @ g - pairing) <= 1e-13 * (np.abs(full.dofs(step)) @ np.abs(ref))
 
 
 def test_each_axis_the_data_are_symmetric_about_is_folded():
